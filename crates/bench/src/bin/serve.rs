@@ -4,13 +4,13 @@
 //! The default sweep measures read-only throughput and
 //! admission-to-response latency quantiles for {backend} × {shard
 //! count} × {batch policy} × {closed, open} load modes and writes a
-//! machine-readable `BENCH_serve.json` (schema `isi-serve/v1`).
+//! machine-readable `BENCH_serve.json` (schema `isi-serve/v2`).
 //!
 //! `--mixed` instead sweeps {backend} × {shard count} × {write
 //! fraction} × {merge threshold} × {adapt mode} over the **writable**
 //! store — closed-loop clients whose op streams mix
 //! `get`/`put`/`remove`/`get_range` — and writes
-//! `BENCH_serve_mixed.json` (schema `isi-serve-mixed/v6`), including
+//! `BENCH_serve_mixed.json` (schema `isi-serve-mixed/v7`), including
 //! merge counts (background vs foreground), merge latency, published
 //! delta runs and stack compactions, plan-stage delta hits / residual
 //! fraction, range-scan counts, hot-key-cache hits, per-cell retune
@@ -334,12 +334,11 @@ fn main() {
         );
         let cells = run_sweep(&cfg, |c| {
             println!(
-                "{:>6} {:>6} shards={:<2} batch={:<4} wait={:<6}us {:>10.0} req/s  p50={:<9} p99={:<9} mean_batch={:.1}",
+                "{:>6} {:>6} shards={:<2} batch={:<4} {:>10.0} req/s  p50={:<9} p99={:<9} mean_batch={:.1}",
                 c.mode,
                 c.backend.name(),
                 c.shards,
                 c.policy.max_batch,
-                c.policy.max_wait_us,
                 c.throughput_rps,
                 format!("{}ns", c.p50_ns),
                 format!("{}ns", c.p99_ns),

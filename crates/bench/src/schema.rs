@@ -16,8 +16,11 @@
 /// `BENCH_throughput.json` — morsel-parallel lookup throughput sweep.
 pub const THROUGHPUT: &str = "isi-throughput/v1";
 
-/// `BENCH_serve.json` — admission-batched lookup-service load sweep.
-pub const SERVE: &str = "isi-serve/v1";
+/// `BENCH_serve.json` — admission-batched lookup-service load sweep
+/// (v2: caller-runs admission — the flush-deadline policy column and
+/// the deadline-flush cell column are gone, cells record
+/// `caller_runs`).
+pub const SERVE: &str = "isi-serve/v2";
 
 /// `BENCH_serve_mixed.json` — mixed read/write sweep (v2 added the
 /// per-policy merge/cache columns; v3 added the durability columns:
@@ -31,8 +34,10 @@ pub const SERVE: &str = "isi-serve/v1";
 /// published) and `compactions` (stack folds past `max_runs`); v6
 /// added the adaptive-dispatch axis — `config.adapts` (policy modes
 /// swept) and `config.retune_interval`, each cell records its `adapt`
-/// mode plus the `retunes` counter and per-shard `final_groups`).
-pub const SERVE_MIXED: &str = "isi-serve-mixed/v6";
+/// mode plus the `retunes` counter and per-shard `final_groups`; v7
+/// follows caller-runs admission — `config.policy` loses its flush
+/// deadline, each cell records `caller_runs`).
+pub const SERVE_MIXED: &str = "isi-serve-mixed/v7";
 
 #[cfg(test)]
 mod tests {

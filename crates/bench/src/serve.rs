@@ -1,6 +1,6 @@
 //! The `serve` sweep: load-tests the admission-batched lookup service
 //! over {backend × shard count × batch policy × load mode} and writes
-//! a machine-readable `BENCH_serve.json` (schema `isi-serve/v1`).
+//! a machine-readable `BENCH_serve.json` (schema `isi-serve/v2`).
 //!
 //! Two load modes per cell:
 //!
@@ -11,8 +11,8 @@
 //!   rate split across clients), sleeping until the next slot when
 //!   ahead and issuing immediately when behind (paced open loop,
 //!   bounded by client concurrency); measures latency at a fixed
-//!   offered load, where the `max_wait` deadline rather than batch
-//!   fill dominates flushes.
+//!   offered load, where most requests find their shard idle and run
+//!   on the caller.
 //!
 //! Latency quantiles come from the service's own log-bucketed
 //! [`LatencyHist`](isi_core::stats::LatencyHist) (admission →
@@ -20,7 +20,7 @@
 //! not just engine time.
 //!
 //! A second, **mixed read/write** sweep (`--mixed`, schema
-//! `isi-serve-mixed/v6`) drives closed-loop clients whose operation
+//! `isi-serve-mixed/v7`) drives closed-loop clients whose operation
 //! streams contain a configurable write fraction (puts + removes) and
 //! range-scan fraction (`get_range` over a fixed key span) against a
 //! writable store, with merges on the background merger thread by
@@ -66,20 +66,17 @@ pub use crate::schema::SERVE as SCHEMA;
 /// The two load modes, in sweep order.
 pub const MODES: [&str; 2] = ["closed", "open"];
 
-/// One admission-queue flush policy of the sweep.
+/// One admission-queue batch policy of the sweep.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PolicySpec {
-    /// Flush at this many queued requests...
+    /// Most queued requests one batch takes.
     pub max_batch: usize,
-    /// ...or when the oldest has waited this many microseconds.
-    pub max_wait_us: u64,
 }
 
 impl PolicySpec {
     fn to_batch_policy(self) -> BatchPolicy {
         BatchPolicy {
             max_batch: self.max_batch,
-            max_wait: Duration::from_micros(self.max_wait_us),
         }
     }
 }
@@ -109,24 +106,15 @@ pub struct ServeBenchCfg {
 
 impl ServeBenchCfg {
     /// Full sweep: a 1M-pair store, all backends, shards {1, 2, 4},
-    /// three policies from latency-biased to throughput-biased.
+    /// three batch limits from small to large.
     pub fn full() -> Self {
         Self {
             backends: Backend::ALL.to_vec(),
             shard_counts: vec![1, 2, 4],
             policies: vec![
-                PolicySpec {
-                    max_batch: 8,
-                    max_wait_us: 100,
-                },
-                PolicySpec {
-                    max_batch: 64,
-                    max_wait_us: 1_000,
-                },
-                PolicySpec {
-                    max_batch: 256,
-                    max_wait_us: 5_000,
-                },
+                PolicySpec { max_batch: 8 },
+                PolicySpec { max_batch: 64 },
+                PolicySpec { max_batch: 256 },
             ],
             store_keys: 1 << 20,
             clients: 8,
@@ -143,10 +131,7 @@ impl ServeBenchCfg {
         Self {
             backends: Backend::ALL.to_vec(),
             shard_counts: vec![1, 2],
-            policies: vec![PolicySpec {
-                max_batch: 16,
-                max_wait_us: 200,
-            }],
+            policies: vec![PolicySpec { max_batch: 16 }],
             store_keys: 1 << 12,
             clients: 4,
             requests_per_client: 256,
@@ -188,10 +173,11 @@ pub struct ServeCell {
     pub batches: u64,
     /// Mean requests per dispatched batch.
     pub mean_batch: f64,
-    /// Batches flushed full vs by deadline.
+    /// Batches cut at `max_batch` entries.
     pub full_flushes: u64,
-    /// Deadline (or drain) flushes.
-    pub timeout_flushes: u64,
+    /// Batches executed by a submitting thread (the rest ran on a
+    /// shard's helper).
+    pub caller_runs: u64,
 }
 
 /// Build the store for one (backend, shards) point: `store_keys`
@@ -277,7 +263,7 @@ pub fn measure_cell(
         batches: stats.batches,
         mean_batch: stats.mean_batch(),
         full_flushes: stats.full_flushes,
-        timeout_flushes: stats.timeout_flushes,
+        caller_runs: stats.caller_runs,
     }
 }
 
@@ -302,7 +288,7 @@ pub fn run_sweep(cfg: &ServeBenchCfg, mut progress: impl FnMut(&ServeCell)) -> V
     cells
 }
 
-/// Serialize a finished sweep to the `isi-serve/v1` document.
+/// Serialize a finished sweep to the `isi-serve/v2` document.
 pub fn to_json(cfg: &ServeBenchCfg, cells: &[ServeCell]) -> Json {
     let results: Vec<Json> = cells
         .iter()
@@ -312,7 +298,6 @@ pub fn to_json(cfg: &ServeBenchCfg, cells: &[ServeCell]) -> Json {
                 ("backend", str(c.backend.name())),
                 ("shards", num(c.shards as f64)),
                 ("max_batch", num(c.policy.max_batch as f64)),
-                ("max_wait_us", num(c.policy.max_wait_us as f64)),
                 ("requests", num(c.requests as f64)),
                 ("hits", num(c.hits as f64)),
                 ("elapsed_ns", num(c.elapsed_ns.round())),
@@ -324,7 +309,7 @@ pub fn to_json(cfg: &ServeBenchCfg, cells: &[ServeCell]) -> Json {
                 ("batches", num(c.batches as f64)),
                 ("mean_batch", num((c.mean_batch * 100.0).round() / 100.0)),
                 ("full_flushes", num(c.full_flushes as f64)),
-                ("timeout_flushes", num(c.timeout_flushes as f64)),
+                ("caller_runs", num(c.caller_runs as f64)),
             ])
         })
         .collect();
@@ -359,12 +344,7 @@ pub fn to_json(cfg: &ServeBenchCfg, cells: &[ServeCell]) -> Json {
                     Json::Arr(
                         cfg.policies
                             .iter()
-                            .map(|p| {
-                                obj(vec![
-                                    ("max_batch", num(p.max_batch as f64)),
-                                    ("max_wait_us", num(p.max_wait_us as f64)),
-                                ])
-                            })
+                            .map(|p| obj(vec![("max_batch", num(p.max_batch as f64))]))
                             .collect(),
                     ),
                 ),
@@ -382,10 +362,11 @@ pub fn to_json(cfg: &ServeBenchCfg, cells: &[ServeCell]) -> Json {
 }
 
 /// Validate a result document: schema tag, and exactly one cell with
-/// positive throughput, full request coverage and monotone latency
-/// quantiles for every `mode × backend × shard count × policy`
-/// combination the document's own config declares. Used by the CI
-/// smoke job and by the binary's self-check after a sweep.
+/// positive throughput, full request coverage, coherent batch
+/// counters (`full_flushes ≤ batches`, `caller_runs ≤ batches`) and
+/// monotone latency quantiles for every `mode × backend × shard count
+/// × policy` combination the document's own config declares. Used by
+/// the CI smoke job and by the binary's self-check after a sweep.
 pub fn verify(doc: &Json) -> Result<(), String> {
     if doc.get("schema").and_then(Json::as_str) != Some(SCHEMA) {
         return Err(format!("schema tag is not {SCHEMA:?}"));
@@ -410,22 +391,17 @@ pub fn verify(doc: &Json) -> Result<(), String> {
         .iter()
         .map(|v| v.as_usize().ok_or("non-integer shard count"))
         .collect::<Result<_, _>>()?;
-    let policies: Vec<(usize, usize)> = config
+    let policies: Vec<usize> = config
         .get("policies")
         .and_then(Json::as_arr)
         .ok_or("missing config.policies")?
         .iter()
         .map(|p| {
-            Ok((
-                p.get("max_batch")
-                    .and_then(Json::as_usize)
-                    .ok_or("policy missing max_batch")?,
-                p.get("max_wait_us")
-                    .and_then(Json::as_usize)
-                    .ok_or("policy missing max_wait_us")?,
-            ))
+            p.get("max_batch")
+                .and_then(Json::as_usize)
+                .ok_or("policy missing max_batch")
         })
-        .collect::<Result<_, String>>()?;
+        .collect::<Result<_, _>>()?;
     let modes: Vec<&str> = config
         .get("modes")
         .and_then(Json::as_arr)
@@ -456,7 +432,7 @@ pub fn verify(doc: &Json) -> Result<(), String> {
     for &m in &modes {
         for &b in &backends {
             for &s in &shard_counts {
-                for &(batch, wait) in &policies {
+                for &batch in &policies {
                     let matching: Vec<&Json> = results
                         .iter()
                         .filter(|c| {
@@ -464,10 +440,9 @@ pub fn verify(doc: &Json) -> Result<(), String> {
                                 && c.get("backend").and_then(Json::as_str) == Some(b)
                                 && c.get("shards").and_then(Json::as_usize) == Some(s)
                                 && c.get("max_batch").and_then(Json::as_usize) == Some(batch)
-                                && c.get("max_wait_us").and_then(Json::as_usize) == Some(wait)
                         })
                         .collect();
-                    let cell_name = format!("{m}/{b}/shards={s}/batch={batch}/wait={wait}us");
+                    let cell_name = format!("{m}/{b}/shards={s}/batch={batch}");
                     if matching.len() != 1 {
                         return Err(format!(
                             "expected exactly 1 cell for {cell_name}, found {}",
@@ -488,6 +463,15 @@ pub fn verify(doc: &Json) -> Result<(), String> {
                         ));
                     }
                     let q = |key: &str| cell.get(key).and_then(Json::as_f64).unwrap_or(-1.0);
+                    let batches = q("batches");
+                    for bounded in ["full_flushes", "caller_runs"] {
+                        if !(0.0..=batches).contains(&q(bounded)) {
+                            return Err(format!(
+                                "cell {cell_name}: {bounded} ({}) outside [0, batches = {batches}]",
+                                q(bounded)
+                            ));
+                        }
+                    }
                     let (p50, p95, p99) = (q("p50_ns"), q("p95_ns"), q("p99_ns"));
                     if !(0.0 <= p50 && p50 <= p95 && p95 <= p99) {
                         return Err(format!(
@@ -607,10 +591,7 @@ impl MixedBenchCfg {
             // run-stack keeps within a whisker of the shallow one.
             merge_thresholds: vec![512, 4096],
             hot_cache_slots: 64,
-            policy: PolicySpec {
-                max_batch: 64,
-                max_wait_us: 1_000,
-            },
+            policy: PolicySpec { max_batch: 64 },
             group: 6,
             queue_cap: 1024,
             // The committed baseline's acceptance check compares these
@@ -642,10 +623,7 @@ impl MixedBenchCfg {
             // a threshold of 24 forces real merges in the smoke cell.
             merge_thresholds: vec![24],
             hot_cache_slots: 32,
-            policy: PolicySpec {
-                max_batch: 16,
-                max_wait_us: 200,
-            },
+            policy: PolicySpec { max_batch: 16 },
             group: 6,
             queue_cap: 256,
             // One mode keeps the existing CI legs' cell counts stable;
@@ -734,6 +712,9 @@ pub struct MixedCell {
     pub batches: u64,
     /// Mean entries per dispatched batch.
     pub mean_batch: f64,
+    /// Batches executed by a submitting thread (the rest ran on a
+    /// shard's helper).
+    pub caller_runs: u64,
     /// Delta-to-main merges during the cell.
     pub merges: u64,
     /// Merges performed by the background merger thread (= `merges`
@@ -961,6 +942,7 @@ pub fn measure_mixed_cell(
         mean_ns: stats.latency.mean(),
         batches: stats.batches,
         mean_batch: stats.mean_batch(),
+        caller_runs: stats.caller_runs,
         merges: stats.merges,
         bg_merges: stats.bg_merges,
         delta_runs: stats.delta_runs,
@@ -1007,7 +989,7 @@ pub fn run_mixed_sweep(
     cells
 }
 
-/// Serialize a finished mixed sweep to the `isi-serve-mixed/v6`
+/// Serialize a finished mixed sweep to the `isi-serve-mixed/v7`
 /// document.
 pub fn to_mixed_json(cfg: &MixedBenchCfg, cells: &[MixedCell]) -> Json {
     let results: Vec<Json> = cells
@@ -1059,6 +1041,7 @@ pub fn to_mixed_json(cfg: &MixedBenchCfg, cells: &[MixedCell]) -> Json {
                 ("mean_ns", num(c.mean_ns.round())),
                 ("batches", num(c.batches as f64)),
                 ("mean_batch", num((c.mean_batch * 100.0).round() / 100.0)),
+                ("caller_runs", num(c.caller_runs as f64)),
                 ("merges", num(c.merges as f64)),
                 ("bg_merges", num(c.bg_merges as f64)),
                 ("runs", num(c.delta_runs as f64)),
@@ -1132,10 +1115,7 @@ pub fn to_mixed_json(cfg: &MixedBenchCfg, cells: &[MixedCell]) -> Json {
                 ("hot_cache_slots", num(cfg.hot_cache_slots as f64)),
                 (
                     "policy",
-                    obj(vec![
-                        ("max_batch", num(cfg.policy.max_batch as f64)),
-                        ("max_wait_us", num(cfg.policy.max_wait_us as f64)),
-                    ]),
+                    obj(vec![("max_batch", num(cfg.policy.max_batch as f64))]),
                 ),
                 ("group", num(cfg.group as f64)),
                 ("queue_cap", num(cfg.queue_cap as f64)),
@@ -1159,7 +1139,8 @@ pub fn to_mixed_json(cfg: &MixedBenchCfg, cells: &[MixedCell]) -> Json {
 /// `residual_frac` must be a fraction), coherent run-stack counters
 /// (`compactions ≤ runs ≤ puts + removes` — every published run
 /// carries at least one effective write, and a compaction only ever
-/// follows a run push), coherent adapt columns (`retunes` zero
+/// follows a run push), `caller_runs ≤ batches`, coherent adapt
+/// columns (`retunes` zero
 /// exactly when the cell's mode is `off`, positive under `auto`, and
 /// every `final_groups` entry inside `group_for_density`'s
 /// `[1, config.group]` clamp — pinned at `config.group` with adapt
@@ -1371,6 +1352,12 @@ pub fn verify_mixed(doc: &Json) -> Result<(), String> {
                         if compactions > runs {
                             return Err(format!(
                                 "cell {cell_name}: compactions ({compactions}) > runs ({runs})"
+                            ));
+                        }
+                        let (batches, caller_runs) = (count("batches"), count("caller_runs"));
+                        if caller_runs > batches {
+                            return Err(format!(
+                                "cell {cell_name}: caller_runs ({caller_runs}) > batches ({batches})"
                             ));
                         }
                         if range_fraction > 0.0 && f < 1.0 && range_scans == 0.0 {
@@ -1629,10 +1616,7 @@ mod tests {
         ServeBenchCfg {
             backends: Backend::ALL.to_vec(),
             shard_counts: vec![1, 2],
-            policies: vec![PolicySpec {
-                max_batch: 8,
-                max_wait_us: 100,
-            }],
+            policies: vec![PolicySpec { max_batch: 8 }],
             store_keys: 512,
             clients: 2,
             requests_per_client: 64,
@@ -1668,10 +1652,7 @@ mod tests {
             obs: false,
             merge_thresholds: vec![16],
             hot_cache_slots: 16,
-            policy: PolicySpec {
-                max_batch: 8,
-                max_wait_us: 100,
-            },
+            policy: PolicySpec { max_batch: 8 },
             group: 4,
             queue_cap: 64,
             adapts: vec![Adapt::Off, Adapt::Auto],

@@ -14,16 +14,18 @@
 //! |---|---|
 //! | [`epoch`] | `EpochCell` publish: snapshots never torn, epochs monotone |
 //! | [`merge`] | Main/Delta merge publish: a mid-rebuild write survives as residual delta |
-//! | [`runs`] | run-stack delta: compaction + identity-residual merge never lose the newest write |
+//! | [`runs`] | run-stack delta: compaction + identity-residual merge never lose the newest write, and a merge drains what it pinned |
 //! | [`cache`] | hot-key cache: invalidate-before-ack ⇒ no stale read after own-write ack |
-//! | [`queue`] | bounded admission queue: no lost wakeup / deadlock at backpressure |
+//! | [`queue`] | caller-runs admission: token hand-back strands no entry, no deadlock at backpressure |
 //! | [`wal`] | WAL group commit + snapshot-truncate: acked ⇒ durable, frontier monotone |
 //! | [`metrics`] | registry snapshot ordering: read ≤-side first ⇒ `syncs ≤ records` |
 //! | [`policy`] | `PolicyCell` retune publish: per-run snapshots never torn, groups in clamps |
 //!
 //! [`epoch::torn_publish`], [`wal::truncate_before_snapshot_sync`],
 //! [`metrics::snapshot_reads_records_first`],
-//! [`runs::oldest_run_wins`] and [`policy::split_policy_publish`] are
+//! [`runs::oldest_run_wins`], [`runs::fold_across_the_cut`],
+//! [`policy::split_policy_publish`] and
+//! [`queue::handback_without_notify`] are
 //! **known-bad** models kept as calibration targets: the test suite
 //! asserts the explorer *finds* their violations and that the printed
 //! seeds replay them.

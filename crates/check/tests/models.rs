@@ -56,6 +56,32 @@ fn explorer_catches_oldest_run_wins() {
     );
 }
 
+/// A write-path fold that takes the merge's pinned runs with it must
+/// leave merged entries in the residual under some interleaving — and
+/// the seed must replay it.
+#[test]
+fn explorer_catches_fold_across_the_cut() {
+    let outcome = explore(Config::default(), models::runs::fold_across_the_cut);
+    let Outcome::Violation(v) = outcome else {
+        panic!("fold across the cut not caught: {outcome:?}");
+    };
+    assert!(
+        v.message.contains("carries merged entries"),
+        "unexpected violation: {}",
+        v.message
+    );
+    let replayed = replay(
+        Config::default(),
+        &v.seed,
+        models::runs::fold_across_the_cut,
+    )
+    .expect("replay seed did not reproduce the violation");
+    assert!(
+        replayed.contains("carries merged entries"),
+        "replay diverged: {replayed}"
+    );
+}
+
 #[test]
 fn cache_invalidate_before_ack_no_stale_reads() {
     let n = check(
@@ -76,20 +102,47 @@ fn queue_backpressure_no_deadlock() {
 }
 
 #[test]
-fn queue_conditional_notify_no_lost_wakeup() {
-    check(
-        "queue conditional notify",
+fn queue_token_handback_no_stranded_entry() {
+    let n = check(
+        "queue token hand-back",
         Config::default(),
-        models::queue::conditional_notify_no_lost_wakeup,
+        models::queue::token_handback_no_stranded_entry,
     );
+    assert!(n > 1, "model has no concurrency ({n} interleaving)");
 }
 
 #[test]
-fn queue_timeout_notify_race() {
-    check(
-        "queue timeout race",
+fn queue_fan_out_no_stranded_entry() {
+    let n = check(
+        "queue fan-out submit",
         Config::default(),
-        models::queue::timeout_notify_race,
+        models::queue::fan_out_no_stranded_entry,
+    );
+    assert!(n > 1, "model has no concurrency ({n} interleaving)");
+}
+
+/// Handing the token back without re-checking the queue must strand
+/// an entry under some interleaving — and the seed must replay it.
+#[test]
+fn explorer_catches_handback_without_notify() {
+    let outcome = explore(Config::default(), models::queue::handback_without_notify);
+    let Outcome::Violation(v) = outcome else {
+        panic!("hand-back without notify not caught: {outcome:?}");
+    };
+    assert!(
+        v.message.contains("stranded entry"),
+        "unexpected violation: {}",
+        v.message
+    );
+    let replayed = replay(
+        Config::default(),
+        &v.seed,
+        models::queue::handback_without_notify,
+    )
+    .expect("replay seed did not reproduce the violation");
+    assert!(
+        replayed.contains("stranded entry"),
+        "replay diverged: {replayed}"
     );
 }
 

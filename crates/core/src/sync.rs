@@ -18,6 +18,15 @@
 //! guards, and the original panic remains the root cause in the
 //! backtrace.
 //!
+//! The one exception is cleanup that runs *during* an unwind and only
+//! fails the shared state closed (`crates/serve`: a ticket's `abandon`
+//! and the executor token's drop guard). A second panic there would
+//! abort the process, and closing is the right end for a mid-protocol
+//! state as well, so those two take the guard out of the
+//! `PoisonError`. Nothing else may: in particular, code that rejects a
+//! request releases its guard *before* it panics, so that rejection
+//! never poisons a lock.
+//!
 //! `xtask lint` enforces that `crates/serve` acquires every lock
 //! through these helpers rather than bare `.lock().unwrap()` — see
 //! `xtask/src/lint.rs`.

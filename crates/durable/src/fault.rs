@@ -1,6 +1,8 @@
 //! Fault injection: a [`FaultFs`] wrapper over [`MemFs`] that can
-//! drop fsyncs, tear records at arbitrary byte offsets, and "kill"
-//! the store at any operation in the write/snapshot/recover protocol.
+//! drop fsyncs, tear records at arbitrary byte offsets, fail every
+//! operation once the disk "fills up" ([`FaultFs::fill_disk`]), and
+//! "kill" the store at any operation in the write/snapshot/recover
+//! protocol.
 //!
 //! Killing is modeled as **crash-image capture** rather than a panic:
 //! when the mutating-operation counter reaches
@@ -43,6 +45,8 @@ struct FaultState {
     plan: FaultPlan,
     ops: u64,
     image: Option<MemFs>,
+    /// Set by [`FaultFs::fill_disk`].
+    full: bool,
 }
 
 /// A fault-injecting [`Fs`] over an in-memory store (see the [module
@@ -61,14 +65,15 @@ impl FaultFs {
                 plan,
                 ops: 0,
                 image: None,
+                full: false,
             }),
         }
     }
 
     /// Count one mutating operation, capturing the crash image if the
     /// kill point has been reached. Returns whether syncs are being
-    /// dropped.
-    fn before_op(&self) -> bool {
+    /// dropped, or the injected error if the disk is "full".
+    fn before_op(&self) -> io::Result<bool> {
         let mut st = self.state.plock("fault state");
         if st.image.is_none() && st.plan.kill_at_op == Some(st.ops) {
             st.image = Some(
@@ -77,7 +82,21 @@ impl FaultFs {
             );
         }
         st.ops += 1;
-        st.plan.drop_syncs
+        if st.full {
+            return Err(io::Error::new(
+                io::ErrorKind::StorageFull,
+                "injected fault: no space left on device",
+            ));
+        }
+        Ok(st.plan.drop_syncs)
+    }
+
+    /// The disk fills up: from now on every mutating operation fails
+    /// with [`io::ErrorKind::StorageFull`] and changes nothing. What
+    /// the caller does with the error (the store's write path panics)
+    /// is what a test arms this for.
+    pub fn fill_disk(&self) {
+        self.state.plock("fault state").full = true;
     }
 
     /// Mutating operations performed so far.
@@ -109,12 +128,12 @@ impl FaultFs {
 
 impl Fs for FaultFs {
     fn append(&self, name: &str, data: &[u8]) -> io::Result<()> {
-        self.before_op();
+        self.before_op()?;
         self.mem.append(name, data)
     }
 
     fn write_all(&self, name: &str, data: &[u8]) -> io::Result<()> {
-        self.before_op();
+        self.before_op()?;
         self.mem.write_all(name, data)
     }
 
@@ -123,19 +142,19 @@ impl Fs for FaultFs {
     }
 
     fn sync(&self, name: &str) -> io::Result<()> {
-        if self.before_op() {
+        if self.before_op()? {
             return Ok(()); // lying disk: report success, persist nothing
         }
         self.mem.sync(name)
     }
 
     fn rename(&self, from: &str, to: &str) -> io::Result<()> {
-        self.before_op();
+        self.before_op()?;
         self.mem.rename(from, to)
     }
 
     fn remove(&self, name: &str) -> io::Result<()> {
-        self.before_op();
+        self.before_op()?;
         self.mem.remove(name)
     }
 
@@ -144,7 +163,7 @@ impl Fs for FaultFs {
     }
 
     fn sync_dir(&self) -> io::Result<()> {
-        if self.before_op() {
+        if self.before_op()? {
             return Ok(());
         }
         self.mem.sync_dir()
@@ -189,6 +208,21 @@ mod tests {
         fs.sync_dir().unwrap();
         let img = fs.crash_now();
         assert!(img.list().unwrap().is_empty(), "nothing was truly durable");
+    }
+
+    #[test]
+    fn a_full_disk_fails_every_later_op_and_changes_nothing() {
+        let fs = FaultFs::new(FaultPlan::default());
+        fs.append("wal", b"kept").unwrap();
+        fs.sync("wal").unwrap();
+        fs.fill_disk();
+        for _ in 0..2 {
+            let e = fs.append("wal", b"-lost").unwrap_err();
+            assert_eq!(e.kind(), io::ErrorKind::StorageFull);
+        }
+        assert!(fs.sync("wal").is_err());
+        assert_eq!(fs.read("wal").unwrap(), b"kept");
+        assert_eq!(fs.ops_done(), 5);
     }
 
     #[test]

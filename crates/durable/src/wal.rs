@@ -270,11 +270,35 @@ pub fn read_meta(fs: &dyn Fs) -> io::Result<u32> {
     Ok(read_u32(&bytes[8..]))
 }
 
+/// Whether `name` is a file of a store in this directory (the meta
+/// file, or any shard's snapshot, WAL or temp file).
+fn is_store_file(name: &str) -> bool {
+    name == META_NAME || name.starts_with("shard-")
+}
+
 /// Initialize a fresh store directory: the meta file, one seq-0
 /// snapshot per shard holding its seeded pairs, and one empty WAL per
 /// shard — all made durable by a single trailing directory sync. A
 /// crash before that sync leaves no readable meta, i.e. no store.
+///
+/// The files of a store that already lives in the directory are
+/// removed first — its snapshots carry higher sequence numbers than
+/// the new seq-0 ones and recovery would prefer them. The old meta
+/// goes before anything else, so a crash while clearing leaves no
+/// store rather than half of the old one.
 pub fn init_store(fs: &dyn Fs, shard_pairs: &[Vec<(u64, u64)>]) -> io::Result<()> {
+    let stale: Vec<String> = fs
+        .list()?
+        .into_iter()
+        .filter(|n| is_store_file(n))
+        .collect();
+    if stale.iter().any(|n| n == META_NAME) {
+        fs.remove(META_NAME)?;
+        fs.sync_dir()?;
+    }
+    for name in stale.iter().filter(|n| *n != META_NAME) {
+        fs.remove(name)?;
+    }
     let shards = u32::try_from(shard_pairs.len()).expect("shard count fits u32");
     fs.write_all(META_NAME, &encode_meta(shards))?;
     fs.sync(META_NAME)?;

@@ -46,7 +46,7 @@ pub enum Stage {
     /// One shard-local range scan (main/delta merge-join).
     RangeScan,
     /// Producer-side stall waiting for admission-queue or delta
-    /// capacity.
+    /// capacity, or for the write pace while the merger is busy.
     Backpressure,
     /// One adaptive-dispatch retune: recomputing a shard's interleave
     /// group from observed density and publishing the new policy.

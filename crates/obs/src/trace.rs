@@ -41,8 +41,9 @@ pub enum TraceKind {
     /// A WAL record was made durable. `a` = records covered by this
     /// sync (group commit can cover several).
     WalSync,
-    /// A producer stalled on a full admission queue or a full delta.
-    /// `a` = 0 for queue, 1 for delta.
+    /// A producer stalled on a full admission queue, or on the delta:
+    /// full, or paced while the merger was busy. `a` = 0 for queue,
+    /// 1 for delta.
     Backpressure,
     /// A write invalidated hot-cache slots. `a` = keys invalidated.
     CacheInvalidate,

@@ -6,65 +6,18 @@
 //! not allocate, and even *enabled* trace emission must be
 //! allocation-free in steady state because rings are preallocated at
 //! enable time. This test pins all of that with a counting global
-//! allocator, the same pattern as `isi_core`'s `alloc_steady` test.
-
-#![deny(unsafe_op_in_unsafe_fn)]
-
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+//! allocator that counts per thread (`support/thread_alloc.rs`):
+//! libtest's own threads allocate inside the counted window, which
+//! made a process-wide count fail about one run in two.
 
 use isi_obs::{Obs, Stage, TraceKind};
 
-struct CountingAlloc;
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-static COUNTING: AtomicBool = AtomicBool::new(false);
-
-// SAFETY: pure pass-through to the `System` allocator (which upholds
-// the GlobalAlloc contract); the only addition is a relaxed counter
-// bump, which allocates nothing and cannot unwind.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if COUNTING.load(Ordering::Relaxed) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
-        // SAFETY: same contract as ours; layout is forwarded verbatim.
-        unsafe { System.alloc(layout) }
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr`/`layout` came from our `alloc`, which forwarded
-        // to `System`, so returning them to `System` is well-paired.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if COUNTING.load(Ordering::Relaxed) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
-        // SAFETY: `ptr`/`layout` came from our pass-through `alloc`;
-        // the caller guarantees `new_size` per the trait contract.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
-
-/// The counter is process-global, so tests in this binary must not
-/// overlap: each one holds this lock around its counted sections.
-static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
-/// Count allocations during `f`.
-fn count_allocs<R>(f: impl FnOnce() -> R) -> (u64, R) {
-    ALLOCS.store(0, Ordering::SeqCst);
-    COUNTING.store(true, Ordering::SeqCst);
-    let r = f();
-    COUNTING.store(false, Ordering::SeqCst);
-    (ALLOCS.load(Ordering::SeqCst), r)
-}
+#[path = "support/thread_alloc.rs"]
+mod thread_alloc;
+use thread_alloc::count_allocs;
 
 #[test]
 fn disabled_observability_hot_path_never_allocates() {
-    let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let obs = Obs::new("t", 2);
     let requests = obs.registry().counter("t_requests", &[("shard", "0")]);
     let backlog = obs.registry().gauge("t_backlog", &[]);
@@ -92,7 +45,6 @@ fn disabled_observability_hot_path_never_allocates() {
 
 #[test]
 fn enabled_trace_emission_is_allocation_free_in_steady_state() {
-    let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let obs = Obs::new("t", 2);
     // Rings are preallocated here, outside the counted section.
     obs.trace().enable(64);

@@ -14,7 +14,7 @@
 //! dispatched read runs, the shard's [`Controller`] recomputes the
 //! group with
 //! [`group_for_density`](isi_search::autotune::group_for_density) and
-//! the dispatcher publishes it through the shard's
+//! the shard's token holder publishes it through the shard's
 //! [`PolicyCell`](isi_core::policy::PolicyCell) — a single-word
 //! atomic, so a mid-run retune can never tear the policy a dispatched
 //! batch snapshots (the `isi_check` `policy` model proves the shape).
@@ -32,7 +32,7 @@
 use isi_core::policy::Interleave;
 use isi_search::autotune::{density_for_counts, group_for_density};
 
-/// How a dispatcher picks the interleave policy for each read run.
+/// How a shard's runner picks the interleave policy for each read run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Adapt {
     /// Dispatch every run with `ServeConfig::policy`, forever —
@@ -77,10 +77,10 @@ impl Adapt {
 /// must stay small enough to disappear next to the run it rode in on.
 pub(crate) const HINT_SAMPLE: usize = 16;
 
-/// Per-dispatcher retune state: a window of observed read-run
-/// counters and the cadence bookkeeping. Exactly one controller per
-/// shard, owned by its dispatcher thread — no synchronization, no
-/// allocation.
+/// Per-shard retune state: a window of observed read-run counters
+/// and the cadence bookkeeping. Exactly one controller per shard,
+/// part of its executor token — whoever holds the token is the only
+/// thread touching it, so no synchronization, no allocation.
 pub(crate) struct Controller {
     mode: Adapt,
     interval: usize,

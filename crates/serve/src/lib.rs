@@ -17,25 +17,33 @@
 //!    runs** — one run per dispatched write run, newest run wins,
 //!    folded into a single run past
 //!    [`StoreConfig::max_runs`](store::StoreConfig).
-//! 2. **Admit & batch** — a [`LookupService`](service::LookupService)
-//!    runs one dispatcher per shard; `get`/`put`/`remove` enqueue into
-//!    the owning shard's bounded admission queue (blocking when full —
-//!    backpressure) and wait on a ticket, while
+//! 2. **Admit & batch** — in a [`LookupService`](service::LookupService)
+//!    `get`/`put`/`remove` enqueue into the owning shard's bounded FIFO
+//!    admission queue (blocking when full — backpressure), while
 //!    [`get_many`](service::LookupService::get_many) and
 //!    [`get_range`](service::LookupService::get_range) pre-partition
-//!    client-side and submit one entry per shard. Per-shard FIFO gives
-//!    every client read-your-writes.
-//! 3. **Plan & dispatch** — the dispatcher flushes a batch when
-//!    `max_batch` entries are queued or the oldest has waited
-//!    `max_wait` ([`BatchPolicy`](service::BatchPolicy)), resolves
+//!    client-side and submit one entry per shard. Each shard has one
+//!    **executor token** inside its queue state, and taking it out
+//!    under the queue lock is the right to run the shard: **the thread
+//!    that finds the shard idle runs its own request** — no hand-off,
+//!    no wake-up — until its entry is answered, then hands the token
+//!    back. A thread that finds the token taken waits on its ticket;
+//!    one helper thread per shard drains whatever no submitter will
+//!    run (the backlog a client leaves behind, fan-out slices, the
+//!    queue at `close`). There is no flush timer: batches of up to
+//!    `max_batch` ([`BatchPolicy`](service::BatchPolicy)) form from
+//!    the backlog that builds up while a batch executes. Per-shard
+//!    FIFO, serialized by the token, gives every client
+//!    read-your-writes.
+//! 3. **Plan & execute** — the token holder resolves
 //!    each read run against the delta into a
 //!    [`BatchPlan`](plan::BatchPlan) (delta-decided keys skip the
 //!    engine), drives the dense residual through the morsel-parallel
 //!    interleaved engine ([`isi_core::par`]), applies writes and range
 //!    scans in admission order between read runs, and routes each
 //!    result back through its ticket. An optional per-shard hot-key
-//!    cache answers repeat `get`s without dispatch and is invalidated
-//!    by the write path.
+//!    cache answers repeat `get`s without admission and is
+//!    invalidated by the write path.
 //! 4. **Maintain in the background** — a threshold-crossing write
 //!    *enqueues a merge job*; the store's background merger thread
 //!    rebuilds that shard's main and publishes it through an
@@ -79,14 +87,16 @@
 //!    tracing off, the instrumentation is a few atomic bumps per
 //!    batch.
 //! 7. **Adapt** — with [`Adapt::Auto`](adapt::Adapt), each shard's
-//!    dispatcher closes the density → group-size feedback loop: every
+//!    token holder closes the density → group-size feedback loop (the
+//!    controller travels with the token): every
 //!    [`ServeConfig::retune_interval`](service::ServeConfig) read runs
 //!    it blends the window's observed delta-decided density with the
 //!    backend's cache-residency hint and republishes the shard's
 //!    interleave group through a torn-read-free
 //!    [`PolicyCell`](isi_core::policy::PolicyCell) (clamped to the
-//!    calibrated `ServeConfig::policy` ceiling). Adaptive dispatchers
-//!    and (opt-in via [`StoreConfig::pin_threads`](store::StoreConfig))
+//!    calibrated `ServeConfig::policy` ceiling). Adaptive shards'
+//!    helper threads and (opt-in via
+//!    [`StoreConfig::pin_threads`](store::StoreConfig))
 //!    the merger pin to each shard's home core, so rebuilt mains are
 //!    first-touched where they will be read. `Adapt::Off` (the
 //!    default) preserves the fixed-policy behavior exactly.

@@ -1,69 +1,93 @@
 //! [`LookupService`]: the request lifecycle — admission, batching,
-//! dispatch, writes, response routing, metrics.
+//! execution, writes, response routing, metrics.
 //!
 //! The paper's interleaving only pays off when lookups arrive in
 //! batches large enough to keep a miss in flight per stream; a serving
 //! workload instead delivers many small concurrent requests. This
-//! module closes that gap with **admission batching**: each shard owns
-//! a bounded queue; client threads enqueue one operation and block on
-//! a ticket; a per-shard dispatcher thread coalesces queued entries
-//! and flushes a batch when either `max_batch` entries are waiting or
-//! the oldest has waited `max_wait` — whichever comes first — then
-//! drives the reads through the morsel-parallel interleaved engine and
-//! routes results back through the tickets.
+//! module closes that gap with **caller-runs admission**: each shard
+//! owns a bounded FIFO queue and one **executor token**, and every
+//! request is pushed on its shard's queue.
+//!
+//! **The token rule.** The token (`Exec`: the batch buffers and the
+//! retune controller) lives inside the queue state; *taking it out
+//! under the queue lock is the right to run the shard*. A submitting
+//! thread that finds the token present takes it and executes batches
+//! on its own stack — no wake-up, no sleep — until its own entry is
+//! answered, then hands the token back under the lock. It never
+//! starts another batch once its own entry has been answered, so a
+//! client's latency is bounded by the entries ahead of its own. A
+//! thread that finds the token taken leaves its entry queued and
+//! blocks on its ticket: the holder picks the entry up in its next
+//! batch, or hands the token back and notifies the shard's **helper**.
+//!
+//! **The helper** is one thread per shard that parks until "queue
+//! non-empty and token present", then takes the token and drains the
+//! queue until it is empty. It exists for the entries no submitting
+//! thread will run: the backlog a client leaves behind when its own
+//! entry is answered, the fan-out slices of `get_many`/`get_range`
+//! (so shards run in parallel), and whatever is queued at `close`.
+//! Under load every batch is cut from the backlog that built up while
+//! the previous batch ran (up to `max_batch` entries), so the
+//! interleave group fills exactly when there is concurrency to fill
+//! it from. **There is no flush timer**: an idle shard runs a lone
+//! request at once on the caller, and a busy shard batches by itself;
+//! no setting trades latency for batch size.
 //!
 //! **Writes ride the same queues.** `put`/`remove` enqueue on the
-//! owning shard alongside reads, and the dispatcher preserves FIFO
-//! order within a batch: consecutive reads form engine runs, and
-//! consecutive writes form **write runs** applied as one
-//! [`ShardedStore::apply_write_run`] call — which, on a durable store,
-//! is the **group-commit unit**: one WAL record and one fsync cover
-//! the whole run before any of its tickets resolve, amortizing the
-//! fsync exactly like batching amortizes the interleaved engine. One
-//! client's `put` happens-before its next `get` of the same key
-//! (read-your-writes per client), and all mutation of a shard funnels
-//! through its one dispatcher thread.
+//! owning shard alongside reads, and a batch executes in FIFO order:
+//! consecutive reads form engine runs, and consecutive writes form
+//! **write runs** applied as one [`ShardedStore::apply_write_run`]
+//! call — which, on a durable store, is the **group-commit unit**: one
+//! WAL record and one fsync cover the whole run before any of its
+//! tickets resolve, amortizing the fsync exactly like batching
+//! amortizes the interleaved engine. One client's `put` happens-before
+//! its next `get` of the same key (read-your-writes per client), and
+//! all mutation of a shard is serialized by its token.
 //!
 //! **`get_many`** pre-partitions a key slice by shard on the client
 //! side and submits one admission entry per shard, so an n-key lookup
 //! costs one queue round-trip per touched shard instead of n — the
-//! client manufactures the batch the engine wants.
+//! client manufactures the batch the engine wants. The caller runs
+//! the last slice itself and the helpers of the other shards run
+//! theirs in parallel; before blocking on a slice's ticket the caller
+//! takes over any slice whose helper has not started yet.
 //!
-//! **`get_range`** rides the same admission queues: one entry per
-//! shard, executed in FIFO position (so a client's completed writes
-//! are visible to its next scan), each answering with the shard's
-//! merge-joined Main/Delta slice; the client reorders the per-shard
-//! runs into one sorted result.
+//! **`get_range`** rides the same admission queues the same way: one
+//! entry per shard, executed in FIFO position (so a client's
+//! completed writes are visible to its next scan), each answering
+//! with the shard's merge-joined Main/Delta slice; the client
+//! reorders the per-shard runs into one sorted result.
 //!
-//! **Dispatched reads are planned.** Each read run is resolved against
-//! the shard's delta before the engine sees it (see [`crate::plan`]):
+//! **Reads are planned.** Each read run is resolved against the
+//! shard's delta before the engine sees it (see [`crate::plan`]):
 //! delta-decided keys are answered from the sorted run and only the
 //! residual probes the main index. The split shows up in
 //! [`ServeStats::delta_hits`] and [`ServeStats::residual_frac`].
 //!
 //! **Merges never run here.** A threshold-crossing write enqueues a
 //! job for the store's background merger thread
-//! ([`MergeMode::Background`](crate::store::MergeMode)); the
-//! dispatcher applies the write to the delta and moves on, so no
-//! request's latency absorbs a rebuild.
+//! ([`MergeMode::Background`](crate::store::MergeMode)); the runner
+//! applies the write to the delta and moves on, so no request's
+//! latency absorbs a rebuild.
 //!
 //! An optional per-shard **hot-key cache** sits in front of the
-//! admission queue: a tiny direct-mapped map filled by the dispatcher
-//! with single-`get` results and invalidated by the write path before
-//! a write is acknowledged. A hit answers without dispatch.
+//! admission queue: a tiny direct-mapped map filled by the token
+//! holder with single-`get` results and invalidated by the write path
+//! before a write is acknowledged. A hit answers without admission.
 //!
-//! The flush policy is the latency/throughput dial: large `max_batch`
-//! with generous `max_wait` amortizes interleaving best (high
-//! throughput, queueing latency); tiny `max_wait` bounds tail latency
-//! but dispatches ragged batches the engine can't fill its group with.
+//! **Failure.** A runner that unwinds (a failed WAL append panics)
+//! must not strand the token: a drop guard closes the shard, abandons
+//! every queued ticket — their waiters panic with "shard failed"
+//! instead of hanging — and wakes the helper so `close` still joins.
+//!
 //! Per-request latency (enqueue → response) is recorded into a
-//! log-bucketed [`LatencyHist`] so that trade-off is observable.
+//! log-bucketed [`LatencyHist`]; [`ServeStats::caller_runs`] against
+//! [`ServeStats::batches`] says who ran what.
 
 use std::collections::VecDeque;
 use std::sync::atomic::Ordering;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
 
 use isi_core::par::ParConfig;
 use isi_core::policy::Interleave;
@@ -79,22 +103,18 @@ use isi_search::autotune::{density_for_counts, group_for_density};
 use crate::adapt::{Adapt, Controller, HINT_SAMPLE};
 use crate::store::{LookupScratch, ShardedStore, WriteScratch};
 
-/// When a shard's dispatcher flushes its admission queue.
+/// How a shard's runner cuts batches from its admission queue.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BatchPolicy {
-    /// Flush as soon as this many entries are queued.
+    /// Most entries one batch takes from the queue. A runner never
+    /// waits for a batch to fill: it takes what is queued, up to this.
     pub max_batch: usize,
-    /// Flush when the oldest queued entry has waited this long.
-    pub max_wait: Duration,
 }
 
 impl Default for BatchPolicy {
-    /// 64-entry batches, 1 ms ceiling on queueing delay.
+    /// 64-entry batches.
     fn default() -> Self {
-        Self {
-            max_batch: 64,
-            max_wait: Duration::from_millis(1),
-        }
+        Self { max_batch: 64 }
     }
 }
 
@@ -114,14 +134,15 @@ pub struct ServeConfig {
     /// (ignored otherwise). Small intervals track drift fast but
     /// retune on noisy windows; large ones smooth at the cost of lag.
     pub retune_interval: usize,
-    /// Flush policy for each shard's admission queue.
+    /// Batch size limit for each shard's admission queue.
     pub batch: BatchPolicy,
     /// Per-shard admission-queue bound; requests block when the owning
     /// shard's queue is full (backpressure).
     pub queue_cap: usize,
-    /// Morsel-engine configuration for each dispatched batch. The
-    /// default is one worker per dispatch (the dispatcher thread
-    /// itself); raise `threads` only when shards outnumber cores.
+    /// Morsel-engine configuration for each executed batch. The
+    /// default is one worker per batch (the thread that holds the
+    /// shard's token); raise `threads` only when shards outnumber
+    /// cores.
     pub par: ParConfig,
     /// Per-shard hot-key cache slots; 0 disables the cache. A hit
     /// answers a `get` without admission; the write path invalidates
@@ -151,33 +172,82 @@ impl Default for ServeConfig {
     }
 }
 
-/// A one-shot response slot; the caller blocks on `wait`, the
-/// dispatcher fills it with `fulfill`.
+/// A one-shot response slot; the submitter blocks on `wait`, the
+/// shard's runner fills it with `fulfill` — or with `abandon` when it
+/// unwinds before answering.
 struct Ticket<T> {
-    slot: Mutex<Option<T>>,
+    slot: Mutex<Slot<T>>,
     ready: Condvar,
+}
+
+struct Slot<T> {
+    answer: Option<Answer<T>>,
+    /// The waiter sleeps on `ready`. A submitter that ran its own
+    /// entry finds the answer without ever sleeping, and its runner
+    /// (itself) skips the wake-up call.
+    parked: bool,
+}
+
+enum Answer<T> {
+    Value(T),
+    /// The shard's runner unwound with this entry unanswered.
+    Abandoned,
 }
 
 impl<T> Ticket<T> {
     fn new() -> Self {
         Self {
-            slot: Mutex::new(None),
+            slot: Mutex::new(Slot {
+                answer: None,
+                parked: false,
+            }),
             ready: Condvar::new(),
         }
     }
 
     fn fulfill(&self, result: T) {
-        *self.slot.plock("ticket slot") = Some(result);
-        self.ready.notify_one();
+        let mut slot = self.slot.plock("ticket slot");
+        slot.answer = Some(Answer::Value(result));
+        if slot.parked {
+            self.ready.notify_one();
+        }
     }
 
+    /// Fail the wait of an entry that will never be executed. A ticket
+    /// that was already answered keeps its answer.
+    fn abandon(&self) {
+        // Runs from a drop guard while a runner unwinds, so it must not
+        // panic; nothing panics while holding a slot, so a poisoned
+        // one is still whole.
+        let mut slot = self.slot.lock().unwrap_or_else(PoisonError::into_inner);
+        if slot.answer.is_none() {
+            slot.answer = Some(Answer::Abandoned);
+            if slot.parked {
+                self.ready.notify_one();
+            }
+        }
+    }
+
+    fn is_answered(&self) -> bool {
+        self.slot.plock("ticket slot").answer.is_some()
+    }
+
+    /// # Panics
+    /// Panics with "shard failed" if the entry was abandoned.
     fn wait(&self) -> T {
         let mut slot = self.slot.plock("ticket slot");
         loop {
-            if let Some(result) = slot.take() {
-                return result;
+            match slot.answer.take() {
+                Some(Answer::Value(result)) => return result,
+                Some(Answer::Abandoned) => {
+                    drop(slot);
+                    panic!("shard failed: its runner panicked before answering this request");
+                }
+                None => {
+                    slot.parked = true;
+                    slot = self.ready.pwait(slot, "ticket slot (await result)");
+                }
             }
-            slot = self.ready.pwait(slot, "ticket slot (await result)");
         }
     }
 }
@@ -219,17 +289,30 @@ enum Op {
     },
 }
 
+impl Op {
+    /// Abandon the entry's ticket (see [`Ticket::abandon`]).
+    fn abandon(&self) {
+        match self {
+            Op::Get { ticket, .. } | Op::Put { ticket, .. } | Op::Remove { ticket, .. } => {
+                ticket.abandon();
+            }
+            Op::GetMany { ticket, .. } => ticket.abandon(),
+            Op::Range { ticket, .. } => ticket.abandon(),
+        }
+    }
+}
+
 /// One admission entry: the operation and its admission time.
 struct Entry {
     op: Op,
-    enqueued: Instant,
+    enqueued: SpanTimer,
 }
 
 /// The hot-key result cache: direct-mapped, one `(key, result)` pair
-/// per slot. Only the shard's dispatcher thread mutates it (inserts
+/// per slot. Only the holder of the shard's token mutates it (inserts
 /// after a read run, invalidates when applying a write), so its
 /// contents always reflect a prefix of the shard's serialized
-/// operation order; clients only probe.
+/// operation order; everyone else only probes.
 struct HotCache {
     slots: Vec<Option<(u64, Option<u64>)>>,
 }
@@ -272,26 +355,30 @@ impl HotCache {
 struct QueueState {
     reqs: VecDeque<Entry>,
     open: bool,
+    /// The shard's executor token. Taking it out (under this lock) is
+    /// the right to run the shard; `None` while some thread does.
+    exec: Option<Box<Exec>>,
 }
 
 /// One shard's admission queue and its wakeup channels.
 struct ShardState {
     q: Mutex<QueueState>,
-    /// Dispatcher waits here for work / the flush deadline.
+    /// The helper parks here until entries are queued while the token
+    /// is present (or the queue closes).
     work: Condvar,
     /// Producers wait here for queue space (backpressure).
     space: Condvar,
     /// Interleaved-engine counters, merged once per read run. A plain
-    /// struct behind a small mutex: only this shard's dispatcher
-    /// writes it, and [`LookupService::stats`] reads it.
+    /// struct behind a small mutex: only the token holder writes it,
+    /// and [`LookupService::stats`] reads it.
     engine: Mutex<RunStats>,
     /// Registry handles for this shard's counters (see
     /// [`ShardCounters`]); lock-free, so the client cache-hit fast
-    /// path never contends with a dispatching batch.
+    /// path never contends with an executing batch.
     m: ShardCounters,
     /// `None` when `hot_cache_slots == 0`.
     cache: Option<Mutex<HotCache>>,
-    /// The shard's published interleave policy: the dispatcher
+    /// The shard's published interleave policy: the token holder
     /// snapshots it once per read run (one atomic load, never torn),
     /// and — under [`Adapt::Auto`] — republishes it at each retune
     /// (one atomic store, alloc-free). With adaptation off it holds
@@ -302,13 +389,13 @@ struct ShardState {
 /// One shard's handles into the service metrics registry, resolved
 /// once at start so the hot path never touches the registry lock.
 ///
-/// Registration order is load-bearing (see `isi_obs::registry`): the
-/// flush-flavor counters are registered *before* `batches` and the
-/// dispatcher bumps `batches` first, so no snapshot can show
-/// `full_flushes + timeout_flushes > batches`.
+/// Registration order is load-bearing (see `isi_obs::registry`):
+/// `full_flushes` and `caller_runs` are registered *before* `batches`
+/// and a runner bumps `batches` first, so no snapshot can show either
+/// of them above `batches`.
 struct ShardCounters {
     full_flushes: Counter,
-    timeout_flushes: Counter,
+    caller_runs: Counter,
     batches: Counter,
     requests: Counter,
     gets: Counter,
@@ -332,7 +419,7 @@ struct ShardCounters {
 /// write-side counters).
 ///
 /// **Admission entries vs client calls.** [`requests`](Self::requests)
-/// counts *admission entries* — what the dispatchers actually answer.
+/// counts *admission entries* — what the runners actually answer.
 /// A single-key `get`/`put`/`remove` is one entry; a `get_many` or
 /// `get_range` call fans out into one entry *per shard it touches*
 /// (so one `get_range` on an 8-shard store adds 8 to `requests` and 8
@@ -345,7 +432,7 @@ pub struct ServeStats {
     /// Admission entries answered (see the type docs: one per shard
     /// touched for `get_many`/`get_range`; cache hits excluded).
     pub requests: u64,
-    /// Single-key reads answered via dispatch.
+    /// Single-key reads answered via admission.
     pub gets: u64,
     /// Upserts applied.
     pub puts: u64,
@@ -358,22 +445,23 @@ pub struct ServeStats {
     pub range_scans: u64,
     /// `get`s answered by the hot-key cache, without admission.
     pub cache_hits: u64,
-    /// Dispatched read keys decided by the delta in the plan stage —
+    /// Executed read keys decided by the delta in the plan stage —
     /// these never reached the engine.
     pub delta_hits: u64,
-    /// Batches dispatched.
+    /// Batches executed.
     pub batches: u64,
-    /// Batches flushed because `max_batch` was reached.
+    /// Batches cut at `max_batch` entries (the backlog held at least
+    /// that many).
     pub full_flushes: u64,
-    /// Batches flushed by the `max_wait` deadline (or drained at
-    /// close).
-    pub timeout_flushes: u64,
+    /// Batches executed by a submitting thread; the other
+    /// `batches - caller_runs` ran on a shard's helper.
+    pub caller_runs: u64,
     /// Interleave-policy retunes published by the shards' adaptive
     /// controllers (0 unless [`Adapt::Auto`]).
     pub retunes: u64,
     /// Per-entry latency (enqueue → response routed), nanoseconds.
     pub latency: LatencyHist,
-    /// Merged interleaved-engine counters across all dispatches
+    /// Merged interleaved-engine counters across all batches
     /// (`engine.lookups` counts only residual keys — the batch minus
     /// `delta_hits`).
     pub engine: RunStats,
@@ -407,7 +495,7 @@ pub struct ServeStats {
 }
 
 impl ServeStats {
-    /// Mean entries per dispatched batch.
+    /// Mean entries per executed batch.
     pub fn mean_batch(&self) -> f64 {
         if self.batches == 0 {
             0.0
@@ -416,9 +504,9 @@ impl ServeStats {
         }
     }
 
-    /// Fraction of dispatched read keys that reached the engine
+    /// Fraction of executed read keys that reached the engine
     /// (`engine.lookups / (engine.lookups + delta_hits)`). 1.0 when
-    /// the delta decided nothing (or nothing was dispatched); a
+    /// the delta decided nothing (or nothing was executed); a
     /// write-heavy shard with a warm delta drives this below 1.
     pub fn residual_frac(&self) -> f64 {
         let total = self.engine.lookups + self.delta_hits;
@@ -433,16 +521,22 @@ impl ServeStats {
 /// A multi-tenant read/write point-lookup service over a
 /// [`ShardedStore`].
 ///
-/// `get`, `get_many`, `put` and `remove` are safe to call from any
-/// number of threads; each call blocks until its batch is dispatched
-/// and answered. Per shard, operations apply in admission order, so a
-/// client that completed a `put` observes it in every later read it
-/// issues (read-your-writes per client). Dropping the service drains
-/// queued entries, answers them, and joins the dispatchers.
+/// `get`, `get_many`, `get_range`, `put` and `remove` are safe to call
+/// from any number of threads; each call returns once its entry has
+/// been executed — by the calling thread itself when it finds the
+/// shard idle, otherwise by whichever thread holds the shard's token
+/// (see the [module docs](self)). Per shard, operations apply in
+/// admission order, so a client that completed a `put` observes it in
+/// every later read it issues (read-your-writes per client). Dropping
+/// the service drains queued entries, answers them, and joins the
+/// helpers.
 ///
 /// # Panics
 /// All request methods panic if called after [`close`](Self::close);
-/// callers must not race requests against `close`.
+/// callers must not race requests against `close`. If a thread
+/// running a shard panics (a failed WAL append does), that shard
+/// fails closed: requests queued on it panic with "shard failed" and
+/// later requests to it panic as after `close`.
 pub struct LookupService {
     store: Arc<ShardedStore>,
     shards: Vec<Arc<ShardState>>,
@@ -452,7 +546,7 @@ pub struct LookupService {
     /// backpressure) and the service trace ring. Store-side spans live
     /// on [`ShardedStore::obs`]; the export methods merge both.
     obs: Arc<Obs>,
-    dispatchers: Vec<JoinHandle<()>>,
+    helpers: Vec<JoinHandle<()>>,
     /// Set by `close`; request paths that can answer without touching
     /// an admission queue (cache hits, empty `get_many`) check it so
     /// the use-after-close panic contract holds on every entry point.
@@ -460,7 +554,7 @@ pub struct LookupService {
 }
 
 impl LookupService {
-    /// Start one dispatcher thread per shard of `store`. Accepts the
+    /// Start one helper thread per shard of `store`. Accepts the
     /// store by value or as an `Arc`.
     ///
     /// With an `Arc`, other holders may keep calling the store's read
@@ -491,15 +585,16 @@ impl LookupService {
                     q: Mutex::new(QueueState {
                         reqs: VecDeque::new(),
                         open: true,
+                        exec: Some(Box::new(Exec::new(&cfg))),
                     }),
                     work: Condvar::new(),
                     space: Condvar::new(),
                     engine: Mutex::new(RunStats::default()),
                     m: ShardCounters {
-                        // Flush flavors before `batches`: registration
+                        // The ≤-sides before `batches`: registration
                         // order is the snapshot-coherence contract.
                         full_flushes: counter("serve_full_flushes"),
-                        timeout_flushes: counter("serve_timeout_flushes"),
+                        caller_runs: counter("serve_caller_runs"),
                         batches: counter("serve_batches"),
                         requests: counter("serve_requests"),
                         gets: counter("serve_gets"),
@@ -526,7 +621,7 @@ impl LookupService {
                 })
             })
             .collect();
-        let dispatchers = shards
+        let helpers = shards
             .iter()
             .enumerate()
             .map(|(shard, state)| {
@@ -535,8 +630,16 @@ impl LookupService {
                 let obs = Arc::clone(&obs);
                 std::thread::Builder::new()
                     .name(format!("isi-serve-{shard}"))
-                    .spawn(move || dispatch_loop(&store, shard, &state, cfg, &obs))
-                    .expect("spawn dispatcher thread")
+                    .spawn(move || {
+                        helper_loop(ShardCtx {
+                            store: &store,
+                            shard,
+                            state: &state,
+                            cfg,
+                            obs: &obs,
+                        });
+                    })
+                    .expect("spawn helper thread")
             })
             .collect();
         Self {
@@ -544,7 +647,7 @@ impl LookupService {
             shards,
             cfg,
             obs,
-            dispatchers,
+            helpers,
             closed: std::sync::atomic::AtomicBool::new(false),
         }
     }
@@ -567,20 +670,42 @@ impl LookupService {
         &self.cfg
     }
 
-    /// Enqueue `op` on `shard`'s admission queue, blocking while the
-    /// queue holds `queue_cap` entries (backpressure).
-    fn enqueue(&self, shard: usize, op: Op) {
+    fn ctx(&self, shard: usize) -> ShardCtx<'_> {
+        ShardCtx {
+            store: &self.store,
+            shard,
+            state: &self.shards[shard],
+            cfg: self.cfg,
+            obs: &self.obs,
+        }
+    }
+
+    /// Push `op` on `shard`'s admission queue, blocking while the
+    /// queue holds `queue_cap` entries (backpressure). Returns with the
+    /// queue lock still held: the caller either runs the shard or
+    /// leaves the entry to the helper.
+    ///
+    /// # Panics
+    /// Panics with "closed" on a closed queue — after releasing the
+    /// lock, so a rejected request never poisons it for the helper,
+    /// the other submitters and `close`.
+    fn enqueue(&self, shard: usize, op: Op) -> MutexGuard<'_, QueueState> {
+        fn reject_if_closed(q: MutexGuard<'_, QueueState>) -> MutexGuard<'_, QueueState> {
+            if !q.open {
+                drop(q);
+                panic!("request on a closed LookupService");
+            }
+            q
+        }
         let state = &self.shards[shard];
-        let mut q = state.q.plock("admission queue");
-        assert!(q.open, "request on a closed LookupService");
+        let mut q = reject_if_closed(state.q.plock("admission queue"));
         if q.reqs.len() >= self.cfg.queue_cap {
             // Stalled on a full queue: the wait is a Backpressure span
             // (payload 0 = admission-queue flavor; the store's delta
             // bound emits the same kind with payload 1).
             let t = SpanTimer::start();
             loop {
-                q = state.space.pwait(q, "admission queue (backpressure)");
-                assert!(q.open, "request on a closed LookupService");
+                q = reject_if_closed(state.space.pwait(q, "admission queue (backpressure)"));
                 if q.reqs.len() < self.cfg.queue_cap {
                     break;
                 }
@@ -593,18 +718,72 @@ impl LookupService {
         }
         q.reqs.push_back(Entry {
             op,
-            enqueued: Instant::now(),
+            enqueued: SpanTimer::start(),
         });
-        // Wake the dispatcher when the batch fills, and on the first
-        // entry so it arms the max_wait deadline.
-        if q.reqs.len() == 1 || q.reqs.len() >= self.cfg.batch.max_batch {
-            state.work.notify_one();
-        }
+        q
     }
 
-    /// Look up one key: enqueue on the owning shard, block until the
-    /// dispatcher answers. A hot-key cache hit (if the cache is
-    /// enabled) answers immediately without admission.
+    /// Run `shard` on this thread — if its token is free — until
+    /// `ticket`, not answered yet, is. `q` is the shard's queue lock.
+    fn run_until_answered<T>(
+        &self,
+        shard: usize,
+        q: MutexGuard<'_, QueueState>,
+        ticket: &Ticket<T>,
+    ) {
+        drop(
+            self.ctx(shard)
+                .run(q, Runner::Caller, &|| ticket.is_answered()),
+        );
+    }
+
+    /// Submit a single-shard `op` answered through `ticket`: run it
+    /// here if the shard is idle, else wait for whoever runs it.
+    fn submit_and_wait<T>(&self, shard: usize, op: Op, ticket: &Ticket<T>) -> T {
+        let q = self.enqueue(shard, op);
+        self.run_until_answered(shard, q, ticket);
+        ticket.wait()
+    }
+
+    /// Submit one entry per shard of `shards` (built by `make_op`
+    /// around that shard's ticket) and collect the answers in `shards`
+    /// order. The last entry runs on this thread; the others are left
+    /// to their shards' helpers, so the shards run in parallel.
+    fn scatter<T>(
+        &self,
+        shards: &[usize],
+        make_op: impl Fn(usize, Arc<Ticket<T>>) -> Op,
+    ) -> Vec<T> {
+        let tickets: Vec<Arc<Ticket<T>>> = shards.iter().map(|_| Arc::new(Ticket::new())).collect();
+        for (i, (&shard, ticket)) in shards.iter().zip(&tickets).enumerate() {
+            let q = self.enqueue(shard, make_op(shard, Arc::clone(ticket)));
+            if i + 1 == shards.len() {
+                self.run_until_answered(shard, q, ticket);
+            } else if q.exec.is_some() {
+                // A taken token needs no wake-up: its holder sees the
+                // entry at the latest when handing the token back.
+                self.shards[shard].work.notify_one();
+            }
+        }
+        shards
+            .iter()
+            .zip(&tickets)
+            .map(|(&shard, ticket)| {
+                // Rather than sleep on a slice whose helper has not
+                // taken the token yet, run it here.
+                {
+                    let q = self.shards[shard].q.plock("admission queue");
+                    if !ticket.is_answered() {
+                        self.run_until_answered(shard, q, ticket);
+                    }
+                }
+                ticket.wait()
+            })
+            .collect()
+    }
+
+    /// Look up one key on the owning shard. A hot-key cache hit (if
+    /// the cache is enabled) answers immediately without admission.
     pub fn get(&self, key: u64) -> Option<u64> {
         self.assert_open();
         let shard = self.store.shard_of(key);
@@ -617,49 +796,35 @@ impl LookupService {
             return result;
         }
         let ticket = Arc::new(Ticket::new());
-        self.enqueue(
-            shard,
-            Op::Get {
-                key,
-                ticket: Arc::clone(&ticket),
-            },
-        );
-        ticket.wait()
+        let op = Op::Get {
+            key,
+            ticket: Arc::clone(&ticket),
+        };
+        self.submit_and_wait(shard, op, &ticket)
     }
 
     /// Look up many keys with one admission entry per owning shard:
-    /// the slice is partitioned client-side, each shard's sub-batch
-    /// rides its dispatcher once, and the results come back in `keys`
-    /// order. Far cheaper than n `get` calls for multi-key requests —
-    /// the client pre-forms the batch the engine wants.
+    /// the slice is partitioned client-side, each shard's sub-batch is
+    /// one entry, and the results come back in `keys` order. Far
+    /// cheaper than n `get` calls for multi-key requests — the client
+    /// pre-forms the batch the engine wants.
     pub fn get_many(&self, keys: &[u64]) -> Vec<Option<u64>> {
         self.assert_open();
         let mut results = vec![None; keys.len()];
-        if keys.is_empty() {
-            return results;
-        }
         // positions[s] = indices into `keys` owned by shard s.
         let mut positions: Vec<Vec<usize>> = vec![Vec::new(); self.store.num_shards()];
         for (i, &k) in keys.iter().enumerate() {
             positions[self.store.shard_of(k)].push(i);
         }
-        let mut waits: Vec<(usize, ManyTicket)> = Vec::new();
-        for (shard, idxs) in positions.iter().enumerate() {
-            if idxs.is_empty() {
-                continue;
-            }
-            let ticket = Arc::new(Ticket::new());
-            self.enqueue(
-                shard,
-                Op::GetMany {
-                    keys: idxs.iter().map(|&i| keys[i]).collect(),
-                    ticket: Arc::clone(&ticket),
-                },
-            );
-            waits.push((shard, ticket));
-        }
-        for (shard, ticket) in waits {
-            for (&i, v) in positions[shard].iter().zip(ticket.wait()) {
+        let touched: Vec<usize> = (0..positions.len())
+            .filter(|&s| !positions[s].is_empty())
+            .collect();
+        let answers = self.scatter(&touched, |shard, ticket| Op::GetMany {
+            keys: positions[shard].iter().map(|&i| keys[i]).collect(),
+            ticket,
+        });
+        for (&shard, vals) in touched.iter().zip(answers) {
+            for (&i, v) in positions[shard].iter().zip(vals) {
                 results[i] = v;
             }
         }
@@ -680,24 +845,12 @@ impl LookupService {
         if lo > hi {
             return Vec::new();
         }
-        let waits: Vec<RangeTicket> = (0..self.store.num_shards())
-            .map(|shard| {
-                let ticket = Arc::new(Ticket::new());
-                self.enqueue(
-                    shard,
-                    Op::Range {
-                        lo,
-                        hi,
-                        ticket: Arc::clone(&ticket),
-                    },
-                );
-                ticket
-            })
+        let all: Vec<usize> = (0..self.store.num_shards()).collect();
+        let mut out: Vec<(u64, u64)> = self
+            .scatter(&all, |_, ticket| Op::Range { lo, hi, ticket })
+            .into_iter()
+            .flatten()
             .collect();
-        let mut out = Vec::new();
-        for ticket in waits {
-            out.extend(ticket.wait());
-        }
         // Per-shard runs are sorted but interleave arbitrarily under
         // hash partitioning; one global reorder restores key order.
         out.sort_unstable_by_key(|&(k, _)| k);
@@ -708,29 +861,23 @@ impl LookupService {
     /// until applied and returns the previously visible value.
     pub fn put(&self, key: u64, val: u64) -> Option<u64> {
         let ticket = Arc::new(Ticket::new());
-        self.enqueue(
-            self.store.shard_of(key),
-            Op::Put {
-                key,
-                val,
-                ticket: Arc::clone(&ticket),
-            },
-        );
-        ticket.wait()
+        let op = Op::Put {
+            key,
+            val,
+            ticket: Arc::clone(&ticket),
+        };
+        self.submit_and_wait(self.store.shard_of(key), op, &ticket)
     }
 
     /// Remove `key` through the owning shard's queue; blocks until
     /// applied and returns the value it held, if any.
     pub fn remove(&self, key: u64) -> Option<u64> {
         let ticket = Arc::new(Ticket::new());
-        self.enqueue(
-            self.store.shard_of(key),
-            Op::Remove {
-                key,
-                ticket: Arc::clone(&ticket),
-            },
-        );
-        ticket.wait()
+        let op = Op::Remove {
+            key,
+            ticket: Arc::clone(&ticket),
+        };
+        self.submit_and_wait(self.store.shard_of(key), op, &ticket)
     }
 
     /// Aggregated metrics over all shards (latency histograms merged),
@@ -738,9 +885,9 @@ impl LookupService {
     ///
     /// Built from one coherent snapshot of each registry (see
     /// `isi_obs::registry`): within the returned struct,
-    /// `full_flushes + timeout_flushes <= batches`,
+    /// `full_flushes <= batches`, `caller_runs <= batches`,
     /// `wal_syncs <= wal_records` and `bg_merges <= merges` hold even
-    /// while dispatchers and mergers race the call.
+    /// while runners and mergers race the call.
     pub fn stats(&self) -> ServeStats {
         let snap = self.obs.snapshot();
         let store_snap = self.store.obs().snapshot();
@@ -755,7 +902,7 @@ impl LookupService {
             delta_hits: snap.counter_sum("serve_delta_hits"),
             batches: snap.counter_sum("serve_batches"),
             full_flushes: snap.counter_sum("serve_full_flushes"),
-            timeout_flushes: snap.counter_sum("serve_timeout_flushes"),
+            caller_runs: snap.counter_sum("serve_caller_runs"),
             retunes: snap.counter_sum("serve_retunes"),
             latency: snap.hist_merged("serve_latency_ns", |_| true),
             merges: store_snap.counter_sum("store_merges"),
@@ -837,7 +984,7 @@ impl LookupService {
     /// to hide; a shard whose reads are mostly delta-decided wants a
     /// smaller group than its cold calibration suggests (see
     /// `isi_search::autotune::group_for_density`). A shard with no
-    /// dispatched reads yet keeps the calibration.
+    /// executed reads yet keeps the calibration.
     pub fn suggested_groups(&self, calibrated: usize) -> Vec<usize> {
         let snap = self.obs.snapshot();
         (0..self.shards.len())
@@ -859,7 +1006,7 @@ impl LookupService {
     }
 
     /// Each shard's *currently published* interleave group (what the
-    /// next dispatched read run will snapshot). With [`Adapt::Off`]
+    /// next executed read run will snapshot). With [`Adapt::Off`]
     /// this is `cfg.policy.group_or_one()` forever; with
     /// [`Adapt::Fixed`] the pinned group; with [`Adapt::Auto`] the
     /// last retune's output, in `[1, cfg.policy.group_or_one()]`.
@@ -872,17 +1019,25 @@ impl LookupService {
 
     /// Stop accepting requests, answer everything still queued
     /// (including writes, which are applied in order), and join the
-    /// dispatchers. Idempotent; also run by `Drop`.
+    /// helpers. Idempotent; also run by `Drop`.
     pub fn close(&mut self) {
         self.closed.store(true, Ordering::Relaxed);
         for state in &self.shards {
+            // A failed shard does not poison this lock: its runner
+            // unwound outside it and rejected submitters panic after
+            // releasing it.
             let mut q = state.q.plock("admission queue");
             q.open = false;
             state.work.notify_all();
             state.space.notify_all();
         }
-        for handle in self.dispatchers.drain(..) {
-            handle.join().expect("dispatcher thread panicked");
+        for handle in self.helpers.drain(..) {
+            let joined = handle.join();
+            // Re-raising a helper's panic while this thread already
+            // unwinds would abort the process.
+            if !std::thread::panicking() {
+                joined.expect("helper thread panicked");
+            }
         }
     }
 }
@@ -893,8 +1048,12 @@ impl Drop for LookupService {
     }
 }
 
-/// Reusable dispatch buffers (one set per dispatcher thread).
-struct DispatchBufs {
+/// A shard's executor token: the reusable batch buffers and the
+/// retune controller. It lives in [`QueueState::exec`]; whoever takes
+/// it out owns the shard until handing it back, so exactly one thread
+/// at a time executes a shard's batches, observes its runs and
+/// republishes its policy cell.
+struct Exec {
     batch: Vec<Entry>,
     /// Keys of the current read run.
     run_keys: Vec<u64>,
@@ -911,81 +1070,174 @@ struct DispatchBufs {
     write_prevs: Vec<Option<u64>>,
     /// Per-shard grouping scratch for the store's write path.
     write_scratch: WriteScratch,
+    ctl: Controller,
 }
 
-/// The per-shard dispatcher: wait for work, flush on `max_batch` or
-/// `max_wait`, execute the batch FIFO (read runs through the
-/// interleaved engine, writes in admission order between runs), route
-/// responses, record latency.
-fn dispatch_loop(
-    store: &ShardedStore,
-    shard: usize,
-    state: &ShardState,
-    cfg: ServeConfig,
-    obs: &Obs,
-) {
-    let mut bufs = DispatchBufs {
-        batch: Vec::with_capacity(cfg.batch.max_batch),
-        run_keys: Vec::with_capacity(cfg.batch.max_batch),
-        run_spans: Vec::with_capacity(cfg.batch.max_batch),
-        out: Vec::with_capacity(cfg.batch.max_batch),
-        scratch: LookupScratch::default(),
-        write_ops: Vec::with_capacity(cfg.batch.max_batch),
-        write_idx: Vec::with_capacity(cfg.batch.max_batch),
-        write_prevs: Vec::with_capacity(cfg.batch.max_batch),
-        write_scratch: WriteScratch::default(),
-    };
-    // The shard's retune controller lives on its dispatcher's stack —
-    // the only thread that observes this shard's runs or republishes
-    // its policy cell.
-    let mut ctl = Controller::new(cfg.adapt, cfg.retune_interval, cfg.policy.group_or_one());
-    if cfg.adapt != Adapt::Off {
-        // Adaptive dispatch implies the placement story: pin the
-        // dispatcher to its shard's home core, so the hot-cache state
-        // the residency hint measures belongs to *this* core. A no-op
-        // on single-core hosts or where affinity is unsupported.
-        let topo = Topology::probe();
-        topo.pin_current(topo.core_for_shard(shard));
+impl Exec {
+    fn new(cfg: &ServeConfig) -> Self {
+        let n = cfg.batch.max_batch;
+        Self {
+            batch: Vec::with_capacity(n),
+            run_keys: Vec::with_capacity(n),
+            run_spans: Vec::with_capacity(n),
+            out: Vec::with_capacity(n),
+            scratch: LookupScratch::default(),
+            write_ops: Vec::with_capacity(n),
+            write_idx: Vec::with_capacity(n),
+            write_prevs: Vec::with_capacity(n),
+            write_scratch: WriteScratch::default(),
+            ctl: Controller::new(cfg.adapt, cfg.retune_interval, cfg.policy.group_or_one()),
+        }
     }
-    let mut q = state.q.plock("admission queue");
-    loop {
-        if q.reqs.is_empty() {
-            if !q.open {
-                return;
-            }
-            q = state.work.pwait(q, "admission queue (dispatcher idle)");
-            continue;
+}
+
+/// Who holds the token for a batch.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Runner {
+    /// A submitting thread, until its own entry is answered.
+    Caller,
+    /// The shard's helper thread, until the queue is empty.
+    Helper,
+}
+
+/// The token while it is out of the queue state. Handing it back
+/// normally empties `exec`; if it is still here on drop, the runner is
+/// unwinding out of a batch and the shard fails closed: every ticket
+/// of the batch and of the queue is abandoned (their waiters panic,
+/// none hangs), later submits find the queue closed, and the helper is
+/// woken so that it exits and `close` can join it.
+struct Running<'a> {
+    state: &'a ShardState,
+    exec: Option<Box<Exec>>,
+}
+
+impl Drop for Running<'_> {
+    fn drop(&mut self) {
+        let Some(exec) = self.exec.take() else {
+            return;
+        };
+        for entry in &exec.batch {
+            entry.op.abandon();
         }
-        let full = q.reqs.len() >= cfg.batch.max_batch;
-        if !full && q.open {
-            // Ragged batch on an open queue: wait out the residual
-            // max_wait of the oldest entry (more requests may land
-            // and fill the batch; a closed queue drains immediately).
-            let deadline = q.reqs[0].enqueued + cfg.batch.max_wait;
-            let now = Instant::now();
-            if now < deadline {
-                (q, _) =
-                    state
-                        .work
-                        .pwait_timeout(q, deadline - now, "admission queue (batch deadline)");
-                continue;
-            }
+        // This runs during an unwind, where a second panic would abort
+        // the process, and it only fails the queue closed — the right
+        // end for a state some other panic left mid-protocol too. So
+        // it ignores poison (the exception `isi_core::sync` names).
+        let mut q = self.state.q.lock().unwrap_or_else(PoisonError::into_inner);
+        q.open = false;
+        for entry in q.reqs.drain(..) {
+            entry.op.abandon();
         }
-        let n = q.reqs.len().min(cfg.batch.max_batch);
-        bufs.batch.clear();
-        bufs.batch.extend(q.reqs.drain(..n));
-        state.space.notify_all();
+        // Nothing runs on a closed, empty queue; the token goes back so
+        // the helper's exit condition is the ordinary one.
+        q.exec = Some(exec);
         drop(q);
-
-        execute_batch(store, shard, state, cfg, obs, &mut bufs, full, &mut ctl);
-
-        q = state.q.plock("admission queue");
+        self.state.work.notify_all();
+        self.state.space.notify_all();
     }
 }
 
-/// Execute one drained batch in admission order: maximal runs of
-/// consecutive point reads are planned against the delta and the
-/// residual goes through the interleaved engine as one batch; writes
+/// Everything running one shard needs, by reference: the service hands
+/// one out per call, each helper thread builds its own.
+#[derive(Clone, Copy)]
+struct ShardCtx<'a> {
+    store: &'a ShardedStore,
+    shard: usize,
+    state: &'a ShardState,
+    cfg: ServeConfig,
+    obs: &'a Obs,
+}
+
+/// The per-shard helper thread: park until entries are queued while
+/// the token is present, drain the queue, repeat; exit once the queue
+/// is closed, empty and the token is back.
+fn helper_loop(ctx: ShardCtx<'_>) {
+    if ctx.cfg.adapt != Adapt::Off {
+        // Adaptive dispatch implies the placement story: pin the helper
+        // to its shard's home core, where the backlog of a busy shard
+        // runs. A no-op on single-core hosts or where affinity is
+        // unsupported.
+        let topo = Topology::probe();
+        topo.pin_current(topo.core_for_shard(ctx.shard));
+    }
+    let mut q = ctx.state.q.plock("admission queue");
+    loop {
+        q = ctx.run(q, Runner::Helper, &|| false);
+        if !q.open && q.reqs.is_empty() && q.exec.is_some() {
+            return;
+        }
+        q = ctx.state.work.pwait(q, "admission queue (helper parked)");
+    }
+}
+
+impl<'a> ShardCtx<'a> {
+    /// The one way to run a shard, for clients and the helper alike.
+    /// Called with the queue lock held and `done()` known to be false
+    /// (a client's own entry is still queued or executing elsewhere):
+    /// if entries are queued and the token is present, take the token
+    /// and execute batches of up to `max_batch` entries (the lock
+    /// released around each) until the queue is empty or `done()` —
+    /// checked under the lock before every further batch, so a client
+    /// never starts a batch once its own entry has been answered. Then
+    /// hand the token back under the lock. Returns at once if the
+    /// token is taken: its holder sees the caller's entry at the
+    /// latest on hand-back.
+    fn run(
+        self,
+        mut q: MutexGuard<'a, QueueState>,
+        who: Runner,
+        done: &dyn Fn() -> bool,
+    ) -> MutexGuard<'a, QueueState> {
+        if q.reqs.is_empty() {
+            return q;
+        }
+        let Some(exec) = q.exec.take() else {
+            return q;
+        };
+        let mut running = Running {
+            state: self.state,
+            exec: Some(exec),
+        };
+        let max_batch = self.cfg.batch.max_batch;
+        loop {
+            let exec = running.exec.as_mut().expect("token held until hand-back");
+            let queued = q.reqs.len();
+            exec.batch.extend(q.reqs.drain(..queued.min(max_batch)));
+            if queued >= self.cfg.queue_cap {
+                // Producers park only on a full queue, so only a batch
+                // cut from a full queue can have any to wake.
+                self.state.space.notify_all();
+            }
+            drop(q);
+            execute_batch(self, exec, queued >= max_batch, who);
+            // Answered entries (and their tickets) go now, not under
+            // the lock and not when the next batch is cut.
+            exec.batch.clear();
+            q = self.state.q.plock("admission queue");
+            if q.reqs.is_empty() || done() {
+                break;
+            }
+        }
+        self.hand_back(&mut q, running.exec.take(), who);
+        q
+    }
+
+    /// Put the token back (queue lock held). The helper parks only
+    /// with the queue empty or the token gone, so a client returning
+    /// the token to a non-empty (or closing) queue must wake it; the
+    /// helper itself re-checks both before it parks.
+    fn hand_back(self, q: &mut QueueState, exec: Option<Box<Exec>>, who: Runner) {
+        q.exec = exec;
+        if who == Runner::Caller && (!q.reqs.is_empty() || !q.open) {
+            self.state.work.notify_one();
+        }
+    }
+}
+
+/// Execute the batch drained into `bufs.batch` in admission order:
+/// maximal runs of consecutive point reads are planned against the
+/// delta and the residual goes through the interleaved engine as one
+/// batch; writes
 /// and range scans apply one at a time between runs (each write
 /// invalidating its hot-cache slot *before* its ticket is fulfilled).
 /// Writes only append to the delta — a threshold crossing enqueues a
@@ -993,7 +1245,7 @@ fn dispatch_loop(
 ///
 /// An entry's counters and latency sample land *before* its ticket is
 /// fulfilled (the counters are lock-free `Release` bumps, the stats
-/// snapshot reads `Acquire`), so the moment a caller's wait returns,
+/// snapshot reads `Acquire`), so the moment a client's wait returns,
 /// [`LookupService::stats`] already includes its request. No lock is
 /// held across engine runs or store writes (a write can trigger a
 /// whole-shard merge rebuild), so a monitoring thread reading stats
@@ -1004,35 +1256,31 @@ fn dispatch_loop(
 /// invalidation), `commit` around each fulfill pass, `retune` around a
 /// due controller's republish. The store records
 /// `plan`/`engine`/`wal_*`/`merge` inside its own calls.
-#[allow(clippy::too_many_arguments)]
-fn execute_batch(
-    store: &ShardedStore,
-    shard: usize,
-    state: &ShardState,
-    cfg: ServeConfig,
-    obs: &Obs,
-    bufs: &mut DispatchBufs,
-    full: bool,
-    ctl: &mut Controller,
-) {
+fn execute_batch(ctx: ShardCtx<'_>, bufs: &mut Exec, full: bool, who: Runner) {
+    let ShardCtx {
+        store,
+        shard,
+        state,
+        cfg,
+        obs,
+    } = ctx;
     let batch_t = SpanTimer::start();
-    // Count the flush up front: no ticket from this batch can resolve
+    // Count the batch up front: no ticket from this batch can resolve
     // before the batch itself is visible in the stats. `batches` bumps
-    // before its flavor (the registration-order counterpart lives in
-    // `ShardCounters`).
+    // before the counters it bounds (the registration-order
+    // counterpart lives in `ShardCounters`).
     state.m.batches.inc();
     if full {
         state.m.full_flushes.inc();
-    } else {
-        state.m.timeout_flushes.inc();
     }
-    // Queue residency ends now; what follows is execution.
+    if who == Runner::Caller {
+        state.m.caller_runs.inc();
+    }
+    // Queue residency ended when the batch span started (one clock
+    // reading serves both); what follows is execution.
     for entry in &bufs.batch {
-        obs.record_stage(
-            shard,
-            Stage::AdmissionWait,
-            entry.enqueued.elapsed().as_nanos() as u64,
-        );
+        let waited = batch_t.start_ns().saturating_sub(entry.enqueued.start_ns());
+        obs.record_stage(shard, Stage::AdmissionWait, waited);
     }
     let mut i = 0;
     while i < bufs.batch.len() {
@@ -1057,8 +1305,8 @@ fn execute_batch(
             bufs.out.clear();
             bufs.out.resize(bufs.run_keys.len(), None);
             // Snapshot the published policy once per run: a retune
-            // landing mid-run (impossible today — the owning dispatcher
-            // is the only publisher — but cheap to be robust against)
+            // landing mid-run (impossible today — the token holder is
+            // the only publisher — but cheap to be robust against)
             // would still leave this run on one coherent policy.
             let policy = state.policy.load();
             let outcome = store.lookup_batch(
@@ -1069,9 +1317,9 @@ fn execute_batch(
                 &mut bufs.scratch,
                 &mut bufs.out,
             );
-            // Fill the cache before fulfilling: the dispatcher is the
+            // Fill the cache before fulfilling: the token holder is the
             // only mutator of this shard, so these results are current
-            // until the next write it applies.
+            // until the next write applied under the token.
             if let Some(cache) = &state.cache {
                 let mut cache = cache.plock("hot-key cache");
                 for &(ei, start, _) in &bufs.run_spans {
@@ -1089,13 +1337,10 @@ fn execute_batch(
             for &(ei, start, len) in &bufs.run_spans {
                 let entry = &bufs.batch[ei];
                 // Counters and the latency sample land before the
-                // fulfill: a caller whose wait returned is already in
+                // fulfill: a client whose wait returned is already in
                 // the stats.
                 state.m.requests.inc();
-                state
-                    .m
-                    .latency
-                    .record(entry.enqueued.elapsed().as_nanos() as u64);
+                state.m.latency.record(entry.enqueued.elapsed_ns());
                 match &entry.op {
                     Op::Get { ticket, .. } => {
                         state.m.gets.inc();
@@ -1113,10 +1358,13 @@ fn execute_batch(
             // when the window is due, fold in the backend's residency
             // hint (sampled from a bounded prefix of this run's own
             // keys — no extra buffer) and republish the policy cell.
-            if ctl.observe_run(outcome.delta_hits, outcome.engine.lookups) {
+            if bufs
+                .ctl
+                .observe_run(outcome.delta_hits, outcome.engine.lookups)
+            {
                 let retune_t = SpanTimer::start();
                 let sample = &bufs.run_keys[..bufs.run_keys.len().min(HINT_SAMPLE)];
-                let group = ctl.retune(store.hint_density(shard, sample));
+                let group = bufs.ctl.retune(store.hint_density(shard, sample));
                 state.policy.store(Interleave::from_group(group));
                 state.m.retunes.inc();
                 state.m.current_group.set(group as i64);
@@ -1172,10 +1420,7 @@ fn execute_batch(
                     for (&ei, &prev) in bufs.write_idx.iter().zip(&bufs.write_prevs) {
                         let entry = &bufs.batch[ei];
                         state.m.requests.inc();
-                        state
-                            .m
-                            .latency
-                            .record(entry.enqueued.elapsed().as_nanos() as u64);
+                        state.m.latency.record(entry.enqueued.elapsed_ns());
                         match &entry.op {
                             Op::Put { ticket, .. } => {
                                 state.m.puts.inc();
@@ -1195,10 +1440,7 @@ fn execute_batch(
                     let entry = &bufs.batch[i];
                     state.m.range_scans.inc();
                     state.m.requests.inc();
-                    state
-                        .m
-                        .latency
-                        .record(entry.enqueued.elapsed().as_nanos() as u64);
+                    state.m.latency.record(entry.enqueued.elapsed_ns());
                     ticket.fulfill(pairs);
                     i += 1;
                 }
@@ -1235,10 +1477,7 @@ mod tests {
             let svc = LookupService::start(
                 store,
                 ServeConfig {
-                    batch: BatchPolicy {
-                        max_batch: 8,
-                        max_wait: Duration::from_micros(200),
-                    },
+                    batch: BatchPolicy { max_batch: 8 },
                     ..ServeConfig::default()
                 },
             );
@@ -1254,61 +1493,337 @@ mod tests {
         }
     }
 
+    /// Take `shard`'s token by hand: a runner that is slow for as long
+    /// as the test holds the box.
+    fn hold_token(svc: &LookupService, shard: usize) -> Box<Exec> {
+        let mut q = svc.shards[shard].q.plock("admission queue");
+        q.exec.take().expect("token present on an idle shard")
+    }
+
+    /// Hand a held token back the way a client does: the helper is
+    /// notified if entries queued up meanwhile.
+    fn release_token(svc: &LookupService, shard: usize, token: Box<Exec>) {
+        let ctx = svc.ctx(shard);
+        let mut q = ctx.state.q.plock("admission queue");
+        ctx.hand_back(&mut q, Some(token), Runner::Caller);
+    }
+
+    /// Block until `shard`'s queue holds `n` entries.
+    fn wait_queued(svc: &LookupService, shard: usize, n: usize) {
+        while svc.shards[shard].q.plock("admission queue").reqs.len() != n {
+            std::thread::yield_now();
+        }
+    }
+
     #[test]
-    fn full_batches_flush_without_waiting() {
-        // max_wait far beyond the test timeout: only max_batch flushes
-        // can answer. Exactly max_batch clients with one outstanding
-        // request each make every flush self-synchronizing — a batch
-        // dispatches precisely when all four have enqueued — so
-        // completion proves the full-batch path with no deadline help.
+    fn lone_request_runs_on_the_caller() {
+        let store = ShardedStore::build(Backend::Csb, 1, &pairs(100));
+        let svc = LookupService::start(store, ServeConfig::default());
+        for _ in 0..32 {
+            assert_eq!(svc.get(42), Some(21));
+        }
+        let stats = svc.stats();
+        // Every call found the shard idle, ran its own one-entry batch
+        // and handed an empty queue back: the helper never ran.
+        assert_eq!(stats.batches, 32);
+        assert_eq!(stats.caller_runs, 32);
+        assert_eq!(stats.full_flushes, 0);
+        // No timer, no thread hand-off: far below the millisecond a
+        // flush deadline would cost (median, so one preemption of
+        // this thread cannot fail the test).
+        assert!(
+            stats.latency.p50() < 250_000,
+            "lone gets took {} ns at the median",
+            stats.latency.p50()
+        );
+    }
+
+    #[test]
+    fn backlog_forms_full_batches() {
+        // One slow runner (the test, holding the token) while eight
+        // clients submit: their entries pile up, and the helper cuts
+        // the backlog into max_batch-sized batches once it gets the
+        // token.
         let store = ShardedStore::build(Backend::Hash, 1, &pairs(512));
         let svc = LookupService::start(
             store,
             ServeConfig {
-                batch: BatchPolicy {
-                    max_batch: 4,
-                    max_wait: Duration::from_secs(3600),
+                batch: BatchPolicy { max_batch: 4 },
+                ..ServeConfig::default()
+            },
+        );
+        let token = hold_token(&svc, 0);
+        std::thread::scope(|scope| {
+            for c in 0..8u64 {
+                let svc = &svc;
+                scope.spawn(move || assert_eq!(svc.get(c * 7), expect(c * 7)));
+            }
+            wait_queued(&svc, 0, 8);
+            release_token(&svc, 0, token);
+        });
+        let stats = svc.stats();
+        assert_eq!(stats.requests, 8);
+        assert_eq!(stats.batches, 2);
+        assert_eq!(stats.full_flushes, 2);
+        assert_eq!(stats.caller_runs, 0);
+        assert!((stats.mean_batch() - 4.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn a_backlog_of_writes_is_one_group_commit() {
+        // Four puts queue up behind a held token; the helper then cuts
+        // them as one batch = one write run = the group-commit unit.
+        use isi_durable::{Fs, FsyncMode, MemFs};
+        for (fsync, records_per_run) in [(FsyncMode::Group, 1), (FsyncMode::On, 4)] {
+            let fs: Arc<dyn Fs> = Arc::new(MemFs::new());
+            let store = ShardedStore::build_with_fs(
+                Backend::Sorted,
+                1,
+                &[],
+                StoreConfig {
+                    fsync,
+                    ..StoreConfig::with_threshold(1 << 20)
                 },
+                fs,
+            );
+            let svc = LookupService::start(store, ServeConfig::default());
+            let token = hold_token(&svc, 0);
+            std::thread::scope(|scope| {
+                for key in 0..4u64 {
+                    let svc = &svc;
+                    scope.spawn(move || assert_eq!(svc.put(key, key), None));
+                }
+                wait_queued(&svc, 0, 4);
+                release_token(&svc, 0, token);
+            });
+            let stats = svc.stats();
+            assert_eq!(stats.batches, 1);
+            assert_eq!(stats.wal_records, records_per_run, "{}", fsync.name());
+            assert_eq!(stats.wal_syncs, 1, "one fsync per write run");
+        }
+    }
+
+    #[test]
+    fn a_client_stops_running_once_its_own_entry_is_answered() {
+        let store = ShardedStore::build(Backend::Sorted, 1, &pairs(512));
+        let svc = LookupService::start(
+            store,
+            ServeConfig {
+                batch: BatchPolicy { max_batch: 1 },
+                ..ServeConfig::default()
+            },
+        );
+        // This thread's entry goes in first, two other clients' behind
+        // it, all while the token is away.
+        let token = hold_token(&svc, 0);
+        let ticket = Arc::new(Ticket::new());
+        drop(svc.enqueue(
+            0,
+            Op::Get {
+                key: 10,
+                ticket: Arc::clone(&ticket),
+            },
+        ));
+        std::thread::scope(|scope| {
+            for key in [12u64, 13] {
+                let svc = &svc;
+                scope.spawn(move || assert_eq!(svc.get(key), expect(key)));
+            }
+            wait_queued(&svc, 0, 3);
+            // Now this thread finds the token present, as a submitter
+            // would: with one entry per batch it must run exactly its
+            // own and leave the other two to the helper.
+            let mut q = svc.shards[0].q.plock("admission queue");
+            q.exec = Some(token);
+            svc.run_until_answered(0, q, &ticket);
+            assert_eq!(ticket.wait(), Some(5));
+            assert_eq!(svc.stats().caller_runs, 1);
+        });
+        let stats = svc.stats();
+        assert_eq!(stats.requests, 3);
+        assert_eq!(stats.batches, 3);
+        assert_eq!(stats.caller_runs, 1);
+    }
+
+    #[test]
+    fn close_answers_every_queued_ticket() {
+        let store = ShardedStore::build(Backend::Csb, 1, &pairs(100));
+        let mut svc = LookupService::start(store, ServeConfig::default());
+        // Entries queued behind a runner that hands the token back
+        // without anyone having been notified yet: `close` must still
+        // get them executed, writes included, in order.
+        let token = hold_token(&svc, 0);
+        let put = Arc::new(Ticket::new());
+        drop(svc.enqueue(
+            0,
+            Op::Put {
+                key: 10,
+                val: 77,
+                ticket: Arc::clone(&put),
+            },
+        ));
+        let gets: Vec<_> = [10u64, 11, 12]
+            .into_iter()
+            .map(|key| {
+                let ticket = Arc::new(Ticket::new());
+                drop(svc.enqueue(
+                    0,
+                    Op::Get {
+                        key,
+                        ticket: Arc::clone(&ticket),
+                    },
+                ));
+                ticket
+            })
+            .collect();
+        svc.shards[0].q.plock("admission queue").exec = Some(token);
+        svc.close();
+        assert_eq!(put.wait(), Some(5));
+        let got: Vec<_> = gets.iter().map(|t| t.wait()).collect();
+        assert_eq!(got, vec![Some(77), None, Some(6)]);
+        assert_eq!(svc.store().get(10), Some(77));
+        assert_eq!(svc.stats().caller_runs, 0);
+    }
+
+    #[test]
+    fn eight_clients_on_two_shards_agree_with_the_oracle() {
+        // Closed-loop clients on disjoint key sets, so each one's
+        // HashMap is the oracle of every answer it gets while the
+        // other seven contend for the same two tokens.
+        let store = ShardedStore::build_with(
+            Backend::Csb,
+            2,
+            &pairs(2000),
+            StoreConfig::with_threshold(8),
+        );
+        let svc = LookupService::start(
+            store,
+            ServeConfig {
+                batch: BatchPolicy { max_batch: 4 },
                 ..ServeConfig::default()
             },
         );
         std::thread::scope(|scope| {
-            for c in 0..4u64 {
+            for c in 0..8u64 {
                 let svc = &svc;
                 scope.spawn(move || {
-                    for i in 0..8u64 {
-                        let key = (c * 8 + i) * 7 % 1100;
-                        assert_eq!(svc.get(key), expect(key));
+                    let mut oracle = std::collections::HashMap::new();
+                    let seeded = |k: u64| expect(k);
+                    for i in 0..300u64 {
+                        let key = (i * 37 % 500) * 8 + c; // key % 8 == c
+                        let want = oracle.get(&key).copied().unwrap_or(seeded(key));
+                        match i % 5 {
+                            0 | 1 => assert_eq!(svc.get(key), want),
+                            2 => {
+                                assert_eq!(svc.put(key, i), want);
+                                oracle.insert(key, Some(i));
+                            }
+                            3 => {
+                                assert_eq!(svc.remove(key), want);
+                                oracle.insert(key, None);
+                            }
+                            _ => assert_eq!(svc.get_many(&[key, key + 8]).first(), Some(&want)),
+                        }
                     }
                 });
             }
         });
         let stats = svc.stats();
-        assert_eq!(stats.requests, 32);
-        assert_eq!(stats.batches, 8);
-        assert_eq!(stats.full_flushes, 8);
-        assert!((stats.mean_batch() - 4.0).abs() < 1e-9);
+        assert!(stats.caller_runs <= stats.batches);
+        assert!(stats.full_flushes <= stats.batches);
+        assert_eq!(stats.puts + stats.removes, 8 * 120);
     }
 
     #[test]
-    fn lone_request_is_flushed_by_the_deadline() {
-        let store = ShardedStore::build(Backend::Csb, 1, &pairs(100));
+    fn an_unwinding_runner_fails_the_shard_closed() {
+        use isi_durable::{FaultFs, FaultPlan, Fs, FsyncMode};
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        use std::sync::mpsc;
+        use std::time::Duration;
+
+        let fault = Arc::new(FaultFs::new(FaultPlan::default()));
+        let fs: Arc<dyn Fs> = fault.clone();
+        let store = ShardedStore::build_with_fs(
+            Backend::Sorted,
+            1,
+            &pairs(100),
+            StoreConfig {
+                fsync: FsyncMode::Group,
+                ..StoreConfig::with_threshold(1 << 20)
+            },
+            fs,
+        );
         let svc = LookupService::start(
             store,
             ServeConfig {
-                batch: BatchPolicy {
-                    max_batch: 1_000_000,
-                    max_wait: Duration::from_millis(2),
-                },
+                batch: BatchPolicy { max_batch: 2 },
                 ..ServeConfig::default()
             },
         );
-        let t0 = Instant::now();
-        assert_eq!(svc.get(42), Some(21));
-        // Generous bound: the flush must come from the deadline, not
-        // from a full batch, and must not hang.
-        assert!(t0.elapsed() < Duration::from_secs(10));
-        assert_eq!(svc.stats().timeout_flushes, 1);
+        assert_eq!(svc.put(1, 1), None); // the WAL works so far
+
+        // Two clients queue a put each behind a held token, then the
+        // disk fills up, then a third client finds the token present
+        // and runs their write run: its WAL append fails and unwinds
+        // on that client's thread.
+        let token = hold_token(&svc, 0);
+        let (tx, rx) = mpsc::channel();
+        let message = |r: std::thread::Result<Option<u64>>| match r {
+            Ok(v) => format!("returned {v:?}"),
+            Err(p) => p
+                .downcast_ref::<String>()
+                .cloned()
+                .or_else(|| p.downcast_ref::<&str>().map(|s| (*s).to_string()))
+                .unwrap_or_default(),
+        };
+        std::thread::scope(|scope| {
+            for key in [3u64, 5] {
+                let (svc, tx) = (&svc, tx.clone());
+                scope.spawn(move || {
+                    let r = catch_unwind(AssertUnwindSafe(|| svc.put(key, 9)));
+                    tx.send(("queued", message(r))).expect("test is listening");
+                });
+            }
+            wait_queued(&svc, 0, 2);
+            fault.fill_disk();
+            let (svc, tx) = (&svc, tx.clone());
+            scope.spawn(move || {
+                let r = catch_unwind(AssertUnwindSafe(|| {
+                    let ticket = Arc::new(Ticket::new());
+                    let mut q = svc.enqueue(
+                        0,
+                        Op::Get {
+                            key: 2,
+                            ticket: Arc::clone(&ticket),
+                        },
+                    );
+                    q.exec = Some(token);
+                    svc.run_until_answered(0, q, &ticket);
+                    ticket.wait()
+                }));
+                tx.send(("runner", message(r))).expect("test is listening");
+            });
+            // Nobody hangs: the runner and both waiters end promptly.
+            for _ in 0..3 {
+                let (who, msg) = rx
+                    .recv_timeout(Duration::from_secs(30))
+                    .expect("a client of the failed shard hung");
+                let want = if who == "runner" {
+                    "WAL append failed"
+                } else {
+                    "shard failed"
+                };
+                assert!(msg.contains(want), "{who} ended with {msg:?}");
+            }
+        });
+        // The shard stays closed — a rejected request does not poison
+        // the queue for the next one, the helper or `close` — and the
+        // service still shuts down.
+        for _ in 0..2 {
+            let later = message(catch_unwind(AssertUnwindSafe(|| svc.get(2))));
+            assert!(later.contains("closed LookupService"), "{later:?}");
+        }
+        drop(svc);
     }
 
     #[test]
@@ -1318,10 +1833,7 @@ mod tests {
             store,
             ServeConfig {
                 queue_cap: 1,
-                batch: BatchPolicy {
-                    max_batch: 2,
-                    max_wait: Duration::from_micros(100),
-                },
+                batch: BatchPolicy { max_batch: 2 },
                 ..ServeConfig::default()
             },
         );
@@ -1354,10 +1866,7 @@ mod tests {
             store,
             ServeConfig {
                 policy: Interleave::from_group(6),
-                batch: BatchPolicy {
-                    max_batch: 16,
-                    max_wait: Duration::from_micros(100),
-                },
+                batch: BatchPolicy { max_batch: 16 },
                 ..ServeConfig::default()
             },
         );
@@ -1378,10 +1887,7 @@ mod tests {
             let svc = LookupService::start(
                 store,
                 ServeConfig {
-                    batch: BatchPolicy {
-                        max_batch: 8,
-                        max_wait: Duration::from_micros(100),
-                    },
+                    batch: BatchPolicy { max_batch: 8 },
                     ..ServeConfig::default()
                 },
             );
@@ -1415,10 +1921,7 @@ mod tests {
             let svc = LookupService::start(
                 store,
                 ServeConfig {
-                    batch: BatchPolicy {
-                        max_batch: 64,
-                        max_wait: Duration::from_micros(100),
-                    },
+                    batch: BatchPolicy { max_batch: 64 },
                     ..ServeConfig::default()
                 },
             );
@@ -1449,10 +1952,7 @@ mod tests {
         let svc = LookupService::start(
             store,
             ServeConfig {
-                batch: BatchPolicy {
-                    max_batch: 4,
-                    max_wait: Duration::from_micros(50),
-                },
+                batch: BatchPolicy { max_batch: 4 },
                 ..ServeConfig::default()
             },
         );
@@ -1469,10 +1969,7 @@ mod tests {
         let svc = LookupService::start(
             store,
             ServeConfig {
-                batch: BatchPolicy {
-                    max_batch: 4,
-                    max_wait: Duration::from_micros(50),
-                },
+                batch: BatchPolicy { max_batch: 4 },
                 hot_cache_slots: 64,
                 ..ServeConfig::default()
             },
@@ -1508,10 +2005,7 @@ mod tests {
         let svc = LookupService::start(
             store,
             ServeConfig {
-                batch: BatchPolicy {
-                    max_batch: 8,
-                    max_wait: Duration::from_micros(50),
-                },
+                batch: BatchPolicy { max_batch: 8 },
                 queue_cap: 16,
                 ..ServeConfig::default()
             },
@@ -1530,7 +2024,7 @@ mod tests {
                 });
             }
         });
-        // Merges run behind the dispatchers; settle before counting.
+        // Merges run behind the runners; settle before counting.
         svc.store().quiesce();
         let stats = svc.stats();
         assert_eq!(stats.requests, 4 * 40 * 4);
@@ -1550,10 +2044,7 @@ mod tests {
             let svc = LookupService::start(
                 store,
                 ServeConfig {
-                    batch: BatchPolicy {
-                        max_batch: 8,
-                        max_wait: Duration::from_micros(100),
-                    },
+                    batch: BatchPolicy { max_batch: 8 },
                     ..ServeConfig::default()
                 },
             );
@@ -1592,10 +2083,7 @@ mod tests {
         let svc = LookupService::start(
             store,
             ServeConfig {
-                batch: BatchPolicy {
-                    max_batch: 4,
-                    max_wait: Duration::from_micros(50),
-                },
+                batch: BatchPolicy { max_batch: 4 },
                 ..ServeConfig::default()
             },
         );
@@ -1668,10 +2156,7 @@ mod tests {
         let svc = LookupService::start(
             store,
             ServeConfig {
-                batch: BatchPolicy {
-                    max_batch: 4,
-                    max_wait: Duration::from_micros(50),
-                },
+                batch: BatchPolicy { max_batch: 4 },
                 ..ServeConfig::default()
             },
         );
@@ -1718,10 +2203,7 @@ mod tests {
         let svc = LookupService::start(
             store,
             ServeConfig {
-                batch: BatchPolicy {
-                    max_batch: 4,
-                    max_wait: Duration::from_micros(50),
-                },
+                batch: BatchPolicy { max_batch: 4 },
                 hot_cache_slots: 0,
                 ..ServeConfig::default()
             },
@@ -1757,10 +2239,7 @@ mod tests {
                     policy: Interleave::from_group(calibrated),
                     adapt,
                     retune_interval: 2,
-                    batch: BatchPolicy {
-                        max_batch: 8,
-                        max_wait: Duration::from_micros(50),
-                    },
+                    batch: BatchPolicy { max_batch: 8 },
                     hot_cache_slots: 0,
                     ..ServeConfig::default()
                 },
@@ -1826,10 +2305,7 @@ mod tests {
         let svc = LookupService::start(
             store,
             ServeConfig {
-                batch: BatchPolicy {
-                    max_batch: 8,
-                    max_wait: Duration::from_micros(50),
-                },
+                batch: BatchPolicy { max_batch: 8 },
                 ..ServeConfig::default()
             },
         );
@@ -1854,10 +2330,10 @@ mod tests {
                         s.merges
                     );
                     assert!(
-                        s.full_flushes + s.timeout_flushes <= s.batches,
-                        "skewed snapshot: {} + {} flushes > {} batches",
+                        s.full_flushes <= s.batches && s.caller_runs <= s.batches,
+                        "skewed snapshot: {} full / {} caller-run > {} batches",
                         s.full_flushes,
-                        s.timeout_flushes,
+                        s.caller_runs,
                         s.batches
                     );
                     snaps += 1;
@@ -1891,10 +2367,7 @@ mod tests {
         let svc = LookupService::start(
             store,
             ServeConfig {
-                batch: BatchPolicy {
-                    max_batch: 8,
-                    max_wait: Duration::from_micros(50),
-                },
+                batch: BatchPolicy { max_batch: 8 },
                 trace_events: 256,
                 ..ServeConfig::default()
             },

@@ -8,64 +8,17 @@
 //! the heap — a retune that allocates would put a malloc on the
 //! dispatcher's per-run critical path every `retune_interval` runs.
 //! This test pins the whole computation with a counting global
-//! allocator: after warm-up, hundreds of hint-sample → density-blend
-//! → clamp → publish → snapshot cycles perform **zero** allocations.
-
-#![deny(unsafe_op_in_unsafe_fn)]
-
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+//! allocator (per thread, shared with `isi_obs`'s tests): after
+//! warm-up, hundreds of hint-sample → density-blend → clamp → publish
+//! → snapshot cycles perform **zero** allocations.
 
 use isi_core::policy::{Interleave, PolicyCell};
 use isi_search::autotune::{density_for_counts, group_for_density};
 use isi_serve::{Backend, ShardedStore, StoreConfig};
 
-struct CountingAlloc;
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-static COUNTING: AtomicBool = AtomicBool::new(false);
-
-// SAFETY: pure pass-through to the `System` allocator (which upholds
-// the GlobalAlloc contract); the only addition is a relaxed counter
-// bump, which allocates nothing and cannot unwind.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if COUNTING.load(Ordering::Relaxed) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
-        // SAFETY: same contract as ours; layout is forwarded verbatim.
-        unsafe { System.alloc(layout) }
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr`/`layout` came from our `alloc`, which forwarded
-        // to `System`, so returning them to `System` is well-paired.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if COUNTING.load(Ordering::Relaxed) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
-        // SAFETY: `ptr`/`layout` came from our pass-through `alloc`;
-        // the caller guarantees `new_size` per the trait contract.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
-
-/// The counter is process-global, so tests in this binary must not
-/// overlap: each one holds this lock around its counted sections.
-static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
-/// Count allocations during `f`.
-fn count_allocs<R>(f: impl FnOnce() -> R) -> (u64, R) {
-    ALLOCS.store(0, Ordering::SeqCst);
-    COUNTING.store(true, Ordering::SeqCst);
-    let r = f();
-    COUNTING.store(false, Ordering::SeqCst);
-    (ALLOCS.load(Ordering::SeqCst), r)
-}
+#[path = "../../obs/tests/support/thread_alloc.rs"]
+mod thread_alloc;
+use thread_alloc::count_allocs;
 
 /// One retune, exactly as the dispatcher performs it: sample the
 /// backend's residency hint over a prefix of the run's key buffer,
@@ -93,9 +46,8 @@ fn retune_once(
 /// `PolicyCell` publish/snapshot are all on-stack.
 #[test]
 fn steady_state_retunes_allocate_nothing() {
-    let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    // Foreground mode: no background merger thread to race the global
-    // allocation counter; the huge threshold means no merges at all.
+    // Foreground mode and a huge threshold: no merger thread, no
+    // merges — everything counted runs on this thread.
     let cfg = StoreConfig::with_threshold(1 << 20).foreground();
     let pairs: Vec<(u64, u64)> = (0..4096).map(|i| (i * 2, i)).collect();
     let store = ShardedStore::build_with(Backend::Sorted, 1, &pairs, cfg);
@@ -128,7 +80,6 @@ fn steady_state_retunes_allocate_nothing() {
 /// stay allocation-free too, and degrade to the calibrated group.
 #[test]
 fn degenerate_windows_stay_allocation_free() {
-    let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let cfg = StoreConfig::with_threshold(1 << 20).foreground();
     let store = ShardedStore::build_with(Backend::Sorted, 1, &[], cfg);
     let cell = PolicyCell::new(Interleave::from_group(6));

@@ -6,63 +6,16 @@
 //! proportional to the delta's size (the old clone-the-whole-delta
 //! write path) and never fresh per-shard grouping buffers (the old
 //! `vec![Vec::new(); num_shards]` in `apply_write_run`). This test
-//! pins both with a counting global allocator: per-run allocations
-//! are bounded by a small constant and do not grow as the delta
-//! accumulates hundreds of runs.
-
-#![deny(unsafe_op_in_unsafe_fn)]
-
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+//! pins both with a counting global allocator (per thread, shared
+//! with `isi_obs`'s tests): per-run allocations are bounded by a
+//! small constant and do not grow as the delta accumulates hundreds
+//! of runs.
 
 use isi_serve::{Backend, ShardedStore, StoreConfig, WriteScratch};
 
-struct CountingAlloc;
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-static COUNTING: AtomicBool = AtomicBool::new(false);
-
-// SAFETY: pure pass-through to the `System` allocator (which upholds
-// the GlobalAlloc contract); the only addition is a relaxed counter
-// bump, which allocates nothing and cannot unwind.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if COUNTING.load(Ordering::Relaxed) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
-        // SAFETY: same contract as ours; layout is forwarded verbatim.
-        unsafe { System.alloc(layout) }
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr`/`layout` came from our `alloc`, which forwarded
-        // to `System`, so returning them to `System` is well-paired.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if COUNTING.load(Ordering::Relaxed) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
-        // SAFETY: `ptr`/`layout` came from our pass-through `alloc`;
-        // the caller guarantees `new_size` per the trait contract.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
-
-/// The counter is process-global, so tests in this binary must not
-/// overlap: each one holds this lock around its counted sections.
-static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
-/// Count allocations during `f`.
-fn count_allocs<R>(f: impl FnOnce() -> R) -> (u64, R) {
-    ALLOCS.store(0, Ordering::SeqCst);
-    COUNTING.store(true, Ordering::SeqCst);
-    let r = f();
-    COUNTING.store(false, Ordering::SeqCst);
-    (ALLOCS.load(Ordering::SeqCst), r)
-}
+#[path = "../../obs/tests/support/thread_alloc.rs"]
+mod thread_alloc;
+use thread_alloc::count_allocs;
 
 /// Write-run cost per shard sub-run: the run `Vec`, its `Arc` run,
 /// the cloned run-list `Vec`, the `ShardVersion` `Arc`, plus slack
@@ -102,9 +55,8 @@ fn run_block(
 /// reusable `WriteScratch`).
 #[test]
 fn write_runs_allocate_a_small_constant() {
-    let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    // Foreground mode: no background merger thread to race the global
-    // allocation counter. The huge threshold and unbounded run stack
+    // Foreground mode keeps all of a write's work on this thread,
+    // where it is counted. The huge threshold and unbounded run stack
     // mean no merges and no folds — pure run-publish cost.
     let cfg = StoreConfig::with_threshold(1 << 20)
         .with_max_runs(usize::MAX)
@@ -145,7 +97,6 @@ fn write_runs_allocate_a_small_constant() {
 /// runs spanning 8 shards stay within the per-sub-run budget.
 #[test]
 fn grouping_scratch_is_reused_across_shards() {
-    let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let cfg = StoreConfig::with_threshold(1 << 20)
         .with_max_runs(usize::MAX)
         .foreground();

@@ -18,7 +18,6 @@
 //!   under concurrency), and the final state must match the union.
 
 use std::collections::HashMap;
-use std::time::Duration;
 
 use proptest::prelude::*;
 
@@ -66,10 +65,7 @@ fn service_with_adapt(store: ShardedStore, hot_cache_slots: usize, adapt: Adapt)
     LookupService::start(
         store,
         ServeConfig {
-            batch: BatchPolicy {
-                max_batch: 4,
-                max_wait: Duration::from_micros(50),
-            },
+            batch: BatchPolicy { max_batch: 4 },
             queue_cap: 8,
             hot_cache_slots,
             adapt,

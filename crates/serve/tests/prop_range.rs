@@ -21,7 +21,6 @@
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::time::Duration;
 
 use proptest::prelude::*;
 
@@ -58,10 +57,7 @@ fn service(store: ShardedStore) -> LookupService {
     LookupService::start(
         store,
         ServeConfig {
-            batch: BatchPolicy {
-                max_batch: 4,
-                max_wait: Duration::from_micros(50),
-            },
+            batch: BatchPolicy { max_batch: 4 },
             queue_cap: 8,
             ..ServeConfig::default()
         },
