@@ -7,14 +7,13 @@
 //! machine-readable `BENCH_serve.json` (schema `isi-serve/v2`).
 //!
 //! `--mixed` instead sweeps {backend} × {shard count} × {write
-//! fraction} × {merge threshold} × {adapt mode} over the **writable**
+//! fraction} × {merge threshold} over the **writable**
 //! store — closed-loop clients whose op streams mix
 //! `get`/`put`/`remove`/`get_range` — and writes
-//! `BENCH_serve_mixed.json` (schema `isi-serve-mixed/v7`), including
+//! `BENCH_serve_mixed.json` (schema `isi-serve-mixed/v8`), including
 //! merge counts (background vs foreground), merge latency, published
 //! delta runs and stack compactions, plan-stage delta hits / residual
-//! fraction, range-scan counts, hot-key-cache hits, per-cell retune
-//! counts and final per-shard interleave groups, and — with `--wal
+//! fraction, range-scan counts, hot-key-cache hits, and — with `--wal
 //! on` — WAL record/fsync counts plus the timed crash recovery each
 //! cell runs at teardown. Both binaries' documents self-verify before
 //! exiting.
@@ -32,8 +31,7 @@
 //! `--group N`, `--threshold N` (pin the merge-threshold axis to one
 //! value, mixed sweep), `--write-frac F` (pin the write-fraction axis
 //! to one value in [0, 1], mixed sweep),
-//! `--cache N` (hot-key cache slots, mixed sweep), `--adapt a,b,..`
-//! (adaptive-dispatch modes to sweep, from off|auto, mixed sweep),
+//! `--cache N` (hot-key cache slots, mixed sweep),
 //! `--repeat N` (measurements per cell, best throughput kept — the
 //! full preset's default is 3, mixed sweep),
 //! `--range F` (range-scan fraction in [0, 1], mixed sweep),
@@ -156,21 +154,6 @@ fn main() {
                     .parse()
                     .unwrap_or_else(|_| fail("bad --cache (need integer >= 0)"));
             }
-            "--adapt" => {
-                mixed_only_flags.push("--adapt");
-                let list: Vec<_> = value("--adapt")
-                    .split(',')
-                    .map(|p| {
-                        isi_serve::Adapt::from_name(p.trim()).unwrap_or_else(|| {
-                            fail(&format!("bad --adapt entry {p:?} (need off|auto)"))
-                        })
-                    })
-                    .collect();
-                if list.is_empty() {
-                    fail("--adapt must be a non-empty list");
-                }
-                mixed_cfg.adapts = list;
-            }
             "--repeat" => {
                 mixed_only_flags.push("--repeat");
                 mixed_cfg.repeat = parse_usize(&value("--repeat"), "--repeat");
@@ -263,7 +246,7 @@ fn main() {
 
     let doc = if mixed {
         println!(
-            "# mixed serve sweep: backends={:?} shards={:?} write-fractions={:?} range-fraction={} keys={} clients={} reqs/client={} thresholds={:?} cache={} bg-merge={} wal={} obs={} adapts={:?} repeat={}",
+            "# mixed serve sweep: backends={:?} shards={:?} write-fractions={:?} range-fraction={} keys={} clients={} reqs/client={} thresholds={:?} cache={} bg-merge={} wal={} obs={} repeat={}",
             mixed_cfg.backends.iter().map(|b| b.name()).collect::<Vec<_>>(),
             mixed_cfg.shard_counts,
             mixed_cfg.write_fractions,
@@ -276,21 +259,15 @@ fn main() {
             mixed_cfg.bg_merge,
             mixed_cfg.wal,
             mixed_cfg.obs,
-            mixed_cfg
-                .adapts
-                .iter()
-                .map(|a| a.name())
-                .collect::<Vec<_>>(),
             mixed_cfg.repeat,
         );
         let cells = run_mixed_sweep(&mixed_cfg, |c| {
             println!(
-                "{:>6} shards={:<2} writes={:<4} thr={:<5} adapt={:<4} {:>10.0} op/s  p50={:<9} p99={:<9} merges={:<4} bg={:<4} runs={:<5} folds={:<4} scans={:<4} resid={:.3} delta={:<5} cache_hits={:<5} retunes={:<4} groups={:?}",
+                "{:>6} shards={:<2} writes={:<4} thr={:<5} {:>10.0} op/s  p50={:<9} p99={:<9} merges={:<4} bg={:<4} runs={:<5} folds={:<4} scans={:<4} resid={:.3} delta={:<5} cache_hits={:<5}",
                 c.backend.name(),
                 c.shards,
                 format!("{}%", (c.write_fraction * 100.0).round()),
                 c.merge_threshold,
-                c.adapt.name(),
                 c.throughput_rps,
                 format!("{}ns", c.p50_ns),
                 format!("{}ns", c.p99_ns),
@@ -302,8 +279,6 @@ fn main() {
                 c.residual_frac,
                 c.delta_keys,
                 c.cache_hits,
-                c.retunes,
-                c.final_groups,
             );
         });
         let doc = to_mixed_json(&mixed_cfg, &cells);

@@ -1,6 +1,8 @@
 //! # isi-bench — harnesses that regenerate every table and figure
 //!
-//! One binary per paper artifact (see `DESIGN.md` for the full index):
+//! One binary per paper artifact or sweep, nineteen in all (the
+//! README's "Paper figure / table binaries" table says how to run and
+//! read each):
 //!
 //! | binary | artifact |
 //! |---|---|
@@ -16,9 +18,13 @@
 //! | `table3` | Table 3 — qualitative technique properties + measured switch cost |
 //! | `table5` | Table 5 — implementation complexity / code footprint (LoC) |
 //! | `hash_join` | §6 extension — interleaved hash-join probe |
+//! | `mixed_ops` | §6 extension — heterogeneous coroutines in one interleaved group |
+//! | `numa_latency` | §6 — group size vs (simulated) remote-memory latency |
+//! | `hwhint` | §6 — the hypothetical *is-cached?* instruction, on the simulator |
+//! | `spp` | footnote 2 — software-pipelined prefetching ablation |
 //! | `tlb_index` | §6 extension — B+-tree over sorted array vs TLB-thrashing binary search |
 //! | `throughput` | morsel-parallel lookup throughput sweep → `BENCH_throughput.json` ([`throughput`] module) |
-//! | `serve` | admission-batched lookup-service load sweep → `BENCH_serve.json` ([`serve`] module) |
+//! | `serve` | lookup-service load sweeps → `BENCH_serve.json`, `BENCH_serve_mixed.json` ([`serve`] module) |
 //!
 //! Environment knobs (all optional): `ISI_MAX_MB` (top of the size sweep,
 //! default 256), `ISI_LOOKUPS` (lookup-list length, default 10000),

@@ -31,13 +31,11 @@ pub const SERVE: &str = "isi-serve/v2";
 /// — `config.merge_thresholds` replaces the scalar
 /// `config.merge_threshold`, each cell records its `merge_threshold`
 /// — plus the run-stack columns `runs` (immutable delta runs
-/// published) and `compactions` (stack folds past `max_runs`); v6
-/// added the adaptive-dispatch axis — `config.adapts` (policy modes
-/// swept) and `config.retune_interval`, each cell records its `adapt`
-/// mode plus the `retunes` counter and per-shard `final_groups`; v7
+/// published) and `compactions` (stack folds past `max_runs`); v7
 /// follows caller-runs admission — `config.policy` loses its flush
-/// deadline, each cell records `caller_runs`).
-pub const SERVE_MIXED: &str = "isi-serve-mixed/v7";
+/// deadline, each cell records `caller_runs`; v8 removed the
+/// adaptive-dispatch axis v6 had added).
+pub const SERVE_MIXED: &str = "isi-serve-mixed/v8";
 
 #[cfg(test)]
 mod tests {

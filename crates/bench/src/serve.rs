@@ -20,7 +20,7 @@
 //! not just engine time.
 //!
 //! A second, **mixed read/write** sweep (`--mixed`, schema
-//! `isi-serve-mixed/v7`) drives closed-loop clients whose operation
+//! `isi-serve-mixed/v8`) drives closed-loop clients whose operation
 //! streams contain a configurable write fraction (puts + removes) and
 //! range-scan fraction (`get_range` over a fixed key span) against a
 //! writable store, with merges on the background merger thread by
@@ -33,13 +33,7 @@
 //! counts and latency, background-merge counts, published delta runs
 //! and stack compactions, residual delta size, plan-stage delta hits
 //! and residual fraction, and hot-key-cache hits alongside the usual
-//! throughput/latency columns. The **adapt axis** (`--adapt
-//! off|auto`, `config.adapts`) reruns every grid point per
-//! adaptive-dispatch mode: `off` is the fixed-policy baseline, `auto`
-//! closes the density → group-size feedback loop (dispatchers retune
-//! every `retune_interval` read runs and pin to shard home cores);
-//! each cell records its `retunes` count and per-shard
-//! `final_groups`.
+//! throughput/latency columns.
 //! With the observability layer on (`--obs`) each cell additionally
 //! captures the service's per-shard per-stage latency breakdown
 //! ([`LookupService::stage_breakdown`]), the end-to-end latency sum
@@ -52,8 +46,7 @@ use std::time::{Duration, Instant};
 use isi_core::par::ParConfig;
 use isi_core::policy::Interleave;
 use isi_serve::{
-    Adapt, Backend, BatchPolicy, FsyncMode, LookupService, ServeConfig, ShardedStore, Stage,
-    StoreConfig,
+    Backend, BatchPolicy, FsyncMode, LookupService, ServeConfig, ShardedStore, Stage, StoreConfig,
 };
 use isi_workloads::uniform_indices;
 
@@ -215,7 +208,6 @@ pub fn measure_cell(
             par: ParConfig::with_threads(1),
             hot_cache_slots: 0,
             trace_events: 0,
-            ..ServeConfig::default()
         },
     );
     // Open-loop pacing: the total offered rate split across clients.
@@ -546,23 +538,14 @@ pub struct MixedBenchCfg {
     pub hot_cache_slots: usize,
     /// Flush policy for every cell.
     pub policy: PolicySpec,
-    /// Interleave group size for dispatched batches (the calibrated
-    /// ceiling under [`Adapt::Auto`]).
+    /// Interleave group size for dispatched batches.
     pub group: usize,
     /// Per-shard admission-queue bound.
     pub queue_cap: usize,
-    /// Adaptive-dispatch modes to sweep: every cell grid point runs
-    /// once per mode. [`Adapt::Off`] is the fixed-policy baseline;
-    /// [`Adapt::Auto`] closes the density → group-size feedback loop
-    /// (and pins dispatcher + merger threads to shard home cores).
-    pub adapts: Vec<Adapt>,
-    /// Read runs between retunes for [`Adapt::Auto`] cells.
-    pub retune_interval: usize,
     /// Measurements per cell; the best-throughput run is recorded
-    /// (standard best-of-N de-noising, so adjacent cells — in
-    /// particular the off/auto pairs the adapt axis exists to compare
-    /// — are each at their ceiling rather than at the mercy of one
-    /// scheduler hiccup). Each repeat is a complete, fresh
+    /// (standard best-of-N de-noising, so adjacent cells are each at
+    /// their ceiling rather than at the mercy of one scheduler
+    /// hiccup). Each repeat is a complete, fresh
     /// store + service run, so every recorded cell is internally
     /// coherent.
     pub repeat: usize,
@@ -594,11 +577,6 @@ impl MixedBenchCfg {
             policy: PolicySpec { max_batch: 64 },
             group: 6,
             queue_cap: 1024,
-            // The committed baseline's acceptance check compares these
-            // two modes cell-for-cell; a short interval keeps the
-            // controller live even in lightly-dispatched cells.
-            adapts: vec![Adapt::Off, Adapt::Auto],
-            retune_interval: 4,
             repeat: 3,
         }
     }
@@ -626,10 +604,6 @@ impl MixedBenchCfg {
             policy: PolicySpec { max_batch: 16 },
             group: 6,
             queue_cap: 256,
-            // One mode keeps the existing CI legs' cell counts stable;
-            // the adapt smoke leg overrides this via `--adapt auto`.
-            adapts: vec![Adapt::Off],
-            retune_interval: 4,
             repeat: 1,
         }
     }
@@ -668,15 +642,6 @@ pub struct MixedCell {
     pub write_fraction: f64,
     /// Merge threshold this cell ran with.
     pub merge_threshold: usize,
-    /// Adaptive-dispatch mode this cell ran with.
-    pub adapt: Adapt,
-    /// Policy retunes published by the shards' controllers (0 unless
-    /// `adapt` is auto).
-    pub retunes: u64,
-    /// Each shard's published interleave group when the cell finished
-    /// (= `config.group` with adapt off, within `[1, config.group]`
-    /// with it on).
-    pub final_groups: Vec<usize>,
     /// Client operations issued (gets incl. cache hits + puts +
     /// removes + range scans).
     pub requests: u64,
@@ -774,7 +739,6 @@ pub fn measure_mixed_cell(
     shards: usize,
     write_fraction: f64,
     merge_threshold: usize,
-    adapt: Adapt,
     cfg: &MixedBenchCfg,
 ) -> MixedCell {
     let pairs: Vec<(u64, u64)> = (0..cfg.store_keys as u64).map(|i| (i * 2, i)).collect();
@@ -782,21 +746,14 @@ pub fn measure_mixed_cell(
     if !cfg.bg_merge {
         store_cfg = store_cfg.foreground();
     }
-    if adapt != Adapt::Off {
-        // Adaptive cells get the full placement story: the merger
-        // rebuilds each shard's main on that shard's home core, the
-        // same core its (pinned) dispatcher reads from.
-        store_cfg = store_cfg.pinned();
-    }
     let wal_dir = cfg.wal.then(|| {
         std::env::temp_dir().join(format!(
-            "isi-bench-wal-{}-{}-{}-{}-{}-{}",
+            "isi-bench-wal-{}-{}-{}-{}-{}",
             std::process::id(),
             backend.name(),
             shards,
             (write_fraction * 1e6) as u64,
-            merge_threshold,
-            adapt.name()
+            merge_threshold
         ))
     });
     if let Some(dir) = &wal_dir {
@@ -808,8 +765,6 @@ pub fn measure_mixed_cell(
         store,
         ServeConfig {
             policy: Interleave::from_group(cfg.group),
-            adapt,
-            retune_interval: cfg.retune_interval,
             batch: cfg.policy.to_batch_policy(),
             queue_cap: cfg.queue_cap,
             par: ParConfig::with_threads(1),
@@ -859,9 +814,6 @@ pub fn measure_mixed_cell(
     // cell's fixpoint, not a race with the last write.
     svc.store().quiesce();
     let stats = svc.stats();
-    // Snapshot the published policies before the WAL teardown below
-    // drops the service for the recovery timing.
-    let final_groups = svc.current_groups();
     // Capture the observability columns before the WAL teardown below
     // drops the service (and its trace rings) for the recovery timing.
     let (stages, trace_events, trace_json) = if cfg.obs {
@@ -922,9 +874,6 @@ pub fn measure_mixed_cell(
         shards,
         write_fraction,
         merge_threshold,
-        adapt,
-        retunes: stats.retunes,
-        final_groups,
         requests,
         gets,
         puts,
@@ -970,18 +919,16 @@ pub fn run_mixed_sweep(
         for &shards in &cfg.shard_counts {
             for &wf in &cfg.write_fractions {
                 for &threshold in &cfg.merge_thresholds {
-                    for &adapt in &cfg.adapts {
-                        // Best-of-N: every repeat is a complete fresh
-                        // run; keep the one whose throughput hit its
-                        // ceiling so paired cells compare policies,
-                        // not scheduler luck.
-                        let cell = (0..cfg.repeat.max(1))
-                            .map(|_| measure_mixed_cell(backend, shards, wf, threshold, adapt, cfg))
-                            .max_by(|a, b| a.throughput_rps.total_cmp(&b.throughput_rps))
-                            .expect("at least one repeat");
-                        progress(&cell);
-                        cells.push(cell);
-                    }
+                    // Best-of-N: every repeat is a complete fresh
+                    // run; keep the one whose throughput hit its
+                    // ceiling so adjacent cells compare settings, not
+                    // scheduler luck.
+                    let cell = (0..cfg.repeat.max(1))
+                        .map(|_| measure_mixed_cell(backend, shards, wf, threshold, cfg))
+                        .max_by(|a, b| a.throughput_rps.total_cmp(&b.throughput_rps))
+                        .expect("at least one repeat");
+                    progress(&cell);
+                    cells.push(cell);
                 }
             }
         }
@@ -989,7 +936,7 @@ pub fn run_mixed_sweep(
     cells
 }
 
-/// Serialize a finished mixed sweep to the `isi-serve-mixed/v7`
+/// Serialize a finished mixed sweep to the `isi-serve-mixed/v8`
 /// document.
 pub fn to_mixed_json(cfg: &MixedBenchCfg, cells: &[MixedCell]) -> Json {
     let results: Vec<Json> = cells
@@ -1015,12 +962,6 @@ pub fn to_mixed_json(cfg: &MixedBenchCfg, cells: &[MixedCell]) -> Json {
                 ("shards", num(c.shards as f64)),
                 ("write_fraction", num(c.write_fraction)),
                 ("merge_threshold", num(c.merge_threshold as f64)),
-                ("adapt", str(c.adapt.name())),
-                ("retunes", num(c.retunes as f64)),
-                (
-                    "final_groups",
-                    Json::Arr(c.final_groups.iter().map(|&g| num(g as f64)).collect()),
-                ),
                 ("requests", num(c.requests as f64)),
                 ("gets", num(c.gets as f64)),
                 ("puts", num(c.puts as f64)),
@@ -1119,11 +1060,6 @@ pub fn to_mixed_json(cfg: &MixedBenchCfg, cells: &[MixedCell]) -> Json {
                 ),
                 ("group", num(cfg.group as f64)),
                 ("queue_cap", num(cfg.queue_cap as f64)),
-                (
-                    "adapts",
-                    Json::Arr(cfg.adapts.iter().map(|a| str(a.name())).collect()),
-                ),
-                ("retune_interval", num(cfg.retune_interval as f64)),
                 ("repeat", num(cfg.repeat as f64)),
             ]),
         ),
@@ -1132,19 +1068,15 @@ pub fn to_mixed_json(cfg: &MixedBenchCfg, cells: &[MixedCell]) -> Json {
 }
 
 /// Validate a mixed-sweep document: schema tag, exactly one cell per
-/// `backend × shard count × write fraction × merge threshold × adapt
-/// mode` the config declares, full op coverage (gets, puts, removes
+/// `backend × shard count × write fraction × merge threshold` the
+/// config declares, full op coverage (gets, puts, removes
 /// and range scans), coherent op/merge/plan counters
 /// (background-merge accounting must match the config's `bg_merge`,
 /// `residual_frac` must be a fraction), coherent run-stack counters
 /// (`compactions ≤ runs ≤ puts + removes` — every published run
 /// carries at least one effective write, and a compaction only ever
-/// follows a run push), `caller_runs ≤ batches`, coherent adapt
-/// columns (`retunes` zero
-/// exactly when the cell's mode is `off`, positive under `auto`, and
-/// every `final_groups` entry inside `group_for_density`'s
-/// `[1, config.group]` clamp — pinned at `config.group` with adapt
-/// off) and monotone latency quantiles.
+/// follows a run push), `caller_runs ≤ batches` and monotone latency
+/// quantiles.
 ///
 /// v4 observability checks, per cell: with `config.obs` **off** the
 /// stage breakdown must be empty and the trace export zero; with it
@@ -1196,25 +1128,6 @@ pub fn verify_mixed(doc: &Json) -> Result<(), String> {
         .iter()
         .map(|v| v.as_usize().ok_or("non-integer merge threshold"))
         .collect::<Result<_, _>>()?;
-    let adapts: Vec<&str> = config
-        .get("adapts")
-        .and_then(Json::as_arr)
-        .ok_or("missing config.adapts")?
-        .iter()
-        .filter_map(Json::as_str)
-        .collect();
-    for a in &adapts {
-        if Adapt::from_name(a).is_none() {
-            return Err(format!("unknown adapt mode {a:?} in config"));
-        }
-    }
-    let retune_interval = config
-        .get("retune_interval")
-        .and_then(Json::as_usize)
-        .ok_or("missing config.retune_interval")?;
-    if retune_interval == 0 {
-        return Err("config.retune_interval must be positive".into());
-    }
     let repeat = config
         .get("repeat")
         .and_then(Json::as_usize)
@@ -1222,15 +1135,10 @@ pub fn verify_mixed(doc: &Json) -> Result<(), String> {
     if repeat == 0 {
         return Err("config.repeat must be positive".into());
     }
-    let group = config
-        .get("group")
-        .and_then(Json::as_usize)
-        .ok_or("missing config.group")?;
     if backends.is_empty()
         || shard_counts.is_empty()
         || fractions.is_empty()
         || thresholds.is_empty()
-        || adapts.is_empty()
     {
         return Err("empty sweep axes".into());
     }
@@ -1287,189 +1195,139 @@ pub fn verify_mixed(doc: &Json) -> Result<(), String> {
         for &s in &shard_counts {
             for &f in &fractions {
                 for &t in &thresholds {
-                    for &a in &adapts {
-                        let matching: Vec<&Json> = results
-                            .iter()
-                            .filter(|c| {
-                                c.get("backend").and_then(Json::as_str) == Some(b)
-                                    && c.get("shards").and_then(Json::as_usize) == Some(s)
-                                    && c.get("write_fraction")
-                                        .and_then(Json::as_f64)
-                                        .is_some_and(|cf| (cf - f).abs() < 1e-9)
-                                    && c.get("merge_threshold").and_then(Json::as_usize) == Some(t)
-                                    && c.get("adapt").and_then(Json::as_str) == Some(a)
-                            })
-                            .collect();
-                        let cell_name =
-                            format!("{b}/shards={s}/writes={f}/threshold={t}/adapt={a}");
-                        if matching.len() != 1 {
-                            return Err(format!(
-                                "expected exactly 1 cell for {cell_name}, found {}",
-                                matching.len()
-                            ));
-                        }
-                        let cell = matching[0];
-                        let count =
-                            |key: &str| cell.get(key).and_then(Json::as_f64).unwrap_or(-1.0);
-                        let rate = count("throughput_rps");
-                        if !(rate.is_finite() && rate > 0.0) {
-                            return Err(format!("non-positive throughput for {cell_name}"));
-                        }
-                        let (gets, puts, removes, range_scans) = (
-                            count("gets"),
-                            count("puts"),
-                            count("removes"),
-                            count("range_scans"),
-                        );
-                        if count("requests") != expected_requests as f64
-                            || gets + puts + removes + range_scans != expected_requests as f64
-                        {
-                            return Err(format!(
-                                "cell {cell_name} did not answer all {expected_requests} requests"
-                            ));
-                        }
-                        if f == 0.0
-                            && (puts != 0.0
-                                || removes != 0.0
-                                || count("merges") != 0.0
-                                || count("runs") != 0.0
-                                || count("compactions") != 0.0)
-                        {
-                            return Err(format!(
-                                "read-only cell {cell_name} recorded writes, merges or delta runs"
-                            ));
-                        }
-                        // Run-stack coherence: every published run carries at
-                        // least one effective write, and a stack compaction
-                        // only ever follows a run push.
-                        let (runs, compactions) = (count("runs"), count("compactions"));
-                        if runs > puts + removes {
-                            return Err(format!(
-                                "cell {cell_name}: runs ({runs}) exceed writes ({})",
-                                puts + removes
-                            ));
-                        }
-                        if compactions > runs {
-                            return Err(format!(
-                                "cell {cell_name}: compactions ({compactions}) > runs ({runs})"
-                            ));
-                        }
-                        let (batches, caller_runs) = (count("batches"), count("caller_runs"));
-                        if caller_runs > batches {
-                            return Err(format!(
-                                "cell {cell_name}: caller_runs ({caller_runs}) > batches ({batches})"
-                            ));
-                        }
-                        if range_fraction > 0.0 && f < 1.0 && range_scans == 0.0 {
-                            return Err(format!(
-                                "cell {cell_name} ran no range scans despite range_fraction > 0"
-                            ));
-                        }
-                        if count("hits") > gets || count("cache_hits") > gets {
-                            return Err(format!("cell {cell_name} hit counters exceed reads"));
-                        }
-                        let (merges, bg_merges) = (count("merges"), count("bg_merges"));
-                        if bg_merge && bg_merges != merges {
-                            return Err(format!(
-                                "cell {cell_name}: background mode but bg_merges ({bg_merges}) != \
-                         merges ({merges})"
-                            ));
-                        }
-                        if !bg_merge && bg_merges != 0.0 {
-                            return Err(format!(
-                                "cell {cell_name}: foreground mode but bg_merges = {bg_merges}"
-                            ));
-                        }
-                        let rf = count("residual_frac");
-                        if !(0.0..=1.0).contains(&rf) {
-                            return Err(format!(
-                                "cell {cell_name}: residual_frac {rf} outside [0, 1]"
-                            ));
-                        }
-                        let (wal_records, wal_syncs, recovery) = (
-                            count("wal_records"),
-                            count("wal_syncs"),
-                            count("recovery_ns"),
-                        );
-                        if wal {
-                            // Writes went through the log: records for every
-                            // write-bearing cell, group commit never syncing
-                            // more than once per record, and a timed recovery.
-                            if puts + removes > 0.0 && wal_records <= 0.0 {
-                                return Err(format!(
-                                    "cell {cell_name}: wal on with writes but no WAL records"
-                                ));
-                            }
-                            if wal_syncs > wal_records {
-                                return Err(format!(
-                                    "cell {cell_name}: wal_syncs ({wal_syncs}) > wal_records \
-                             ({wal_records})"
-                                ));
-                            }
-                            if !(recovery.is_finite() && recovery > 0.0) {
-                                return Err(format!(
-                                    "cell {cell_name}: wal on but no recovery time recorded"
-                                ));
-                            }
-                        } else if wal_records != 0.0 || wal_syncs != 0.0 || recovery != 0.0 {
-                            return Err(format!(
-                                "cell {cell_name}: wal off but durability counters are non-zero"
-                            ));
-                        }
-                        let (p50, p95, p99) = (count("p50_ns"), count("p95_ns"), count("p99_ns"));
-                        if !(0.0 <= p50 && p50 <= p95 && p95 <= p99) {
-                            return Err(format!(
-                                "non-monotone latency quantiles for {cell_name}: \
-                         p50={p50} p95={p95} p99={p99}"
-                            ));
-                        }
-                        // Adapt coherence: the fixed-policy baseline never
-                        // retunes, auto retunes (every cell dispatches far
-                        // more than `retune_interval` read runs), and every
-                        // published group respects `group_for_density`'s
-                        // clamp to [1, calibrated].
-                        let retunes = count("retunes");
-                        match a {
-                            "off" if retunes != 0.0 => {
-                                return Err(format!(
-                                    "cell {cell_name}: adapt off but {retunes} retunes recorded"
-                                ));
-                            }
-                            "auto" if retunes <= 0.0 => {
-                                return Err(format!(
-                                    "cell {cell_name}: adapt auto but no retunes recorded"
-                                ));
-                            }
-                            _ => {}
-                        }
-                        let final_groups: Vec<usize> = cell
-                            .get("final_groups")
-                            .and_then(Json::as_arr)
-                            .ok_or_else(|| format!("cell {cell_name} missing final_groups"))?
-                            .iter()
-                            .filter_map(Json::as_usize)
-                            .collect();
-                        if final_groups.len() != s {
-                            return Err(format!(
-                                "cell {cell_name}: {} final_groups for {s} shards",
-                                final_groups.len()
-                            ));
-                        }
-                        for &g in &final_groups {
-                            if !(1..=group).contains(&g) {
-                                return Err(format!(
-                                    "cell {cell_name}: final group {g} outside [1, {group}]"
-                                ));
-                            }
-                            if a == "off" && g != group.max(1) {
-                                return Err(format!(
-                                    "cell {cell_name}: adapt off but published group {g} \
-                                 drifted from the configured {group}"
-                                ));
-                            }
-                        }
-                        verify_cell_stages(cell, &cell_name, obs, s)?;
+                    let matching: Vec<&Json> = results
+                        .iter()
+                        .filter(|c| {
+                            c.get("backend").and_then(Json::as_str) == Some(b)
+                                && c.get("shards").and_then(Json::as_usize) == Some(s)
+                                && c.get("write_fraction")
+                                    .and_then(Json::as_f64)
+                                    .is_some_and(|cf| (cf - f).abs() < 1e-9)
+                                && c.get("merge_threshold").and_then(Json::as_usize) == Some(t)
+                        })
+                        .collect();
+                    let cell_name = format!("{b}/shards={s}/writes={f}/threshold={t}");
+                    if matching.len() != 1 {
+                        return Err(format!(
+                            "expected exactly 1 cell for {cell_name}, found {}",
+                            matching.len()
+                        ));
                     }
+                    let cell = matching[0];
+                    let count = |key: &str| cell.get(key).and_then(Json::as_f64).unwrap_or(-1.0);
+                    let rate = count("throughput_rps");
+                    if !(rate.is_finite() && rate > 0.0) {
+                        return Err(format!("non-positive throughput for {cell_name}"));
+                    }
+                    let (gets, puts, removes, range_scans) = (
+                        count("gets"),
+                        count("puts"),
+                        count("removes"),
+                        count("range_scans"),
+                    );
+                    if count("requests") != expected_requests as f64
+                        || gets + puts + removes + range_scans != expected_requests as f64
+                    {
+                        return Err(format!(
+                            "cell {cell_name} did not answer all {expected_requests} requests"
+                        ));
+                    }
+                    if f == 0.0
+                        && (puts != 0.0
+                            || removes != 0.0
+                            || count("merges") != 0.0
+                            || count("runs") != 0.0
+                            || count("compactions") != 0.0)
+                    {
+                        return Err(format!(
+                            "read-only cell {cell_name} recorded writes, merges or delta runs"
+                        ));
+                    }
+                    // Run-stack coherence: every published run carries at
+                    // least one effective write, and a stack compaction
+                    // only ever follows a run push.
+                    let (runs, compactions) = (count("runs"), count("compactions"));
+                    if runs > puts + removes {
+                        return Err(format!(
+                            "cell {cell_name}: runs ({runs}) exceed writes ({})",
+                            puts + removes
+                        ));
+                    }
+                    if compactions > runs {
+                        return Err(format!(
+                            "cell {cell_name}: compactions ({compactions}) > runs ({runs})"
+                        ));
+                    }
+                    let (batches, caller_runs) = (count("batches"), count("caller_runs"));
+                    if caller_runs > batches {
+                        return Err(format!(
+                            "cell {cell_name}: caller_runs ({caller_runs}) > batches ({batches})"
+                        ));
+                    }
+                    if range_fraction > 0.0 && f < 1.0 && range_scans == 0.0 {
+                        return Err(format!(
+                            "cell {cell_name} ran no range scans despite range_fraction > 0"
+                        ));
+                    }
+                    if count("hits") > gets || count("cache_hits") > gets {
+                        return Err(format!("cell {cell_name} hit counters exceed reads"));
+                    }
+                    let (merges, bg_merges) = (count("merges"), count("bg_merges"));
+                    if bg_merge && bg_merges != merges {
+                        return Err(format!(
+                            "cell {cell_name}: background mode but bg_merges ({bg_merges}) != \
+                     merges ({merges})"
+                        ));
+                    }
+                    if !bg_merge && bg_merges != 0.0 {
+                        return Err(format!(
+                            "cell {cell_name}: foreground mode but bg_merges = {bg_merges}"
+                        ));
+                    }
+                    let rf = count("residual_frac");
+                    if !(0.0..=1.0).contains(&rf) {
+                        return Err(format!(
+                            "cell {cell_name}: residual_frac {rf} outside [0, 1]"
+                        ));
+                    }
+                    let (wal_records, wal_syncs, recovery) = (
+                        count("wal_records"),
+                        count("wal_syncs"),
+                        count("recovery_ns"),
+                    );
+                    if wal {
+                        // Writes went through the log: records for every
+                        // write-bearing cell, group commit never syncing
+                        // more than once per record, and a timed recovery.
+                        if puts + removes > 0.0 && wal_records <= 0.0 {
+                            return Err(format!(
+                                "cell {cell_name}: wal on with writes but no WAL records"
+                            ));
+                        }
+                        if wal_syncs > wal_records {
+                            return Err(format!(
+                                "cell {cell_name}: wal_syncs ({wal_syncs}) > wal_records \
+                         ({wal_records})"
+                            ));
+                        }
+                        if !(recovery.is_finite() && recovery > 0.0) {
+                            return Err(format!(
+                                "cell {cell_name}: wal on but no recovery time recorded"
+                            ));
+                        }
+                    } else if wal_records != 0.0 || wal_syncs != 0.0 || recovery != 0.0 {
+                        return Err(format!(
+                            "cell {cell_name}: wal off but durability counters are non-zero"
+                        ));
+                    }
+                    let (p50, p95, p99) = (count("p50_ns"), count("p95_ns"), count("p99_ns"));
+                    if !(0.0 <= p50 && p50 <= p95 && p95 <= p99) {
+                        return Err(format!(
+                            "non-monotone latency quantiles for {cell_name}: \
+                     p50={p50} p95={p95} p99={p99}"
+                        ));
+                    }
+                    verify_cell_stages(cell, &cell_name, obs, s)?;
                 }
             }
         }
@@ -1655,8 +1513,6 @@ mod tests {
             policy: PolicySpec { max_batch: 8 },
             group: 4,
             queue_cap: 64,
-            adapts: vec![Adapt::Off, Adapt::Auto],
-            retune_interval: 2,
             repeat: 1,
         }
     }
@@ -1665,7 +1521,7 @@ mod tests {
     fn mixed_sweep_produces_a_cell_per_combination_and_verifies() {
         let cfg = tiny_mixed_cfg();
         let cells = run_mixed_sweep(&cfg, |_| {});
-        assert_eq!(cells.len(), 3 * 2 * 2 * 2);
+        assert_eq!(cells.len(), 3 * 2 * 2);
         for c in &cells {
             assert_eq!(c.requests, 128);
             assert_eq!(c.gets + c.puts + c.removes + c.range_scans, 128);
@@ -1687,20 +1543,6 @@ mod tests {
                 assert!(c.puts + c.removes > 0);
                 assert!(c.delta_runs > 0);
             }
-            // Adapt coherence: the baseline never retunes and keeps
-            // the configured group; auto retunes and stays clamped.
-            assert_eq!(c.final_groups.len(), c.shards);
-            match c.adapt {
-                Adapt::Off => {
-                    assert_eq!(c.retunes, 0);
-                    assert!(c.final_groups.iter().all(|&g| g == 4));
-                }
-                Adapt::Auto => {
-                    assert!(c.retunes > 0, "auto cell never retuned");
-                    assert!(c.final_groups.iter().all(|&g| (1..=4).contains(&g)));
-                }
-                Adapt::Fixed(_) => unreachable!("not swept"),
-            }
         }
         let doc = to_mixed_json(&cfg, &cells);
         verify_mixed(&doc).expect("self-produced mixed document must verify");
@@ -1715,7 +1557,6 @@ mod tests {
             write_fractions: vec![0.25],
             // A merge-heavy cell and a never-merging deep-delta cell.
             merge_thresholds: vec![8, 1 << 16],
-            adapts: vec![Adapt::Off],
             ..tiny_mixed_cfg()
         };
         let cells = run_mixed_sweep(&cfg, |_| {});
@@ -1773,7 +1614,6 @@ mod tests {
         cfg.obs = true;
         cfg.backends = vec![Backend::Sorted];
         cfg.shard_counts = vec![2];
-        cfg.adapts = vec![Adapt::Off];
         let cells = run_mixed_sweep(&cfg, |_| {});
         assert_eq!(cells.len(), 2);
         let stage_count = |c: &MixedCell, name: &str| {
@@ -1811,7 +1651,6 @@ mod tests {
             backends: vec![Backend::Csb],
             shard_counts: vec![2],
             write_fractions: vec![0.25],
-            adapts: vec![Adapt::Off],
             ..tiny_mixed_cfg()
         };
         let cells = run_mixed_sweep(&cfg, |_| {});
@@ -1942,81 +1781,12 @@ mod tests {
     }
 
     #[test]
-    fn verify_mixed_rejects_incoherent_retune_columns() {
-        let cfg = tiny_mixed_cfg();
-        let cells = run_mixed_sweep(&cfg, |_| {});
-        let mut doc = to_mixed_json(&cfg, &cells);
-        // An off-mode cell claiming retunes must fail: the baseline's
-        // controller never comes due.
-        if let Json::Obj(fields) = &mut doc {
-            for (k, v) in fields.iter_mut() {
-                if k != "results" {
-                    continue;
-                }
-                let Json::Arr(cells) = v else { continue };
-                for cell in cells {
-                    let Json::Obj(cell) = cell else { continue };
-                    if !cell
-                        .iter()
-                        .any(|(ck, cv)| ck == "adapt" && cv.as_str() == Some("off"))
-                    {
-                        continue;
-                    }
-                    for (ck, cv) in cell.iter_mut() {
-                        if ck == "retunes" {
-                            *cv = num(5.0);
-                        }
-                    }
-                }
-            }
-        }
-        let err = verify_mixed(&doc).expect_err("retunes recorded with adapt off");
-        assert!(err.contains("adapt off"), "{err}");
-    }
-
-    #[test]
-    fn verify_mixed_rejects_out_of_clamp_final_groups() {
-        let cfg = tiny_mixed_cfg();
-        let cells = run_mixed_sweep(&cfg, |_| {});
-        let mut doc = to_mixed_json(&cfg, &cells);
-        // A published group above the calibrated ceiling must fail:
-        // `group_for_density` clamps to [1, config.group] (4 here).
-        if let Json::Obj(fields) = &mut doc {
-            for (k, v) in fields.iter_mut() {
-                if k != "results" {
-                    continue;
-                }
-                let Json::Arr(cells) = v else { continue };
-                for cell in cells {
-                    let Json::Obj(cell) = cell else { continue };
-                    if !cell
-                        .iter()
-                        .any(|(ck, cv)| ck == "adapt" && cv.as_str() == Some("auto"))
-                    {
-                        continue;
-                    }
-                    for (ck, cv) in cell.iter_mut() {
-                        if ck == "final_groups" {
-                            if let Json::Arr(groups) = cv {
-                                groups[0] = num(9.0);
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        let err = verify_mixed(&doc).expect_err("final group beyond the clamp");
-        assert!(err.contains("outside [1, 4]"), "{err}");
-    }
-
-    #[test]
     fn mixed_sweep_foreground_toggle_verifies() {
         let cfg = MixedBenchCfg {
             bg_merge: false,
             backends: vec![Backend::Csb],
             shard_counts: vec![1],
             write_fractions: vec![0.25],
-            adapts: vec![Adapt::Off],
             ..tiny_mixed_cfg()
         };
         let cells = run_mixed_sweep(&cfg, |_| {});

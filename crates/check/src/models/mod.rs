@@ -19,12 +19,10 @@
 //! | [`queue`] | caller-runs admission: token hand-back strands no entry, no deadlock at backpressure |
 //! | [`wal`] | WAL group commit + snapshot-truncate: acked ⇒ durable, frontier monotone |
 //! | [`metrics`] | registry snapshot ordering: read ≤-side first ⇒ `syncs ≤ records` |
-//! | [`policy`] | `PolicyCell` retune publish: per-run snapshots never torn, groups in clamps |
 //!
 //! [`epoch::torn_publish`], [`wal::truncate_before_snapshot_sync`],
 //! [`metrics::snapshot_reads_records_first`],
-//! [`runs::oldest_run_wins`], [`runs::fold_across_the_cut`],
-//! [`policy::split_policy_publish`] and
+//! [`runs::oldest_run_wins`], [`runs::fold_across_the_cut`] and
 //! [`queue::handback_without_notify`] are
 //! **known-bad** models kept as calibration targets: the test suite
 //! asserts the explorer *finds* their violations and that the printed
@@ -34,7 +32,6 @@ pub mod cache;
 pub mod epoch;
 pub mod merge;
 pub mod metrics;
-pub mod policy;
 pub mod queue;
 pub mod runs;
 pub mod wal;

@@ -184,42 +184,6 @@ fn explorer_catches_truncate_before_snapshot_sync() {
     );
 }
 
-#[test]
-fn policy_retune_publish_never_torn() {
-    let n = check(
-        "policy retune publish",
-        Config::default(),
-        models::policy::retune_publish_never_torn,
-    );
-    assert!(n > 1, "model has no concurrency ({n} interleaving)");
-}
-
-/// The two-atomics PolicyCell refactor: a dispatcher scheduled
-/// between the group and tag stores must observe a torn policy under
-/// some interleaving — and the seed must replay it.
-#[test]
-fn explorer_catches_split_policy_publish() {
-    let outcome = explore(Config::default(), models::policy::split_policy_publish);
-    let Outcome::Violation(v) = outcome else {
-        panic!("split-policy-publish not caught: {outcome:?}");
-    };
-    assert!(
-        v.message.contains("torn policy observed"),
-        "unexpected violation: {}",
-        v.message
-    );
-    let replayed = replay(
-        Config::default(),
-        &v.seed,
-        models::policy::split_policy_publish,
-    )
-    .expect("replay seed did not reproduce the violation");
-    assert!(
-        replayed.contains("torn policy observed"),
-        "replay diverged: {replayed}"
-    );
-}
-
 /// The deliberately broken EpochCell variant: the explorer must find
 /// the torn snapshot and report a seed that deterministically replays
 /// the same violation.

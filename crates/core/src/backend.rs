@@ -85,16 +85,4 @@ pub trait ShardBackend: Send + Sync {
         self.scan_range(0, u64::MAX, &mut out);
         out
     }
-
-    /// Estimated fraction of `sample`'s probe path that is already
-    /// cache-resident, in `[0, 1]` — the adaptive dispatcher blends
-    /// this with the observed delta-decided density to shrink its
-    /// interleave group when prefetch-and-switch would only burn
-    /// switches on hits. Backends without a residency signal (real
-    /// hardware gives none) keep the default `0.0`: "assume misses",
-    /// which preserves the calibrated group. Implementations must not
-    /// allocate — this runs on the dispatch path.
-    fn hint_density(&self, _sample: &[u64]) -> f64 {
-        0.0
-    }
 }

@@ -38,14 +38,11 @@
 //!   compute, switch and stall cycles.
 //! * [`policy`] — the shared [`Interleave`](policy::Interleave)
 //!   execution-policy type (sequential vs interleaved-with-group-size)
-//!   used by every operator in the workspace, plus the
-//!   [`PolicyCell`](policy::PolicyCell) single-word atomic cell the
-//!   adaptive serving layer republishes it through (torn-read-free
-//!   snapshots for dispatchers, alloc-free swaps for the controller).
-//! * [`topo`] — CPU [`Topology`](topo::Topology) probing and
-//!   best-effort thread pinning (`sched_setaffinity` by raw syscall)
-//!   for core-affine shard placement, with graceful single-core and
-//!   unsupported-target fallbacks.
+//!   used by every operator in the workspace.
+//! * [`topo`] — best-effort thread pinning
+//!   ([`Topology::pin_current`](topo::Topology::pin_current):
+//!   `sched_setaffinity` by raw syscall), with graceful single-core
+//!   and unsupported-target fallbacks.
 //! * [`backend`] — the [`ShardBackend`](backend::ShardBackend)
 //!   contract between the serving layer and the index structures that
 //!   serve one shard's main (batched probes, range scans, merge-time
@@ -137,7 +134,7 @@ pub use epoch::EpochCell;
 pub use mem::{DirectMem, IndexedMem};
 pub use model::{optimal_group_size, StreamParams};
 pub use par::{run_interleaved_par, DisjointOut, MorselCursor, ParConfig};
-pub use policy::{Interleave, PolicyCell};
+pub use policy::Interleave;
 pub use sched::{
     run_interleaved, run_interleaved_boxed, run_interleaved_indexed, run_sequential, FrameSlab,
     RunStats,

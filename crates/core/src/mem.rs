@@ -68,18 +68,6 @@ pub trait IndexedMem<T> {
         None
     }
 
-    /// Does this backend implement the residency instruction at all?
-    ///
-    /// `false` (the default — real hardware) promises that
-    /// [`probably_cached`](Self::probably_cached) answers `None` for
-    /// every index, which lets density pilots skip their probe walk
-    /// entirely instead of measuring an inevitable 0.0 the hard way.
-    /// Backends that override `probably_cached` must override this too.
-    #[inline(always)]
-    fn has_residency_hint(&self) -> bool {
-        false
-    }
-
     /// Record a data-dependent conditional branch with outcome `taken`.
     ///
     /// Branchy algorithms (e.g. `std::lower_bound`-style binary search)
@@ -173,10 +161,6 @@ impl<T, M: IndexedMem<T>> IndexedMem<T> for &M {
     #[inline(always)]
     fn probably_cached(&self, idx: usize) -> Option<bool> {
         (**self).probably_cached(idx)
-    }
-    #[inline(always)]
-    fn has_residency_hint(&self) -> bool {
-        (**self).has_residency_hint()
     }
 }
 

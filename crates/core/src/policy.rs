@@ -6,11 +6,6 @@
 //! expressed once: the hash join, the IN-predicate query, the
 //! dictionary `locate` strategies and the serving layer all take it
 //! instead of growing their own structurally identical enums.
-//!
-//! [`PolicyCell`] is the concurrent home of an `Interleave`: a single
-//! atomic word a retuning controller can republish through while
-//! dispatchers snapshot it per run, with no possibility of a torn
-//! (half-old, half-new) read and no allocation on either side.
 
 /// Execution policy for a batch of lookup coroutines: sequential, or
 /// interleaved with a given group size.
@@ -72,57 +67,6 @@ impl std::fmt::Display for Interleave {
     }
 }
 
-/// A torn-read-free, alloc-free published [`Interleave`] policy.
-///
-/// The whole policy is encoded into **one** `AtomicU64` — `0` for
-/// [`Interleave::Sequential`], the group size for
-/// [`Interleave::Interleaved`] (decode normalizes through
-/// [`Interleave::from_group`], so the two representations of "a group
-/// of one" collapse to the same policy). A single-word load can never
-/// observe half of an old policy and half of a new one, which is the
-/// property the serve-path retune controller relies on: a dispatcher
-/// snapshots the cell once per run and the whole run executes under
-/// exactly one published policy, however many retunes race it.
-///
-/// Ordering is `Release` on store / `Acquire` on load so a policy
-/// published after a controller's density computation is never
-/// observed before the writes that justified it.
-#[derive(Debug)]
-pub struct PolicyCell {
-    encoded: std::sync::atomic::AtomicU64,
-}
-
-impl PolicyCell {
-    /// A cell initially publishing `policy`.
-    pub fn new(policy: Interleave) -> Self {
-        Self {
-            encoded: std::sync::atomic::AtomicU64::new(Self::encode(policy)),
-        }
-    }
-
-    #[inline]
-    fn encode(policy: Interleave) -> u64 {
-        match policy {
-            Interleave::Sequential => 0,
-            Interleave::Interleaved(g) => g as u64,
-        }
-    }
-
-    /// Snapshot the currently published policy (one atomic load).
-    #[inline]
-    pub fn load(&self) -> Interleave {
-        let v = self.encoded.load(std::sync::atomic::Ordering::Acquire);
-        Interleave::from_group(v as usize)
-    }
-
-    /// Publish a new policy (one atomic store; no allocation).
-    #[inline]
-    pub fn store(&self, policy: Interleave) {
-        self.encoded
-            .store(Self::encode(policy), std::sync::atomic::Ordering::Release);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -154,39 +98,5 @@ mod tests {
     fn display_labels() {
         assert_eq!(Interleave::Sequential.to_string(), "seq");
         assert_eq!(Interleave::Interleaved(6).to_string(), "coro6");
-    }
-
-    #[test]
-    fn policy_cell_round_trips_and_normalizes() {
-        let cell = PolicyCell::new(Interleave::Sequential);
-        assert_eq!(cell.load(), Interleave::Sequential);
-        cell.store(Interleave::Interleaved(6));
-        assert_eq!(cell.load(), Interleave::Interleaved(6));
-        // Degenerate group sizes decode through from_group.
-        cell.store(Interleave::Interleaved(1));
-        assert_eq!(cell.load(), Interleave::Sequential);
-        cell.store(Interleave::from_group(8));
-        assert_eq!(cell.load(), Interleave::Interleaved(8));
-    }
-
-    #[test]
-    fn policy_cell_is_shared_across_threads() {
-        let cell = std::sync::Arc::new(PolicyCell::new(Interleave::from_group(6)));
-        let writer = {
-            let cell = std::sync::Arc::clone(&cell);
-            std::thread::spawn(move || {
-                for g in 1..=64usize {
-                    cell.store(Interleave::from_group(g));
-                }
-            })
-        };
-        // Every snapshot is a valid, whole policy — never torn.
-        for _ in 0..1024 {
-            let p = cell.load();
-            assert_eq!(p, Interleave::from_group(p.group_or_one()));
-            assert!(p.group_or_one() <= 64);
-        }
-        writer.join().unwrap();
-        assert_eq!(cell.load(), Interleave::Interleaved(64));
     }
 }

@@ -1,81 +1,39 @@
-//! CPU topology probing and thread placement for core-affine shards.
+//! Best-effort thread pinning.
 //!
-//! The serving layer runs one dispatcher thread per shard plus one
-//! background merger per store. On a multi-core box, letting the
-//! scheduler migrate those threads means a shard's batches (and the
-//! merger's freshly rebuilt mains) keep crossing cores — every
-//! migration cools the very caches the interleaved engine exists to
-//! hide misses in. [`Topology`] probes the core count once and maps
-//! shards onto cores round-robin; [`Topology::pin_current`] pins the
-//! calling thread with a raw `sched_setaffinity` syscall (the
+//! [`Topology::pin_current`] pins the calling thread to one of a given
+//! number of cores with a raw `sched_setaffinity` syscall (the
 //! workspace is dependency-free, so no libc wrapper).
 //!
-//! Placement is **best-effort by design**: on a single-core host, a
+//! Pinning is **best-effort by design**: on a single-core host, a
 //! non-`x86_64`/non-Linux target, under Miri, or when the kernel
 //! refuses the affinity call, `pin_current` simply returns `false`
 //! and the caller proceeds unpinned. Correctness never depends on
-//! pinning — only locality does — so the fallback is silent. The CI
-//! container has one core and therefore exercises exactly this path.
+//! pinning — only locality does — so the fallback is silent.
 
-/// A probed view of the machine's CPU layout: how many cores are
-/// available and which core each shard should own.
+/// The cores a caller spreads its threads over.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Topology {
     cores: usize,
 }
 
 impl Topology {
-    /// Probe the host: [`std::thread::available_parallelism`], with a
-    /// single-core fallback when the probe itself fails.
-    pub fn probe() -> Self {
-        let cores = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        Self { cores }
-    }
-
-    /// A topology with an explicit core count (tests, simulations).
+    /// A topology of `cores` cores (0 is clamped to 1).
     pub fn with_cores(cores: usize) -> Self {
         Self {
             cores: cores.max(1),
         }
     }
 
-    /// Number of usable cores (always ≥ 1).
-    #[inline]
-    pub fn cores(&self) -> usize {
-        self.cores
-    }
-
-    /// True when there is nothing to place (one core owns everything).
-    #[inline]
-    pub fn is_single_core(&self) -> bool {
-        self.cores == 1
-    }
-
-    /// The core that owns `shard`: shards are laid out round-robin so
-    /// every core serves an equal slice of the key space and a shard's
-    /// dispatcher and its merger rebuilds land on the same core.
-    #[inline]
-    pub fn core_for_shard(&self, shard: usize) -> usize {
-        shard % self.cores
-    }
-
-    /// Pin the **calling thread** to `core`. Returns `true` only when
-    /// the kernel accepted the affinity mask; `false` on single-core
-    /// hosts (nothing to pin), unsupported targets, or kernel refusal
-    /// — callers must treat `false` as "run unpinned", never an error.
+    /// Pin the **calling thread** to `core` (modulo the core count).
+    /// Returns `true` only when the kernel accepted the affinity mask;
+    /// `false` on single-core topologies (nothing to pin), unsupported
+    /// targets, or kernel refusal — callers must treat `false` as "run
+    /// unpinned", never an error.
     pub fn pin_current(&self, core: usize) -> bool {
-        if self.is_single_core() {
+        if self.cores == 1 {
             return false;
         }
         pin_to_core(core % self.cores)
-    }
-}
-
-impl Default for Topology {
-    fn default() -> Self {
-        Self::probe()
     }
 }
 
@@ -122,40 +80,24 @@ mod tests {
     use super::*;
 
     #[test]
-    fn probe_reports_at_least_one_core() {
-        let topo = Topology::probe();
-        assert!(topo.cores() >= 1);
-        assert_eq!(topo.is_single_core(), topo.cores() == 1);
-    }
-
-    #[test]
-    fn shards_round_robin_over_cores() {
-        let topo = Topology::with_cores(4);
-        assert_eq!(topo.core_for_shard(0), 0);
-        assert_eq!(topo.core_for_shard(3), 3);
-        assert_eq!(topo.core_for_shard(4), 0);
-        assert_eq!(topo.core_for_shard(7), 3);
-        // Degenerate request is clamped, not panicked on.
-        assert_eq!(Topology::with_cores(0).cores(), 1);
-    }
-
-    #[test]
     fn single_core_pin_is_a_silent_no_op() {
-        let topo = Topology::with_cores(1);
-        assert!(!topo.pin_current(0));
-        assert!(!topo.pin_current(17));
+        // A zero-core request is clamped to one core, not panicked on.
+        for topo in [Topology::with_cores(1), Topology::with_cores(0)] {
+            assert!(!topo.pin_current(0));
+            assert!(!topo.pin_current(17));
+        }
     }
 
     #[test]
     fn pin_never_panics_and_round_trips_cores() {
         // On a multi-core Linux host this genuinely pins (and the
-        // result is true); on the single-core CI container or other
+        // result is true); on a single-core container or other
         // targets it must fall back to false without error. Both
         // outcomes are legal — the contract is "best effort, no
         // panic".
-        let topo = Topology::probe();
-        let pinned = topo.pin_current(topo.core_for_shard(0));
-        if topo.is_single_core() {
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let pinned = Topology::with_cores(cores).pin_current(0);
+        if cores == 1 {
             assert!(!pinned);
         }
     }

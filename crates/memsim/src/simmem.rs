@@ -213,11 +213,6 @@ impl<'a, T> IndexedMem<T> for SimMem<'a, T> {
                 .is_line_cached(self.addr_of(idx)),
         )
     }
-
-    #[inline]
-    fn has_residency_hint(&self) -> bool {
-        true
-    }
 }
 
 #[cfg(test)]

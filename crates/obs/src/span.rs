@@ -48,14 +48,11 @@ pub enum Stage {
     /// Producer-side stall waiting for admission-queue or delta
     /// capacity, or for the write pace while the merger is busy.
     Backpressure,
-    /// One adaptive-dispatch retune: recomputing a shard's interleave
-    /// group from observed density and publishing the new policy.
-    Retune,
 }
 
 impl Stage {
     /// Number of stages (length of [`Stage::ALL`]).
-    pub const COUNT: usize = 11;
+    pub const COUNT: usize = 10;
 
     /// Every stage, in discriminant order.
     pub const ALL: [Stage; Self::COUNT] = [
@@ -69,7 +66,6 @@ impl Stage {
         Stage::Merge,
         Stage::RangeScan,
         Stage::Backpressure,
-        Stage::Retune,
     ];
 
     /// Index into a per-shard stage array.
@@ -92,7 +88,6 @@ impl Stage {
             Stage::Merge => "merge",
             Stage::RangeScan => "range_scan",
             Stage::Backpressure => "backpressure",
-            Stage::Retune => "retune",
         }
     }
 

@@ -71,111 +71,11 @@ pub fn bulk_rank_coro_adaptive<K: SearchKey, M: IndexedMem<K> + Copy>(
     )
 }
 
-/// The observed cache-residency density of `mem` over a pilot sample:
-/// the fraction of binary-search probes for which
-/// [`IndexedMem::probably_cached`] answers `Some(true)` — exactly the
-/// probes [`rank_coro_adaptive`] executes without suspending. Feed the
-/// result to
-/// [`autotune::group_for_density`](crate::autotune::group_for_density)
-/// to shrink the interleaving group when the hint says most probes are
-/// already hot. Backends without a hint
-/// ([`IndexedMem::has_residency_hint`] is `false`, i.e. real hardware)
-/// answer 0.0 *without walking*: every probe would report `None`, so
-/// the pilot's data-dependent loads would only pollute the caches it is
-/// trying to measure. Returns 0.0 for an empty pilot or a table too
-/// small to probe.
-pub fn hint_density<K: SearchKey, M: IndexedMem<K> + Copy>(mem: M, values: &[K]) -> f64 {
-    if !mem.has_residency_hint() {
-        return 0.0;
-    }
-    let mut probes = 0u64;
-    let mut hot = 0u64;
-    for v in values {
-        let mut size = mem.len();
-        let mut low = 0usize;
-        loop {
-            let half = size / 2;
-            if half == 0 {
-                break;
-            }
-            let probe = low + half;
-            probes += 1;
-            if mem.probably_cached(probe) == Some(true) {
-                hot += 1;
-            }
-            let le = (*mem.at(probe) <= *v) as usize;
-            low = le * probe + (1 - le) * low;
-            size -= half;
-        }
-    }
-    if probes == 0 {
-        0.0
-    } else {
-        hot as f64 / probes as f64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::seq::rank_oracle;
     use isi_core::mem::DirectMem;
-
-    /// `DirectMem` with the hypothetical residency instruction bolted
-    /// on: the top `hot_above` slots of the table report cached.
-    #[derive(Clone, Copy)]
-    struct HintedMem<'a> {
-        inner: DirectMem<'a, u32>,
-        hot_above: usize,
-    }
-
-    impl IndexedMem<u32> for HintedMem<'_> {
-        fn len(&self) -> usize {
-            self.inner.len()
-        }
-        fn at(&self, idx: usize) -> &u32 {
-            self.inner.at(idx)
-        }
-        fn prefetch(&self, idx: usize) {
-            self.inner.prefetch(idx);
-        }
-        fn probably_cached(&self, idx: usize) -> Option<bool> {
-            Some(idx >= self.hot_above)
-        }
-        fn has_residency_hint(&self) -> bool {
-            true
-        }
-    }
-
-    #[test]
-    fn hint_density_measures_the_hint_rate() {
-        let table: Vec<u32> = (0..4096).map(|i| i * 2).collect();
-        let values: Vec<u32> = (0..200).map(|i| i * 37 % 9000).collect();
-        // No hint at all: density 0, and an empty pilot is also 0.
-        assert_eq!(hint_density(DirectMem::new(&table), &values), 0.0);
-        assert_eq!(hint_density(DirectMem::new(&table), &[]), 0.0);
-        // Everything hot vs everything cold brackets the range.
-        let all_hot = HintedMem {
-            inner: DirectMem::new(&table),
-            hot_above: 0,
-        };
-        assert_eq!(hint_density(all_hot, &values), 1.0);
-        let all_cold = HintedMem {
-            inner: DirectMem::new(&table),
-            hot_above: usize::MAX,
-        };
-        assert_eq!(hint_density(all_cold, &values), 0.0);
-        // A partial hint lands strictly between — and feeds the group
-        // scaler the way the serve path feeds its delta density.
-        let half_hot = HintedMem {
-            inner: DirectMem::new(&table),
-            hot_above: 2048,
-        };
-        let d = hint_density(half_hot, &values);
-        assert!(d > 0.0 && d < 1.0, "density {d} not in (0, 1)");
-        let g = crate::autotune::group_for_density(8, d);
-        assert!((1..=8).contains(&g));
-    }
 
     #[test]
     fn adaptive_agrees_with_oracle_on_direct_memory() {

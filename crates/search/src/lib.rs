@@ -27,7 +27,6 @@
 
 pub mod adaptive;
 pub mod amac;
-pub mod autotune;
 pub mod coro;
 pub mod cost;
 pub mod gp;
@@ -41,7 +40,6 @@ pub mod spp;
 
 pub use adaptive::{bulk_rank_coro_adaptive, rank_coro_adaptive};
 pub use amac::bulk_rank_amac;
-pub use autotune::{autotune_group_size, TuneResult};
 pub use coro::{bulk_rank_coro, bulk_rank_coro_seq, rank_coro};
 pub use gp::bulk_rank_gp;
 pub use key::{FixedStr, SearchKey, Str16};

@@ -93,15 +93,6 @@ impl ShardBackend for SortedShard {
     fn rebuild(&self, pairs: &[(u64, u64)]) -> Arc<dyn ShardBackend> {
         Arc::new(Self::build(pairs))
     }
-
-    fn hint_density(&self, sample: &[u64]) -> f64 {
-        // DirectMem has no residency instruction
-        // (`has_residency_hint` is false on real hardware), so this
-        // answers 0.0 without walking a single probe path — but a
-        // simulated memory backend wired through the same call reports
-        // the genuine hint rate. Probe paths only; no allocation.
-        crate::adaptive::hint_density(DirectMem::new(&self.keys), sample)
-    }
 }
 
 #[cfg(test)]
@@ -144,16 +135,6 @@ mod tests {
                 .collect();
             assert_eq!(got, want, "[{lo}, {hi}]");
         }
-    }
-
-    #[test]
-    fn hint_density_is_zero_on_real_memory() {
-        // DirectMem exposes no residency hint, so the measured density
-        // is 0.0 ("assume misses") — the adaptive controller keeps the
-        // calibrated group on real hardware.
-        let s = shard(100);
-        assert_eq!(ShardBackend::hint_density(&s, &[0, 3, 9, 250]), 0.0);
-        assert_eq!(ShardBackend::hint_density(&s, &[]), 0.0);
     }
 
     #[test]

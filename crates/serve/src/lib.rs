@@ -86,20 +86,6 @@
 //!    [`metrics_json`](service::LookupService::metrics_json); with
 //!    tracing off, the instrumentation is a few atomic bumps per
 //!    batch.
-//! 7. **Adapt** — with [`Adapt::Auto`](adapt::Adapt), each shard's
-//!    token holder closes the density → group-size feedback loop (the
-//!    controller travels with the token): every
-//!    [`ServeConfig::retune_interval`](service::ServeConfig) read runs
-//!    it blends the window's observed delta-decided density with the
-//!    backend's cache-residency hint and republishes the shard's
-//!    interleave group through a torn-read-free
-//!    [`PolicyCell`](isi_core::policy::PolicyCell) (clamped to the
-//!    calibrated `ServeConfig::policy` ceiling). Adaptive shards'
-//!    helper threads and (opt-in via
-//!    [`StoreConfig::pin_threads`](store::StoreConfig))
-//!    the merger pin to each shard's home core, so rebuilt mains are
-//!    first-touched where they will be read. `Adapt::Off` (the
-//!    default) preserves the fixed-policy behavior exactly.
 //!
 //! ```
 //! use isi_serve::{Backend, LookupService, ServeConfig, ShardedStore};
@@ -131,12 +117,10 @@
 //! );
 //! ```
 
-pub mod adapt;
 pub mod plan;
 pub mod service;
 pub mod store;
 
-pub use adapt::Adapt;
 pub use isi_durable::FsyncMode;
 pub use isi_obs::{Obs, Stage};
 pub use plan::BatchPlan;

@@ -8,9 +8,9 @@
 //! owns a bounded FIFO queue and one **executor token**, and every
 //! request is pushed on its shard's queue.
 //!
-//! **The token rule.** The token (`Exec`: the batch buffers and the
-//! retune controller) lives inside the queue state; *taking it out
-//! under the queue lock is the right to run the shard*. A submitting
+//! **The token rule.** The token (`Exec`: the batch buffers) lives
+//! inside the queue state; *taking it out under the queue lock is the
+//! right to run the shard*. A submitting
 //! thread that finds the token present takes it and executes batches
 //! on its own stack — no wake-up, no sleep — until its own entry is
 //! answered, then hands the token back under the lock. It never
@@ -91,16 +91,12 @@ use std::thread::JoinHandle;
 
 use isi_core::par::ParConfig;
 use isi_core::policy::Interleave;
-use isi_core::policy::PolicyCell;
 use isi_core::sched::RunStats;
 use isi_core::stats::LatencyHist;
 use isi_core::sync::{CondvarExt, MutexExt};
-use isi_core::topo::Topology;
 use isi_hash::table::HashKey;
-use isi_obs::{chrome_trace_json, Counter, Gauge, Hist, Obs, SpanTimer, Stage, TraceKind, Value};
-use isi_search::autotune::{density_for_counts, group_for_density};
+use isi_obs::{chrome_trace_json, Counter, Hist, Obs, SpanTimer, Stage, TraceKind};
 
-use crate::adapt::{Adapt, Controller, HINT_SAMPLE};
 use crate::store::{LookupScratch, ShardedStore, WriteScratch};
 
 /// How a shard's runner cuts batches from its admission queue.
@@ -121,19 +117,8 @@ impl Default for BatchPolicy {
 /// Service configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServeConfig {
-    /// Interleave policy for dispatched batches. Under
-    /// [`Adapt::Auto`] this is the *calibrated ceiling*: retunes
-    /// scale it down toward sequential as observed density rises and
-    /// back up as it falls, never above it.
+    /// Interleave policy every read run is dispatched with.
     pub policy: Interleave,
-    /// Adaptive-dispatch mode (see [`Adapt`]). [`Adapt::Off`] — the
-    /// default — dispatches `policy` forever, exactly the
-    /// pre-adaptive behavior.
-    pub adapt: Adapt,
-    /// Dispatched read runs between retunes under [`Adapt::Auto`]
-    /// (ignored otherwise). Small intervals track drift fast but
-    /// retune on noisy windows; large ones smooth at the cost of lag.
-    pub retune_interval: usize,
     /// Batch size limit for each shard's admission queue.
     pub batch: BatchPolicy,
     /// Per-shard admission-queue bound; requests block when the owning
@@ -161,8 +146,6 @@ impl Default for ServeConfig {
     fn default() -> Self {
         Self {
             policy: Interleave::default(),
-            adapt: Adapt::Off,
-            retune_interval: 64,
             batch: BatchPolicy::default(),
             queue_cap: 1024,
             par: ParConfig::with_threads(1),
@@ -378,12 +361,6 @@ struct ShardState {
     m: ShardCounters,
     /// `None` when `hot_cache_slots == 0`.
     cache: Option<Mutex<HotCache>>,
-    /// The shard's published interleave policy: the token holder
-    /// snapshots it once per read run (one atomic load, never torn),
-    /// and — under [`Adapt::Auto`] — republishes it at each retune
-    /// (one atomic store, alloc-free). With adaptation off it holds
-    /// the seeded config policy forever.
-    policy: PolicyCell,
 }
 
 /// One shard's handles into the service metrics registry, resolved
@@ -405,12 +382,6 @@ struct ShardCounters {
     range_scans: Counter,
     delta_hits: Counter,
     cache_hits: Counter,
-    /// Policy retunes published by this shard's controller (0 unless
-    /// [`Adapt::Auto`]).
-    retunes: Counter,
-    /// The shard's currently published interleave group (a gauge: 1
-    /// means sequential).
-    current_group: Gauge,
     /// Per-entry latency (enqueue → response routed), nanoseconds.
     latency: Hist,
 }
@@ -456,9 +427,6 @@ pub struct ServeStats {
     /// Batches executed by a submitting thread; the other
     /// `batches - caller_runs` ran on a shard's helper.
     pub caller_runs: u64,
-    /// Interleave-policy retunes published by the shards' adaptive
-    /// controllers (0 unless [`Adapt::Auto`]).
-    pub retunes: u64,
     /// Per-entry latency (enqueue → response routed), nanoseconds.
     pub latency: LatencyHist,
     /// Merged interleaved-engine counters across all batches
@@ -568,7 +536,6 @@ impl LookupService {
     pub fn start(store: impl Into<Arc<ShardedStore>>, cfg: ServeConfig) -> Self {
         assert!(cfg.queue_cap > 0, "queue_cap must be positive");
         assert!(cfg.batch.max_batch > 0, "max_batch must be positive");
-        assert!(cfg.retune_interval > 0, "retune_interval must be positive");
         let store = store.into();
         let obs = Arc::new(Obs::new("serve", store.num_shards()));
         if cfg.trace_events > 0 {
@@ -604,18 +571,8 @@ impl LookupService {
                         range_scans: counter("serve_range_scans"),
                         delta_hits: counter("serve_delta_hits"),
                         cache_hits: counter("serve_cache_hits"),
-                        retunes: counter("serve_retunes"),
-                        current_group: {
-                            let g = reg.gauge("serve_current_group", &l);
-                            g.set(
-                                Controller::initial_policy(cfg.adapt, cfg.policy).group_or_one()
-                                    as i64,
-                            );
-                            g
-                        },
                         latency: reg.hist("serve_latency_ns", &l),
                     },
-                    policy: PolicyCell::new(Controller::initial_policy(cfg.adapt, cfg.policy)),
                     cache: (cfg.hot_cache_slots > 0)
                         .then(|| Mutex::new(HotCache::new(cfg.hot_cache_slots))),
                 })
@@ -903,7 +860,6 @@ impl LookupService {
             batches: snap.counter_sum("serve_batches"),
             full_flushes: snap.counter_sum("serve_full_flushes"),
             caller_runs: snap.counter_sum("serve_caller_runs"),
-            retunes: snap.counter_sum("serve_retunes"),
             latency: snap.hist_merged("serve_latency_ns", |_| true),
             merges: store_snap.counter_sum("store_merges"),
             bg_merges: store_snap.counter_sum("store_bg_merges"),
@@ -976,47 +932,6 @@ impl LookupService {
         rows
     }
 
-    /// Per-shard interleaving group-size suggestion: scale `calibrated`
-    /// (e.g. the result of `isi_search::autotune::autotune_group_size`
-    /// on a pilot sample) by each shard's *observed* delta-decided
-    /// density. Keys the plan stage answers never reach the engine, so
-    /// they contribute no cache miss for an extra instruction stream
-    /// to hide; a shard whose reads are mostly delta-decided wants a
-    /// smaller group than its cold calibration suggests (see
-    /// `isi_search::autotune::group_for_density`). A shard with no
-    /// executed reads yet keeps the calibration.
-    pub fn suggested_groups(&self, calibrated: usize) -> Vec<usize> {
-        let snap = self.obs.snapshot();
-        (0..self.shards.len())
-            .map(|shard| {
-                let tag = shard.to_string();
-                let delta_hits = match snap.get("serve_delta_hits", &[("shard", tag.as_str())]) {
-                    Some(Value::Counter(v)) => *v,
-                    _ => 0,
-                };
-                let lookups = self.shards[shard]
-                    .engine
-                    .plock("shard engine stats")
-                    .lookups;
-                // `density_for_counts` owns the zero-denominator case
-                // (empty-main shard, no reads yet): 0.0, never 0/0.
-                group_for_density(calibrated, density_for_counts(delta_hits, lookups))
-            })
-            .collect()
-    }
-
-    /// Each shard's *currently published* interleave group (what the
-    /// next executed read run will snapshot). With [`Adapt::Off`]
-    /// this is `cfg.policy.group_or_one()` forever; with
-    /// [`Adapt::Fixed`] the pinned group; with [`Adapt::Auto`] the
-    /// last retune's output, in `[1, cfg.policy.group_or_one()]`.
-    pub fn current_groups(&self) -> Vec<usize> {
-        self.shards
-            .iter()
-            .map(|s| s.policy.load().group_or_one())
-            .collect()
-    }
-
     /// Stop accepting requests, answer everything still queued
     /// (including writes, which are applied in order), and join the
     /// helpers. Idempotent; also run by `Drop`.
@@ -1048,11 +963,10 @@ impl Drop for LookupService {
     }
 }
 
-/// A shard's executor token: the reusable batch buffers and the
-/// retune controller. It lives in [`QueueState::exec`]; whoever takes
-/// it out owns the shard until handing it back, so exactly one thread
-/// at a time executes a shard's batches, observes its runs and
-/// republishes its policy cell.
+/// A shard's executor token: the reusable batch buffers. It lives in
+/// [`QueueState::exec`]; whoever takes it out owns the shard until
+/// handing it back, so exactly one thread at a time executes a shard's
+/// batches.
 struct Exec {
     batch: Vec<Entry>,
     /// Keys of the current read run.
@@ -1070,7 +984,6 @@ struct Exec {
     write_prevs: Vec<Option<u64>>,
     /// Per-shard grouping scratch for the store's write path.
     write_scratch: WriteScratch,
-    ctl: Controller,
 }
 
 impl Exec {
@@ -1086,7 +999,6 @@ impl Exec {
             write_idx: Vec::with_capacity(n),
             write_prevs: Vec::with_capacity(n),
             write_scratch: WriteScratch::default(),
-            ctl: Controller::new(cfg.adapt, cfg.retune_interval, cfg.policy.group_or_one()),
         }
     }
 }
@@ -1152,14 +1064,6 @@ struct ShardCtx<'a> {
 /// the token is present, drain the queue, repeat; exit once the queue
 /// is closed, empty and the token is back.
 fn helper_loop(ctx: ShardCtx<'_>) {
-    if ctx.cfg.adapt != Adapt::Off {
-        // Adaptive dispatch implies the placement story: pin the helper
-        // to its shard's home core, where the backlog of a busy shard
-        // runs. A no-op on single-core hosts or where affinity is
-        // unsupported.
-        let topo = Topology::probe();
-        topo.pin_current(topo.core_for_shard(ctx.shard));
-    }
     let mut q = ctx.state.q.plock("admission queue");
     loop {
         q = ctx.run(q, Runner::Helper, &|| false);
@@ -1253,8 +1157,7 @@ impl<'a> ShardCtx<'a> {
 ///
 /// Stage spans recorded here: `admission_wait` per entry at drain,
 /// `writeback` around each write run (store call + cache
-/// invalidation), `commit` around each fulfill pass, `retune` around a
-/// due controller's republish. The store records
+/// invalidation), `commit` around each fulfill pass. The store records
 /// `plan`/`engine`/`wal_*`/`merge` inside its own calls.
 fn execute_batch(ctx: ShardCtx<'_>, bufs: &mut Exec, full: bool, who: Runner) {
     let ShardCtx {
@@ -1304,15 +1207,10 @@ fn execute_batch(ctx: ShardCtx<'_>, bufs: &mut Exec, full: bool, who: Runner) {
         if !bufs.run_keys.is_empty() {
             bufs.out.clear();
             bufs.out.resize(bufs.run_keys.len(), None);
-            // Snapshot the published policy once per run: a retune
-            // landing mid-run (impossible today — the token holder is
-            // the only publisher — but cheap to be robust against)
-            // would still leave this run on one coherent policy.
-            let policy = state.policy.load();
             let outcome = store.lookup_batch(
                 shard,
                 &bufs.run_keys,
-                policy,
+                cfg.policy,
                 cfg.par,
                 &mut bufs.scratch,
                 &mut bufs.out,
@@ -1354,22 +1252,6 @@ fn execute_batch(ctx: ShardCtx<'_>, bufs: &mut Exec, full: bool, who: Runner) {
                 }
             }
             obs.record_stage(shard, Stage::Commit, commit_t.elapsed_ns());
-            // Close the feedback loop: account this run's densities and,
-            // when the window is due, fold in the backend's residency
-            // hint (sampled from a bounded prefix of this run's own
-            // keys — no extra buffer) and republish the policy cell.
-            if bufs
-                .ctl
-                .observe_run(outcome.delta_hits, outcome.engine.lookups)
-            {
-                let retune_t = SpanTimer::start();
-                let sample = &bufs.run_keys[..bufs.run_keys.len().min(HINT_SAMPLE)];
-                let group = bufs.ctl.retune(store.hint_density(shard, sample));
-                state.policy.store(Interleave::from_group(group));
-                state.m.retunes.inc();
-                state.m.current_group.set(group as i64);
-                obs.record_stage(shard, Stage::Retune, retune_t.elapsed_ns());
-            }
         }
         // Apply the writes and range scans that ended the run, in
         // admission order. Consecutive writes form one write run —
@@ -2140,145 +2022,6 @@ mod tests {
                 ..ServeConfig::default()
             },
         );
-    }
-
-    #[test]
-    fn suggested_groups_track_delta_density() {
-        // Huge merge threshold: writes pile up in the delta, so repeat
-        // reads of written keys are delta-decided and the observed
-        // density should pull the suggested group below calibration.
-        let store = ShardedStore::build_with(
-            Backend::Sorted,
-            1,
-            &pairs(500),
-            StoreConfig::with_threshold(1 << 20),
-        );
-        let svc = LookupService::start(
-            store,
-            ServeConfig {
-                batch: BatchPolicy { max_batch: 4 },
-                ..ServeConfig::default()
-            },
-        );
-        // Before any dispatched read the calibration stands.
-        assert_eq!(svc.suggested_groups(8), vec![8]);
-        // Cold engine-only reads: density 0, still the calibration.
-        for k in 0..8u64 {
-            svc.get(k * 2);
-        }
-        assert_eq!(svc.suggested_groups(8), vec![8]);
-        // Warm the delta and keep re-reading it: density rises, the
-        // suggestion shrinks (but never below one stream).
-        for k in 0..16u64 {
-            svc.put(k * 2 + 1, k);
-        }
-        for _ in 0..3 {
-            for k in 0..16u64 {
-                assert_eq!(svc.get(k * 2 + 1), Some(k));
-            }
-        }
-        let groups = svc.suggested_groups(8);
-        assert_eq!(groups.len(), 1);
-        assert!(
-            (1..8).contains(&groups[0]),
-            "delta-dense shard kept group {}",
-            groups[0]
-        );
-    }
-
-    #[test]
-    fn suggested_groups_survive_the_density_extremes() {
-        // Regression: an empty-main shard whose reads are ALL
-        // delta-decided has engine.lookups == 0, and a shard with no
-        // traffic at all has a zero denominator outright. Both used to
-        // be one inline division away from NaN; `density_for_counts`
-        // must keep the first at a single stream and the second at the
-        // calibration.
-        let store = ShardedStore::build_with(
-            Backend::Sorted,
-            2,
-            &[], // empty main on every shard
-            StoreConfig::with_threshold(1 << 20),
-        );
-        let svc = LookupService::start(
-            store,
-            ServeConfig {
-                batch: BatchPolicy { max_batch: 4 },
-                hot_cache_slots: 0,
-                ..ServeConfig::default()
-            },
-        );
-        // Untouched service: zero reads on both shards.
-        assert_eq!(svc.suggested_groups(8), vec![8, 8]);
-        // Write into shard-spread keys, then read them back: with an
-        // empty main every answered read is delta-decided, so density
-        // is exactly 1.0 on any shard that served a read.
-        for k in 0..32u64 {
-            assert_eq!(svc.put(k, k + 1), None);
-        }
-        for k in 0..32u64 {
-            assert_eq!(svc.get(k), Some(k + 1));
-        }
-        for (shard, g) in svc.suggested_groups(8).into_iter().enumerate() {
-            assert_eq!(g, 1, "all-delta shard {shard} suggested group {g}");
-        }
-    }
-
-    #[test]
-    fn adapt_off_never_retunes_and_auto_stays_within_clamps() {
-        for (adapt, calibrated) in [(Adapt::Off, 6), (Adapt::Auto, 6), (Adapt::Fixed(3), 6)] {
-            let store = ShardedStore::build_with(
-                Backend::Sorted,
-                2,
-                &pairs(2000),
-                StoreConfig::with_threshold(1 << 20),
-            );
-            let svc = LookupService::start(
-                store,
-                ServeConfig {
-                    policy: Interleave::from_group(calibrated),
-                    adapt,
-                    retune_interval: 2,
-                    batch: BatchPolicy { max_batch: 8 },
-                    hot_cache_slots: 0,
-                    ..ServeConfig::default()
-                },
-            );
-            // A write-heavy warm delta plus re-reads gives the auto
-            // controller a dense window to react to; answers must stay
-            // exact regardless of what group it lands on.
-            for k in 0..64u64 {
-                svc.put(k * 2 + 1, k);
-            }
-            for _ in 0..4 {
-                for k in 0..64u64 {
-                    assert_eq!(svc.get(k * 2 + 1), Some(k), "{adapt:?}");
-                    assert_eq!(svc.get(k * 4), Some(k * 2), "{adapt:?}");
-                }
-            }
-            let stats = svc.stats();
-            let groups = svc.current_groups();
-            assert_eq!(groups.len(), 2);
-            match adapt {
-                Adapt::Off => {
-                    assert_eq!(stats.retunes, 0, "off must never retune");
-                    assert_eq!(groups, vec![calibrated, calibrated]);
-                }
-                Adapt::Fixed(g) => {
-                    assert_eq!(stats.retunes, 0, "fixed must never retune");
-                    assert_eq!(groups, vec![g, g]);
-                }
-                Adapt::Auto => {
-                    assert!(stats.retunes > 0, "auto saw traffic but never retuned");
-                    for g in groups {
-                        assert!(
-                            (1..=calibrated).contains(&g),
-                            "retuned group {g} escaped [1, {calibrated}]"
-                        );
-                    }
-                }
-            }
-        }
     }
 
     #[test]

@@ -70,7 +70,6 @@ use isi_core::policy::Interleave;
 use isi_core::sched::RunStats;
 use isi_core::stats::LatencyHist;
 use isi_core::sync::{CondvarExt, MutexExt};
-use isi_core::topo::Topology;
 use isi_csb::CsbShard;
 use isi_durable::{self as durable, DiskFs, Fs, FsyncMode};
 use isi_hash::table::HashKey;
@@ -172,13 +171,6 @@ pub struct StoreConfig {
     /// When WAL appends are fsynced. Ignored unless `wal_dir` is set
     /// (or an [`Fs`] is injected via the `_with_fs` constructors).
     pub fsync: FsyncMode,
-    /// Pin the background merger to each shard's home core (the same
-    /// `shard % cores` mapping the adaptive dispatchers use) for the
-    /// duration of that shard's rebuild, so the merged arrays are
-    /// first-touched — and on a NUMA host, placed — where the shard's
-    /// dispatcher reads them. Off by default; a silent no-op on
-    /// single-core hosts or where affinity is unsupported.
-    pub pin_threads: bool,
 }
 
 impl StoreConfig {
@@ -192,15 +184,7 @@ impl StoreConfig {
             max_runs: 8,
             wal_dir: None,
             fsync: FsyncMode::Group,
-            pin_threads: false,
         }
-    }
-
-    /// This configuration with merger-thread core pinning on (see
-    /// [`pin_threads`](Self::pin_threads)).
-    pub fn pinned(mut self) -> Self {
-        self.pin_threads = true;
-        self
     }
 
     /// This configuration with merges forced inline on the write path.
@@ -1411,19 +1395,6 @@ impl ShardedStore {
         }
     }
 
-    /// The current main backend's cache-residency estimate for
-    /// `sample` (see [`ShardBackend::hint_density`]): the fraction of
-    /// probe-path touches already resident, in `[0, 1]`; `0.0` on
-    /// backends without a residency signal. Reads the shard's current
-    /// version snapshot; does not allocate.
-    pub fn hint_density(&self, shard: usize, sample: &[u64]) -> f64 {
-        self.inner.shards[shard]
-            .version
-            .load()
-            .main
-            .hint_density(sample)
-    }
-
     /// All live pairs of `shard` with `lo <= key <= hi`, in ascending
     /// key order: the backend's ordered scan merge-joined with the
     /// sorted delta run (overrides win, tombstones elide their keys).
@@ -1586,14 +1557,6 @@ impl StoreInner {
             v0.delta.len() as u64,
             0,
         );
-        if self.cfg.pin_threads {
-            // Rebuild on the shard's home core: the merged arrays are
-            // allocated and first-touched here, so on a NUMA host they
-            // land on the node whose dispatcher will read them. The
-            // merger re-pins per job — it serves every shard in turn.
-            let topo = Topology::probe();
-            topo.pin_current(topo.core_for_shard(si));
-        }
         let merged = merge_pairs(&v0.main.pairs(), &v0.delta.fold());
         let main = v0.main.rebuild(&merged);
         // The bulky snapshot serialization also runs outside the write

@@ -52,7 +52,6 @@ fn store_cfg(fsync: FsyncMode, mode: MergeMode) -> StoreConfig {
         max_runs: 2,
         wal_dir: None,
         fsync,
-        pin_threads: false,
     }
 }
 

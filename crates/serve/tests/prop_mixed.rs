@@ -21,9 +21,8 @@ use std::collections::HashMap;
 
 use proptest::prelude::*;
 
-use isi_serve::{
-    Adapt, Backend, BatchPolicy, LookupService, ServeConfig, ShardedStore, StoreConfig,
-};
+use isi_core::policy::Interleave;
+use isi_serve::{Backend, BatchPolicy, LookupService, ServeConfig, ShardedStore, StoreConfig};
 
 /// Key space small enough that overwrites, removes of present keys
 /// and tombstone-hiding merges all happen constantly.
@@ -55,21 +54,22 @@ fn initial_pairs() -> impl Strategy<Value = Vec<(u64, u64)>> {
 }
 
 fn service(store: ShardedStore, hot_cache_slots: usize) -> LookupService {
-    service_with_adapt(store, hot_cache_slots, Adapt::Off)
+    service_with_policy(store, hot_cache_slots, ServeConfig::default().policy)
 }
 
-/// Same shape as [`service`], with the dispatch mode swept: a tiny
-/// `retune_interval` makes `Auto` republish the policy constantly, so
-/// adaptive runs exercise mid-schedule group changes.
-fn service_with_adapt(store: ShardedStore, hot_cache_slots: usize, adapt: Adapt) -> LookupService {
+/// Same shape as [`service`], with the interleave policy swept.
+fn service_with_policy(
+    store: ShardedStore,
+    hot_cache_slots: usize,
+    policy: Interleave,
+) -> LookupService {
     LookupService::start(
         store,
         ServeConfig {
+            policy,
             batch: BatchPolicy { max_batch: 4 },
             queue_cap: 8,
             hot_cache_slots,
-            adapt,
-            retune_interval: 2,
             ..ServeConfig::default()
         },
     )
@@ -179,18 +179,21 @@ proptest! {
         }
     }
 
-    /// Adaptive dispatch is a pure execution-policy change: with
-    /// merges racing (threshold 2) and the controller retuning every
-    /// other read run, `Auto` must answer every schedule exactly as
-    /// `Off` does — i.e. both match the `HashMap` oracle — while the
-    /// retune counters prove the loop actually ran (`Auto`) or
-    /// provably stayed out of the way (`Off`).
+    /// The interleave policy is a pure execution choice: with merges
+    /// racing (threshold 2), every policy must answer every schedule
+    /// exactly as the `HashMap` oracle does — and the engine counters
+    /// prove that the configured policy is the one every read run was
+    /// dispatched with.
     #[test]
-    fn adaptive_dispatch_agrees_with_fixed_policy(
+    fn configured_policy_is_the_one_that_runs(
         pairs in initial_pairs(),
         ops in ops_strategy(),
     ) {
-        for adapt in [Adapt::Off, Adapt::Auto, Adapt::Fixed(2)] {
+        for policy in [
+            Interleave::Sequential,
+            Interleave::from_group(2),
+            ServeConfig::default().policy,
+        ] {
             for shards in [1usize, 4] {
                 let store = ShardedStore::build_with(
                     Backend::Sorted,
@@ -198,10 +201,10 @@ proptest! {
                     &pairs,
                     StoreConfig::with_threshold(2),
                 );
-                let svc = service_with_adapt(store, 16, adapt);
+                let svc = service_with_policy(store, 16, policy);
                 let mut oracle: HashMap<u64, u64> = pairs.iter().copied().collect();
                 for (step, op) in ops.iter().enumerate() {
-                    let tag = || format!("adapt={} shards={shards} step={step} op={op:?}", adapt.name());
+                    let tag = || format!("policy={policy} shards={shards} step={step} op={op:?}");
                     match op {
                         MixedOp::Get(k) => {
                             prop_assert_eq!(svc.get(*k), oracle.get(k).copied(), "{}", tag());
@@ -219,40 +222,22 @@ proptest! {
                         }
                     }
                 }
-                // The full-keyspace sweep guarantees at least one read
-                // run per populated shard — enough for the interval-2
-                // controller to have come due somewhere.
+                // The full-keyspace sweep hands every shard a read run
+                // of ~KEYSPACE/shards keys, of which the delta (at most
+                // max_delta = 8 entries) decides a handful: the engine
+                // gets far more keys than any group here, so its peak
+                // is the group it was given.
                 let all: Vec<u64> = (0..KEYSPACE).collect();
                 let want: Vec<Option<u64>> =
                     all.iter().map(|k| oracle.get(k).copied()).collect();
                 prop_assert_eq!(svc.get_many(&all), want);
-                prop_assert_eq!(svc.get_many(&all), want);
-
-                svc.store().quiesce();
-                let stats = svc.stats();
-                let groups = svc.current_groups();
-                prop_assert_eq!(groups.len(), shards);
-                match adapt {
-                    Adapt::Off => {
-                        // Off is the pre-adaptive service, bit for bit:
-                        // no retunes, every shard pinned at the
-                        // configured default group.
-                        prop_assert_eq!(stats.retunes, 0);
-                        prop_assert!(groups.iter().all(|&g| g == 6), "{:?}", groups);
-                    }
-                    Adapt::Fixed(f) => {
-                        prop_assert_eq!(stats.retunes, 0);
-                        prop_assert!(groups.iter().all(|&g| g == f), "{:?}", groups);
-                    }
-                    Adapt::Auto => {
-                        prop_assert!(stats.retunes > 0, "controller never came due");
-                        prop_assert!(
-                            groups.iter().all(|&g| (1..=6).contains(&g)),
-                            "{:?}",
-                            groups
-                        );
-                    }
-                }
+                prop_assert_eq!(
+                    svc.stats().engine.peak_in_flight,
+                    policy.group_or_one() as u64,
+                    "policy={} shards={}",
+                    policy,
+                    shards
+                );
             }
         }
     }

@@ -1,6 +1,6 @@
 //! Tree-wide invariant checks that clippy cannot express.
 //!
-//! Four rules, each guarding a policy this workspace has adopted:
+//! Six rules, each guarding a policy this workspace has adopted:
 //!
 //! * **R1 — SAFETY comments.** Every `unsafe` token must have a
 //!   `// SAFETY:` (or rustdoc `# Safety` section) within the ten
@@ -35,19 +35,6 @@
 //!   wal_records`, flushes ≤ batches) coherent. A bare atomic field
 //!   is invisible to snapshots and reintroduces the skew the registry
 //!   exists to prevent.
-//! * **R6 — run-stack deltas in serve.** `crates/serve/src` must not
-//!   clone a delta per write (`delta.clone()`) or mutate a sorted
-//!   entry vector in place (`.entries.insert`/`.entries.remove`/
-//!   `.entries.clone()`): the write path publishes immutable runs
-//!   (`Delta::push_run` + `Delta::share`), and the quadratic
-//!   clone-the-whole-delta shape it replaced must not creep back in.
-//! * **R7 — adaptive dispatch owns group sizes.** `crates/serve/src`
-//!   must not hardcode an interleave group
-//!   (`Interleave::Interleaved(<literal>)`) outside the adapt
-//!   controller module: every group a dispatcher runs with must flow
-//!   from `ServeConfig::policy` through the `Controller` and its
-//!   `PolicyCell`, or the adaptive feedback loop silently stops
-//!   governing that call site.
 //!
 //! Rules operate on an in-memory `(path, content)` list so the unit
 //! tests below can prove each rule fires on a seeded violation, not
@@ -147,8 +134,6 @@ fn check_files(files: &[(String, String)]) -> Vec<Violation> {
         check_schema_registry(path, content, &mut out);
         check_serve_locks(path, content, &mut out);
         check_serve_stat_atomics(path, content, &mut out);
-        check_serve_delta_clone(path, content, &mut out);
-        check_serve_adapt_policy(path, content, &mut out);
     }
     out
 }
@@ -534,86 +519,6 @@ fn check_serve_stat_atomics(path: &str, content: &str, out: &mut Vec<Violation>)
     }
 }
 
-// ---- R6: run-stack deltas in serve ----
-
-/// Quadratic-delta relics forbidden in `crates/serve/src`: cloning a
-/// delta's entries per write run, or inserting/removing in a sorted
-/// entry vector in place. The run-stack write path shares prior runs
-/// (`Delta::share`) and pushes one immutable run per dispatch.
-const DELTA_RELIC_PATTERNS: &[&str] = &[
-    "delta.clone()",
-    ".entries.insert",
-    ".entries.remove",
-    ".entries.clone()",
-];
-
-fn check_serve_delta_clone(path: &str, content: &str, out: &mut Vec<Violation>) {
-    if !path.starts_with("crates/serve/src/") {
-        return;
-    }
-    let code = sanitize(content, true);
-    for (idx, line) in code.lines().enumerate() {
-        if DELTA_RELIC_PATTERNS.iter().any(|p| line.contains(p)) {
-            out.push(Violation {
-                path: path.to_string(),
-                line: idx + 1,
-                rule: "serve-run-stack",
-                msg: "clone-the-delta / in-place entry mutation in the serve write path; \
-                      push an immutable run (`Delta::push_run`) and share prior runs \
-                      (`Delta::share`) — the quadratic per-write delta copy is retired"
-                    .to_string(),
-            });
-        }
-    }
-}
-
-// ---- R7: adaptive dispatch owns group sizes ----
-
-/// The one `crates/serve/src` module allowed to spell a literal
-/// interleave group: the adapt controller, which normalizes `Fixed`
-/// groups through `Interleave::from_group`.
-const ADAPT_CONTROLLER: &str = "crates/serve/src/adapt.rs";
-
-/// Does `line` hardcode `Interleave::Interleaved(<integer literal>)`?
-/// A variable argument (`Interleaved(group)`) is fine — the lint only
-/// rejects groups that cannot have flowed from configuration.
-fn has_hardcoded_group(line: &str) -> Option<usize> {
-    let bytes = line.as_bytes();
-    let mut from = 0;
-    while let Some(pos) = line[from..].find("Interleave::Interleaved(") {
-        let start = from + pos;
-        let mut i = start + "Interleave::Interleaved(".len();
-        while bytes.get(i).is_some_and(u8::is_ascii_whitespace) {
-            i += 1;
-        }
-        if bytes.get(i).is_some_and(u8::is_ascii_digit) {
-            return Some(start);
-        }
-        from = i;
-    }
-    None
-}
-
-fn check_serve_adapt_policy(path: &str, content: &str, out: &mut Vec<Violation>) {
-    if !path.starts_with("crates/serve/src/") || path == ADAPT_CONTROLLER {
-        return;
-    }
-    let code = sanitize(content, true);
-    for (idx, line) in code.lines().enumerate() {
-        if has_hardcoded_group(line).is_some() {
-            out.push(Violation {
-                path: path.to_string(),
-                line: idx + 1,
-                rule: "serve-adapt-policy",
-                msg: "hardcoded interleave group in crates/serve; derive the policy from \
-                      ServeConfig through the adapt Controller (Interleave::from_group) so \
-                      the density feedback loop governs every dispatch site"
-                    .to_string(),
-            });
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -831,99 +736,6 @@ mod tests {
             ),
         ]);
         assert!(check_files(&fs).is_empty());
-    }
-
-    #[test]
-    fn delta_clone_in_serve_write_path_fires() {
-        let fs = files(&[(
-            "crates/serve/src/store.rs",
-            "fn write(cur: &ShardVersion) {\n    let mut delta = cur.delta.clone();\n    delta.entries.insert(pos, (key, val));\n}\n",
-        )]);
-        let v = check_files(&fs);
-        assert_eq!(
-            v.iter().filter(|x| x.rule == "serve-run-stack").count(),
-            2,
-            "{:?}",
-            rules_fired(&v)
-        );
-    }
-
-    #[test]
-    fn delta_relics_outside_serve_src_allowed() {
-        let fs = files(&[
-            // Tests may exercise whatever shapes they like.
-            (
-                "crates/serve/tests/prop_mixed.rs",
-                "fn f(d: &Delta) -> Delta { d.delta.clone() }\n",
-            ),
-            // Other crates are not under the rule.
-            (
-                "crates/bench/src/serve.rs",
-                "fn f(d: &D) -> D { d.delta.clone() }\n",
-            ),
-            // Comments and strings never fire.
-            (
-                "crates/serve/src/store.rs",
-                "// the old path did delta.clone() per write\nconst X: &str = \"delta.clone()\";\n",
-            ),
-        ]);
-        let v = check_files(&fs);
-        assert!(
-            !rules_fired(&v).contains(&"serve-run-stack"),
-            "{:?}",
-            rules_fired(&v)
-        );
-    }
-
-    #[test]
-    fn hardcoded_group_in_serve_fires() {
-        let fs = files(&[(
-            "crates/serve/src/service.rs",
-            "fn f() -> Interleave {\n    Interleave::Interleaved(6)\n}\n",
-        )]);
-        let v = check_files(&fs);
-        assert!(
-            rules_fired(&v).contains(&"serve-adapt-policy"),
-            "{:?}",
-            rules_fired(&v)
-        );
-        assert_eq!(v[0].line, 2);
-    }
-
-    #[test]
-    fn configured_groups_and_controller_module_allowed() {
-        let fs = files(&[
-            // A group that flows from a variable is configuration.
-            (
-                "crates/serve/src/store.rs",
-                "fn f(g: usize) -> Interleave { Interleave::Interleaved(g) }\n",
-            ),
-            // The adapt controller normalizes Fixed groups itself.
-            (
-                "crates/serve/src/adapt.rs",
-                "fn g() -> Interleave { Interleave::Interleaved(4) }\n",
-            ),
-            // Tests and other crates are outside the rule.
-            (
-                "crates/serve/tests/prop_mixed.rs",
-                "const P: Interleave = Interleave::Interleaved(6);\n",
-            ),
-            (
-                "crates/bench/src/serve.rs",
-                "const P: Interleave = Interleave::Interleaved(6);\n",
-            ),
-            // Comments and strings never fire.
-            (
-                "crates/serve/src/plan.rs",
-                "// e.g. Interleave::Interleaved(6)\nconst X: &str = \"Interleave::Interleaved(6)\";\n",
-            ),
-        ]);
-        let v = check_files(&fs);
-        assert!(
-            !rules_fired(&v).contains(&"serve-adapt-policy"),
-            "{:?}",
-            rules_fired(&v)
-        );
     }
 
     #[test]
