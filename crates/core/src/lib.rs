@@ -17,8 +17,8 @@
 //!
 //! ## Module map
 //!
-//! * [`prefetch`] — thin wrappers over the hardware prefetch instructions
-//!   (`PREFETCHNTA`/`PREFETCHT0` on x86-64), no-ops elsewhere.
+//! * [`prefetch`] — thin wrappers over the hardware prefetch instruction
+//!   (`PREFETCHT0` on x86-64), no-ops elsewhere.
 //! * [`mem`] — the [`IndexedMem`](mem::IndexedMem) abstraction that lets the
 //!   *same* lookup code run against raw memory (for wall-clock benchmarks)
 //!   or against a simulated memory hierarchy (crate `isi-memsim`).
@@ -39,10 +39,11 @@
 //! * [`policy`] — the shared [`Interleave`](policy::Interleave)
 //!   execution-policy type (sequential vs interleaved-with-group-size)
 //!   used by every operator in the workspace.
-//! * [`topo`] — best-effort thread pinning
-//!   ([`Topology::pin_current`](topo::Topology::pin_current):
-//!   `sched_setaffinity` by raw syscall), with graceful single-core
-//!   and unsupported-target fallbacks.
+//! * [`topo`] — best-effort placement hints by raw syscall: thread
+//!   pinning ([`Topology::pin_current`](topo::Topology::pin_current),
+//!   `sched_setaffinity`) and huge pages under a reserved buffer
+//!   ([`advise_huge_pages`](topo::advise_huge_pages), `madvise`), with
+//!   silent fallbacks on unsupported targets or kernel refusal.
 //! * [`backend`] — the [`ShardBackend`](backend::ShardBackend)
 //!   contract between the serving layer and the index structures that
 //!   serve one shard's main (batched probes, range scans, merge-time

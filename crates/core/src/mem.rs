@@ -15,7 +15,7 @@
 //! Keeping a single algorithm codepath for both backends follows the
 //! paper's core argument: the measured code *is* the shipped code.
 
-use crate::prefetch::prefetch_read_nta;
+use crate::prefetch::prefetch_read_t0;
 
 /// An indexed, randomly accessible array of `T` with explicit prefetch and
 /// compute-cost hooks.
@@ -130,7 +130,7 @@ impl<'a, T> IndexedMem<T> for DirectMem<'a, T> {
             // SAFETY: `idx < len` was just checked, so `add(idx)` stays
             // within the slice's allocation; the pointer is only used as
             // a prefetch hint, never dereferenced.
-            prefetch_read_nta(unsafe { self.data.as_ptr().add(idx) });
+            prefetch_read_t0(unsafe { self.data.as_ptr().add(idx) });
         }
     }
 }

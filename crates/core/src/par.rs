@@ -291,9 +291,11 @@ where
         let mut slab = FrameSlab::new();
         let mut local = RunStats::default();
         while let Some(range) = cursor.claim() {
+            // A group beyond the morsel's length only reserves frames
+            // nothing will occupy: a single-key batch needs one.
             let stats = run_interleaved_indexed(
                 &mut slab,
-                group_size,
+                group_size.min(range.len()),
                 range.clone().map(|i| (i, inputs[i])),
                 &make,
                 &sink,

@@ -52,9 +52,22 @@ impl Interleave {
 }
 
 impl Default for Interleave {
-    /// The paper's best coroutine group size (6) as a sensible default.
+    /// Group 24: the plateau of this repository's committed group-size
+    /// sweep, not the paper's 6.
+    ///
+    /// The paper's optimum (§5.4.5, Figure 7) is 6 on a Haswell with
+    /// `PREFETCHNTA`. With the `PREFETCHT0` hint used here (see
+    /// [`crate::prefetch`]) the sweep in
+    /// `crates/bench/benches/group_size.rs` is flat from 16 to 48 on
+    /// binary search, the CSB+-tree and the hash probe, and group 6 sits
+    /// up to 13 % off the plateau (README, "Deviations from the paper's
+    /// §5.1 constants"); end to end, `join_cold` gains 12–15 % from 6
+    /// to 24 and `join_hot` is unmoved.
+    /// A lookup's switch costs the same at any group size, so the middle
+    /// of the plateau is taken: it leaves room on either side if the
+    /// memory latency of the host differs.
     fn default() -> Self {
-        Interleave::Interleaved(6)
+        Interleave::Interleaved(24)
     }
 }
 

@@ -1,14 +1,30 @@
 //! Software prefetch wrappers.
 //!
-//! The paper issues `PREFETCHNTA` through the `_mm_prefetch(ptr,
-//! _MM_HINT_NTA)` compiler intrinsic before every load that is likely to
-//! miss (Section 5.1). On x86-64 these functions compile to exactly that
-//! instruction; on other architectures they are no-ops so that the lookup
-//! code stays portable.
+//! Every index prefetch in the workspace — [`DirectMem::prefetch`]
+//! (binary search), the CSB+-tree node prefetch, the hash bucket and
+//! entry prefetches — issues one hint, `PREFETCHT0`. On x86-64 these
+//! functions compile to exactly that instruction; on other
+//! architectures they are no-ops so that the lookup code stays portable.
+//!
+//! **Deviation from the paper.** Section 5.1 issues `PREFETCHNTA`. On
+//! its Haswell Xeon the L3 is inclusive, so an NTA line still lands in
+//! L3 (and L1D) and only L2 is bypassed — cheap there, since L2 is
+//! small next to the L3 that backs it. On a part with a non-inclusive
+//! L3 (Skylake-SP and later) NTA brings the line into L1D only: it
+//! skips L2 *and* is not allocated in L3, so the upper levels of a
+//! search path, which every lookup of a batch re-reads, never settle
+//! in any cache level and are fetched from DRAM again and again. `T0`
+//! fills all levels; the upper levels then stay L2-resident. Measured
+//! on the repo benchmark (`join_cold`, 2^24 sorted pairs, group 6):
+//! 5.0 M → 5.6 M keys/s from this hint alone, and 6.2 M → 8.0 M on the
+//! cache-resident `join_hot` (README, "Deviations from the paper's
+//! §5.1 constants").
 //!
 //! A prefetch never faults: it is safe to call with any address, including
 //! addresses one-past-the-end of an allocation, which is why these wrappers
 //! are safe functions even though they take raw pointers.
+//!
+//! [`DirectMem::prefetch`]: crate::mem::DirectMem
 
 /// Cache line size assumed throughout the crate (bytes).
 ///
@@ -16,35 +32,15 @@
 /// Haswell Xeon does too (Table 4).
 pub const CACHE_LINE: usize = 64;
 
-/// Prefetch the cache line containing `ptr` with the non-temporal hint
-/// (`PREFETCHNTA`), the hint used by the paper.
-///
-/// Non-temporal prefetches fetch into L1D while minimizing pollution of the
-/// outer cache levels, which is the right trade-off for index probes whose
-/// lines are unlikely to be reused.
+/// Prefetch the cache line containing `ptr` into all cache levels
+/// (`PREFETCHT0`) — the one hint every index prefetch uses (see the
+/// module docs for why not the paper's `PREFETCHNTA`).
 #[inline(always)]
-pub fn prefetch_read_nta<T>(ptr: *const T) {
-    // SAFETY: PREFETCHNTA is an architectural hint: it never faults,
+pub fn prefetch_read_t0<T>(ptr: *const T) {
+    // SAFETY: PREFETCHT0 is an architectural hint: it never faults,
     // never dereferences, and is defined for any address value, so
     // there is no obligation on `ptr`. (Gated off under Miri, which
     // does not model the intrinsic.)
-    #[cfg(all(target_arch = "x86_64", not(miri)))]
-    unsafe {
-        core::arch::x86_64::_mm_prefetch::<{ core::arch::x86_64::_MM_HINT_NTA }>(ptr as *const i8);
-    }
-    #[cfg(not(all(target_arch = "x86_64", not(miri))))]
-    let _ = ptr;
-}
-
-/// Prefetch the cache line containing `ptr` into all cache levels
-/// (`PREFETCHT0`).
-///
-/// Used for data that will be reused soon, e.g. tree nodes close to the
-/// root.
-#[inline(always)]
-pub fn prefetch_read_t0<T>(ptr: *const T) {
-    // SAFETY: PREFETCHT0 is an architectural hint — never faults,
-    // never dereferences; no obligation on `ptr` (Miri-gated as above).
     #[cfg(all(target_arch = "x86_64", not(miri)))]
     unsafe {
         core::arch::x86_64::_mm_prefetch::<{ core::arch::x86_64::_MM_HINT_T0 }>(ptr as *const i8);
@@ -59,14 +55,14 @@ pub fn prefetch_read_t0<T>(ptr: *const T) {
 /// of a touched node before suspending, so that the in-node binary search
 /// causes no further misses.
 #[inline(always)]
-pub fn prefetch_object_nta<T>(ptr: *const T, bytes: usize) {
+pub fn prefetch_object_t0<T>(ptr: *const T, bytes: usize) {
     for line in object_lines(ptr as usize, bytes) {
-        prefetch_read_nta(line as *const u8);
+        prefetch_read_t0(line as *const u8);
     }
 }
 
 /// Base addresses of every cache line spanned by a `bytes`-byte object
-/// at address `start` — the walk [`prefetch_object_nta`] performs.
+/// at address `start` — the walk [`prefetch_object_t0`] performs.
 ///
 /// The walk is aligned down to the line boundary: stepping by
 /// `CACHE_LINE` from an unaligned `start` would cover `bytes` of
@@ -102,21 +98,21 @@ mod tests {
     #[test]
     fn prefetch_is_safe_on_any_address() {
         // Prefetch must not fault, even on null or dangling addresses.
-        prefetch_read_nta(core::ptr::null::<u8>());
+        prefetch_read_t0(core::ptr::null::<u8>());
         prefetch_read_t0(0xdead_beef_usize as *const u8);
         let v = [1u8; 3];
-        prefetch_object_nta(v.as_ptr(), 3);
+        prefetch_object_t0(v.as_ptr(), 3);
     }
 
     #[test]
     fn prefetch_object_covers_all_lines() {
         // 200-byte object: must touch 4 lines when line-aligned.
         let buf = vec![0u8; 512];
-        prefetch_object_nta(buf.as_ptr(), 200);
+        prefetch_object_t0(buf.as_ptr(), 200);
         // Unaligned starts must still reach the final line.
         // SAFETY: 60 + 8 <= 512, in bounds of `buf`; only used as a
         // prefetch hint.
-        prefetch_object_nta(unsafe { buf.as_ptr().add(60) }, 8);
+        prefetch_object_t0(unsafe { buf.as_ptr().add(60) }, 8);
     }
 
     #[test]

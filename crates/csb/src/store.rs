@@ -3,7 +3,7 @@
 //! breakdowns), mirroring `isi_core::mem::IndexedMem` at node
 //! granularity.
 
-use isi_core::prefetch::prefetch_object_nta;
+use isi_core::prefetch::prefetch_object_t0;
 use isi_memsim::{SharedMachine, SimArray};
 
 use crate::node::{InnerNode, LeafNode};
@@ -96,13 +96,13 @@ impl<'a, K, V> TreeStore<K, V> for DirectTreeStore<'a, K, V> {
     #[inline(always)]
     fn prefetch_inner(&self, idx: u32) {
         if let Some(node) = self.tree.inners.get(idx as usize) {
-            prefetch_object_nta(node as *const _, std::mem::size_of::<InnerNode<K>>());
+            prefetch_object_t0(node as *const _, std::mem::size_of::<InnerNode<K>>());
         }
     }
     #[inline(always)]
     fn prefetch_leaf(&self, idx: u32) {
         if let Some(node) = self.tree.leaves.get(idx as usize) {
-            prefetch_object_nta(node as *const _, std::mem::size_of::<LeafNode<K, V>>());
+            prefetch_object_t0(node as *const _, std::mem::size_of::<LeafNode<K, V>>());
         }
     }
     #[inline(always)]

@@ -5,7 +5,7 @@
 //! potential miss); a group-prefetching build overlaps those misses
 //! across a window of pending inserts.
 
-use isi_core::prefetch::prefetch_read_nta;
+use isi_core::prefetch::prefetch_read_t0;
 
 use crate::table::{ChainedHashTable, HashKey};
 
@@ -25,7 +25,7 @@ pub fn build_gp<K: HashKey, V: Copy>(
         // Prefetch stage: request every bucket head in the window.
         for (k, _) in window {
             let b = table.bucket_of(k);
-            prefetch_read_nta(&table.buckets()[b] as *const u32);
+            prefetch_read_t0(&table.buckets()[b] as *const u32);
         }
         // Insert stage: by now the heads are (mostly) in flight or
         // resident; linking is read-modify-write on the same line.

@@ -5,7 +5,7 @@
 
 use isi_core::coro::suspend;
 use isi_core::policy::Interleave;
-use isi_core::prefetch::prefetch_read_nta;
+use isi_core::prefetch::prefetch_read_t0;
 use isi_core::sched::run_interleaved;
 
 use crate::table::{ChainedHashTable, Entry, HashKey, NONE};
@@ -57,13 +57,13 @@ pub fn hash_join<K: HashKey, B: Copy, P: Copy>(
 async fn probe_all_coro<K: HashKey, V: Copy>(table: &ChainedHashTable<K, V>, key: K) -> Vec<V> {
     let b = table.bucket_of(&key);
     let buckets = table.buckets();
-    prefetch_read_nta(&buckets[b] as *const u32);
+    prefetch_read_t0(&buckets[b] as *const u32);
     suspend().await;
     let mut e = buckets[b];
     let entries = table.entries();
     let mut matches = Vec::new();
     while e != NONE {
-        prefetch_read_nta(&entries[e as usize] as *const Entry<K, V>);
+        prefetch_read_t0(&entries[e as usize] as *const Entry<K, V>);
         suspend().await;
         let entry = &entries[e as usize];
         if entry.key == key {

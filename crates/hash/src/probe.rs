@@ -6,7 +6,7 @@
 
 use isi_core::coro::suspend;
 use isi_core::mem::IndexedMem;
-use isi_core::prefetch::prefetch_read_nta;
+use isi_core::prefetch::prefetch_read_t0;
 use isi_core::sched::{run_interleaved, run_sequential, RunStats};
 
 use crate::table::{ChainedHashTable, Entry, HashKey, NONE};
@@ -71,14 +71,14 @@ pub async fn probe_coro<const INTERLEAVE: bool, K: HashKey, V: Copy>(
     let b = table.bucket_of(&key);
     let buckets = table.buckets();
     if INTERLEAVE {
-        prefetch_read_nta(&buckets[b] as *const u32);
+        prefetch_read_t0(&buckets[b] as *const u32);
         suspend().await;
     }
     let mut e = buckets[b];
     let entries = table.entries();
     while e != NONE {
         if INTERLEAVE {
-            prefetch_read_nta(&entries[e as usize] as *const Entry<K, V>);
+            prefetch_read_t0(&entries[e as usize] as *const Entry<K, V>);
             suspend().await;
         }
         let entry = &entries[e as usize];
@@ -211,7 +211,7 @@ pub fn bulk_probe_amac<K: HashKey, V: Copy>(
                     st.input = next_input;
                     next_input += 1;
                     let b = table.bucket_of(&st.key);
-                    prefetch_read_nta(&buckets[b] as *const u32);
+                    prefetch_read_t0(&buckets[b] as *const u32);
                     st.stage = Stage::Bucket;
                 } else {
                     st.stage = Stage::Done;
@@ -225,7 +225,7 @@ pub fn bulk_probe_amac<K: HashKey, V: Copy>(
                     out[st.input] = None;
                     st.stage = Stage::Init;
                 } else {
-                    prefetch_read_nta(&entries[st.entry as usize] as *const Entry<K, V>);
+                    prefetch_read_t0(&entries[st.entry as usize] as *const Entry<K, V>);
                     st.stage = Stage::Walk;
                 }
             }
@@ -239,7 +239,7 @@ pub fn bulk_probe_amac<K: HashKey, V: Copy>(
                     st.stage = Stage::Init;
                 } else {
                     st.entry = entry.next;
-                    prefetch_read_nta(&entries[st.entry as usize] as *const Entry<K, V>);
+                    prefetch_read_t0(&entries[st.entry as usize] as *const Entry<K, V>);
                 }
             }
             Stage::Done => {}

@@ -14,6 +14,16 @@
 //! measuring what the unified abstraction costs (nothing, after
 //! monomorphization — see `benches/binary_search.rs`).
 //!
+//! The coroutine suspends at every halving, the last ones included,
+//! although those stay within a line or two of the previous probe. Two
+//! ways of skipping them were measured on the repo benchmark and lost
+//! (README, "Deviations from the paper's §5.1 constants"): suspending
+//! only when the probe leaves the line just read makes the suspension
+//! a data-dependent branch that mispredicts about once per lookup, and
+//! fetching the whole remaining range under one last suspension adds a
+//! cold line to every lookup. One predictable switch per halving is
+//! cheaper than either.
+//!
 //! The `table5` markers around the functions are consumed by the LoC
 //! analyzer that regenerates Table 5 (`isi-bench`, `bin/table5`).
 
@@ -186,6 +196,70 @@ mod tests {
         let mut out = vec![0u32; 1];
         let stats = bulk_rank_coro(mem, &[512], 4, &mut out);
         assert_eq!(stats.switches, 10);
+    }
+
+    /// What a lookup did to its memory, in order.
+    #[derive(Debug, PartialEq, Clone, Copy)]
+    enum Event {
+        Prefetch(usize),
+        Suspend,
+        Read(usize),
+    }
+
+    /// An `IndexedMem` that records every prefetch and read.
+    struct Recording<'a, K> {
+        mem: DirectMem<'a, K>,
+        log: &'a std::cell::RefCell<Vec<Event>>,
+    }
+
+    impl<K> IndexedMem<K> for Recording<'_, K> {
+        fn len(&self) -> usize {
+            self.mem.len()
+        }
+        fn at(&self, idx: usize) -> &K {
+            self.log.borrow_mut().push(Event::Read(idx));
+            self.mem.at(idx)
+        }
+        fn prefetch(&self, idx: usize) {
+            self.log.borrow_mut().push(Event::Prefetch(idx));
+        }
+    }
+
+    /// Every read of the interleaved coroutine is of the element it
+    /// prefetched before its latest suspension, and nothing else is
+    /// prefetched: one hint, one switch, one read per halving.
+    fn check_every_read_was_prefetched<K: SearchKey + std::fmt::Debug>(key: impl Fn(u64) -> K) {
+        for n in [0usize, 1, 2, 7, 8, 9, 1_000, (1 << 16) + 3] {
+            let table: Vec<K> = (0..n as u64).map(|i| key(2 * i)).collect();
+            for probe in [0, 1, n as u64, 2 * n as u64 + 1] {
+                let log = std::cell::RefCell::new(Vec::new());
+                let mem = Recording {
+                    mem: DirectMem::new(&table),
+                    log: &log,
+                };
+                let mut h = CoroHandle::new(rank_coro::<true, _, _>(&mem, key(probe)));
+                while !h.resume() {
+                    log.borrow_mut().push(Event::Suspend);
+                }
+                assert_eq!(h.get_result(), rank_oracle(&table, &key(probe)));
+                let log = log.borrow();
+                assert_eq!(log.len() % 3, 0, "n={n}: {log:?}");
+                for step in log.chunks(3) {
+                    let Event::Read(idx) = step[2] else {
+                        panic!("n={n}: {step:?}");
+                    };
+                    assert_eq!(step[..2], [Event::Prefetch(idx), Event::Suspend], "n={n}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn interleaved_reads_only_what_it_prefetched_before_suspending() {
+        use crate::key::Str16;
+        check_every_read_was_prefetched(|i| i as u32);
+        check_every_read_was_prefetched(|i| i);
+        check_every_read_was_prefetched(Str16::from_index);
     }
 
     #[test]

@@ -6,6 +6,13 @@
 //! ([`crate::par::bulk_rank_coro_par`]) and resolve rank → value with
 //! one equality check; range scans are two `partition_point`s and a
 //! slice copy — the cheapest `scan_range` of the three backends.
+//!
+//! Both columns are advised onto transparent huge pages before they
+//! are filled ([`isi_core::topo::advise_huge_pages`]): the deep probes
+//! of a binary search each land on a page of their own, and a 64 MiB
+//! column is 16 384 4-KiB pages against a second-level TLB of about
+//! 2 000 entries. Where the kernel declines, the columns are ordinary
+//! `Vec`s and nothing else changes.
 
 use std::sync::Arc;
 
@@ -14,6 +21,7 @@ use isi_core::mem::DirectMem;
 use isi_core::par::ParConfig;
 use isi_core::policy::Interleave;
 use isi_core::sched::RunStats;
+use isi_core::topo::advise_huge_pages;
 
 /// A sorted key column plus aligned value column, servable in bulk by
 /// the interleaved binary-search drivers.
@@ -29,10 +37,15 @@ impl SortedShard {
             pairs.windows(2).all(|w| w[0].0 < w[1].0),
             "pairs must be strictly sorted by key"
         );
-        Self {
-            keys: pairs.iter().map(|&(k, _)| k).collect(),
-            vals: pairs.iter().map(|&(_, v)| v).collect(),
-        }
+        // Reserve, advise, then fill: the fill's page faults are the
+        // first touch, so an advised column is born on huge pages.
+        let mut keys = Vec::with_capacity(pairs.len());
+        let mut vals = Vec::with_capacity(pairs.len());
+        advise_huge_pages(keys.spare_capacity_mut());
+        advise_huge_pages(vals.spare_capacity_mut());
+        keys.extend(pairs.iter().map(|&(k, _)| k));
+        vals.extend(pairs.iter().map(|&(_, v)| v));
+        Self { keys, vals }
     }
 
     /// The sorted key column.
@@ -64,8 +77,10 @@ impl ShardBackend for SortedShard {
             return RunStats::default();
         }
         // Rank via the interleaved binary-search coroutines, then
-        // resolve rank -> value with one equality check (the rank
-        // position is cache-hot right after the search touched it).
+        // resolve rank -> value with one equality check. The resolve
+        // loop's loads are independent of each other, so the value
+        // lines' misses overlap without help (fetching the value inside
+        // the coroutine was prototyped: 298 vs 303 ns/key, no gain).
         let mem = DirectMem::new(&self.keys);
         scratch.clear();
         scratch.resize(keys.len(), 0);
