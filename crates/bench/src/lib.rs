@@ -1,6 +1,6 @@
 //! # isi-bench — harnesses that regenerate every table and figure
 //!
-//! One binary per paper artifact or sweep, nineteen in all (the
+//! One binary per paper artifact or sweep, eighteen in all (the
 //! README's "Paper figure / table binaries" table says how to run and
 //! read each):
 //!
@@ -24,7 +24,6 @@
 //! | `spp` | footnote 2 — software-pipelined prefetching ablation |
 //! | `tlb_index` | §6 extension — B+-tree over sorted array vs TLB-thrashing binary search |
 //! | `throughput` | morsel-parallel lookup throughput sweep → `BENCH_throughput.json` ([`throughput`] module) |
-//! | `serve` | lookup-service load sweeps → `BENCH_serve.json`, `BENCH_serve_mixed.json` ([`serve`] module) |
 //!
 //! Environment knobs (all optional): `ISI_MAX_MB` (top of the size sweep,
 //! default 256), `ISI_LOOKUPS` (lookup-list length, default 10000),
@@ -33,8 +32,6 @@
 
 pub mod json;
 pub mod loc;
-pub mod schema;
-pub mod serve;
 pub mod sim;
 pub mod throughput;
 pub mod wall;

@@ -20,9 +20,8 @@ use isi_workloads::{int_array, uniform_lookups};
 
 use crate::json::{self, num, obj, str, Json};
 
-/// Schema tag written into (and required from) every result document
-/// (defined in the [`crate::schema`] registry).
-pub use crate::schema::THROUGHPUT as SCHEMA;
+/// Schema tag written into (and required from) every result document.
+pub const SCHEMA: &str = "isi-throughput/v1";
 
 /// The four swept variants: the sequential conditional-move baseline
 /// and the three interleaving techniques, each behind its morsel-

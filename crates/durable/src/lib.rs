@@ -74,34 +74,15 @@ pub enum FsyncMode {
 }
 
 impl FsyncMode {
-    /// All modes, in sweep order.
+    /// All modes (the crash-recovery matrix runs each).
     pub const ALL: [FsyncMode; 3] = [FsyncMode::Off, FsyncMode::On, FsyncMode::Group];
 
-    /// Stable lowercase name (used in benchmark documents and CLI
-    /// flags).
+    /// Stable lowercase name (labels test output).
     pub fn name(self) -> &'static str {
         match self {
             FsyncMode::Off => "off",
             FsyncMode::On => "on",
             FsyncMode::Group => "group",
         }
-    }
-
-    /// Parse a [`Self::name`] back into a mode.
-    pub fn from_name(name: &str) -> Option<Self> {
-        Self::ALL.into_iter().find(|m| m.name() == name)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn fsync_mode_names_roundtrip() {
-        for m in FsyncMode::ALL {
-            assert_eq!(FsyncMode::from_name(m.name()), Some(m));
-        }
-        assert_eq!(FsyncMode::from_name("sometimes"), None);
     }
 }

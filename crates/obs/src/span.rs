@@ -90,12 +90,6 @@ impl Stage {
             Stage::Backpressure => "backpressure",
         }
     }
-
-    /// Inverse of [`Stage::name`] (used by the bench verifier to
-    /// check exported rows against the canonical set).
-    pub fn from_name(name: &str) -> Option<Stage> {
-        Stage::ALL.into_iter().find(|s| s.name() == name)
-    }
 }
 
 fn anchor() -> Instant {
@@ -145,13 +139,11 @@ mod tests {
     fn stage_names_roundtrip_and_are_unique() {
         for (i, s) in Stage::ALL.into_iter().enumerate() {
             assert_eq!(s.index(), i);
-            assert_eq!(Stage::from_name(s.name()), Some(s));
         }
         let mut names: Vec<_> = Stage::ALL.iter().map(|s| s.name()).collect();
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), Stage::COUNT);
-        assert_eq!(Stage::from_name("nonsense"), None);
     }
 
     #[test]

@@ -14,9 +14,9 @@
 //! * **residual** — keys the main index must decide; these form the
 //!   dense batch the engine actually runs.
 //!
-//! The split is observable as `delta_hits` and `residual_frac` in the
-//! service stats: a write-heavy shard with a warm delta sends
-//! measurably fewer probes to the engine (`residual_frac < 1`).
+//! The split is observable as `delta_hits` against `engine.lookups`
+//! in the service stats: a write-heavy shard with a warm delta sends
+//! measurably fewer probes to the engine.
 
 /// One dispatched batch, resolved against the delta: which slots the
 /// overlay decided, and which keys still need the engine.

@@ -62,7 +62,7 @@
 //! shard's delta before the engine sees it (see [`crate::plan`]):
 //! delta-decided keys are answered from the sorted run and only the
 //! residual probes the main index. The split shows up in
-//! [`ServeStats::delta_hits`] and [`ServeStats::residual_frac`].
+//! [`ServeStats::delta_hits`] against [`ServeStats::engine`]'s lookups.
 //!
 //! **Merges never run here.** A threshold-crossing write enqueues a
 //! job for the store's background merger thread
@@ -469,19 +469,6 @@ impl ServeStats {
             0.0
         } else {
             self.requests as f64 / self.batches as f64
-        }
-    }
-
-    /// Fraction of executed read keys that reached the engine
-    /// (`engine.lookups / (engine.lookups + delta_hits)`). 1.0 when
-    /// the delta decided nothing (or nothing was executed); a
-    /// write-heavy shard with a warm delta drives this below 1.
-    pub fn residual_frac(&self) -> f64 {
-        let total = self.engine.lookups + self.delta_hits;
-        if total == 0 {
-            1.0
-        } else {
-            self.engine.lookups as f64 / total as f64
         }
     }
 }
@@ -1955,7 +1942,7 @@ mod tests {
     fn delta_decided_reads_skip_the_engine() {
         // With a cold cache and a warm delta, repeat reads of written
         // keys must be answered by the plan stage: delta_hits grows,
-        // engine lookups do not, residual_frac < 1.
+        // engine lookups do not.
         let store = ShardedStore::build_with(
             Backend::Sorted,
             1,
@@ -1979,8 +1966,6 @@ mod tests {
         let stats = svc.stats();
         assert_eq!(stats.delta_hits, 16);
         assert_eq!(stats.engine.lookups, 1);
-        assert!(stats.residual_frac() < 1.0);
-        assert!((stats.residual_frac() - 1.0 / 17.0).abs() < 1e-9);
     }
 
     #[test]
@@ -2105,52 +2090,86 @@ mod tests {
 
     #[test]
     fn stage_breakdown_and_exports_cover_the_pipeline() {
-        let store =
-            ShardedStore::build_with(Backend::Csb, 2, &pairs(500), StoreConfig::with_threshold(4));
-        let svc = LookupService::start(
-            store,
-            ServeConfig {
-                batch: BatchPolicy { max_batch: 8 },
-                trace_events: 256,
-                ..ServeConfig::default()
-            },
-        );
-        for k in 0..64u64 {
-            svc.put(k * 2 + 1, k);
-            assert_eq!(svc.get(k * 2 + 1), Some(k));
+        use isi_durable::{Fs, MemFs};
+
+        // Once with durability off, once group-committing to a MemFs:
+        // the WAL span counts must follow the WAL counters both ways.
+        for durable in [false, true] {
+            let cfg = StoreConfig::with_threshold(4);
+            let store = if durable {
+                let fs: Arc<dyn Fs> = Arc::new(MemFs::new());
+                ShardedStore::build_with_fs(Backend::Csb, 2, &pairs(500), cfg, fs)
+            } else {
+                ShardedStore::build_with(Backend::Csb, 2, &pairs(500), cfg)
+            };
+            let svc = LookupService::start(
+                store,
+                ServeConfig {
+                    batch: BatchPolicy { max_batch: 8 },
+                    trace_events: 256,
+                    ..ServeConfig::default()
+                },
+            );
+            for k in 0..64u64 {
+                svc.put(k * 2 + 1, k);
+                assert_eq!(svc.get(k * 2 + 1), Some(k));
+            }
+            assert!(!svc.get_range(0, 50).is_empty());
+            svc.store().quiesce();
+
+            let rows = svc.stage_breakdown();
+            assert_eq!(rows.len(), 2);
+            let count = |stage: Stage| {
+                rows.iter()
+                    .map(|row| row[stage.index()].count())
+                    .sum::<u64>()
+            };
+            let stats = svc.stats();
+            // Every admission entry got exactly one admission-wait sample.
+            assert_eq!(count(Stage::AdmissionWait), stats.requests);
+            assert!(count(Stage::Commit) > 0);
+            assert!(count(Stage::Writeback) > 0);
+            assert!(stats.merges > 0, "threshold 4 under 64 puts must merge");
+            assert_eq!(count(Stage::Merge), stats.merges);
+            assert_eq!(count(Stage::RangeScan), 2);
+            // Reads went through the plan stage, the engine, or both.
+            assert!(count(Stage::Plan) + count(Stage::Engine) > 0);
+            // One append span per group-commit record and one fsync
+            // span per sync; none of either without a WAL.
+            assert_eq!(stats.wal_records > 0, durable);
+            assert_eq!(stats.wal_syncs > 0, durable);
+            assert_eq!(count(Stage::WalAppend), stats.wal_records);
+            assert_eq!(count(Stage::WalFsync), stats.wal_syncs);
+            // The request-path stages decompose end-to-end latency, so
+            // they never sum past it. (Merge, WAL and backpressure
+            // spans overlap writeback or run on the merger thread.)
+            let request_path: u64 = [
+                Stage::AdmissionWait,
+                Stage::Plan,
+                Stage::Engine,
+                Stage::Writeback,
+            ]
+            .iter()
+            .flat_map(|stage| rows.iter().map(|row| row[stage.index()].sum()))
+            .sum();
+            assert!(request_path > 0);
+            assert!(
+                request_path <= stats.latency.sum(),
+                "stage time {request_path} ns > latency sum {} ns",
+                stats.latency.sum()
+            );
+
+            let trace = svc.export_chrome_trace();
+            assert!(trace.contains("\"traceEvents\""));
+            assert!(trace.contains("batch_flush"));
+            assert!(trace.contains("merge_publish"));
+
+            let prom = svc.metrics_prometheus();
+            assert!(prom.contains("serve_requests"));
+            assert!(prom.contains("store_merges"));
+            let json = svc.metrics_json();
+            assert!(json.contains("serve_latency_ns"));
+            assert!(json.contains("store_merges"));
         }
-        assert!(!svc.get_range(0, 50).is_empty());
-        svc.store().quiesce();
-
-        let rows = svc.stage_breakdown();
-        assert_eq!(rows.len(), 2);
-        let count = |stage: Stage| {
-            rows.iter()
-                .map(|row| row[stage.index()].count())
-                .sum::<u64>()
-        };
-        // Every admission entry got exactly one admission-wait sample.
-        assert_eq!(count(Stage::AdmissionWait), svc.stats().requests);
-        assert!(count(Stage::Commit) > 0);
-        assert!(count(Stage::Writeback) > 0);
-        assert!(
-            count(Stage::Merge) > 0,
-            "threshold 4 under 64 puts must merge"
-        );
-        assert_eq!(count(Stage::RangeScan), 2);
-        // Reads went through the plan stage, the engine, or both.
-        assert!(count(Stage::Plan) + count(Stage::Engine) > 0);
-
-        let trace = svc.export_chrome_trace();
-        assert!(trace.contains("\"traceEvents\""));
-        assert!(trace.contains("batch_flush"));
-        assert!(trace.contains("merge_publish"));
-
-        let prom = svc.metrics_prometheus();
-        assert!(prom.contains("serve_requests"));
-        assert!(prom.contains("store_merges"));
-        let json = svc.metrics_json();
-        assert!(json.contains("serve_latency_ns"));
-        assert!(json.contains("store_merges"));
     }
 }

@@ -96,18 +96,13 @@ impl Backend {
     /// All backends, in sweep order.
     pub const ALL: [Backend; 3] = [Backend::Sorted, Backend::Csb, Backend::Hash];
 
-    /// Stable lowercase name (used in benchmark documents).
+    /// Stable lowercase name (labels test output).
     pub fn name(self) -> &'static str {
         match self {
             Backend::Sorted => "sorted",
             Backend::Csb => "csb",
             Backend::Hash => "hash",
         }
-    }
-
-    /// Parse a [`Self::name`] back into a backend.
-    pub fn from_name(name: &str) -> Option<Self> {
-        Self::ALL.into_iter().find(|b| b.name() == name)
     }
 
     /// Build one shard's main from strictly-sorted, duplicate-free
@@ -600,7 +595,6 @@ impl DurableState {
 
 /// State shared between the store handle and its merger thread.
 struct StoreInner {
-    backend: Backend,
     shard_bits: u32,
     cfg: StoreConfig,
     shards: Vec<Shard>,
@@ -775,7 +769,7 @@ impl ShardedStore {
                 delta_space: Condvar::new(),
             })
             .collect();
-        Self::assemble(backend, shard_bits, cfg, shards, live, fs)
+        Self::assemble(shard_bits, cfg, shards, live, fs)
     }
 
     /// Reload the durable store in [`StoreConfig::wal_dir`]: per
@@ -837,7 +831,7 @@ impl ShardedStore {
                 delta_space: Condvar::new(),
             });
         }
-        let store = Self::assemble(backend, shard_bits, cfg, shards, live, Some(fs));
+        let store = Self::assemble(shard_bits, cfg, shards, live, Some(fs));
         // Shards whose replayed delta already crossed the threshold
         // get their merge queued now rather than on the next write.
         if store.inner.cfg.merge_mode == MergeMode::Background {
@@ -864,7 +858,6 @@ impl ShardedStore {
     }
 
     fn assemble(
-        backend: Backend,
         shard_bits: u32,
         cfg: StoreConfig,
         shards: Vec<Shard>,
@@ -903,7 +896,6 @@ impl ShardedStore {
             })
             .collect();
         let inner = Arc::new(StoreInner {
-            backend,
             shard_bits,
             cfg,
             shards,
@@ -923,11 +915,6 @@ impl ShardedStore {
                 .expect("spawn merger thread")
         });
         Self { inner, merger }
-    }
-
-    /// The backend every shard's main uses.
-    pub fn backend(&self) -> Backend {
-        self.inner.backend
     }
 
     /// The tuning knobs the store was built with.
@@ -1881,14 +1868,6 @@ mod tests {
             assert_eq!(outcome.engine, RunStats::default());
             assert_eq!(store.get_range(0, u64::MAX), Vec::new());
         }
-    }
-
-    #[test]
-    fn backend_names_roundtrip() {
-        for b in Backend::ALL {
-            assert_eq!(Backend::from_name(b.name()), Some(b));
-        }
-        assert_eq!(Backend::from_name("nope"), None);
     }
 
     #[test]

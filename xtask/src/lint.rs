@@ -1,6 +1,6 @@
 //! Tree-wide invariant checks that clippy cannot express.
 //!
-//! Six rules, each guarding a policy this workspace has adopted:
+//! Five rules, each guarding a policy this workspace has adopted:
 //!
 //! * **R1 — SAFETY comments.** Every `unsafe` token must have a
 //!   `// SAFETY:` (or rustdoc `# Safety` section) within the ten
@@ -15,11 +15,6 @@
 //!   `unsafe` must carry `#![deny(unsafe_op_in_unsafe_fn)]` at its
 //!   root, so an `unsafe fn` body cannot silently perform unsafe ops
 //!   without an inner block to hang R1 on.
-//! * **R3 — schema-tag registry.** Bench JSON schema tags
-//!   (`"isi-…/vN"` string literals) may only be *defined* in
-//!   `crates/bench/src/schema.rs`; everything else must import the
-//!   registry constant. Scattered literals are how two writers drift
-//!   one version apart.
 //! * **R4 — poison-aware locks in serve and durable.** `crates/serve`
 //!   and `crates/durable` must acquire locks through the
 //!   `isi_core::sync` helpers (`plock`/`pread`/`pwrite`/`pwait`),
@@ -63,9 +58,6 @@ const UNSAFE_ALLOWLIST: &[&str] = &[
     "crates/hash/src/probe.rs",
     "crates/search/src/par.rs",
 ];
-
-/// The one file allowed to spell out bench schema-tag literals.
-const SCHEMA_REGISTRY: &str = "crates/bench/src/schema.rs";
 
 /// Directories (relative to the repo root) the lint walks. `vendor/`
 /// is deliberately excluded: the stubs mimic external crates and are
@@ -131,7 +123,6 @@ fn check_files(files: &[(String, String)]) -> Vec<Violation> {
     let mut out = Vec::new();
     for (path, content) in files {
         check_unsafe_rules(path, content, files, &mut out);
-        check_schema_registry(path, content, &mut out);
         check_serve_locks(path, content, &mut out);
         check_serve_stat_atomics(path, content, &mut out);
     }
@@ -140,10 +131,10 @@ fn check_files(files: &[(String, String)]) -> Vec<Violation> {
 
 // ---- source sanitization ----
 
-/// Blank out comments (and optionally string/char literals) with
-/// spaces, preserving line structure, so token scans cannot be fooled
-/// by prose or data.
-fn sanitize(content: &str, strip_strings: bool) -> String {
+/// Blank out comments and string/char literals with spaces,
+/// preserving line structure, so token scans cannot be fooled by
+/// prose or data.
+fn sanitize(content: &str) -> String {
     let bytes = content.as_bytes();
     let mut out = bytes.to_vec();
     let mut i = 0;
@@ -179,9 +170,9 @@ fn sanitize(content: &str, strip_strings: bool) -> String {
                     }
                 }
             }
-            b'"' => i = skip_string(bytes, &mut out, i, strip_strings),
+            b'"' => i = skip_string(bytes, &mut out, i),
             b'r' if matches!(bytes.get(i + 1), Some(&b'"') | Some(&b'#')) => {
-                i = skip_raw_string(bytes, &mut out, i, strip_strings);
+                i = skip_raw_string(bytes, &mut out, i);
             }
             b'\'' => {
                 // Lifetime (`'a`) vs char literal (`'a'`): a lifetime's
@@ -202,13 +193,7 @@ fn sanitize(content: &str, strip_strings: bool) -> String {
                         i += 1;
                     }
                     i = (i + 1).min(bytes.len());
-                    if strip_strings {
-                        for b in &mut out[start..i] {
-                            if *b != b'\n' {
-                                *b = b' ';
-                            }
-                        }
-                    }
+                    blank(&mut out[start..i]);
                 }
             }
             _ => i += 1,
@@ -217,7 +202,16 @@ fn sanitize(content: &str, strip_strings: bool) -> String {
     String::from_utf8(out).expect("sanitizer only writes ASCII spaces")
 }
 
-fn skip_string(bytes: &[u8], out: &mut [u8], start: usize, strip: bool) -> usize {
+/// Overwrite everything but newlines with spaces.
+fn blank(span: &mut [u8]) {
+    for b in span {
+        if *b != b'\n' {
+            *b = b' ';
+        }
+    }
+}
+
+fn skip_string(bytes: &[u8], out: &mut [u8], start: usize) -> usize {
     let mut i = start + 1;
     while i < bytes.len() && bytes[i] != b'"' {
         if bytes[i] == b'\\' {
@@ -226,17 +220,11 @@ fn skip_string(bytes: &[u8], out: &mut [u8], start: usize, strip: bool) -> usize
         i += 1;
     }
     let end = (i + 1).min(bytes.len());
-    if strip {
-        for b in &mut out[start..end] {
-            if *b != b'\n' {
-                *b = b' ';
-            }
-        }
-    }
+    blank(&mut out[start..end]);
     end
 }
 
-fn skip_raw_string(bytes: &[u8], out: &mut [u8], start: usize, strip: bool) -> usize {
+fn skip_raw_string(bytes: &[u8], out: &mut [u8], start: usize) -> usize {
     let mut hashes = 0;
     let mut i = start + 1;
     while bytes.get(i) == Some(&b'#') {
@@ -263,13 +251,7 @@ fn skip_raw_string(bytes: &[u8], out: &mut [u8], start: usize, strip: bool) -> u
         }
         i += 1;
     }
-    if strip {
-        for b in &mut out[start..i.min(bytes.len())] {
-            if *b != b'\n' {
-                *b = b' ';
-            }
-        }
-    }
+    blank(&mut out[start..i.min(bytes.len())]);
     i
 }
 
@@ -304,7 +286,7 @@ fn check_unsafe_rules(
     files: &[(String, String)],
     out: &mut Vec<Violation>,
 ) {
-    let code = sanitize(content, true);
+    let code = sanitize(content);
     let raw_lines: Vec<&str> = content.lines().collect();
     let mut any_unsafe = false;
     for (idx, line) in code.lines().enumerate() {
@@ -384,56 +366,6 @@ fn crate_root_of(path: &str) -> String {
     path.to_string()
 }
 
-// ---- R3: schema-tag registry ----
-
-/// Find `isi-…/vN` schema tags in comment-stripped source (anything
-/// left after stripping comments lives in a string literal — hyphens
-/// and slashes cannot appear in identifiers).
-fn find_schema_tag(line: &str) -> Option<usize> {
-    let bytes = line.as_bytes();
-    let mut from = 0;
-    while let Some(pos) = line[from..].find("isi-") {
-        let start = from + pos;
-        let mut i = start + 4;
-        while i < bytes.len()
-            && (bytes[i].is_ascii_lowercase() || bytes[i].is_ascii_digit() || bytes[i] == b'-')
-        {
-            i += 1;
-        }
-        if i > start + 4
-            && bytes.get(i) == Some(&b'/')
-            && bytes.get(i + 1) == Some(&b'v')
-            && bytes.get(i + 2).is_some_and(u8::is_ascii_digit)
-        {
-            return Some(start);
-        }
-        from = start + 4;
-    }
-    None
-}
-
-fn check_schema_registry(path: &str, content: &str, out: &mut Vec<Violation>) {
-    // The registry defines the tags; the lint's own tests seed fake
-    // tags as string fixtures.
-    if path == SCHEMA_REGISTRY || path == "xtask/src/lint.rs" {
-        return;
-    }
-    let code = sanitize(content, false); // keep strings: tags live there
-    for (idx, line) in code.lines().enumerate() {
-        if find_schema_tag(line).is_some() {
-            out.push(Violation {
-                path: path.to_string(),
-                line: idx + 1,
-                rule: "schema-registry",
-                msg: format!(
-                    "bench schema tag literal outside {SCHEMA_REGISTRY}; import the \
-                     registry constant instead of respelling the tag"
-                ),
-            });
-        }
-    }
-}
-
 // ---- R4: poison-aware locks in serve and durable ----
 
 /// Bare-unwrap lock patterns forbidden in the crates under R4 (the
@@ -448,7 +380,7 @@ fn check_serve_locks(path: &str, content: &str, out: &mut Vec<Violation>) {
     if !path.starts_with("crates/serve/") && !path.starts_with("crates/durable/") {
         return;
     }
-    let code = sanitize(content, true);
+    let code = sanitize(content);
     let lines: Vec<&str> = code.lines().collect();
     for (idx, line) in lines.iter().enumerate() {
         let single = BARE_LOCK_PATTERNS.iter().any(|p| line.contains(p));
@@ -503,7 +435,7 @@ fn check_serve_stat_atomics(path: &str, content: &str, out: &mut Vec<Violation>)
     if !path.starts_with("crates/serve/src/") {
         return;
     }
-    let code = sanitize(content, true);
+    let code = sanitize(content);
     for (idx, line) in code.lines().enumerate() {
         if has_atomic_u64_token(line) {
             out.push(Violation {
@@ -543,10 +475,6 @@ mod tests {
             (
                 "crates/core/src/par.rs",
                 "fn f(p: *const u8) -> u8 {\n    // SAFETY: caller guarantees p is valid.\n    unsafe { *p }\n}\n",
-            ),
-            (
-                "crates/bench/src/schema.rs",
-                "pub const THROUGHPUT: &str = \"isi-throughput/v1\";\n",
             ),
             (
                 "crates/serve/src/store.rs",
@@ -630,29 +558,6 @@ mod tests {
         let fs = files(&[(
             "crates/serve/src/store.rs",
             "// this comment says unsafe\nconst X: &str = \"unsafe\"; /* unsafe */\n",
-        )]);
-        assert!(check_files(&fs).is_empty());
-    }
-
-    #[test]
-    fn schema_tag_outside_registry_fires() {
-        let fs = files(&[(
-            "crates/bench/src/serve.rs",
-            "pub const SCHEMA: &str = \"isi-serve/v1\";\n",
-        )]);
-        let v = check_files(&fs);
-        assert!(
-            rules_fired(&v).contains(&"schema-registry"),
-            "{:?}",
-            rules_fired(&v)
-        );
-    }
-
-    #[test]
-    fn schema_tag_in_doc_comment_allowed() {
-        let fs = files(&[(
-            "crates/bench/src/serve.rs",
-            "//! Emits `isi-serve/v1` documents.\nuse crate::schema;\n",
         )]);
         assert!(check_files(&fs).is_empty());
     }

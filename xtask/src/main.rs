@@ -16,7 +16,7 @@ fn usage() -> ExitCode {
     eprintln!();
     eprintln!("commands:");
     eprintln!("  lint    check repo invariants (SAFETY comments, unsafe allowlist,");
-    eprintln!("          bench schema-tag registry, poison-aware locks in serve)");
+    eprintln!("          poison-aware locks and registry-only counters in serve)");
     ExitCode::from(2)
 }
 
