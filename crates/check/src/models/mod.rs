@@ -14,7 +14,7 @@
 //! |---|---|
 //! | [`epoch`] | `EpochCell` publish: snapshots never torn, epochs monotone |
 //! | [`merge`] | Main/Delta merge publish: a mid-rebuild write survives as residual delta |
-//! | [`runs`] | run-stack delta: compaction + identity-residual merge never lose the newest write, and a merge drains what it pinned |
+//! | [`runs`] | run-stack delta over a mid tier: compaction + identity-residual merge, minor or major, never lose the newest write, and a merge drains what it pinned |
 //! | [`cache`] | hot-key cache: invalidate-before-ack ⇒ no stale read after own-write ack |
 //! | [`queue`] | caller-runs admission: token hand-back strands no entry, no deadlock at backpressure |
 //! | [`wal`] | WAL group commit + snapshot-truncate: acked ⇒ durable, frontier monotone |
@@ -22,7 +22,8 @@
 //!
 //! [`epoch::torn_publish`], [`wal::truncate_before_snapshot_sync`],
 //! [`metrics::snapshot_reads_records_first`],
-//! [`runs::oldest_run_wins`], [`runs::fold_across_the_cut`] and
+//! [`runs::oldest_run_wins`], [`runs::fold_across_the_cut`],
+//! [`runs::fold_into_the_mid`] and
 //! [`queue::handback_without_notify`] are
 //! **known-bad** models kept as calibration targets: the test suite
 //! asserts the explorer *finds* their violations and that the printed

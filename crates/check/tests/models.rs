@@ -82,6 +82,28 @@ fn explorer_catches_fold_across_the_cut() {
     );
 }
 
+/// A write-path fold that forgets the mid tier — keeps `pinned` runs
+/// from the bottom of the stack — must take a pinned run from above
+/// the mid under some interleaving, and the seed must replay it.
+#[test]
+fn explorer_catches_fold_into_the_mid() {
+    let outcome = explore(Config::default(), models::runs::fold_into_the_mid);
+    let Outcome::Violation(v) = outcome else {
+        panic!("fold into the mid not caught: {outcome:?}");
+    };
+    assert!(
+        v.message.contains("carries merged entries"),
+        "unexpected violation: {}",
+        v.message
+    );
+    let replayed = replay(Config::default(), &v.seed, models::runs::fold_into_the_mid)
+        .expect("replay seed did not reproduce the violation");
+    assert!(
+        replayed.contains("carries merged entries"),
+        "replay diverged: {replayed}"
+    );
+}
+
 #[test]
 fn cache_invalidate_before_ack_no_stale_reads() {
     let n = check(

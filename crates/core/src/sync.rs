@@ -19,11 +19,11 @@
 //! backtrace.
 //!
 //! The one exception is cleanup that runs *during* an unwind and only
-//! fails the shared state closed (`crates/serve`: a ticket's `abandon`
-//! and the executor token's drop guard). A second panic there would
-//! abort the process, and closing is the right end for a mid-protocol
-//! state as well, so those two take the guard out of the
-//! `PoisonError`. Nothing else may: in particular, code that rejects a
+//! fails the shared state closed (`crates/serve`: a ticket's `abandon`,
+//! the executor token's drop guard and the merger thread's). A second
+//! panic there would abort the process, and closing is the right end
+//! for a mid-protocol state as well, so those three take the guard out
+//! of the `PoisonError`. Nothing else may: in particular, code that rejects a
 //! request releases its guard *before* it panics, so that rejection
 //! never poisons a lock.
 //!

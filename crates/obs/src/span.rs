@@ -40,13 +40,13 @@ pub enum Stage {
     WalAppend,
     /// The fsync (or group-commit sync) making a WAL record durable.
     WalFsync,
-    /// One shard merge: delta + main → rebuilt main (foreground or
-    /// background).
+    /// One shard merge, minor (run stack → mid tier) or major (mid
+    /// tier + main → rebuilt main), foreground or background.
     Merge,
     /// One shard-local range scan (main/delta merge-join).
     RangeScan,
     /// Producer-side stall waiting for admission-queue or delta
-    /// capacity, or for the write pace while the merger is busy.
+    /// capacity.
     Backpressure,
 }
 

@@ -32,18 +32,20 @@ pub enum TraceKind {
     /// `a` = entries in the batch, `b` = 1 if it was a full (size-
     /// triggered) flush, 0 if the ragged-batch timeout fired.
     BatchFlush,
-    /// A shard merge started (delta about to fold into main).
-    /// `a` = delta entries pinned for the merge.
+    /// A shard merge started (the run stack about to fold into the
+    /// mid tier, or with it into the main). `a` = entries above the
+    /// mid tier pinned for the merge, `b` = 1 for a major merge (the
+    /// main is rebuilt), 0 for a minor one.
     MergeStart,
-    /// A merged shard version was published. `a` = delta entries
-    /// folded in, `b` = entries left in the residual delta.
+    /// A merged shard version was published. `a` = entries in the mid
+    /// tier it carries (0 after a major merge: they went into the
+    /// main), `b` = entries left in the residual delta.
     MergePublish,
     /// A WAL record was made durable. `a` = records covered by this
     /// sync (group commit can cover several).
     WalSync,
-    /// A producer stalled on a full admission queue, or on the delta:
-    /// full, or paced while the merger was busy. `a` = 0 for queue,
-    /// 1 for delta.
+    /// A producer stalled on a full admission queue, or on a full
+    /// delta. `a` = 0 for queue, 1 for delta.
     Backpressure,
     /// A write invalidated hot-cache slots. `a` = keys invalidated.
     CacheInvalidate,

@@ -46,23 +46,26 @@
 //!    invalidated by the write path.
 //! 4. **Maintain in the background** — a threshold-crossing write
 //!    *enqueues a merge job*; the store's background merger thread
-//!    rebuilds that shard's main and publishes it through an
+//!    folds that shard's run stack into its mid tier (a minor merge:
+//!    no rebuild, no I/O) and, once the mid tier has grown to its
+//!    size, rebuilds the shard's main with it (a major merge). Either
+//!    is published through an
 //!    [`EpochCell`](isi_core::epoch::EpochCell) swap while the delta
 //!    keeps absorbing writes up to a hard
 //!    [`StoreConfig::max_delta`](store::StoreConfig) bound. In-flight
 //!    batches finish on the version they started with; no request's
-//!    latency absorbs a rebuild
-//!    ([`MergeMode::Foreground`](store::MergeMode) retains the old
-//!    inline behavior for A/B runs).
+//!    latency absorbs a merge
+//!    ([`MergeMode::Foreground`](store::MergeMode) runs the same
+//!    routine inline for A/B runs).
 //! 5. **Survive crashes (opt-in)** — with
 //!    [`StoreConfig::wal_dir`](store::StoreConfig) set, every
 //!    dispatched write run appends **one checksummed WAL record** to
 //!    its shard's log and fsyncs **once per run** before any ticket in
 //!    the run resolves ([`FsyncMode::Group`] — group commit: batching
 //!    amortizes the fsync exactly like it amortizes the interleaved
-//!    engine). Merges double as **snapshots**: the merger's rebuilt
-//!    pairs are serialized, fsynced, atomically renamed, and the WAL
-//!    truncates to the residual delta.
+//!    engine). Major merges double as **snapshots**: the merger's
+//!    rebuilt pairs are serialized, fsynced, atomically renamed, and
+//!    the WAL truncates to the residual delta.
 //!    [`ShardedStore::recover`](store::ShardedStore::recover) reloads
 //!    newest-valid-snapshot + WAL-tail replay per shard, discarding
 //!    torn or bit-flipped tails by CRC — see [`isi_durable`] for the

@@ -433,8 +433,9 @@ pub struct ServeStats {
     /// (`engine.lookups` counts only residual keys — the batch minus
     /// `delta_hits`).
     pub engine: RunStats,
-    /// Delta-to-main merges performed by the store since build (both
-    /// modes).
+    /// Merges the store has published since build, minor (run stack
+    /// into the mid tier) and major (mid tier into the main), both
+    /// modes.
     pub merges: u64,
     /// Merges performed by the store's background merger thread
     /// (= `merges` in background mode, 0 in foreground mode).
@@ -444,8 +445,9 @@ pub struct ServeStats {
     pub merge_backlog: u64,
     /// Merge wall latency (nanoseconds).
     pub merge_latency: LatencyHist,
-    /// Current delta entries across all shards of the store (run
-    /// lengths summed — an upper bound on distinct overridden keys).
+    /// Current delta entries above the mid tiers, across all shards
+    /// of the store (run lengths summed — an upper bound on the
+    /// distinct keys they override).
     pub delta_keys: u64,
     /// Delta runs the store's write path published since build (one
     /// per effective shard sub-run of a write run).

@@ -10,12 +10,12 @@
 //!   **chained hash table** ([`isi_hash::HashShard`], Section 6 probe
 //!   coroutines) — probed in bulk through the morsel-parallel
 //!   interleaved engine and scanned in key order;
-//! * the **delta** is a small **stack of immutable sorted runs** of
+//! * the **delta** is a **stack of immutable sorted runs** of
 //!   `(key, Option<value>)` overrides (`None` = tombstone) with
 //!   last-write-wins semantics — each write run is sorted once and
 //!   pushed as one shared run, reads resolve newest-run-first, and
-//!   the stack folds into a single run past
-//!   [`StoreConfig::max_runs`].
+//!   the runs above the bottom one (the mid tier, below) fold into a
+//!   single run past [`StoreConfig::max_runs`].
 //!
 //! **Reads are planned.** A batch is first resolved against the delta
 //! into a [`BatchPlan`](crate::plan::BatchPlan): delta-decided keys
@@ -25,27 +25,37 @@
 //! scan with the sorted delta run, overrides winning and tombstones
 //! eliding their keys.
 //!
-//! **Maintenance is decoupled from serving.** Writes go to the delta;
-//! when a shard's delta reaches [`StoreConfig::merge_threshold`]
-//! entries, the writer *enqueues a merge job* and returns — a
-//! per-store **background merger thread** rebuilds that shard's main
-//! (via [`ShardBackend::rebuild`]) and publishes `(new main, residual
-//! delta)` through an [`EpochCell`] swap. The merge pins the runs it
-//! snapshotted (the write path folds only above them), so the
-//! residual is what was written meanwhile and nothing else. While the
-//! merge runs the delta keeps absorbing writes up to the hard
+//! **Maintenance is decoupled from serving, and its cost follows the
+//! delta.** Under the run stack each shard keeps a **mid tier**: one
+//! immutable sorted run of overrides (tombstones kept), the oldest run
+//! of the stack, so every read path above sees it as just that.
+//! Writes go to the runs above it; when those reach
+//! [`StoreConfig::merge_threshold`] entries, the writer *enqueues a
+//! merge job* and returns. The per-store **background merger thread**
+//! pins the stack and folds it into a fresh mid tier. Usually that is
+//! all — a **minor merge**: it publishes `(same main, new mid,
+//! residual runs)` through an [`EpochCell`] swap, O(mid), no
+//! [`ShardBackend::pairs`], no rebuild, no file-system call (the WAL
+//! keeps its records). Only when the folded mid has reached
+//! `major_len` (a size worked out from the threshold and the main's
+//! length) does the same job go on to a **major merge**: rebuild the
+//! main (via [`ShardBackend::rebuild`]) with the mid folded in and its
+//! tombstones dropped, snapshot it when the store is durable, truncate
+//! the WAL to the residual, publish `(new main, no mid, residual
+//! runs)`. Either way the merge pins the runs it snapshotted (the
+//! write path folds only above them, and never the mid), so the
+//! residual is what was written meanwhile and nothing else. While a
+//! merge runs the stack keeps absorbing writes up to the hard
 //! [`StoreConfig::max_delta`] bound; writers to that shard block past
-//! it until the merger catches up. Before it comes to that, writers
-//! are *paced* for as long as the merger is busy: one threshold of
-//! entries per nominal merge, evenly spaced, which holds the deltas
-//! near the threshold and sets the sustained write rate by a clock
-//! (see `Pace`). Readers snapshot one
-//! `Arc<ShardVersion>` per operation, so they always see a
-//! *consistent* main+delta pair: an in-flight dispatch batch keeps
-//! reading the version it started on while a merge publishes the next
-//! one, and a merge can never tear a read (the swap is a single
-//! pointer store). [`MergeMode::Foreground`] retains the old inline
-//! behavior (the triggering write performs the rebuild) for A/B
+//! it until the merger catches up. A merger that panics fails the
+//! store closed: writers and [`ShardedStore::quiesce`] panic with
+//! "merger failed", none waits for a merge that will not come.
+//! Readers snapshot one `Arc<ShardVersion>` per operation, so they
+//! always see a *consistent* main+delta pair: an in-flight dispatch
+//! batch keeps reading the version it started on while a merge
+//! publishes the next one, and a merge can never tear a read (the
+//! swap is a single pointer store). [`MergeMode::Foreground`] runs the
+//! same merge routine inline in the triggering write, for A/B
 //! comparison and deterministic tests.
 //!
 //! Shard routing uses the *top* bits of the key's Fibonacci hash. The
@@ -59,9 +69,8 @@ use std::collections::VecDeque;
 use std::io;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
-use std::time::Duration;
 
 use isi_core::backend::ShardBackend;
 use isi_core::epoch::EpochCell;
@@ -126,33 +135,38 @@ pub enum MergeMode {
     /// immediately; the delta keeps absorbing writes up to
     /// [`StoreConfig::max_delta`] while the merge is in flight.
     Background,
-    /// The pre-refactor behavior: the threshold-crossing write
-    /// performs the rebuild inline (its latency absorbs the merge).
-    /// Kept for A/B benchmarking and deterministic tests.
+    /// The threshold-crossing write performs the merge inline (its
+    /// latency absorbs it) and publishes the merged version in the
+    /// same swap. Kept for A/B benchmarking and deterministic tests.
     Foreground,
 }
 
 /// Store tuning knobs.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StoreConfig {
-    /// Delta entries (upserts + tombstones) in one shard that trigger
-    /// a merge of that shard. `1` requests a merge on every write;
-    /// large values batch more writes per rebuild at the cost of a
-    /// larger overlay on the read path. In background mode it is also
-    /// what the store admits per nominal merge while the merger is
-    /// busy, so it sets the sustained write rate.
+    /// Entries (upserts + tombstones) in one shard's run stack, the
+    /// mid tier not counted, that trigger a merge of that shard. `1`
+    /// requests a merge on every write. A merge folds the stack into
+    /// the mid tier, which costs what the mid holds; the mid in turn
+    /// is folded into the main once it holds `major_len` entries
+    /// (`max(merge_threshold, √(merge_threshold · main length))`), so
+    /// a larger threshold means fewer merges of both kinds, a longer
+    /// overlay on the read path, and more to replay: recovery reads
+    /// back at most a mid tier plus a residual of WAL records.
     pub merge_threshold: usize,
-    /// Hard per-shard delta bound in [`MergeMode::Background`]:
-    /// writers to a shard whose delta holds this many entries block
-    /// until the merger drains it: the room for bursts, and for a
-    /// merger slower than the pace assumes. Must be ≥ `merge_threshold`.
-    /// Irrelevant in foreground mode (the delta never outlives the
+    /// Hard per-shard bound on the same count in
+    /// [`MergeMode::Background`]: writers to a shard whose run stack
+    /// above the mid tier holds this many entries block until the
+    /// merger has folded it — the room for bursts, and for the
+    /// occasional major merge. Must be ≥ `merge_threshold`.
+    /// Irrelevant in foreground mode (the stack never outlives the
     /// triggering write).
     pub max_delta: usize,
     /// Where merges run.
     pub merge_mode: MergeMode,
-    /// Published delta runs a shard may stack before the write path
-    /// folds them into one (the fold is amortized O(delta) total).
+    /// Published delta runs a shard may stack above the mid tier
+    /// before the write path folds them into one (the fold is
+    /// amortized O(threshold) total and never touches the mid).
     /// `1` restores a single always-folded run (every write pays the
     /// fold); `usize::MAX` never folds outside merges. Must be ≥ 1.
     pub max_runs: usize,
@@ -221,17 +235,27 @@ type DeltaRun = Arc<[(u64, Option<u64>)]>;
 /// only the small `Vec` of `Arc` handles, never the entries — prior
 /// runs are shared, which is what kills the old per-write
 /// clone-the-whole-delta quadratic. Reads consult runs newest-first.
-/// When the stack exceeds [`StoreConfig::max_runs`] the write path
-/// folds it into a single run (amortized O(delta) total, not
-/// per-write).
+///
+/// The bottom run may be the shard's **mid tier**: what the merges
+/// since the last major one have folded the stack into. To a read it
+/// is the oldest run and nothing more; to the write side it is not
+/// part of the count: [`len`](Self::len), the threshold, the
+/// `max_delta` bound, `max_runs` and the write-path fold all concern
+/// the runs *above* it. When those exceed [`StoreConfig::max_runs`]
+/// the write path folds them into a single run (amortized
+/// O(threshold) total, not per-write) and leaves the mid where it is:
+/// a fold that took it along would copy it every few writes.
 #[derive(Clone, Default)]
 struct Delta {
     /// Override runs, oldest first / newest last.
     runs: Vec<DeltaRun>,
-    /// Sum of run lengths — an upper bound on distinct overridden
-    /// keys (a key rewritten in a newer run counts twice until a fold
-    /// collapses it). Threshold and backpressure checks use this
-    /// conservative count; folds and merges restore exactness.
+    /// `runs[0]` is the mid tier.
+    mid: bool,
+    /// Sum of the lengths of the runs above the mid tier — an upper
+    /// bound on the distinct keys they override (a key rewritten in a
+    /// newer run counts twice until a fold collapses it). Threshold
+    /// and backpressure checks use this conservative count; folds and
+    /// merges restore exactness.
     entries: usize,
 }
 
@@ -247,16 +271,22 @@ impl Delta {
         })
     }
 
-    /// Wrap one already-sorted, duplicate-free run (empty input → the
-    /// empty delta). The count is exact by construction.
-    fn from_sorted(entries: Vec<(u64, Option<u64>)>) -> Self {
-        if entries.is_empty() {
-            return Self::default();
+    /// The stack a merge publishes: `mid` as the mid tier and `above`
+    /// as the one run on top of it, each already sorted and
+    /// duplicate-free, each left out when empty. The count is exact
+    /// by construction.
+    fn tiers(mid: Vec<(u64, Option<u64>)>, above: Vec<(u64, Option<u64>)>) -> Self {
+        let mut delta = Self {
+            mid: !mid.is_empty(),
+            entries: above.len(),
+            runs: Vec::new(),
+        };
+        for run in [mid, above] {
+            if !run.is_empty() {
+                delta.runs.push(run.into());
+            }
         }
-        Self {
-            entries: entries.len(),
-            runs: vec![entries.into()],
-        }
+        delta
     }
 
     /// Cheap copy sharing every immutable run: O(runs) `Arc` handle
@@ -274,32 +304,50 @@ impl Delta {
         self.runs.push(run);
     }
 
-    /// Replace the runs above the oldest `keep` by their fold (one
-    /// run, newest winning each key); the oldest `keep` runs stay as
-    /// they are. `keep = 0` folds the whole stack.
-    fn fold_above(&mut self, keep: usize) {
-        let top = Delta {
-            runs: self.runs.split_off(keep),
-            entries: 0,
-        }
-        .fold();
-        self.entries = self.runs.iter().map(|r| r.len()).sum::<usize>() + top.len();
-        if !top.is_empty() {
-            self.runs.push(top.into());
+    /// How many runs at the bottom of the stack are the mid tier (0
+    /// or 1).
+    fn mid_runs(&self) -> usize {
+        self.mid as usize
+    }
+
+    /// Entries in the mid tier.
+    fn mid_len(&self) -> usize {
+        if self.mid {
+            self.runs[0].len()
+        } else {
+            0
         }
     }
 
-    /// Fold the whole stack into one sorted, duplicate-free run,
-    /// newest run winning each key. O(delta × runs) worst case; the
-    /// stack depth is bounded by [`StoreConfig::max_runs`].
+    /// Replace the runs above the oldest `keep` by their fold (one
+    /// run, newest winning each key); the oldest `keep` runs stay as
+    /// they are. The write path keeps the mid tier and what a merge
+    /// has pinned.
+    fn fold_above(&mut self, keep: usize) {
+        let top = Delta {
+            runs: self.runs.split_off(keep),
+            ..Delta::default()
+        }
+        .fold();
+        if !top.is_empty() {
+            self.runs.push(top.into());
+        }
+        self.entries = self.runs[self.mid_runs()..].iter().map(|r| r.len()).sum();
+    }
+
+    /// Fold the whole stack, mid tier included, into one sorted,
+    /// duplicate-free run, newest run winning each key. Works from the
+    /// newest run down, so the oldest run — the mid tier, which can be
+    /// as long as all the others together many times over — is walked
+    /// once: O(mid + above × runs).
     fn fold(&self) -> Vec<(u64, Option<u64>)> {
-        let mut it = self.runs.iter();
+        let mut it = self.runs.iter().rev();
         let mut acc: Vec<(u64, Option<u64>)> = match it.next() {
             Some(run) => run.to_vec(),
             None => return Vec::new(),
         };
         for run in it {
-            acc = merge_overrides(run, &acc);
+            acc = merge_overrides(&acc, run);
         }
         acc
     }
@@ -323,12 +371,14 @@ impl Delta {
         acc
     }
 
-    /// Number of overrides (upserts + tombstones), counted per run —
-    /// an upper bound on distinct overridden keys.
+    /// Number of overrides (upserts + tombstones) above the mid tier,
+    /// counted per run — an upper bound on the distinct keys they
+    /// override.
     fn len(&self) -> usize {
         self.entries
     }
 
+    /// No override at all, in the mid tier or above it.
     fn is_empty(&self) -> bool {
         self.runs.is_empty()
     }
@@ -350,12 +400,13 @@ struct WriteState {
     /// A merge job for this shard is queued or running; gates
     /// duplicate enqueues.
     pending: bool,
-    /// How many of the published stack's oldest runs the merge in
-    /// flight has pinned (0 = no merge in flight). The write path
-    /// folds only the runs above them: a fold across the cut would
-    /// replace the pinned runs by a fresh one, and the merge's
-    /// identity residual would then keep every entry it has just
-    /// merged — a merge that drains nothing.
+    /// How many of the published stack's oldest runs above the mid
+    /// tier the merge in flight has pinned (0 = no merge in flight;
+    /// the mid tier needs no pin, the write path never folds it). The
+    /// write path folds only the runs above them: a fold across the
+    /// cut would replace the pinned runs by a fresh one, and the
+    /// merge's identity residual would then keep every entry it has
+    /// just merged — a merge that drains nothing.
     pinned: usize,
     /// Sequence of the last WAL record appended for this shard (0 =
     /// none since the covering snapshot at build). Monotone; holding
@@ -368,14 +419,18 @@ struct WriteState {
 /// [`Obs`] so monitoring reads ([`ShardedStore::merges`] and friends)
 /// are lock-free snapshots that never wait behind a rebuild.
 /// Registration order is the ≤ side of each invariant first
-/// (`bg_merges` before `merges`, `compactions` before `delta_runs`)
-/// and every bump hits the ≥ side first, so `bg_merges ≤ merges` and
-/// `compactions ≤ delta_runs` hold in *every* snapshot (the registry's
-/// coherence contract). Merge wall latency lands in the shard's
-/// [`Stage::Merge`] histogram.
+/// (`bg_merges` and `major_merges` before `merges`, `compactions`
+/// before `delta_runs`) and every bump hits the ≥ side first, so
+/// `bg_merges ≤ merges`, `major_merges ≤ merges` and `compactions ≤
+/// delta_runs` hold in *every* snapshot (the registry's coherence
+/// contract). Merge wall latency, minor and major alike, lands in the
+/// shard's [`Stage::Merge`] histogram.
 struct MergeCounters {
+    /// Merges published, of either kind.
     merges: Counter,
     bg_merges: Counter,
+    /// Those of them that rebuilt the main.
+    major_merges: Counter,
     /// Delta runs published by the write path (one per effective
     /// shard sub-run).
     delta_runs: Counter,
@@ -403,70 +458,6 @@ struct MergeQueue {
     in_flight: bool,
     /// Set by `Drop`: finish the queue, then exit.
     shutdown: bool,
-    /// Paces writers while the merger is behind.
-    pace: Pace,
-}
-
-/// Write pacing while the merger is busy: the store then admits one
-/// [`StoreConfig::merge_threshold`] of entries per *nominal* merge,
-/// evenly spaced, so under sustained load the deltas sit near the
-/// threshold and a writer waits a fraction of a millisecond at a
-/// time. Left alone, a writer faster than the merger fills every
-/// delta to [`StoreConfig::max_delta`] and then stops there for whole
-/// merges, at a rate that follows the disk and the timing of the
-/// merges: ±10 % from one run to the next on the box this was
-/// written on, against ±1 % paced.
-///
-/// A merge costs the same whatever it folds, so there is no rate the
-/// merger "keeps up with": the pace decides where the deltas sit, and
-/// the threshold is what the configuration asked for (raise it to buy
-/// write throughput with a larger overlay). The nominal merge is a
-/// cost model, so many nanoseconds per stored pair of the shard
-/// ([`Pace::REBUILD_NS_PER_PAIR`], [`Pace::SNAPSHOT_NS_PER_PAIR`]),
-/// not a measurement: measured merges move by ±10 % between
-/// two stores of one process, and a pace that followed them moved
-/// the write rate as much. A merger slower than nominal lets the
-/// deltas float up (four times, before `max_delta` stops writers as
-/// it always did); a faster one idles.
-#[derive(Default)]
-struct Pace {
-    /// When the next entry may be admitted ([`SpanTimer`] timebase).
-    next_ns: u64,
-    /// Pacing stays on until then: a merger that has just gone idle
-    /// is about to be handed the next threshold crossing.
-    hold_ns: u64,
-}
-
-impl Pace {
-    /// Rebuilding one shard (read its pairs back, merge the delta in,
-    /// build the index), per pair it holds: 33 ns on a 2.1 GHz Xeon
-    /// core for a CSB+-tree of 2^21.
-    const REBUILD_NS_PER_PAIR: u64 = 35;
-    /// Encoding, writing, syncing and committing its snapshot on top
-    /// of that, when the store is durable: merges of that shard took
-    /// 85–115 ns per pair in all, on ext4 on a virtual disk.
-    const SNAPSHOT_NS_PER_PAIR: u64 = 65;
-
-    /// The merger went idle at `now` after a shard whose nominal
-    /// merge takes `merge_ns`.
-    fn merge_done(&mut self, now: u64, merge_ns: u64) {
-        self.hold_ns = now + merge_ns;
-    }
-
-    /// Book `slot_ns` of the pace at `now` for a writer (its entries'
-    /// share of a nominal merge of `merge_ns`) and return how long it
-    /// has to wait first; nothing while the merger is idle. Slots
-    /// follow the previous booking, not `now`, so a writer that was
-    /// held up elsewhere (an fsync behind a snapshot, the publish's
-    /// lock hold) catches up, by at most a quarter of a merge.
-    fn admit(&mut self, now: u64, busy: bool, slot_ns: u64, merge_ns: u64) -> u64 {
-        if !busy && now >= self.hold_ns {
-            return 0;
-        }
-        let start = self.next_ns.max(now.saturating_sub(merge_ns / 4));
-        self.next_ns = start + slot_ns;
-        start.saturating_sub(now)
-    }
 }
 
 /// The store's attached durability layer: the file system holding the
@@ -616,6 +607,10 @@ struct StoreInner {
     /// Per-shard merge counters registered in `obs` (see
     /// [`MergeCounters`]).
     merge_counters: Vec<MergeCounters>,
+    /// `store_merger_failed`: nonzero once the merger thread has
+    /// panicked. No merge will run again, so the store takes no more
+    /// writes (see [`StoreInner::merger_loop`]).
+    merger_failed: Counter,
 }
 
 /// Reusable scratch for [`ShardedStore::lookup_batch`]: rank space for
@@ -774,7 +769,8 @@ impl ShardedStore {
 
     /// Reload the durable store in [`StoreConfig::wal_dir`]: per
     /// shard, the newest valid snapshot plus a replay of the WAL tail
-    /// into the delta. Torn or corrupt WAL tails are repaired (cleanly
+    /// into the mid tier (a tail that is due for a major merge gets
+    /// it at once). Torn or corrupt WAL tails are repaired (cleanly
     /// discarded), stale snapshots and temp files deleted. The shard
     /// count comes from the store's meta file, not from `cfg`.
     ///
@@ -809,20 +805,22 @@ impl ShardedStore {
             let rec = durable::recover_shard(&*fs, si)?;
             // Replay the WAL tail in append order into one folded run
             // (records replay absolute upserts, later records win).
+            // The log holds what the minor merges since the last
+            // snapshot folded plus a residual, so the run is that
+            // snapshot's mid tier again.
             let mut tail: Vec<(u64, Option<u64>)> = Vec::new();
             for record in &rec.tail {
                 tail.extend_from_slice(&record.ops);
             }
             sort_lww(&mut tail);
-            live += merge_pairs(&rec.pairs, &tail).len();
-            let delta = Delta::from_sorted(tail);
-            if delta.len() >= cfg.merge_threshold {
+            live += merged_len(&rec.pairs, &tail);
+            if tail.len() >= major_len(cfg.merge_threshold, rec.pairs.len()) {
                 refill.push(si);
             }
             shards.push(Shard {
                 version: EpochCell::new(ShardVersion {
                     main: backend.build_shard(&rec.pairs),
-                    delta,
+                    delta: Delta::tiers(tail, Vec::new()),
                 }),
                 write: Mutex::new(WriteState {
                     wal_seq: rec.next_seq,
@@ -832,15 +830,15 @@ impl ShardedStore {
             });
         }
         let store = Self::assemble(shard_bits, cfg, shards, live, Some(fs));
-        // Shards whose replayed delta already crossed the threshold
-        // get their merge queued now rather than on the next write.
-        if store.inner.cfg.merge_mode == MergeMode::Background {
-            for si in refill {
-                let mut w = store.inner.shards[si].write.plock("shard write state");
-                w.pending = true;
-                let mut q = store.inner.merge_q.plock("merge queue");
-                q.queue.push_back(si);
-                store.inner.merge_work.notify_one();
+        // Shards whose replayed mid tier is already due for a major
+        // merge get it now rather than a threshold of writes later.
+        for si in refill {
+            match store.inner.cfg.merge_mode {
+                MergeMode::Background => {
+                    let mut w = store.inner.shards[si].write.plock("shard write state");
+                    store.inner.request_merge(si, &mut w);
+                }
+                MergeMode::Foreground => store.inner.merge_shard(si),
             }
         }
         Ok(store)
@@ -867,8 +865,8 @@ impl ShardedStore {
         let merge_mode = cfg.merge_mode;
         let obs = Obs::new("store", shards.len());
         // Coherent-snapshot registration order: the ≤ side of each
-        // invariant first (wal_syncs ≤ wal_records, bg_merges ≤
-        // merges); see the isi_obs registry docs.
+        // invariant first (wal_syncs ≤ wal_records, bg_merges and
+        // major_merges ≤ merges); see the isi_obs registry docs.
         let durable = fs.map(|fs| {
             let wal_syncs = obs.registry().counter("store_wal_syncs", &[]);
             let wal_records = obs.registry().counter("store_wal_records", &[]);
@@ -884,17 +882,20 @@ impl ShardedStore {
                 let shard = si.to_string();
                 let labels = [("shard", shard.as_str())];
                 let bg_merges = obs.registry().counter("store_bg_merges", &labels);
+                let major_merges = obs.registry().counter("store_major_merges", &labels);
                 let merges = obs.registry().counter("store_merges", &labels);
                 let compactions = obs.registry().counter("store_compactions", &labels);
                 let delta_runs = obs.registry().counter("store_delta_runs", &labels);
                 MergeCounters {
                     merges,
                     bg_merges,
+                    major_merges,
                     delta_runs,
                     compactions,
                 }
             })
             .collect();
+        let merger_failed = obs.registry().counter("store_merger_failed", &[]);
         let inner = Arc::new(StoreInner {
             shard_bits,
             cfg,
@@ -906,6 +907,7 @@ impl ShardedStore {
             merge_done: Condvar::new(),
             obs,
             merge_counters,
+            merger_failed,
         });
         let merger = (merge_mode == MergeMode::Background).then(|| {
             let inner = Arc::clone(&inner);
@@ -973,8 +975,9 @@ impl ShardedStore {
         shard_route(key, self.inner.shard_bits)
     }
 
-    /// Current delta entries across all shards (each `< merge_threshold`
-    /// per shard once [`quiesce`](Self::quiesce)d).
+    /// Current delta entries above the mid tiers, across all shards
+    /// (each `< merge_threshold` per shard once
+    /// [`quiesce`](Self::quiesce)d).
     pub fn delta_len(&self) -> usize {
         self.inner
             .shards
@@ -983,9 +986,27 @@ impl ShardedStore {
             .sum()
     }
 
-    /// Merges performed since build, across all shards (both modes).
+    /// Current mid-tier entries across all shards: what minor merges
+    /// have folded since each shard's last major merge (each below
+    /// that shard's major-merge size once [`quiesce`](Self::quiesce)d).
+    pub fn mid_len(&self) -> usize {
+        self.inner
+            .shards
+            .iter()
+            .map(|s| s.version.load().delta.mid_len())
+            .sum()
+    }
+
+    /// Merges published since build, minor and major, across all
+    /// shards (both modes).
     pub fn merges(&self) -> u64 {
         self.inner.obs.snapshot().counter_sum("store_merges")
+    }
+
+    /// Those of the [`merges`](Self::merges) that were major: rebuilt
+    /// a shard's main, snapshotted it and truncated its WAL.
+    pub fn major_merges(&self) -> u64 {
+        self.inner.obs.snapshot().counter_sum("store_major_merges")
     }
 
     /// Merges performed by the background merger thread (≤
@@ -1027,7 +1048,7 @@ impl ShardedStore {
 
     /// Version-swap count of `shard` (one per write, since every write
     /// publishes a new version; background merges add one more swap
-    /// each when they publish the rebuilt main).
+    /// each when they publish).
     pub fn shard_epoch(&self, shard: usize) -> u64 {
         self.inner.shards[shard].version.epoch()
     }
@@ -1037,9 +1058,21 @@ impl ShardedStore {
     /// racing `quiesce` can enqueue more work; this waits for the
     /// queue observed drain, which is the fixpoint once writers stop.
     /// Returns immediately in foreground mode.
+    ///
+    /// # Panics
+    /// Panics with "merger failed" if the merger thread has panicked:
+    /// the queue will never drain.
     pub fn quiesce(&self) {
         let mut q = self.inner.merge_q.plock("merge queue");
-        while !q.queue.is_empty() || q.in_flight {
+        loop {
+            if self.inner.merger_failed.get() > 0 {
+                // Release first: a rejection poisons no lock.
+                drop(q);
+                panic!("merger failed: queued merges will never be published");
+            }
+            if q.queue.is_empty() && !q.in_flight {
+                return;
+            }
             q = self.inner.merge_done.pwait(q, "merge queue (drain)");
         }
     }
@@ -1132,7 +1165,7 @@ impl ShardedStore {
     /// The shared write path: apply `ops[idxs]` (all routed to `si`)
     /// to the shard's delta and publish one new version. At
     /// `merge_threshold` the run requests maintenance — a job for the
-    /// background merger, or an inline rebuild in foreground mode. In
+    /// background merger, or an inline merge in foreground mode. In
     /// background mode the run blocks only when the shard's delta has
     /// hit the hard `max_delta` bound. With durability on, the run's
     /// WAL record is appended and fsynced *before* the publish.
@@ -1145,31 +1178,37 @@ impl ShardedStore {
     ) {
         let inner = &*self.inner;
         let shard = &inner.shards[si];
-        if inner.cfg.merge_mode == MergeMode::Background {
-            inner.pace_writer(si, idxs.len());
-        }
         let mut w = shard.write.plock("shard write state");
-        if inner.cfg.merge_mode == MergeMode::Background
-            && shard.version.load().delta.len() >= inner.cfg.max_delta
-        {
+        if inner.cfg.merge_mode == MergeMode::Background {
             // Hard bound: past max_delta this shard's writers wait for
-            // the merger (which never needs this lock to make
-            // progress... it does take it to publish, but we release
-            // it while waiting on the condvar). A run may overshoot
-            // the bound by its own length — bounded by the dispatcher
-            // batch size.
+            // the merger (which takes this lock to pin and to publish,
+            // but we release it while waiting on the condvar). A run
+            // may overshoot the bound by its own length — bounded by
+            // the dispatcher batch size.
             let t = SpanTimer::start();
-            while shard.version.load().delta.len() >= inner.cfg.max_delta {
+            let mut waited = false;
+            loop {
+                if inner.merger_failed.get() > 0 {
+                    // Release first: a rejection poisons no lock.
+                    drop(w);
+                    panic!("merger failed: shard {si} takes no more writes");
+                }
+                if shard.version.load().delta.len() < inner.cfg.max_delta {
+                    break;
+                }
+                waited = true;
                 w = shard
                     .delta_space
                     .pwait(w, "shard write state (delta backpressure)");
             }
-            let dur = t.elapsed_ns();
-            inner.obs.record_stage(si, Stage::Backpressure, dur);
-            inner
-                .obs
-                .trace()
-                .emit(si, TraceKind::Backpressure, t.start_ns(), dur, 1, 0);
+            if waited {
+                let dur = t.elapsed_ns();
+                inner.obs.record_stage(si, Stage::Backpressure, dur);
+                inner
+                    .obs
+                    .trace()
+                    .emit(si, TraceKind::Backpressure, t.start_ns(), dur, 1, 0);
+            }
         }
         let cur = shard.version.load();
         // Build this sub-run as its own sorted run instead of cloning
@@ -1233,59 +1272,30 @@ impl ShardedStore {
         // compactions first), so compactions ≤ delta_runs in every
         // snapshot.
         counters.delta_runs.inc();
-        if delta.runs.len() - w.pinned > inner.cfg.max_runs {
-            delta.fold_above(w.pinned);
+        // The fold starts above the mid tier and above what a merge
+        // has pinned.
+        let keep = delta.mid_runs() + w.pinned;
+        if delta.runs.len() - keep > inner.cfg.max_runs {
+            delta.fold_above(keep);
             counters.compactions.inc();
         }
         let crossed = delta.len() >= inner.cfg.merge_threshold;
-        match inner.cfg.merge_mode {
-            MergeMode::Background => {
-                shard.version.store(Arc::new(ShardVersion {
-                    main: Arc::clone(&cur.main),
-                    delta,
-                }));
-                if crossed && !w.pending {
-                    w.pending = true;
-                    let mut q = inner.merge_q.plock("merge queue");
-                    q.queue.push_back(si);
-                    inner.merge_work.notify_one();
-                }
-            }
-            MergeMode::Foreground if crossed => {
-                // Inline merge: rebuild this shard's main from
-                // main+delta and publish (new main, empty delta) in
-                // one epoch swap. The shard write lock is held
-                // throughout, so only same-shard *writers* wait. The
-                // snapshot covers every record up to wal_seq, so the
-                // WAL truncates to empty.
-                let t0 = SpanTimer::start();
-                let folded = delta.len() as u64;
-                inner
-                    .obs
-                    .trace()
-                    .emit(si, TraceKind::MergeStart, t0.start_ns(), 0, folded, 0);
-                let merged = merge_pairs(&cur.main.pairs(), &delta.fold());
-                if let Some(d) = &inner.durable {
-                    let tmp = d.stage_snapshot(si, w.wal_seq, &merged);
-                    d.commit_and_truncate(si, w.wal_seq, &tmp, w.wal_seq, &[]);
-                }
-                shard.version.store(Arc::new(ShardVersion {
-                    main: cur.main.rebuild(&merged),
-                    delta: Delta::default(),
-                }));
-                let dur = t0.elapsed_ns();
-                counters.merges.inc();
-                inner.obs.record_stage(si, Stage::Merge, dur);
-                inner
-                    .obs
-                    .trace()
-                    .emit(si, TraceKind::MergePublish, t0.start_ns(), dur, folded, 0);
-            }
-            MergeMode::Foreground => {
-                shard.version.store(Arc::new(ShardVersion {
-                    main: Arc::clone(&cur.main),
-                    delta,
-                }));
+        if crossed && inner.cfg.merge_mode == MergeMode::Foreground {
+            // Inline merge of the stack this write completes: the
+            // merger's routine, under the shard write lock throughout
+            // (so only same-shard *writers* wait, and nothing lands
+            // meanwhile: the residual is empty), published with the
+            // write in one epoch swap.
+            let t0 = SpanTimer::start();
+            let folded = inner.fold_pinned(si, &cur.main, &delta, w.wal_seq, t0);
+            inner.publish_merge(si, &mut w, &delta, &delta, folded, t0);
+        } else {
+            shard.version.store(Arc::new(ShardVersion {
+                main: Arc::clone(&cur.main),
+                delta,
+            }));
+            if crossed && !w.pending {
+                inner.request_merge(si, &mut w);
             }
         }
         match live_delta.cmp(&0) {
@@ -1437,7 +1447,12 @@ impl Drop for ShardedStore {
                 q.shutdown = true;
                 self.inner.merge_work.notify_all();
             }
-            handle.join().expect("merger thread panicked");
+            let joined = handle.join();
+            // Re-raising the merger's panic while this thread already
+            // unwinds would abort the process.
+            if !std::thread::panicking() {
+                joined.expect("merger thread panicked");
+            }
         }
         // Clean-shutdown durability: flush every WAL so even
         // FsyncMode::Off loses nothing on an orderly exit (only on a
@@ -1451,40 +1466,69 @@ impl Drop for ShardedStore {
     }
 }
 
-impl StoreInner {
-    /// What the pace charges for one merge of shard `si` (see [`Pace`]).
-    fn nominal_merge_ns(&self, si: usize) -> u64 {
-        let per_pair = match self.durable {
-            Some(_) => Pace::REBUILD_NS_PER_PAIR + Pace::SNAPSHOT_NS_PER_PAIR,
-            None => Pace::REBUILD_NS_PER_PAIR,
-        };
-        self.shards[si].version.load().main.len() as u64 * per_pair
-    }
+/// What the long half of a merge made of the stack it pinned (see
+/// [`StoreInner::fold_pinned`]).
+struct Folded {
+    /// The shard's next main: the pinned version's own after a minor
+    /// merge, the rebuilt one after a major.
+    main: Arc<dyn ShardBackend>,
+    /// The shard's next mid tier: the fold of the pinned stack after a
+    /// minor merge, empty after a major one (it went into the main).
+    mid: Vec<(u64, Option<u64>)>,
+    /// A durable major merge's staged snapshot: the WAL sequence it
+    /// covers and its temp file.
+    staged: Option<(u64, String)>,
+    major: bool,
+}
 
-    /// Hold a writer of `entries` to shard `si` back to the pace (see
-    /// [`Pace`]); a no-op while the merger is idle.
-    fn pace_writer(&self, si: usize, entries: usize) {
-        let merge_ns = self.nominal_merge_ns(si);
-        let slot_ns = merge_ns * entries as u64 / self.cfg.merge_threshold as u64;
-        let t = SpanTimer::start();
-        let wait = {
-            let mut q = self.merge_q.plock("merge queue");
-            let busy = q.in_flight || !q.queue.is_empty();
-            q.pace.admit(t.start_ns(), busy, slot_ns, merge_ns)
-        };
-        if wait > 0 {
-            std::thread::sleep(Duration::from_nanos(wait));
-            let dur = t.elapsed_ns();
-            self.obs.record_stage(si, Stage::Backpressure, dur);
-            self.obs
-                .trace()
-                .emit(si, TraceKind::Backpressure, t.start_ns(), dur, 1, 0);
+/// Marks the store failed if the merger thread unwinds out of its loop
+/// (a merge panicked: a snapshot on a full disk, say) and wakes
+/// everyone who waits for a merge — [`ShardedStore::quiesce`] on
+/// `merge_done`, writers at `max_delta` on their shard's
+/// `delta_space` — so that they panic instead of waiting for good.
+struct FailClosed<'a>(&'a StoreInner);
+
+impl Drop for FailClosed<'_> {
+    fn drop(&mut self) {
+        if !std::thread::panicking() {
+            return;
         }
+        let inner = self.0;
+        inner.merger_failed.inc();
+        // This runs during an unwind, where a second panic would abort
+        // the process, and it only fails the store closed — the right
+        // end for a state the merge left mid-protocol too. So it
+        // ignores poison (the exception `isi_core::sync` names). Each
+        // lock is taken once before its condvar is notified: a waiter
+        // that read the counter before the bump is parked by then.
+        let mut q = inner.merge_q.lock().unwrap_or_else(PoisonError::into_inner);
+        q.in_flight = false;
+        drop(q);
+        inner.merge_done.notify_all();
+        for shard in &inner.shards {
+            drop(shard.write.lock().unwrap_or_else(PoisonError::into_inner));
+            shard.delta_space.notify_all();
+        }
+    }
+}
+
+impl StoreInner {
+    /// Queue a merge of shard `si` for the background merger. Caller
+    /// holds the shard's write lock (`w`) and knows no other job for
+    /// the shard is queued: `pending` was clear, or the caller is the
+    /// job.
+    fn request_merge(&self, si: usize, w: &mut WriteState) {
+        w.pending = true;
+        let mut q = self.merge_q.plock("merge queue");
+        q.queue.push_back(si);
+        self.merge_work.notify_one();
     }
 
     /// The background merger: drain merge jobs until shutdown (then
-    /// finish what is queued and exit).
+    /// finish what is queued and exit). A merge that panics takes the
+    /// thread with it; [`FailClosed`] then fails the store closed.
     fn merger_loop(&self) {
+        let _fail_closed = FailClosed(self);
         loop {
             let si = {
                 let mut q = self.merge_q.plock("merge queue");
@@ -1500,34 +1544,32 @@ impl StoreInner {
                 }
             };
             self.merge_shard(si);
-            let merge_ns = self.nominal_merge_ns(si);
             let mut q = self.merge_q.plock("merge queue");
-            q.pace.merge_done(isi_obs::now_ns(), merge_ns);
             q.in_flight = false;
             self.merge_done.notify_all();
         }
     }
 
-    /// Merge one shard: rebuild its main from a snapshot, then publish
-    /// `(new main, residual delta)` — the writes that landed during
-    /// the rebuild survive as the residual. With durability on, the
-    /// merged pairs become the shard's on-disk snapshot and the WAL is
-    /// truncated down to the residual.
+    /// One merge job for shard `si`: pin its stack, fold it off the
+    /// write lock ([`fold_pinned`](Self::fold_pinned)), publish under
+    /// it ([`publish_merge`](Self::publish_merge)) — the writes that
+    /// landed meanwhile survive as the residual.
     fn merge_shard(&self, si: usize) {
         let shard = &self.shards[si];
         let t0 = SpanTimer::start();
-        // Snapshot outside the write lock: the rebuild is the long
-        // part, and writers must keep landing in the delta meanwhile.
-        // The brief lock pins (version, wal_seq) to a consistent cut —
-        // every record with seq ≤ seq0 is reflected in v0 (records
-        // append and publish in order under this lock), so a snapshot
-        // of v0 stamped seq0 over-covers nothing. Replay may *re*-apply
-        // a record that raced in between the two loads; replay upserts
-        // are absolute, so over-replay is idempotent.
+        // Snapshot outside the write lock: the fold (and a major
+        // merge's rebuild) is the long part, and writers must keep
+        // landing in the delta meanwhile. The brief lock pins
+        // (version, wal_seq) to a consistent cut — every record with
+        // seq ≤ seq0 is reflected in v0 (records append and publish in
+        // order under this lock), so a snapshot of v0 stamped seq0
+        // over-covers nothing. Replay may *re*-apply a record that
+        // raced in between the two loads; replay upserts are absolute,
+        // so over-replay is idempotent.
         let (v0, seq0) = {
             let mut w = shard.write.plock("shard write state");
             let v0 = shard.version.load();
-            w.pinned = v0.delta.runs.len();
+            w.pinned = v0.delta.runs.len() - v0.delta.mid_runs();
             (v0, w.wal_seq)
         };
         if v0.delta.is_empty() {
@@ -1536,61 +1578,128 @@ impl StoreInner {
             shard.delta_space.notify_all();
             return;
         }
+        let folded = self.fold_pinned(si, &v0.main, &v0.delta, seq0, t0);
+        let mut w = shard.write.plock("shard write state");
+        let cur = shard.version.load();
+        let residual_len = self.publish_merge(si, &mut w, &v0.delta, &cur.delta, folded, t0);
+        if residual_len >= self.cfg.merge_threshold {
+            // Still over threshold (writers were busy): merge again.
+            // `pending` stays true to keep gating duplicate enqueues.
+            self.request_merge(si, &mut w);
+        } else {
+            w.pending = false;
+        }
+        shard.delta_space.notify_all();
+    }
+
+    /// The long half of a merge of shard `si`, which needs no lock:
+    /// fold the `pinned` stack (mid tier and runs) over `main` into
+    /// the shard's next mid tier. That is a **minor merge**, and the
+    /// whole of it, while the fold stays short of
+    /// [`major_len`]; a fold that has reached it goes into the main
+    /// instead, a **major merge**: rebuild the main with the fold
+    /// applied (tombstones drop out here) and, with durability on,
+    /// stage the result as the shard's next snapshot, covering WAL
+    /// sequence `seq0`. The merger calls this off the write lock,
+    /// the foreground write path under it.
+    fn fold_pinned(
+        &self,
+        si: usize,
+        main: &Arc<dyn ShardBackend>,
+        pinned: &Delta,
+        seq0: u64,
+        t0: SpanTimer,
+    ) -> Folded {
+        let mid = pinned.fold();
+        let major = mid.len() >= major_len(self.cfg.merge_threshold, main.len());
         self.obs.trace().emit(
             si,
             TraceKind::MergeStart,
             t0.start_ns(),
             0,
-            v0.delta.len() as u64,
-            0,
+            pinned.len() as u64,
+            major as u64,
         );
-        let merged = merge_pairs(&v0.main.pairs(), &v0.delta.fold());
-        let main = v0.main.rebuild(&merged);
+        if !major {
+            return Folded {
+                main: Arc::clone(main),
+                mid,
+                staged: None,
+                major,
+            };
+        }
+        let merged = merge_pairs(&main.pairs(), &mid);
         // The bulky snapshot serialization also runs outside the write
         // lock; only the single merger thread touches the temp file.
         let staged = self
             .durable
             .as_ref()
-            .map(|d| d.stage_snapshot(si, seq0, &merged));
-        let mut w = shard.write.plock("shard write state");
-        let cur = shard.version.load();
+            .map(|d| (seq0, d.stage_snapshot(si, seq0, &merged)));
+        Folded {
+            main: main.rebuild(&merged),
+            mid: Vec::new(),
+            staged,
+            major,
+        }
+    }
+
+    /// The short half of a merge, under the shard's write lock (`w`):
+    /// publish `folded` — what [`fold_pinned`](Self::fold_pinned) made
+    /// of the `pinned` stack — with what `cur`, the stack as it stands
+    /// now, holds beyond that on top. A minor merge touches nothing
+    /// else; a durable major merge commits its snapshot and truncates
+    /// the WAL down to the residual first. Returns the residual's
+    /// length.
+    fn publish_merge(
+        &self,
+        si: usize,
+        w: &mut WriteState,
+        pinned: &Delta,
+        cur: &Delta,
+        folded: Folded,
+        t0: SpanTimer,
+    ) -> usize {
         // Residual by **run identity**: a run of the current stack is
-        // already reflected in the new main iff it is one of the runs
-        // the snapshot folded (runs are immutable and shared, so `Arc`
+        // already reflected in the fold iff it is one of the runs the
+        // merge pinned (runs are immutable and shared, so `Arc`
         // pointer equality decides membership). Runs pushed — or
-        // compacted into fresh runs — during the rebuild survive;
-        // their overrides are the per-key newest, so re-applying any
-        // snapshot-era override they carry on top of the new main is
+        // compacted into fresh runs — meanwhile survive; their
+        // overrides are the per-key newest, so re-applying any
+        // pinned-era override they carry on top of the fold is
         // idempotent. The surviving runs fold into one residual run,
         // making the published count exact again.
         let residual: Vec<(u64, Option<u64>)> = Delta {
-            entries: 0,
             runs: cur
-                .delta
                 .runs
                 .iter()
-                .filter(|r| !v0.delta.runs.iter().any(|r0| Arc::ptr_eq(r, r0)))
+                .filter(|r| !pinned.runs.iter().any(|r0| Arc::ptr_eq(r, r0)))
                 .cloned()
                 .collect(),
+            ..Delta::default()
         }
         .fold();
-        if let (Some(d), Some(tmp)) = (&self.durable, &staged) {
+        if let (Some(d), Some((seq0, tmp))) = (&self.durable, &folded.staged) {
             // Snapshot first, truncate second — and the WAL rewrite
             // holds the residual at the *current* frontier, so a
             // crash+recover replays exactly it on top of the snapshot.
-            d.commit_and_truncate(si, seq0, tmp, w.wal_seq, &residual);
+            d.commit_and_truncate(si, *seq0, tmp, w.wal_seq, &residual);
         }
         w.pinned = 0;
-        let rekick = residual.len() >= self.cfg.merge_threshold;
-        let residual_len = residual.len() as u64;
-        shard.version.store(Arc::new(ShardVersion {
-            main,
-            delta: Delta::from_sorted(residual),
+        let (mid_len, residual_len) = (folded.mid.len(), residual.len());
+        self.shards[si].version.store(Arc::new(ShardVersion {
+            main: folded.main,
+            delta: Delta::tiers(folded.mid, residual),
         }));
-        // `merges` before `bg_merges`: with bg_merges registered
-        // first, every snapshot sees bg_merges ≤ merges.
-        self.merge_counters[si].merges.inc();
-        self.merge_counters[si].bg_merges.inc();
+        // `merges` before `bg_merges` and `major_merges`: with those
+        // two registered first, every snapshot sees each ≤ merges.
+        let counters = &self.merge_counters[si];
+        counters.merges.inc();
+        if self.cfg.merge_mode == MergeMode::Background {
+            counters.bg_merges.inc();
+        }
+        if folded.major {
+            counters.major_merges.inc();
+        }
         let dur = t0.elapsed_ns();
         self.obs.record_stage(si, Stage::Merge, dur);
         self.obs.trace().emit(
@@ -1598,20 +1707,25 @@ impl StoreInner {
             TraceKind::MergePublish,
             t0.start_ns(),
             dur,
-            v0.delta.len() as u64,
-            residual_len,
+            mid_len as u64,
+            residual_len as u64,
         );
-        if rekick {
-            // Still over threshold (writers were busy): merge again.
-            // `pending` stays true to keep gating duplicate enqueues.
-            let mut q = self.merge_q.plock("merge queue");
-            q.queue.push_back(si);
-            self.merge_work.notify_one();
-        } else {
-            w.pending = false;
-        }
-        shard.delta_space.notify_all();
+        residual_len
     }
+}
+
+/// The mid-tier length at which a shard's next merge is a major one.
+/// Up to there every merge copies the mid, so a threshold's worth of
+/// writes costs `mid` entries copied; a major merge costs the main's
+/// `main_len` pairs once per `mid / merge_threshold` thresholds. The
+/// two meet where `mid² = merge_threshold · main_len`: a shorter mid
+/// would rebuild the main more often than the copying it saves is
+/// worth, a longer one would copy more per threshold than its share
+/// of a rebuild, and put a longer search in front of every read and a
+/// longer replay in front of every recovery. Never below the
+/// threshold: a mid of one merge's worth is the old merge-every-time.
+fn major_len(merge_threshold: usize, main_len: usize) -> usize {
+    merge_threshold.max(merge_threshold.saturating_mul(main_len).isqrt())
 }
 
 /// Sort a freshly built override run by key and resolve duplicates
@@ -1689,6 +1803,26 @@ fn merge_pairs(main: &[(u64, u64)], delta: &[(u64, Option<u64>)]) -> Vec<(u64, u
         }
     }
     out
+}
+
+/// How many pairs [`merge_pairs`] would return, by the same walk and
+/// without building them (recovery only needs the live count, and a
+/// shard's pairs are tens of megabytes).
+fn merged_len(main: &[(u64, u64)], delta: &[(u64, Option<u64>)]) -> usize {
+    let mut len = main.len();
+    let mut i = 0;
+    for &(dk, dv) in delta {
+        while i < main.len() && main[i].0 < dk {
+            i += 1;
+        }
+        let stored = i < main.len() && main[i].0 == dk;
+        match (stored, dv.is_some()) {
+            (false, true) => len += 1,
+            (true, false) => len -= 1,
+            _ => {}
+        }
+    }
+    len
 }
 
 /// Top-bits shard routing: shard = high `bits` bits of the Fibonacci
@@ -2157,16 +2291,16 @@ mod tests {
         }
     }
 
-    /// A [`MemFs`] whose first write of a snapshot temp file, once
-    /// armed, reports in and then waits to be let go: the merge that
-    /// staged it stays in flight, rebuilt but unpublished, for as long
-    /// as the test likes.
-    struct GateFs {
-        fs: durable::MemFs,
+    /// An [`Fs`] whose first write of a snapshot temp file, once
+    /// armed, reports in and then waits to be let go: the major merge
+    /// that staged it stays in flight, rebuilt but unpublished, for as
+    /// long as the test likes.
+    struct GateFs<F = durable::MemFs> {
+        fs: F,
         gate: Mutex<Option<(mpsc::Sender<()>, mpsc::Receiver<()>)>>,
     }
 
-    impl Fs for GateFs {
+    impl<F: Fs> Fs for GateFs<F> {
         fn append(&self, name: &str, data: &[u8]) -> io::Result<()> {
             self.fs.append(name, data)
         }
@@ -2203,8 +2337,9 @@ mod tests {
 
     #[test]
     fn a_merge_drains_what_it_pinned_though_the_write_path_folds_meanwhile() {
-        // Threshold 8, max_runs 2. Eight writes start a merge, which
-        // the gate holds between rebuild and publish; six more writes
+        // Threshold 8 over a main of 8, so that the first merge is
+        // already a major one; max_runs 2. Eight writes start it, and
+        // the gate holds it between rebuild and publish; six more writes
         // land meanwhile, each its own run, so the write path folds
         // twice. The folds must leave the pinned runs alone:
         // the publish then drops exactly those eight entries, the six
@@ -2218,7 +2353,7 @@ mod tests {
         let store = ShardedStore::build_with_fs(
             Backend::Sorted,
             1,
-            &pairs(32),
+            &pairs(8),
             StoreConfig::with_threshold(8).with_max_runs(2),
             Arc::clone(&fs) as Arc<dyn Fs>,
         );
@@ -2239,8 +2374,8 @@ mod tests {
         assert_eq!(store.delta_len(), 14);
         release.send(()).expect("merger is waiting");
         store.quiesce();
-        assert_eq!(store.merges(), 1);
-        assert_eq!(store.delta_len(), 6);
+        assert_eq!((store.merges(), store.major_merges()), (1, 1));
+        assert_eq!((store.delta_len(), store.mid_len()), (6, 0));
         for i in 0..14u64 {
             assert_eq!(store.get(10_000 + i), Some(i));
         }
@@ -2252,79 +2387,214 @@ mod tests {
             fs as Arc<dyn Fs>,
         )
         .expect("recover");
-        assert_eq!(recovered.len(), 46);
+        assert_eq!(recovered.len(), 22);
         for i in 0..14u64 {
             assert_eq!(recovered.get(10_000 + i), Some(i));
         }
     }
 
-    #[test]
-    fn the_pace_spaces_writers_while_the_merger_is_busy_and_not_otherwise() {
-        let ms = 1_000_000u64;
-        let (merge, slot) = (200 * ms, ms);
-        let mut pace = Pace::default();
-        // An idle merger costs a writer nothing and books nothing.
-        assert_eq!(pace.admit(5_000 * ms, false, slot, merge), 0);
-        assert_eq!(pace.next_ns, 0);
-        // A busy one: the first writers use up the catch-up allowance
-        // (a quarter of a merge, 50 slots), then each waits for the
-        // slot after the previous booking, however early it asks.
-        let now = 5_000 * ms;
-        for _ in 0..50 {
-            assert_eq!(pace.admit(now, true, slot, merge), 0);
-        }
-        assert_eq!(pace.admit(now, true, slot, merge), 0);
-        assert_eq!(pace.admit(now, true, slot, merge), ms);
-        assert_eq!(pace.admit(now + ms / 2, true, slot, merge), 3 * ms / 2);
-        // Three slots are booked ahead. A writer that comes back 40 ms
-        // late finds its slots waiting and catches up without a wait;
-        assert_eq!(pace.admit(now + 43 * ms, true, slot, merge), 0);
-        // one that stayed away longer than the allowance does not get
-        // the whole gap back, only a quarter of a merge.
-        let late = now + 1_000 * ms;
-        assert_eq!(pace.admit(late, true, slot, merge), 0);
-        assert_eq!(pace.next_ns, late - 50 * ms + slot);
-        // Idle again: pacing holds for one more merge, then lets go.
-        pace.merge_done(late, merge);
-        pace.next_ns = late + 10 * ms;
-        assert_eq!(pace.admit(late + ms, false, slot, merge), 9 * ms);
-        assert_eq!(pace.admit(late + merge, false, slot, merge), 0);
+    /// The shard's main and, if it has one, its mid tier.
+    fn tiers(store: &ShardedStore, si: usize) -> (Arc<dyn ShardBackend>, Option<DeltaRun>) {
+        let v = store.inner.shards[si].version.load();
+        (
+            Arc::clone(&v.main),
+            v.delta.mid.then(|| Arc::clone(&v.delta.runs[0])),
+        )
     }
 
     #[test]
-    fn sustained_writes_are_paced_to_one_threshold_per_nominal_merge() {
-        // 320 k pairs in one shard, not durable: a nominal merge of
-        // 11.2 ms, so at threshold 16 a slot of 700 us. The first 16
-        // writes cross the threshold unpaced; from then on the merger
-        // is busy (or has been within the last 11.2 ms) and 160 more
-        // writes, less the 5 of the catch-up allowance, take 155
-        // slots = 108 ms. Only the lower bound is asserted: a loaded
-        // box makes it slower.
-        let n = 320_000u64;
+    fn minor_merges_keep_the_main_and_a_major_merge_empties_the_mid() {
+        // Threshold 4 over a main of 64: the mid is due at √(4·64) =
+        // 16 entries, so of every four merges three are minor — same
+        // main, by identity, a longer mid — and the fourth rebuilds
+        // the main and leaves no mid. Tombstones of stored keys sit in
+        // the mid until then, hide the main's pairs, and are gone with
+        // the rebuild.
+        for mode in MODES {
+            let store = ShardedStore::build_with(Backend::Csb, 1, &pairs(64), cfg(4, mode));
+            let (main0, mid0) = tiers(&store, 0);
+            assert!(mid0.is_none());
+            let mut writes = 0u64;
+            for round in 1..=3u64 {
+                store.remove(round * 3); // stored: 1000 + round
+                for i in 0..3u64 {
+                    store.put(10_000 + round * 4 + i, i);
+                }
+                writes += 4;
+                store.quiesce();
+                let (main, mid) = tiers(&store, 0);
+                assert!(
+                    Arc::ptr_eq(&main, &main0),
+                    "{mode:?}: merge {round} rebuilt"
+                );
+                assert_eq!(mid.map(|m| m.len()), Some(4 * round as usize));
+                assert_eq!((store.merges(), store.major_merges()), (round, 0));
+                assert_eq!(
+                    (store.delta_len(), store.mid_len()),
+                    (0, 4 * round as usize)
+                );
+                assert_eq!(store.get(round * 3), None, "tombstone in the mid");
+                assert_eq!(store.len(), 64 + 2 * round as usize);
+            }
+            for i in 0..4u64 {
+                store.put(20_000 + i, i);
+            }
+            writes += 4;
+            store.quiesce();
+            let (main, mid) = tiers(&store, 0);
+            assert!(!Arc::ptr_eq(&main, &main0), "{mode:?}: the mid was due");
+            assert!(mid.is_none());
+            assert_eq!((store.merges(), store.major_merges()), (4, 1));
+            assert_eq!((store.delta_len(), store.mid_len()), (0, 0));
+            // The tombstones went into the rebuild, not past it.
+            assert_eq!(main.len(), 64 + 16 - 2 * 3);
+            assert_eq!(store.len(), main.len());
+            for round in 1..=3u64 {
+                assert_eq!(store.get(round * 3), None);
+                assert_eq!(store.get(10_000 + round * 4), Some(0));
+            }
+            // However long it goes on, a major merge takes a full mid:
+            // at least `major_len` writes each.
+            for i in 0..400u64 {
+                store.put(30_000 + i, i);
+                writes += 1;
+            }
+            store.quiesce();
+            let cap = major_len(4, 64) as u64;
+            assert_eq!(cap, 16);
+            assert!(store.major_merges() >= 2, "{mode:?}");
+            assert!(
+                store.major_merges() <= writes / cap + 1,
+                "{mode:?}: {} major merges in {writes} writes",
+                store.major_merges()
+            );
+            assert!(store.merges() > store.major_merges());
+            assert_eq!(store.merge_latency().count(), store.merges());
+            assert_eq!(store.len(), main.len() + 400);
+        }
+    }
+
+    #[test]
+    fn the_write_path_fold_never_takes_the_mid_along() {
+        // Threshold 8 over a main of 1024 (mid due at 90), max_runs 2:
+        // one minor merge makes a mid of 8, then every third write
+        // folds the runs above it. The mid stays the run it was — the
+        // same allocation — so what a fold costs does not grow with
+        // it; a fold from the bottom of the stack would copy it every
+        // third write.
         let store = ShardedStore::build_with(
             Backend::Sorted,
             1,
-            &pairs(n),
-            StoreConfig::with_threshold(16),
+            &pairs(1024),
+            StoreConfig::with_threshold(8).with_max_runs(2).foreground(),
         );
-        let t = std::time::Instant::now();
-        for i in 0..16u64 {
-            store.put(1 + 3 * i, i);
+        for i in 0..8u64 {
+            store.put(10_000 + i, i);
         }
-        let unpaced = t.elapsed();
-        let t = std::time::Instant::now();
-        for i in 16..176u64 {
-            store.put(1 + 3 * i, i);
+        assert_eq!((store.merges(), store.mid_len()), (1, 8));
+        let mid = tiers(&store, 0).1.expect("a mid tier");
+        let folds = store.compactions();
+        for i in 0..7u64 {
+            store.put(20_000 + i, i);
+            let now = tiers(&store, 0).1.expect("still a mid tier");
+            assert!(Arc::ptr_eq(&now, &mid), "write {i} replaced the mid");
         }
-        let paced = t.elapsed();
-        assert!(
-            paced >= Duration::from_millis(100),
-            "160 writes behind a busy merger took {paced:?} (the 16 before it {unpaced:?})"
-        );
-        let waits = store.obs().stage_hist(0, Stage::Backpressure).count();
-        assert!(waits >= 100, "{waits} paced waits");
-        store.quiesce();
-        assert_eq!(store.len(), n as usize + 176);
+        assert_eq!(store.compactions() - folds, 3);
+        assert_eq!((store.delta_len(), store.mid_len()), (7, 8));
+        assert_eq!(store.merges(), 1);
+        // The next write completes a threshold, and the merge folds
+        // all of it into a new mid.
+        store.put(20_007, 7);
+        assert_eq!((store.merges(), store.major_merges()), (2, 0));
+        assert_eq!((store.delta_len(), store.mid_len()), (0, 16));
+    }
+
+    fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+        match payload.downcast::<String>() {
+            Ok(s) => *s,
+            Err(p) => p
+                .downcast::<&str>()
+                .map_or_else(|_| "?".into(), |s| (*s).into()),
+        }
+    }
+
+    #[test]
+    fn a_panicking_merger_fails_the_store_closed() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        use std::time::Duration;
+        // Threshold 4 over a main of 4 (every merge is major), room
+        // for 8. Four writes start a merge, which the gate holds at
+        // its snapshot; four more fill the delta, so a ninth write
+        // parks on `delta_space` and a `quiesce` on `merge_done`. Then
+        // the disk fills up and the gate opens: the snapshot write
+        // fails, the merger panics — and both waiters must come back,
+        // panicking, instead of waiting for a publish that will never
+        // happen.
+        let fs = Arc::new(GateFs {
+            fs: durable::FaultFs::new(durable::FaultPlan::default()),
+            gate: Mutex::new(None),
+        });
+        let store = Arc::new(ShardedStore::build_with_fs(
+            Backend::Sorted,
+            1,
+            &pairs(4),
+            StoreConfig {
+                merge_threshold: 4,
+                max_delta: 8,
+                ..StoreConfig::default()
+            },
+            Arc::clone(&fs) as Arc<dyn Fs>,
+        ));
+        let (entered_tx, entered) = mpsc::channel();
+        let (release, release_rx) = mpsc::channel();
+        *fs.gate.plock("gate") = Some((entered_tx, release_rx));
+        for i in 0..4u64 {
+            store.put(10_000 + i, i);
+        }
+        entered.recv().expect("the merge stages its snapshot");
+        for i in 4..8u64 {
+            store.put(10_000 + i, i);
+        }
+        assert_eq!(store.delta_len(), 8);
+        let (done_tx, done) = mpsc::channel();
+        for waiter in ["put", "quiesce"] {
+            let (store, done_tx) = (Arc::clone(&store), done_tx.clone());
+            std::thread::spawn(move || {
+                let outcome = catch_unwind(AssertUnwindSafe(|| match waiter {
+                    "put" => drop(store.put(10_008, 8)),
+                    _ => store.quiesce(),
+                }));
+                // Before reporting in: the test takes the store back.
+                drop(store);
+                let _ = done_tx.send((waiter, outcome.map_err(panic_message)));
+            });
+        }
+        fs.fs.fill_disk();
+        release.send(()).expect("merger is waiting");
+        for _ in 0..2 {
+            let (waiter, outcome) = done
+                .recv_timeout(Duration::from_secs(30))
+                .expect("a waiter hung on the dead merger");
+            let msg = outcome.expect_err("nothing was merged");
+            assert!(msg.contains("merger failed"), "{waiter}: {msg}");
+        }
+        assert_eq!(store.obs().snapshot().counter_sum("store_merger_failed"), 1);
+        // Failed is for good: later callers are turned away at once,
+        // and the lock they were turned away under is not poisoned.
+        for _ in 0..2 {
+            let msg = catch_unwind(AssertUnwindSafe(|| store.put(1, 1)))
+                .map_err(panic_message)
+                .expect_err("write on a failed store");
+            assert!(msg.contains("merger failed"), "{msg}");
+        }
+        assert_eq!(store.get(10_007), Some(7), "reads go on");
+        // Dropping the store reports the merger's panic (and would not
+        // while already unwinding).
+        let store = Arc::try_unwrap(store).unwrap_or_else(|_| panic!("waiters are done"));
+        let msg = catch_unwind(AssertUnwindSafe(|| drop(store)))
+            .map_err(panic_message)
+            .expect_err("the merger's panic is re-raised");
+        assert!(msg.contains("merger thread panicked"), "{msg}");
     }
 
     #[test]

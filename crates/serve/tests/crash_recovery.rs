@@ -227,16 +227,21 @@ fn crash_case(
     recover_and_check(image, seed, cfg, schedule, acked, fsync_honored)
 }
 
+/// 80 pairs, about 40 a shard: with `store_cfg`'s threshold of 4 a
+/// shard's mid tier is due for a major merge at √(4·40) ≈ 12 entries,
+/// so two merges in three are minor.
 fn fixed_seed() -> Vec<(u64, u64)> {
-    (0..40u64).map(|i| (i * 7, i + 100)).collect()
+    (0..80u64).map(|i| (i * 7, i + 100)).collect()
 }
 
 /// A fixed mixed schedule: overwrites, fresh keys, removes (present,
 /// absent and repeated), single-op runs and multi-op runs — enough to
-/// cross the merge threshold several times on both shards.
+/// cross the merge threshold a dozen times on both shards and the
+/// major-merge size three or four times, each time with a mid tier
+/// under the runs and two or more thresholds of records in the WAL.
 fn fixed_schedule() -> Schedule {
     let mut runs: Schedule = Vec::new();
-    for r in 0..12u64 {
+    for r in 0..36u64 {
         let mut run = Vec::new();
         for i in 0..(1 + (r % 4)) {
             let k = (r * 31 + i * 13) % 300;
@@ -258,6 +263,45 @@ fn fixed_schedule_ops(fsync: FsyncMode, mode: MergeMode) -> u64 {
     let seed = fixed_seed();
     run_until_crash(&fault, &seed, store_cfg(fsync, mode), &fixed_schedule());
     fault.ops_done()
+}
+
+/// The matrix below is only worth its name if the fixed schedule takes
+/// the store through both kinds of merge, repeatedly, in every mode it
+/// is killed in.
+#[test]
+fn fixed_schedule_crosses_both_kinds_of_merge() {
+    for (fsync, mode) in [
+        (FsyncMode::Group, MergeMode::Foreground),
+        (FsyncMode::On, MergeMode::Foreground),
+        (FsyncMode::Group, MergeMode::Background),
+    ] {
+        let fs: Arc<dyn Fs> = Arc::new(MemFs::new());
+        let store = ShardedStore::build_with_fs(
+            Backend::Sorted,
+            SHARDS,
+            &fixed_seed(),
+            store_cfg(fsync, mode),
+            fs,
+        );
+        let mut prevs = Vec::new();
+        let mut longest_mid = 0;
+        for run in &fixed_schedule() {
+            store.apply_write_run(run, &mut prevs);
+            store.quiesce();
+            longest_mid = longest_mid.max(store.mid_len());
+        }
+        let (all, major) = (store.merges(), store.major_merges());
+        assert!(
+            major >= 2 * SHARDS as u64,
+            "{fsync:?}/{mode:?}: {major} major"
+        );
+        assert!(
+            all >= 3 * major,
+            "{fsync:?}/{mode:?}: {major} major of {all}"
+        );
+        // What the mid tiers hold is in the logs, and nowhere else.
+        assert!(longest_mid > 2 * 4, "{fsync:?}/{mode:?}: {longest_mid}");
+    }
 }
 
 /// Deterministic fault matrix: the fixed schedule killed at **every**
@@ -342,7 +386,7 @@ fn dropped_fsyncs_still_recover_a_consistent_prefix() {
 fn kill_points_with_background_merges() {
     let seed = fixed_seed();
     let schedule = fixed_schedule();
-    for kill in (0..120u64).step_by(7) {
+    for kill in (0..260u64).step_by(7) {
         let plan = FaultPlan {
             kill_at_op: Some(kill),
             drop_syncs: false,
@@ -401,6 +445,79 @@ proptest! {
         if let Err(e) = crash_case(&seed, fsync, mode, &schedule, plan) {
             prop_assert!(false, "{e}");
         }
+    }
+}
+
+/// A log much longer than one threshold is the normal case now (minor
+/// merges leave it alone). Recovery installs what it replays as the
+/// mid tier, merges nothing, and every acknowledged write reads back;
+/// only a replay that is already due for a major merge gets one — at
+/// once, in either merge mode.
+#[test]
+fn recovery_installs_a_long_wal_as_the_mid_tier() {
+    // One shard of 400 pairs: at threshold 4 the mid is due at 40
+    // entries, at threshold 1 at 20.
+    let seed: Vec<(u64, u64)> = (0..400u64).map(|i| (i * 3, i)).collect();
+    let cfg = |threshold: usize, mode: MergeMode| StoreConfig {
+        merge_threshold: threshold,
+        max_delta: 4 * threshold,
+        merge_mode: mode,
+        ..StoreConfig::default()
+    };
+    for mode in [MergeMode::Background, MergeMode::Foreground] {
+        let fs = Arc::new(MemFs::new());
+        let mut oracle: HashMap<u64, u64> = seed.iter().copied().collect();
+        {
+            let store = ShardedStore::build_with_fs(
+                Backend::Csb,
+                1,
+                &seed,
+                cfg(4, mode),
+                Arc::clone(&fs) as Arc<dyn Fs>,
+            );
+            for i in 0..30u64 {
+                if i % 5 == 0 {
+                    assert_eq!(store.remove(i * 3), oracle.remove(&(i * 3)));
+                } else {
+                    assert_eq!(store.put(10_000 + i, i), oracle.insert(10_000 + i, i));
+                }
+            }
+            store.quiesce();
+            // Foreground: seven minor merges, 28 entries in the mid.
+            // The merger may have taken several thresholds at a time.
+            assert!(store.merges() >= 1 && store.major_merges() == 0);
+            assert_eq!(store.mid_len() + store.delta_len(), 30);
+            assert!(store.delta_len() < 4);
+        }
+        let read_back = |store: &ShardedStore, tag: &str| {
+            assert_eq!(store.len(), oracle.len(), "{mode:?} {tag}");
+            for i in 0..30u64 {
+                for key in [i * 3, 10_000 + i] {
+                    assert_eq!(store.get(key), oracle.get(&key).copied(), "{mode:?} {tag}");
+                }
+            }
+        };
+        let store = ShardedStore::recover_with_fs(
+            Backend::Csb,
+            cfg(4, mode),
+            Arc::clone(&fs) as Arc<dyn Fs>,
+        )
+        .expect("recover");
+        store.quiesce();
+        assert_eq!(store.merges(), 0, "{mode:?}: 30 of 40, nothing is due");
+        assert_eq!((store.mid_len(), store.delta_len()), (30, 0));
+        read_back(&store, "as the mid tier");
+        drop(store);
+        let store = ShardedStore::recover_with_fs(Backend::Csb, cfg(1, mode), fs as Arc<dyn Fs>)
+            .expect("recover");
+        store.quiesce();
+        assert_eq!(
+            (store.merges(), store.major_merges()),
+            (1, 1),
+            "{mode:?}: 30 of 20"
+        );
+        assert_eq!((store.mid_len(), store.delta_len()), (0, 0));
+        read_back(&store, "merged at once");
     }
 }
 
@@ -479,15 +596,16 @@ fn build_with_on_a_used_directory_supersedes_the_old_store() {
     }
     .durable(&dir, FsyncMode::Group);
     {
-        // Store A, written past its merge threshold: after quiesce its
-        // shards have snapshots at a sequence above 0.
+        // Store A, written past its major-merge size (about 11 entries
+        // a shard): after quiesce its shards have snapshots at a
+        // sequence above 0.
         let seed_a: Vec<(u64, u64)> = (0..64u64).map(|i| (i, 1_000 + i)).collect();
         let a = ShardedStore::build_with(Backend::Sorted, SHARDS, &seed_a, cfg.clone());
         for i in 0..64u64 {
             a.put(i, 2_000 + i);
         }
         a.quiesce();
-        assert!(a.merges() > 0, "store A must have merged snapshots");
+        assert!(a.major_merges() > 0, "store A must have merged snapshots");
     }
     {
         let seed_b: Vec<(u64, u64)> = (0..8u64).map(|i| (i * 2, i)).collect();

@@ -179,6 +179,100 @@ proptest! {
         }
     }
 
+    /// Two tiers of merge under the same oracle. The random pairs sit
+    /// on top of 64 fixed ones, so that at thresholds 1, 2 and 8 the
+    /// mid tier is due at 8 or more, 11 or more and 22 or more entries:
+    /// every case starts with minor merges and reaches a major one.
+    /// A preamble walks there a threshold at a time — tombstones of
+    /// stored keys first, which the mid tier has to keep (they hide
+    /// the main's pairs) until the major merge drops them — then the
+    /// random schedule runs with both kinds of merge racing its reads.
+    #[test]
+    fn two_tier_merges_match_hashmap_oracle(
+        pairs in initial_pairs(),
+        ops in ops_strategy(),
+    ) {
+        const BASE: u64 = 64;
+        let base = || (0..BASE).map(|i| (1_000 + i, i));
+        let mut all_pairs = pairs.clone();
+        all_pairs.extend(base());
+        for backend in Backend::ALL {
+            for threshold in [1usize, 2, 8] {
+                let store = ShardedStore::build_with(
+                    backend,
+                    1,
+                    &all_pairs,
+                    StoreConfig::with_threshold(threshold),
+                );
+                let svc = service(store, 0);
+                let store = svc.store();
+                let mut oracle: HashMap<u64, u64> = all_pairs.iter().copied().collect();
+                let tag = format!("backend={} threshold={threshold}", backend.name());
+                // One threshold of tombstones on stored keys: a minor
+                // merge, after which they sit in the mid tier.
+                for i in 0..threshold as u64 {
+                    prop_assert_eq!(svc.remove(1_000 + i), oracle.remove(&(1_000 + i)), "{}", tag);
+                }
+                store.quiesce();
+                prop_assert!(store.merges() >= 1, "{}", tag);
+                prop_assert_eq!(store.major_merges(), 0, "{}", tag);
+                prop_assert_eq!((store.mid_len(), store.delta_len()), (threshold, 0), "{}", tag);
+                prop_assert_eq!(store.len(), oracle.len(), "{}", tag);
+                // Fresh keys, a threshold at a time, until the mid is
+                // due: it grows by exactly that much per step, the
+                // tombstones hide their keys throughout, and then a
+                // major merge empties it into the main.
+                let mut fresh = 2_000u64;
+                while store.major_merges() == 0 {
+                    prop_assert!(fresh < 2_100, "{}: no major merge in 100 writes", tag);
+                    let mid = store.mid_len();
+                    for _ in 0..threshold {
+                        prop_assert_eq!(svc.put(fresh, fresh), oracle.insert(fresh, fresh), "{}", tag);
+                        fresh += 1;
+                    }
+                    store.quiesce();
+                    prop_assert_eq!(svc.get(1_000), None, "{}", tag);
+                    if store.major_merges() == 0 {
+                        prop_assert_eq!(store.mid_len(), mid + threshold, "{}", tag);
+                    }
+                }
+                prop_assert_eq!((store.mid_len(), store.delta_len()), (0, 0), "{}", tag);
+                prop_assert!(store.merges() > store.major_merges(), "{}", tag);
+                prop_assert_eq!(store.len(), oracle.len(), "{}", tag);
+                // The random schedule, reads racing whatever the merger
+                // is doing.
+                for (step, op) in ops.iter().enumerate() {
+                    match op {
+                        MixedOp::Get(k) => {
+                            prop_assert_eq!(svc.get(*k), oracle.get(k).copied(), "{} step={}", tag, step);
+                        }
+                        MixedOp::Put(k, v) => {
+                            prop_assert_eq!(svc.put(*k, *v), oracle.insert(*k, *v), "{} step={}", tag, step);
+                        }
+                        MixedOp::Remove(k) => {
+                            prop_assert_eq!(svc.remove(*k), oracle.remove(k), "{} step={}", tag, step);
+                        }
+                        MixedOp::GetMany(keys) => {
+                            let want: Vec<Option<u64>> =
+                                keys.iter().map(|k| oracle.get(k).copied()).collect();
+                            prop_assert_eq!(svc.get_many(keys), want, "{} step={}", tag, step);
+                        }
+                    }
+                }
+                let all: Vec<u64> = (0..KEYSPACE).chain(1_000..1_000 + BASE).chain(2_000..fresh).collect();
+                let want: Vec<Option<u64>> = all.iter().map(|k| oracle.get(k).copied()).collect();
+                prop_assert_eq!(svc.get_many(&all), want, "{}", tag);
+                store.quiesce();
+                let stats = svc.stats();
+                prop_assert_eq!(stats.delta_keys, store.delta_len() as u64);
+                prop_assert!(stats.delta_keys < threshold as u64, "{}", tag);
+                prop_assert_eq!(stats.merge_latency.count(), stats.merges);
+                prop_assert!(store.major_merges() < stats.merges, "{}", tag);
+                prop_assert_eq!(store.len(), oracle.len(), "{}", tag);
+            }
+        }
+    }
+
     /// The interleave policy is a pure execution choice: with merges
     /// racing (threshold 2), every policy must answer every schedule
     /// exactly as the `HashMap` oracle does — and the engine counters

@@ -12,7 +12,10 @@ fn main() {
         .expect("usage: serve <chrome-trace output path>");
 
     // 64k even keys on two CSB+-tree shards; a merge threshold of 256
-    // makes the writes below cross it, so merges show up in the output.
+    // makes the 4000 writes a shard below cross it a dozen times, so
+    // merges show up in the output: minor ones (the delta folds into
+    // the shard's mid tier) and, once that mid tier holds
+    // √(256 · 32k) ≈ 2.9k entries, a major one (the main is rebuilt).
     let pairs: Vec<(u64, u64)> = (0..1u64 << 16).map(|i| (i * 2, i)).collect();
     let store = ShardedStore::build_with(Backend::Csb, 2, &pairs, StoreConfig::with_threshold(256));
     let svc = LookupService::start(
@@ -23,7 +26,7 @@ fn main() {
         },
     );
 
-    for i in 0..2_000u64 {
+    for i in 0..8_000u64 {
         svc.put(i * 2 + 1, i); // odd keys: all new
         assert_eq!(svc.get(i * 2 + 1), Some(i));
     }
@@ -59,7 +62,7 @@ fn main() {
     for line in svc
         .metrics_prometheus()
         .lines()
-        .filter(|l| l.starts_with("store_merges"))
+        .filter(|l| l.starts_with("store_merges") || l.starts_with("store_major_merges"))
     {
         println!("  {line}");
     }

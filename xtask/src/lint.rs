@@ -21,7 +21,7 @@
 //!   never bare `.lock().unwrap()` — the helpers turn a poisoned lock
 //!   into a tagged panic that names the protocol instead of an opaque
 //!   `PoisonError`. (The rule matches the `unwrap` spellings only: the
-//!   two unwind-time cleanups that `isi_core::sync` exempts take the
+//!   unwind-time cleanups that `isi_core::sync` exempts take the
 //!   guard out of the `PoisonError` and are not flagged.)
 //! * **R5 — no ad-hoc stat atomics in serve.** `crates/serve/src` must
 //!   not use `AtomicU64` directly: counters register through the
