@@ -58,6 +58,7 @@ fn main() {
     }
 
     println!("\n## Inequality 1 estimates (from the profile, LFB-capped at 10)");
+    println!("# (the simulated paper platform's cap, not this box's: see the last line)");
     let base_retiring = (base.retiring + base.core) / lookups as f64 / misses;
     for name in ["GP", "AMAC", "CORO"] {
         let p = params_from_profile(
@@ -114,5 +115,7 @@ fn main() {
     }
 
     println!("\n# paper shape: G=1 slower than Baseline (pure switch overhead); GP keeps");
-    println!("# improving to ~10 (LFB-capped); AMAC/CORO flatten at 5-6.");
+    println!("# improving to ~10 (LFB-capped); AMAC/CORO flatten at 5-6 — on the simulated");
+    println!("# paper platform; this box plateaus at 16-48 under PREFETCHT0 (README");
+    println!("# \"Deviations from the paper's §5.1 constants\").");
 }

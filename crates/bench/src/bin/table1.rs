@@ -1,7 +1,7 @@
 //! Table 1 — execution details of `locate`: its share of total query
 //! runtime and its CPI, for Main and Delta at a cache-resident size
 //! (1 MB) and an out-of-cache size (default 256 MB; the paper uses 2 GB
-//! — set `ISI_BIG_MB=2048` to match, memory permitting).
+//! — set `ISI_MAX_MB=2048` to match, memory permitting).
 //!
 //! Runs on the simulator configured as the paper's machine. The Main
 //! `locate` is the branchy HANA-style search (hence its bad-speculation
@@ -16,23 +16,22 @@ use isi_bench::{banner, HarnessCfg};
 
 fn main() {
     let cfg = HarnessCfg::from_env();
-    let big_mb: usize = std::env::var("ISI_BIG_MB")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(256);
     let rows: usize = std::env::var("ISI_ROWS")
         .ok()
         .and_then(|v| v.parse().ok())
         .unwrap_or(4_000_000);
     banner("Table 1: execution details of locate (simulated)", &cfg);
-    println!("# sizes: 1 MB vs {big_mb} MB (paper: 1 MB vs 2048 MB); rows={rows}");
+    println!(
+        "# sizes: 1 MB vs {} MB (paper: 1 MB vs 2048 MB); rows={rows}",
+        cfg.max_mb
+    );
     let lookups = cfg.lookups.min(5000);
 
     // Locate cost is measured per lookup, then scaled to the full
     // predicate-list length (the paper's 10 K values).
     let scale = cfg.lookups as f64 / lookups as f64;
     let mut results: Vec<(String, f64, f64)> = Vec::new(); // (label, runtime %, cpi)
-    for mb in [1usize, big_mb] {
+    for mb in [1, cfg.max_mb] {
         let mut b = SimBench::new(mb, lookups);
         let vals = b.fresh(lookups);
         let s = b.run(SearchImpl::Std, &vals); // HANA Main locate is speculative
@@ -40,7 +39,7 @@ fn main() {
         let pct = 100.0 * locate_cycles / (locate_cycles + scan_cycles(rows));
         results.push((format!("Main {mb}MB"), pct, s.cpi()));
     }
-    for mb in [1usize, big_mb] {
+    for mb in [1, cfg.max_mb] {
         let mut b = SimDeltaBench::new(mb, lookups);
         let vals = b.fresh(lookups);
         let s = b.run_locate(&vals, None);

@@ -2,7 +2,7 @@
 //! Main and Delta, cache-resident vs out-of-cache, on the simulator.
 //!
 //! Usage: `cargo run --release -p isi-bench --bin table2`
-//! (`ISI_BIG_MB=2048` for the paper's 2 GB point.)
+//! (`ISI_MAX_MB=2048` for the paper's 2 GB point.)
 
 use isi_bench::sim::{SimBench, SimDeltaBench};
 use isi_bench::wall::SearchImpl;
@@ -24,10 +24,6 @@ fn row(label: &str, s: &MachineStats) {
 
 fn main() {
     let cfg = HarnessCfg::from_env();
-    let big_mb: usize = std::env::var("ISI_BIG_MB")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(256);
     banner(
         "Table 2: pipeline-slot breakdown for locate (simulated)",
         &cfg,
@@ -38,13 +34,13 @@ fn main() {
         "\n{:<14} {:>10} {:>16} {:>9} {:>7} {:>10}",
         "", "Front-End", "Bad speculation", "Memory", "Core", "Retiring"
     );
-    for mb in [1usize, big_mb] {
+    for mb in [1, cfg.max_mb] {
         let mut b = SimBench::new(mb, lookups);
         let vals = b.fresh(lookups);
         let s = b.run(SearchImpl::Std, &vals); // speculative Main locate
         row(&format!("Main {mb}MB"), &s);
     }
-    for mb in [1usize, big_mb] {
+    for mb in [1, cfg.max_mb] {
         let mut b = SimDeltaBench::new(mb, lookups);
         let vals = b.fresh(lookups);
         let s = b.run_locate(&vals, None); // branch-free Delta locate

@@ -1,9 +1,10 @@
 //! Minimal JSON tree, writer and parser for machine-readable benchmark
-//! results (`BENCH_*.json`).
+//! results (`BENCHMARK.json` and the result lines of `benchmark/`, the
+//! module's caller).
 //!
 //! The workspace vendors no serde, so this is a tiny self-contained
-//! implementation: enough JSON to serialize benchmark sweeps and to
-//! re-parse and validate them in CI. Objects preserve insertion order;
+//! implementation: enough JSON to serialize benchmark results and to
+//! re-parse and validate them. Objects preserve insertion order;
 //! numbers are `f64` (integers round-trip exactly up to 2^53, far
 //! beyond any lookup count or nanosecond total we record).
 

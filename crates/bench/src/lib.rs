@@ -1,8 +1,8 @@
 //! # isi-bench — harnesses that regenerate every table and figure
 //!
-//! One binary per paper artifact or sweep, eighteen in all (the
-//! README's "Paper figure / table binaries" table says how to run and
-//! read each):
+//! One binary per paper artifact, twelve in all — whatever is in
+//! `src/bin/` (Cargo discovers them; the README's "Paper figure /
+//! table binaries" table says how to run and read each):
 //!
 //! | binary | artifact |
 //! |---|---|
@@ -18,22 +18,20 @@
 //! | `table3` | Table 3 — qualitative technique properties + measured switch cost |
 //! | `table5` | Table 5 — implementation complexity / code footprint (LoC) |
 //! | `hash_join` | §6 extension — interleaved hash-join probe |
-//! | `mixed_ops` | §6 extension — heterogeneous coroutines in one interleaved group |
-//! | `numa_latency` | §6 — group size vs (simulated) remote-memory latency |
-//! | `hwhint` | §6 — the hypothetical *is-cached?* instruction, on the simulator |
-//! | `spp` | footnote 2 — software-pipelined prefetching ablation |
-//! | `tlb_index` | §6 extension — B+-tree over sorted array vs TLB-thrashing binary search |
-//! | `throughput` | morsel-parallel lookup throughput sweep → `BENCH_throughput.json` ([`throughput`] module) |
 //!
-//! Environment knobs (all optional): `ISI_MAX_MB` (top of the size sweep,
-//! default 256), `ISI_LOOKUPS` (lookup-list length, default 10000),
+//! Environment knobs (all optional): `ISI_MAX_MB` (top of the size sweep
+//! and the out-of-cache point of `table1`/`table2`, default 256),
+//! `ISI_LOOKUPS` (lookup-list length, default 10000),
 //! `ISI_REPS` (wall-clock repetitions, default 3), `ISI_GROUPS`
 //! ("gp,amac,coro" group sizes, default "10,6,6").
+//!
+//! [`json`] has no caller left in this crate: the repo benchmark
+//! (`benchmark/`, its own workspace) reads `BENCHMARK.json` and its
+//! result lines with it.
 
 pub mod json;
 pub mod loc;
 pub mod sim;
-pub mod throughput;
 pub mod wall;
 
 use std::time::Duration;

@@ -53,19 +53,6 @@ impl SimBench {
             .collect()
     }
 
-    /// The underlying sorted table (for oracle checks).
-    pub fn raw(&self) -> &[u32] {
-        self.arr.raw()
-    }
-
-    /// Run a custom measurement against the simulated array: counters
-    /// are reset, `f` runs, and the window's stats are returned.
-    pub fn run_custom(&self, f: impl FnOnce(&SimArray<u32>)) -> MachineStats {
-        self.machine.reset_stats();
-        f(&self.arr);
-        self.machine.stats()
-    }
-
     /// Run one implementation over `vals`, returning the stats of just
     /// that window.
     pub fn run(&self, impl_: SearchImpl, vals: &[u32]) -> MachineStats {

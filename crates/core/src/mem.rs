@@ -54,20 +54,6 @@ pub trait IndexedMem<T> {
         let _ = cycles;
     }
 
-    /// Would a load of element `idx` (probably) hit in the cache?
-    ///
-    /// `None` means the backend cannot tell — which is the state of
-    /// real hardware today: the paper's Section 6 wishes for "an
-    /// instruction that tells if a memory address is cached" to skip
-    /// pointless suspensions. The simulator implements the hypothetical
-    /// instruction, enabling the adaptive-suspension ablation
-    /// (`isi-search`'s `rank_coro_adaptive`).
-    #[inline(always)]
-    fn probably_cached(&self, idx: usize) -> Option<bool> {
-        let _ = idx;
-        None
-    }
-
     /// Record a data-dependent conditional branch with outcome `taken`.
     ///
     /// Branchy algorithms (e.g. `std::lower_bound`-style binary search)
@@ -157,10 +143,6 @@ impl<T, M: IndexedMem<T>> IndexedMem<T> for &M {
     #[inline(always)]
     fn branch(&self, taken: bool) {
         (**self).branch(taken)
-    }
-    #[inline(always)]
-    fn probably_cached(&self, idx: usize) -> Option<bool> {
-        (**self).probably_cached(idx)
     }
 }
 

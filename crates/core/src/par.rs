@@ -184,26 +184,6 @@ impl<'a, T> DisjointOut<'a, T> {
         // disjointness contract.
         unsafe { *self.ptr.add(idx) = value };
     }
-
-    /// Reborrow a sub-range as a mutable slice (bounds-checked).
-    ///
-    /// # Safety
-    /// Ranges handed to concurrently running threads must be disjoint;
-    /// the caller must not hold two overlapping slices at once. The
-    /// morsel drivers pass each claimed range to exactly one worker.
-    #[allow(clippy::mut_from_ref)]
-    pub unsafe fn slice_mut(&self, range: Range<usize>) -> &mut [T] {
-        assert!(
-            range.start <= range.end && range.end <= self.len,
-            "DisjointOut range {range:?} out of bounds (len {})",
-            self.len
-        );
-        // SAFETY: in-bounds by the assert; exclusive by the caller's
-        // disjointness contract.
-        unsafe {
-            std::slice::from_raw_parts_mut(self.ptr.add(range.start), range.end - range.start)
-        }
-    }
 }
 
 /// Run `threads` workers — `worker(0)` on the calling thread, the rest
@@ -233,26 +213,6 @@ where
         );
         results
     })
-}
-
-/// Morsel-parallel driver for *non-coroutine* bulk kernels (branch-free
-/// search, GP, AMAC): workers claim ranges and invoke `body(range)` for
-/// each. `body` typically runs an existing bulk kernel over
-/// `inputs[range]` and a [`DisjointOut::slice_mut`] of the output.
-pub fn for_each_morsel<B>(cfg: ParConfig, total: usize, body: B)
-where
-    B: Fn(Range<usize>) + Sync,
-{
-    if total == 0 {
-        return;
-    }
-    let cursor = MorselCursor::new(total, cfg.effective_morsel_size());
-    let threads = cfg.effective_threads().min(cursor.num_morsels());
-    run_workers(threads, |_| {
-        while let Some(range) = cursor.claim() {
-            body(range);
-        }
-    });
 }
 
 /// Morsel-parallel interleaved execution — the parallel analogue of
@@ -443,29 +403,6 @@ mod tests {
             },
         );
         assert_eq!(seen.lock().unwrap().len(), values.len());
-    }
-
-    #[test]
-    fn for_each_morsel_covers_output_via_subslices() {
-        let values: Vec<u32> = (0..2_500).collect();
-        let mut out = vec![0u32; values.len()];
-        let sink = DisjointOut::new(&mut out);
-        for_each_morsel(
-            ParConfig {
-                threads: 3,
-                morsel_size: 100,
-            },
-            values.len(),
-            |range| {
-                // SAFETY: morsel ranges partition 0..len, so no two
-                // workers receive overlapping ranges.
-                let dst = unsafe { sink.slice_mut(range.clone()) };
-                for (o, i) in dst.iter_mut().zip(range) {
-                    *o = values[i] + 1;
-                }
-            },
-        );
-        assert!(out.iter().enumerate().all(|(i, &v)| v == i as u32 + 1));
     }
 
     #[test]

@@ -7,13 +7,14 @@
 //! writes in one store call. This crate turns that batching into
 //! **group commit**: one checksummed, length-prefixed WAL record per
 //! run, fsynced once per run (in [`FsyncMode::Group`]) before any
-//! ticket in the run is acknowledged. Merges publish **snapshots**:
-//! the merger already rebuilds a shard's main index, so the rebuilt
-//! pairs are serialized to a temp file, fsynced, atomically renamed,
-//! and the WAL is rewritten down to the residual delta. **Recovery**
-//! is newest-valid-snapshot + WAL-tail replay, per shard; torn,
-//! truncated or bit-flipped tail records are detected by CRC and
-//! cleanly discarded, never panicked on.
+//! ticket in the run is acknowledged. Major merges publish
+//! **snapshots** (a minor merge folds the run stack into the mid tier
+//! and touches no file): a major merge already rebuilds a shard's main
+//! index, so the rebuilt pairs are serialized to a temp file, fsynced,
+//! atomically renamed, and the WAL is rewritten down to the residual
+//! delta. **Recovery** is newest-valid-snapshot + WAL-tail replay, per
+//! shard; torn, truncated or bit-flipped tail records are detected by
+//! CRC and cleanly discarded, never panicked on.
 //!
 //! Everything goes through the object-safe [`Fs`] trait so tests can
 //! swap the real directory-backed [`DiskFs`] for the in-memory

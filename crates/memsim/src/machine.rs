@@ -460,17 +460,6 @@ impl Machine {
         first_level
     }
 
-    /// Is the line containing `addr` present in any cache level or in
-    /// flight in a fill buffer? (The hypothetical hint instruction of
-    /// the paper's Section 6; does not disturb LRU state.)
-    pub fn is_line_cached(&self, addr: u64) -> bool {
-        let line = addr / self.cfg.line_bytes as u64;
-        self.l1.peek(line)
-            || self.l2.peek(line)
-            || self.l3.peek(line)
-            || self.lfb.iter().any(|e| e.line == line)
-    }
-
     /// Issue a software prefetch for the `bytes`-byte object at `addr`.
     ///
     /// Each missing line allocates a line-fill buffer whose fill completes

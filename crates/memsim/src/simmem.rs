@@ -199,20 +199,6 @@ impl<'a, T> IndexedMem<T> for SimMem<'a, T> {
     fn branch(&self, taken: bool) {
         self.arr.machine.inner.borrow_mut().branch(taken);
     }
-
-    #[inline]
-    fn probably_cached(&self, idx: usize) -> Option<bool> {
-        if idx >= self.arr.data.len() {
-            return Some(false);
-        }
-        Some(
-            self.arr
-                .machine
-                .inner
-                .borrow()
-                .is_line_cached(self.addr_of(idx)),
-        )
-    }
 }
 
 #[cfg(test)]

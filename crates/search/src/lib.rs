@@ -17,15 +17,14 @@
 //! index `i` with `table[i] <= value`, clamped to 0 — so their outputs
 //! are interchangeable and cross-checked in the test suite.
 //! [`locate`](locate::locate) builds the dictionary access method on top.
-//! [`par`] layers morsel-parallel `*_par` variants over every bulk
-//! driver (same kernels, worker threads claiming morsels).
+//! [`par`] holds the morsel-parallel CORO driver (same coroutine,
+//! worker threads claiming morsels).
 
 // Escalated from the workspace-level warn: every unsafe fn body in
 // this crate must discharge its obligations through explicit inner
 // blocks (each carrying a SAFETY comment, enforced by xtask lint).
 #![deny(unsafe_op_in_unsafe_fn)]
 
-pub mod adaptive;
 pub mod amac;
 pub mod coro;
 pub mod cost;
@@ -36,21 +35,15 @@ pub mod par;
 pub mod seq;
 pub mod shard;
 pub mod sorted;
-pub mod spp;
 
-pub use adaptive::{bulk_rank_coro_adaptive, rank_coro_adaptive};
 pub use amac::bulk_rank_amac;
 pub use coro::{bulk_rank_coro, bulk_rank_coro_seq, rank_coro};
 pub use gp::bulk_rank_gp;
 pub use key::{FixedStr, SearchKey, Str16};
 pub use locate::{bulk_locate_interleaved, bulk_locate_seq, locate, NOT_FOUND};
-pub use par::{
-    bulk_rank_amac_par, bulk_rank_branchfree_par, bulk_rank_branchy_par, bulk_rank_coro_par,
-    bulk_rank_gp_par,
-};
+pub use par::bulk_rank_coro_par;
 pub use seq::{
     bulk_rank_branchfree, bulk_rank_branchy, rank_branchfree, rank_branchy, rank_oracle,
 };
 pub use shard::SortedShard;
 pub use sorted::{bulk_rank_sorted, bulk_rank_sorted_interleaved};
-pub use spp::bulk_rank_spp;

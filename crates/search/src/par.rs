@@ -1,127 +1,23 @@
-//! Morsel-parallel bulk drivers for all five search implementations.
+//! Morsel-parallel bulk driver for the coroutine search.
 //!
-//! Thin layers over [`isi_core::par`]: the batch is split into morsels,
+//! A thin layer over [`isi_core::par`]: the batch is split into morsels,
 //! worker threads claim morsels through a work-stealing cursor, and
-//! each morsel runs through the *same* kernel as the single-threaded
-//! drivers — `rank_branchy`/`rank_branchfree` loops, the GP and AMAC
-//! group engines, or the coroutine scheduler with a per-worker
-//! [`FrameSlab`](isi_core::sched::FrameSlab) reused across morsels
-//! (zero heap allocations per lookup in steady state).
+//! each morsel runs through the *same* coroutine and scheduler as the
+//! single-threaded [`bulk_rank_coro`](crate::coro::bulk_rank_coro), with
+//! a per-worker [`FrameSlab`](isi_core::sched::FrameSlab) reused across
+//! morsels (zero heap allocations per lookup in steady state).
 //!
-//! Every function writes `out[i]` = rank of `values[i]`, exactly as the
-//! sequential drivers do; with `cfg.threads == 1` they degenerate to a
-//! morsel loop on the calling thread.
+//! It writes `out[i]` = rank of `values[i]`, exactly as the sequential
+//! drivers do; with `cfg.threads == 1` it degenerates to a morsel loop
+//! on the calling thread. This is the driver the serving path
+//! (`SortedShard::probe_batch`) and `benchmark/` call.
 
 use isi_core::mem::IndexedMem;
-use isi_core::par::{for_each_morsel, run_interleaved_par, DisjointOut, ParConfig};
+use isi_core::par::{run_interleaved_par, DisjointOut, ParConfig};
 use isi_core::sched::RunStats;
 
-use crate::amac::bulk_rank_amac;
 use crate::coro::rank_coro;
-use crate::gp::bulk_rank_gp;
 use crate::key::SearchKey;
-use crate::seq::{rank_branchfree, rank_branchy};
-
-/// Morsel-parallel [`rank_branchy`](crate::seq::rank_branchy) (`std`).
-///
-/// # Panics
-/// Panics if `out.len() != values.len()`.
-pub fn bulk_rank_branchy_par<K, M>(mem: &M, values: &[K], cfg: ParConfig, out: &mut [u32])
-where
-    K: SearchKey + Sync,
-    M: IndexedMem<K> + Sync,
-{
-    assert_eq!(values.len(), out.len(), "output length mismatch");
-    let sink = DisjointOut::new(out);
-    for_each_morsel(cfg, values.len(), |range| {
-        // SAFETY: morsel ranges are disjoint and each is processed by
-        // exactly one worker.
-        let dst = unsafe { sink.slice_mut(range.clone()) };
-        for (o, v) in dst.iter_mut().zip(&values[range]) {
-            *o = rank_branchy(mem, *v);
-        }
-    });
-}
-
-/// Morsel-parallel [`rank_branchfree`](crate::seq::rank_branchfree)
-/// (`Baseline`).
-///
-/// # Panics
-/// Panics if `out.len() != values.len()`.
-pub fn bulk_rank_branchfree_par<K, M>(mem: &M, values: &[K], cfg: ParConfig, out: &mut [u32])
-where
-    K: SearchKey + Sync,
-    M: IndexedMem<K> + Sync,
-{
-    assert_eq!(values.len(), out.len(), "output length mismatch");
-    let sink = DisjointOut::new(out);
-    for_each_morsel(cfg, values.len(), |range| {
-        // SAFETY: morsel ranges are disjoint and each is processed by
-        // exactly one worker.
-        let dst = unsafe { sink.slice_mut(range.clone()) };
-        for (o, v) in dst.iter_mut().zip(&values[range]) {
-            *o = rank_branchfree(mem, *v);
-        }
-    });
-}
-
-/// Morsel-parallel group prefetching: each worker runs the GP engine
-/// over its claimed morsels (group state stays worker-local on the
-/// stack).
-///
-/// # Panics
-/// Panics if `out.len() != values.len()`, `group_size == 0` or
-/// `group_size > `[`MAX_GROUP`](crate::gp::MAX_GROUP).
-pub fn bulk_rank_gp_par<K, M>(
-    mem: &M,
-    values: &[K],
-    group_size: usize,
-    cfg: ParConfig,
-    out: &mut [u32],
-) where
-    K: SearchKey + Sync,
-    M: IndexedMem<K> + Sync,
-{
-    assert_eq!(values.len(), out.len(), "output length mismatch");
-    assert!(
-        (1..=crate::gp::MAX_GROUP).contains(&group_size),
-        "group_size must be in 1..={}",
-        crate::gp::MAX_GROUP
-    );
-    let sink = DisjointOut::new(out);
-    for_each_morsel(cfg, values.len(), |range| {
-        // SAFETY: morsel ranges are disjoint and each is processed by
-        // exactly one worker.
-        let dst = unsafe { sink.slice_mut(range.clone()) };
-        bulk_rank_gp(mem, &values[range], group_size, dst);
-    });
-}
-
-/// Morsel-parallel AMAC: each worker services its own circular buffer
-/// of stream states over its claimed morsels.
-///
-/// # Panics
-/// Panics if `out.len() != values.len()` or `group_size == 0`.
-pub fn bulk_rank_amac_par<K, M>(
-    mem: &M,
-    values: &[K],
-    group_size: usize,
-    cfg: ParConfig,
-    out: &mut [u32],
-) where
-    K: SearchKey + Sync,
-    M: IndexedMem<K> + Sync,
-{
-    assert_eq!(values.len(), out.len(), "output length mismatch");
-    assert!(group_size > 0, "group_size must be positive");
-    let sink = DisjointOut::new(out);
-    for_each_morsel(cfg, values.len(), |range| {
-        // SAFETY: morsel ranges are disjoint and each is processed by
-        // exactly one worker.
-        let dst = unsafe { sink.slice_mut(range.clone()) };
-        bulk_rank_amac(mem, &values[range], group_size, dst);
-    });
-}
 
 /// Morsel-parallel coroutine interleaving — the paper's CORO composed
 /// with thread-level parallelism. The same
@@ -180,22 +76,6 @@ mod tests {
         for threads in [1, 2, 4] {
             let c = cfg(threads);
             let mut out = vec![u32::MAX; values.len()];
-            bulk_rank_branchy_par(&mem, &values, c, &mut out);
-            assert_eq!(out, expect, "branchy threads={threads}");
-
-            out.fill(u32::MAX);
-            bulk_rank_branchfree_par(&mem, &values, c, &mut out);
-            assert_eq!(out, expect, "branchfree threads={threads}");
-
-            out.fill(u32::MAX);
-            bulk_rank_gp_par(&mem, &values, 10, c, &mut out);
-            assert_eq!(out, expect, "gp threads={threads}");
-
-            out.fill(u32::MAX);
-            bulk_rank_amac_par(&mem, &values, 6, c, &mut out);
-            assert_eq!(out, expect, "amac threads={threads}");
-
-            out.fill(u32::MAX);
             let stats = bulk_rank_coro_par(mem, &values, 6, c, &mut out);
             assert_eq!(out, expect, "coro threads={threads}");
             assert_eq!(stats.lookups, values.len() as u64);
@@ -207,8 +87,6 @@ mod tests {
         let table: Vec<u32> = (0..16).collect();
         let mem = DirectMem::new(&table);
         let mut out: Vec<u32> = vec![];
-        bulk_rank_branchy_par(&mem, &[], cfg(4), &mut out);
-        bulk_rank_gp_par(&mem, &[], 4, cfg(4), &mut out);
         let stats = bulk_rank_coro_par(mem, &[], 4, cfg(4), &mut out);
         assert_eq!(stats, RunStats::default());
     }
@@ -232,13 +110,5 @@ mod tests {
         let table: Vec<u32> = (0..8).collect();
         let mem = DirectMem::new(&table);
         bulk_rank_coro_par(mem, &[1, 2], 4, cfg(2), &mut [0u32]);
-    }
-
-    #[test]
-    #[should_panic(expected = "group_size")]
-    fn gp_group_bounds_enforced_before_spawning() {
-        let table: Vec<u32> = (0..8).collect();
-        let mem = DirectMem::new(&table);
-        bulk_rank_gp_par(&mem, &[1], crate::gp::MAX_GROUP + 1, cfg(2), &mut [0]);
     }
 }

@@ -1,19 +1,14 @@
-//! Property tests for the morsel-parallel bulk drivers: on arbitrary
-//! sorted tables, probe lists, group sizes and morsel sizes, every
-//! `*_par` variant produces byte-identical output to its
-//! single-threaded driver across thread counts {1, 2, 4, 8}, and the
-//! merged `RunStats` of the parallel coroutine engine preserves the
-//! sequential totals.
+//! Property test for the morsel-parallel CORO driver: on arbitrary
+//! sorted tables, probe lists, group sizes and morsel sizes,
+//! `bulk_rank_coro_par` produces byte-identical output to the
+//! single-threaded `bulk_rank_coro` across thread counts {1, 2, 4, 8},
+//! and its merged `RunStats` preserve the sequential totals.
 
 use proptest::prelude::*;
 
 use isi_core::mem::DirectMem;
 use isi_core::par::ParConfig;
-use isi_search::{
-    bulk_rank_amac, bulk_rank_amac_par, bulk_rank_branchfree, bulk_rank_branchfree_par,
-    bulk_rank_branchy, bulk_rank_branchy_par, bulk_rank_coro, bulk_rank_coro_par, bulk_rank_gp,
-    bulk_rank_gp_par,
-};
+use isi_search::{bulk_rank_coro, bulk_rank_coro_par};
 
 /// Strategy: a sorted (possibly duplicated) u32 table and probe values
 /// covering hits, misses and extremes.
@@ -40,32 +35,11 @@ proptest! {
         let mem = DirectMem::new(&table);
         let n = probes.len();
 
-        // Sequential reference outputs, one per variant.
         let mut seq = vec![0u32; n];
         let mut par = vec![u32::MAX; n];
 
         for threads in [1usize, 2, 4, 8] {
             let cfg = ParConfig { threads, morsel_size: morsel };
-
-            bulk_rank_branchy(&mem, &probes, &mut seq);
-            par.fill(u32::MAX);
-            bulk_rank_branchy_par(&mem, &probes, cfg, &mut par);
-            prop_assert_eq!(&par, &seq, "branchy threads={} morsel={}", threads, morsel);
-
-            bulk_rank_branchfree(&mem, &probes, &mut seq);
-            par.fill(u32::MAX);
-            bulk_rank_branchfree_par(&mem, &probes, cfg, &mut par);
-            prop_assert_eq!(&par, &seq, "branchfree threads={} morsel={}", threads, morsel);
-
-            bulk_rank_gp(&mem, &probes, group, &mut seq);
-            par.fill(u32::MAX);
-            bulk_rank_gp_par(&mem, &probes, group, cfg, &mut par);
-            prop_assert_eq!(&par, &seq, "gp threads={} morsel={}", threads, morsel);
-
-            bulk_rank_amac(&mem, &probes, group, &mut seq);
-            par.fill(u32::MAX);
-            bulk_rank_amac_par(&mem, &probes, group, cfg, &mut par);
-            prop_assert_eq!(&par, &seq, "amac threads={} morsel={}", threads, morsel);
 
             let seq_stats = bulk_rank_coro(mem, &probes, group, &mut seq);
             par.fill(u32::MAX);

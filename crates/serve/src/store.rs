@@ -292,8 +292,7 @@ impl Delta {
     /// Cheap copy sharing every immutable run: O(runs) `Arc` handle
     /// clones, never the entries. This is the write path's whole
     /// point — the old clone-the-entries delta copied O(delta) pairs
-    /// per write run (quadratic over a write burst), and the xtask
-    /// lint (`serve-run-stack`) now rejects that shape outright.
+    /// per write run (quadratic over a write burst).
     fn share(&self) -> Self {
         self.clone()
     }
