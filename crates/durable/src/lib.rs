@@ -25,9 +25,9 @@
 //!
 //! ## Crash-ordering invariants
 //!
-//! 1. **Ack ⇒ durable** (modes [`FsyncMode::On`]/[`FsyncMode::Group`]):
-//!    a write run's WAL record is appended *and fsynced* before the
-//!    run returns, so an acknowledged write survives any later crash.
+//! 1. **Ack ⇒ durable** (mode [`FsyncMode::Group`]): a write run's
+//!    WAL record is appended *and fsynced* before the run returns, so
+//!    an acknowledged write survives any later crash.
 //! 2. **Snapshot before truncate**: the WAL is only rewritten after
 //!    the covering snapshot is fsynced and its rename is sync-dir'd.
 //!    A crash between the two leaves the old WAL, whose records are
@@ -62,12 +62,6 @@ pub enum FsyncMode {
     /// crash may lose acknowledged writes. Recovery still restores a
     /// consistent prefix (records are atomic).
     Off,
-    /// One record **per operation** — op-granular replay and crash
-    /// tears, for A/B comparison against group commit. The records of
-    /// one write run are encoded in a single pass, appended together
-    /// and fsynced **once per run** (ack ⇒ durable is unchanged; only
-    /// the record granularity differs from [`Group`](Self::Group)).
-    On,
     /// One record and one fsync **per dispatched write run** — group
     /// commit; batching amortizes the fsync exactly like it amortizes
     /// the interleaved read engine.
@@ -75,14 +69,13 @@ pub enum FsyncMode {
 }
 
 impl FsyncMode {
-    /// All modes (the crash-recovery matrix runs each).
-    pub const ALL: [FsyncMode; 3] = [FsyncMode::Off, FsyncMode::On, FsyncMode::Group];
+    /// Both modes (the crash-recovery proptest draws from them).
+    pub const ALL: [FsyncMode; 2] = [FsyncMode::Off, FsyncMode::Group];
 
     /// Stable lowercase name (labels test output).
     pub fn name(self) -> &'static str {
         match self {
             FsyncMode::Off => "off",
-            FsyncMode::On => "on",
             FsyncMode::Group => "group",
         }
     }

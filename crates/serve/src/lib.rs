@@ -51,12 +51,12 @@
 //!    size, rebuilds the shard's main with it (a major merge). Either
 //!    is published through an
 //!    [`EpochCell`](isi_core::epoch::EpochCell) swap while the delta
-//!    keeps absorbing writes up to a hard
-//!    [`StoreConfig::max_delta`](store::StoreConfig) bound. In-flight
-//!    batches finish on the version they started with; no request's
-//!    latency absorbs a merge
+//!    keeps absorbing writes up to a hard bound of four thresholds.
+//!    In-flight batches finish on the version they started with; no
+//!    request's latency absorbs a merge
 //!    ([`MergeMode::Foreground`](store::MergeMode) runs the same
-//!    routine inline for A/B runs).
+//!    routine inline: the deterministic mode of the crash matrix and
+//!    the allocation tests).
 //! 5. **Survive crashes (opt-in)** — with
 //!    [`StoreConfig::wal_dir`](store::StoreConfig) set, every
 //!    dispatched write run appends **one checksummed WAL record** to

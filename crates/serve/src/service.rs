@@ -1247,7 +1247,7 @@ fn execute_batch(ctx: ShardCtx<'_>, bufs: &mut Exec, full: bool, who: Runner) {
         // one `apply_write_run` call, which on a durable store is one
         // WAL record + one fsync (group commit) covering every op in
         // the run before any of its tickets resolve. The store call
-        // (which may block briefly at the max_delta bound), the range
+        // (which may block briefly at the delta's hard bound), the range
         // scan and the cache invalidation run unlocked; only the
         // counter-update + fulfill pass takes the metrics lock.
         while i < bufs.batch.len() {
@@ -1444,34 +1444,29 @@ mod tests {
     fn a_backlog_of_writes_is_one_group_commit() {
         // Four puts queue up behind a held token; the helper then cuts
         // them as one batch = one write run = the group-commit unit.
-        use isi_durable::{Fs, FsyncMode, MemFs};
-        for (fsync, records_per_run) in [(FsyncMode::Group, 1), (FsyncMode::On, 4)] {
-            let fs: Arc<dyn Fs> = Arc::new(MemFs::new());
-            let store = ShardedStore::build_with_fs(
-                Backend::Sorted,
-                1,
-                &[],
-                StoreConfig {
-                    fsync,
-                    ..StoreConfig::with_threshold(1 << 20)
-                },
-                fs,
-            );
-            let svc = LookupService::start(store, ServeConfig::default());
-            let token = hold_token(&svc, 0);
-            std::thread::scope(|scope| {
-                for key in 0..4u64 {
-                    let svc = &svc;
-                    scope.spawn(move || assert_eq!(svc.put(key, key), None));
-                }
-                wait_queued(&svc, 0, 4);
-                release_token(&svc, 0, token);
-            });
-            let stats = svc.stats();
-            assert_eq!(stats.batches, 1);
-            assert_eq!(stats.wal_records, records_per_run, "{}", fsync.name());
-            assert_eq!(stats.wal_syncs, 1, "one fsync per write run");
-        }
+        use isi_durable::{Fs, MemFs};
+        let fs: Arc<dyn Fs> = Arc::new(MemFs::new());
+        let store = ShardedStore::build_with_fs(
+            Backend::Sorted,
+            1,
+            &[],
+            StoreConfig::with_threshold(1 << 20),
+            fs,
+        );
+        let svc = LookupService::start(store, ServeConfig::default());
+        let token = hold_token(&svc, 0);
+        std::thread::scope(|scope| {
+            for key in 0..4u64 {
+                let svc = &svc;
+                scope.spawn(move || assert_eq!(svc.put(key, key), None));
+            }
+            wait_queued(&svc, 0, 4);
+            release_token(&svc, 0, token);
+        });
+        let stats = svc.stats();
+        assert_eq!(stats.batches, 1);
+        assert_eq!(stats.wal_records, 1, "one record per write run");
+        assert_eq!(stats.wal_syncs, 1, "one fsync per write run");
     }
 
     #[test]

@@ -45,9 +45,9 @@
 //! runs)`. Either way the merge pins the runs it snapshotted (the
 //! write path folds only above them, and never the mid), so the
 //! residual is what was written meanwhile and nothing else. While a
-//! merge runs the stack keeps absorbing writes up to the hard
-//! [`StoreConfig::max_delta`] bound; writers to that shard block past
-//! it until the merger catches up. A merger that panics fails the
+//! merge runs the stack keeps absorbing writes up to a hard bound of
+//! four thresholds; writers to that shard block past it until the
+//! merger catches up. A merger that panics fails the
 //! store closed: writers and [`ShardedStore::quiesce`] panic with
 //! "merger failed", none waits for a merge that will not come.
 //! Readers snapshot one `Arc<ShardVersion>` per operation, so they
@@ -55,8 +55,9 @@
 //! batch keeps reading the version it started on while a merge
 //! publishes the next one, and a merge can never tear a read (the
 //! swap is a single pointer store). [`MergeMode::Foreground`] runs the
-//! same merge routine inline in the triggering write, for A/B
-//! comparison and deterministic tests.
+//! same merge routine inline in the triggering write: the
+//! deterministic mode of the kill-at-every-fs-op matrix and the
+//! allocation tests.
 //!
 //! Shard routing uses the *top* bits of the key's Fibonacci hash. The
 //! hash-table backend buckets on bits 32 and up of the same hash
@@ -132,12 +133,15 @@ impl Backend {
 pub enum MergeMode {
     /// The default: a threshold-crossing write enqueues a merge job
     /// for the store's background merger thread and returns
-    /// immediately; the delta keeps absorbing writes up to
-    /// [`StoreConfig::max_delta`] while the merge is in flight.
+    /// immediately; the delta keeps absorbing writes, up to four
+    /// thresholds of them, while the merge is in flight.
     Background,
     /// The threshold-crossing write performs the merge inline (its
     /// latency absorbs it) and publishes the merged version in the
-    /// same swap. Kept for A/B benchmarking and deterministic tests.
+    /// same swap. Every file-system operation then happens at a fixed
+    /// point of the write schedule, which is what the
+    /// kill-at-every-fs-op crash matrix and the allocation tests run
+    /// on.
     Foreground,
 }
 
@@ -152,16 +156,11 @@ pub struct StoreConfig {
     /// (`max(merge_threshold, √(merge_threshold · main length))`), so
     /// a larger threshold means fewer merges of both kinds, a longer
     /// overlay on the read path, and more to replay: recovery reads
-    /// back at most a mid tier plus a residual of WAL records.
+    /// back at most a mid tier plus a residual of WAL records. In
+    /// [`MergeMode::Background`] writers to a shard whose stack holds
+    /// four times this many entries block until the merger has folded
+    /// it — the room for bursts, and for the occasional major merge.
     pub merge_threshold: usize,
-    /// Hard per-shard bound on the same count in
-    /// [`MergeMode::Background`]: writers to a shard whose run stack
-    /// above the mid tier holds this many entries block until the
-    /// merger has folded it — the room for bursts, and for the
-    /// occasional major merge. Must be ≥ `merge_threshold`.
-    /// Irrelevant in foreground mode (the stack never outlives the
-    /// triggering write).
-    pub max_delta: usize,
     /// Where merges run.
     pub merge_mode: MergeMode,
     /// Published delta runs a shard may stack above the mid tier
@@ -183,12 +182,10 @@ pub struct StoreConfig {
 }
 
 impl StoreConfig {
-    /// Background merges with the given threshold and a `4×` headroom
-    /// bound (`max_delta = 4 * merge_threshold`); durability off.
+    /// Background merges with the given threshold; durability off.
     pub fn with_threshold(merge_threshold: usize) -> Self {
         Self {
             merge_threshold,
-            max_delta: merge_threshold.saturating_mul(4),
             merge_mode: MergeMode::Background,
             max_runs: 8,
             wal_dir: None,
@@ -218,7 +215,7 @@ impl StoreConfig {
 }
 
 impl Default for StoreConfig {
-    /// Background merges after 4096 delta entries, hard bound 16384.
+    /// Background merges after 4096 delta entries.
     fn default() -> Self {
         Self::with_threshold(4096)
     }
@@ -239,9 +236,9 @@ type DeltaRun = Arc<[(u64, Option<u64>)]>;
 /// The bottom run may be the shard's **mid tier**: what the merges
 /// since the last major one have folded the stack into. To a read it
 /// is the oldest run and nothing more; to the write side it is not
-/// part of the count: [`len`](Self::len), the threshold, the
-/// `max_delta` bound, `max_runs` and the write-path fold all concern
-/// the runs *above* it. When those exceed [`StoreConfig::max_runs`]
+/// part of the count: [`len`](Self::len), the threshold, the hard
+/// bound, `max_runs` and the write-path fold all concern the runs
+/// *above* it. When those exceed [`StoreConfig::max_runs`]
 /// the write path folds them into a single run (amortized
 /// O(threshold) total, not per-write) and leaves the mid where it is:
 /// a fold that took it along would copy it every few writes.
@@ -443,8 +440,8 @@ struct Shard {
     version: EpochCell<ShardVersion>,
     /// Serializes writers to this shard.
     write: Mutex<WriteState>,
-    /// Writers blocked on [`StoreConfig::max_delta`] wait here; the
-    /// merger notifies after publishing a drained version.
+    /// Writers blocked at the hard bound ([`max_delta`]) wait here;
+    /// the merger notifies after publishing a drained version.
     delta_space: Condvar,
 }
 
@@ -508,49 +505,6 @@ impl DurableState {
             );
             self.wal_syncs.inc();
         }
-    }
-
-    /// [`FsyncMode::On`]'s record granularity without its old
-    /// quadratic overhead: encode one record **per op** (each at its
-    /// own sequence) into a single buffer in one pass, append once,
-    /// fsync once — the span/trace machinery runs once per run, not
-    /// once per op. Returns the last sequence consumed. Caller holds
-    /// the shard write lock.
-    fn log_run_per_op(
-        &self,
-        obs: &Obs,
-        shard: usize,
-        mut seq: u64,
-        ops: &[(u64, Option<u64>)],
-    ) -> u64 {
-        let name = durable::wal_name(shard);
-        let mut buf = Vec::new();
-        for op in ops {
-            seq += 1;
-            buf.extend_from_slice(&durable::encode_record(seq, std::slice::from_ref(op)));
-        }
-        let t = SpanTimer::start();
-        self.fs
-            .append(&name, &buf)
-            .unwrap_or_else(|e| panic!("WAL append failed for shard {shard}: {e}"));
-        obs.record_stage(shard, Stage::WalAppend, t.elapsed_ns());
-        self.wal_records.add(ops.len() as u64);
-        let t = SpanTimer::start();
-        self.fs
-            .sync(&name)
-            .unwrap_or_else(|e| panic!("WAL fsync failed for shard {shard}: {e}"));
-        let dur = t.elapsed_ns();
-        obs.record_stage(shard, Stage::WalFsync, dur);
-        obs.trace().emit(
-            shard,
-            TraceKind::WalSync,
-            t.start_ns(),
-            dur,
-            ops.len() as u64,
-            0,
-        );
-        self.wal_syncs.inc();
-        seq
     }
 
     /// Serialize and fsync a snapshot of `merged` (covering WAL
@@ -652,8 +606,8 @@ pub struct BatchOutcome {
 ///
 /// Point reads, batch lookups and range scans take `&self` and never
 /// block behind writes or merges; `put`/`remove` also take `&self`
-/// (interior mutability), serialize per shard, and block only at the
-/// [`StoreConfig::max_delta`] bound.
+/// (interior mutability), serialize per shard, and block only when a
+/// shard's delta is four thresholds deep.
 pub struct ShardedStore {
     inner: Arc<StoreInner>,
     /// `Some` in background mode; joined (after a drain) on drop.
@@ -681,9 +635,8 @@ impl ShardedStore {
     ///
     /// # Panics
     /// Panics if `num_shards` is not a power of two (including 0), if
-    /// `cfg.merge_threshold` is 0, if `cfg.max_delta <
-    /// cfg.merge_threshold`, or if the WAL directory cannot be
-    /// created or initialized.
+    /// `cfg.merge_threshold` or `cfg.max_runs` is 0, or if the WAL
+    /// directory cannot be created or initialized.
     pub fn build_with(
         backend: Backend,
         num_shards: usize,
@@ -845,12 +798,6 @@ impl ShardedStore {
 
     fn validate(cfg: &StoreConfig) {
         assert!(cfg.merge_threshold > 0, "merge_threshold must be positive");
-        assert!(
-            cfg.max_delta >= cfg.merge_threshold,
-            "max_delta ({}) must be >= merge_threshold ({})",
-            cfg.max_delta,
-            cfg.merge_threshold
-        );
         assert!(cfg.max_runs >= 1, "max_runs must be >= 1");
     }
 
@@ -1115,9 +1062,8 @@ impl ShardedStore {
     /// commute; per-shard admission order is preserved). Each shard's
     /// sub-run holds the write lock once, sorts its ops into **one**
     /// immutable delta run (last-write-wins within the run), appends
-    /// **one** WAL record fsynced **once** ([`FsyncMode::Group`];
-    /// [`FsyncMode::On`] logs a record per op but still appends and
-    /// fsyncs once per run) and publishes **one** new version — when
+    /// **one** WAL record fsynced **once** ([`FsyncMode::Group`]) and
+    /// publishes **one** new version — when
     /// this returns, every op in the run is durable and visible, so
     /// callers may acknowledge the whole run.
     ///
@@ -1166,7 +1112,7 @@ impl ShardedStore {
     /// `merge_threshold` the run requests maintenance — a job for the
     /// background merger, or an inline merge in foreground mode. In
     /// background mode the run blocks only when the shard's delta has
-    /// hit the hard `max_delta` bound. With durability on, the run's
+    /// hit the hard bound ([`max_delta`]). With durability on, the run's
     /// WAL record is appended and fsynced *before* the publish.
     fn write_shard_run(
         &self,
@@ -1179,7 +1125,8 @@ impl ShardedStore {
         let shard = &inner.shards[si];
         let mut w = shard.write.plock("shard write state");
         if inner.cfg.merge_mode == MergeMode::Background {
-            // Hard bound: past max_delta this shard's writers wait for
+            let bound = max_delta(inner.cfg.merge_threshold);
+            // Hard bound: past it this shard's writers wait for
             // the merger (which takes this lock to pin and to publish,
             // but we release it while waiting on the condvar). A run
             // may overshoot the bound by its own length — bounded by
@@ -1192,7 +1139,7 @@ impl ShardedStore {
                     drop(w);
                     panic!("merger failed: shard {si} takes no more writes");
                 }
-                if shard.version.load().delta.len() < inner.cfg.max_delta {
+                if shard.version.load().delta.len() < bound {
                     break;
                 }
                 waited = true;
@@ -1257,12 +1204,8 @@ impl ShardedStore {
         // Replay is absolute upserts, so logging the deduped run is
         // state-equivalent to logging every op.
         if let Some(d) = &inner.durable {
-            if d.fsync == FsyncMode::On {
-                w.wal_seq = d.log_run_per_op(&inner.obs, si, w.wal_seq, &run);
-            } else {
-                w.wal_seq += 1;
-                d.log_run(&inner.obs, si, w.wal_seq, &run);
-            }
+            w.wal_seq += 1;
+            d.log_run(&inner.obs, si, w.wal_seq, &run);
         }
         let counters = &inner.merge_counters[si];
         let mut delta = cur.delta.share();
@@ -1483,7 +1426,7 @@ struct Folded {
 /// Marks the store failed if the merger thread unwinds out of its loop
 /// (a merge panicked: a snapshot on a full disk, say) and wakes
 /// everyone who waits for a merge — [`ShardedStore::quiesce`] on
-/// `merge_done`, writers at `max_delta` on their shard's
+/// `merge_done`, writers at the hard bound on their shard's
 /// `delta_space` — so that they panic instead of waiting for good.
 struct FailClosed<'a>(&'a StoreInner);
 
@@ -1725,6 +1668,15 @@ impl StoreInner {
 /// threshold: a mid of one merge's worth is the old merge-every-time.
 fn major_len(merge_threshold: usize, main_len: usize) -> usize {
     merge_threshold.max(merge_threshold.saturating_mul(main_len).isqrt())
+}
+
+/// The hard bound on a shard's run stack above the mid tier in
+/// [`MergeMode::Background`]: four thresholds, the room for bursts and
+/// for the occasional major merge while the merger is busy. Foreground
+/// mode has no use for it (the stack never outlives the triggering
+/// write).
+fn max_delta(merge_threshold: usize) -> usize {
+    merge_threshold.saturating_mul(4)
 }
 
 /// Sort a freshly built override run by key and resolve duplicates
@@ -2013,21 +1965,6 @@ mod tests {
     #[should_panic(expected = "merge_threshold must be positive")]
     fn rejects_zero_merge_threshold() {
         ShardedStore::build_with(Backend::Sorted, 1, &[], StoreConfig::with_threshold(0));
-    }
-
-    #[test]
-    #[should_panic(expected = "max_delta")]
-    fn rejects_max_delta_below_threshold() {
-        ShardedStore::build_with(
-            Backend::Sorted,
-            1,
-            &[],
-            StoreConfig {
-                merge_threshold: 8,
-                max_delta: 4,
-                ..StoreConfig::default()
-            },
-        );
     }
 
     #[test]
@@ -2522,8 +2459,8 @@ mod tests {
         use std::panic::{catch_unwind, AssertUnwindSafe};
         use std::time::Duration;
         // Threshold 4 over a main of 4 (every merge is major), room
-        // for 8. Four writes start a merge, which the gate holds at
-        // its snapshot; four more fill the delta, so a ninth write
+        // for 16. Four writes start a merge, which the gate holds at
+        // its snapshot; twelve more fill the delta, so a 17th write
         // parks on `delta_space` and a `quiesce` on `merge_done`. Then
         // the disk fills up and the gate opens: the snapshot write
         // fails, the merger panics — and both waiters must come back,
@@ -2537,11 +2474,7 @@ mod tests {
             Backend::Sorted,
             1,
             &pairs(4),
-            StoreConfig {
-                merge_threshold: 4,
-                max_delta: 8,
-                ..StoreConfig::default()
-            },
+            StoreConfig::with_threshold(4),
             Arc::clone(&fs) as Arc<dyn Fs>,
         ));
         let (entered_tx, entered) = mpsc::channel();
@@ -2551,16 +2484,16 @@ mod tests {
             store.put(10_000 + i, i);
         }
         entered.recv().expect("the merge stages its snapshot");
-        for i in 4..8u64 {
+        for i in 4..16u64 {
             store.put(10_000 + i, i);
         }
-        assert_eq!(store.delta_len(), 8);
+        assert_eq!(store.delta_len(), max_delta(4));
         let (done_tx, done) = mpsc::channel();
         for waiter in ["put", "quiesce"] {
             let (store, done_tx) = (Arc::clone(&store), done_tx.clone());
             std::thread::spawn(move || {
                 let outcome = catch_unwind(AssertUnwindSafe(|| match waiter {
-                    "put" => drop(store.put(10_008, 8)),
+                    "put" => drop(store.put(10_016, 16)),
                     _ => store.quiesce(),
                 }));
                 // Before reporting in: the test takes the store back.
@@ -2586,7 +2519,7 @@ mod tests {
                 .expect_err("write on a failed store");
             assert!(msg.contains("merger failed"), "{msg}");
         }
-        assert_eq!(store.get(10_007), Some(7), "reads go on");
+        assert_eq!(store.get(10_015), Some(15), "reads go on");
         // Dropping the store reports the merger's panic (and would not
         // while already unwinding).
         let store = Arc::try_unwrap(store).unwrap_or_else(|_| panic!("waiters are done"));
@@ -2598,18 +2531,14 @@ mod tests {
 
     #[test]
     fn writers_block_at_max_delta_but_make_progress() {
-        // Tiny threshold and hard bound: concurrent writers must hit
-        // the max_delta wall constantly and still complete with the
+        // Tiny threshold, so a hard bound of 8: concurrent writers
+        // must hit that wall constantly and still complete with the
         // right final state (the merger keeps draining under them).
         let store = ShardedStore::build_with(
             Backend::Sorted,
             1,
             &pairs(50),
-            StoreConfig {
-                merge_threshold: 2,
-                max_delta: 4,
-                ..StoreConfig::default()
-            },
+            StoreConfig::with_threshold(2),
         );
         std::thread::scope(|scope| {
             for t in 0..2u64 {

@@ -45,7 +45,6 @@ type Schedule = Vec<Vec<(u64, Option<u64>)>>;
 fn store_cfg(fsync: FsyncMode, mode: MergeMode) -> StoreConfig {
     StoreConfig {
         merge_threshold: 4,
-        max_delta: 16,
         merge_mode: mode,
         // A tiny stack bound keeps crash images exercising run-stack
         // folds between the kill points.
@@ -272,7 +271,6 @@ fn fixed_schedule_ops(fsync: FsyncMode, mode: MergeMode) -> u64 {
 fn fixed_schedule_crosses_both_kinds_of_merge() {
     for (fsync, mode) in [
         (FsyncMode::Group, MergeMode::Foreground),
-        (FsyncMode::On, MergeMode::Foreground),
         (FsyncMode::Group, MergeMode::Background),
     ] {
         let fs: Arc<dyn Fs> = Arc::new(MemFs::new());
@@ -331,25 +329,6 @@ fn kill_at_every_protocol_point_foreground() {
             )
             .unwrap_or_else(|e| panic!("kill@{kill} tear={tear} flip={flip}: {e}"));
         }
-    }
-}
-
-/// The same matrix with per-op fsyncs (`FsyncMode::On`) — different
-/// op counts, different kill alignments, every acked op durable.
-#[test]
-fn kill_at_every_protocol_point_fsync_per_op() {
-    let seed = fixed_seed();
-    let schedule = fixed_schedule();
-    let total = fixed_schedule_ops(FsyncMode::On, MergeMode::Foreground);
-    for kill in (0..total).step_by(3) {
-        let plan = FaultPlan {
-            kill_at_op: Some(kill),
-            drop_syncs: false,
-            tear_keep_eighths: 2,
-            flip_torn_bit: true,
-        };
-        crash_case(&seed, FsyncMode::On, MergeMode::Foreground, &schedule, plan)
-            .unwrap_or_else(|e| panic!("kill@{kill}: {e}"));
     }
 }
 
@@ -421,7 +400,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(if cfg!(miri) { 2 } else { 48 }))]
 
     /// Random schedules × random kill points × random fault plans ×
-    /// all fsync modes: every acked write survives (when fsyncs are
+    /// both fsync modes: every acked write survives (when fsyncs are
     /// honored) and no crash image ever recovers to a non-prefix.
     #[test]
     fn kill_and_revive_matches_an_oracle_prefix(
@@ -431,7 +410,7 @@ proptest! {
         flip in prop_oneof![Just(false), Just(true)],
         drop_syncs in prop_oneof![Just(false), Just(true)],
         mode_fg in prop_oneof![Just(false), Just(true)],
-        fsync_pick in 0u8..3,
+        fsync_pick in 0u8..2,
     ) {
         let seed = fixed_seed();
         let fsync = FsyncMode::ALL[fsync_pick as usize];
@@ -460,7 +439,6 @@ fn recovery_installs_a_long_wal_as_the_mid_tier() {
     let seed: Vec<(u64, u64)> = (0..400u64).map(|i| (i * 3, i)).collect();
     let cfg = |threshold: usize, mode: MergeMode| StoreConfig {
         merge_threshold: threshold,
-        max_delta: 4 * threshold,
         merge_mode: mode,
         ..StoreConfig::default()
     };
@@ -534,12 +512,7 @@ fn disk_roundtrip_through_the_service() {
             fsync.name()
         ));
         let _ = std::fs::remove_dir_all(&dir);
-        let cfg = StoreConfig {
-            merge_threshold: 8,
-            max_delta: 32,
-            ..StoreConfig::default()
-        }
-        .durable(&dir, fsync);
+        let cfg = StoreConfig::with_threshold(8).durable(&dir, fsync);
         let seed: Vec<(u64, u64)> = (0..100u64).map(|i| (i * 3, i)).collect();
         let serve_cfg = ServeConfig {
             batch: BatchPolicy { max_batch: 8 },
@@ -589,12 +562,7 @@ fn disk_roundtrip_through_the_service() {
 fn build_with_on_a_used_directory_supersedes_the_old_store() {
     let dir = std::env::temp_dir().join(format!("isi-crash-recovery-{}-reuse", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let cfg = StoreConfig {
-        merge_threshold: 4,
-        max_delta: 16,
-        ..StoreConfig::default()
-    }
-    .durable(&dir, FsyncMode::Group);
+    let cfg = StoreConfig::with_threshold(4).durable(&dir, FsyncMode::Group);
     {
         // Store A, written past its major-merge size (about 11 entries
         // a shard): after quiesce its shards have snapshots at a
@@ -657,104 +625,42 @@ impl Fs for SlowSyncFs {
 }
 
 /// Durable group commit through the service: a burst of writes from
-/// concurrent clients lands in far fewer fsyncs than records under
-/// `FsyncMode::Group` (that is the point), while `FsyncMode::On`
-/// keeps one record per op but still fsyncs once per write run.
+/// concurrent clients lands in far fewer fsyncs than writes (that is
+/// the point).
 #[test]
 fn group_commit_amortizes_fsyncs_through_the_service() {
-    for (fsync, expect_amortized) in [(FsyncMode::Group, true), (FsyncMode::On, false)] {
-        let fs: Arc<dyn Fs> = Arc::new(SlowSyncFs(MemFs::new()));
-        let store = ShardedStore::build_with_fs(
-            Backend::Sorted,
-            1,
-            &[],
-            store_cfg(fsync, MergeMode::Background),
-            fs,
-        );
-        let svc = LookupService::start(
-            store,
-            ServeConfig {
-                batch: BatchPolicy { max_batch: 64 },
-                ..ServeConfig::default()
-            },
-        );
-        std::thread::scope(|scope| {
-            for c in 0..4u64 {
-                let svc = &svc;
-                scope.spawn(move || {
-                    for i in 0..64u64 {
-                        svc.put(c * 1000 + i, i);
-                    }
-                });
-            }
-        });
-        let (records, syncs) = svc.store().wal_stats();
-        if expect_amortized {
-            // Group commit: one record and one fsync per write run,
-            // and with 4 concurrent clients the writes that queue up
-            // behind a run's fsync coalesce into shared records, which
-            // must beat one-sync-per-op.
-            assert_eq!(syncs, records);
-            assert!(
-                records < 256,
-                "4×64 puts should coalesce into fewer records, got {records}"
-            );
-        } else {
-            assert_eq!(records, 256, "FsyncMode::On is one record per op");
-            // One fsync per effective write run, not per record: the
-            // per-op records of a run are encoded in one pass and hit
-            // the disk together.
-            assert!(syncs <= records);
-            assert_eq!(
-                syncs,
-                svc.store().delta_runs(),
-                "FsyncMode::On is one fsync per published run"
-            );
-        }
-    }
-}
-
-/// `FsyncMode::On` accounting on multi-op runs applied directly to
-/// the store: one WAL record per **effective** op (elided ops are
-/// never logged), one fsync per shard sub-run — and the per-op
-/// records recover exactly like one grouped record.
-#[test]
-fn fsync_on_logs_one_record_per_effective_op() {
-    let fs = Arc::new(MemFs::new());
+    let fs: Arc<dyn Fs> = Arc::new(SlowSyncFs(MemFs::new()));
     let store = ShardedStore::build_with_fs(
         Backend::Sorted,
         1,
         &[],
-        StoreConfig::with_threshold(1 << 20).durable("ignored", FsyncMode::On),
-        Arc::clone(&fs) as Arc<dyn Fs>,
-    );
-    let mut prevs = Vec::new();
-    let mut effective = 0u64;
-    for run in 0..16u64 {
-        // 8 ops per run: 7 distinct puts plus one remove of a key
-        // that is nowhere — the remove is elided, the rest count.
-        let mut ops: Vec<(u64, Option<u64>)> = (0..7)
-            .map(|i| (run * 16 + i, Some(run * 100 + i)))
-            .collect();
-        ops.push((900_000 + run, None));
-        store.apply_write_run(&ops, &mut prevs);
-        effective += 7;
-    }
-    let (records, syncs) = store.wal_stats();
-    assert_eq!(records, effective, "one record per effective op");
-    assert_eq!(syncs, store.delta_runs(), "one fsync per published run");
-    assert_eq!(syncs, 16);
-    drop(store);
-    let recovered = ShardedStore::recover_with_fs(
-        Backend::Sorted,
-        StoreConfig::with_threshold(1 << 20).durable("ignored", FsyncMode::On),
+        store_cfg(FsyncMode::Group, MergeMode::Background),
         fs,
-    )
-    .expect("recover");
-    for run in 0..16u64 {
-        for i in 0..7 {
-            assert_eq!(recovered.get(run * 16 + i), Some(run * 100 + i));
+    );
+    let svc = LookupService::start(
+        store,
+        ServeConfig {
+            batch: BatchPolicy { max_batch: 64 },
+            ..ServeConfig::default()
+        },
+    );
+    std::thread::scope(|scope| {
+        for c in 0..4u64 {
+            let svc = &svc;
+            scope.spawn(move || {
+                for i in 0..64u64 {
+                    svc.put(c * 1000 + i, i);
+                }
+            });
         }
-    }
-    assert_eq!(recovered.len(), 16 * 7);
+    });
+    // One record and one fsync per write run, and with 4 concurrent
+    // clients the writes that queue up behind a run's fsync coalesce
+    // into shared records, which must beat one-sync-per-op.
+    let (records, syncs) = svc.store().wal_stats();
+    assert_eq!(syncs, records);
+    assert!(
+        records < 256,
+        "4×64 puts should coalesce into fewer records, got {records}"
+    );
 }

@@ -318,7 +318,7 @@ proptest! {
                 }
                 // The full-keyspace sweep hands every shard a read run
                 // of ~KEYSPACE/shards keys, of which the delta (at most
-                // max_delta = 8 entries) decides a handful: the engine
+                // four thresholds = 8 entries) decides a handful: the engine
                 // gets far more keys than any group here, so its peak
                 // is the group it was given.
                 let all: Vec<u64> = (0..KEYSPACE).collect();
