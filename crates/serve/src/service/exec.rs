@@ -1,0 +1,207 @@
+//! Executing one batch cut from a shard's queue.
+
+use isi_core::sync::MutexExt;
+use isi_obs::{SpanTimer, Stage, TraceKind};
+
+use super::queue::{Exec, Op, Runner, ShardCtx};
+
+/// Execute the batch drained into `bufs.batch` in admission order:
+/// maximal runs of consecutive point reads are planned against the
+/// delta and the residual goes through the interleaved engine as one
+/// batch; writes
+/// and range scans apply one at a time between runs (each write
+/// invalidating its hot-cache slot *before* its ticket is fulfilled).
+/// Writes only append to the delta — a threshold crossing enqueues a
+/// background merge job, it never rebuilds here.
+///
+/// An entry's counters and latency sample land *before* its ticket is
+/// fulfilled (the counters are lock-free `Release` bumps, the stats
+/// snapshot reads `Acquire`), so the moment a client's wait returns,
+/// [`LookupService::stats`] already includes its request. No lock is
+/// held across engine runs or store writes (a write can trigger a
+/// whole-shard merge rebuild), so a monitoring thread reading stats
+/// never blocks behind the slow work itself.
+///
+/// Stage spans recorded here: `admission_wait` per entry at drain,
+/// `writeback` around each write run (store call + cache
+/// invalidation), `commit` around each fulfill pass. The store records
+/// `plan`/`engine`/`wal_*`/`merge` inside its own calls.
+pub(super) fn execute_batch(ctx: ShardCtx<'_>, bufs: &mut Exec, full: bool, who: Runner) {
+    let ShardCtx {
+        store,
+        shard,
+        state,
+        cfg,
+        obs,
+    } = ctx;
+    let batch_t = SpanTimer::start();
+    // Count the batch up front: no ticket from this batch can resolve
+    // before the batch itself is visible in the stats. `batches` bumps
+    // before the counters it bounds (the registration-order
+    // counterpart lives in `ShardCounters`).
+    state.m.batches.inc();
+    if full {
+        state.m.full_flushes.inc();
+    }
+    if who == Runner::Caller {
+        state.m.caller_runs.inc();
+    }
+    // Queue residency ended when the batch span started (one clock
+    // reading serves both); what follows is execution.
+    for entry in &bufs.batch {
+        let waited = batch_t.start_ns().saturating_sub(entry.enqueued.start_ns());
+        obs.record_stage(shard, Stage::AdmissionWait, waited);
+    }
+    let mut i = 0;
+    while i < bufs.batch.len() {
+        // Collect the maximal read run starting at i.
+        bufs.run_keys.clear();
+        bufs.run_spans.clear();
+        while i < bufs.batch.len() {
+            match &bufs.batch[i].op {
+                Op::Get { key, .. } => {
+                    bufs.run_spans.push((i, bufs.run_keys.len(), 1));
+                    bufs.run_keys.push(*key);
+                }
+                Op::GetMany { keys, .. } => {
+                    bufs.run_spans.push((i, bufs.run_keys.len(), keys.len()));
+                    bufs.run_keys.extend_from_slice(keys);
+                }
+                _ => break,
+            }
+            i += 1;
+        }
+        if !bufs.run_keys.is_empty() {
+            bufs.out.clear();
+            bufs.out.resize(bufs.run_keys.len(), None);
+            let outcome = store.lookup_batch(
+                shard,
+                &bufs.run_keys,
+                cfg.policy,
+                cfg.par,
+                &mut bufs.scratch,
+                &mut bufs.out,
+            );
+            // Fill the cache before fulfilling: the token holder is the
+            // only mutator of this shard, so these results are current
+            // until the next write applied under the token.
+            if let Some(cache) = &state.cache {
+                let mut cache = cache.plock("hot-key cache");
+                for &(ei, start, _) in &bufs.run_spans {
+                    if let Op::Get { key, .. } = &bufs.batch[ei].op {
+                        cache.insert(*key, bufs.out[start]);
+                    }
+                }
+            }
+            state
+                .engine
+                .plock("shard engine stats")
+                .merge(&outcome.engine);
+            state.m.delta_hits.add(outcome.delta_hits);
+            let commit_t = SpanTimer::start();
+            for &(ei, start, len) in &bufs.run_spans {
+                let entry = &bufs.batch[ei];
+                // Counters and the latency sample land before the
+                // fulfill: a client whose wait returned is already in
+                // the stats.
+                state.m.requests.inc();
+                state.m.latency.record(entry.enqueued.elapsed_ns());
+                match &entry.op {
+                    Op::Get { ticket, .. } => {
+                        state.m.gets.inc();
+                        ticket.fulfill(bufs.out[start]);
+                    }
+                    Op::GetMany { ticket, .. } => {
+                        state.m.many_keys.add(len as u64);
+                        ticket.fulfill(bufs.out[start..start + len].to_vec());
+                    }
+                    _ => unreachable!("write in read run"),
+                }
+            }
+            obs.record_stage(shard, Stage::Commit, commit_t.elapsed_ns());
+        }
+        // Apply the writes and range scans that ended the run, in
+        // admission order. Consecutive writes form one write run —
+        // one `apply_write_run` call, which on a durable store is one
+        // WAL record + one fsync (group commit) covering every op in
+        // the run before any of its tickets resolve. The store call
+        // (which may block briefly at the delta's hard bound), the range
+        // scan and the cache invalidation run unlocked; only the
+        // counter-update + fulfill pass takes the metrics lock.
+        while i < bufs.batch.len() {
+            match &bufs.batch[i].op {
+                Op::Get { .. } | Op::GetMany { .. } => break,
+                Op::Put { .. } | Op::Remove { .. } => {
+                    bufs.write_ops.clear();
+                    bufs.write_idx.clear();
+                    while i < bufs.batch.len() {
+                        match &bufs.batch[i].op {
+                            Op::Put { key, val, .. } => bufs.write_ops.push((*key, Some(*val))),
+                            Op::Remove { key, .. } => bufs.write_ops.push((*key, None)),
+                            _ => break,
+                        }
+                        bufs.write_idx.push(i);
+                        i += 1;
+                    }
+                    let wb_t = SpanTimer::start();
+                    store.apply_write_run_with(
+                        &bufs.write_ops,
+                        &mut bufs.write_prevs,
+                        &mut bufs.write_scratch,
+                    );
+                    // Invalidate before fulfilling: a client whose
+                    // write just acked must not then read a stale
+                    // cached value.
+                    if let Some(cache) = &state.cache {
+                        let mut cache = cache.plock("hot-key cache");
+                        for &(key, _) in &bufs.write_ops {
+                            cache.invalidate(key);
+                        }
+                        obs.trace().emit_now(
+                            shard,
+                            TraceKind::CacheInvalidate,
+                            bufs.write_ops.len() as u64,
+                            0,
+                        );
+                    }
+                    obs.record_stage(shard, Stage::Writeback, wb_t.elapsed_ns());
+                    let commit_t = SpanTimer::start();
+                    for (&ei, &prev) in bufs.write_idx.iter().zip(&bufs.write_prevs) {
+                        let entry = &bufs.batch[ei];
+                        state.m.requests.inc();
+                        state.m.latency.record(entry.enqueued.elapsed_ns());
+                        match &entry.op {
+                            Op::Put { ticket, .. } => {
+                                state.m.puts.inc();
+                                ticket.fulfill(prev);
+                            }
+                            Op::Remove { ticket, .. } => {
+                                state.m.removes.inc();
+                                ticket.fulfill(prev);
+                            }
+                            _ => unreachable!("read in write run"),
+                        }
+                    }
+                    obs.record_stage(shard, Stage::Commit, commit_t.elapsed_ns());
+                }
+                Op::Range { lo, hi, ticket } => {
+                    let pairs = store.scan_range(shard, *lo, *hi);
+                    let entry = &bufs.batch[i];
+                    state.m.range_scans.inc();
+                    state.m.requests.inc();
+                    state.m.latency.record(entry.enqueued.elapsed_ns());
+                    ticket.fulfill(pairs);
+                    i += 1;
+                }
+            }
+        }
+    }
+    obs.trace().emit(
+        shard,
+        TraceKind::BatchFlush,
+        batch_t.start_ns(),
+        batch_t.elapsed_ns(),
+        bufs.batch.len() as u64,
+        u64::from(full),
+    );
+}

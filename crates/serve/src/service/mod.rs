@@ -1,0 +1,646 @@
+//! [`LookupService`]: the request lifecycle — admission, batching,
+//! execution, writes, response routing, metrics.
+//!
+//! The paper's interleaving only pays off when lookups arrive in
+//! batches large enough to keep a miss in flight per stream; a serving
+//! workload instead delivers many small concurrent requests. This
+//! module closes that gap with **caller-runs admission**: each shard
+//! owns a bounded FIFO queue and one **executor token**, and every
+//! request is pushed on its shard's queue.
+//!
+//! **The token rule.** The token (`Exec`: the batch buffers) lives
+//! inside the queue state; *taking it out under the queue lock is the
+//! right to run the shard*. A submitting
+//! thread that finds the token present takes it and executes batches
+//! on its own stack — no wake-up, no sleep — until its own entry is
+//! answered, then hands the token back under the lock. It never
+//! starts another batch once its own entry has been answered, so a
+//! client's latency is bounded by the entries ahead of its own. A
+//! thread that finds the token taken leaves its entry queued and
+//! blocks on its ticket: the holder picks the entry up in its next
+//! batch, or hands the token back and notifies the shard's **helper**.
+//!
+//! **The helper** is one thread per shard that parks until "queue
+//! non-empty and token present", then takes the token and drains the
+//! queue until it is empty. It exists for the entries no submitting
+//! thread will run: the backlog a client leaves behind when its own
+//! entry is answered, the fan-out slices of `get_many`/`get_range`
+//! (so shards run in parallel), and whatever is queued at `close`.
+//! Under load every batch is cut from the backlog that built up while
+//! the previous batch ran (up to `max_batch` entries), so the
+//! interleave group fills exactly when there is concurrency to fill
+//! it from. **There is no flush timer**: an idle shard runs a lone
+//! request at once on the caller, and a busy shard batches by itself;
+//! no setting trades latency for batch size.
+//!
+//! **Writes ride the same queues.** `put`/`remove` enqueue on the
+//! owning shard alongside reads, and a batch executes in FIFO order:
+//! consecutive reads form engine runs, and consecutive writes form
+//! **write runs** applied as one [`ShardedStore::apply_write_run`]
+//! call — which, on a durable store, is the **group-commit unit**: one
+//! WAL record and one fsync cover the whole run before any of its
+//! tickets resolve, amortizing the fsync exactly like batching
+//! amortizes the interleaved engine. One client's `put` happens-before
+//! its next `get` of the same key (read-your-writes per client), and
+//! all mutation of a shard is serialized by its token.
+//!
+//! **`get_many`** pre-partitions a key slice by shard on the client
+//! side and submits one admission entry per shard, so an n-key lookup
+//! costs one queue round-trip per touched shard instead of n — the
+//! client manufactures the batch the engine wants. The caller runs
+//! the last slice itself and the helpers of the other shards run
+//! theirs in parallel; before blocking on a slice's ticket the caller
+//! takes over any slice whose helper has not started yet.
+//!
+//! **`get_range`** rides the same admission queues the same way: one
+//! entry per shard, executed in FIFO position (so a client's
+//! completed writes are visible to its next scan), each answering
+//! with the shard's merge-joined Main/Delta slice; the client
+//! reorders the per-shard runs into one sorted result.
+//!
+//! **Reads are planned.** Each read run is resolved against the
+//! shard's delta before the engine sees it (see [`crate::plan`]):
+//! delta-decided keys are answered from the sorted run and only the
+//! residual probes the main index. The split shows up in
+//! [`ServeStats::delta_hits`] against [`ServeStats::engine`]'s lookups.
+//!
+//! **Merges never run here.** A threshold-crossing write enqueues a
+//! job for the store's background merger thread
+//! ([`MergeMode::Background`](crate::store::MergeMode)); the runner
+//! applies the write to the delta and moves on, so no request's
+//! latency absorbs a rebuild.
+//!
+//! An optional per-shard **hot-key cache** sits in front of the
+//! admission queue: a tiny direct-mapped map filled by the token
+//! holder with single-`get` results and invalidated by the write path
+//! before a write is acknowledged. A hit answers without admission.
+//!
+//! **Failure.** A runner that unwinds (a failed WAL append panics)
+//! must not strand the token: a drop guard closes the shard, abandons
+//! every queued ticket — their waiters panic with "shard failed"
+//! instead of hanging — and wakes the helper so `close` still joins.
+//!
+//! Per-request latency (enqueue → response) is recorded into a
+//! log-bucketed [`LatencyHist`]; [`ServeStats::caller_runs`] against
+//! [`ServeStats::batches`] says who ran what.
+
+mod cache;
+mod exec;
+mod queue;
+mod stats;
+#[cfg(test)]
+mod tests;
+mod ticket;
+
+use std::collections::VecDeque;
+use std::sync::atomic::Ordering;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::thread::JoinHandle;
+
+use isi_core::par::ParConfig;
+use isi_core::policy::Interleave;
+use isi_core::sched::RunStats;
+use isi_core::stats::LatencyHist;
+use isi_core::sync::{CondvarExt, MutexExt};
+use isi_obs::{chrome_trace_json, Obs, SpanTimer, Stage, TraceKind};
+
+use crate::store::ShardedStore;
+
+use cache::HotCache;
+use queue::{helper_loop, Entry, Exec, Op, QueueState, Runner, ShardCtx, ShardState};
+pub use stats::ServeStats;
+use stats::ShardCounters;
+use ticket::Ticket;
+
+/// How a shard's runner cuts batches from its admission queue.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct BatchPolicy {
+    /// Most entries one batch takes from the queue. A runner never
+    /// waits for a batch to fill: it takes what is queued, up to this.
+    pub max_batch: usize,
+}
+
+impl Default for BatchPolicy {
+    /// 64-entry batches.
+    fn default() -> Self {
+        Self { max_batch: 64 }
+    }
+}
+
+/// Service configuration.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ServeConfig {
+    /// Interleave policy every read run is dispatched with.
+    pub policy: Interleave,
+    /// Batch size limit for each shard's admission queue.
+    pub batch: BatchPolicy,
+    /// Per-shard admission-queue bound; requests block when the owning
+    /// shard's queue is full (backpressure).
+    pub queue_cap: usize,
+    /// Morsel-engine configuration for each executed batch. The
+    /// default is one worker per batch (the thread that holds the
+    /// shard's token); raise `threads` only when shards outnumber
+    /// cores.
+    pub par: ParConfig,
+    /// Per-shard hot-key cache slots; 0 disables the cache. A hit
+    /// answers a `get` without admission; the write path invalidates
+    /// a key's slot before the write is acknowledged.
+    pub hot_cache_slots: usize,
+    /// Per-shard trace-ring capacity for structured events (batch
+    /// flushes, merges, WAL syncs, backpressure stalls, …); 0 — the
+    /// default — disables tracing entirely, leaving the emit sites as
+    /// one relaxed load each. Enables both the service's and the
+    /// store's rings; export the merged timeline with
+    /// [`LookupService::export_chrome_trace`].
+    pub trace_events: usize,
+}
+
+impl Default for ServeConfig {
+    fn default() -> Self {
+        Self {
+            policy: Interleave::default(),
+            batch: BatchPolicy::default(),
+            queue_cap: 1024,
+            par: ParConfig::with_threads(1),
+            hot_cache_slots: 0,
+            trace_events: 0,
+        }
+    }
+}
+
+/// A multi-tenant read/write point-lookup service over a
+/// [`ShardedStore`].
+///
+/// `get`, `get_many`, `get_range`, `put` and `remove` are safe to call
+/// from any number of threads; each call returns once its entry has
+/// been executed — by the calling thread itself when it finds the
+/// shard idle, otherwise by whichever thread holds the shard's token
+/// (see the [module docs](self)). Per shard, operations apply in
+/// admission order, so a client that completed a `put` observes it in
+/// every later read it issues (read-your-writes per client). Dropping
+/// the service drains queued entries, answers them, and joins the
+/// helpers.
+///
+/// # Panics
+/// All request methods panic if called after [`close`](Self::close);
+/// callers must not race requests against `close`. If a thread
+/// running a shard panics (a failed WAL append does), that shard
+/// fails closed: requests queued on it panic with "shard failed" and
+/// later requests to it panic as after `close`.
+pub struct LookupService {
+    store: Arc<ShardedStore>,
+    shards: Vec<Arc<ShardState>>,
+    cfg: ServeConfig,
+    /// Service-side observability hub: `serve_*` metrics, per-shard
+    /// stage histograms (admission wait, commit, writeback, queue
+    /// backpressure) and the service trace ring. Store-side spans live
+    /// on [`ShardedStore::obs`]; the export methods merge both.
+    obs: Arc<Obs>,
+    helpers: Vec<JoinHandle<()>>,
+    /// Set by `close`; request paths that can answer without touching
+    /// an admission queue (cache hits, empty `get_many`) check it so
+    /// the use-after-close panic contract holds on every entry point.
+    closed: std::sync::atomic::AtomicBool,
+}
+
+impl LookupService {
+    /// Start one helper thread per shard of `store`. Accepts the
+    /// store by value or as an `Arc`.
+    ///
+    /// With an `Arc`, other holders may keep calling the store's read
+    /// API (epoch snapshots keep that consistent), but they must not
+    /// write to it directly — the service's read-your-writes and
+    /// cache-invalidation guarantees hold only for writes that go
+    /// through the service.
+    ///
+    /// # Panics
+    /// Panics if `queue_cap` or `max_batch` is 0.
+    pub fn start(store: impl Into<Arc<ShardedStore>>, cfg: ServeConfig) -> Self {
+        assert!(cfg.queue_cap > 0, "queue_cap must be positive");
+        assert!(cfg.batch.max_batch > 0, "max_batch must be positive");
+        let store = store.into();
+        let obs = Arc::new(Obs::new("serve", store.num_shards()));
+        if cfg.trace_events > 0 {
+            obs.trace().enable(cfg.trace_events);
+            store.obs().trace().enable(cfg.trace_events);
+        }
+        let shards: Vec<Arc<ShardState>> = (0..store.num_shards())
+            .map(|shard| {
+                let reg = obs.registry();
+                let tag = shard.to_string();
+                let l = [("shard", tag.as_str())];
+                let counter = |name| reg.counter(name, &l);
+                Arc::new(ShardState {
+                    q: Mutex::new(QueueState {
+                        reqs: VecDeque::new(),
+                        open: true,
+                        exec: Some(Box::new(Exec::new(&cfg))),
+                    }),
+                    work: Condvar::new(),
+                    space: Condvar::new(),
+                    engine: Mutex::new(RunStats::default()),
+                    m: ShardCounters {
+                        // The ≤-sides before `batches`: registration
+                        // order is the snapshot-coherence contract.
+                        full_flushes: counter("serve_full_flushes"),
+                        caller_runs: counter("serve_caller_runs"),
+                        batches: counter("serve_batches"),
+                        requests: counter("serve_requests"),
+                        gets: counter("serve_gets"),
+                        puts: counter("serve_puts"),
+                        removes: counter("serve_removes"),
+                        many_keys: counter("serve_many_keys"),
+                        range_scans: counter("serve_range_scans"),
+                        delta_hits: counter("serve_delta_hits"),
+                        cache_hits: counter("serve_cache_hits"),
+                        latency: reg.hist("serve_latency_ns", &l),
+                    },
+                    cache: (cfg.hot_cache_slots > 0)
+                        .then(|| Mutex::new(HotCache::new(cfg.hot_cache_slots))),
+                })
+            })
+            .collect();
+        let helpers = shards
+            .iter()
+            .enumerate()
+            .map(|(shard, state)| {
+                let store = Arc::clone(&store);
+                let state = Arc::clone(state);
+                let obs = Arc::clone(&obs);
+                std::thread::Builder::new()
+                    .name(format!("isi-serve-{shard}"))
+                    .spawn(move || {
+                        helper_loop(ShardCtx {
+                            store: &store,
+                            shard,
+                            state: &state,
+                            cfg,
+                            obs: &obs,
+                        });
+                    })
+                    .expect("spawn helper thread")
+            })
+            .collect();
+        Self {
+            store,
+            shards,
+            cfg,
+            obs,
+            helpers,
+            closed: std::sync::atomic::AtomicBool::new(false),
+        }
+    }
+
+    /// Panic if `close` already ran (requests must not outlive it).
+    fn assert_open(&self) {
+        assert!(
+            !self.closed.load(Ordering::Relaxed),
+            "request on a closed LookupService"
+        );
+    }
+
+    /// The underlying store.
+    pub fn store(&self) -> &ShardedStore {
+        &self.store
+    }
+
+    /// The configuration the service was started with.
+    pub fn config(&self) -> &ServeConfig {
+        &self.cfg
+    }
+
+    fn ctx(&self, shard: usize) -> ShardCtx<'_> {
+        ShardCtx {
+            store: &self.store,
+            shard,
+            state: &self.shards[shard],
+            cfg: self.cfg,
+            obs: &self.obs,
+        }
+    }
+
+    /// Push `op` on `shard`'s admission queue, blocking while the
+    /// queue holds `queue_cap` entries (backpressure). Returns with the
+    /// queue lock still held: the caller either runs the shard or
+    /// leaves the entry to the helper.
+    ///
+    /// # Panics
+    /// Panics with "closed" on a closed queue — after releasing the
+    /// lock, so a rejected request never poisons it for the helper,
+    /// the other submitters and `close`.
+    fn enqueue(&self, shard: usize, op: Op) -> MutexGuard<'_, QueueState> {
+        fn reject_if_closed(q: MutexGuard<'_, QueueState>) -> MutexGuard<'_, QueueState> {
+            if !q.open {
+                drop(q);
+                panic!("request on a closed LookupService");
+            }
+            q
+        }
+        let state = &self.shards[shard];
+        let mut q = reject_if_closed(state.q.plock("admission queue"));
+        if q.reqs.len() >= self.cfg.queue_cap {
+            // Stalled on a full queue: the wait is a Backpressure span
+            // (payload 0 = admission-queue flavor; the store's delta
+            // bound emits the same kind with payload 1).
+            let t = SpanTimer::start();
+            loop {
+                q = reject_if_closed(state.space.pwait(q, "admission queue (backpressure)"));
+                if q.reqs.len() < self.cfg.queue_cap {
+                    break;
+                }
+            }
+            let dur = t.elapsed_ns();
+            self.obs.record_stage(shard, Stage::Backpressure, dur);
+            self.obs
+                .trace()
+                .emit(shard, TraceKind::Backpressure, t.start_ns(), dur, 0, 0);
+        }
+        q.reqs.push_back(Entry {
+            op,
+            enqueued: SpanTimer::start(),
+        });
+        q
+    }
+
+    /// Run `shard` on this thread — if its token is free — until
+    /// `ticket`, not answered yet, is. `q` is the shard's queue lock.
+    fn run_until_answered<T>(
+        &self,
+        shard: usize,
+        q: MutexGuard<'_, QueueState>,
+        ticket: &Ticket<T>,
+    ) {
+        drop(
+            self.ctx(shard)
+                .run(q, Runner::Caller, &|| ticket.is_answered()),
+        );
+    }
+
+    /// Submit a single-shard `op` answered through `ticket`: run it
+    /// here if the shard is idle, else wait for whoever runs it.
+    fn submit_and_wait<T>(&self, shard: usize, op: Op, ticket: &Ticket<T>) -> T {
+        let q = self.enqueue(shard, op);
+        self.run_until_answered(shard, q, ticket);
+        ticket.wait()
+    }
+
+    /// Submit one entry per shard of `shards` (built by `make_op`
+    /// around that shard's ticket) and collect the answers in `shards`
+    /// order. The last entry runs on this thread; the others are left
+    /// to their shards' helpers, so the shards run in parallel.
+    fn scatter<T>(
+        &self,
+        shards: &[usize],
+        make_op: impl Fn(usize, Arc<Ticket<T>>) -> Op,
+    ) -> Vec<T> {
+        let tickets: Vec<Arc<Ticket<T>>> = shards.iter().map(|_| Arc::new(Ticket::new())).collect();
+        for (i, (&shard, ticket)) in shards.iter().zip(&tickets).enumerate() {
+            let q = self.enqueue(shard, make_op(shard, Arc::clone(ticket)));
+            if i + 1 == shards.len() {
+                self.run_until_answered(shard, q, ticket);
+            } else if q.exec.is_some() {
+                // A taken token needs no wake-up: its holder sees the
+                // entry at the latest when handing the token back.
+                self.shards[shard].work.notify_one();
+            }
+        }
+        shards
+            .iter()
+            .zip(&tickets)
+            .map(|(&shard, ticket)| {
+                // Rather than sleep on a slice whose helper has not
+                // taken the token yet, run it here.
+                {
+                    let q = self.shards[shard].q.plock("admission queue");
+                    if !ticket.is_answered() {
+                        self.run_until_answered(shard, q, ticket);
+                    }
+                }
+                ticket.wait()
+            })
+            .collect()
+    }
+
+    /// Look up one key on the owning shard. A hot-key cache hit (if
+    /// the cache is enabled) answers immediately without admission.
+    pub fn get(&self, key: u64) -> Option<u64> {
+        self.assert_open();
+        let shard = self.store.shard_of(key);
+        let cached = self.shards[shard]
+            .cache
+            .as_ref()
+            .and_then(|cache| cache.plock("hot-key cache").probe(key));
+        if let Some(result) = cached {
+            self.shards[shard].m.cache_hits.inc();
+            return result;
+        }
+        let ticket = Arc::new(Ticket::new());
+        let op = Op::Get {
+            key,
+            ticket: Arc::clone(&ticket),
+        };
+        self.submit_and_wait(shard, op, &ticket)
+    }
+
+    /// Look up many keys with one admission entry per owning shard:
+    /// the slice is partitioned client-side, each shard's sub-batch is
+    /// one entry, and the results come back in `keys` order. Far
+    /// cheaper than n `get` calls for multi-key requests — the client
+    /// pre-forms the batch the engine wants.
+    pub fn get_many(&self, keys: &[u64]) -> Vec<Option<u64>> {
+        self.assert_open();
+        let mut results = vec![None; keys.len()];
+        // positions[s] = indices into `keys` owned by shard s.
+        let mut positions: Vec<Vec<usize>> = vec![Vec::new(); self.store.num_shards()];
+        for (i, &k) in keys.iter().enumerate() {
+            positions[self.store.shard_of(k)].push(i);
+        }
+        let touched: Vec<usize> = (0..positions.len())
+            .filter(|&s| !positions[s].is_empty())
+            .collect();
+        let answers = self.scatter(&touched, |shard, ticket| Op::GetMany {
+            keys: positions[shard].iter().map(|&i| keys[i]).collect(),
+            ticket,
+        });
+        for (&shard, vals) in touched.iter().zip(answers) {
+            for (&i, v) in positions[shard].iter().zip(vals) {
+                results[i] = v;
+            }
+        }
+        results
+    }
+
+    /// All live pairs with `lo <= key <= hi`, sorted by key.
+    ///
+    /// Hash partitioning scatters a key range across every shard, so
+    /// the call submits one admission entry per shard, waits for all
+    /// of them, and reorders the per-shard sorted runs into one sorted
+    /// result. Riding the FIFO queues means a client's completed
+    /// writes are visible to its next scan; the cross-shard cut is not
+    /// atomic (same contract as `get_many`). An inverted range returns
+    /// an empty result without admission.
+    pub fn get_range(&self, lo: u64, hi: u64) -> Vec<(u64, u64)> {
+        self.assert_open();
+        if lo > hi {
+            return Vec::new();
+        }
+        let all: Vec<usize> = (0..self.store.num_shards()).collect();
+        let mut out: Vec<(u64, u64)> = self
+            .scatter(&all, |_, ticket| Op::Range { lo, hi, ticket })
+            .into_iter()
+            .flatten()
+            .collect();
+        // Per-shard runs are sorted but interleave arbitrarily under
+        // hash partitioning; one global reorder restores key order.
+        out.sort_unstable_by_key(|&(k, _)| k);
+        out
+    }
+
+    /// Upsert `key = val` through the owning shard's queue; blocks
+    /// until applied and returns the previously visible value.
+    pub fn put(&self, key: u64, val: u64) -> Option<u64> {
+        let ticket = Arc::new(Ticket::new());
+        let op = Op::Put {
+            key,
+            val,
+            ticket: Arc::clone(&ticket),
+        };
+        self.submit_and_wait(self.store.shard_of(key), op, &ticket)
+    }
+
+    /// Remove `key` through the owning shard's queue; blocks until
+    /// applied and returns the value it held, if any.
+    pub fn remove(&self, key: u64) -> Option<u64> {
+        let ticket = Arc::new(Ticket::new());
+        let op = Op::Remove {
+            key,
+            ticket: Arc::clone(&ticket),
+        };
+        self.submit_and_wait(self.store.shard_of(key), op, &ticket)
+    }
+
+    /// Aggregated metrics over all shards (latency histograms merged),
+    /// plus the store's merge/delta counters.
+    ///
+    /// Built from one coherent snapshot of each registry (see
+    /// `isi_obs::registry`): within the returned struct,
+    /// `full_flushes <= batches`, `caller_runs <= batches`,
+    /// `wal_syncs <= wal_records` and `bg_merges <= merges` hold even
+    /// while runners and mergers race the call.
+    pub fn stats(&self) -> ServeStats {
+        let snap = self.obs.snapshot();
+        let store_snap = self.store.obs().snapshot();
+        let mut total = ServeStats {
+            requests: snap.counter_sum("serve_requests"),
+            gets: snap.counter_sum("serve_gets"),
+            puts: snap.counter_sum("serve_puts"),
+            removes: snap.counter_sum("serve_removes"),
+            many_keys: snap.counter_sum("serve_many_keys"),
+            range_scans: snap.counter_sum("serve_range_scans"),
+            cache_hits: snap.counter_sum("serve_cache_hits"),
+            delta_hits: snap.counter_sum("serve_delta_hits"),
+            batches: snap.counter_sum("serve_batches"),
+            full_flushes: snap.counter_sum("serve_full_flushes"),
+            caller_runs: snap.counter_sum("serve_caller_runs"),
+            latency: snap.hist_merged("serve_latency_ns", |_| true),
+            merges: store_snap.counter_sum("store_merges"),
+            bg_merges: store_snap.counter_sum("store_bg_merges"),
+            delta_runs: store_snap.counter_sum("store_delta_runs"),
+            compactions: store_snap.counter_sum("store_compactions"),
+            wal_records: store_snap.counter_sum("store_wal_records"),
+            wal_syncs: store_snap.counter_sum("store_wal_syncs"),
+            merge_backlog: self.store.merge_backlog() as u64,
+            merge_latency: self.store.merge_latency(),
+            delta_keys: self.store.delta_len() as u64,
+            ..ServeStats::default()
+        };
+        for state in &self.shards {
+            total
+                .engine
+                .merge(&state.engine.plock("shard engine stats"));
+        }
+        total
+    }
+
+    /// The service-side observability hub (`serve_*` metrics, the
+    /// service trace ring). The store's hub is at
+    /// [`ShardedStore::obs`].
+    pub fn obs(&self) -> &Obs {
+        &self.obs
+    }
+
+    /// Every store- and service-side metric in the Prometheus text
+    /// exposition format: two coherent snapshots, concatenated (metric
+    /// names are disjoint by prefix, `store_*` vs `serve_*`).
+    pub fn metrics_prometheus(&self) -> String {
+        let mut out = self.store.obs().snapshot().to_prometheus();
+        out.push_str(&self.obs.snapshot().to_prometheus());
+        out
+    }
+
+    /// Every store- and service-side metric as one JSON document.
+    pub fn metrics_json(&self) -> String {
+        self.store
+            .obs()
+            .snapshot()
+            .concat(&self.obs.snapshot())
+            .to_json()
+    }
+
+    /// The merged store+service event timeline rendered as
+    /// chrome://tracing JSON (load it at `chrome://tracing` or in
+    /// Perfetto; one row per shard). Events are ordered by timestamp —
+    /// the two rings share a clock but not a sequence counter. Empty
+    /// when [`ServeConfig::trace_events`] is 0.
+    pub fn export_chrome_trace(&self) -> String {
+        let mut events = self.store.obs().trace().events();
+        events.extend(self.obs.trace().events());
+        events.sort_by_key(|e| e.ts_ns);
+        chrome_trace_json(&events)
+    }
+
+    /// Per-shard per-stage latency breakdown, indexed by
+    /// [`Stage::index`]: the union of the store's spans (plan, engine,
+    /// WAL append/fsync, merge, range scan, delta backpressure) and
+    /// the service's (admission wait, commit, writeback, queue
+    /// backpressure).
+    pub fn stage_breakdown(&self) -> Vec<[LatencyHist; Stage::COUNT]> {
+        let mut rows = self.obs.stage_breakdown();
+        for (row, store_row) in rows.iter_mut().zip(self.store.obs().stage_breakdown()) {
+            for (hist, store_hist) in row.iter_mut().zip(store_row) {
+                hist.merge(&store_hist);
+            }
+        }
+        rows
+    }
+
+    /// Stop accepting requests, answer everything still queued
+    /// (including writes, which are applied in order), and join the
+    /// helpers. Idempotent; also run by `Drop`.
+    pub fn close(&mut self) {
+        self.closed.store(true, Ordering::Relaxed);
+        for state in &self.shards {
+            // A failed shard does not poison this lock: its runner
+            // unwound outside it and rejected submitters panic after
+            // releasing it.
+            let mut q = state.q.plock("admission queue");
+            q.open = false;
+            state.work.notify_all();
+            state.space.notify_all();
+        }
+        for handle in self.helpers.drain(..) {
+            let joined = handle.join();
+            // Re-raising a helper's panic while this thread already
+            // unwinds would abort the process.
+            if !std::thread::panicking() {
+                joined.expect("helper thread panicked");
+            }
+        }
+    }
+}
+
+impl Drop for LookupService {
+    fn drop(&mut self) {
+        self.close();
+    }
+}

@@ -1,0 +1,118 @@
+//! The service's counters: one shard's registry handles, and the
+//! aggregate a caller reads.
+
+use isi_core::sched::RunStats;
+use isi_core::stats::LatencyHist;
+use isi_obs::{Counter, Hist};
+
+/// One shard's handles into the service metrics registry, resolved
+/// once at start so the hot path never touches the registry lock.
+///
+/// Registration order is load-bearing (see `isi_obs::registry`):
+/// `full_flushes` and `caller_runs` are registered *before* `batches`
+/// and a runner bumps `batches` first, so no snapshot can show either
+/// of them above `batches`.
+pub(super) struct ShardCounters {
+    pub(super) full_flushes: Counter,
+    pub(super) caller_runs: Counter,
+    pub(super) batches: Counter,
+    pub(super) requests: Counter,
+    pub(super) gets: Counter,
+    pub(super) puts: Counter,
+    pub(super) removes: Counter,
+    pub(super) many_keys: Counter,
+    pub(super) range_scans: Counter,
+    pub(super) delta_hits: Counter,
+    pub(super) cache_hits: Counter,
+    /// Per-entry latency (enqueue → response routed), nanoseconds.
+    pub(super) latency: Hist,
+}
+
+/// Aggregated service metrics (summed over shards, plus the store's
+/// write-side counters).
+///
+/// **Admission entries vs client calls.** [`requests`](Self::requests)
+/// counts *admission entries* — what the runners actually answer.
+/// A single-key `get`/`put`/`remove` is one entry; a `get_many` or
+/// `get_range` call fans out into one entry *per shard it touches*
+/// (so one `get_range` on an 8-shard store adds 8 to `requests` and 8
+/// to `range_scans`). Cache hits never reach a queue and are counted
+/// only in [`cache_hits`](Self::cache_hits). The client-call view is
+/// `gets + cache_hits` single-key reads, `many_keys` keys through
+/// `get_many`, plus the write counters.
+#[derive(Debug, Clone, Default)]
+pub struct ServeStats {
+    /// Admission entries answered (see the type docs: one per shard
+    /// touched for `get_many`/`get_range`; cache hits excluded).
+    pub requests: u64,
+    /// Single-key reads answered via admission.
+    pub gets: u64,
+    /// Upserts applied.
+    pub puts: u64,
+    /// Removes applied.
+    pub removes: u64,
+    /// Keys answered through `get_many` entries.
+    pub many_keys: u64,
+    /// Range-scan admission entries answered (one per shard per
+    /// client `get_range` call).
+    pub range_scans: u64,
+    /// `get`s answered by the hot-key cache, without admission.
+    pub cache_hits: u64,
+    /// Executed read keys decided by the delta in the plan stage —
+    /// these never reached the engine.
+    pub delta_hits: u64,
+    /// Batches executed.
+    pub batches: u64,
+    /// Batches cut at `max_batch` entries (the backlog held at least
+    /// that many).
+    pub full_flushes: u64,
+    /// Batches executed by a submitting thread; the other
+    /// `batches - caller_runs` ran on a shard's helper.
+    pub caller_runs: u64,
+    /// Per-entry latency (enqueue → response routed), nanoseconds.
+    pub latency: LatencyHist,
+    /// Merged interleaved-engine counters across all batches
+    /// (`engine.lookups` counts only residual keys — the batch minus
+    /// `delta_hits`).
+    pub engine: RunStats,
+    /// Merges the store has published since build, minor (run stack
+    /// into the mid tier) and major (mid tier into the main), both
+    /// modes.
+    pub merges: u64,
+    /// Merges performed by the store's background merger thread
+    /// (= `merges` in background mode, 0 in foreground mode).
+    pub bg_merges: u64,
+    /// Merge jobs queued or in flight at the moment `stats()` was
+    /// called (a point-in-time gauge, not a counter).
+    pub merge_backlog: u64,
+    /// Merge wall latency (nanoseconds).
+    pub merge_latency: LatencyHist,
+    /// Current delta entries above the mid tiers, across all shards
+    /// of the store (run lengths summed — an upper bound on the
+    /// distinct keys they override).
+    pub delta_keys: u64,
+    /// Delta runs the store's write path published since build (one
+    /// per effective shard sub-run of a write run).
+    pub delta_runs: u64,
+    /// Run-stack folds the write path performed past
+    /// `StoreConfig::max_runs` (≤ `delta_runs`).
+    pub compactions: u64,
+    /// WAL records the store's write path appended (0 with durability
+    /// off). Group commit packs a whole write run into one record.
+    pub wal_records: u64,
+    /// Write-path WAL fsyncs the store issued (0 with durability off
+    /// or `FsyncMode::Off`); `wal_records / wal_syncs` ≈ the group
+    /// size the fsync cost was amortized over.
+    pub wal_syncs: u64,
+}
+
+impl ServeStats {
+    /// Mean entries per executed batch.
+    pub fn mean_batch(&self) -> f64 {
+        if self.batches == 0 {
+            0.0
+        } else {
+            self.requests as f64 / self.batches as f64
+        }
+    }
+}

@@ -1,0 +1,261 @@
+//! The run stack: a shard's delta overlay as immutable sorted runs
+//! over an optional mid tier, and the merges of sorted runs every
+//! path above it is made of.
+
+use std::sync::Arc;
+
+/// One immutable sorted run of per-key overrides: `Some(v)` upserts
+/// the key to `v`, `None` is a tombstone. Strictly sorted by key.
+pub(super) type DeltaRun = Arc<[(u64, Option<u64>)]>;
+
+/// The append-friendly overlay: an immutable **run-stack** of sorted
+/// override runs, newest run last. Each dispatched write run is sorted
+/// once (last-write-wins within the run, O(run log run)) and pushed as
+/// one shared [`DeltaRun`]; publishing a new [`ShardVersion`] clones
+/// only the small `Vec` of `Arc` handles, never the entries — prior
+/// runs are shared, which is what kills the old per-write
+/// clone-the-whole-delta quadratic. Reads consult runs newest-first.
+///
+/// The bottom run may be the shard's **mid tier**: what the merges
+/// since the last major one have folded the stack into. To a read it
+/// is the oldest run and nothing more; to the write side it is not
+/// part of the count: [`len`](Self::len), the threshold, the hard
+/// bound, `max_runs` and the write-path fold all concern the runs
+/// *above* it. When those exceed [`StoreConfig::max_runs`]
+/// the write path folds them into a single run (amortized
+/// O(threshold) total, not per-write) and leaves the mid where it is:
+/// a fold that took it along would copy it every few writes.
+#[derive(Clone, Default)]
+pub(super) struct Delta {
+    /// Override runs, oldest first / newest last.
+    pub(super) runs: Vec<DeltaRun>,
+    /// `runs[0]` is the mid tier.
+    pub(super) mid: bool,
+    /// Sum of the lengths of the runs above the mid tier — an upper
+    /// bound on the distinct keys they override (a key rewritten in a
+    /// newer run counts twice until a fold collapses it). Threshold
+    /// and backpressure checks use this conservative count; folds and
+    /// merges restore exactness.
+    pub(super) entries: usize,
+}
+
+impl Delta {
+    /// The override for `key`: `Some(Some(v))` = upserted to `v`,
+    /// `Some(None)` = tombstoned, `None` = no override (fall through
+    /// to the main). Newest run wins.
+    pub(super) fn get(&self, key: u64) -> Option<Option<u64>> {
+        self.runs.iter().rev().find_map(|run| {
+            run.binary_search_by_key(&key, |e| e.0)
+                .ok()
+                .map(|i| run[i].1)
+        })
+    }
+
+    /// The stack a merge publishes: `mid` as the mid tier and `above`
+    /// as the one run on top of it, each already sorted and
+    /// duplicate-free, each left out when empty. The count is exact
+    /// by construction.
+    pub(super) fn tiers(mid: Vec<(u64, Option<u64>)>, above: Vec<(u64, Option<u64>)>) -> Self {
+        let mut delta = Self {
+            mid: !mid.is_empty(),
+            entries: above.len(),
+            runs: Vec::new(),
+        };
+        for run in [mid, above] {
+            if !run.is_empty() {
+                delta.runs.push(run.into());
+            }
+        }
+        delta
+    }
+
+    /// Cheap copy sharing every immutable run: O(runs) `Arc` handle
+    /// clones, never the entries. This is the write path's whole
+    /// point — the old clone-the-entries delta copied O(delta) pairs
+    /// per write run (quadratic over a write burst).
+    pub(super) fn share(&self) -> Self {
+        self.clone()
+    }
+
+    /// Push a freshly sorted run on top of the stack (newest).
+    pub(super) fn push_run(&mut self, run: DeltaRun) {
+        self.entries += run.len();
+        self.runs.push(run);
+    }
+
+    /// How many runs at the bottom of the stack are the mid tier (0
+    /// or 1).
+    pub(super) fn mid_runs(&self) -> usize {
+        self.mid as usize
+    }
+
+    /// Entries in the mid tier.
+    pub(super) fn mid_len(&self) -> usize {
+        if self.mid {
+            self.runs[0].len()
+        } else {
+            0
+        }
+    }
+
+    /// Replace the runs above the oldest `keep` by their fold (one
+    /// run, newest winning each key); the oldest `keep` runs stay as
+    /// they are. The write path keeps the mid tier and what a merge
+    /// has pinned.
+    pub(super) fn fold_above(&mut self, keep: usize) {
+        let top = Delta {
+            runs: self.runs.split_off(keep),
+            ..Delta::default()
+        }
+        .fold();
+        if !top.is_empty() {
+            self.runs.push(top.into());
+        }
+        self.entries = self.runs[self.mid_runs()..].iter().map(|r| r.len()).sum();
+    }
+
+    /// Fold the whole stack, mid tier included, into one sorted,
+    /// duplicate-free run, newest run winning each key. Works from the
+    /// newest run down, so the oldest run — the mid tier, which can be
+    /// as long as all the others together many times over — is walked
+    /// once: O(mid + above × runs).
+    pub(super) fn fold(&self) -> Vec<(u64, Option<u64>)> {
+        let mut it = self.runs.iter().rev();
+        let mut acc: Vec<(u64, Option<u64>)> = match it.next() {
+            Some(run) => run.to_vec(),
+            None => return Vec::new(),
+        };
+        for run in it {
+            acc = merge_overrides(&acc, run);
+        }
+        acc
+    }
+
+    /// Fold only the overrides with `lo <= key <= hi` (the range-scan
+    /// slice), newest run winning.
+    pub(super) fn fold_range(&self, lo: u64, hi: u64) -> Vec<(u64, Option<u64>)> {
+        let mut acc: Vec<(u64, Option<u64>)> = Vec::new();
+        for run in &self.runs {
+            let a = run.partition_point(|e| e.0 < lo);
+            let b = run.partition_point(|e| e.0 <= hi);
+            if a == b {
+                continue;
+            }
+            acc = if acc.is_empty() {
+                run[a..b].to_vec()
+            } else {
+                merge_overrides(&run[a..b], &acc)
+            };
+        }
+        acc
+    }
+
+    /// Number of overrides (upserts + tombstones) above the mid tier,
+    /// counted per run — an upper bound on the distinct keys they
+    /// override.
+    pub(super) fn len(&self) -> usize {
+        self.entries
+    }
+
+    /// No override at all, in the mid tier or above it.
+    pub(super) fn is_empty(&self) -> bool {
+        self.runs.is_empty()
+    }
+}
+
+/// Sort a freshly built override run by key and resolve duplicates
+/// last-write-wins: the stable sort keeps equal keys in op order, the
+/// in-place dedup keeps the last of each group. O(run log run).
+pub(super) fn sort_lww(run: &mut Vec<(u64, Option<u64>)>) {
+    run.sort_by_key(|e| e.0);
+    let mut w = 0;
+    for r in 0..run.len() {
+        if r + 1 == run.len() || run[r + 1].0 != run[r].0 {
+            run[w] = run[r];
+            w += 1;
+        }
+    }
+    run.truncate(w);
+}
+
+/// Merge two strictly-sorted override runs into one, the `newer` run
+/// winning every shared key (tombstones are overrides too and are
+/// kept). The run-stack fold applies this pairwise, oldest to newest.
+fn merge_overrides(
+    newer: &[(u64, Option<u64>)],
+    older: &[(u64, Option<u64>)],
+) -> Vec<(u64, Option<u64>)> {
+    let mut out = Vec::with_capacity(newer.len() + older.len());
+    let (mut i, mut j) = (0, 0);
+    while i < newer.len() && j < older.len() {
+        match newer[i].0.cmp(&older[j].0) {
+            std::cmp::Ordering::Less => {
+                out.push(newer[i]);
+                i += 1;
+            }
+            std::cmp::Ordering::Greater => {
+                out.push(older[j]);
+                j += 1;
+            }
+            std::cmp::Ordering::Equal => {
+                out.push(newer[i]);
+                i += 1;
+                j += 1;
+            }
+        }
+    }
+    out.extend_from_slice(&newer[i..]);
+    out.extend_from_slice(&older[j..]);
+    out
+}
+
+/// Merge-join a shard's sorted main pairs with its sorted delta run:
+/// delta overrides win, tombstones drop the key. Both inputs are
+/// strictly sorted by key; so is the output.
+pub(super) fn merge_pairs(main: &[(u64, u64)], delta: &[(u64, Option<u64>)]) -> Vec<(u64, u64)> {
+    let mut out = Vec::with_capacity(main.len() + delta.len());
+    let (mut i, mut j) = (0, 0);
+    while i < main.len() && j < delta.len() {
+        let (mk, mv) = main[i];
+        let (dk, dv) = delta[j];
+        if mk < dk {
+            out.push((mk, mv));
+            i += 1;
+        } else {
+            if let Some(v) = dv {
+                out.push((dk, v));
+            }
+            j += 1;
+            if mk == dk {
+                i += 1;
+            }
+        }
+    }
+    out.extend_from_slice(&main[i..]);
+    for &(k, v) in &delta[j..] {
+        if let Some(v) = v {
+            out.push((k, v));
+        }
+    }
+    out
+}
+
+/// How many pairs [`merge_pairs`] would return, by the same walk and
+/// without building them (recovery only needs the live count, and a
+/// shard's pairs are tens of megabytes).
+pub(super) fn merged_len(main: &[(u64, u64)], delta: &[(u64, Option<u64>)]) -> usize {
+    let mut len = main.len();
+    let mut i = 0;
+    for &(dk, dv) in delta {
+        while i < main.len() && main[i].0 < dk {
+            i += 1;
+        }
+        let stored = i < main.len() && main[i].0 == dk;
+        match (stored, dv.is_some()) {
+            (false, true) => len += 1,
+            (true, false) => len -= 1,
+            _ => {}
+        }
+    }
+    len
+}

@@ -1,0 +1,965 @@
+//! [`ShardedStore`]: a writable, hash-partitioned key/value store
+//! whose shards are served by the [`ShardBackend`] index drivers.
+//!
+//! Each shard is a **Main/Delta pair**, the columnstore resolution of
+//! the read-optimized vs write-optimized tension:
+//!
+//! * the **main** is an immutable [`ShardBackend`] — a **sorted
+//!   column** ([`isi_search::SortedShard`]), a **CSB+-tree**
+//!   ([`isi_csb::CsbShard`], Listing 6 traversal coroutines), or a
+//!   **chained hash table** ([`isi_hash::HashShard`], Section 6 probe
+//!   coroutines) — probed in bulk through the morsel-parallel
+//!   interleaved engine and scanned in key order;
+//! * the **delta** is a **stack of immutable sorted runs** of
+//!   `(key, Option<value>)` overrides (`None` = tombstone) with
+//!   last-write-wins semantics — each write run is sorted once and
+//!   pushed as one shared run, reads resolve newest-run-first, and
+//!   the runs above the bottom one (the mid tier, below) fold into a
+//!   single run past [`StoreConfig::max_runs`].
+//!
+//! **Reads are planned.** A batch is first resolved against the delta
+//! into a [`BatchPlan`](crate::plan::BatchPlan): delta-decided keys
+//! never reach the engine, so the engine always runs a dense batch of
+//! genuinely memory-bound probes (see [`crate::plan`]). Range scans
+//! ([`ShardedStore::scan_range`]) merge-join the backend's ordered
+//! scan with the sorted delta run, overrides winning and tombstones
+//! eliding their keys.
+//!
+//! **Maintenance is decoupled from serving, and its cost follows the
+//! delta.** Under the run stack each shard keeps a **mid tier**: one
+//! immutable sorted run of overrides (tombstones kept), the oldest run
+//! of the stack, so every read path above sees it as just that.
+//! Writes go to the runs above it; when those reach
+//! [`StoreConfig::merge_threshold`] entries, the writer *enqueues a
+//! merge job* and returns. The per-store **background merger thread**
+//! pins the stack and folds it into a fresh mid tier. Usually that is
+//! all — a **minor merge**: it publishes `(same main, new mid,
+//! residual runs)` through an [`EpochCell`] swap, O(mid), no
+//! [`ShardBackend::pairs`], no rebuild, no file-system call (the WAL
+//! keeps its records). Only when the folded mid has reached
+//! `major_len` (a size worked out from the threshold and the main's
+//! length) does the same job go on to a **major merge**: rebuild the
+//! main (via [`ShardBackend::rebuild`]) with the mid folded in and its
+//! tombstones dropped, snapshot it when the store is durable, truncate
+//! the WAL to the residual, publish `(new main, no mid, residual
+//! runs)`. Either way the merge pins the runs it snapshotted (the
+//! write path folds only above them, and never the mid), so the
+//! residual is what was written meanwhile and nothing else. While a
+//! merge runs the stack keeps absorbing writes up to a hard bound of
+//! four thresholds; writers to that shard block past it until the
+//! merger catches up. A merger that panics fails the
+//! store closed: writers and [`ShardedStore::quiesce`] panic with
+//! "merger failed", none waits for a merge that will not come.
+//! Readers snapshot one `Arc<ShardVersion>` per operation, so they
+//! always see a *consistent* main+delta pair: an in-flight dispatch
+//! batch keeps reading the version it started on while a merge
+//! publishes the next one, and a merge can never tear a read (the
+//! swap is a single pointer store). [`MergeMode::Foreground`] runs the
+//! same merge routine inline in the triggering write: the
+//! deterministic mode of the kill-at-every-fs-op matrix and the
+//! allocation tests.
+//!
+//! Shard routing uses the *top* bits of the key's Fibonacci hash. The
+//! hash-table backend buckets on bits 32 and up of the same hash
+//! (`(hash64 >> 32) & mask`), so the two partitions stay independent
+//! as long as a shard's bucket count stays below
+//! 2^(32 − shard_bits); sharing bits with the bucket index would
+//! leave every shard's table using only a fraction of its buckets.
+
+mod config;
+mod delta;
+mod merge;
+#[cfg(test)]
+mod tests;
+mod wal;
+
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex};
+use std::thread::JoinHandle;
+
+use isi_core::backend::ShardBackend;
+use isi_core::epoch::EpochCell;
+use isi_core::par::ParConfig;
+use isi_core::policy::Interleave;
+use isi_core::sched::RunStats;
+use isi_core::stats::LatencyHist;
+use isi_core::sync::{CondvarExt, MutexExt};
+use isi_durable::{self as durable, DiskFs, Fs};
+use isi_hash::table::HashKey;
+use isi_obs::{Counter, Obs, SpanTimer, Stage, TraceKind};
+
+use crate::plan::BatchPlan;
+
+pub use config::{Backend, MergeMode, StoreConfig};
+use delta::{merge_pairs, sort_lww, Delta};
+use merge::{max_delta, MergeQueue};
+use wal::DurableState;
+
+/// One published, immutable version of a shard: the main index plus
+/// the delta overlay that has accumulated on top of it. Readers
+/// snapshot the whole pair atomically through the shard's
+/// [`EpochCell`].
+struct ShardVersion {
+    /// Shared with successor versions until a merge replaces it.
+    main: Arc<dyn ShardBackend>,
+    delta: Delta,
+}
+
+/// Per-shard write-side state (serialized by the shard's write lock).
+#[derive(Default)]
+struct WriteState {
+    /// A merge job for this shard is queued or running; gates
+    /// duplicate enqueues.
+    pending: bool,
+    /// How many of the published stack's oldest runs above the mid
+    /// tier the merge in flight has pinned (0 = no merge in flight;
+    /// the mid tier needs no pin, the write path never folds it). The
+    /// write path folds only the runs above them: a fold across the
+    /// cut would replace the pinned runs by a fresh one, and the
+    /// merge's identity residual would then keep every entry it has
+    /// just merged — a merge that drains nothing.
+    pinned: usize,
+    /// Sequence of the last WAL record appended for this shard (0 =
+    /// none since the covering snapshot at build). Monotone; holding
+    /// the write lock across append + publish keeps WAL order equal
+    /// to publication order.
+    wal_seq: u64,
+}
+
+/// Per-shard merge and run-stack counters, registered in the store's
+/// [`Obs`] so monitoring reads ([`ShardedStore::merges`] and friends)
+/// are lock-free snapshots that never wait behind a rebuild.
+/// Registration order is the ≤ side of each invariant first
+/// (`bg_merges` and `major_merges` before `merges`, `compactions`
+/// before `delta_runs`) and every bump hits the ≥ side first, so
+/// `bg_merges ≤ merges`, `major_merges ≤ merges` and `compactions ≤
+/// delta_runs` hold in *every* snapshot (the registry's coherence
+/// contract). Merge wall latency, minor and major alike, lands in the
+/// shard's [`Stage::Merge`] histogram.
+struct MergeCounters {
+    /// Merges published, of either kind.
+    merges: Counter,
+    bg_merges: Counter,
+    /// Those of them that rebuilt the main.
+    major_merges: Counter,
+    /// Delta runs published by the write path (one per effective
+    /// shard sub-run).
+    delta_runs: Counter,
+    /// Run-stack folds the write path performed past
+    /// [`StoreConfig::max_runs`] (each fold needs at least one
+    /// published run, so `compactions ≤ delta_runs`).
+    compactions: Counter,
+}
+
+struct Shard {
+    version: EpochCell<ShardVersion>,
+    /// Serializes writers to this shard.
+    write: Mutex<WriteState>,
+    /// Writers blocked at the hard bound ([`max_delta`]) wait here;
+    /// the merger notifies after publishing a drained version.
+    delta_space: Condvar,
+}
+
+/// State shared between the store handle and its merger thread.
+struct StoreInner {
+    shard_bits: u32,
+    cfg: StoreConfig,
+    shards: Vec<Shard>,
+    /// Live key count (upserts − tombstoned keys), maintained by the
+    /// write path.
+    live: AtomicUsize,
+    /// `Some` when the store logs to a WAL directory (or injected fs).
+    durable: Option<DurableState>,
+    merge_q: Mutex<MergeQueue>,
+    /// Merger waits here for jobs.
+    merge_work: Condvar,
+    /// [`ShardedStore::quiesce`] waits here for the queue to drain.
+    merge_done: Condvar,
+    /// Store-side observability: `store_*` metrics, per-shard stage
+    /// histograms (plan/engine/range scan/WAL/merge) and trace rings.
+    /// Cumulative for the store's lifetime, like the counters it
+    /// replaced.
+    obs: Obs,
+    /// Per-shard merge counters registered in `obs` (see
+    /// [`MergeCounters`]).
+    merge_counters: Vec<MergeCounters>,
+    /// `store_merger_failed`: nonzero once the merger thread has
+    /// panicked. No merge will run again, so the store takes no more
+    /// writes (see [`StoreInner::merger_loop`]).
+    merger_failed: Counter,
+}
+
+/// Reusable scratch for [`ShardedStore::lookup_batch`]: rank space for
+/// the sorted backend, the batch plan's buffers, and the residual
+/// result staging area. Keeping one per dispatcher thread makes the
+/// steady-state dispatch path allocation-free, matching the engine's
+/// frame-slab discipline.
+#[derive(Default)]
+pub struct LookupScratch {
+    ranks: Vec<u32>,
+    plan: BatchPlan,
+    residual_out: Vec<Option<u64>>,
+}
+
+/// Reusable scratch for [`ShardedStore::apply_write_run_with`]: the
+/// per-shard op-index buckets a multi-op run is grouped into. Keeping
+/// one per dispatcher thread makes steady-state write dispatch
+/// allocation-free outside the run publish itself.
+#[derive(Default)]
+pub struct WriteScratch {
+    by_shard: Vec<Vec<usize>>,
+}
+
+/// What one planned batch did: engine counters for the residual run,
+/// plus how the plan split the batch.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct BatchOutcome {
+    /// Merged interleaved-engine counters for the residual probe run
+    /// (`engine.lookups == residual`).
+    pub engine: RunStats,
+    /// Keys the delta decided without touching the engine.
+    pub delta_hits: u64,
+    /// Keys that reached the engine.
+    pub residual: u64,
+}
+
+/// A writable key/value store hash-partitioned into power-of-two
+/// shards, each shard a Main/Delta pair behind a [`ShardBackend`]
+/// (see the [module docs](self)).
+///
+/// Point reads, batch lookups and range scans take `&self` and never
+/// block behind writes or merges; `put`/`remove` also take `&self`
+/// (interior mutability), serialize per shard, and block only when a
+/// shard's delta is four thresholds deep.
+pub struct ShardedStore {
+    inner: Arc<StoreInner>,
+    /// `Some` in background mode; joined (after a drain) on drop.
+    merger: Option<JoinHandle<()>>,
+}
+
+impl ShardedStore {
+    /// Build with the default [`StoreConfig`].
+    ///
+    /// Duplicate keys in `pairs` resolve **last-write-wins** (the
+    /// later pair in slice order supersedes the earlier), matching the
+    /// upsert path.
+    ///
+    /// # Panics
+    /// Panics if `num_shards` is not a power of two (including 0).
+    pub fn build(backend: Backend, num_shards: usize, pairs: &[(u64, u64)]) -> Self {
+        Self::build_with(backend, num_shards, pairs, StoreConfig::default())
+    }
+
+    /// Build from key/value pairs with explicit tuning knobs. With
+    /// [`StoreConfig::wal_dir`] set, this **initializes a fresh
+    /// durable store** in that directory (creating it if needed and
+    /// superseding whatever store it held); use [`recover`](Self::recover)
+    /// to reload an existing one instead.
+    ///
+    /// # Panics
+    /// Panics if `num_shards` is not a power of two (including 0), if
+    /// `cfg.merge_threshold` or `cfg.max_runs` is 0, or if the WAL
+    /// directory cannot be created or initialized.
+    pub fn build_with(
+        backend: Backend,
+        num_shards: usize,
+        pairs: &[(u64, u64)],
+        cfg: StoreConfig,
+    ) -> Self {
+        let fs: Option<Arc<dyn Fs>> = cfg.wal_dir.as_ref().map(|dir| {
+            let disk = DiskFs::create(dir)
+                .unwrap_or_else(|e| panic!("create WAL dir {}: {e}", dir.display()));
+            Arc::new(disk) as Arc<dyn Fs>
+        });
+        Self::build_inner(backend, num_shards, pairs, cfg, fs)
+    }
+
+    /// [`build_with`](Self::build_with), but durable onto an injected
+    /// [`Fs`] (tests use [`isi_durable::MemFs`] / [`isi_durable::FaultFs`])
+    /// instead of a real directory; `cfg.wal_dir` is ignored.
+    pub fn build_with_fs(
+        backend: Backend,
+        num_shards: usize,
+        pairs: &[(u64, u64)],
+        cfg: StoreConfig,
+        fs: Arc<dyn Fs>,
+    ) -> Self {
+        Self::build_inner(backend, num_shards, pairs, cfg, Some(fs))
+    }
+
+    fn build_inner(
+        backend: Backend,
+        num_shards: usize,
+        pairs: &[(u64, u64)],
+        cfg: StoreConfig,
+        fs: Option<Arc<dyn Fs>>,
+    ) -> Self {
+        assert!(
+            num_shards.is_power_of_two(),
+            "num_shards must be a power of two, got {num_shards}"
+        );
+        Self::validate(&cfg);
+        let shard_bits = num_shards.trailing_zeros();
+        let mut parts: Vec<Vec<(u64, u64)>> = (0..num_shards).map(|_| Vec::new()).collect();
+        for &(k, v) in pairs {
+            parts[shard_route(k, shard_bits)].push((k, v));
+        }
+        let mut live = 0usize;
+        let parts: Vec<Vec<(u64, u64)>> = parts
+            .into_iter()
+            .map(|mut part| {
+                // Stable sort keeps equal keys in input order; the
+                // last occurrence of each key wins.
+                part.sort_by_key(|&(k, _)| k);
+                let mut dedup: Vec<(u64, u64)> = Vec::with_capacity(part.len());
+                for &(k, v) in &part {
+                    match dedup.last_mut() {
+                        Some(last) if last.0 == k => last.1 = v,
+                        _ => dedup.push((k, v)),
+                    }
+                }
+                live += dedup.len();
+                dedup
+            })
+            .collect();
+        if let Some(fs) = &fs {
+            // Meta + one seq-0 snapshot and empty WAL per shard; a
+            // crash mid-init leaves no recoverable meta, i.e. no store.
+            durable::init_store(&**fs, &parts)
+                .unwrap_or_else(|e| panic!("initialize durable store: {e}"));
+        }
+        let shards = parts
+            .iter()
+            .map(|dedup| Shard {
+                version: EpochCell::new(ShardVersion {
+                    main: backend.build_shard(dedup),
+                    delta: Delta::default(),
+                }),
+                write: Mutex::new(WriteState::default()),
+                delta_space: Condvar::new(),
+            })
+            .collect();
+        Self::assemble(shard_bits, cfg, shards, live, fs)
+    }
+    fn validate(cfg: &StoreConfig) {
+        assert!(cfg.merge_threshold > 0, "merge_threshold must be positive");
+        assert!(cfg.max_runs >= 1, "max_runs must be >= 1");
+    }
+
+    fn assemble(
+        shard_bits: u32,
+        cfg: StoreConfig,
+        shards: Vec<Shard>,
+        live: usize,
+        fs: Option<Arc<dyn Fs>>,
+    ) -> Self {
+        let merge_mode = cfg.merge_mode;
+        let obs = Obs::new("store", shards.len());
+        // Coherent-snapshot registration order: the ≤ side of each
+        // invariant first (wal_syncs ≤ wal_records, bg_merges and
+        // major_merges ≤ merges); see the isi_obs registry docs.
+        let durable = fs.map(|fs| {
+            let wal_syncs = obs.registry().counter("store_wal_syncs", &[]);
+            let wal_records = obs.registry().counter("store_wal_records", &[]);
+            DurableState {
+                fsync: cfg.fsync,
+                fs,
+                wal_records,
+                wal_syncs,
+            }
+        });
+        let merge_counters = (0..shards.len())
+            .map(|si| {
+                let shard = si.to_string();
+                let labels = [("shard", shard.as_str())];
+                let bg_merges = obs.registry().counter("store_bg_merges", &labels);
+                let major_merges = obs.registry().counter("store_major_merges", &labels);
+                let merges = obs.registry().counter("store_merges", &labels);
+                let compactions = obs.registry().counter("store_compactions", &labels);
+                let delta_runs = obs.registry().counter("store_delta_runs", &labels);
+                MergeCounters {
+                    merges,
+                    bg_merges,
+                    major_merges,
+                    delta_runs,
+                    compactions,
+                }
+            })
+            .collect();
+        let merger_failed = obs.registry().counter("store_merger_failed", &[]);
+        let inner = Arc::new(StoreInner {
+            shard_bits,
+            cfg,
+            shards,
+            live: AtomicUsize::new(live),
+            durable,
+            merge_q: Mutex::new(MergeQueue::default()),
+            merge_work: Condvar::new(),
+            merge_done: Condvar::new(),
+            obs,
+            merge_counters,
+            merger_failed,
+        });
+        let merger = (merge_mode == MergeMode::Background).then(|| {
+            let inner = Arc::clone(&inner);
+            std::thread::Builder::new()
+                .name("isi-merger".into())
+                .spawn(move || inner.merger_loop())
+                .expect("spawn merger thread")
+        });
+        Self { inner, merger }
+    }
+
+    /// The tuning knobs the store was built with.
+    pub fn config(&self) -> &StoreConfig {
+        &self.inner.cfg
+    }
+
+    /// True when the store logs writes to a WAL (a
+    /// [`StoreConfig::wal_dir`] or an injected [`Fs`]).
+    pub fn is_durable(&self) -> bool {
+        self.inner.durable.is_some()
+    }
+
+    /// Write-path durability counters: `(WAL records appended, WAL
+    /// fsyncs issued)` since build. `(0, 0)` when durability is off —
+    /// and under [`FsyncMode::Group`] the sync count per record is
+    /// what group commit amortizes. Read through one coherent registry
+    /// snapshot, so `syncs ≤ records` always (the old field-by-field
+    /// reads could observe the sync of a record they hadn't counted).
+    pub fn wal_stats(&self) -> (u64, u64) {
+        if self.inner.durable.is_none() {
+            return (0, 0);
+        }
+        let snap = self.inner.obs.snapshot();
+        (
+            snap.counter_sum("store_wal_records"),
+            snap.counter_sum("store_wal_syncs"),
+        )
+    }
+
+    /// The store's observability bundle: `store_*` metrics, per-shard
+    /// stage histograms, and the store-side trace rings (merges, WAL
+    /// syncs, delta backpressure).
+    pub fn obs(&self) -> &Obs {
+        &self.inner.obs
+    }
+
+    /// Number of shards (a power of two).
+    pub fn num_shards(&self) -> usize {
+        self.inner.shards.len()
+    }
+
+    /// Number of live keys (pairs minus tombstoned keys).
+    pub fn len(&self) -> usize {
+        self.inner.live.load(Ordering::Relaxed)
+    }
+
+    /// True if the store holds no live keys.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The shard that owns `key`.
+    #[inline]
+    pub fn shard_of(&self, key: u64) -> usize {
+        shard_route(key, self.inner.shard_bits)
+    }
+
+    /// Current delta entries above the mid tiers, across all shards
+    /// (each `< merge_threshold` per shard once
+    /// [`quiesce`](Self::quiesce)d).
+    pub fn delta_len(&self) -> usize {
+        self.inner
+            .shards
+            .iter()
+            .map(|s| s.version.load().delta.len())
+            .sum()
+    }
+
+    /// Current mid-tier entries across all shards: what minor merges
+    /// have folded since each shard's last major merge (each below
+    /// that shard's major-merge size once [`quiesce`](Self::quiesce)d).
+    pub fn mid_len(&self) -> usize {
+        self.inner
+            .shards
+            .iter()
+            .map(|s| s.version.load().delta.mid_len())
+            .sum()
+    }
+
+    /// Merges published since build, minor and major, across all
+    /// shards (both modes).
+    pub fn merges(&self) -> u64 {
+        self.inner.obs.snapshot().counter_sum("store_merges")
+    }
+
+    /// Those of the [`merges`](Self::merges) that were major: rebuilt
+    /// a shard's main, snapshotted it and truncated its WAL.
+    pub fn major_merges(&self) -> u64 {
+        self.inner.obs.snapshot().counter_sum("store_major_merges")
+    }
+
+    /// Merges performed by the background merger thread (≤
+    /// [`merges`](Self::merges); the difference is foreground-mode
+    /// inline merges).
+    pub fn bg_merges(&self) -> u64 {
+        self.inner.obs.snapshot().counter_sum("store_bg_merges")
+    }
+
+    /// Delta runs published by the write path since build, across all
+    /// shards (one per effective shard sub-run of a write run).
+    pub fn delta_runs(&self) -> u64 {
+        self.inner.obs.snapshot().counter_sum("store_delta_runs")
+    }
+
+    /// Run-stack folds performed by the write path since build (≤
+    /// [`delta_runs`](Self::delta_runs); each fold collapses a stack
+    /// that exceeded [`StoreConfig::max_runs`] into one run).
+    pub fn compactions(&self) -> u64 {
+        self.inner.obs.snapshot().counter_sum("store_compactions")
+    }
+
+    /// Merge jobs queued or in flight right now (a point-in-time
+    /// gauge; 0 once [`quiesce`](Self::quiesce)d).
+    pub fn merge_backlog(&self) -> usize {
+        let q = self.inner.merge_q.plock("merge queue");
+        q.queue.len() + q.in_flight as usize
+    }
+
+    /// Merge wall-latency histogram (nanoseconds), across all shards
+    /// (the union of the per-shard [`Stage::Merge`] histograms).
+    pub fn merge_latency(&self) -> LatencyHist {
+        let mut hist = LatencyHist::new();
+        for si in 0..self.inner.shards.len() {
+            hist.merge(&self.inner.obs.stage_hist(si, Stage::Merge));
+        }
+        hist
+    }
+
+    /// Version-swap count of `shard` (one per write, since every write
+    /// publishes a new version; background merges add one more swap
+    /// each when they publish).
+    pub fn shard_epoch(&self, shard: usize) -> u64 {
+        self.inner.shards[shard].version.epoch()
+    }
+
+    /// Block until every queued merge job (including jobs enqueued by
+    /// merges re-triggering themselves) has been published. Writers
+    /// racing `quiesce` can enqueue more work; this waits for the
+    /// queue observed drain, which is the fixpoint once writers stop.
+    /// Returns immediately in foreground mode.
+    ///
+    /// # Panics
+    /// Panics with "merger failed" if the merger thread has panicked:
+    /// the queue will never drain.
+    pub fn quiesce(&self) {
+        let mut q = self.inner.merge_q.plock("merge queue");
+        loop {
+            if self.inner.merger_failed.get() > 0 {
+                // Release first: a rejection poisons no lock.
+                drop(q);
+                panic!("merger failed: queued merges will never be published");
+            }
+            if q.queue.is_empty() && !q.in_flight {
+                return;
+            }
+            q = self.inner.merge_done.pwait(q, "merge queue (drain)");
+        }
+    }
+
+    /// Sequential point lookup — the oracle the batched path must
+    /// agree with. Reads one consistent [`ShardVersion`] snapshot:
+    /// delta override first, main otherwise.
+    pub fn get(&self, key: u64) -> Option<u64> {
+        let v = self.inner.shards[self.shard_of(key)].version.load();
+        match v.delta.get(key) {
+            Some(over) => over,
+            None => v.main.get(key),
+        }
+    }
+
+    /// Upsert `key = val`; returns the previously visible value
+    /// (last-write-wins). May enqueue (background) or perform
+    /// (foreground) a merge of the owning shard. A one-op
+    /// [`apply_write_run`](Self::apply_write_run).
+    pub fn put(&self, key: u64, val: u64) -> Option<u64> {
+        let mut prevs = [None];
+        self.write_shard_run(self.shard_of(key), &[(key, Some(val))], &[0], &mut prevs);
+        prevs[0]
+    }
+
+    /// Remove `key`; returns the value it held, if any. A miss is a
+    /// no-op (no tombstone is recorded for a key that is nowhere).
+    pub fn remove(&self, key: u64) -> Option<u64> {
+        let mut prevs = [None];
+        self.write_shard_run(self.shard_of(key), &[(key, None)], &[0], &mut prevs);
+        prevs[0]
+    }
+
+    /// Apply one dispatched **write run** — the group-commit unit.
+    /// `ops[i]` is an upsert (`Some`) or remove (`None`); `prevs` is
+    /// cleared and receives, per op, the value visible immediately
+    /// before it (last-write-wins *within* the run, so a duplicate key
+    /// sees its predecessor's value).
+    ///
+    /// Ops are grouped by owning shard (ops to different shards
+    /// commute; per-shard admission order is preserved). Each shard's
+    /// sub-run holds the write lock once, sorts its ops into **one**
+    /// immutable delta run (last-write-wins within the run), appends
+    /// **one** WAL record fsynced **once** ([`FsyncMode::Group`]) and
+    /// publishes **one** new version — when
+    /// this returns, every op in the run is durable and visible, so
+    /// callers may acknowledge the whole run.
+    ///
+    /// Allocates per-shard grouping buffers; dispatch loops should
+    /// prefer [`apply_write_run_with`](Self::apply_write_run_with)
+    /// with a long-lived [`WriteScratch`].
+    pub fn apply_write_run(&self, ops: &[(u64, Option<u64>)], prevs: &mut Vec<Option<u64>>) {
+        self.apply_write_run_with(ops, prevs, &mut WriteScratch::default());
+    }
+
+    /// [`apply_write_run`](Self::apply_write_run), grouping ops by
+    /// shard through a caller-held reusable [`WriteScratch`] so the
+    /// steady-state dispatch path performs no grouping allocations.
+    pub fn apply_write_run_with(
+        &self,
+        ops: &[(u64, Option<u64>)],
+        prevs: &mut Vec<Option<u64>>,
+        scratch: &mut WriteScratch,
+    ) {
+        prevs.clear();
+        prevs.resize(ops.len(), None);
+        match ops.len() {
+            0 => return,
+            1 => {
+                self.write_shard_run(self.shard_of(ops[0].0), ops, &[0], prevs);
+                return;
+            }
+            _ => {}
+        }
+        scratch.by_shard.resize_with(self.num_shards(), Vec::new);
+        for bucket in &mut scratch.by_shard {
+            bucket.clear();
+        }
+        for (i, &(key, _)) in ops.iter().enumerate() {
+            scratch.by_shard[self.shard_of(key)].push(i);
+        }
+        for (si, idxs) in scratch.by_shard.iter().enumerate() {
+            if !idxs.is_empty() {
+                self.write_shard_run(si, ops, idxs, prevs);
+            }
+        }
+    }
+
+    /// The shared write path: apply `ops[idxs]` (all routed to `si`)
+    /// to the shard's delta and publish one new version. At
+    /// `merge_threshold` the run requests maintenance — a job for the
+    /// background merger, or an inline merge in foreground mode. In
+    /// background mode the run blocks only when the shard's delta has
+    /// hit the hard bound ([`max_delta`]). With durability on, the run's
+    /// WAL record is appended and fsynced *before* the publish.
+    fn write_shard_run(
+        &self,
+        si: usize,
+        ops: &[(u64, Option<u64>)],
+        idxs: &[usize],
+        prevs: &mut [Option<u64>],
+    ) {
+        let inner = &*self.inner;
+        let shard = &inner.shards[si];
+        let mut w = shard.write.plock("shard write state");
+        if inner.cfg.merge_mode == MergeMode::Background {
+            let bound = max_delta(inner.cfg.merge_threshold);
+            // Hard bound: past it this shard's writers wait for
+            // the merger (which takes this lock to pin and to publish,
+            // but we release it while waiting on the condvar). A run
+            // may overshoot the bound by its own length — bounded by
+            // the dispatcher batch size.
+            let t = SpanTimer::start();
+            let mut waited = false;
+            loop {
+                if inner.merger_failed.get() > 0 {
+                    // Release first: a rejection poisons no lock.
+                    drop(w);
+                    panic!("merger failed: shard {si} takes no more writes");
+                }
+                if shard.version.load().delta.len() < bound {
+                    break;
+                }
+                waited = true;
+                w = shard
+                    .delta_space
+                    .pwait(w, "shard write state (delta backpressure)");
+            }
+            if waited {
+                let dur = t.elapsed_ns();
+                inner.obs.record_stage(si, Stage::Backpressure, dur);
+                inner
+                    .obs
+                    .trace()
+                    .emit(si, TraceKind::Backpressure, t.start_ns(), dur, 1, 0);
+            }
+        }
+        let cur = shard.version.load();
+        // Build this sub-run as its own sorted run instead of cloning
+        // the delta: O(run log run) per publish, independent of how
+        // full the delta is (the old clone + per-op sorted insert was
+        // ~delta²/2 entry copies per threshold fill).
+        let mut run: Vec<(u64, Option<u64>)> = Vec::with_capacity(idxs.len());
+        let mut live_delta = 0isize;
+        for &i in idxs {
+            let (key, val) = ops[i];
+            // Within the pending run the latest op for the key wins;
+            // runs are dispatcher-batch sized, so the backwards scan
+            // is short.
+            let pending = run.iter().rev().find(|e| e.0 == key).map(|e| e.1);
+            let prev = match pending {
+                Some(over) => over,
+                None => match cur.delta.get(key) {
+                    Some(over) => over,
+                    None => cur.main.get(key),
+                },
+            };
+            prevs[i] = prev;
+            // Removing an invisible key needs no tombstone (and must
+            // not grow the delta, or idempotent removes would force
+            // merges) — and nothing to make durable either. If an
+            // override exists it is already a tombstone (that is the
+            // only way `prev` is `None` with an override present), so
+            // the elision never loses a deletion.
+            if val.is_none() && prev.is_none() {
+                continue;
+            }
+            run.push((key, val));
+            match (prev.is_some(), val.is_some()) {
+                (false, true) => live_delta += 1,
+                (true, false) => live_delta -= 1,
+                _ => {}
+            }
+        }
+        if run.is_empty() {
+            return; // fully elided: no record, no epoch bump
+        }
+        // Last-write-wins within the run: stable sort keeps equal keys
+        // in op order, dedup keeps the last.
+        sort_lww(&mut run);
+        // Ack ⇒ durable: the WAL record hits disk before the publish,
+        // and the publish happens before any caller acknowledges.
+        // Replay is absolute upserts, so logging the deduped run is
+        // state-equivalent to logging every op.
+        if let Some(d) = &inner.durable {
+            w.wal_seq += 1;
+            d.log_run(&inner.obs, si, w.wal_seq, &run);
+        }
+        let counters = &inner.merge_counters[si];
+        let mut delta = cur.delta.share();
+        delta.push_run(run.into());
+        // `delta_runs` before `compactions` (the registry registers
+        // compactions first), so compactions ≤ delta_runs in every
+        // snapshot.
+        counters.delta_runs.inc();
+        // The fold starts above the mid tier and above what a merge
+        // has pinned.
+        let keep = delta.mid_runs() + w.pinned;
+        if delta.runs.len() - keep > inner.cfg.max_runs {
+            delta.fold_above(keep);
+            counters.compactions.inc();
+        }
+        let crossed = delta.len() >= inner.cfg.merge_threshold;
+        if crossed && inner.cfg.merge_mode == MergeMode::Foreground {
+            // Inline merge of the stack this write completes: the
+            // merger's routine, under the shard write lock throughout
+            // (so only same-shard *writers* wait, and nothing lands
+            // meanwhile: the residual is empty), published with the
+            // write in one epoch swap.
+            let t0 = SpanTimer::start();
+            let folded = inner.fold_pinned(si, &cur.main, &delta, w.wal_seq, t0);
+            inner.publish_merge(si, &mut w, &delta, &delta, folded, t0);
+        } else {
+            shard.version.store(Arc::new(ShardVersion {
+                main: Arc::clone(&cur.main),
+                delta,
+            }));
+            if crossed && !w.pending {
+                inner.request_merge(si, &mut w);
+            }
+        }
+        match live_delta.cmp(&0) {
+            std::cmp::Ordering::Greater => {
+                inner.live.fetch_add(live_delta as usize, Ordering::Relaxed);
+            }
+            std::cmp::Ordering::Less => {
+                inner
+                    .live
+                    .fetch_sub(live_delta.unsigned_abs(), Ordering::Relaxed);
+            }
+            std::cmp::Ordering::Equal => {}
+        }
+    }
+
+    /// Run a batch of lookups that all route to `shard`, scattering
+    /// `out[i]` = lookup result of `keys[i]`.
+    ///
+    /// The whole batch reads **one** [`ShardVersion`] snapshot and is
+    /// **planned** first (see [`crate::plan`]): keys the delta decides
+    /// are answered from the sorted run, and only the residual reaches
+    /// the morsel-parallel interleaved engine. A merge publishing
+    /// mid-batch cannot produce torn results — this batch finishes on
+    /// the version it started with.
+    ///
+    /// # Panics
+    /// Panics if `out.len() != keys.len()` or if some key does not
+    /// route to `shard` (batch formation bug in the caller).
+    pub fn lookup_batch(
+        &self,
+        shard: usize,
+        keys: &[u64],
+        policy: Interleave,
+        par: ParConfig,
+        scratch: &mut LookupScratch,
+        out: &mut [Option<u64>],
+    ) -> BatchOutcome {
+        assert_eq!(keys.len(), out.len(), "output length mismatch");
+        debug_assert!(
+            keys.iter().all(|&k| self.shard_of(k) == shard),
+            "batch contains keys routed to another shard"
+        );
+        let v = self.inner.shards[shard].version.load();
+        let obs = &self.inner.obs;
+        if v.delta.is_empty() {
+            // Every key is residual: probe straight into `out` without
+            // a scatter pass.
+            let t = SpanTimer::start();
+            let engine = v
+                .main
+                .probe_batch(keys, policy, par, &mut scratch.ranks, out);
+            obs.record_stage(shard, Stage::Engine, t.elapsed_ns());
+            return BatchOutcome {
+                engine,
+                delta_hits: 0,
+                residual: keys.len() as u64,
+            };
+        }
+        let t = SpanTimer::start();
+        scratch.plan.resolve(&v.delta.runs, keys);
+        for &(i, res) in &scratch.plan.decided {
+            out[i as usize] = res;
+        }
+        obs.record_stage(shard, Stage::Plan, t.elapsed_ns());
+        let residual = scratch.plan.residual();
+        let engine = if residual == 0 {
+            RunStats::default()
+        } else {
+            let t = SpanTimer::start();
+            scratch.residual_out.clear();
+            scratch.residual_out.resize(residual as usize, None);
+            let engine = v.main.probe_batch(
+                &scratch.plan.residual_keys,
+                policy,
+                par,
+                &mut scratch.ranks,
+                &mut scratch.residual_out,
+            );
+            for (&i, &r) in scratch
+                .plan
+                .residual_idx
+                .iter()
+                .zip(scratch.residual_out.iter())
+            {
+                out[i as usize] = r;
+            }
+            obs.record_stage(shard, Stage::Engine, t.elapsed_ns());
+            engine
+        };
+        BatchOutcome {
+            engine,
+            delta_hits: scratch.plan.delta_hits(),
+            residual,
+        }
+    }
+
+    /// All live pairs of `shard` with `lo <= key <= hi`, in ascending
+    /// key order: the backend's ordered scan merge-joined with the
+    /// sorted delta run (overrides win, tombstones elide their keys).
+    /// Reads one consistent [`ShardVersion`] snapshot; an inverted
+    /// range returns nothing.
+    pub fn scan_range(&self, shard: usize, lo: u64, hi: u64) -> Vec<(u64, u64)> {
+        if lo > hi {
+            return Vec::new();
+        }
+        let t = SpanTimer::start();
+        let v = self.inner.shards[shard].version.load();
+        let mut main = Vec::new();
+        v.main.scan_range(lo, hi, &mut main);
+        let out = if v.delta.is_empty() {
+            main
+        } else {
+            // Fold the run-stack's [lo, hi] slices (newest wins) into
+            // one sorted run, then merge-join with the backend scan.
+            let d = v.delta.fold_range(lo, hi);
+            if d.is_empty() {
+                main
+            } else {
+                merge_pairs(&main, &d)
+            }
+        };
+        self.inner
+            .obs
+            .record_stage(shard, Stage::RangeScan, t.elapsed_ns());
+        out
+    }
+
+    /// All live pairs with `lo <= key <= hi` across every shard, in
+    /// ascending key order. Each shard contributes one consistent
+    /// snapshot; the cross-shard cut is not atomic (same contract as
+    /// issuing one `get` per shard).
+    pub fn get_range(&self, lo: u64, hi: u64) -> Vec<(u64, u64)> {
+        let mut out = Vec::new();
+        for shard in 0..self.num_shards() {
+            out.extend(self.scan_range(shard, lo, hi));
+        }
+        // Hash partitioning interleaves shard key sets arbitrarily, so
+        // the per-shard sorted runs need one global reorder.
+        out.sort_unstable_by_key(|&(k, _)| k);
+        out
+    }
+}
+
+impl Drop for ShardedStore {
+    fn drop(&mut self) {
+        if let Some(handle) = self.merger.take() {
+            {
+                let mut q = self.inner.merge_q.plock("merge queue");
+                q.shutdown = true;
+                self.inner.merge_work.notify_all();
+            }
+            let joined = handle.join();
+            // Re-raising the merger's panic while this thread already
+            // unwinds would abort the process.
+            if !std::thread::panicking() {
+                joined.expect("merger thread panicked");
+            }
+        }
+        // Clean-shutdown durability: flush every WAL so even
+        // FsyncMode::Off loses nothing on an orderly exit (only on a
+        // crash). Best effort — Drop must not panic.
+        if let Some(d) = &self.inner.durable {
+            for si in 0..self.inner.shards.len() {
+                let _ = d.fs.sync(&durable::wal_name(si));
+            }
+            let _ = d.fs.sync_dir();
+        }
+    }
+}
+
+/// Top-bits shard routing: shard = high `bits` bits of the Fibonacci
+/// hash (0 when `bits == 0`).
+#[inline]
+fn shard_route(key: u64, bits: u32) -> usize {
+    if bits == 0 {
+        0
+    } else {
+        (key.hash64() >> (64 - bits)) as usize
+    }
+}
