@@ -1,6 +1,12 @@
 //! The run stack: a shard's delta overlay as immutable sorted runs
 //! over an optional mid tier, and the merges of sorted runs every
 //! path above it is made of.
+//!
+//! [`Delta`]'s fields are private to this module, so what the rest of
+//! the store relies on is kept here and nowhere else: the mid tier, if
+//! there is one, is the oldest run; the entry count covers only the
+//! runs above it; and the write path's fold leaves alone the mid tier
+//! and whatever a merge in flight has pinned.
 
 use std::sync::Arc;
 
@@ -28,15 +34,15 @@ pub(super) type DeltaRun = Arc<[(u64, Option<u64>)]>;
 #[derive(Clone, Default)]
 pub(super) struct Delta {
     /// Override runs, oldest first / newest last.
-    pub(super) runs: Vec<DeltaRun>,
+    runs: Vec<DeltaRun>,
     /// `runs[0]` is the mid tier.
-    pub(super) mid: bool,
+    mid: bool,
     /// Sum of the lengths of the runs above the mid tier — an upper
     /// bound on the distinct keys they override (a key rewritten in a
     /// newer run counts twice until a fold collapses it). Threshold
     /// and backpressure checks use this conservative count; folds and
     /// merges restore exactness.
-    pub(super) entries: usize,
+    entries: usize,
 }
 
 impl Delta {
@@ -83,52 +89,68 @@ impl Delta {
         self.runs.push(run);
     }
 
-    /// How many runs at the bottom of the stack are the mid tier (0
-    /// or 1).
-    pub(super) fn mid_runs(&self) -> usize {
-        self.mid as usize
+    /// The runs, oldest first — the mid tier, if there is one, then
+    /// the runs above it: what a batch plan resolves its keys against.
+    pub(super) fn runs(&self) -> &[DeltaRun] {
+        &self.runs
+    }
+
+    /// The mid tier, if the stack has one.
+    pub(super) fn mid(&self) -> Option<&DeltaRun> {
+        self.mid.then(|| &self.runs[0])
     }
 
     /// Entries in the mid tier.
     pub(super) fn mid_len(&self) -> usize {
-        if self.mid {
-            self.runs[0].len()
-        } else {
-            0
-        }
+        self.mid().map_or(0, |mid| mid.len())
     }
 
-    /// Replace the runs above the oldest `keep` by their fold (one
-    /// run, newest winning each key); the oldest `keep` runs stay as
-    /// they are. The write path keeps the mid tier and what a merge
-    /// has pinned.
-    pub(super) fn fold_above(&mut self, keep: usize) {
-        let top = Delta {
-            runs: self.runs.split_off(keep),
-            ..Delta::default()
+    /// How many runs sit above the mid tier: what a merge pins.
+    pub(super) fn runs_above_mid(&self) -> usize {
+        self.runs.len() - self.mid as usize
+    }
+
+    /// The write path's fold: once more than `max_runs` runs sit above
+    /// the mid tier and the `pinned` oldest of them (those a merge in
+    /// flight works on), replace them by their fold — one run, newest
+    /// winning each key — and say so. The mid tier and the pinned runs
+    /// stay the runs they are.
+    pub(super) fn fold_past(&mut self, max_runs: usize, pinned: usize) -> bool {
+        let keep = self.mid as usize + pinned;
+        if self.runs.len() - keep <= max_runs {
+            return false;
         }
-        .fold();
+        let top = fold_runs(&self.runs.split_off(keep));
         if !top.is_empty() {
             self.runs.push(top.into());
         }
-        self.entries = self.runs[self.mid_runs()..].iter().map(|r| r.len()).sum();
+        self.entries = self.runs[self.mid as usize..].iter().map(|r| r.len()).sum();
+        true
     }
 
     /// Fold the whole stack, mid tier included, into one sorted,
-    /// duplicate-free run, newest run winning each key. Works from the
-    /// newest run down, so the oldest run — the mid tier, which can be
-    /// as long as all the others together many times over — is walked
-    /// once: O(mid + above × runs).
+    /// duplicate-free run, newest run winning each key.
     pub(super) fn fold(&self) -> Vec<(u64, Option<u64>)> {
-        let mut it = self.runs.iter().rev();
-        let mut acc: Vec<(u64, Option<u64>)> = match it.next() {
-            Some(run) => run.to_vec(),
-            None => return Vec::new(),
-        };
-        for run in it {
-            acc = merge_overrides(&acc, run);
-        }
-        acc
+        fold_runs(&self.runs)
+    }
+
+    /// What this stack holds beyond `pinned` — the same shard's stack
+    /// as a merge snapshotted it — folded into one run. Membership is
+    /// by **run identity**: a run of this stack is already reflected
+    /// in the merge's fold iff it is one of the runs the merge pinned
+    /// (runs are immutable and shared, so `Arc` pointer equality
+    /// decides). Runs pushed — or compacted into fresh runs —
+    /// meanwhile survive; their overrides are the per-key newest, so
+    /// re-applying any pinned-era override they carry on top of the
+    /// fold is idempotent.
+    pub(super) fn residual_of(&self, pinned: &Delta) -> Vec<(u64, Option<u64>)> {
+        let newer: Vec<DeltaRun> = self
+            .runs
+            .iter()
+            .filter(|r| !pinned.runs.iter().any(|r0| Arc::ptr_eq(r, r0)))
+            .cloned()
+            .collect();
+        fold_runs(&newer)
     }
 
     /// Fold only the overrides with `lo <= key <= hi` (the range-scan
@@ -161,6 +183,22 @@ impl Delta {
     pub(super) fn is_empty(&self) -> bool {
         self.runs.is_empty()
     }
+}
+
+/// Fold `runs` (oldest first) into one sorted, duplicate-free run,
+/// newest run winning each key. Works from the newest run down, so the
+/// oldest run — the mid tier, which can be as long as all the others
+/// together many times over — is walked once: O(mid + above × runs).
+fn fold_runs(runs: &[DeltaRun]) -> Vec<(u64, Option<u64>)> {
+    let mut it = runs.iter().rev();
+    let mut acc: Vec<(u64, Option<u64>)> = match it.next() {
+        Some(run) => run.to_vec(),
+        None => return Vec::new(),
+    };
+    for run in it {
+        acc = merge_overrides(&acc, run);
+    }
+    acc
 }
 
 /// Sort a freshly built override run by key and resolve duplicates

@@ -126,7 +126,7 @@ impl StoreInner {
         let (v0, seq0) = {
             let mut w = shard.write.plock("shard write state");
             let v0 = shard.version.load();
-            w.pinned = v0.delta.runs.len() - v0.delta.mid_runs();
+            w.pinned = v0.delta.runs_above_mid();
             (v0, w.wal_seq)
         };
         if v0.delta.is_empty() {
@@ -216,25 +216,9 @@ impl StoreInner {
         folded: Folded,
         t0: SpanTimer,
     ) -> usize {
-        // Residual by **run identity**: a run of the current stack is
-        // already reflected in the fold iff it is one of the runs the
-        // merge pinned (runs are immutable and shared, so `Arc`
-        // pointer equality decides membership). Runs pushed — or
-        // compacted into fresh runs — meanwhile survive; their
-        // overrides are the per-key newest, so re-applying any
-        // pinned-era override they carry on top of the fold is
-        // idempotent. The surviving runs fold into one residual run,
-        // making the published count exact again.
-        let residual: Vec<(u64, Option<u64>)> = Delta {
-            runs: cur
-                .runs
-                .iter()
-                .filter(|r| !pinned.runs.iter().any(|r0| Arc::ptr_eq(r, r0)))
-                .cloned()
-                .collect(),
-            ..Delta::default()
-        }
-        .fold();
+        // What landed while the merge ran survives as one residual
+        // run, which makes the published count exact again.
+        let residual = cur.residual_of(pinned);
         if let (Some(d), Some((seq0, tmp))) = (&self.durable, &folded.staged) {
             // Snapshot first, truncate second — and the WAL rewrite
             // holds the residual at the *current* frontier, so a

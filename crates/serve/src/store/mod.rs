@@ -759,11 +759,7 @@ impl ShardedStore {
         // compactions first), so compactions ≤ delta_runs in every
         // snapshot.
         counters.delta_runs.inc();
-        // The fold starts above the mid tier and above what a merge
-        // has pinned.
-        let keep = delta.mid_runs() + w.pinned;
-        if delta.runs.len() - keep > inner.cfg.max_runs {
-            delta.fold_above(keep);
+        if delta.fold_past(inner.cfg.max_runs, w.pinned) {
             counters.compactions.inc();
         }
         let crossed = delta.len() >= inner.cfg.merge_threshold;
@@ -842,7 +838,7 @@ impl ShardedStore {
             };
         }
         let t = SpanTimer::start();
-        scratch.plan.resolve(&v.delta.runs, keys);
+        scratch.plan.resolve(v.delta.runs(), keys);
         for &(i, res) in &scratch.plan.decided {
             out[i as usize] = res;
         }

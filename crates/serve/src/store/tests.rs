@@ -543,10 +543,7 @@ fn a_merge_drains_what_it_pinned_though_the_write_path_folds_meanwhile() {
 /// The shard's main and, if it has one, its mid tier.
 fn tiers(store: &ShardedStore, si: usize) -> (Arc<dyn ShardBackend>, Option<DeltaRun>) {
     let v = store.inner.shards[si].version.load();
-    (
-        Arc::clone(&v.main),
-        v.delta.mid.then(|| Arc::clone(&v.delta.runs[0])),
-    )
+    (Arc::clone(&v.main), v.delta.mid().cloned())
 }
 
 #[test]
