@@ -17,6 +17,11 @@
 //!   [`FrameSlab`] across all the morsels it claims, so the
 //!   zero-allocation-per-lookup slab discipline of the sequential
 //!   engine holds across morsel boundaries too;
+//! * a group of one, or a morsel shorter than two lookups, has nothing
+//!   to interleave with: it runs the lookup's *non-suspending*
+//!   instantiation through [`run_sequential`] — the paper's point that
+//!   one coroutine compiles to both code paths, decided here once for
+//!   every index;
 //! * per-worker [`RunStats`] are merged at the join
 //!   ([`RunStats::merge`]).
 //!
@@ -28,7 +33,7 @@ use std::marker::PhantomData;
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use crate::sched::{run_interleaved_indexed, FrameSlab, RunStats};
+use crate::sched::{run_interleaved_indexed, run_sequential, FrameSlab, RunStats};
 
 /// Default morsel size (lookups per work-stealing unit).
 ///
@@ -220,8 +225,15 @@ where
 ///
 /// Each worker owns one [`FrameSlab`] for its whole lifetime and drives
 /// every morsel it claims through [`run_interleaved_indexed`] with
-/// `group_size` in-flight coroutines — the same coroutines, the same
-/// memory backends, the same single codepath as the sequential engine.
+/// `group_size` in-flight coroutines built by `make` — the same
+/// coroutines, the same memory backends, the same single codepath as
+/// the sequential engine. Where that would be one coroutine at a time
+/// (a `group_size` below two, or a morsel of a single lookup) the
+/// worker runs `make_seq`'s futures through [`run_sequential`] instead:
+/// callers pass the lookup's `INTERLEAVE = false` instantiation there,
+/// which never suspends, so such a run costs no slab, no switch, and
+/// reports `switches == 0`.
+///
 /// The sink receives **global** input indices and is called from worker
 /// threads; results within a worker arrive in completion order, and
 /// workers interleave arbitrarily (scatter by index, as the sequential
@@ -229,16 +241,19 @@ where
 ///
 /// Returns the merged [`RunStats`]: totals sum, `peak_in_flight` is the
 /// maximum over workers.
-pub fn run_interleaved_par<T, F, Mk, S>(
+pub fn run_interleaved_par<T, Fs, F, Ms, Mk, S>(
     cfg: ParConfig,
     group_size: usize,
     inputs: &[T],
+    make_seq: Ms,
     make: Mk,
     sink: S,
 ) -> RunStats
 where
     T: Copy + Sync,
+    Fs: Future<Output = F::Output>,
     F: Future,
+    Ms: Fn(T) -> Fs + Sync,
     Mk: Fn(T) -> F + Sync,
     S: Fn(usize, F::Output) + Sync,
 {
@@ -252,14 +267,22 @@ where
         let mut local = RunStats::default();
         while let Some(range) = cursor.claim() {
             // A group beyond the morsel's length only reserves frames
-            // nothing will occupy: a single-key batch needs one.
-            let stats = run_interleaved_indexed(
-                &mut slab,
-                group_size.min(range.len()),
-                range.clone().map(|i| (i, inputs[i])),
-                &make,
-                &sink,
-            );
+            // nothing will occupy.
+            let group = group_size.min(range.len());
+            let stats = if group < 2 {
+                let base = range.start;
+                run_sequential(range.map(|i| inputs[i]), &make_seq, |i, r| {
+                    sink(base + i, r)
+                })
+            } else {
+                run_interleaved_indexed(
+                    &mut slab,
+                    group,
+                    range.map(|i| (i, inputs[i])),
+                    &make,
+                    &sink,
+                )
+            };
             local.merge(&stats);
         }
         local
@@ -286,12 +309,17 @@ mod tests {
         v.wrapping_mul(3)
     }
 
+    /// `lookup`'s non-suspending instantiation.
+    async fn lookup_seq(v: u32) -> u32 {
+        v.wrapping_mul(3)
+    }
+
     fn par_out(values: &[u32], cfg: ParConfig, group: usize) -> (Vec<u32>, RunStats) {
         let mut out = vec![0u32; values.len()];
         let sink = DisjointOut::new(&mut out);
         // SAFETY: the driver passes each input index exactly once and
         // `i < out.len()`, so the disjoint-writes contract holds.
-        let stats = run_interleaved_par(cfg, group, values, lookup, |i, r| unsafe {
+        let stats = run_interleaved_par(cfg, group, values, lookup_seq, lookup, |i, r| unsafe {
             sink.write(i, r)
         });
         (out, stats)
@@ -397,12 +425,45 @@ mod tests {
             },
             5,
             &values,
+            lookup_seq,
             lookup,
             |i, _| {
                 assert!(seen.lock().unwrap().insert(i), "index {i} emitted twice");
             },
         );
         assert_eq!(seen.lock().unwrap().len(), values.len());
+    }
+
+    #[test]
+    fn one_at_a_time_runs_the_non_suspending_instantiation() {
+        // A group of one, and single-lookup morsels under any group:
+        // same results, and not one switch — `lookup` would have
+        // suspended 2 000 times over these inputs.
+        let values: Vec<u32> = (0..1_000).collect();
+        let expect: Vec<u32> = values.iter().map(|v| v.wrapping_mul(3)).collect();
+        for (group, morsel_size) in [(1, 64), (0, 64), (6, 1)] {
+            let cfg = ParConfig {
+                threads: 2,
+                morsel_size,
+            };
+            let (out, stats) = par_out(&values, cfg, group);
+            assert_eq!(out, expect, "group={group} morsel={morsel_size}");
+            assert_eq!(
+                (stats.lookups, stats.resumes, stats.switches),
+                (1_000, 1_000, 0)
+            );
+            assert_eq!(stats.peak_in_flight, 1);
+        }
+        // Two lookups in a morsel are enough to interleave.
+        let (_, stats) = par_out(
+            &values,
+            ParConfig {
+                threads: 1,
+                morsel_size: 2,
+            },
+            6,
+        );
+        assert_eq!((stats.switches, stats.peak_in_flight), (2_000, 2));
     }
 
     #[test]

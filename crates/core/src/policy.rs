@@ -27,8 +27,9 @@ impl Interleave {
         }
     }
 
-    /// The group size as a scheduler knob: 1 when sequential (a group
-    /// of one *is* sequential execution), never 0.
+    /// The group size as a scheduler knob: 1 when sequential, never
+    /// 0. The morsel drivers ([`crate::par`]) run a group of one on the
+    /// coroutine's non-suspending instantiation.
     #[inline]
     pub fn group_or_one(self) -> usize {
         self.group().unwrap_or(1).max(1)

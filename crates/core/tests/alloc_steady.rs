@@ -84,6 +84,7 @@ fn run_par(values: &[u32], out: &mut [u32], threads: usize, morsel: usize) {
         8,
         values,
         lookup,
+        lookup,
         // SAFETY: `run_interleaved_par` passes each input index exactly
         // once, and `i < out.len()` by construction, so the disjoint
         // writes contract of `DisjointOut::write` holds.

@@ -134,7 +134,8 @@ where
 /// probe batch and drive each through the *same* interleaved tree
 /// coroutine ([`lookup_coro`]) with `group_size` in-flight traversals,
 /// reusing one frame slab per worker across morsels (see
-/// [`isi_core::par`]).
+/// [`isi_core::par`]). A `group_size` of one, or a morsel of a single
+/// value, runs the coroutine's non-suspending instantiation instead.
 ///
 /// Returns the merged [`RunStats`] (totals sum; `peak_in_flight` is the
 /// per-worker peak).
@@ -159,6 +160,7 @@ where
         cfg,
         group_size,
         values,
+        |v| lookup_coro::<false, K, V, S>(store, v),
         |v| lookup_coro::<true, K, V, S>(store, v),
         // SAFETY: the scheduler emits each claimed input index exactly
         // once, and claimed morsel ranges are disjoint across workers.

@@ -129,7 +129,9 @@ pub fn bulk_probe_interleaved<K: HashKey, V: Copy>(
 /// Morsel-parallel bulk probe: worker threads claim morsels of the key
 /// batch and drive each through the *same* probe coroutine
 /// ([`probe_coro`]) with `group_size` in-flight probes, reusing one
-/// frame slab per worker across morsels (see [`isi_core::par`]).
+/// frame slab per worker across morsels (see [`isi_core::par`]). A
+/// `group_size` of one, or a morsel of a single key, runs the
+/// coroutine's non-suspending instantiation instead.
 ///
 /// Returns the merged [`RunStats`] (totals sum; `peak_in_flight` is the
 /// per-worker peak).
@@ -153,6 +155,7 @@ where
         cfg,
         group_size,
         keys,
+        |k| probe_coro::<false, K, V>(table, k),
         |k| probe_coro::<true, K, V>(table, k),
         // SAFETY: the scheduler emits each claimed input index exactly
         // once, and claimed morsel ranges are disjoint across workers.

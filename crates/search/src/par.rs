@@ -23,7 +23,9 @@ use crate::key::SearchKey;
 /// with thread-level parallelism. The same
 /// [`rank_coro`](crate::coro::rank_coro) coroutine and the same
 /// interleaved scheduler run on every worker; each worker reuses one
-/// frame slab across all the morsels it claims.
+/// frame slab across all the morsels it claims. A `group_size` of one,
+/// or a morsel of a single value, runs the coroutine's non-suspending
+/// instantiation instead (see [`run_interleaved_par`]).
 ///
 /// Returns the merged [`RunStats`] (totals sum; `peak_in_flight` is the
 /// per-worker peak).
@@ -47,6 +49,7 @@ where
         cfg,
         group_size,
         values,
+        |v| rank_coro::<false, K, M>(mem, v),
         |v| rank_coro::<true, K, M>(mem, v),
         // SAFETY: the scheduler emits each claimed input index exactly
         // once, and claimed morsel ranges are disjoint across workers.

@@ -2,7 +2,8 @@
 //! sorted tables, probe lists, group sizes and morsel sizes,
 //! `bulk_rank_coro_par` produces byte-identical output to the
 //! single-threaded `bulk_rank_coro` across thread counts {1, 2, 4, 8},
-//! and its merged `RunStats` preserve the sequential totals.
+//! and its merged `RunStats` preserve the sequential totals wherever
+//! a morsel holds enough probes to interleave.
 
 use proptest::prelude::*;
 
@@ -52,10 +53,21 @@ proptest! {
 
             // Merged stats preserve the totals: every lookup suspends a
             // fixed number of times regardless of partitioning, so
-            // lookups/resumes/switches are partition-invariant...
+            // lookups/resumes/switches are partition-invariant — among
+            // the morsels that interleave. A group of one, or a morsel
+            // of one probe, runs the non-suspending instantiation: it
+            // resumes once per lookup and never switches.
             prop_assert_eq!(par_stats.lookups, seq_stats.lookups);
-            prop_assert_eq!(par_stats.resumes, seq_stats.resumes);
-            prop_assert_eq!(par_stats.switches, seq_stats.switches);
+            prop_assert_eq!(par_stats.resumes, par_stats.lookups + par_stats.switches);
+            if group < 2 || morsel < 2 {
+                prop_assert_eq!(par_stats.switches, 0);
+            } else if n % morsel != 1 {
+                prop_assert_eq!(par_stats.resumes, seq_stats.resumes);
+                prop_assert_eq!(par_stats.switches, seq_stats.switches);
+            } else {
+                // The lone probe of the last morsel did not suspend.
+                prop_assert!(par_stats.switches <= seq_stats.switches);
+            }
             // ...while peak_in_flight maxes per worker and is bounded
             // by the effective group (group size, morsel size and
             // input size all cap the slab fill).

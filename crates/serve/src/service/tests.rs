@@ -404,13 +404,18 @@ fn stats_engine_counters_flow_through() {
             ..ServeConfig::default()
         },
     );
-    for key in 0..64u64 {
-        svc.get(key * 2);
-    }
+    let keys: Vec<u64> = (0..64u64).map(|key| key * 2).collect();
+    svc.get_many(&keys);
     let stats = svc.stats();
     assert_eq!(stats.engine.lookups, 64);
     // Interleaved tree descents switch at least once per lookup.
     assert!(stats.engine.switches >= 64);
+    // A lone key has nothing to interleave with: it runs the
+    // non-suspending instantiation.
+    svc.get(2);
+    let after = svc.stats().engine;
+    assert_eq!(after.lookups, 65);
+    assert_eq!(after.switches, stats.engine.switches);
 }
 
 #[test]

@@ -325,13 +325,20 @@ proptest! {
                 let want: Vec<Option<u64>> =
                     all.iter().map(|k| oracle.get(k).copied()).collect();
                 prop_assert_eq!(svc.get_many(&all), want);
+                let engine = svc.stats().engine;
                 prop_assert_eq!(
-                    svc.stats().engine.peak_in_flight,
+                    engine.peak_in_flight,
                     policy.group_or_one() as u64,
                     "policy={} shards={}",
                     policy,
                     shards
                 );
+                // Sequential is the coroutine's non-suspending
+                // instantiation: nothing ever suspends, so nothing is
+                // ever switched to.
+                if policy == Interleave::Sequential {
+                    prop_assert_eq!(engine.switches, 0, "shards={}", shards);
+                }
             }
         }
     }
