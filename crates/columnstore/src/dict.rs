@@ -4,7 +4,8 @@
 //!
 //! * [`MainDictionary`]: a sorted array of the distinct domain values;
 //!   codes are array positions, `extract` is an array read, `locate` is
-//!   a binary search — any of the five `isi-search` implementations.
+//!   a binary search — in bulk, the `isi-search` coroutine run
+//!   sequentially or interleaved per the shared [`Interleave`] policy.
 //! * [`DeltaDictionary`]: an *unsorted* array that appends new values in
 //!   arrival order, indexed by a CSB+-tree for `locate`. Following the
 //!   HANA design the paper describes in Section 5.5, the tree's leaves
@@ -19,27 +20,7 @@ use isi_core::sched::{run_interleaved, run_sequential};
 use isi_csb::{CsbTree, TreeStore};
 use isi_search::key::SearchKey;
 use isi_search::locate::NOT_FOUND;
-use isi_search::{bulk_rank_amac, bulk_rank_coro, bulk_rank_coro_seq, bulk_rank_gp, cost};
-
-/// How a bulk `locate` executes (paper §5.1's five implementations).
-///
-/// The coroutine variant carries the shared [`Interleave`] policy
-/// instead of private sequential/group-size variants, so callers that
-/// already hold an execution policy (the IN-predicate query, the
-/// serving layer) pass it through unchanged.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LocateStrategy {
-    /// Branchy sequential search (`std`).
-    Branchy,
-    /// Branch-free sequential search (`Baseline`).
-    BranchFree,
-    /// Group prefetching with this group size.
-    Gp(usize),
-    /// AMAC with this group size.
-    Amac(usize),
-    /// The coroutine, sequential or interleaved per the shared policy.
-    Coro(Interleave),
-}
+use isi_search::{bulk_locate_interleaved, bulk_locate_seq, cost};
 
 /// Read-optimized dictionary: sorted distinct values; code = position.
 #[derive(Debug, Clone, Default)]
@@ -88,43 +69,17 @@ impl<K: SearchKey> MainDictionary<K> {
         isi_search::locate(&DirectMem::new(&self.values), value)
     }
 
-    /// Bulk `locate` with a chosen execution strategy. Absent values map
-    /// to [`NOT_FOUND`]. This is the index join `S ⋈ D` of Section 2.1.
+    /// Bulk `locate`, sequential or interleaved per `mode`. Absent
+    /// values map to [`NOT_FOUND`]. This is the index join `S ⋈ D` of
+    /// Section 2.1.
     ///
     /// # Panics
-    /// Panics if `out.len() != values.len()`.
-    pub fn bulk_locate(&self, lookups: &[K], strategy: LocateStrategy, out: &mut [u32]) {
-        assert_eq!(lookups.len(), out.len(), "output length mismatch");
+    /// Panics if `out.len() != lookups.len()`.
+    pub fn bulk_locate(&self, lookups: &[K], mode: Interleave, out: &mut [u32]) {
         let mem = DirectMem::new(&self.values);
-        match strategy {
-            LocateStrategy::Branchy => {
-                for (o, v) in out.iter_mut().zip(lookups) {
-                    *o = isi_search::rank_branchy(&mem, *v);
-                }
-            }
-            LocateStrategy::BranchFree => {
-                for (o, v) in out.iter_mut().zip(lookups) {
-                    *o = isi_search::rank_branchfree(&mem, *v);
-                }
-            }
-            LocateStrategy::Gp(g) => bulk_rank_gp(&mem, lookups, g, out),
-            LocateStrategy::Amac(g) => bulk_rank_amac(&mem, lookups, g, out),
-            LocateStrategy::Coro(Interleave::Sequential) => {
-                bulk_rank_coro_seq(mem, lookups, out);
-            }
-            LocateStrategy::Coro(Interleave::Interleaved(g)) => {
-                bulk_rank_coro(mem, lookups, g, out);
-            }
-        }
-        // Resolve ranks to codes.
-        if self.values.is_empty() {
-            out.fill(NOT_FOUND);
-            return;
-        }
-        for (o, v) in out.iter_mut().zip(lookups) {
-            if self.values[*o as usize] != *v {
-                *o = NOT_FOUND;
-            }
+        match mode {
+            Interleave::Sequential => bulk_locate_seq(mem, lookups, out),
+            Interleave::Interleaved(g) => bulk_locate_interleaved(mem, lookups, g, out),
         }
     }
 }
@@ -220,59 +175,31 @@ impl<K: SearchKey + Default> DeltaDictionary<K> {
         self.index.get(&value)
     }
 
-    /// Bulk insert-or-get: locate the whole batch with *interleaved*
-    /// tree lookups first (hiding the misses of the read phase, which
-    /// dominates), then insert the values that were absent. Returns the
-    /// code of every input value, in order.
-    ///
-    /// Equivalent to calling [`Self::insert_or_get`] per value — the
-    /// batched form is how a column-store insert path would actually
-    /// drive the dictionary.
-    pub fn bulk_insert_or_get(&mut self, values: &[K], group_size: usize) -> Vec<u32> {
-        let mut codes = vec![NOT_FOUND; values.len()];
-        if !self.is_empty() {
-            self.bulk_locate_interleaved(values, group_size.max(1), &mut codes);
-        }
-        for (v, c) in values.iter().zip(codes.iter_mut()) {
-            if *c == NOT_FOUND {
-                // May have been inserted earlier in this very batch.
-                *c = self.insert_or_get(*v);
-            }
-        }
-        codes
-    }
-
-    /// Bulk `locate`, sequential tree lookups. Absent values map to
+    /// Bulk `locate` through the tree index, sequential or interleaved
+    /// per `mode`; interleaved lookups have the extra suspension point
+    /// on the dictionary-array accesses (§5.5). Absent values map to
     /// [`NOT_FOUND`].
     ///
     /// # Panics
     /// Panics if `out.len() != lookups.len()`.
-    pub fn bulk_locate_seq(&self, lookups: &[K], out: &mut [u32]) {
+    pub fn bulk_locate(&self, lookups: &[K], mode: Interleave, out: &mut [u32]) {
         assert_eq!(lookups.len(), out.len(), "output length mismatch");
         let store = isi_csb::DirectTreeStore::new(&self.index);
         let dict = DirectMem::new(&self.values);
-        run_sequential(
-            lookups.iter().copied(),
-            |v| delta_locate_coro::<false, K, _, _>(store, dict, v),
-            |i, r| out[i] = r.unwrap_or(NOT_FOUND),
-        );
-    }
-
-    /// Bulk `locate`, interleaved tree lookups with the extra suspension
-    /// point on the dictionary-array accesses (§5.5).
-    ///
-    /// # Panics
-    /// Panics if `out.len() != lookups.len()`.
-    pub fn bulk_locate_interleaved(&self, lookups: &[K], group_size: usize, out: &mut [u32]) {
-        assert_eq!(lookups.len(), out.len(), "output length mismatch");
-        let store = isi_csb::DirectTreeStore::new(&self.index);
-        let dict = DirectMem::new(&self.values);
-        run_interleaved(
-            group_size,
-            lookups.iter().copied(),
-            |v| delta_locate_coro::<true, K, _, _>(store, dict, v),
-            |i, r| out[i] = r.unwrap_or(NOT_FOUND),
-        );
+        let sink = |i: usize, r: Option<u32>| out[i] = r.unwrap_or(NOT_FOUND);
+        match mode {
+            Interleave::Sequential => run_sequential(
+                lookups.iter().copied(),
+                |v| delta_locate_coro::<false, K, _, _>(store, dict, v),
+                sink,
+            ),
+            Interleave::Interleaved(g) => run_interleaved(
+                g,
+                lookups.iter().copied(),
+                |v| delta_locate_coro::<true, K, _, _>(store, dict, v),
+                sink,
+            ),
+        };
     }
 }
 
@@ -391,17 +318,10 @@ mod tests {
             .iter()
             .map(|v| d.locate(*v).unwrap_or(NOT_FOUND))
             .collect();
-        for strat in [
-            LocateStrategy::Branchy,
-            LocateStrategy::BranchFree,
-            LocateStrategy::Gp(10),
-            LocateStrategy::Amac(6),
-            LocateStrategy::Coro(Interleave::Sequential),
-            LocateStrategy::Coro(Interleave::Interleaved(6)),
-        ] {
+        for mode in [Interleave::Sequential, Interleave::Interleaved(6)] {
             let mut out = vec![0u32; lookups.len()];
-            d.bulk_locate(&lookups, strat, &mut out);
-            assert_eq!(out, expect, "{strat:?}");
+            d.bulk_locate(&lookups, mode, &mut out);
+            assert_eq!(out, expect, "{mode}");
         }
     }
 
@@ -409,11 +329,7 @@ mod tests {
     fn main_bulk_locate_on_empty_dict() {
         let d = MainDictionary::<u32>::from_sorted(vec![]);
         let mut out = vec![0u32; 2];
-        d.bulk_locate(
-            &[1, 2],
-            LocateStrategy::Coro(Interleave::Interleaved(4)),
-            &mut out,
-        );
+        d.bulk_locate(&[1, 2], Interleave::Interleaved(4), &mut out);
         assert_eq!(out, [NOT_FOUND, NOT_FOUND]);
     }
 
@@ -449,12 +365,12 @@ mod tests {
             .collect();
 
         let mut seq = vec![0u32; lookups.len()];
-        d.bulk_locate_seq(&lookups, &mut seq);
+        d.bulk_locate(&lookups, Interleave::Sequential, &mut seq);
         assert_eq!(seq, expect);
 
         for group in [1, 6, 16] {
             let mut inter = vec![0u32; lookups.len()];
-            d.bulk_locate_interleaved(&lookups, group, &mut inter);
+            d.bulk_locate(&lookups, Interleave::Interleaved(group), &mut inter);
             assert_eq!(inter, expect, "group={group}");
         }
     }
@@ -464,7 +380,7 @@ mod tests {
         let d = DeltaDictionary::<u32>::new();
         assert_eq!(d.locate(5), None);
         let mut out = vec![0u32; 1];
-        d.bulk_locate_interleaved(&[5], 4, &mut out);
+        d.bulk_locate(&[5], Interleave::Interleaved(4), &mut out);
         assert_eq!(out, [NOT_FOUND]);
     }
 

@@ -35,7 +35,7 @@ pub mod table;
 
 pub use codevec::{bits_for, BitPackedVec, Bitset};
 pub use column::{Column, DeltaPart, MainPart};
-pub use dict::{delta_locate_coro, DeltaDictionary, LocateStrategy, MainDictionary};
+pub use dict::{delta_locate_coro, DeltaDictionary, MainDictionary};
 pub use isi_core::Interleave;
 pub use query::{execute_in, execute_in_naive, InQueryStats};
 pub use table::Table;

@@ -19,7 +19,6 @@ use isi_search::locate::NOT_FOUND;
 
 use crate::codevec::Bitset;
 use crate::column::Column;
-use crate::dict::LocateStrategy;
 
 /// Statistics of one IN-predicate execution (for harness output).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -44,22 +43,14 @@ pub fn execute_in<K: SearchKey + Default>(
 
     // Phase 1a: encode against the Main dictionary.
     let mut main_codes = vec![0u32; values.len()];
-    column
-        .main
-        .dict
-        .bulk_locate(values, LocateStrategy::Coro(mode), &mut main_codes);
+    column.main.dict.bulk_locate(values, mode, &mut main_codes);
 
     // Phase 1b: encode against the Delta dictionary.
     let mut delta_codes = vec![0u32; values.len()];
-    match mode {
-        Interleave::Sequential => column.delta.dict.bulk_locate_seq(values, &mut delta_codes),
-        Interleave::Interleaved(g) => {
-            column
-                .delta
-                .dict
-                .bulk_locate_interleaved(values, g, &mut delta_codes)
-        }
-    }
+    column
+        .delta
+        .dict
+        .bulk_locate(values, mode, &mut delta_codes);
 
     // Phase 2: membership bitsets + code-vector scans.
     let mut main_member = Bitset::new(column.main.dict.len());

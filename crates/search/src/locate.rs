@@ -2,14 +2,15 @@
 //!
 //! A sorted dictionary array supports `locate(value) -> code` by binary
 //! search (paper Section 2.1): the code of `value` is its array position
-//! if present, or "absent" otherwise. `locate` composes any of the five
-//! rank implementations with one equality check on the rank position.
+//! if present, or "absent" otherwise. `locate` composes a rank
+//! implementation with one equality check on the rank position
+//! ([`resolve_rank`]).
 
 use isi_core::mem::IndexedMem;
 
 use crate::coro::{bulk_rank_coro, bulk_rank_coro_seq};
 use crate::key::SearchKey;
-use crate::seq::{rank_branchfree, rank_branchy};
+use crate::seq::rank_branchfree;
 
 /// Code returned by bulk locate for values absent from the dictionary
 /// (the paper's "special code that denotes absence").
@@ -28,12 +29,6 @@ pub fn resolve_rank<K: SearchKey, M: IndexedMem<K>>(mem: &M, rank: u32, value: K
 /// Sequential locate via the branch-free baseline search.
 pub fn locate<K: SearchKey, M: IndexedMem<K>>(mem: &M, value: K) -> Option<u32> {
     let r = rank_branchfree(mem, value);
-    resolve_rank(mem, r, value)
-}
-
-/// Sequential locate via the branchy (`std`-style) search.
-pub fn locate_branchy<K: SearchKey, M: IndexedMem<K>>(mem: &M, value: K) -> Option<u32> {
-    let r = rank_branchy(mem, value);
     resolve_rank(mem, r, value)
 }
 
@@ -69,14 +64,8 @@ pub fn bulk_locate_interleaved<K: SearchKey, M: IndexedMem<K> + Copy>(
 /// Turn in-place ranks into codes by equality check. The rank position is
 /// hot in cache right after the search touched it, so this pass is cheap.
 fn finish_bulk<K: SearchKey, M: IndexedMem<K>>(mem: M, values: &[K], out: &mut [u32]) {
-    if mem.is_empty() {
-        out.fill(NOT_FOUND);
-        return;
-    }
     for (o, v) in out.iter_mut().zip(values) {
-        if *mem.at(*o as usize) != *v {
-            *o = NOT_FOUND;
-        }
+        *o = resolve_rank(&mem, *o, *v).unwrap_or(NOT_FOUND);
     }
 }
 
@@ -91,7 +80,6 @@ mod tests {
         let mem = DirectMem::new(&dict);
         for (code, v) in dict.iter().enumerate() {
             assert_eq!(locate(&mem, *v), Some(code as u32));
-            assert_eq!(locate_branchy(&mem, *v), Some(code as u32));
         }
     }
 
@@ -101,7 +89,6 @@ mod tests {
         let mem = DirectMem::new(&dict);
         for v in [1u32, 3, 77, 199, 200, u32::MAX] {
             assert_eq!(locate(&mem, v), None, "v={v}");
-            assert_eq!(locate_branchy(&mem, v), None);
         }
     }
 
@@ -110,7 +97,6 @@ mod tests {
         let dict: Vec<u32> = vec![];
         let mem = DirectMem::new(&dict);
         assert_eq!(locate(&mem, 5), None);
-        assert_eq!(locate_branchy(&mem, 5), None);
     }
 
     #[test]
