@@ -1,14 +1,12 @@
-//! Minimal JSON tree, writer and parser for machine-readable benchmark
+//! Minimal JSON tree and parser for machine-readable benchmark
 //! results (`BENCHMARK.json` and the result lines of `benchmark/`, the
 //! module's caller).
 //!
 //! The workspace vendors no serde, so this is a tiny self-contained
-//! implementation: enough JSON to serialize benchmark results and to
-//! re-parse and validate them. Objects preserve insertion order;
-//! numbers are `f64` (integers round-trip exactly up to 2^53, far
-//! beyond any lookup count or nanosecond total we record).
-
-use std::fmt::Write as _;
+//! implementation: enough JSON to parse the benchmark contract and the
+//! result lines and to validate them. Objects preserve insertion
+//! order; numbers are `f64` (integers are exact up to 2^53, far beyond
+//! any lookup count or nanosecond total we record).
 
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -39,22 +37,6 @@ impl Json {
         }
     }
 
-    /// The value as usize, if a non-negative integral number.
-    pub fn as_usize(&self) -> Option<usize> {
-        match self {
-            Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 => Some(*n as usize),
-            _ => None,
-        }
-    }
-
-    /// The value as bool, if a boolean.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Json::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
     /// The value as &str, if a string.
     pub fn as_str(&self) -> Option<&str> {
         match self {
@@ -70,76 +52,6 @@ impl Json {
             _ => None,
         }
     }
-
-    /// Serialize with 2-space indentation and a trailing newline.
-    pub fn to_pretty(&self) -> String {
-        let mut out = String::new();
-        self.write(&mut out, 0);
-        out.push('\n');
-        out
-    }
-
-    fn write(&self, out: &mut String, indent: usize) {
-        let pad = "  ".repeat(indent);
-        match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(b) => {
-                let _ = write!(out, "{b}");
-            }
-            Json::Num(n) => {
-                if !n.is_finite() {
-                    // JSON has no NaN/inf tokens; null keeps the
-                    // document parseable and the bogus cell visible.
-                    out.push_str("null");
-                } else if n.fract() == 0.0 && n.abs() < 9e15 {
-                    let _ = write!(out, "{}", *n as i64);
-                } else {
-                    let _ = write!(out, "{n}");
-                }
-            }
-            Json::Str(s) => write_escaped(out, s),
-            Json::Arr(items) if items.is_empty() => out.push_str("[]"),
-            Json::Arr(items) => {
-                out.push_str("[\n");
-                for (i, item) in items.iter().enumerate() {
-                    let _ = write!(out, "{pad}  ");
-                    item.write(out, indent + 1);
-                    out.push_str(if i + 1 < items.len() { ",\n" } else { "\n" });
-                }
-                let _ = write!(out, "{pad}]");
-            }
-            Json::Obj(pairs) if pairs.is_empty() => out.push_str("{}"),
-            Json::Obj(pairs) => {
-                out.push_str("{\n");
-                for (i, (k, v)) in pairs.iter().enumerate() {
-                    let _ = write!(out, "{pad}  ");
-                    write_escaped(out, k);
-                    out.push_str(": ");
-                    v.write(out, indent + 1);
-                    out.push_str(if i + 1 < pairs.len() { ",\n" } else { "\n" });
-                }
-                let _ = write!(out, "{pad}}}");
-            }
-        }
-    }
-}
-
-fn write_escaped(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 /// Parse a JSON document. Returns the value or a message with the byte
@@ -308,59 +220,50 @@ fn parse_obj(b: &[u8], pos: &mut usize) -> Result<Json, String> {
     }
 }
 
-/// Convenience constructors for building result documents.
-pub fn obj(pairs: Vec<(&str, Json)>) -> Json {
-    Json::Obj(pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
-}
-
-/// A numeric JSON value.
-pub fn num(n: f64) -> Json {
-    Json::Num(n)
-}
-
-/// A string JSON value.
-pub fn str(s: impl Into<String>) -> Json {
-    Json::Str(s.into())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn roundtrip_document() {
-        let doc = obj(vec![
-            ("name", str("throughput")),
-            ("threads", Json::Arr(vec![num(1.0), num(2.0)])),
-            (
+    fn parses_a_nested_document() {
+        let text = r#"{
+          "name": "serve_point",
+          "threads": [1, 2],
+          "nested": {"ok": true, "x": null},
+          "rate": 1234567.25,
+          "empty_arr": [],
+          "empty_obj": {}
+        }"#;
+        let field = |k: &str, v: Json| (k.to_string(), v);
+        let doc = Json::Obj(vec![
+            field("name", Json::Str("serve_point".into())),
+            field("threads", Json::Arr(vec![Json::Num(1.0), Json::Num(2.0)])),
+            field(
                 "nested",
-                obj(vec![("ok", Json::Bool(true)), ("x", Json::Null)]),
+                Json::Obj(vec![field("ok", Json::Bool(true)), field("x", Json::Null)]),
             ),
-            ("rate", num(1234567.25)),
-            ("empty_arr", Json::Arr(vec![])),
-            ("empty_obj", Json::Obj(vec![])),
+            field("rate", Json::Num(1234567.25)),
+            field("empty_arr", Json::Arr(vec![])),
+            field("empty_obj", Json::Obj(vec![])),
         ]);
-        let text = doc.to_pretty();
-        let back = parse(&text).expect("reparse");
-        assert_eq!(back, doc);
+        assert_eq!(parse(text).expect("parse"), doc);
     }
 
     #[test]
     fn accessors() {
         let doc = parse(r#"{"a": 3, "b": "x", "c": [1, 2.5], "d": -1.5}"#).unwrap();
-        assert_eq!(doc.get("a").unwrap().as_usize(), Some(3));
+        assert_eq!(doc.get("a").unwrap().as_f64(), Some(3.0));
         assert_eq!(doc.get("b").unwrap().as_str(), Some("x"));
         assert_eq!(doc.get("c").unwrap().as_arr().unwrap().len(), 2);
         assert_eq!(doc.get("d").unwrap().as_f64(), Some(-1.5));
-        assert_eq!(doc.get("d").unwrap().as_usize(), None);
+        assert_eq!(doc.get("d").unwrap().as_str(), None);
         assert_eq!(doc.get("missing"), None);
     }
 
     #[test]
-    fn string_escapes_roundtrip() {
+    fn parses_string_escapes() {
         let doc = Json::Str("a\"b\\c\nd\te\u{1}ü".into());
-        let text = doc.to_pretty();
-        assert_eq!(parse(text.trim()).unwrap(), doc);
+        assert_eq!(parse(r#""a\"b\\c\nd\te\u0001ü""#).unwrap(), doc);
     }
 
     #[test]
@@ -377,23 +280,6 @@ mod tests {
             "nan",
         ] {
             assert!(parse(bad).is_err(), "should reject {bad:?}");
-        }
-    }
-
-    #[test]
-    fn integers_render_without_fraction() {
-        assert_eq!(num(16777216.0).to_pretty().trim(), "16777216");
-        assert_eq!(num(0.5).to_pretty().trim(), "0.5");
-    }
-
-    #[test]
-    fn non_finite_numbers_render_as_null() {
-        // JSON has no NaN/inf; the writer must not emit unparseable
-        // tokens.
-        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
-            let text = num(bad).to_pretty();
-            assert_eq!(text.trim(), "null");
-            assert!(parse(text.trim()).is_ok());
         }
     }
 }

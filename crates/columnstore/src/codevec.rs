@@ -118,18 +118,6 @@ impl BitPackedVec {
     pub fn iter(&self) -> impl Iterator<Item = u32> + '_ {
         (0..self.len).map(|i| self.get(i))
     }
-
-    /// Scan for codes contained in `member` (a bitmap indexed by code),
-    /// invoking `hit(position, code)` for each match. This is the
-    /// code-vector scan phase of an IN-predicate query.
-    pub fn scan_members(&self, member: &[bool], mut hit: impl FnMut(usize, u32)) {
-        for i in 0..self.len {
-            let c = self.get(i);
-            if (c as usize) < member.len() && member[c as usize] {
-                hit(i, c);
-            }
-        }
-    }
 }
 
 /// A compact bitset over code space (1 bit per possible code), used for
@@ -289,13 +277,13 @@ mod tests {
     }
 
     #[test]
-    fn scan_members_finds_exactly_the_members() {
+    fn scan_in_set_finds_exactly_the_members() {
         let v: BitPackedVec = (0..100u32).map(|i| i % 10).collect();
-        let mut member = vec![false; 10];
-        member[3] = true;
-        member[7] = true;
+        let mut member = Bitset::new(10);
+        member.set(3);
+        member.set(7);
         let mut hits = Vec::new();
-        v.scan_members(&member, |pos, code| hits.push((pos, code)));
+        v.scan_in_set(&member, |pos, code| hits.push((pos, code)));
         assert_eq!(hits.len(), 20);
         assert!(hits
             .iter()
@@ -322,23 +310,6 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn bitset_set_out_of_range_panics() {
         Bitset::new(10).set(10);
-    }
-
-    #[test]
-    fn scan_in_set_agrees_with_scan_members() {
-        let v: BitPackedVec = (0..200u32).map(|i| i % 16).collect();
-        let mut member = vec![false; 16];
-        member[2] = true;
-        member[15] = true;
-        let mut bs = Bitset::new(16);
-        bs.set(2);
-        bs.set(15);
-        let mut a = Vec::new();
-        let mut b = Vec::new();
-        v.scan_members(&member, |p, c| a.push((p, c)));
-        v.scan_in_set(&bs, |p, c| b.push((p, c)));
-        assert_eq!(a, b);
-        assert!(!a.is_empty());
     }
 
     #[test]

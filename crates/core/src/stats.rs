@@ -45,11 +45,10 @@ pub fn calibrate_tsc(calib: Duration) -> Option<f64> {
     Some(cycles as f64 / nanos)
 }
 
-/// A stopwatch that reports both wall time and (where available) cycles.
+/// A wall-clock stopwatch.
 #[derive(Debug, Clone, Copy)]
 pub struct Stopwatch {
     start: Instant,
-    start_cycles: u64,
 }
 
 impl Stopwatch {
@@ -57,7 +56,6 @@ impl Stopwatch {
     pub fn start() -> Self {
         Self {
             start: Instant::now(),
-            start_cycles: rdtsc(),
         }
     }
 
@@ -65,26 +63,6 @@ impl Stopwatch {
     pub fn elapsed(&self) -> Duration {
         self.start.elapsed()
     }
-
-    /// Elapsed TSC cycles (0 on targets without a TSC).
-    pub fn elapsed_cycles(&self) -> u64 {
-        rdtsc().wrapping_sub(self.start_cycles)
-    }
-}
-
-/// Run `f` `reps` times and return the **minimum** per-rep duration.
-///
-/// The minimum is the standard robust estimator for microbenchmarks on a
-/// noisy machine: external interference only ever adds time.
-pub fn time_min<F: FnMut()>(reps: usize, mut f: F) -> Duration {
-    assert!(reps > 0, "need at least one repetition");
-    let mut best = Duration::MAX;
-    for _ in 0..reps {
-        let sw = Stopwatch::start();
-        f();
-        best = best.min(sw.elapsed());
-    }
-    best
 }
 
 /// Run `f` `reps` times and return the average per-rep duration, matching
@@ -317,24 +295,6 @@ mod tests {
         }
         std::hint::black_box(x);
         assert!(sw.elapsed() > Duration::ZERO);
-        #[cfg(target_arch = "x86_64")]
-        assert!(sw.elapsed_cycles() > 0);
-    }
-
-    #[test]
-    fn time_min_le_time_avg() {
-        let work = || {
-            let mut x = 0u64;
-            for i in 0..1000u64 {
-                x = x.wrapping_add(std::hint::black_box(i));
-            }
-            std::hint::black_box(x);
-        };
-        let mn = time_min(5, work);
-        let av = time_avg(5, work);
-        // Minimum of reps cannot exceed ~the average by more than noise;
-        // allow generous slack because the clock granularity is coarse.
-        assert!(mn <= av * 3 + Duration::from_micros(50));
     }
 
     #[test]
@@ -343,12 +303,6 @@ mod tests {
         let ghz = calibrate_tsc(Duration::from_millis(10)).expect("x86-64 has a TSC");
         // Any real machine is between 0.5 and 6 GHz.
         assert!(ghz > 0.5 && ghz < 6.0, "implausible TSC frequency {ghz}");
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one repetition")]
-    fn time_min_rejects_zero_reps() {
-        time_min(0, || {});
     }
 
     #[test]

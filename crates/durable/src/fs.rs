@@ -216,17 +216,6 @@ impl MemFs {
             }),
         }
     }
-
-    /// Bytes of `name` not yet covered by a [`Fs::sync`] (testing
-    /// hook; 0 for unknown files).
-    pub fn unsynced_len(&self, name: &str) -> usize {
-        let inner = self.inner.plock("memfs state");
-        inner
-            .live
-            .get(name)
-            .map(|&id| inner.files[id].data.len() - inner.files[id].synced)
-            .unwrap_or(0)
-    }
 }
 
 fn not_found(name: &str) -> io::Error {
@@ -416,7 +405,6 @@ mod tests {
         fs.sync("wal").unwrap();
         fs.sync_dir().unwrap();
         fs.append("wal", b"ABCDEFGH").unwrap(); // 8 unsynced bytes
-        assert_eq!(fs.unsynced_len("wal"), 8);
         let half = fs.crash_view(4, false);
         assert_eq!(half.read("wal").unwrap(), b"SYNCED::ABCD");
         let full = fs.crash_view(8, false);

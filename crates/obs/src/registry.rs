@@ -249,18 +249,6 @@ impl Snapshot {
             .sum()
     }
 
-    /// Sum of every gauge named `name`, across label sets.
-    pub fn gauge_sum(&self, name: &str) -> i64 {
-        self.samples
-            .iter()
-            .filter(|s| s.name == name)
-            .map(|s| match &s.value {
-                Value::Gauge(v) => *v,
-                _ => 0,
-            })
-            .sum()
-    }
-
     /// O(1)-merged union of every histogram named `name` whose labels
     /// all pass `keep`.
     pub fn hist_merged(&self, name: &str, keep: impl Fn(&Sample) -> bool) -> LatencyHist {
@@ -505,7 +493,6 @@ mod tests {
         );
         assert_eq!(snap.get("backlog", &[]), Some(&Value::Gauge(2)));
         assert_eq!(snap.counter_sum("reqs"), 6);
-        assert_eq!(snap.gauge_sum("backlog"), 2);
     }
 
     #[test]

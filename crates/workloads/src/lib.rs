@@ -39,11 +39,6 @@ pub fn int_array(len: usize) -> Vec<u32> {
     (0..len as u32).collect()
 }
 
-/// Sorted 64-bit integer array for sizes beyond `u32` range.
-pub fn int64_array(len: usize) -> Vec<u64> {
-    (0..len as u64).collect()
-}
-
 /// Sorted string array: value = 15-character rendering of the index.
 pub fn string_array(len: usize) -> Vec<Str16> {
     (0..len as u64).map(Str16::from_index).collect()
