@@ -477,7 +477,7 @@ mod tests {
                 "fn f(p: *const u8) -> u8 {\n    // SAFETY: caller guarantees p is valid.\n    unsafe { *p }\n}\n",
             ),
             (
-                "crates/serve/src/store.rs",
+                "crates/serve/src/store/mod.rs",
                 "use isi_core::MutexExt;\nfn f(m: &std::sync::Mutex<u32>) -> u32 { *m.plock(\"shard\") }\n",
             ),
         ]);
@@ -509,7 +509,7 @@ mod tests {
     #[test]
     fn unsafe_outside_allowlist_fires() {
         let fs = files(&[(
-            "crates/serve/src/store.rs",
+            "crates/serve/src/store/mod.rs",
             "// SAFETY: seeded violation for the lint's own test.\nfn f() { unsafe { std::hint::unreachable_unchecked() } }\n",
         )]);
         let v = check_files(&fs);
@@ -556,7 +556,7 @@ mod tests {
     #[test]
     fn unsafe_in_comments_and_strings_ignored() {
         let fs = files(&[(
-            "crates/serve/src/store.rs",
+            "crates/serve/src/store/mod.rs",
             "// this comment says unsafe\nconst X: &str = \"unsafe\"; /* unsafe */\n",
         )]);
         assert!(check_files(&fs).is_empty());
@@ -564,22 +564,25 @@ mod tests {
 
     #[test]
     fn bare_lock_unwrap_in_serve_fires() {
-        let fs = files(&[(
-            "crates/serve/src/service.rs",
-            "fn f(m: &std::sync::Mutex<u32>) -> u32 { *m.lock().unwrap() }\n",
-        )]);
-        let v = check_files(&fs);
-        assert!(
-            rules_fired(&v).contains(&"serve-poison-policy"),
-            "{:?}",
-            rules_fired(&v)
-        );
+        // At the crate root and in a nested module alike.
+        for path in ["crates/serve/src/lib.rs", "crates/serve/src/store/delta.rs"] {
+            let fs = files(&[(
+                path,
+                "fn f(m: &std::sync::Mutex<u32>) -> u32 { *m.lock().unwrap() }\n",
+            )]);
+            let v = check_files(&fs);
+            assert!(
+                rules_fired(&v).contains(&"serve-poison-policy"),
+                "{path}: {:?}",
+                rules_fired(&v)
+            );
+        }
     }
 
     #[test]
     fn chained_wait_unwrap_in_serve_fires() {
         let fs = files(&[(
-            "crates/serve/src/service.rs",
+            "crates/serve/src/service/mod.rs",
             "fn f() {\n    let g = cv\n        .wait(guard)\n        .unwrap();\n}\n",
         )]);
         let v = check_files(&fs);
@@ -615,17 +618,20 @@ mod tests {
 
     #[test]
     fn atomic_u64_in_serve_fires() {
-        let fs = files(&[(
-            "crates/serve/src/service.rs",
-            "use std::sync::atomic::AtomicU64;\nstruct S { hits: AtomicU64 }\n",
-        )]);
-        let v = check_files(&fs);
-        let fired = rules_fired(&v);
-        assert!(fired.contains(&"serve-obs-registry"), "{fired:?}");
-        assert_eq!(
-            v.iter().filter(|x| x.rule == "serve-obs-registry").count(),
-            2
-        );
+        // At the crate root and in a nested module alike.
+        for path in ["crates/serve/src/lib.rs", "crates/serve/src/store/delta.rs"] {
+            let fs = files(&[(
+                path,
+                "use std::sync::atomic::AtomicU64;\nstruct S { hits: AtomicU64 }\n",
+            )]);
+            let v = check_files(&fs);
+            let fired = rules_fired(&v);
+            assert!(fired.contains(&"serve-obs-registry"), "{path}: {fired:?}");
+            assert_eq!(
+                v.iter().filter(|x| x.rule == "serve-obs-registry").count(),
+                2
+            );
+        }
     }
 
     #[test]
@@ -636,7 +642,7 @@ mod tests {
                 "// SAFETY-free file\nuse std::sync::atomic::AtomicU64;\nstatic N: AtomicU64 = AtomicU64::new(0);\n",
             ),
             (
-                "crates/serve/src/store.rs",
+                "crates/serve/src/store/mod.rs",
                 "// AtomicU64 in a comment is fine\nconst X: &str = \"AtomicU64\";\nuse std::sync::atomic::AtomicU32 as _;\n",
             ),
         ]);
@@ -646,7 +652,7 @@ mod tests {
     #[test]
     fn sanitizer_handles_lifetimes_and_raw_strings() {
         let src = "fn f<'a>(x: &'a str) -> char { let c = 'x'; let s = r#\"unsafe\"#; c }\n";
-        let fs = files(&[("crates/serve/src/store.rs", src)]);
+        let fs = files(&[("crates/serve/src/store/mod.rs", src)]);
         assert!(check_files(&fs).is_empty());
     }
 }
