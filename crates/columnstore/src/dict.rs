@@ -19,8 +19,8 @@ use isi_core::policy::Interleave;
 use isi_core::sched::{run_interleaved, run_sequential};
 use isi_csb::{CsbTree, TreeStore};
 use isi_search::key::SearchKey;
-use isi_search::locate::NOT_FOUND;
-use isi_search::{bulk_locate_interleaved, bulk_locate_seq, cost};
+use isi_search::locate::{resolve_rank, NOT_FOUND};
+use isi_search::{bulk_rank_coro, bulk_rank_coro_seq, cost};
 
 /// Read-optimized dictionary: sorted distinct values; code = position.
 #[derive(Debug, Clone, Default)]
@@ -78,8 +78,13 @@ impl<K: SearchKey> MainDictionary<K> {
     pub fn bulk_locate(&self, lookups: &[K], mode: Interleave, out: &mut [u32]) {
         let mem = DirectMem::new(&self.values);
         match mode {
-            Interleave::Sequential => bulk_locate_seq(mem, lookups, out),
-            Interleave::Interleaved(g) => bulk_locate_interleaved(mem, lookups, g, out),
+            Interleave::Sequential => bulk_rank_coro_seq(mem, lookups, out),
+            Interleave::Interleaved(g) => bulk_rank_coro(mem, lookups, g, out),
+        };
+        // Ranks to codes in place: the rank position is hot in cache
+        // right after the search touched it, so this pass is cheap.
+        for (o, v) in out.iter_mut().zip(lookups) {
+            *o = resolve_rank(&mem, *o, *v).unwrap_or(NOT_FOUND);
         }
     }
 }

@@ -40,7 +40,7 @@ pub use amac::bulk_rank_amac;
 pub use coro::{bulk_rank_coro, bulk_rank_coro_seq, rank_coro};
 pub use gp::bulk_rank_gp;
 pub use key::{FixedStr, SearchKey, Str16};
-pub use locate::{bulk_locate_interleaved, bulk_locate_seq, locate, NOT_FOUND};
+pub use locate::{locate, NOT_FOUND};
 pub use par::bulk_rank_coro_par;
 pub use seq::{
     bulk_rank_branchfree, bulk_rank_branchy, rank_branchfree, rank_branchy, rank_oracle,
