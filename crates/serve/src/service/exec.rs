@@ -26,6 +26,8 @@ use super::queue::{Exec, Op, Runner, ShardCtx};
 /// `writeback` around each write run (store call + cache
 /// invalidation), `commit` around each fulfill pass. The store records
 /// `plan`/`engine`/`wal_*`/`merge` inside its own calls.
+///
+/// [`LookupService::stats`]: super::LookupService::stats
 pub(super) fn execute_batch(ctx: ShardCtx<'_>, bufs: &mut Exec, full: bool, who: Runner) {
     let ShardCtx {
         store,

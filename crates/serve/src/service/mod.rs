@@ -83,6 +83,11 @@
 //! Per-request latency (enqueue → response) is recorded into a
 //! log-bucketed [`LatencyHist`]; [`ServeStats::caller_runs`] against
 //! [`ServeStats::batches`] says who ran what.
+//!
+//! This file is the client API and the fan-out. Around it: `ticket`
+//! (the response slot), `cache` (hot keys), `stats` (counters),
+//! `queue` (queue, token, helper: who runs a shard) and `exec` (what
+//! running one batch does).
 
 mod cache;
 mod exec;

@@ -91,6 +91,8 @@ pub(super) struct ShardState {
     /// Interleaved-engine counters, merged once per read run. A plain
     /// struct behind a small mutex: only the token holder writes it,
     /// and [`LookupService::stats`] reads it.
+    ///
+    /// [`LookupService::stats`]: super::LookupService::stats
     pub(super) engine: Mutex<RunStats>,
     /// Registry handles for this shard's counters (see
     /// [`ShardCounters`]); lock-free, so the client cache-hit fast

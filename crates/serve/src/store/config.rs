@@ -10,7 +10,7 @@ use isi_durable::FsyncMode;
 use isi_hash::HashShard;
 use isi_search::SortedShard;
 
-/// Which index structure backs every shard's main of a [`ShardedStore`].
+/// Which index structure backs every shard's main of a [`ShardedStore`](super::ShardedStore).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Backend {
     /// Sorted key column + aligned value column; lookups are
@@ -93,12 +93,14 @@ pub struct StoreConfig {
     /// Directory for the per-shard write-ahead logs and snapshots.
     /// `None` (the default) disables durability entirely — no WAL, no
     /// snapshots, no recovery, zero write-path I/O. `Some(dir)` makes
-    /// [`ShardedStore::build_with`] initialize a fresh store there
-    /// (clobbering any previous one) and
-    /// [`ShardedStore::recover`] reload the store that directory holds.
+    /// [`ShardedStore::build_with`](super::ShardedStore::build_with)
+    /// initialize a fresh store there (clobbering any previous one)
+    /// and [`ShardedStore::recover`](super::ShardedStore::recover)
+    /// reload the store that directory holds.
     pub wal_dir: Option<PathBuf>,
     /// When WAL appends are fsynced. Ignored unless `wal_dir` is set
-    /// (or an [`Fs`] is injected via the `_with_fs` constructors).
+    /// (or an [`Fs`](isi_durable::Fs) is injected via the `_with_fs`
+    /// constructors).
     pub fsync: FsyncMode,
 }
 

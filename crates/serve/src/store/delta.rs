@@ -31,6 +31,9 @@ pub(super) type DeltaRun = Arc<[(u64, Option<u64>)]>;
 /// the write path folds them into a single run (amortized
 /// O(threshold) total, not per-write) and leaves the mid where it is:
 /// a fold that took it along would copy it every few writes.
+///
+/// [`ShardVersion`]: super::ShardVersion
+/// [`StoreConfig::max_runs`]: super::StoreConfig::max_runs
 #[derive(Clone, Default)]
 pub(super) struct Delta {
     /// Override runs, oldest first / newest last.

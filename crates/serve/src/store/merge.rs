@@ -43,6 +43,8 @@ pub(super) struct Folded {
 /// everyone who waits for a merge — [`ShardedStore::quiesce`] on
 /// `merge_done`, writers at the hard bound on their shard's
 /// `delta_space` — so that they panic instead of waiting for good.
+///
+/// [`ShardedStore::quiesce`]: super::ShardedStore::quiesce
 struct FailClosed<'a>(&'a StoreInner);
 
 impl Drop for FailClosed<'_> {

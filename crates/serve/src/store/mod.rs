@@ -65,6 +65,11 @@
 //! as long as a shard's bucket count stays below
 //! 2^(32 − shard_bits); sharing bits with the bucket index would
 //! leave every shard's table using only a fraction of its buckets.
+//!
+//! This file is the store's read and write paths. Around it: `config`
+//! (what a store is built with), `delta` (the run stack, which alone
+//! sees its fields), `wal` (logging, snapshots, recovery) and `merge`
+//! (the merger's queue and the one merge routine).
 
 mod config;
 mod delta;
@@ -427,6 +432,8 @@ impl ShardedStore {
     /// what group commit amortizes. Read through one coherent registry
     /// snapshot, so `syncs ≤ records` always (the old field-by-field
     /// reads could observe the sync of a record they hadn't counted).
+    ///
+    /// [`FsyncMode::Group`]: isi_durable::FsyncMode::Group
     pub fn wal_stats(&self) -> (u64, u64) {
         if self.inner.durable.is_none() {
             return (0, 0);
@@ -608,13 +615,15 @@ impl ShardedStore {
     /// sub-run holds the write lock once, sorts its ops into **one**
     /// immutable delta run (last-write-wins within the run), appends
     /// **one** WAL record fsynced **once** ([`FsyncMode::Group`]) and
-    /// publishes **one** new version — when
-    /// this returns, every op in the run is durable and visible, so
-    /// callers may acknowledge the whole run.
+    /// publishes **one** new version — when this returns, every op in
+    /// the run is durable and visible, so callers may acknowledge the
+    /// whole run.
     ///
     /// Allocates per-shard grouping buffers; dispatch loops should
     /// prefer [`apply_write_run_with`](Self::apply_write_run_with)
     /// with a long-lived [`WriteScratch`].
+    ///
+    /// [`FsyncMode::Group`]: isi_durable::FsyncMode::Group
     pub fn apply_write_run(&self, ops: &[(u64, Option<u64>)], prevs: &mut Vec<Option<u64>>) {
         self.apply_write_run_with(ops, prevs, &mut WriteScratch::default());
     }
