@@ -10,7 +10,8 @@ use isi_durable::FsyncMode;
 use isi_hash::HashShard;
 use isi_search::SortedShard;
 
-/// Which index structure backs every shard's main of a [`ShardedStore`](super::ShardedStore).
+/// Which index structure backs every shard's main of a
+/// [`ShardedStore`](super::ShardedStore).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Backend {
     /// Sorted key column + aligned value column; lookups are
