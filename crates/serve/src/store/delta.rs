@@ -123,7 +123,7 @@ impl Delta {
         if self.runs.len() - keep <= max_runs {
             return false;
         }
-        let top = fold_runs(&self.runs.split_off(keep));
+        let top = fold_runs(self.runs.split_off(keep).iter().rev());
         if !top.is_empty() {
             self.runs.push(top.into());
         }
@@ -134,7 +134,7 @@ impl Delta {
     /// Fold the whole stack, mid tier included, into one sorted,
     /// duplicate-free run, newest run winning each key.
     pub(super) fn fold(&self) -> Vec<(u64, Option<u64>)> {
-        fold_runs(&self.runs)
+        fold_runs(self.runs.iter().rev())
     }
 
     /// What this stack holds beyond `pinned` — the same shard's stack
@@ -147,13 +147,8 @@ impl Delta {
     /// re-applying any pinned-era override they carry on top of the
     /// fold is idempotent.
     pub(super) fn residual_of(&self, pinned: &Delta) -> Vec<(u64, Option<u64>)> {
-        let newer: Vec<DeltaRun> = self
-            .runs
-            .iter()
-            .filter(|r| !pinned.runs.iter().any(|r0| Arc::ptr_eq(r, r0)))
-            .cloned()
-            .collect();
-        fold_runs(&newer)
+        let was_pinned = |r: &DeltaRun| pinned.runs.iter().any(|r0| Arc::ptr_eq(r, r0));
+        fold_runs(self.runs.iter().rev().filter(|r| !was_pinned(r)))
     }
 
     /// Fold only the overrides with `lo <= key <= hi` (the range-scan
@@ -188,17 +183,17 @@ impl Delta {
     }
 }
 
-/// Fold `runs` (oldest first) into one sorted, duplicate-free run,
-/// newest run winning each key. Works from the newest run down, so the
-/// oldest run — the mid tier, which can be as long as all the others
-/// together many times over — is walked once: O(mid + above × runs).
-fn fold_runs(runs: &[DeltaRun]) -> Vec<(u64, Option<u64>)> {
-    let mut it = runs.iter().rev();
-    let mut acc: Vec<(u64, Option<u64>)> = match it.next() {
+/// Fold runs, handed over newest first, into one sorted,
+/// duplicate-free run, the newer run winning each key. Working from
+/// the newest run down, the oldest run — the mid tier, which can be as
+/// long as all the others together many times over — is walked once:
+/// O(mid + above × runs).
+fn fold_runs<'a>(mut newest_first: impl Iterator<Item = &'a DeltaRun>) -> Vec<(u64, Option<u64>)> {
+    let mut acc: Vec<(u64, Option<u64>)> = match newest_first.next() {
         Some(run) => run.to_vec(),
         None => return Vec::new(),
     };
-    for run in it {
+    for run in newest_first {
         acc = merge_overrides(&acc, run);
     }
     acc

@@ -269,16 +269,13 @@ fn fixed_schedule_ops(fsync: FsyncMode, mode: MergeMode) -> u64 {
 /// is killed in.
 #[test]
 fn fixed_schedule_crosses_both_kinds_of_merge() {
-    for (fsync, mode) in [
-        (FsyncMode::Group, MergeMode::Foreground),
-        (FsyncMode::Group, MergeMode::Background),
-    ] {
+    for mode in [MergeMode::Foreground, MergeMode::Background] {
         let fs: Arc<dyn Fs> = Arc::new(MemFs::new());
         let store = ShardedStore::build_with_fs(
             Backend::Sorted,
             SHARDS,
             &fixed_seed(),
-            store_cfg(fsync, mode),
+            store_cfg(FsyncMode::Group, mode),
             fs,
         );
         let mut prevs = Vec::new();
@@ -289,16 +286,10 @@ fn fixed_schedule_crosses_both_kinds_of_merge() {
             longest_mid = longest_mid.max(store.mid_len());
         }
         let (all, major) = (store.merges(), store.major_merges());
-        assert!(
-            major >= 2 * SHARDS as u64,
-            "{fsync:?}/{mode:?}: {major} major"
-        );
-        assert!(
-            all >= 3 * major,
-            "{fsync:?}/{mode:?}: {major} major of {all}"
-        );
+        assert!(major >= 2 * SHARDS as u64, "{mode:?}: {major} major");
+        assert!(all >= 3 * major, "{mode:?}: {major} major of {all}");
         // What the mid tiers hold is in the logs, and nowhere else.
-        assert!(longest_mid > 2 * 4, "{fsync:?}/{mode:?}: {longest_mid}");
+        assert!(longest_mid > 2 * 4, "{mode:?}: {longest_mid}");
     }
 }
 
