@@ -7,13 +7,12 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
+use isi_bench::wall::GROUPS;
 use isi_core::mem::DirectMem;
 use isi_csb::{bulk_lookup_interleaved, bulk_lookup_seq, CsbTree, DirectTreeStore};
 use isi_hash::{bulk_probe_interleaved, bulk_probe_seq, ChainedHashTable};
 use isi_search::{bulk_rank_branchfree, bulk_rank_coro};
 use isi_workloads as wl;
-
-const GROUPS: [usize; 10] = [1, 2, 4, 6, 8, 12, 16, 24, 32, 48];
 
 /// One `get_many` batch of the repo benchmark.
 const LOOKUPS: usize = 8192;

@@ -2,13 +2,14 @@
 //! plus the Section 3 / Inequality 1 group-size estimates derived from
 //! profile measurements (§5.4.5).
 //!
-//! Runs on both the simulator (paper cache sizes) and, with
-//! `ISI_FIG7_WALL=1`, wall clock on real memory.
+//! Runs on the simulator (paper cache sizes, groups 1–12: the Haswell
+//! model's optimum is 5–6) and, with `ISI_FIG7_WALL=1`, wall clock on
+//! real memory over [`GROUPS`] (1–48: this box's plateau is 16–48).
 //!
 //! Usage: `cargo run --release -p isi-bench --bin fig7`
 
 use isi_bench::sim::SimBench;
-use isi_bench::wall::{cycles_per_search, SearchImpl};
+use isi_bench::wall::{cycles_per_search, SearchImpl, GROUPS};
 use isi_bench::{banner, HarnessCfg};
 use isi_core::model::{optimal_group_size_capped, params_from_profile};
 use isi_workloads as wl;
@@ -82,35 +83,13 @@ fn main() {
         let table = wl::int_array(wl::ints_for_mb(mb));
         let lk = wl::uniform_lookups(table.len(), cfg.lookups);
         println!("{:>6} {:>10} {:>10} {:>10}", "G", "GP", "AMAC", "CORO");
-        for g in 1..=12usize {
-            let gp = cycles_per_search(
-                &table,
-                &lk,
-                SearchImpl::Gp(g),
-                cfg.reps,
-                cfg.cycles_per_ns(),
-            );
-            let am = cycles_per_search(
-                &table,
-                &lk,
-                SearchImpl::Amac(g),
-                cfg.reps,
-                cfg.cycles_per_ns(),
-            );
-            let co = cycles_per_search(
-                &table,
-                &lk,
-                SearchImpl::Coro(g),
-                cfg.reps,
-                cfg.cycles_per_ns(),
-            );
-            println!(
-                "{:>6} {:>10.2} {:>10.2} {:>10.2}",
-                g,
-                gp / 100.0,
-                am / 100.0,
-                co / 100.0
-            );
+        for g in GROUPS {
+            print!("{g:>6}");
+            for impl_ in [SearchImpl::Gp(g), SearchImpl::Amac(g), SearchImpl::Coro(g)] {
+                let c = cycles_per_search(&table, &lk, impl_, cfg.reps, cfg.cycles_per_ns());
+                print!(" {:>10.2}", c / 100.0);
+            }
+            println!();
         }
     }
 

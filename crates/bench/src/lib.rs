@@ -19,11 +19,21 @@
 //! | `table5` | Table 5 — implementation complexity / code footprint (LoC) |
 //! | `hash_join` | §6 extension — interleaved hash-join probe |
 //!
+//! Two criterion benches sit beside them in `benches/`:
+//! `binary_search` (the five implementations and CORO's two ablations)
+//! and `group_size` (the sweep behind `Interleave::default()`: binary
+//! search, CSB+-tree and hash probe, sequential baseline and CORO at
+//! [`wall::GROUPS`]). Other kernel cells are not re-timed here: the
+//! `benchmark/` ladder has `csb.*`, `hash.*` and `columnstore.in_*` on
+//! the service's own data, `fig1`/`fig8` the IN-predicate.
+//!
 //! Environment knobs (all optional): `ISI_MAX_MB` (top of the size sweep
 //! and the out-of-cache point of `table1`/`table2`, default 256),
 //! `ISI_LOOKUPS` (lookup-list length, default 10000),
 //! `ISI_REPS` (wall-clock repetitions, default 3), `ISI_GROUPS`
-//! ("gp,amac,coro" group sizes, default "10,6,6").
+//! ("gp,amac,coro" group sizes, default "10,6,6"), `ISI_FIG7_WALL`
+//! (set to anything: `fig7` adds its wall-clock sweep over
+//! [`wall::GROUPS`]).
 //!
 //! [`json`] has no caller left in this crate: the repo benchmark
 //! (`benchmark/`, its own workspace) reads `BENCHMARK.json` and its

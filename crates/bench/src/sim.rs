@@ -11,7 +11,9 @@ use isi_columnstore::{delta_locate_coro, DeltaDictionary};
 use isi_core::sched::{run_interleaved, run_sequential};
 use isi_csb::SimTreeStore;
 use isi_memsim::{MachineStats, SharedMachine, SimArray};
-use isi_search::{bulk_rank_amac, bulk_rank_coro, bulk_rank_gp, rank_branchfree, rank_branchy};
+use isi_search::{
+    bulk_rank_amac, bulk_rank_coro, bulk_rank_gp, rank_branchfree, rank_branchy, NOT_FOUND,
+};
 
 use crate::wall::SearchImpl;
 
@@ -139,7 +141,7 @@ impl SimDeltaBench {
                 run_sequential(
                     vals.iter().copied(),
                     |v| delta_locate_coro::<false, u32, _, _>(store, dict, v),
-                    |_, r| found += r.is_some() as usize,
+                    |_, r| found += (r != NOT_FOUND) as usize,
                 );
             }
             Some(g) => {
@@ -147,7 +149,7 @@ impl SimDeltaBench {
                     g,
                     vals.iter().copied(),
                     |v| delta_locate_coro::<true, u32, _, _>(store, dict, v),
-                    |_, r| found += r.is_some() as usize,
+                    |_, r| found += (r != NOT_FOUND) as usize,
                 );
             }
         }

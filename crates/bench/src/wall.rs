@@ -10,6 +10,11 @@ use isi_search::{
     bulk_rank_amac, bulk_rank_branchfree, bulk_rank_branchy, bulk_rank_coro, bulk_rank_gp,
 };
 
+/// Group sizes of the wall-clock sweeps (`benches/group_size.rs`,
+/// `fig7` under `ISI_FIG7_WALL`); they reach past this box's plateau,
+/// 16–48 under `PREFETCHT0`.
+pub const GROUPS: [usize; 10] = [1, 2, 4, 6, 8, 12, 16, 24, 32, 48];
+
 /// The five implementations of Section 5.1.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SearchImpl {

@@ -13,7 +13,6 @@
 //! | model | protocol under test |
 //! |---|---|
 //! | [`epoch`] | `EpochCell` publish: snapshots never torn, epochs monotone |
-//! | [`merge`] | Main/Delta merge publish: a mid-rebuild write survives as residual delta |
 //! | [`runs`] | run-stack delta over a mid tier: compaction + identity-residual merge, minor or major, never lose the newest write, and a merge drains what it pinned |
 //! | [`cache`] | hot-key cache: invalidate-before-ack ⇒ no stale read after own-write ack |
 //! | [`queue`] | caller-runs admission: token hand-back strands no entry, no deadlock at backpressure |
@@ -31,7 +30,6 @@
 
 pub mod cache;
 pub mod epoch;
-pub mod merge;
 pub mod metrics;
 pub mod queue;
 pub mod runs;

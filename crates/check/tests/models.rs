@@ -1,4 +1,4 @@
-//! The protocol model suite: bounded-exhaustive checks of the four
+//! The protocol model suite: bounded-exhaustive checks of the six
 //! serve-path protocols, plus calibration tests proving the explorer
 //! actually *finds* known-bad variants and that printed seeds replay.
 
@@ -11,16 +11,6 @@ fn epoch_publish_never_torn() {
         "epoch publish",
         Config::default(),
         models::epoch::publish_never_torn,
-    );
-    assert!(n > 1, "model has no concurrency ({n} interleaving)");
-}
-
-#[test]
-fn merge_never_loses_a_write() {
-    let n = check(
-        "merge publish",
-        Config::default(),
-        models::merge::write_survives_merge,
     );
     assert!(n > 1, "model has no concurrency ({n} interleaving)");
 }

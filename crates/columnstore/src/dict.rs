@@ -4,8 +4,9 @@
 //!
 //! * [`MainDictionary`]: a sorted array of the distinct domain values;
 //!   codes are array positions, `extract` is an array read, `locate` is
-//!   a binary search — in bulk, the `isi-search` coroutine run
-//!   sequentially or interleaved per the shared [`Interleave`] policy.
+//!   a binary search — in bulk, the `isi-search` coroutine on the
+//!   morsel engine ([`isi_core::par`]), which runs it sequentially or
+//!   interleaved per the shared [`Interleave`] policy.
 //! * [`DeltaDictionary`]: an *unsorted* array that appends new values in
 //!   arrival order, indexed by a CSB+-tree for `locate`. Following the
 //!   HANA design the paper describes in Section 5.5, the tree's leaves
@@ -15,12 +16,12 @@
 
 use isi_core::coro::suspend;
 use isi_core::mem::{DirectMem, IndexedMem};
+use isi_core::par::{run_interleaved_par, ParConfig};
 use isi_core::policy::Interleave;
-use isi_core::sched::{run_interleaved, run_sequential};
 use isi_csb::{CsbTree, TreeStore};
 use isi_search::key::SearchKey;
 use isi_search::locate::{resolve_rank, NOT_FOUND};
-use isi_search::{bulk_rank_coro, bulk_rank_coro_seq, cost};
+use isi_search::{bulk_rank_coro_par, cost};
 
 /// Read-optimized dictionary: sorted distinct values; code = position.
 #[derive(Debug, Clone, Default)]
@@ -77,10 +78,8 @@ impl<K: SearchKey> MainDictionary<K> {
     /// Panics if `out.len() != lookups.len()`.
     pub fn bulk_locate(&self, lookups: &[K], mode: Interleave, out: &mut [u32]) {
         let mem = DirectMem::new(&self.values);
-        match mode {
-            Interleave::Sequential => bulk_rank_coro_seq(mem, lookups, out),
-            Interleave::Interleaved(g) => bulk_rank_coro(mem, lookups, g, out),
-        };
+        let par = ParConfig::with_threads(1);
+        bulk_rank_coro_par(mem, lookups, mode.group_or_one(), par, out);
         // Ranks to codes in place: the rank position is hot in cache
         // right after the search touched it, so this pass is cheap.
         for (o, v) in out.iter_mut().zip(lookups) {
@@ -188,23 +187,16 @@ impl<K: SearchKey + Default> DeltaDictionary<K> {
     /// # Panics
     /// Panics if `out.len() != lookups.len()`.
     pub fn bulk_locate(&self, lookups: &[K], mode: Interleave, out: &mut [u32]) {
-        assert_eq!(lookups.len(), out.len(), "output length mismatch");
         let store = isi_csb::DirectTreeStore::new(&self.index);
         let dict = DirectMem::new(&self.values);
-        let sink = |i: usize, r: Option<u32>| out[i] = r.unwrap_or(NOT_FOUND);
-        match mode {
-            Interleave::Sequential => run_sequential(
-                lookups.iter().copied(),
-                |v| delta_locate_coro::<false, K, _, _>(store, dict, v),
-                sink,
-            ),
-            Interleave::Interleaved(g) => run_interleaved(
-                g,
-                lookups.iter().copied(),
-                |v| delta_locate_coro::<true, K, _, _>(store, dict, v),
-                sink,
-            ),
-        };
+        run_interleaved_par(
+            ParConfig::with_threads(1),
+            mode.group_or_one(),
+            lookups,
+            |v| delta_locate_coro::<false, K, _, _>(store, dict, v),
+            |v| delta_locate_coro::<true, K, _, _>(store, dict, v),
+            out,
+        );
     }
 }
 
@@ -216,12 +208,9 @@ impl<K: SearchKey + Default> DeltaDictionary<K> {
 /// codes; each comparison fetches `dict[code]`, adding one suspension
 /// point per comparison when interleaved. Generic over both the tree
 /// store and the dictionary-array memory so the same code runs on real
-/// and simulated memory.
-pub async fn delta_locate_coro<const INTERLEAVE: bool, K, S, M>(
-    store: S,
-    dict: M,
-    value: K,
-) -> Option<u32>
+/// and simulated memory. Returns the value's code, or [`NOT_FOUND`] —
+/// what a bulk `locate` stores, so the engine writes it as it comes.
+pub async fn delta_locate_coro<const INTERLEAVE: bool, K, S, M>(store: S, dict: M, value: K) -> u32
 where
     K: SearchKey + Default,
     S: TreeStore<K, u32>,
@@ -256,7 +245,7 @@ where
     }
     let n = leaf.nkeys as usize;
     if n == 0 {
-        return None;
+        return NOT_FOUND;
     }
     // Leaf phase: binary search over the leaf's codes, each comparison
     // reading the dictionary array (the extra suspension point).
@@ -286,7 +275,11 @@ where
         dict.compute(cost::CORO_SWITCH);
     }
     dict.compute(K::COMPARE_COST);
-    (*dict.at(code as usize) == value).then_some(code)
+    if *dict.at(code as usize) == value {
+        code
+    } else {
+        NOT_FOUND
+    }
 }
 
 #[cfg(test)]

@@ -27,6 +27,8 @@
 //! assert_eq!(stats.delta_matches, 1);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod codevec;
 pub mod column;
 pub mod dict;

@@ -5,7 +5,10 @@
 
 use proptest::prelude::*;
 
-use isi_columnstore::{execute_in, execute_in_naive, BitPackedVec, Column, Interleave};
+use isi_columnstore::{
+    execute_in, execute_in_naive, BitPackedVec, Column, DeltaDictionary, Interleave, MainDictionary,
+};
+use isi_search::NOT_FOUND;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
@@ -75,5 +78,40 @@ proptest! {
         prop_assert_eq!(v.len(), codes.len());
         let back: Vec<u32> = v.iter().collect();
         prop_assert_eq!(back, codes);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Lookup lists reach the scheduler in morsels of 4096: a bulk
+    /// `locate` agrees with the per-value one on either side of a
+    /// morsel boundary, in both instantiations of the coroutine.
+    #[test]
+    fn bulk_locate_matches_locate_across_morsels(
+        values in proptest::collection::vec(0u32..3000, 0..400),
+        stride in 1u32..3000,
+    ) {
+        let dict: std::collections::BTreeSet<u32> = values.into_iter().collect();
+        let main = MainDictionary::from_sorted(dict.iter().copied().collect());
+        // Arrival order differs from sorted order: codes != ranks.
+        let delta = DeltaDictionary::from_values(dict.iter().rev().copied().collect());
+        for len in [0usize, 1, 4095, 4096, 4097, 10_000] {
+            let lookups: Vec<u32> = (0..len as u32).map(|i| i.wrapping_mul(stride) % 3000).collect();
+            let code = |c: Option<u32>| c.unwrap_or(NOT_FOUND);
+            let main_expect: Vec<u32> = lookups.iter().map(|v| code(main.locate(*v))).collect();
+            let delta_expect: Vec<u32> = lookups.iter().map(|v| code(delta.locate(*v))).collect();
+            for mode in [
+                Interleave::Sequential,
+                Interleave::Interleaved(1),
+                Interleave::Interleaved(24),
+            ] {
+                let mut out = vec![0u32; len];
+                main.bulk_locate(&lookups, mode, &mut out);
+                prop_assert!(out == main_expect, "main, {} values, {}", len, mode);
+                delta.bulk_locate(&lookups, mode, &mut out);
+                prop_assert!(out == delta_expect, "delta, {} values, {}", len, mode);
+            }
+        }
     }
 }

@@ -13,7 +13,10 @@
 //! * [`probe_batch`](ShardBackend::probe_batch) — the hot path: drive
 //!   a dense key batch through the index's morsel-parallel interleaved
 //!   bulk driver (`bulk_rank_coro_par` / `bulk_lookup_par` /
-//!   `bulk_probe_par`).
+//!   `bulk_probe_par`) — each one call to
+//!   [`run_interleaved_par`](crate::par::run_interleaved_par) with the
+//!   index's coroutine; which instantiation runs and how results reach
+//!   `out` are the engine's business, not the driver's.
 //! * [`scan_range`](ShardBackend::scan_range) — ordered range read;
 //!   natural for the sorted structures, sort-on-demand for the hash
 //!   table.

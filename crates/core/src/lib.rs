@@ -134,7 +134,7 @@ pub use coro::{suspend, CoroHandle, Suspend};
 pub use epoch::EpochCell;
 pub use mem::{DirectMem, IndexedMem};
 pub use model::{optimal_group_size, StreamParams};
-pub use par::{run_interleaved_par, DisjointOut, MorselCursor, ParConfig};
+pub use par::{run_interleaved_par, MorselCursor, ParConfig};
 pub use policy::Interleave;
 pub use sched::{
     run_interleaved, run_interleaved_boxed, run_interleaved_indexed, run_sequential, FrameSlab,

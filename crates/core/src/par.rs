@@ -22,6 +22,10 @@
 //!   instantiation through [`run_sequential`] — the paper's point that
 //!   one coroutine compiles to both code paths, decided here once for
 //!   every index;
+//! * results scatter into the caller's output slice from the worker
+//!   threads — `out[i]` is input `i`'s result; the one `unsafe` write
+//!   this needs lives here ([`run_interleaved_par`]), so the index
+//!   crates above hand over a slice and forbid `unsafe` outright;
 //! * per-worker [`RunStats`] are merged at the join
 //!   ([`RunStats::merge`]).
 //!
@@ -140,10 +144,10 @@ impl MorselCursor {
 /// The morsel protocol guarantees each index belongs to exactly one
 /// claimed range and each range to exactly one worker, so writes never
 /// alias — but the borrow checker cannot see through the dynamic
-/// claiming, hence the unsafe constructor-free escape hatch below.
-/// Callers uphold the disjointness contract; everything else (bounds,
-/// lifetime) is checked.
-pub struct DisjointOut<'a, T> {
+/// claiming, hence the unsafe `write` below. Private to this module:
+/// [`run_interleaved_par`] is its one user and upholds the disjointness
+/// contract; everything else (bounds, lifetime) is checked.
+struct DisjointOut<'a, T> {
     ptr: *mut T,
     len: usize,
     _borrow: PhantomData<&'a mut [T]>,
@@ -159,7 +163,7 @@ unsafe impl<T: Send> Sync for DisjointOut<'_, T> {}
 impl<'a, T> DisjointOut<'a, T> {
     /// Wrap an output slice. The exclusive borrow is held for `'a`, so
     /// no one else can observe the buffer while workers scatter into it.
-    pub fn new(out: &'a mut [T]) -> Self {
+    fn new(out: &'a mut [T]) -> Self {
         Self {
             ptr: out.as_mut_ptr(),
             len: out.len(),
@@ -167,23 +171,13 @@ impl<'a, T> DisjointOut<'a, T> {
         }
     }
 
-    /// Buffer length.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True if the buffer is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
     /// Write `value` at `idx` (bounds-checked).
     ///
     /// # Safety
-    /// No other thread may read or write `idx` concurrently. The morsel
-    /// drivers satisfy this by writing only indices inside ranges
-    /// claimed from a [`MorselCursor`].
-    pub unsafe fn write(&self, idx: usize, value: T) {
+    /// No other thread may read or write `idx` concurrently.
+    /// [`run_interleaved_par`] satisfies this by writing only indices
+    /// inside ranges claimed from a [`MorselCursor`].
+    unsafe fn write(&self, idx: usize, value: T) {
         assert!(idx < self.len, "DisjointOut index {idx} out of bounds");
         // SAFETY: in-bounds by the assert; exclusive by the caller's
         // disjointness contract.
@@ -234,32 +228,43 @@ where
 /// which never suspends, so such a run costs no slab, no switch, and
 /// reports `switches == 0`.
 ///
-/// The sink receives **global** input indices and is called from worker
-/// threads; results within a worker arrive in completion order, and
-/// workers interleave arbitrarily (scatter by index, as the sequential
-/// drivers already do).
+/// `out[i]` receives the result of `inputs[i]`. The scatter is this
+/// function's: workers write from their own threads, in completion
+/// order within a morsel, each index exactly once — the one fact the
+/// `unsafe` write below rests on, so no driver above carries a sink of
+/// its own.
 ///
 /// Returns the merged [`RunStats`]: totals sum, `peak_in_flight` is the
 /// maximum over workers.
-pub fn run_interleaved_par<T, Fs, F, Ms, Mk, S>(
+///
+/// # Panics
+/// Panics if `out.len() != inputs.len()`.
+pub fn run_interleaved_par<T, Fs, F, Ms, Mk>(
     cfg: ParConfig,
     group_size: usize,
     inputs: &[T],
     make_seq: Ms,
     make: Mk,
-    sink: S,
+    out: &mut [F::Output],
 ) -> RunStats
 where
     T: Copy + Sync,
     Fs: Future<Output = F::Output>,
     F: Future,
+    F::Output: Send,
     Ms: Fn(T) -> Fs + Sync,
     Mk: Fn(T) -> F + Sync,
-    S: Fn(usize, F::Output) + Sync,
 {
+    assert_eq!(inputs.len(), out.len(), "output length mismatch");
     if inputs.is_empty() {
         return RunStats::default();
     }
+    let out = DisjointOut::new(out);
+    // SAFETY: both schedulers emit each index they are given exactly
+    // once, every index they are given lies in a range claimed from
+    // the cursor, and claimed ranges are disjoint across workers — so
+    // no two writes, on this thread or another, share an `i`.
+    let sink = |i: usize, r: F::Output| unsafe { out.write(i, r) };
     let cursor = MorselCursor::new(inputs.len(), cfg.effective_morsel_size());
     let threads = cfg.effective_threads().min(cursor.num_morsels());
     let per_worker = run_workers(threads, |_| {
@@ -300,7 +305,6 @@ mod tests {
     use crate::coro::suspend;
     use crate::sched::run_interleaved;
     use std::collections::HashSet;
-    use std::sync::Mutex;
 
     async fn lookup(v: u32) -> u32 {
         for _ in 0..(v % 5) {
@@ -316,12 +320,7 @@ mod tests {
 
     fn par_out(values: &[u32], cfg: ParConfig, group: usize) -> (Vec<u32>, RunStats) {
         let mut out = vec![0u32; values.len()];
-        let sink = DisjointOut::new(&mut out);
-        // SAFETY: the driver passes each input index exactly once and
-        // `i < out.len()`, so the disjoint-writes contract holds.
-        let stats = run_interleaved_par(cfg, group, values, lookup_seq, lookup, |i, r| unsafe {
-            sink.write(i, r)
-        });
+        let stats = run_interleaved_par(cfg, group, values, lookup_seq, lookup, &mut out);
         (out, stats)
     }
 
@@ -414,24 +413,60 @@ mod tests {
         assert_eq!(stats.lookups, 10);
     }
 
+    /// Output cell that counts its own drops.
+    struct Counted<'a> {
+        id: usize,
+        drops: &'a [AtomicUsize],
+    }
+
+    impl Drop for Counted<'_> {
+        fn drop(&mut self) {
+            self.drops[self.id].fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
     #[test]
     fn sink_sees_every_global_index_exactly_once() {
-        let values: Vec<u32> = (0..3_000).collect();
-        let seen = Mutex::new(HashSet::new());
-        run_interleaved_par(
-            ParConfig {
-                threads: 4,
-                morsel_size: 128,
-            },
-            5,
-            &values,
-            lookup_seq,
-            lookup,
-            |i, _| {
-                assert!(seen.lock().unwrap().insert(i), "index {i} emitted twice");
-            },
-        );
-        assert_eq!(seen.lock().unwrap().len(), values.len());
+        // `DisjointOut::write` is sound only if no index is written
+        // twice. A write drops the slot's previous value: after the run
+        // every initial value (ids `0..n`) has been dropped once — a
+        // slot never written would leave a zero — and no result (ids
+        // `n..2n`) has been dropped — a slot written twice would have
+        // dropped its first.
+        let n = 1_000;
+        let values: Vec<u32> = (0..n as u32).collect();
+        let check = |threads, group, morsel_size| {
+            let drops: Vec<AtomicUsize> = (0..2 * n).map(|_| AtomicUsize::new(0)).collect();
+            let cell = |id| Counted { id, drops: &drops };
+            let mut out: Vec<Counted> = (0..n).map(cell).collect();
+            run_interleaved_par(
+                ParConfig {
+                    threads,
+                    morsel_size,
+                },
+                group,
+                &values,
+                |v| async move { cell(n + v as usize) },
+                |v| async move {
+                    for _ in 0..(v % 3) {
+                        suspend().await;
+                    }
+                    cell(n + v as usize)
+                },
+                &mut out,
+            );
+            let at = format!("threads={threads} group={group} morsel={morsel_size}");
+            let dropped: Vec<usize> = drops.iter().map(|d| d.load(Ordering::Relaxed)).collect();
+            assert_eq!(dropped[..n], vec![1; n], "initial values, {at}");
+            assert_eq!(dropped[n..], vec![0; n], "results, {at}");
+            assert!(out.iter().enumerate().all(|(i, c)| c.id == n + i), "{at}");
+        };
+        for threads in [1, 2, 4] {
+            for group in [0, 1, 6] {
+                check(threads, group, 1);
+                check(threads, group, 64);
+            }
+        }
     }
 
     #[test]
@@ -485,8 +520,6 @@ mod tests {
     fn disjoint_out_bounds_checked() {
         let mut buf = [0u32; 4];
         let out = DisjointOut::new(&mut buf);
-        assert_eq!(out.len(), 4);
-        assert!(!out.is_empty());
         // SAFETY: deliberately out of bounds — the call must panic on
         // the bounds check before any write happens (should_panic).
         unsafe { out.write(4, 1) };

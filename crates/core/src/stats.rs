@@ -144,30 +144,6 @@ impl LatencyHist {
         self.sum
     }
 
-    /// The histogram of samples recorded *since* `earlier` was
-    /// captured, assuming `earlier` is a previous snapshot of this
-    /// histogram's lineage (bucket counts and sum grow monotonically).
-    /// Bucket counts and the sum subtract (saturating, so a weakly
-    /// consistent pair degrades to zeros instead of wrapping); `min`/
-    /// `max` cannot be un-merged, so the delta keeps the cumulative
-    /// values — quantiles of the delta stay clamped to the lifetime
-    /// envelope. An empty delta reports as empty.
-    pub fn saturating_delta(&self, earlier: &Self) -> Self {
-        let mut counts = [0u64; HIST_BUCKETS];
-        for (d, (a, b)) in counts
-            .iter_mut()
-            .zip(self.counts.iter().zip(&earlier.counts))
-        {
-            *d = a.saturating_sub(*b);
-        }
-        Self::from_raw(
-            counts,
-            self.sum.saturating_sub(earlier.sum),
-            self.min,
-            self.max,
-        )
-    }
-
     /// Bucket index for a sample: 0 for 0, else `64 - leading_zeros`
     /// (so bucket `i` spans `[2^(i-1), 2^i)`).
     #[inline]
@@ -411,26 +387,5 @@ mod tests {
         let empty = LatencyHist::from_raw([0; HIST_BUCKETS], 0, 0, 0);
         assert_eq!(empty, LatencyHist::new());
         assert!(empty.is_empty());
-    }
-
-    #[test]
-    fn hist_saturating_delta_recovers_the_increment() {
-        let mut early = LatencyHist::new();
-        for v in [10u64, 20, 30] {
-            early.record(v);
-        }
-        let mut late = early.clone();
-        for v in [100u64, 5000] {
-            late.record(v);
-        }
-        let delta = late.saturating_delta(&early);
-        assert_eq!(delta.count(), 2);
-        assert_eq!(delta.sum(), 5100);
-        // min/max keep the lifetime envelope (cannot be un-merged).
-        assert_eq!(delta.max(), 5000);
-        // Self-delta is empty; delta against a *later* snapshot
-        // saturates to empty instead of wrapping.
-        assert!(late.saturating_delta(&late).is_empty());
-        assert!(early.saturating_delta(&late).is_empty());
     }
 }

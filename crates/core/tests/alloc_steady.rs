@@ -16,10 +16,8 @@
 //! thread, where `run_workers` runs worker 0 inline; the slabs of the
 //! workers it spawns are no longer observed.
 
-#![deny(unsafe_op_in_unsafe_fn)]
-
 use isi_core::coro::suspend;
-use isi_core::par::{run_interleaved_par, DisjointOut, ParConfig};
+use isi_core::par::{run_interleaved_par, ParConfig};
 use isi_core::sched::{run_interleaved_indexed, FrameSlab};
 
 #[path = "../../obs/tests/support/thread_alloc.rs"]
@@ -36,7 +34,6 @@ async fn lookup(v: u32) -> u32 {
 }
 
 fn run_par(values: &[u32], out: &mut [u32], threads: usize, morsel: usize) {
-    let sink = DisjointOut::new(out);
     run_interleaved_par(
         ParConfig {
             threads,
@@ -47,10 +44,7 @@ fn run_par(values: &[u32], out: &mut [u32], threads: usize, morsel: usize) {
         // Group 8 over morsels of 256: nothing runs one at a time.
         lookup,
         lookup,
-        // SAFETY: `run_interleaved_par` passes each input index exactly
-        // once, and `i < out.len()` by construction, so the disjoint
-        // writes contract of `DisjointOut::write` holds.
-        |i, r| unsafe { sink.write(i, r) },
+        out,
     );
 }
 

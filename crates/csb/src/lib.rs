@@ -7,7 +7,7 @@
 //! from scratch — bulk load, inserts with node-group splits, range
 //! scans — plus the paper's Listing 6: a lookup coroutine that
 //! prefetches every cache line of the next node and suspends once per
-//! level, and the AMAC state-machine equivalent.
+//! level.
 //!
 //! ```
 //! use isi_csb::{CsbTree, DirectTreeStore, bulk_lookup_interleaved};
@@ -20,10 +20,7 @@
 //! assert_eq!(out, [Some(0), Some(21), Some(9_999), None]);
 //! ```
 
-// Escalated from the workspace-level warn: every unsafe fn body in
-// this crate must discharge its obligations through explicit inner
-// blocks (each carrying a SAFETY comment, enforced by xtask lint).
-#![deny(unsafe_op_in_unsafe_fn)]
+#![forbid(unsafe_code)]
 
 pub mod lookup;
 pub mod node;
@@ -31,10 +28,7 @@ pub mod shard;
 pub mod store;
 pub mod tree;
 
-pub use lookup::{
-    bulk_lookup_amac, bulk_lookup_interleaved, bulk_lookup_par, bulk_lookup_seq, lookup_coro,
-    lookup_seq,
-};
+pub use lookup::{bulk_lookup_interleaved, bulk_lookup_par, bulk_lookup_seq, lookup_coro};
 pub use node::{InnerNode, LeafNode, NODE_CAP};
 pub use shard::CsbShard;
 pub use store::{DirectTreeStore, SimTreeStore, TreeStore};

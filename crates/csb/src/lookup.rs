@@ -1,5 +1,5 @@
-//! Tree-lookup coroutines — the paper's Listing 6, plus an AMAC variant
-//! and bulk drivers.
+//! The tree-lookup coroutine — the paper's Listing 6 — and its bulk
+//! drivers.
 //!
 //! The coroutine descends one level per suspension: it computes the
 //! child with an in-node search (no cache misses — the node was
@@ -62,27 +62,6 @@ where
     }
     store.compute(NODE_SEARCH_COST);
 
-    leaf.find(&value).map(|pos| leaf.values[pos])
-}
-
-/// Sequential point lookup through a store (equivalent to
-/// `CsbTree::get`, but charged to the store's cost model).
-pub fn lookup_seq<K, V, S>(store: &S, value: K) -> Option<V>
-where
-    K: Copy + Ord + Default,
-    V: Copy + Default,
-    S: TreeStore<K, V>,
-{
-    let mut idx = store.root();
-    let mut level = store.height();
-    while level > 0 {
-        let node = store.inner(idx);
-        store.compute(NODE_SEARCH_COST);
-        idx = node.first_child + node.child_slot(&value) as u32;
-        level -= 1;
-    }
-    let leaf = store.leaf(idx);
-    store.compute(NODE_SEARCH_COST);
     leaf.find(&value).map(|pos| leaf.values[pos])
 }
 
@@ -154,108 +133,14 @@ where
     V: Copy + Default + Send,
     S: TreeStore<K, V> + Copy + Sync,
 {
-    assert_eq!(values.len(), out.len(), "output length mismatch");
-    let sink = isi_core::par::DisjointOut::new(out);
     isi_core::par::run_interleaved_par(
         cfg,
         group_size,
         values,
         |v| lookup_coro::<false, K, V, S>(store, v),
         |v| lookup_coro::<true, K, V, S>(store, v),
-        // SAFETY: the scheduler emits each claimed input index exactly
-        // once, and claimed morsel ranges are disjoint across workers.
-        |i, r| unsafe { sink.write(i, r) },
+        out,
     )
-}
-
-/// AMAC-style tree lookup: the hand-written state machine the coroutine
-/// replaces (kept as the comparison baseline; the paper argues they are
-/// equivalent in capability and performance).
-pub fn bulk_lookup_amac<K, V, S>(store: &S, values: &[K], group_size: usize, out: &mut [Option<V>])
-where
-    K: Copy + Ord + Default,
-    V: Copy + Default,
-    S: TreeStore<K, V>,
-{
-    assert_eq!(values.len(), out.len(), "output length mismatch");
-    assert!(group_size > 0, "group_size must be positive");
-    if values.is_empty() {
-        return;
-    }
-    #[derive(Clone, Copy)]
-    enum Stage {
-        Init,
-        Descend,
-        Leaf,
-        Done,
-    }
-    #[derive(Clone, Copy)]
-    struct St<K> {
-        value: K,
-        input: usize,
-        idx: u32,
-        level: u32,
-        stage: Stage,
-    }
-    let g = group_size.min(values.len());
-    let mut buf: Vec<St<K>> = (0..g)
-        .map(|_| St {
-            value: values[0],
-            input: 0,
-            idx: 0,
-            level: 0,
-            stage: Stage::Init,
-        })
-        .collect();
-    let mut next_input = 0usize;
-    let mut not_done = g;
-    let mut cursor = 0usize;
-    while not_done > 0 {
-        let st = &mut buf[cursor];
-        match st.stage {
-            Stage::Init => {
-                if next_input < values.len() {
-                    st.value = values[next_input];
-                    st.input = next_input;
-                    st.idx = store.root();
-                    st.level = store.height();
-                    next_input += 1;
-                    st.stage = if st.level == 0 {
-                        Stage::Leaf
-                    } else {
-                        Stage::Descend
-                    };
-                } else {
-                    st.stage = Stage::Done;
-                    not_done -= 1;
-                }
-            }
-            Stage::Descend => {
-                let node = store.inner(st.idx);
-                store.compute(NODE_SEARCH_COST + TREE_SWITCH_COST);
-                let next = node.first_child + node.child_slot(&st.value) as u32;
-                st.idx = next;
-                st.level -= 1;
-                if st.level > 0 {
-                    store.prefetch_inner(next);
-                } else {
-                    store.prefetch_leaf(next);
-                    st.stage = Stage::Leaf;
-                }
-            }
-            Stage::Leaf => {
-                let leaf = store.leaf(st.idx);
-                store.compute(NODE_SEARCH_COST + TREE_SWITCH_COST);
-                out[st.input] = leaf.find(&st.value).map(|pos| leaf.values[pos]);
-                st.stage = Stage::Init;
-            }
-            Stage::Done => {}
-        }
-        cursor += 1;
-        if cursor == g {
-            cursor = 0;
-        }
-    }
 }
 
 #[cfg(test)]
@@ -297,10 +182,6 @@ mod tests {
             let mut inter = vec![None; probes.len()];
             bulk_lookup_interleaved(store, &probes, group, &mut inter);
             assert_eq!(inter, expect, "group={group}");
-
-            let mut amac = vec![None; probes.len()];
-            bulk_lookup_amac(&store, &probes, group, &mut amac);
-            assert_eq!(amac, expect, "amac group={group}");
         }
     }
 
@@ -336,11 +217,15 @@ mod tests {
     fn lookup_on_empty_and_tiny_trees() {
         let t = CsbTree::<u32, u32>::new();
         let store = DirectTreeStore::new(&t);
+        assert_eq!(t.get(&1), None);
         assert_eq!(
             run_to_completion(lookup_coro::<true, _, _, _>(store, 1)),
             None
         );
-        assert_eq!(lookup_seq(&store, 1), None);
+        assert_eq!(
+            run_to_completion(lookup_coro::<false, _, _, _>(store, 1)),
+            None
+        );
 
         let t = tree(3); // single leaf
         let store = DirectTreeStore::new(&t);

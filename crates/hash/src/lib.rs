@@ -22,10 +22,7 @@
 //! assert_eq!(pairs.len(), 3); // user 1 matches twice, user 2 once
 //! ```
 
-// Escalated from the workspace-level warn: every unsafe fn body in
-// this crate must discharge its obligations through explicit inner
-// blocks (each carrying a SAFETY comment, enforced by xtask lint).
-#![deny(unsafe_op_in_unsafe_fn)]
+#![forbid(unsafe_code)]
 
 pub mod build;
 pub mod join;

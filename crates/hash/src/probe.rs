@@ -4,8 +4,10 @@
 //! exact use case that motivated dynamic interleaving (AMAC) and that
 //! coroutines express in four added lines.
 
+use std::future::Future;
+
 use isi_core::coro::suspend;
-use isi_core::mem::IndexedMem;
+use isi_core::mem::{DirectMem, IndexedMem};
 use isi_core::prefetch::prefetch_read_t0;
 use isi_core::sched::{run_interleaved, run_sequential, RunStats};
 
@@ -15,11 +17,14 @@ use crate::table::{ChainedHashTable, Entry, HashKey, NONE};
 const PROBE_HOP_COST: u32 = 5;
 const PROBE_SWITCH_COST: u32 = isi_search::cost::CORO_SWITCH;
 
-/// Hash-probe coroutine over abstract memory backends — the same probe
-/// runs on real memory (via [`probe_coro`]) or on the `isi-memsim`
-/// model (pass `SimMem` views of the bucket and entry arrays), so the
-/// Section 6 hash-join experiment can be reproduced both on this
-/// machine and on the paper's.
+/// Hash-probe coroutine, unified sequential/interleaved codepath, over
+/// abstract memory backends — the same probe runs on real memory (via
+/// [`probe_coro`]) or on the `isi-memsim` model (pass `SimMem` views of
+/// the bucket and entry arrays), so the Section 6 hash-join experiment
+/// can be reproduced both on this machine and on the paper's.
+///
+/// Suspension points: one before reading the bucket head, one before
+/// each chain entry — each a potential cache miss on a large table.
 pub async fn probe_coro_on<const INTERLEAVE: bool, K, V, MB, ME>(
     buckets: MB,
     entries: ME,
@@ -60,34 +65,19 @@ where
     None
 }
 
-/// Hash-probe coroutine, unified sequential/interleaved codepath.
-///
-/// Suspension points: one before reading the bucket head, one before
-/// each chain entry — each a potential cache miss on a large table.
-pub async fn probe_coro<const INTERLEAVE: bool, K: HashKey, V: Copy>(
+/// [`probe_coro_on`] over [`DirectMem`] views of `table`'s bucket and
+/// entry arrays: the probe the service ships is the one the simulator
+/// measures.
+pub fn probe_coro<const INTERLEAVE: bool, K: HashKey, V: Copy>(
     table: &ChainedHashTable<K, V>,
     key: K,
-) -> Option<V> {
-    let b = table.bucket_of(&key);
-    let buckets = table.buckets();
-    if INTERLEAVE {
-        prefetch_read_t0(&buckets[b] as *const u32);
-        suspend().await;
-    }
-    let mut e = buckets[b];
-    let entries = table.entries();
-    while e != NONE {
-        if INTERLEAVE {
-            prefetch_read_t0(&entries[e as usize] as *const Entry<K, V>);
-            suspend().await;
-        }
-        let entry = &entries[e as usize];
-        if entry.key == key {
-            return Some(entry.val);
-        }
-        e = entry.next;
-    }
-    None
+) -> impl Future<Output = Option<V>> + '_ {
+    probe_coro_on::<INTERLEAVE, K, V, _, _>(
+        DirectMem::new(table.buckets()),
+        DirectMem::new(table.entries()),
+        table.mask(),
+        key,
+    )
 }
 
 /// Probe a batch sequentially (the coroutine never suspends).
@@ -149,17 +139,13 @@ where
     K: HashKey + Sync,
     V: Copy + Send + Sync,
 {
-    assert_eq!(keys.len(), out.len(), "output length mismatch");
-    let sink = isi_core::par::DisjointOut::new(out);
     isi_core::par::run_interleaved_par(
         cfg,
         group_size,
         keys,
         |k| probe_coro::<false, K, V>(table, k),
         |k| probe_coro::<true, K, V>(table, k),
-        // SAFETY: the scheduler emits each claimed input index exactly
-        // once, and claimed morsel ranges are disjoint across workers.
-        |i, r| unsafe { sink.write(i, r) },
+        out,
     )
 }
 

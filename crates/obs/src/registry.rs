@@ -274,39 +274,6 @@ impl Snapshot {
         Snapshot { samples }
     }
 
-    /// The increment since `earlier` (typically a snapshot of the same
-    /// registry taken before a bench cell). Counters and histogram
-    /// mass subtract saturating; gauges keep their current value —
-    /// a point-in-time reading has no meaningful delta. Metrics
-    /// registered after `earlier` was taken diff against zero.
-    pub fn delta(&self, earlier: &Snapshot) -> Snapshot {
-        let samples = self
-            .samples
-            .iter()
-            .map(|s| {
-                let old = earlier
-                    .samples
-                    .iter()
-                    .find(|o| o.name == s.name && o.labels == s.labels);
-                let value = match (&s.value, old.map(|o| &o.value)) {
-                    (Value::Counter(now), Some(Value::Counter(was))) => {
-                        Value::Counter(now.saturating_sub(*was))
-                    }
-                    (Value::Hist(now), Some(Value::Hist(was))) => {
-                        Value::Hist(Box::new(now.saturating_delta(was)))
-                    }
-                    (v, _) => v.clone(),
-                };
-                Sample {
-                    name: s.name.clone(),
-                    labels: s.labels.clone(),
-                    value,
-                }
-            })
-            .collect();
-        Snapshot { samples }
-    }
-
     /// Render in the Prometheus text exposition format. Histograms
     /// emit cumulative `_bucket{le=...}` series (only the log₂ bounds
     /// that hold mass), `_sum`, and `_count`.
@@ -526,32 +493,6 @@ mod tests {
         let only0 = snap.hist_merged("lat", |s| s.label("shard") == Some("0"));
         assert_eq!(only0.count(), 2);
         assert_eq!(only0.max(), 20);
-    }
-
-    #[test]
-    fn delta_recovers_the_increment() {
-        let reg = Registry::new();
-        let c = reg.counter("reqs", &[]);
-        let g = reg.gauge("backlog", &[]);
-        let h = reg.hist("lat", &[]);
-        c.add(10);
-        g.set(7);
-        h.record(100);
-        let before = reg.snapshot();
-        c.add(5);
-        g.set(2);
-        h.record(9_000);
-        let delta = reg.snapshot().delta(&before);
-        assert_eq!(delta.get("reqs", &[]), Some(&Value::Counter(5)));
-        // Gauges are point-in-time: delta keeps the current reading.
-        assert_eq!(delta.get("backlog", &[]), Some(&Value::Gauge(2)));
-        match delta.get("lat", &[]) {
-            Some(Value::Hist(h)) => {
-                assert_eq!(h.count(), 1);
-                assert_eq!(h.sum(), 9_000);
-            }
-            other => panic!("unexpected {other:?}"),
-        }
     }
 
     #[test]

@@ -7,7 +7,10 @@
 /// are a cycle; 15-character string compares are a short loop. The paper
 /// notes the two "do not differ significantly" (§5.4.5) — a handful of
 /// cycles either way.
-pub trait SearchKey: Copy + Ord {
+///
+/// `Sync` because bulk lookups hand key slices to the morsel engine
+/// ([`isi_core::par`]), whose workers read them from their own threads.
+pub trait SearchKey: Copy + Ord + Sync {
     /// Approximate cycles to compare two keys (charged via
     /// `IndexedMem::compute` by instrumented algorithms).
     const COMPARE_COST: u32;

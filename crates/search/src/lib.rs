@@ -20,10 +20,7 @@
 //! [`par`] holds the morsel-parallel CORO driver (same coroutine,
 //! worker threads claiming morsels).
 
-// Escalated from the workspace-level warn: every unsafe fn body in
-// this crate must discharge its obligations through explicit inner
-// blocks (each carrying a SAFETY comment, enforced by xtask lint).
-#![deny(unsafe_op_in_unsafe_fn)]
+#![forbid(unsafe_code)]
 
 pub mod amac;
 pub mod coro;
@@ -34,7 +31,6 @@ pub mod locate;
 pub mod par;
 pub mod seq;
 pub mod shard;
-pub mod sorted;
 
 pub use amac::bulk_rank_amac;
 pub use coro::{bulk_rank_coro, bulk_rank_coro_seq, rank_coro};
@@ -46,4 +42,3 @@ pub use seq::{
     bulk_rank_branchfree, bulk_rank_branchy, rank_branchfree, rank_branchy, rank_oracle,
 };
 pub use shard::SortedShard;
-pub use sorted::{bulk_rank_sorted, bulk_rank_sorted_interleaved};

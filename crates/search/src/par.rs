@@ -13,7 +13,7 @@
 //! (`SortedShard::probe_batch`) and `benchmark/` call.
 
 use isi_core::mem::IndexedMem;
-use isi_core::par::{run_interleaved_par, DisjointOut, ParConfig};
+use isi_core::par::{run_interleaved_par, ParConfig};
 use isi_core::sched::RunStats;
 
 use crate::coro::rank_coro;
@@ -43,17 +43,13 @@ where
     K: SearchKey + Sync,
     M: IndexedMem<K> + Copy + Sync,
 {
-    assert_eq!(values.len(), out.len(), "output length mismatch");
-    let sink = DisjointOut::new(out);
     run_interleaved_par(
         cfg,
         group_size,
         values,
         |v| rank_coro::<false, K, M>(mem, v),
         |v| rank_coro::<true, K, M>(mem, v),
-        // SAFETY: the scheduler emits each claimed input index exactly
-        // once, and claimed morsel ranges are disjoint across workers.
-        |i, r| unsafe { sink.write(i, r) },
+        out,
     )
 }
 

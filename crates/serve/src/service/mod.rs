@@ -570,6 +570,14 @@ impl LookupService {
     /// The service-side observability hub (`serve_*` metrics, the
     /// service trace ring). The store's hub is at
     /// [`ShardedStore::obs`].
+    ///
+    /// Two hubs, on purpose: a store outlives the services opened over
+    /// it, and each service's `stats()` and `stage_hist(..)` must start
+    /// from zero — `benchmark/src/trace.rs` runs a warm-up, a measured
+    /// and a traced service over one store, and a registry as old as
+    /// the store would fold the warm-up into every `service.*` row.
+    /// `stats`, `metrics_prometheus`, `metrics_json`,
+    /// `export_chrome_trace` and `stage_breakdown` stitch the two.
     pub fn obs(&self) -> &Obs {
         &self.obs
     }

@@ -10,7 +10,9 @@
 //!   modules listed in [`UNSAFE_ALLOWLIST`] — the hot-path files
 //!   whose pointer arithmetic has been reviewed. New unsafe anywhere
 //!   else is a deliberate, reviewed decision: extend the allowlist in
-//!   the same commit.
+//!   the same commit. And the converse: an entry whose file is gone or
+//!   holds no `unsafe` any more is a violation too, so a deletion
+//!   cannot leave a standing permission behind.
 //! * **R1b — deny escalation.** Any crate (or test binary) containing
 //!   `unsafe` must carry `#![deny(unsafe_op_in_unsafe_fn)]` at its
 //!   root, so an `unsafe fn` body cannot silently perform unsafe ops
@@ -52,17 +54,13 @@ const UNSAFE_ALLOWLIST: &[&str] = &[
     "crates/core/src/sched.rs",
     "crates/core/src/stats.rs",
     "crates/core/src/topo.rs",
-    "crates/core/tests/alloc_steady.rs",
-    "crates/csb/src/lookup.rs",
     "crates/obs/tests/support/thread_alloc.rs",
-    "crates/hash/src/probe.rs",
-    "crates/search/src/par.rs",
 ];
 
 /// Directories (relative to the repo root) the lint walks. `vendor/`
 /// is deliberately excluded: the stubs mimic external crates and are
 /// not covered by workspace policy.
-const WALK_ROOTS: &[&str] = &["crates", "src", "examples", "xtask"];
+const WALK_ROOTS: &[&str] = &["crates", "src", "examples", "tests", "xtask"];
 
 /// One finding, formatted like a compiler diagnostic.
 pub struct Violation {
@@ -92,7 +90,9 @@ pub fn run(root: &Path) -> io::Result<Vec<Violation>> {
         }
     }
     files.sort_by(|a, b| a.0.cmp(&b.0));
-    Ok(check_files(&files))
+    let mut violations = check_files(&files);
+    violations.extend(check_allowlist_is_live(&files));
+    Ok(violations)
 }
 
 fn collect_rs_files(root: &Path, dir: &Path, out: &mut Vec<(String, String)>) -> io::Result<()> {
@@ -347,6 +347,31 @@ fn check_unsafe_rules(
     }
 }
 
+/// R2's converse: every [`UNSAFE_ALLOWLIST`] entry names a file of the
+/// walked tree that still contains an `unsafe` token. (Over the whole
+/// file set, not per file — hence apart from [`check_files`], whose
+/// unit tests seed one or two files at a time.)
+fn check_allowlist_is_live(files: &[(String, String)]) -> Vec<Violation> {
+    let mut out = Vec::new();
+    for entry in UNSAFE_ALLOWLIST {
+        let content = files.iter().find(|(p, _)| p == entry).map(|(_, c)| c);
+        let msg = match content {
+            None => "allowlisted file does not exist",
+            Some(c) if !sanitize(c).lines().any(has_unsafe_token) => {
+                "allowlisted file contains no `unsafe`"
+            }
+            Some(_) => continue,
+        };
+        out.push(Violation {
+            path: entry.to_string(),
+            line: 1,
+            rule: "unsafe-allowlist",
+            msg: format!("{msg}; remove it from UNSAFE_ALLOWLIST (xtask/src/lint.rs)"),
+        });
+    }
+    out
+}
+
 /// The crate-root file responsible for `path`'s `#![...]` attributes.
 /// Integration tests, benches, examples and `src/bin` files are their
 /// own crate roots.
@@ -521,6 +546,27 @@ mod tests {
     }
 
     #[test]
+    fn stale_allowlist_entry_fires() {
+        // Every entry live: clean.
+        let live = "// SAFETY: test.\nfn f(p: *const u8) -> u8 { unsafe { *p } }\n";
+        let mut fs: Vec<_> = UNSAFE_ALLOWLIST
+            .iter()
+            .map(|p| (p.to_string(), live.to_string()))
+            .collect();
+        assert!(check_allowlist_is_live(&fs).is_empty());
+        // One file lost its last `unsafe` (a comment does not count),
+        // another was deleted.
+        fs[0].1 = "// no unsafe here any more\nfn f() {}\n".to_string();
+        let gone = fs.pop().expect("allowlist is not empty").0;
+        let v = check_allowlist_is_live(&fs);
+        assert_eq!(rules_fired(&v), ["unsafe-allowlist", "unsafe-allowlist"]);
+        assert_eq!(v[0].path, UNSAFE_ALLOWLIST[0]);
+        assert!(v[0].msg.contains("contains no `unsafe`"), "{}", v[0].msg);
+        assert_eq!(v[1].path, gone);
+        assert!(v[1].msg.contains("does not exist"), "{}", v[1].msg);
+    }
+
+    #[test]
     fn missing_deny_attr_fires() {
         let fs = files(&[
             ("crates/core/src/lib.rs", "pub mod par;\n"),
@@ -541,7 +587,7 @@ mod tests {
     #[test]
     fn test_files_are_their_own_crate_root() {
         let fs = files(&[(
-            "crates/core/tests/alloc_steady.rs",
+            "crates/obs/tests/support/thread_alloc.rs",
             "// SAFETY: test.\nfn f(p: *const u8) -> u8 { unsafe { *p } }\n",
         )]);
         let v = check_files(&fs);
@@ -550,7 +596,7 @@ mod tests {
             "{:?}",
             rules_fired(&v)
         );
-        assert_eq!(v[0].path, "crates/core/tests/alloc_steady.rs");
+        assert_eq!(v[0].path, "crates/obs/tests/support/thread_alloc.rs");
     }
 
     #[test]
