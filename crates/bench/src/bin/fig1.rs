@@ -10,12 +10,10 @@
 //!
 //! Usage: `cargo run --release -p isi-bench --bin fig1`
 
-use isi_columnstore::{
-    bits_for, execute_in, BitPackedVec, Column, Interleave, MainDictionary, MainPart,
-};
+use isi_columnstore::{execute_in, Column, Interleave, MainDictionary, MainPart};
 use isi_core::stats::time_avg;
 
-use isi_bench::{banner, size_sweep_mb, HarnessCfg};
+use isi_bench::{banner, packed_codes, size_sweep_mb, HarnessCfg};
 
 fn main() {
     let cfg = HarnessCfg::from_env();
@@ -37,14 +35,7 @@ fn main() {
     for mb in size_sweep_mb(cfg.max_mb) {
         let n = mb * (1 << 20) / 4;
         let dict = MainDictionary::from_sorted((0..n as u32).collect());
-        let mut codes = BitPackedVec::with_width(bits_for(n));
-        let mut x = 0x2545_F491_4F6C_DD1Du64;
-        for _ in 0..rows {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            codes.push((x % n as u64) as u32);
-        }
+        let codes = packed_codes(n, rows, 0x2545_F491_4F6C_DD1D);
         let column = Column {
             main: MainPart { dict, codes },
             delta: Default::default(),

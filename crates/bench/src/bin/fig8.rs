@@ -6,24 +6,12 @@
 //! (Delta trees are memory-hungry: ~2.5x the dictionary size.)
 
 use isi_columnstore::{
-    bits_for, execute_in, BitPackedVec, Column, DeltaDictionary, DeltaPart, Interleave,
-    MainDictionary, MainPart,
+    execute_in, BitPackedVec, Column, DeltaDictionary, DeltaPart, Interleave, MainDictionary,
+    MainPart,
 };
 use isi_core::stats::time_avg;
 
-use isi_bench::{banner, size_sweep_mb, HarnessCfg};
-
-fn packed_codes(n: usize, rows: usize, seed: u64) -> BitPackedVec {
-    let mut codes = BitPackedVec::with_width(bits_for(n));
-    let mut x = seed | 1;
-    for _ in 0..rows {
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        codes.push((x % n as u64) as u32);
-    }
-    codes
-}
+use isi_bench::{banner, packed_codes, size_sweep_mb, HarnessCfg};
 
 fn main() {
     let cfg = HarnessCfg::from_env();

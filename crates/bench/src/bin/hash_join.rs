@@ -12,16 +12,12 @@
 use isi_bench::{banner, HarnessCfg};
 use isi_core::stats::Stopwatch;
 use isi_hash::{bulk_probe_amac, bulk_probe_interleaved, bulk_probe_seq, ChainedHashTable};
+use isi_workloads::xorshift64;
 
 fn probe_set(n: u64, count: usize, seed: u64) -> Vec<u64> {
     let mut x = seed | 1;
     (0..count)
-        .map(|_| {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            (x % (2 * n)).wrapping_mul(0x9E37_79B9_7F4A_7C15)
-        })
+        .map(|_| (xorshift64(&mut x) % (2 * n)).wrapping_mul(0x9E37_79B9_7F4A_7C15))
         .collect()
 }
 

@@ -46,6 +46,9 @@ pub mod wall;
 
 use std::time::Duration;
 
+use isi_columnstore::{bits_for, BitPackedVec};
+use isi_workloads::xorshift64;
+
 /// Harness configuration parsed from the environment.
 #[derive(Debug, Clone)]
 pub struct HarnessCfg {
@@ -105,6 +108,18 @@ pub fn size_sweep_mb(max_mb: usize) -> Vec<usize> {
         s *= 2;
     }
     v
+}
+
+/// A code vector of `rows` rows drawn uniformly from an `n`-value
+/// dictionary — the column `fig1` and `fig8` scan. Deterministic in
+/// `seed` (made odd: xorshift has no zero state).
+pub fn packed_codes(n: usize, rows: usize, seed: u64) -> BitPackedVec {
+    let mut codes = BitPackedVec::with_width(bits_for(n));
+    let mut x = seed | 1;
+    for _ in 0..rows {
+        codes.push((xorshift64(&mut x) % n as u64) as u32);
+    }
+    codes
 }
 
 /// Render a harness header with the reproduction context.

@@ -1,6 +1,9 @@
 //! Simulator-backed measurement: the same implementations run against
 //! the `isi-memsim` model of the paper's Haswell Xeon, producing the
-//! microarchitectural breakdowns of Figures 5-6 and Tables 1-2.
+//! microarchitectural breakdowns of Figures 5-6 and Tables 1-2. "The
+//! same" is literal: every index here is the shipped coroutine over
+//! `SimMem` views — one for the sorted array, a `TreeView` of two for
+//! the Delta dictionary's tree (as `bin/hash_join` does for the table).
 //!
 //! Methodology: each measured phase uses *fresh* lookup values so the
 //! hot top levels of the index stay warm (the paper's steady state)
@@ -9,11 +12,13 @@
 
 use isi_columnstore::{delta_locate_coro, DeltaDictionary};
 use isi_core::sched::{run_interleaved, run_sequential};
-use isi_csb::SimTreeStore;
+use isi_csb::{InnerNode, LeafNode, TreeView};
 use isi_memsim::{MachineStats, SharedMachine, SimArray};
 use isi_search::{
     bulk_rank_amac, bulk_rank_coro, bulk_rank_gp, rank_branchfree, rank_branchy, NOT_FOUND,
 };
+
+use isi_workloads::xorshift64;
 
 use crate::wall::SearchImpl;
 
@@ -46,12 +51,7 @@ impl SimBench {
     pub fn fresh(&mut self, count: usize) -> Vec<u32> {
         let n = self.arr.len() as u64;
         (0..count)
-            .map(|_| {
-                self.rng ^= self.rng << 13;
-                self.rng ^= self.rng >> 7;
-                self.rng ^= self.rng << 17;
-                (self.rng % n) as u32
-            })
+            .map(|_| (xorshift64(&mut self.rng) % n) as u32)
             .collect()
     }
 
@@ -90,7 +90,10 @@ impl SimBench {
 pub struct SimDeltaBench {
     machine: SharedMachine,
     values: SimArray<u32>,
-    store: SimTreeStore<u32, u32>,
+    inners: SimArray<InnerNode<u32>>,
+    leaves: SimArray<LeafNode<u32, u32>>,
+    root: u32,
+    height: u32,
     domain: u64,
     rng: u64,
 }
@@ -103,11 +106,14 @@ impl SimDeltaBench {
         let dict = DeltaDictionary::from_values(isi_workloads::shuffled_indices(n, 42));
         let machine = SharedMachine::haswell();
         let values = SimArray::new(&machine, dict.values().to_vec());
-        let store = SimTreeStore::from_tree(&machine, dict.index());
+        let tree = dict.index();
         let mut b = Self {
+            inners: SimArray::new(&machine, tree.inners().to_vec()),
+            leaves: SimArray::new(&machine, tree.leaves().to_vec()),
+            root: tree.root(),
+            height: tree.height(),
             machine,
             values,
-            store,
             domain: n as u64,
             rng: 0x9E37_79B9_7F4A_7C15,
         };
@@ -119,12 +125,7 @@ impl SimDeltaBench {
     /// Fresh lookup values (all present in the dictionary).
     pub fn fresh(&mut self, count: usize) -> Vec<u32> {
         (0..count)
-            .map(|_| {
-                self.rng ^= self.rng << 13;
-                self.rng ^= self.rng >> 7;
-                self.rng ^= self.rng << 17;
-                (self.rng % self.domain) as u32
-            })
+            .map(|_| (xorshift64(&mut self.rng) % self.domain) as u32)
             .collect()
     }
 
@@ -133,14 +134,19 @@ impl SimDeltaBench {
     /// value fails to locate (they are all present by construction).
     pub fn run_locate(&self, vals: &[u32], group: Option<usize>) -> MachineStats {
         self.machine.reset_stats();
-        let store = &self.store;
+        let store = TreeView {
+            inners: self.inners.mem(),
+            leaves: self.leaves.mem(),
+            root: self.root,
+            height: self.height,
+        };
         let dict = self.values.mem();
         let mut found = 0usize;
         match group {
             None => {
                 run_sequential(
                     vals.iter().copied(),
-                    |v| delta_locate_coro::<false, u32, _, _>(store, dict, v),
+                    |v| delta_locate_coro::<false, u32, _, _, _>(store, dict, v),
                     |_, r| found += (r != NOT_FOUND) as usize,
                 );
             }
@@ -148,7 +154,7 @@ impl SimDeltaBench {
                 run_interleaved(
                     g,
                     vals.iter().copied(),
-                    |v| delta_locate_coro::<true, u32, _, _>(store, dict, v),
+                    |v| delta_locate_coro::<true, u32, _, _, _>(store, dict, v),
                     |_, r| found += (r != NOT_FOUND) as usize,
                 );
             }

@@ -14,11 +14,14 @@
 //!   actual value from the dictionary array — an extra suspension point
 //!   in the interleaved lookup.
 
+use std::future::Future;
+
 use isi_core::coro::suspend;
 use isi_core::mem::{DirectMem, IndexedMem};
 use isi_core::par::{run_interleaved_par, ParConfig};
 use isi_core::policy::Interleave;
-use isi_csb::{CsbTree, TreeStore};
+use isi_csb::lookup::descend_level;
+use isi_csb::{CsbTree, InnerNode, LeafNode, TreeView};
 use isi_search::key::SearchKey;
 use isi_search::locate::{resolve_rank, NOT_FOUND};
 use isi_search::{bulk_rank_coro_par, cost};
@@ -193,8 +196,8 @@ impl<K: SearchKey + Default> DeltaDictionary<K> {
             ParConfig::with_threads(1),
             mode.group_or_one(),
             lookups,
-            |v| delta_locate_coro::<false, K, _, _>(store, dict, v),
-            |v| delta_locate_coro::<true, K, _, _>(store, dict, v),
+            |v| delta_locate_coro::<false, K, _, _, _>(store, dict, v),
+            |v| delta_locate_coro::<true, K, _, _, _>(store, dict, v),
             out,
         );
     }
@@ -203,82 +206,77 @@ impl<K: SearchKey + Default> DeltaDictionary<K> {
 /// Delta `locate` coroutine (paper §5.5): a CSB+-tree descent whose
 /// *leaf* phase compares against the dictionary array.
 ///
-/// Inner levels behave like Listing 6 — prefetch the child node,
-/// suspend, descend. At the leaf, the stored per-entry payloads are
-/// codes; each comparison fetches `dict[code]`, adding one suspension
-/// point per comparison when interleaved. Generic over both the tree
-/// store and the dictionary-array memory so the same code runs on real
-/// and simulated memory. Returns the value's code, or [`NOT_FOUND`] —
-/// what a bulk `locate` stores, so the engine writes it as it comes.
-pub async fn delta_locate_coro<const INTERLEAVE: bool, K, S, M>(store: S, dict: M, value: K) -> u32
+/// Inner levels are Listing 6's — the level step `isi_csb`'s own
+/// lookup makes ([`descend_level`]), then suspend. At the leaf, the
+/// stored per-entry payloads are codes; each comparison fetches
+/// `dict[code]`, adding one suspension point per comparison when
+/// interleaved. Generic over the memory behind the tree and behind the
+/// dictionary array, so the same code runs on real and simulated
+/// memory. Returns the value's code, or [`NOT_FOUND`] — what a bulk
+/// `locate` stores, so the engine writes it as it comes.
+#[expect(clippy::manual_async_fn, reason = "async fn doubles the frame")]
+pub fn delta_locate_coro<const INTERLEAVE: bool, K, MI, ML, M>(
+    store: TreeView<MI, ML>,
+    dict: M,
+    value: K,
+) -> impl Future<Output = u32>
 where
     K: SearchKey + Default,
-    S: TreeStore<K, u32>,
+    MI: IndexedMem<InnerNode<K>>,
+    ML: IndexedMem<LeafNode<K, u32>>,
     M: IndexedMem<K>,
 {
-    let mut idx = store.root();
-    let mut level = store.height();
-    let mut resumed = false;
-    while level > 0 {
-        let node = store.inner(idx);
-        if INTERLEAVE && resumed {
-            store.compute(cost::CORO_SWITCH);
-        }
-        store.compute(isi_csb::lookup::NODE_SEARCH_COST);
-        let slot = node.child_slot(&value);
-        let next = node.first_child + slot as u32;
-        level -= 1;
-        if INTERLEAVE {
-            if level > 0 {
-                store.prefetch_inner(next);
-            } else {
-                store.prefetch_leaf(next);
+    async move {
+        let mut idx = store.root;
+        let mut below = store.height;
+        while below > 0 {
+            below -= 1;
+            idx = descend_level::<INTERLEAVE, K, u32, MI, ML>(&store, idx, below, &value);
+            if INTERLEAVE {
+                suspend().await;
             }
-            suspend().await;
-            resumed = true;
         }
-        idx = next;
-    }
-    let leaf = store.leaf(idx);
-    if INTERLEAVE && resumed {
-        store.compute(cost::CORO_SWITCH);
-    }
-    let n = leaf.nkeys as usize;
-    if n == 0 {
-        return NOT_FOUND;
-    }
-    // Leaf phase: binary search over the leaf's codes, each comparison
-    // reading the dictionary array (the extra suspension point).
-    let mut low = 0usize;
-    let mut size = n;
-    loop {
-        let half = size / 2;
-        if half == 0 {
-            break;
+        let leaf = store.leaves.at(idx as usize);
+        if INTERLEAVE && store.height > 0 {
+            store.leaves.compute(cost::CORO_SWITCH);
         }
-        let probe = low + half;
-        let code = leaf.values[probe];
+        let n = leaf.nkeys as usize;
+        if n == 0 {
+            return NOT_FOUND;
+        }
+        // Leaf phase: binary search over the leaf's codes, each comparison
+        // reading the dictionary array (the extra suspension point).
+        let mut low = 0usize;
+        let mut size = n;
+        loop {
+            let half = size / 2;
+            if half == 0 {
+                break;
+            }
+            let probe = low + half;
+            let code = leaf.values[probe];
+            if INTERLEAVE {
+                dict.prefetch(code as usize);
+                suspend().await;
+                dict.compute(cost::CORO_SWITCH);
+            }
+            dict.compute(cost::CORO_ITER + K::COMPARE_COST);
+            let le = (*dict.at(code as usize) <= value) as usize;
+            low = le * probe + (1 - le) * low;
+            size -= half;
+        }
+        let code = leaf.values[low];
         if INTERLEAVE {
             dict.prefetch(code as usize);
             suspend().await;
             dict.compute(cost::CORO_SWITCH);
         }
-        dict.compute(cost::CORO_ITER + K::COMPARE_COST);
-        let le = (*dict.at(code as usize) <= value) as usize;
-        low = le * probe + (1 - le) * low;
-        size -= half;
-    }
-    let code = leaf.values[low];
-    if INTERLEAVE {
-        dict.prefetch(code as usize);
-        suspend().await;
-        dict.compute(cost::CORO_SWITCH);
-    }
-    dict.compute(K::COMPARE_COST);
-    if *dict.at(code as usize) == value {
-        code
-    } else {
-        NOT_FOUND
+        dict.compute(K::COMPARE_COST);
+        if *dict.at(code as usize) == value {
+            code
+        } else {
+            NOT_FOUND
+        }
     }
 }
 

@@ -15,6 +15,8 @@
 //!   `Poll::Pending` as "suspended, resume me on the next round-robin
 //!   pass".
 
+#![expect(unsafe_code, reason = "builds the no-op Waker from a raw vtable")]
+
 use std::future::Future;
 use std::pin::Pin;
 use std::task::{Context, Poll, RawWaker, RawWakerVTable, Waker};

@@ -55,9 +55,10 @@
 //!   [`LatencyHist`](stats::LatencyHist) used by the serving layer.
 //! * [`sync`] — the poison-aware lock helpers
 //!   ([`MutexExt::plock`](sync::MutexExt::plock) and friends) that the
-//!   serving layer is required (by `xtask lint`) to acquire locks
-//!   through: a poisoned lock re-panics with a context tag instead of
-//!   an opaque `PoisonError` unwrap.
+//!   serving layer is required (by `clippy::disallowed_methods`, set
+//!   in `crates/{serve,durable}/clippy.toml`) to acquire locks through:
+//!   a poisoned lock re-panics with a context tag instead of an opaque
+//!   `PoisonError` unwrap.
 //!
 //! ## Quick start
 //!
@@ -110,11 +111,6 @@
 //! );
 //! assert_eq!(out, [2, 50, 1023]);
 //! ```
-
-// Escalated from the workspace-level warn: every unsafe fn body in
-// this crate must discharge its obligations through explicit inner
-// blocks (each carrying a SAFETY comment, enforced by xtask lint).
-#![deny(unsafe_op_in_unsafe_fn)]
 
 pub mod backend;
 pub mod coro;

@@ -3,7 +3,9 @@
 //!
 //! All index-lookup algorithms in this workspace (binary search, CSB+-tree
 //! traversal, hash probes) are generic over [`IndexedMem`], an indexed
-//! array of elements. Two families of implementations exist:
+//! array of elements — the binary search over one, the hash probe over
+//! two, the tree over the two arenas of a `TreeView` (crate `isi-csb`).
+//! Two families of implementations exist:
 //!
 //! * [`DirectMem`] (here): a zero-cost wrapper around a slice, whose
 //!   `prefetch` issues the real hardware prefetch instruction. Used for
@@ -15,7 +17,9 @@
 //! Keeping a single algorithm codepath for both backends follows the
 //! paper's core argument: the measured code *is* the shipped code.
 
-use crate::prefetch::prefetch_read_t0;
+#![expect(unsafe_code, reason = "pointer arithmetic for the prefetch address")]
+
+use crate::prefetch::{prefetch_object_t0, prefetch_read_t0, CACHE_LINE};
 
 /// An indexed, randomly accessible array of `T` with explicit prefetch and
 /// compute-cost hooks.
@@ -110,13 +114,24 @@ impl<'a, T> IndexedMem<T> for DirectMem<'a, T> {
         &self.data[idx]
     }
 
+    /// One `PREFETCHT0` on the element's first byte when
+    /// `size_of::<T>() <= CACHE_LINE`, whatever its alignment (a 24-byte
+    /// hash entry straddles a boundary in 2 of every 8 slots and gets its
+    /// first line only); one per spanned line for a larger element (a
+    /// tree node).
     #[inline(always)]
     fn prefetch(&self, idx: usize) {
         if idx < self.data.len() {
             // SAFETY: `idx < len` was just checked, so `add(idx)` stays
             // within the slice's allocation; the pointer is only used as
             // a prefetch hint, never dereferenced.
-            prefetch_read_t0(unsafe { self.data.as_ptr().add(idx) });
+            let ptr = unsafe { self.data.as_ptr().add(idx) };
+            // A compile-time branch: small elements keep one instruction.
+            if std::mem::size_of::<T>() > CACHE_LINE {
+                prefetch_object_t0(ptr, std::mem::size_of::<T>());
+            } else {
+                prefetch_read_t0(ptr);
+            }
         }
     }
 }

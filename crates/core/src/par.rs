@@ -32,6 +32,8 @@
 //! Everything is `std`: scoped threads, one atomic counter, no work
 //! queues, no new dependencies.
 
+#![expect(unsafe_code, reason = "workers scatter into disjoint slots")]
+
 use std::future::Future;
 use std::marker::PhantomData;
 use std::ops::Range;
@@ -158,6 +160,9 @@ struct DisjointOut<'a, T> {
 // is required because values of `T` are moved into the buffer from
 // worker threads (and old values dropped there).
 unsafe impl<T: Send> Send for DisjointOut<'_, T> {}
+// SAFETY: sharing `&DisjointOut` gives a thread `write` and nothing
+// that reads a `T`, so the same disjointness contract covers it, and
+// `T: Send` is again all it needs (no `&T` is ever shared).
 unsafe impl<T: Send> Sync for DisjointOut<'_, T> {}
 
 impl<'a, T> DisjointOut<'a, T> {

@@ -26,6 +26,8 @@
 //!
 //! [`DirectMem::prefetch`]: crate::mem::DirectMem
 
+#![expect(unsafe_code, reason = "the PREFETCHT0 intrinsic")]
+
 /// Cache line size assumed throughout the crate (bytes).
 ///
 /// All mainstream x86-64 and AArch64 parts use 64-byte lines; the paper's

@@ -15,6 +15,8 @@
 //! [`run_interleaved_boxed`] deliberately boxes every coroutine instead,
 //! as an ablation quantifying what frame recycling buys.
 
+#![expect(unsafe_code, reason = "polls frames pinned in the slab")]
+
 use std::future::Future;
 use std::pin::Pin;
 use std::task::{Context, Poll};

@@ -7,6 +7,8 @@
 //! paper's units. (Reading the TSC directly via `_rdtsc` is also supported
 //! on x86-64 and is what the calibration uses.)
 
+#![expect(unsafe_code, reason = "the RDTSC intrinsic")]
+
 use std::time::{Duration, Instant};
 
 /// Read the processor timestamp counter, or 0 on non-x86-64 targets.

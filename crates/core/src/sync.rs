@@ -27,9 +27,13 @@
 //! request releases its guard *before* it panics, so that rejection
 //! never poisons a lock.
 //!
-//! `xtask lint` enforces that `crates/serve` acquires every lock
-//! through these helpers rather than bare `.lock().unwrap()` — see
-//! `xtask/src/lint.rs`.
+//! Clippy enforces that `crates/serve` and `crates/durable` acquire
+//! every lock through these helpers: their `clippy.toml`s list
+//! `Mutex::lock`, `RwLock::{read, write}` and `Condvar::{wait,
+//! wait_timeout}` under `disallowed-methods`, and each of the four
+//! lock calls in the three exempt cleanups above carries an `expect`
+//! of that lint with its reason — which warns if the call it excuses
+//! goes away.
 
 use std::sync::{Condvar, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::Duration;

@@ -14,6 +14,8 @@
 //! on either — only locality and TLB reach do — so the fallback is
 //! silent.
 
+#![expect(unsafe_code, reason = "the sched_setaffinity and madvise syscalls")]
+
 use std::mem::MaybeUninit;
 
 /// The cores a caller spreads its threads over.

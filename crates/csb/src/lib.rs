@@ -7,7 +7,10 @@
 //! from scratch — bulk load, inserts with node-group splits, range
 //! scans — plus the paper's Listing 6: a lookup coroutine that
 //! prefetches every cache line of the next node and suspends once per
-//! level.
+//! level. The coroutine sees the tree as a [`TreeView`] of two
+//! `isi_core::mem::IndexedMem` arenas — the memory abstraction of every
+//! index in the workspace — so the one implementation runs on real
+//! memory ([`DirectTreeStore`]) and on the `isi-memsim` model.
 //!
 //! ```
 //! use isi_csb::{CsbTree, DirectTreeStore, bulk_lookup_interleaved};
@@ -31,5 +34,5 @@ pub mod tree;
 pub use lookup::{bulk_lookup_interleaved, bulk_lookup_par, bulk_lookup_seq, lookup_coro};
 pub use node::{InnerNode, LeafNode, NODE_CAP};
 pub use shard::CsbShard;
-pub use store::{DirectTreeStore, SimTreeStore, TreeStore};
+pub use store::{DirectTreeStore, TreeView};
 pub use tree::CsbTree;

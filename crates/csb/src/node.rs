@@ -11,6 +11,8 @@
 //! coroutine lookup prefetches every line of the touched node (paper
 //! Listing 6), so the in-node search never misses.
 
+use isi_core::prefetch::CACHE_LINE;
+
 /// Maximum keys per node; an inner node has at most `NODE_CAP + 1`
 /// children.
 pub const NODE_CAP: usize = 14;
@@ -87,6 +89,12 @@ pub struct LeafNode<K, V> {
     /// Values parallel to `keys`.
     pub values: [V; NODE_CAP],
 }
+
+// A node that shrank to one cache line would silently fall to the
+// single-prefetch arm of `DirectMem::prefetch`.
+const _: () = assert!(
+    size_of::<InnerNode<u64>>() > CACHE_LINE && size_of::<LeafNode<u32, u32>>() > CACHE_LINE
+);
 
 impl<K: Copy + Ord + Default, V: Copy + Default> LeafNode<K, V> {
     /// An empty leaf.

@@ -23,11 +23,11 @@ use crate::node::{InnerNode, LeafNode, NODE_CAP};
 /// fixed-width strings.)
 #[derive(Debug, Clone)]
 pub struct CsbTree<K, V> {
-    pub(crate) inners: Vec<InnerNode<K>>,
-    pub(crate) leaves: Vec<LeafNode<K, V>>,
-    pub(crate) root: u32,
+    inners: Vec<InnerNode<K>>,
+    leaves: Vec<LeafNode<K, V>>,
+    root: u32,
     /// Number of inner levels; 0 means the root is a leaf.
-    pub(crate) height: u32,
+    height: u32,
     len: usize,
     dead_inners: usize,
     dead_leaves: usize,
@@ -58,6 +58,16 @@ impl<K, V> CsbTree<K, V> {
     /// Root node index (into `inners` if `height > 0`, else `leaves`).
     pub fn root(&self) -> u32 {
         self.root
+    }
+
+    /// The inner-node arena (what a [`crate::store::TreeView`] reads).
+    pub fn inners(&self) -> &[InnerNode<K>] {
+        &self.inners
+    }
+
+    /// The leaf arena.
+    pub fn leaves(&self) -> &[LeafNode<K, V>] {
+        &self.leaves
     }
 
     /// Arena nodes orphaned by group splits `(inners, leaves)`.

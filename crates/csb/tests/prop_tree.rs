@@ -7,7 +7,9 @@
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
-use isi_csb::{bulk_lookup_interleaved, CsbTree, DirectTreeStore};
+use isi_core::coro::run_to_completion;
+use isi_csb::{bulk_lookup_interleaved, lookup_coro, CsbTree, DirectTreeStore, TreeView};
+use isi_memsim::{SharedMachine, SimArray};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
@@ -72,6 +74,34 @@ proptest! {
         bulk_lookup_interleaved(store, &probes, group, &mut out);
         for (i, p) in probes.iter().enumerate() {
             prop_assert_eq!(out[i], tree.get(p));
+        }
+    }
+
+    // The simulated path is the shipped coroutine over `SimMem` views,
+    // so it answers to the shipped oracle.
+    #[test]
+    fn simulated_view_agrees_with_get(
+        bulk in proptest::collection::btree_map(0u32..3_000, 0u32..100, 0..400),
+        inserts in proptest::collection::vec((0u32..3_000, 0u32..100), 0..300),
+        probes in proptest::collection::vec(0u32..3_500, 1..60),
+    ) {
+        let mut tree = CsbTree::from_sorted(&bulk.into_iter().collect::<Vec<_>>());
+        for (k, v) in inserts {
+            tree.insert(k, v);
+        }
+        let machine = SharedMachine::haswell();
+        let inners = SimArray::new(&machine, tree.inners().to_vec());
+        let leaves = SimArray::new(&machine, tree.leaves().to_vec());
+        let view = TreeView {
+            inners: inners.mem(),
+            leaves: leaves.mem(),
+            root: tree.root(),
+            height: tree.height(),
+        };
+        for p in probes {
+            let want = tree.get(&p);
+            prop_assert_eq!(run_to_completion(lookup_coro::<false, _, _, _, _>(view, p)), want);
+            prop_assert_eq!(run_to_completion(lookup_coro::<true, _, _, _, _>(view, p)), want);
         }
     }
 

@@ -52,12 +52,6 @@ impl SharedMachine {
         self.inner.borrow_mut().flush_caches()
     }
 
-    /// Charge compute cycles directly (for scheduler-level overheads that
-    /// are not tied to one array).
-    pub fn compute(&self, cycles: u32) {
-        self.inner.borrow_mut().compute(cycles)
-    }
-
     /// Run `f` with mutable access to the machine.
     pub fn with<R>(&self, f: impl FnOnce(&mut Machine) -> R) -> R {
         f(&mut self.inner.borrow_mut())
@@ -102,11 +96,6 @@ impl<T> SimArray<T> {
     /// Synthetic base address of the array.
     pub fn base_addr(&self) -> u64 {
         self.base
-    }
-
-    /// The machine this array is attached to.
-    pub fn machine(&self) -> &SharedMachine {
-        &self.machine
     }
 
     /// A non-speculative access handle (for branch-free / interleaved
@@ -297,8 +286,6 @@ mod tests {
         let arr = SimArray::new(&m, vec![0u8; 8]);
         arr.mem().compute(42);
         assert_eq!(m.stats().cycles, 42.0);
-        m.compute(8);
-        assert_eq!(m.stats().cycles, 50.0);
     }
 
     #[test]

@@ -174,6 +174,7 @@ impl Drop for Running<'_> {
         // the process, and it only fails the queue closed — the right
         // end for a state some other panic left mid-protocol too. So
         // it ignores poison (the exception `isi_core::sync` names).
+        #[expect(clippy::disallowed_methods, reason = "unwind-time cleanup")]
         let mut q = self.state.q.lock().unwrap_or_else(PoisonError::into_inner);
         q.open = false;
         for entry in q.reqs.drain(..) {

@@ -51,6 +51,7 @@ impl<T> Ticket<T> {
         // Runs from a drop guard while a runner unwinds, so it must not
         // panic; nothing panics while holding a slot, so a poisoned
         // one is still whole.
+        #[expect(clippy::disallowed_methods, reason = "unwind-time cleanup")]
         let mut slot = self.slot.lock().unwrap_or_else(PoisonError::into_inner);
         if slot.answer.is_none() {
             slot.answer = Some(Answer::Abandoned);

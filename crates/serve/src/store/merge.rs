@@ -60,11 +60,13 @@ impl Drop for FailClosed<'_> {
         // ignores poison (the exception `isi_core::sync` names). Each
         // lock is taken once before its condvar is notified: a waiter
         // that read the counter before the bump is parked by then.
+        #[expect(clippy::disallowed_methods, reason = "unwind-time cleanup")]
         let mut q = inner.merge_q.lock().unwrap_or_else(PoisonError::into_inner);
         q.in_flight = false;
         drop(q);
         inner.merge_done.notify_all();
         for shard in &inner.shards {
+            #[expect(clippy::disallowed_methods, reason = "unwind-time cleanup")]
             drop(shard.write.lock().unwrap_or_else(PoisonError::into_inner));
             shard.delta_space.notify_all();
         }

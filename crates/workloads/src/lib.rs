@@ -24,6 +24,19 @@ use isi_search::key::Str16;
 /// `std::mt19937` with 0).
 pub const SEED: u64 = 0;
 
+/// One step of xorshift64 (shifts 13, 7, 17): advances `state`, which
+/// must be non-zero, and returns it. The figure binaries and examples
+/// draw rows and fresh lookup values from it, one seed per call site.
+#[inline]
+pub fn xorshift64(state: &mut u64) -> u64 {
+    let mut x = *state;
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    *state = x;
+    x
+}
+
 /// Number of `u32` elements that make a sorted array of `mb` megabytes.
 pub fn ints_for_mb(mb: usize) -> usize {
     mb * (1 << 20) / std::mem::size_of::<u32>()

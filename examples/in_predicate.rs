@@ -19,9 +19,7 @@ fn main() {
     let mut x = 0x9E37_79B9_7F4A_7C15u64;
     println!("loading 2,000,000 rows into customer_address ...");
     for _ in 0..2_000_000u32 {
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
+        workloads::xorshift64(&mut x);
         let zip = zips[(x % zips.len() as u64) as usize];
         let city = Str16::from_index(x % 10_000);
         table.insert(&[zip, city]);

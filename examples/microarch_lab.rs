@@ -7,6 +7,7 @@
 
 use coro_isi::memsim::{MachineStats, SharedMachine, SimArray};
 use coro_isi::search::{bulk_rank_coro, rank_branchfree};
+use coro_isi::workloads::xorshift64;
 
 fn breakdown(label: &str, s: &MachineStats, lookups: usize) {
     let (r, m, c, b, f) = s.tmam_fractions();
@@ -40,12 +41,7 @@ fn main() {
     let mut x = 0x2545_F491_4F6C_DD1Du64;
     let mut fresh = |count: usize| -> Vec<u32> {
         (0..count)
-            .map(|_| {
-                x ^= x << 13;
-                x ^= x >> 7;
-                x ^= x << 17;
-                (x % (16 << 20)) as u32
-            })
+            .map(|_| (xorshift64(&mut x) % (16 << 20)) as u32)
             .collect()
     };
 

@@ -9,6 +9,7 @@ use std::time::Instant;
 use coro_isi::core::coro::suspend;
 use coro_isi::core::mem::{DirectMem, IndexedMem};
 use coro_isi::core::sched::{run_interleaved, run_sequential};
+use coro_isi::workloads::xorshift64;
 
 /// The paper's Listing 5 in Rust: the sequential binary search plus a
 /// prefetch and a suspension before the access that would miss. The
@@ -43,12 +44,7 @@ fn main() {
     // 10_000 uniformly random lookups.
     let mut x = 0x2545_F491_4F6C_DD1Du64;
     let lookups: Vec<u64> = (0..10_000)
-        .map(|_| {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            (x % n as u64) * 2
-        })
+        .map(|_| (xorshift64(&mut x) % n as u64) * 2)
         .collect();
     let mut out = vec![0u32; lookups.len()];
 
