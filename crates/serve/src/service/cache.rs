@@ -2,45 +2,50 @@
 
 use isi_hash::table::HashKey;
 
+/// Slots per shard, 24 B each: 1.5 MiB, about one core's L2.
+const SLOTS: usize = 1 << 16;
+
 /// The hot-key result cache: direct-mapped, one `(key, result)` pair
 /// per slot. Only the holder of the shard's token mutates it (inserts
 /// after a read run, invalidates when applying a write), so its
 /// contents always reflect a prefix of the shard's serialized
-/// operation order; everyone else only probes.
+/// operation order; everyone else only probes. The first `insert`
+/// allocates the slots: until then every probe misses.
+#[derive(Default)]
 pub(super) struct HotCache {
     slots: Vec<Option<(u64, Option<u64>)>>,
 }
 
 impl HotCache {
-    pub(super) fn new(slots: usize) -> Self {
-        Self {
-            slots: vec![None; slots],
-        }
-    }
-
     /// Slot index: hash bits 16.. keep the map independent of both
     /// shard routing (top bits) and hash-backend bucketing (bits 32..
     /// of the same hash, which matter only inside the backend).
     #[inline]
-    fn idx(&self, key: u64) -> usize {
-        (key.hash64() >> 16) as usize % self.slots.len()
+    pub(super) fn idx(key: u64) -> usize {
+        (key.hash64() >> 16) as usize & (SLOTS - 1)
     }
 
     pub(super) fn probe(&self, key: u64) -> Option<Option<u64>> {
-        self.slots[self.idx(key)]
-            .filter(|&(k, _)| k == key)
-            .map(|(_, result)| result)
+        let slot = *self.slots.get(Self::idx(key))?;
+        slot.filter(|&(k, _)| k == key).map(|(_, result)| result)
     }
 
     pub(super) fn insert(&mut self, key: u64, result: Option<u64>) {
-        let i = self.idx(key);
-        self.slots[i] = Some((key, result));
+        if self.slots.is_empty() {
+            self.slots = vec![None; SLOTS];
+        }
+        self.slots[Self::idx(key)] = Some((key, result));
     }
 
     pub(super) fn invalidate(&mut self, key: u64) {
-        let i = self.idx(key);
-        if self.slots[i].is_some_and(|(k, _)| k == key) {
-            self.slots[i] = None;
+        match self.slots.get_mut(Self::idx(key)) {
+            Some(slot) if slot.is_some_and(|(k, _)| k == key) => *slot = None,
+            _ => {}
         }
+    }
+
+    #[cfg(test)]
+    pub(super) fn is_allocated(&self) -> bool {
+        !self.slots.is_empty()
     }
 }

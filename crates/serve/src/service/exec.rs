@@ -87,14 +87,13 @@ pub(super) fn execute_batch(ctx: ShardCtx<'_>, bufs: &mut Exec, full: bool, who:
             // Fill the cache before fulfilling: the token holder is the
             // only mutator of this shard, so these results are current
             // until the next write applied under the token.
-            if let Some(cache) = &state.cache {
-                let mut cache = cache.plock("hot-key cache");
-                for &(ei, start, _) in &bufs.run_spans {
-                    if let Op::Get { key, .. } = &bufs.batch[ei].op {
-                        cache.insert(*key, bufs.out[start]);
-                    }
+            let mut cache = state.cache.plock("hot-key cache");
+            for &(ei, start, _) in &bufs.run_spans {
+                if let Op::Get { key, .. } = &bufs.batch[ei].op {
+                    cache.insert(*key, bufs.out[start]);
                 }
             }
+            drop(cache);
             state
                 .engine
                 .plock("shard engine stats")
@@ -154,18 +153,17 @@ pub(super) fn execute_batch(ctx: ShardCtx<'_>, bufs: &mut Exec, full: bool, who:
                     // Invalidate before fulfilling: a client whose
                     // write just acked must not then read a stale
                     // cached value.
-                    if let Some(cache) = &state.cache {
-                        let mut cache = cache.plock("hot-key cache");
-                        for &(key, _) in &bufs.write_ops {
-                            cache.invalidate(key);
-                        }
-                        obs.trace().emit_now(
-                            shard,
-                            TraceKind::CacheInvalidate,
-                            bufs.write_ops.len() as u64,
-                            0,
-                        );
+                    let mut cache = state.cache.plock("hot-key cache");
+                    for &(key, _) in &bufs.write_ops {
+                        cache.invalidate(key);
                     }
+                    drop(cache);
+                    obs.trace().emit_now(
+                        shard,
+                        TraceKind::CacheInvalidate,
+                        bufs.write_ops.len() as u64,
+                        0,
+                    );
                     obs.record_stage(shard, Stage::Writeback, wb_t.elapsed_ns());
                     let commit_t = SpanTimer::start();
                     for (&ei, &prev) in bufs.write_idx.iter().zip(&bufs.write_prevs) {

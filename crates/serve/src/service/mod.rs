@@ -70,10 +70,10 @@
 //! applies the write to the delta and moves on, so no request's
 //! latency absorbs a rebuild.
 //!
-//! An optional per-shard **hot-key cache** sits in front of the
-//! admission queue: a tiny direct-mapped map filled by the token
-//! holder with single-`get` results and invalidated by the write path
-//! before a write is acknowledged. A hit answers without admission.
+//! A per-shard **hot-key cache** (2^16 slots, 1.5 MiB, allocated on
+//! the first single-key `get`) sits in front of the admission queue,
+//! filled by the token holder with `get` results and invalidated by
+//! the write path before a write is acknowledged. A hit skips admission.
 //!
 //! **Failure.** A runner that unwinds (a failed WAL append panics)
 //! must not strand the token: a drop guard closes the shard, abandons
@@ -111,7 +111,6 @@ use isi_obs::{chrome_trace_json, Obs, SpanTimer, Stage, TraceKind};
 
 use crate::store::ShardedStore;
 
-use cache::HotCache;
 use queue::{helper_loop, Entry, Exec, Op, QueueState, Runner, ShardCtx, ShardState};
 pub use stats::ServeStats;
 use stats::ShardCounters;
@@ -147,10 +146,6 @@ pub struct ServeConfig {
     /// shard's token); raise `threads` only when shards outnumber
     /// cores.
     pub par: ParConfig,
-    /// Per-shard hot-key cache slots; 0 disables the cache. A hit
-    /// answers a `get` without admission; the write path invalidates
-    /// a key's slot before the write is acknowledged.
-    pub hot_cache_slots: usize,
     /// Per-shard trace-ring capacity for structured events (batch
     /// flushes, merges, WAL syncs, backpressure stalls, …); 0 — the
     /// default — disables tracing entirely, leaving the emit sites as
@@ -167,7 +162,6 @@ impl Default for ServeConfig {
             batch: BatchPolicy::default(),
             queue_cap: 1024,
             par: ParConfig::with_threads(1),
-            hot_cache_slots: 0,
             trace_events: 0,
         }
     }
@@ -260,8 +254,7 @@ impl LookupService {
                         cache_hits: counter("serve_cache_hits"),
                         latency: reg.hist("serve_latency_ns", &l),
                     },
-                    cache: (cfg.hot_cache_slots > 0)
-                        .then(|| Mutex::new(HotCache::new(cfg.hot_cache_slots))),
+                    cache: Mutex::default(),
                 })
             })
             .collect();
@@ -426,15 +419,12 @@ impl LookupService {
             .collect()
     }
 
-    /// Look up one key on the owning shard. A hot-key cache hit (if
-    /// the cache is enabled) answers immediately without admission.
+    /// Look up one key on the owning shard. A hit in the shard's
+    /// hot-key cache answers at once; a miss is admitted, then cached.
     pub fn get(&self, key: u64) -> Option<u64> {
         self.assert_open();
         let shard = self.store.shard_of(key);
-        let cached = self.shards[shard]
-            .cache
-            .as_ref()
-            .and_then(|cache| cache.plock("hot-key cache").probe(key));
+        let cached = self.shards[shard].cache.plock("hot-key cache").probe(key);
         if let Some(result) = cached {
             self.shards[shard].m.cache_hits.inc();
             return result;

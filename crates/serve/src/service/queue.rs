@@ -98,8 +98,8 @@ pub(super) struct ShardState {
     /// [`ShardCounters`]); lock-free, so the client cache-hit fast
     /// path never contends with an executing batch.
     pub(super) m: ShardCounters,
-    /// `None` when `hot_cache_slots == 0`.
-    pub(super) cache: Option<Mutex<HotCache>>,
+    /// The hot-key cache; its slots are allocated by the first fill.
+    pub(super) cache: Mutex<HotCache>,
 }
 
 /// A shard's executor token: the reusable batch buffers. It lives in

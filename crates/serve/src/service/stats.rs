@@ -24,7 +24,8 @@ pub(super) struct ShardCounters {
     pub(super) range_scans: Counter,
     pub(super) delta_hits: Counter,
     pub(super) cache_hits: Counter,
-    /// Per-entry latency (enqueue → response routed), nanoseconds.
+    /// `serve_latency_ns`: per *admitted* entry (enqueue → response
+    /// routed), nanoseconds; cache hits are counted in `cache_hits` only.
     pub(super) latency: Hist,
 }
 
@@ -42,8 +43,8 @@ pub(super) struct ShardCounters {
 /// `get_many`, plus the write counters.
 #[derive(Debug, Clone, Default)]
 pub struct ServeStats {
-    /// Admission entries answered (see the type docs: one per shard
-    /// touched for `get_many`/`get_range`; cache hits excluded).
+    /// Admission entries answered (one per shard touched for
+    /// `get_many`/`get_range`); cache hits are in `cache_hits` only.
     pub requests: u64,
     /// Single-key reads answered via admission.
     pub gets: u64,
@@ -69,7 +70,9 @@ pub struct ServeStats {
     /// Batches executed by a submitting thread; the other
     /// `batches - caller_runs` ran on a shard's helper.
     pub caller_runs: u64,
-    /// Per-entry latency (enqueue → response routed), nanoseconds.
+    /// Latency per *admitted* entry (enqueue → response routed), ns;
+    /// cache hits record none, so on Zipf `get`s `p50()` is the *miss*
+    /// latency.
     pub latency: LatencyHist,
     /// Merged interleaved-engine counters across all batches
     /// (`engine.lookups` counts only residual keys — the batch minus

@@ -1,3 +1,4 @@
+use super::cache::HotCache;
 use super::*;
 use crate::store::{Backend, StoreConfig};
 
@@ -58,12 +59,13 @@ fn wait_queued(svc: &LookupService, shard: usize, n: usize) {
 fn lone_request_runs_on_the_caller() {
     let store = ShardedStore::build(Backend::Csb, 1, &pairs(100));
     let svc = LookupService::start(store, ServeConfig::default());
-    for _ in 0..32 {
-        assert_eq!(svc.get(42), Some(21));
+    for i in 0..32 {
+        assert_eq!(svc.get(i * 2), Some(i));
     }
     let stats = svc.stats();
-    // Every call found the shard idle, ran its own one-entry batch
-    // and handed an empty queue back: the helper never ran.
+    // Every call (32 distinct keys: no cache hit) found the shard
+    // idle, ran its own one-entry batch and handed an empty queue
+    // back: the helper never ran.
     assert_eq!(stats.batches, 32);
     assert_eq!(stats.caller_runs, 32);
     assert_eq!(stats.full_flushes, 0);
@@ -509,7 +511,6 @@ fn hot_cache_hits_skip_dispatch_and_writes_invalidate() {
         store,
         ServeConfig {
             batch: BatchPolicy { max_batch: 4 },
-            hot_cache_slots: 64,
             ..ServeConfig::default()
         },
     );
@@ -533,6 +534,131 @@ fn hot_cache_hits_skip_dispatch_and_writes_invalidate() {
     assert_eq!(svc.get(11), None);
     assert_eq!(svc.get(11), None);
     assert_eq!(svc.stats().cache_hits, 7);
+}
+
+/// The first `n` keys that share key 0's hot-cache slot and pass
+/// `keep`, found by scanning `u64`s with the cache's own index.
+fn slot_mates(n: usize, keep: impl Fn(u64) -> bool) -> Vec<u64> {
+    let slot = HotCache::idx(0);
+    (0u64..)
+        .filter(|&k| HotCache::idx(k) == slot && keep(k))
+        .take(n)
+        .collect()
+}
+
+#[test]
+fn hot_cache_colliding_insert_evicts_the_resident_key() {
+    let mates = slot_mates(2, |_| true);
+    let (a, b) = (mates[0], mates[1]);
+    let mut cache = HotCache::default();
+    cache.insert(a, Some(1));
+    assert_eq!(cache.probe(a), Some(Some(1)));
+    assert_eq!(cache.probe(b), None, "a slot mate is not a hit");
+    cache.insert(b, Some(2));
+    assert_eq!(cache.probe(a), None, "evicted");
+    assert_eq!(cache.probe(b), Some(Some(2)));
+}
+
+#[test]
+fn hot_cache_invalidating_an_absent_slot_mate_keeps_the_resident_key() {
+    let mates = slot_mates(2, |_| true);
+    let (a, b) = (mates[0], mates[1]);
+    let mut cache = HotCache::default();
+    cache.insert(a, Some(1));
+    cache.invalidate(b);
+    assert_eq!(cache.probe(a), Some(Some(1)));
+    cache.invalidate(a);
+    assert_eq!(cache.probe(a), None);
+}
+
+#[test]
+fn hot_cache_a_cached_absence_is_a_hit() {
+    let mut cache = HotCache::default();
+    cache.insert(7, None);
+    assert_eq!(cache.probe(7), Some(None), "cached None, not an empty slot");
+    cache.invalidate(7);
+    assert_eq!(cache.probe(7), None);
+}
+
+#[test]
+fn hot_cache_unallocated_misses_and_ignores_invalidate() {
+    let mut cache = HotCache::default();
+    assert_eq!(cache.probe(7), None);
+    cache.invalidate(7);
+    assert!(!cache.is_allocated());
+    cache.insert(7, Some(1));
+    assert!(cache.is_allocated());
+}
+
+#[test]
+fn colliding_keys_never_serve_a_stale_value() {
+    // Eight keys of one shard that all map to one cache slot, half of
+    // them stored up front; merges race the schedule (threshold 2).
+    let probe = ShardedStore::build(Backend::Csb, 2, &[]);
+    let shard = probe.shard_of(0);
+    let keys = slot_mates(8, |k| probe.shard_of(k) == shard);
+    let initial: Vec<(u64, u64)> = keys[..4].iter().map(|&k| (k, k + 1)).collect();
+    let store = ShardedStore::build_with(Backend::Csb, 2, &initial, StoreConfig::with_threshold(2));
+    let svc = LookupService::start(store, ServeConfig::default());
+    let mut oracle: std::collections::HashMap<u64, u64> = initial.into_iter().collect();
+    let check = |k: u64, oracle: &std::collections::HashMap<u64, u64>, step: u64| {
+        assert_eq!(svc.get(k), oracle.get(&k).copied(), "step {step} key {k}");
+    };
+    for step in 0..256u64 {
+        let key = keys[(step * 5 % 8) as usize];
+        // Every op meets both slot states: `key` resident (odd steps)
+        // or one of its seven slot mates (even steps).
+        let resident = if step % 2 == 1 {
+            key
+        } else {
+            keys[((step * 5 + 1 + step % 7) % 8) as usize]
+        };
+        check(resident, &oracle, step);
+        match step / 2 % 4 {
+            0 => assert_eq!(svc.put(key, step), oracle.insert(key, step), "step {step}"),
+            1 => assert_eq!(svc.remove(key), oracle.remove(&key), "step {step}"),
+            2 => {
+                let want: Vec<_> = keys.iter().map(|k| oracle.get(k).copied()).collect();
+                assert_eq!(svc.get_many(&keys), want, "step {step}");
+            }
+            _ => check(key, &oracle, step),
+        }
+        // `key` again at once (a stale or a hit answer shows here), then
+        // every key, each read evicting the one before.
+        check(key, &oracle, step);
+        for &k in &keys {
+            check(k, &oracle, step);
+        }
+    }
+    assert!(svc.stats().cache_hits > 0);
+}
+
+#[test]
+fn a_service_without_single_gets_never_allocates_its_cache() {
+    let store = ShardedStore::build_with(
+        Backend::Sorted,
+        2,
+        &pairs(100),
+        StoreConfig::with_threshold(2),
+    );
+    let svc = LookupService::start(store, ServeConfig::default());
+    let allocated = |shard: usize| {
+        svc.shards[shard]
+            .cache
+            .plock("hot-key cache")
+            .is_allocated()
+    };
+    assert_eq!(
+        svc.get_many(&[0, 2, 3, 4]),
+        vec![Some(0), Some(1), None, Some(2)]
+    );
+    assert!(!svc.get_range(0, 50).is_empty());
+    assert_eq!(svc.put(3, 30), None);
+    assert_eq!(svc.remove(2), Some(1));
+    assert!(!allocated(0) && !allocated(1));
+    // The first single-key read allocates its own shard's slots.
+    svc.get(4);
+    assert!(allocated(svc.store().shard_of(4)));
 }
 
 #[test]
@@ -644,13 +770,7 @@ fn cache_hit_after_close_still_panics() {
     // The hot-cache fast path must honor the use-after-close
     // contract even though it never touches an admission queue.
     let store = ShardedStore::build(Backend::Sorted, 1, &pairs(10));
-    let mut svc = LookupService::start(
-        store,
-        ServeConfig {
-            hot_cache_slots: 8,
-            ..ServeConfig::default()
-        },
-    );
+    let mut svc = LookupService::start(store, ServeConfig::default());
     assert_eq!(svc.get(2), Some(1));
     assert_eq!(svc.get(2), Some(1)); // cached now
     svc.close();

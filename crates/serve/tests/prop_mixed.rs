@@ -3,8 +3,7 @@
 //! agrees with a sequential `HashMap` oracle — on every backend,
 //! shard count, delta-merge threshold (including threshold 1 =
 //! merge-every-write and the 4096 default) and run-stack depth bound
-//! (`max_runs` 1 = fold-every-write, 4, and unbounded), with and
-//! without the hot-key cache.
+//! (`max_runs` 1 = fold-every-write, 4, and unbounded).
 //!
 //! Two angles:
 //!
@@ -53,23 +52,18 @@ fn initial_pairs() -> impl Strategy<Value = Vec<(u64, u64)>> {
         .prop_map(|map| map.into_iter().collect())
 }
 
-fn service(store: ShardedStore, hot_cache_slots: usize) -> LookupService {
-    service_with_policy(store, hot_cache_slots, ServeConfig::default().policy)
+fn service(store: ShardedStore) -> LookupService {
+    service_with_policy(store, ServeConfig::default().policy)
 }
 
 /// Same shape as [`service`], with the interleave policy swept.
-fn service_with_policy(
-    store: ShardedStore,
-    hot_cache_slots: usize,
-    policy: Interleave,
-) -> LookupService {
+fn service_with_policy(store: ShardedStore, policy: Interleave) -> LookupService {
     LookupService::start(
         store,
         ServeConfig {
             policy,
             batch: BatchPolicy { max_batch: 4 },
             queue_cap: 8,
-            hot_cache_slots,
             ..ServeConfig::default()
         },
     )
@@ -94,85 +88,83 @@ proptest! {
                 for (threshold, max_runs) in
                     [(1usize, 4usize), (3, 1), (4096, usize::MAX), (1 << 16, 4)]
                 {
-                    for cache in [0usize, 16] {
-                        let store = ShardedStore::build_with(
-                            backend,
-                            shards,
-                            &pairs,
-                            StoreConfig::with_threshold(threshold).with_max_runs(max_runs),
+                    let store = ShardedStore::build_with(
+                        backend,
+                        shards,
+                        &pairs,
+                        StoreConfig::with_threshold(threshold).with_max_runs(max_runs),
+                    );
+                    let svc = service(store);
+                    let mut oracle: HashMap<u64, u64> = pairs.iter().copied().collect();
+                    let mut puts = 0u64;
+                    for (step, op) in ops.iter().enumerate() {
+                        let tag = || format!(
+                            "backend={} shards={shards} threshold={threshold} \
+                             max_runs={max_runs} step={step} op={op:?}",
+                            backend.name()
                         );
-                        let svc = service(store, cache);
-                        let mut oracle: HashMap<u64, u64> = pairs.iter().copied().collect();
-                        let mut puts = 0u64;
-                        for (step, op) in ops.iter().enumerate() {
-                            let tag = || format!(
-                                "backend={} shards={shards} threshold={threshold} \
-                                 max_runs={max_runs} cache={cache} step={step} op={op:?}",
-                                backend.name()
-                            );
-                            match op {
-                                MixedOp::Get(k) => {
-                                    prop_assert_eq!(
-                                        svc.get(*k), oracle.get(k).copied(), "{}", tag()
-                                    );
-                                }
-                                MixedOp::Put(k, v) => {
-                                    puts += 1;
-                                    prop_assert_eq!(
-                                        svc.put(*k, *v), oracle.insert(*k, *v), "{}", tag()
-                                    );
-                                }
-                                MixedOp::Remove(k) => {
-                                    prop_assert_eq!(
-                                        svc.remove(*k), oracle.remove(k), "{}", tag()
-                                    );
-                                }
-                                MixedOp::GetMany(keys) => {
-                                    let want: Vec<Option<u64>> =
-                                        keys.iter().map(|k| oracle.get(k).copied()).collect();
-                                    prop_assert_eq!(svc.get_many(keys), want, "{}", tag());
-                                }
+                        match op {
+                            MixedOp::Get(k) => {
+                                prop_assert_eq!(
+                                    svc.get(*k), oracle.get(k).copied(), "{}", tag()
+                                );
+                            }
+                            MixedOp::Put(k, v) => {
+                                puts += 1;
+                                prop_assert_eq!(
+                                    svc.put(*k, *v), oracle.insert(*k, *v), "{}", tag()
+                                );
+                            }
+                            MixedOp::Remove(k) => {
+                                prop_assert_eq!(
+                                    svc.remove(*k), oracle.remove(k), "{}", tag()
+                                );
+                            }
+                            MixedOp::GetMany(keys) => {
+                                let want: Vec<Option<u64>> =
+                                    keys.iter().map(|k| oracle.get(k).copied()).collect();
+                                prop_assert_eq!(svc.get_many(keys), want, "{}", tag());
                             }
                         }
-                        // Full-keyspace sweep through get_many: the
-                        // final state matches the oracle everywhere,
-                        // not just on probed keys.
-                        let all: Vec<u64> = (0..KEYSPACE).collect();
-                        let want: Vec<Option<u64>> =
-                            all.iter().map(|k| oracle.get(k).copied()).collect();
-                        prop_assert_eq!(svc.get_many(&all), want);
-                        prop_assert_eq!(svc.store().len(), oracle.len());
+                    }
+                    // Full-keyspace sweep through get_many: the
+                    // final state matches the oracle everywhere,
+                    // not just on probed keys.
+                    let all: Vec<u64> = (0..KEYSPACE).collect();
+                    let want: Vec<Option<u64>> =
+                        all.iter().map(|k| oracle.get(k).copied()).collect();
+                    prop_assert_eq!(svc.get_many(&all), want);
+                    prop_assert_eq!(svc.store().len(), oracle.len());
 
-                        // Merges run on the background thread; settle
-                        // before asserting on maintenance state.
-                        svc.store().quiesce();
-                        let stats = svc.stats();
-                        // Once quiesced, no shard's residual delta
-                        // holds a full threshold (the merger would
-                        // have been re-kicked).
-                        prop_assert!(
-                            stats.delta_keys < (threshold * shards) as u64 + 1
-                        );
-                        prop_assert_eq!(stats.merge_backlog, 0);
-                        if threshold == 1 {
-                            // Merge-every-write: the drained delta is
-                            // empty; background merges coalesce, so
-                            // "some merge ran" is the strongest count
-                            // claim that survives timing.
-                            prop_assert_eq!(stats.delta_keys, 0);
-                            if puts > 0 {
-                                prop_assert!(stats.merges >= 1);
-                            }
-                            prop_assert_eq!(stats.bg_merges, stats.merges);
+                    // Merges run on the background thread; settle
+                    // before asserting on maintenance state.
+                    svc.store().quiesce();
+                    let stats = svc.stats();
+                    // Once quiesced, no shard's residual delta
+                    // holds a full threshold (the merger would
+                    // have been re-kicked).
+                    prop_assert!(
+                        stats.delta_keys < (threshold * shards) as u64 + 1
+                    );
+                    prop_assert_eq!(stats.merge_backlog, 0);
+                    if threshold == 1 {
+                        // Merge-every-write: the drained delta is
+                        // empty; background merges coalesce, so
+                        // "some merge ran" is the strongest count
+                        // claim that survives timing.
+                        prop_assert_eq!(stats.delta_keys, 0);
+                        if puts > 0 {
+                            prop_assert!(stats.merges >= 1);
                         }
-                        prop_assert_eq!(stats.merge_latency.count(), stats.merges);
-                        // Run-stack accounting: every fold needed a
-                        // pushed run, and a bound of 1 folds on every
-                        // multi-run publish.
-                        prop_assert!(stats.compactions <= stats.delta_runs);
-                        if max_runs == usize::MAX {
-                            prop_assert_eq!(stats.compactions, 0);
-                        }
+                        prop_assert_eq!(stats.bg_merges, stats.merges);
+                    }
+                    prop_assert_eq!(stats.merge_latency.count(), stats.merges);
+                    // Run-stack accounting: every fold needed a
+                    // pushed run, and a bound of 1 folds on every
+                    // multi-run publish.
+                    prop_assert!(stats.compactions <= stats.delta_runs);
+                    if max_runs == usize::MAX {
+                        prop_assert_eq!(stats.compactions, 0);
                     }
                 }
             }
@@ -204,7 +196,7 @@ proptest! {
                     &all_pairs,
                     StoreConfig::with_threshold(threshold),
                 );
-                let svc = service(store, 0);
+                let svc = service(store);
                 let store = svc.store();
                 let mut oracle: HashMap<u64, u64> = all_pairs.iter().copied().collect();
                 let tag = format!("backend={} threshold={threshold}", backend.name());
@@ -295,7 +287,7 @@ proptest! {
                     &pairs,
                     StoreConfig::with_threshold(2),
                 );
-                let svc = service_with_policy(store, 16, policy);
+                let svc = service_with_policy(store, policy);
                 let mut oracle: HashMap<u64, u64> = pairs.iter().copied().collect();
                 for (step, op) in ops.iter().enumerate() {
                     let tag = || format!("policy={policy} shards={shards} step={step} op={op:?}");
@@ -357,7 +349,7 @@ proptest! {
                     &pairs,
                     StoreConfig::with_threshold(2),
                 );
-                let svc = service(store, 16);
+                let svc = service(store);
                 // Client c owns exactly the keys ≡ c (mod CLIENTS);
                 // remap every key of the shared schedule into the
                 // client's residue class so schedules never collide.
