@@ -42,8 +42,8 @@
 //!    interleaved engine ([`isi_core::par`]), applies writes and range
 //!    scans in admission order between read runs, and routes each
 //!    result back through its ticket. A per-shard hot-key cache (1.5
-//!    MiB, allocated on the first single-key `get`) answers repeat
-//!    `get`s without admission and is invalidated by the write path.
+//!    MiB, allocated at start) answers repeat `get`s without admission
+//!    and is invalidated by the write path.
 //! 4. **Maintain in the background** — a threshold-crossing write
 //!    *enqueues a merge job*; the store's background merger thread
 //!    folds that shard's run stack into its mid tier (a minor merge:

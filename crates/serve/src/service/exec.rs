@@ -93,6 +93,7 @@ pub(super) fn execute_batch(ctx: ShardCtx<'_>, bufs: &mut Exec, full: bool, who:
                     cache.insert(*key, bufs.out[start]);
                 }
             }
+            cache.end_run(state.m.cache_hits.get());
             drop(cache);
             state
                 .engine

@@ -70,10 +70,12 @@
 //! applies the write to the delta and moves on, so no request's
 //! latency absorbs a rebuild.
 //!
-//! A per-shard **hot-key cache** (2^16 slots, 1.5 MiB, allocated on
-//! the first single-key `get`) sits in front of the admission queue,
-//! filled by the token holder with `get` results and invalidated by
-//! the write path before a write is acknowledged. A hit skips admission.
+//! A per-shard **hot-key cache** (2^16 slots, 1.5 MiB, allocated
+//! zeroed at start) sits in front of the admission queue, filled by
+//! the token holder with `get` results and invalidated by the write
+//! path before a write is acknowledged. A hit skips admission. On keys
+//! without skew the token holder drops the table for a while (see
+//! `cache.rs`): there every probe would only cost a cold line.
 //!
 //! **Failure.** A runner that unwinds (a failed WAL append panics)
 //! must not strand the token: a drop guard closes the shard, abandons

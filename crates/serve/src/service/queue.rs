@@ -98,7 +98,7 @@ pub(super) struct ShardState {
     /// [`ShardCounters`]); lock-free, so the client cache-hit fast
     /// path never contends with an executing batch.
     pub(super) m: ShardCounters,
-    /// The hot-key cache; its slots are allocated by the first fill.
+    /// The shard's hot-key cache.
     pub(super) cache: Mutex<HotCache>,
 }
 

@@ -1,4 +1,4 @@
-use super::cache::HotCache;
+use super::cache::{HotCache, BYPASS, WINDOW};
 use super::*;
 use crate::store::{Backend, StoreConfig};
 
@@ -547,47 +547,44 @@ fn slot_mates(n: usize, keep: impl Fn(u64) -> bool) -> Vec<u64> {
 }
 
 #[test]
-fn hot_cache_colliding_insert_evicts_the_resident_key() {
-    let mates = slot_mates(2, |_| true);
-    let (a, b) = (mates[0], mates[1]);
-    let mut cache = HotCache::default();
-    cache.insert(a, Some(1));
-    assert_eq!(cache.probe(a), Some(Some(1)));
-    assert_eq!(cache.probe(b), None, "a slot mate is not a hit");
-    cache.insert(b, Some(2));
-    assert_eq!(cache.probe(a), None, "evicted");
-    assert_eq!(cache.probe(b), Some(Some(2)));
-}
-
-#[test]
-fn hot_cache_invalidating_an_absent_slot_mate_keeps_the_resident_key() {
-    let mates = slot_mates(2, |_| true);
-    let (a, b) = (mates[0], mates[1]);
-    let mut cache = HotCache::default();
-    cache.insert(a, Some(1));
-    cache.invalidate(b);
-    assert_eq!(cache.probe(a), Some(Some(1)));
-    cache.invalidate(a);
-    assert_eq!(cache.probe(a), None);
-}
-
-#[test]
 fn hot_cache_a_cached_absence_is_a_hit() {
+    // Key 0 matches the key word of a zeroed (empty) slot.
     let mut cache = HotCache::default();
-    cache.insert(7, None);
-    assert_eq!(cache.probe(7), Some(None), "cached None, not an empty slot");
-    cache.invalidate(7);
-    assert_eq!(cache.probe(7), None);
+    assert_eq!(cache.probe(0), None, "an empty slot, not a cached None");
+    cache.insert(0, None);
+    assert_eq!(cache.probe(0), Some(None), "cached None, not an empty slot");
+    cache.invalidate(0);
+    assert_eq!(cache.probe(0), None);
 }
 
 #[test]
-fn hot_cache_unallocated_misses_and_ignores_invalidate() {
+fn hot_cache_drops_its_table_when_hits_are_rare_and_retries_later() {
     let mut cache = HotCache::default();
-    assert_eq!(cache.probe(7), None);
-    cache.invalidate(7);
-    assert!(!cache.is_allocated());
-    cache.insert(7, Some(1));
-    assert!(cache.is_allocated());
+    let miss_n = |cache: &mut HotCache, n: u64, hits: u64| {
+        for k in 0..n {
+            cache.insert(k, Some(k));
+        }
+        cache.end_run(hits);
+    };
+    // A window one miss short: no verdict yet.
+    miss_n(&mut cache, WINDOW - 1, 0);
+    assert_eq!(cache.probe(1), Some(Some(1)));
+    // The window's last miss, no hit in it: the table goes.
+    miss_n(&mut cache, 1, 0);
+    assert_eq!(cache.probe(1), None);
+    cache.insert(5, Some(5));
+    cache.invalidate(5);
+    assert_eq!(cache.probe(5), None, "a bypassed fill caches nothing");
+    // `BYPASS` misses later (the insert above was one), a fresh table.
+    miss_n(&mut cache, BYPASS - 2, 0);
+    assert_eq!(cache.probe(1), None);
+    miss_n(&mut cache, 1, 0);
+    assert_eq!(cache.probe(1), None, "the retried table starts empty");
+    cache.insert(3, None);
+    assert_eq!(cache.probe(3), Some(None));
+    // One hit per eight misses keeps it.
+    miss_n(&mut cache, WINDOW - 1, WINDOW / 8);
+    assert_eq!(cache.probe(2), Some(Some(2)));
 }
 
 #[test]
@@ -631,34 +628,6 @@ fn colliding_keys_never_serve_a_stale_value() {
         }
     }
     assert!(svc.stats().cache_hits > 0);
-}
-
-#[test]
-fn a_service_without_single_gets_never_allocates_its_cache() {
-    let store = ShardedStore::build_with(
-        Backend::Sorted,
-        2,
-        &pairs(100),
-        StoreConfig::with_threshold(2),
-    );
-    let svc = LookupService::start(store, ServeConfig::default());
-    let allocated = |shard: usize| {
-        svc.shards[shard]
-            .cache
-            .plock("hot-key cache")
-            .is_allocated()
-    };
-    assert_eq!(
-        svc.get_many(&[0, 2, 3, 4]),
-        vec![Some(0), Some(1), None, Some(2)]
-    );
-    assert!(!svc.get_range(0, 50).is_empty());
-    assert_eq!(svc.put(3, 30), None);
-    assert_eq!(svc.remove(2), Some(1));
-    assert!(!allocated(0) && !allocated(1));
-    // The first single-key read allocates its own shard's slots.
-    svc.get(4);
-    assert!(allocated(svc.store().shard_of(4)));
 }
 
 #[test]

@@ -10,7 +10,10 @@
 //! * **Sequential agreement** — one client issues the whole schedule;
 //!   per-shard FIFO makes the service's answers (including each
 //!   write's returned previous value) deterministic, so they must
-//!   match `HashMap` exactly, merge or no merge.
+//!   match `HashMap` exactly, merge or no merge. The hot-key cache
+//!   answers a repeated `get` without reaching the store, so each
+//!   `get` is checked again as a one-key `get_many`, which always
+//!   does.
 //! * **Concurrent disjoint-key clients** — four clients run the same
 //!   schedule shape on disjoint key sets; each client's own results
 //!   must match an oracle restricted to its keys (read-your-writes
@@ -105,9 +108,9 @@ proptest! {
                         );
                         match op {
                             MixedOp::Get(k) => {
-                                prop_assert_eq!(
-                                    svc.get(*k), oracle.get(k).copied(), "{}", tag()
-                                );
+                                let want = oracle.get(k).copied();
+                                prop_assert_eq!(svc.get(*k), want, "{}", tag());
+                                prop_assert_eq!(svc.get_many(&[*k]), vec![want], "{}", tag());
                             }
                             MixedOp::Put(k, v) => {
                                 puts += 1;
@@ -223,7 +226,9 @@ proptest! {
                         fresh += 1;
                     }
                     store.quiesce();
-                    prop_assert_eq!(svc.get(1_000), None, "{}", tag);
+                    // `get_many`, not `get`: the store must answer,
+                    // not the hot-key cache.
+                    prop_assert_eq!(svc.get_many(&[1_000]), vec![None], "{}", tag);
                     if store.major_merges() == 0 {
                         prop_assert_eq!(store.mid_len(), mid + threshold, "{}", tag);
                     }
@@ -236,7 +241,9 @@ proptest! {
                 for (step, op) in ops.iter().enumerate() {
                     match op {
                         MixedOp::Get(k) => {
-                            prop_assert_eq!(svc.get(*k), oracle.get(k).copied(), "{} step={}", tag, step);
+                            let want = oracle.get(k).copied();
+                            prop_assert_eq!(svc.get(*k), want, "{} step={}", tag, step);
+                            prop_assert_eq!(svc.get_many(&[*k]), vec![want], "{} step={}", tag, step);
                         }
                         MixedOp::Put(k, v) => {
                             prop_assert_eq!(svc.put(*k, *v), oracle.insert(*k, *v), "{} step={}", tag, step);
