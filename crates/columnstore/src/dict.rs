@@ -24,6 +24,7 @@ use isi_csb::lookup::descend_level;
 use isi_csb::{CsbTree, InnerNode, LeafNode, TreeView};
 use isi_search::key::SearchKey;
 use isi_search::locate::{resolve_rank, NOT_FOUND};
+use isi_search::seq::next_low;
 use isi_search::{bulk_rank_coro_par, cost};
 
 /// Read-optimized dictionary: sorted distinct values; code = position.
@@ -261,8 +262,7 @@ where
                 dict.compute(cost::CORO_SWITCH);
             }
             dict.compute(cost::CORO_ITER + K::COMPARE_COST);
-            let le = (*dict.at(code as usize) <= value) as usize;
-            low = le * probe + (1 - le) * low;
+            low = next_low(*dict.at(code as usize) <= value, probe, low);
             size -= half;
         }
         let code = leaf.values[low];

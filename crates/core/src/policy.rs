@@ -59,11 +59,13 @@ impl Default for Interleave {
     /// The paper's optimum (§5.4.5, Figure 7) is 6 on a Haswell with
     /// `PREFETCHNTA`. With the `PREFETCHT0` hint used here (see
     /// [`crate::prefetch`]) the sweep in
-    /// `crates/bench/benches/group_size.rs` is flat from 16 to 48 on
-    /// binary search, the CSB+-tree and the hash probe, and group 6 sits
-    /// up to 13 % off the plateau (README, "Deviations from the paper's
-    /// §5.1 constants"); end to end, `join_cold` gains 12–15 % from 6
-    /// to 24 and `join_hot` is unmoved.
+    /// `crates/bench/benches/group_size.rs` is flat from 12–16 to 48 on
+    /// binary search, the CSB+-tree and the hash probe. Group 6 sits 45 %
+    /// off the plateau on binary search (171 against 118–127 ns/lookup)
+    /// and 13 % on the hash probe, and group 24 is within 4 % of the best
+    /// cell (README, "Deviations from the paper's §5.1 constants"). End to
+    /// end, `join_cold` gained 12–15 % from 6 to 24 and `join_hot` did not
+    /// move.
     /// A lookup's switch costs the same at any group size, so the middle
     /// of the plateau is taken: it leaves room on either side if the
     /// memory latency of the host differs.

@@ -15,6 +15,7 @@ use isi_core::mem::IndexedMem;
 
 use crate::cost;
 use crate::key::SearchKey;
+use crate::seq::next_low;
 
 // [table5:amac:begin]
 /// Stage of one AMAC instruction stream (Listing 4's `enum stage`).
@@ -108,11 +109,10 @@ pub fn bulk_rank_amac<K: SearchKey, M: IndexedMem<K>>(
                 }
             }
             Stage::Access => {
-                let le = (*mem.at(st.probe) <= st.value) as usize;
+                st.low = next_low(*mem.at(st.probe) <= st.value, st.probe, st.low);
                 // State writeback to the circular buffer cannot overlap
                 // the miss it just consumed.
                 mem.compute(cost::AMAC_ITER / 2 + K::COMPARE_COST);
-                st.low = le * st.probe + (1 - le) * st.low;
                 st.stage = Stage::Prefetch;
             }
             Stage::Done => {}

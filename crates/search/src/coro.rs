@@ -16,8 +16,9 @@
 //!
 //! The coroutine suspends at every halving, the last ones included,
 //! although those stay within a line or two of the previous probe. Two
-//! ways of skipping them were measured on the repo benchmark and lost
-//! (README, "Deviations from the paper's §5.1 constants"): suspending
+//! ways of skipping them were measured on the repo benchmark, before the
+//! halving step compiled to a CMOV, and lost (README, "Deviations from
+//! the paper's §5.1 constants"): suspending
 //! only when the probe leaves the line just read makes the suspension
 //! a data-dependent branch that mispredicts about once per lookup, and
 //! fetching the whole remaining range under one last suspension adds a
@@ -33,6 +34,7 @@ use isi_core::sched::{run_interleaved, run_sequential, RunStats};
 
 use crate::cost;
 use crate::key::SearchKey;
+use crate::seq::next_low;
 
 // [table5:coro-u:begin]
 /// Binary-search coroutine, unified sequential/interleaved codepath
@@ -54,13 +56,12 @@ pub async fn rank_coro<const INTERLEAVE: bool, K: SearchKey, M: IndexedMem<K>>(
             suspend().await;
         }
         mem.compute(cost::CORO_ITER + K::COMPARE_COST);
-        let le = (*mem.at(probe) <= value) as usize;
+        low = next_low(*mem.at(probe) <= value, probe, low);
         if INTERLEAVE {
             // Suspend/resume bookkeeping executes after the value is
             // consumed (it cannot overlap the miss it just exposed).
             mem.compute(cost::CORO_SWITCH);
         }
-        low = le * probe + (1 - le) * low;
         size -= half;
     }
     low as u32
@@ -83,9 +84,8 @@ pub async fn rank_coro_separate<K: SearchKey, M: IndexedMem<K>>(mem: M, value: K
         mem.prefetch(probe);
         suspend().await;
         mem.compute(cost::CORO_ITER + K::COMPARE_COST);
-        let le = (*mem.at(probe) <= value) as usize;
+        low = next_low(*mem.at(probe) <= value, probe, low);
         mem.compute(cost::CORO_SWITCH);
-        low = le * probe + (1 - le) * low;
         size -= half;
     }
     low as u32

@@ -14,6 +14,7 @@ use isi_core::mem::IndexedMem;
 
 use crate::cost;
 use crate::key::SearchKey;
+use crate::seq::next_low;
 
 /// Maximum group size accepted (a GP group shares one state array; huge
 /// groups would only thrash the cache — §5.4.5).
@@ -60,9 +61,8 @@ pub fn bulk_rank_gp<K: SearchKey, M: IndexedMem<K>>(
             // streams' worth of work to complete.
             for (i, low) in lows[..g].iter_mut().enumerate() {
                 let probe = *low + half;
-                let le = (*mem.at(probe) <= group[i]) as usize;
+                *low = next_low(*mem.at(probe) <= group[i], probe, *low);
                 mem.compute(cost::GP_ITER + K::COMPARE_COST);
-                *low = le * probe + (1 - le) * *low;
             }
             size -= half;
         }

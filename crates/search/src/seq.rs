@@ -42,14 +42,29 @@ pub fn rank_branchy<K: SearchKey, M: IndexedMem<K>>(mem: &M, value: K) -> u32 {
     lo.saturating_sub(1) as u32
 }
 
+/// One branch-free halving: the new `low` is `probe` when
+/// `table[probe] <= value` (`le`), else `low` is kept.
+///
+/// Every binary search in the workspace (Baseline, GP, AMAC, CORO and
+/// the delta dictionary's leaf search) selects through this one step.
+/// The arithmetic form (`probe` times the comparison result plus `low`
+/// times its complement) is lowered by LLVM to a conditional branch on
+/// the comparison inside interleaved loops (and in the bulk Baseline
+/// once inlined), and that branch mispredicts about once every two
+/// halvings on uniform keys; `select_unpredictable` keeps the CMOV.
+#[inline(always)]
+pub fn next_low(le: bool, probe: usize, low: usize) -> usize {
+    std::hint::select_unpredictable(le, probe, low)
+}
+
 // [table5:baseline:begin]
 /// Branch-free binary search — the paper's `Baseline` (Listing 2 with the
 /// conditional move the text describes).
 ///
-/// The comparison selects the new `low` arithmetically, so no branch is
-/// speculated and no pipeline slots are wasted; the price is that the
-/// dependent load cannot issue before the comparison resolves, which is
-/// exactly why `std` overtakes `Baseline` once the array outgrows the
+/// The comparison selects the new `low` with a conditional move
+/// ([`next_low`]), so no branch is speculated and no pipeline slots are
+/// wasted; the price is that the dependent load cannot issue before the
+/// comparison resolves, which is exactly why `std` overtakes `Baseline` once the array outgrows the
 /// cache (§5.4.1).
 pub fn rank_branchfree<K: SearchKey, M: IndexedMem<K>>(mem: &M, value: K) -> u32 {
     let mut low = 0usize;
@@ -61,9 +76,7 @@ pub fn rank_branchfree<K: SearchKey, M: IndexedMem<K>>(mem: &M, value: K) -> u32
         }
         let probe = low + half;
         mem.compute(cost::BASE_ITER + K::COMPARE_COST);
-        // Branch-free select: on x86-64 this lowers to CMOV.
-        let le = (*mem.at(probe) <= value) as usize;
-        low = le * probe + (1 - le) * low;
+        low = next_low(*mem.at(probe) <= value, probe, low);
         size -= half;
     }
     low as u32
