@@ -4,9 +4,8 @@
 //! The serving layer (`isi-serve`) partitions a `u64 → u64` key/value
 //! store into shards whose read-optimized **main** index is one of the
 //! workspace's interleaved-friendly structures — a sorted column, a
-//! CSB+-tree, or a chained hash table. Historically the store matched
-//! on a private enum at every call site; this trait replaces that
-//! scattered dispatch with one object-safe surface, implemented next
+//! CSB+-tree, or a chained hash table. This trait is the one
+//! object-safe surface the store dispatches through, implemented next
 //! to each index (`isi_search::shard`, `isi_csb::shard`,
 //! `isi_hash::shard`):
 //!
@@ -17,9 +16,8 @@
 //!   [`run_interleaved_par`](crate::par::run_interleaved_par) with the
 //!   index's coroutine; which instantiation runs and how results reach
 //!   `out` are the engine's business, not the driver's.
-//! * [`scan_range`](ShardBackend::scan_range) — ordered range read;
-//!   natural for the sorted structures, sort-on-demand for the hash
-//!   table.
+//! * [`pairs`](ShardBackend::pairs) — every pair in key order, the
+//!   input of a major merge.
 //! * [`rebuild`](ShardBackend::rebuild) — build a replacement backend
 //!   of the same kind from merged pairs; the maintenance layer calls
 //!   this off the serve path and publishes the result through an
@@ -39,7 +37,7 @@ use crate::policy::Interleave;
 use crate::sched::RunStats;
 
 /// One shard's immutable main index: batched point probes through the
-/// interleaved engine, ordered range scans, and merge-time rebuilds.
+/// interleaved engine, its pairs in key order, and merge-time rebuilds.
 ///
 /// See the [module docs](self) for the immutability contract.
 pub trait ShardBackend: Send + Sync {
@@ -73,19 +71,10 @@ pub trait ShardBackend: Send + Sync {
         out: &mut [Option<u64>],
     ) -> RunStats;
 
-    /// Append every pair with `lo <= key <= hi` to `out`, in ascending
-    /// key order. An inverted range (`lo > hi`) appends nothing.
-    fn scan_range(&self, lo: u64, hi: u64, out: &mut Vec<(u64, u64)>);
-
     /// Build a replacement backend of the same kind from
     /// strictly-sorted, duplicate-free pairs (a delta merge's output).
     fn rebuild(&self, pairs: &[(u64, u64)]) -> Arc<dyn ShardBackend>;
 
-    /// Every pair in ascending key order (merge input). The default
-    /// implementation is a full-range scan.
-    fn pairs(&self) -> Vec<(u64, u64)> {
-        let mut out = Vec::with_capacity(self.len());
-        self.scan_range(0, u64::MAX, &mut out);
-        out
-    }
+    /// Every pair in ascending key order (merge input).
+    fn pairs(&self) -> Vec<(u64, u64)>;
 }

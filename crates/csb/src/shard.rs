@@ -3,9 +3,8 @@
 //!
 //! Batch lookups descend the tree through the interleaved traversal
 //! coroutines ([`crate::lookup::bulk_lookup_par`], the paper's
-//! Listing 6); range scans ride [`CsbTree::for_each_in_range`], which
-//! prunes whole node groups outside the bounds; rebuilds bulk-load a
-//! fresh fully-packed tree ([`CsbTree::from_sorted`]).
+//! Listing 6); rebuilds bulk-load a fresh fully-packed tree
+//! ([`CsbTree::from_sorted`]).
 
 use std::sync::Arc;
 
@@ -63,11 +62,6 @@ impl ShardBackend for CsbShard {
         )
     }
 
-    fn scan_range(&self, lo: u64, hi: u64, out: &mut Vec<(u64, u64)>) {
-        self.tree
-            .for_each_in_range(&lo, &hi, |k, v| out.push((*k, *v)));
-    }
-
     fn rebuild(&self, pairs: &[(u64, u64)]) -> Arc<dyn ShardBackend> {
         Arc::new(Self::build(pairs))
     }
@@ -105,25 +99,11 @@ mod tests {
     }
 
     #[test]
-    fn scan_range_matches_filter() {
-        let s = shard(500);
-        for (lo, hi) in [(0, 0), (5, 100), (299, 1501), (0, u64::MAX), (200, 100)] {
-            let mut got = Vec::new();
-            s.scan_range(lo, hi, &mut got);
-            let want: Vec<(u64, u64)> = s
-                .pairs()
-                .into_iter()
-                .filter(|&(k, _)| lo <= k && k <= hi)
-                .collect();
-            assert_eq!(got, want, "[{lo}, {hi}]");
-        }
-    }
-
-    #[test]
     fn rebuild_roundtrip_and_empty() {
-        let s = shard(64);
-        let rebuilt = s.rebuild(&s.pairs());
-        assert_eq!(rebuilt.pairs(), s.pairs());
+        let pairs: Vec<(u64, u64)> = (0..64).map(|i| (i * 3, i + 100)).collect();
+        let s = CsbShard::build(&pairs);
+        assert_eq!(s.pairs(), pairs);
+        assert_eq!(s.rebuild(&pairs).pairs(), pairs);
         let empty = CsbShard::build(&[]);
         assert!(empty.is_empty());
         let mut out = vec![None; 1];

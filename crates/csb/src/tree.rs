@@ -346,34 +346,6 @@ impl<K: Copy + Ord + Default, V: Copy + Default> CsbTree<K, V> {
         out
     }
 
-    /// Visit entries with `lo <= key <= hi` in key order.
-    pub fn for_each_in_range(&self, lo: &K, hi: &K, mut f: impl FnMut(&K, &V)) {
-        if lo > hi {
-            return;
-        }
-        self.walk_range(self.root, self.height, lo, hi, &mut f);
-    }
-
-    fn walk_range(&self, idx: u32, level: u32, lo: &K, hi: &K, f: &mut impl FnMut(&K, &V)) {
-        if level == 0 {
-            let leaf = &self.leaves[idx as usize];
-            for i in 0..leaf.nkeys as usize {
-                let k = &leaf.keys[i];
-                if k >= lo && k <= hi {
-                    f(k, &leaf.values[i]);
-                }
-            }
-        } else {
-            let node = &self.inners[idx as usize];
-            let first = node.child_slot(lo).min(node.children() - 1);
-            // hi-bound: children after child_slot(hi) cannot contain keys <= hi.
-            let last = node.child_slot(hi).min(node.children() - 1);
-            for c in first..=last {
-                self.walk_range(node.first_child + c as u32, level - 1, lo, hi, f);
-            }
-        }
-    }
-
     /// Rebuild into a compact, garbage-free, fully-packed tree.
     pub fn rebuilt(&self) -> Self {
         Self::from_sorted(&self.items())
@@ -621,25 +593,6 @@ mod tests {
         }
         let (gi, gl) = t.garbage();
         assert!(gl > 0, "splits must orphan leaf groups ({gi}, {gl})");
-    }
-
-    #[test]
-    fn range_query_matches_filter() {
-        let pairs: Vec<(u32, u32)> = (0..300).map(|i| (i * 3, i)).collect();
-        let t = CsbTree::from_sorted(&pairs);
-        let mut got = Vec::new();
-        t.for_each_in_range(&100, &200, |k, v| got.push((*k, *v)));
-        let expect: Vec<(u32, u32)> = pairs
-            .iter()
-            .copied()
-            .filter(|(k, _)| (100..=200).contains(k))
-            .collect();
-        assert_eq!(got, expect);
-        // Empty and inverted ranges.
-        let mut n = 0;
-        t.for_each_in_range(&901, &902, |_, _| n += 1);
-        assert_eq!(n, 0);
-        t.for_each_in_range(&200, &100, |_, _| panic!("inverted range"));
     }
 
     #[test]

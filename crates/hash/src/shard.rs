@@ -3,16 +3,11 @@
 //!
 //! Batch lookups chase bucket chains through the interleaved probe
 //! coroutines ([`crate::probe::bulk_probe_par`], the paper's
-//! Section 6). The table has no key order, so range scans use a
-//! **sort-on-demand** snapshot: the first `scan_range` (or `pairs`)
-//! call sorts the entry arena once into a [`OnceLock`]-cached run, and
-//! every later scan is two `partition_point`s over that run. The cache
-//! is sound because a backend is immutable once built — a merge
-//! produces a *new* `HashShard` with an empty cache rather than
-//! mutating this one.
+//! Section 6). The table has no key order, so
+//! [`pairs`](ShardBackend::pairs) sorts the entry arena on each call —
+//! once per major merge.
 
 use std::sync::Arc;
-use std::sync::OnceLock;
 
 use isi_core::backend::ShardBackend;
 use isi_core::par::ParConfig;
@@ -22,13 +17,9 @@ use isi_core::sched::RunStats;
 use crate::table::ChainedHashTable;
 
 /// A chained hash table over `u64 → u64`, servable in bulk by the
-/// interleaved probe drivers, with sort-on-demand range scans.
+/// interleaved probe drivers.
 pub struct HashShard {
     table: ChainedHashTable<u64, u64>,
-    /// Key-sorted snapshot of the entry arena, built by the first
-    /// range scan. `None` until a scan happens: point-lookup-only
-    /// workloads never pay the sort.
-    sorted: OnceLock<Vec<(u64, u64)>>,
 }
 
 impl HashShard {
@@ -38,30 +29,12 @@ impl HashShard {
         for &(k, v) in pairs {
             table.insert(k, v);
         }
-        Self {
-            table,
-            sorted: OnceLock::new(),
-        }
+        Self { table }
     }
 
     /// The underlying table.
     pub fn table(&self) -> &ChainedHashTable<u64, u64> {
         &self.table
-    }
-
-    /// The sort-on-demand snapshot (first call sorts, later calls are
-    /// free).
-    fn sorted_pairs(&self) -> &[(u64, u64)] {
-        self.sorted.get_or_init(|| {
-            let mut run: Vec<(u64, u64)> = self
-                .table
-                .entries()
-                .iter()
-                .map(|e| (e.key, e.val))
-                .collect();
-            run.sort_unstable_by_key(|&(k, _)| k);
-            run
-        })
     }
 }
 
@@ -85,22 +58,19 @@ impl ShardBackend for HashShard {
         crate::probe::bulk_probe_par(&self.table, keys, policy.group_or_one(), par, out)
     }
 
-    fn scan_range(&self, lo: u64, hi: u64, out: &mut Vec<(u64, u64)>) {
-        if lo > hi {
-            return;
-        }
-        let run = self.sorted_pairs();
-        let a = run.partition_point(|&(k, _)| k < lo);
-        let b = run.partition_point(|&(k, _)| k <= hi);
-        out.extend_from_slice(&run[a..b]);
-    }
-
     fn rebuild(&self, pairs: &[(u64, u64)]) -> Arc<dyn ShardBackend> {
         Arc::new(Self::build(pairs))
     }
 
     fn pairs(&self) -> Vec<(u64, u64)> {
-        self.sorted_pairs().to_vec()
+        let mut run: Vec<(u64, u64)> = self
+            .table
+            .entries()
+            .iter()
+            .map(|e| (e.key, e.val))
+            .collect();
+        run.sort_unstable_by_key(|&(k, _)| k);
+        run
     }
 }
 
@@ -132,33 +102,14 @@ mod tests {
     }
 
     #[test]
-    fn scan_range_sorts_on_demand_and_matches_filter() {
-        let s = shard(500);
-        // pairs() must come out sorted even though the table isn't.
-        let all = s.pairs();
-        assert!(all.windows(2).all(|w| w[0].0 < w[1].0));
-        assert_eq!(all.len(), 500);
-        for (lo, hi) in [(0, 0), (5, 100), (299, 1501), (0, u64::MAX), (200, 100)] {
-            let mut got = Vec::new();
-            s.scan_range(lo, hi, &mut got);
-            let want: Vec<(u64, u64)> = all
-                .iter()
-                .copied()
-                .filter(|&(k, _)| lo <= k && k <= hi)
-                .collect();
-            assert_eq!(got, want, "[{lo}, {hi}]");
-        }
-    }
-
-    #[test]
     fn rebuild_roundtrip_and_empty() {
-        let s = shard(64);
-        let rebuilt = s.rebuild(&s.pairs());
-        assert_eq!(rebuilt.pairs(), s.pairs());
+        // pairs() must come out sorted even though the table isn't.
+        let pairs: Vec<(u64, u64)> = (0..500).map(|i| (i * 3, i + 100)).collect();
+        let s = HashShard::build(&pairs);
+        assert_eq!(s.pairs(), pairs);
+        assert_eq!(s.rebuild(&pairs).pairs(), pairs);
         let empty = HashShard::build(&[]);
         assert!(empty.is_empty());
-        let mut got = Vec::new();
-        empty.scan_range(0, u64::MAX, &mut got);
-        assert!(got.is_empty());
+        assert!(empty.pairs().is_empty());
     }
 }

@@ -15,7 +15,7 @@
 //!    [`registry`] module docs for the exact contract.
 //! 2. **[`Stage`] spans** — a closed enum of serve-path pipeline
 //!    stages (admission wait, plan, engine, writeback, commit, WAL
-//!    append/fsync, merge, range scan, backpressure), each feeding a
+//!    append/fsync, merge, backpressure), each feeding a
 //!    per-shard [`AtomicHist`] so any batch's latency decomposes into
 //!    a per-stage breakdown.
 //! 3. **[`TraceSet`] events** — bounded per-shard rings of `Copy`

@@ -3,10 +3,11 @@
 //! Every batch that flows through the service crosses a fixed set of
 //! pipeline stages (admission queue → plan → engine → writeback →
 //! commit, with WAL and merge work hanging off the write side). The
-//! [`Stage`] enum names them once, so the store, the service, the
-//! bench renderer, and the schema verifier all agree on the same
-//! spelling — a typo'd stage string cannot silently create an
-//! extra histogram.
+//! [`Stage`] enum names them once, so the store and the service that
+//! record a stage, the `{prefix}_stage_ns{shard,stage}` metric labels
+//! and the `serve` example's stage table all agree on the same
+//! spelling — a typo'd stage string cannot silently create an extra
+//! histogram.
 //!
 //! [`SpanTimer`] is deliberately thin: capture a start timestamp,
 //! subtract later. The timestamp comes from [`now_ns`], a monotonic
@@ -43,8 +44,6 @@ pub enum Stage {
     /// One shard merge, minor (run stack → mid tier) or major (mid
     /// tier + main → rebuilt main), foreground or background.
     Merge,
-    /// One shard-local range scan (main/delta merge-join).
-    RangeScan,
     /// Producer-side stall waiting for admission-queue or delta
     /// capacity.
     Backpressure,
@@ -52,7 +51,7 @@ pub enum Stage {
 
 impl Stage {
     /// Number of stages (length of [`Stage::ALL`]).
-    pub const COUNT: usize = 10;
+    pub const COUNT: usize = 9;
 
     /// Every stage, in discriminant order.
     pub const ALL: [Stage; Self::COUNT] = [
@@ -64,7 +63,6 @@ impl Stage {
         Stage::WalAppend,
         Stage::WalFsync,
         Stage::Merge,
-        Stage::RangeScan,
         Stage::Backpressure,
     ];
 
@@ -86,7 +84,6 @@ impl Stage {
             Stage::WalAppend => "wal_append",
             Stage::WalFsync => "wal_fsync",
             Stage::Merge => "merge",
-            Stage::RangeScan => "range_scan",
             Stage::Backpressure => "backpressure",
         }
     }

@@ -4,8 +4,7 @@
 //! A key column and an aligned value column, both sorted by key. Batch
 //! lookups rank through the interleaved binary-search coroutines
 //! ([`crate::par::bulk_rank_coro_par`]) and resolve rank → value with
-//! one equality check; range scans are two `partition_point`s and a
-//! slice copy — the cheapest `scan_range` of the three backends.
+//! one equality check.
 //!
 //! Both columns are advised onto transparent huge pages before they
 //! are filled ([`isi_core::topo::advise_huge_pages`]): the deep probes
@@ -91,22 +90,16 @@ impl ShardBackend for SortedShard {
         stats
     }
 
-    fn scan_range(&self, lo: u64, hi: u64, out: &mut Vec<(u64, u64)>) {
-        if lo > hi {
-            return;
-        }
-        let a = self.keys.partition_point(|&k| k < lo);
-        let b = self.keys.partition_point(|&k| k <= hi);
-        out.extend(
-            self.keys[a..b]
-                .iter()
-                .copied()
-                .zip(self.vals[a..b].iter().copied()),
-        );
-    }
-
     fn rebuild(&self, pairs: &[(u64, u64)]) -> Arc<dyn ShardBackend> {
         Arc::new(Self::build(pairs))
+    }
+
+    fn pairs(&self) -> Vec<(u64, u64)> {
+        self.keys
+            .iter()
+            .copied()
+            .zip(self.vals.iter().copied())
+            .collect()
     }
 }
 
@@ -138,25 +131,11 @@ mod tests {
     }
 
     #[test]
-    fn scan_range_matches_filter() {
-        let s = shard(300);
-        for (lo, hi) in [(0, 0), (5, 100), (99, 301), (0, u64::MAX), (200, 100)] {
-            let mut got = Vec::new();
-            s.scan_range(lo, hi, &mut got);
-            let want: Vec<(u64, u64)> = s
-                .pairs()
-                .into_iter()
-                .filter(|&(k, _)| lo <= k && k <= hi)
-                .collect();
-            assert_eq!(got, want, "[{lo}, {hi}]");
-        }
-    }
-
-    #[test]
     fn rebuild_roundtrip_and_empty() {
-        let s = shard(50);
-        let rebuilt = s.rebuild(&s.pairs());
-        assert_eq!(rebuilt.pairs(), s.pairs());
+        let pairs: Vec<(u64, u64)> = (0..50).map(|i| (i * 3, i + 100)).collect();
+        let s = SortedShard::build(&pairs);
+        assert_eq!(s.pairs(), pairs);
+        assert_eq!(s.rebuild(&pairs).pairs(), pairs);
         let empty = SortedShard::build(&[]);
         assert!(empty.is_empty());
         assert_eq!(empty.get(7), None);

@@ -11,8 +11,8 @@
 //!    hash-partitions the data across power-of-two shards. Each shard
 //!    is a **Main/Delta pair**: an immutable main behind the
 //!    [`ShardBackend`](isi_core::backend::ShardBackend) trait (sorted
-//!    column, CSB+-tree, or chained hash table — batched probes,
-//!    ordered range scans, merge-time rebuilds), plus a small delta of
+//!    column, CSB+-tree, or chained hash table — batched probes and
+//!    merge-time rebuilds), plus a small delta of
 //!    upserts and tombstones held as a **stack of immutable sorted
 //!    runs** — one run per dispatched write run, newest run wins,
 //!    folded into a single run past
@@ -20,9 +20,8 @@
 //! 2. **Admit & batch** — in a [`LookupService`](service::LookupService)
 //!    `get`/`put`/`remove` enqueue into the owning shard's bounded FIFO
 //!    admission queue (blocking when full — backpressure), while
-//!    [`get_many`](service::LookupService::get_many) and
-//!    [`get_range`](service::LookupService::get_range) pre-partition
-//!    client-side and submit one entry per shard. Each shard has one
+//!    [`get_many`](service::LookupService::get_many) pre-partitions
+//!    client-side and submits one entry per shard. Each shard has one
 //!    **executor token** inside its queue state, and taking it out
 //!    under the queue lock is the right to run the shard: **the thread
 //!    that finds the shard idle runs its own request** — no hand-off,
@@ -39,8 +38,8 @@
 //!    each read run against the delta into a
 //!    [`BatchPlan`](plan::BatchPlan) (delta-decided keys skip the
 //!    engine), drives the dense residual through the morsel-parallel
-//!    interleaved engine ([`isi_core::par`]), applies writes and range
-//!    scans in admission order between read runs, and routes each
+//!    interleaved engine ([`isi_core::par`]), applies writes in
+//!    admission order between read runs, and routes each
 //!    result back through its ticket. A per-shard hot-key cache (1.5
 //!    MiB, allocated at start) answers repeat `get`s without admission
 //!    and is invalidated by the write path.
@@ -74,7 +73,7 @@
 //! 6. **Measure** — every counter and histogram lives in an
 //!    [`isi_obs`] metrics registry (store-side `store_*`, service-side
 //!    `serve_*`): [`ServeStats`](service::ServeStats) is one coherent
-//!    snapshot of both (write, cache, plan, range-scan, delta-size,
+//!    snapshot of both (write, cache, plan, delta-size,
 //!    merge and WAL counters plus the admission→response
 //!    [`LatencyHist`](isi_core::stats::LatencyHist)), each pipeline
 //!    stage (admission wait, plan, engine, writeback, commit, WAL
@@ -111,13 +110,6 @@
 //!     vec![Some(7), Some(1), None],
 //! );
 //! assert_eq!(svc.stats().many_keys, 3);
-//!
-//! // Ordered range scan: every shard's Main/Delta slice merge-joined
-//! // (the pending put of 84 is visible) and reordered client-side.
-//! assert_eq!(
-//!     svc.get_range(80, 88),
-//!     vec![(80, 40), (82, 41), (84, 7), (86, 43), (88, 44)],
-//! );
 //! ```
 
 pub mod plan;

@@ -8,11 +8,10 @@ use super::queue::{Exec, Op, Runner, ShardCtx};
 /// Execute the batch drained into `bufs.batch` in admission order:
 /// maximal runs of consecutive point reads are planned against the
 /// delta and the residual goes through the interleaved engine as one
-/// batch; writes
-/// and range scans apply one at a time between runs (each write
-/// invalidating its hot-cache slot *before* its ticket is fulfilled).
-/// Writes only append to the delta — a threshold crossing enqueues a
-/// background merge job, it never rebuilds here.
+/// batch; maximal runs of consecutive writes apply between them (each
+/// write invalidating its hot-cache slot *before* its ticket is
+/// fulfilled). Writes only append to the delta — a threshold crossing
+/// enqueues a background merge job, it never rebuilds here.
 ///
 /// An entry's counters and latency sample land *before* its ticket is
 /// fulfilled (the counters are lock-free `Release` bumps, the stats
@@ -122,80 +121,64 @@ pub(super) fn execute_batch(ctx: ShardCtx<'_>, bufs: &mut Exec, full: bool, who:
             }
             obs.record_stage(shard, Stage::Commit, commit_t.elapsed_ns());
         }
-        // Apply the writes and range scans that ended the run, in
-        // admission order. Consecutive writes form one write run —
-        // one `apply_write_run` call, which on a durable store is one
-        // WAL record + one fsync (group commit) covering every op in
-        // the run before any of its tickets resolve. The store call
-        // (which may block briefly at the delta's hard bound), the range
-        // scan and the cache invalidation run unlocked; only the
-        // counter-update + fulfill pass takes the metrics lock.
+        // Apply the write run that ended the read run, in admission
+        // order: one `apply_write_run` call, which on a durable store
+        // is one WAL record + one fsync (group commit) covering every
+        // op in the run before any of its tickets resolve. The store
+        // call may block briefly at the delta's hard bound; no lock is
+        // held across it.
+        bufs.write_ops.clear();
+        bufs.write_idx.clear();
         while i < bufs.batch.len() {
             match &bufs.batch[i].op {
-                Op::Get { .. } | Op::GetMany { .. } => break,
-                Op::Put { .. } | Op::Remove { .. } => {
-                    bufs.write_ops.clear();
-                    bufs.write_idx.clear();
-                    while i < bufs.batch.len() {
-                        match &bufs.batch[i].op {
-                            Op::Put { key, val, .. } => bufs.write_ops.push((*key, Some(*val))),
-                            Op::Remove { key, .. } => bufs.write_ops.push((*key, None)),
-                            _ => break,
-                        }
-                        bufs.write_idx.push(i);
-                        i += 1;
-                    }
-                    let wb_t = SpanTimer::start();
-                    store.apply_write_run_with(
-                        &bufs.write_ops,
-                        &mut bufs.write_prevs,
-                        &mut bufs.write_scratch,
-                    );
-                    // Invalidate before fulfilling: a client whose
-                    // write just acked must not then read a stale
-                    // cached value.
-                    let mut cache = state.cache.plock("hot-key cache");
-                    for &(key, _) in &bufs.write_ops {
-                        cache.invalidate(key);
-                    }
-                    drop(cache);
-                    obs.trace().emit_now(
-                        shard,
-                        TraceKind::CacheInvalidate,
-                        bufs.write_ops.len() as u64,
-                        0,
-                    );
-                    obs.record_stage(shard, Stage::Writeback, wb_t.elapsed_ns());
-                    let commit_t = SpanTimer::start();
-                    for (&ei, &prev) in bufs.write_idx.iter().zip(&bufs.write_prevs) {
-                        let entry = &bufs.batch[ei];
-                        state.m.requests.inc();
-                        state.m.latency.record(entry.enqueued.elapsed_ns());
-                        match &entry.op {
-                            Op::Put { ticket, .. } => {
-                                state.m.puts.inc();
-                                ticket.fulfill(prev);
-                            }
-                            Op::Remove { ticket, .. } => {
-                                state.m.removes.inc();
-                                ticket.fulfill(prev);
-                            }
-                            _ => unreachable!("read in write run"),
-                        }
-                    }
-                    obs.record_stage(shard, Stage::Commit, commit_t.elapsed_ns());
+                Op::Put { key, val, .. } => bufs.write_ops.push((*key, Some(*val))),
+                Op::Remove { key, .. } => bufs.write_ops.push((*key, None)),
+                _ => break,
+            }
+            bufs.write_idx.push(i);
+            i += 1;
+        }
+        if bufs.write_ops.is_empty() {
+            continue;
+        }
+        let wb_t = SpanTimer::start();
+        store.apply_write_run_with(
+            &bufs.write_ops,
+            &mut bufs.write_prevs,
+            &mut bufs.write_scratch,
+        );
+        // Invalidate before fulfilling: a client whose write just acked
+        // must not then read a stale cached value.
+        let mut cache = state.cache.plock("hot-key cache");
+        for &(key, _) in &bufs.write_ops {
+            cache.invalidate(key);
+        }
+        drop(cache);
+        obs.trace().emit_now(
+            shard,
+            TraceKind::CacheInvalidate,
+            bufs.write_ops.len() as u64,
+            0,
+        );
+        obs.record_stage(shard, Stage::Writeback, wb_t.elapsed_ns());
+        let commit_t = SpanTimer::start();
+        for (&ei, &prev) in bufs.write_idx.iter().zip(&bufs.write_prevs) {
+            let entry = &bufs.batch[ei];
+            state.m.requests.inc();
+            state.m.latency.record(entry.enqueued.elapsed_ns());
+            match &entry.op {
+                Op::Put { ticket, .. } => {
+                    state.m.puts.inc();
+                    ticket.fulfill(prev);
                 }
-                Op::Range { lo, hi, ticket } => {
-                    let pairs = store.scan_range(shard, *lo, *hi);
-                    let entry = &bufs.batch[i];
-                    state.m.range_scans.inc();
-                    state.m.requests.inc();
-                    state.m.latency.record(entry.enqueued.elapsed_ns());
-                    ticket.fulfill(pairs);
-                    i += 1;
+                Op::Remove { ticket, .. } => {
+                    state.m.removes.inc();
+                    ticket.fulfill(prev);
                 }
+                _ => unreachable!("read in write run"),
             }
         }
+        obs.record_stage(shard, Stage::Commit, commit_t.elapsed_ns());
     }
     obs.trace().emit(
         shard,

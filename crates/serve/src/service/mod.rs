@@ -24,8 +24,8 @@
 //! non-empty and token present", then takes the token and drains the
 //! queue until it is empty. It exists for the entries no submitting
 //! thread will run: the backlog a client leaves behind when its own
-//! entry is answered, the fan-out slices of `get_many`/`get_range`
-//! (so shards run in parallel), and whatever is queued at `close`.
+//! entry is answered, the fan-out slices of `get_many` (so shards
+//! run in parallel), and whatever is queued at `close`.
 //! Under load every batch is cut from the backlog that built up while
 //! the previous batch ran (up to `max_batch` entries), so the
 //! interleave group fills exactly when there is concurrency to fill
@@ -51,12 +51,6 @@
 //! the last slice itself and the helpers of the other shards run
 //! theirs in parallel; before blocking on a slice's ticket the caller
 //! takes over any slice whose helper has not started yet.
-//!
-//! **`get_range`** rides the same admission queues the same way: one
-//! entry per shard, executed in FIFO position (so a client's
-//! completed writes are visible to its next scan), each answering
-//! with the shard's merge-joined Main/Delta slice; the client
-//! reorders the per-shard runs into one sorted result.
 //!
 //! **Reads are planned.** Each read run is resolved against the
 //! shard's delta before the engine sees it (see [`crate::plan`]):
@@ -172,7 +166,7 @@ impl Default for ServeConfig {
 /// A multi-tenant read/write point-lookup service over a
 /// [`ShardedStore`].
 ///
-/// `get`, `get_many`, `get_range`, `put` and `remove` are safe to call
+/// `get`, `get_many`, `put` and `remove` are safe to call
 /// from any number of threads; each call returns once its entry has
 /// been executed — by the calling thread itself when it finds the
 /// shard idle, otherwise by whichever thread holds the shard's token
@@ -251,7 +245,6 @@ impl LookupService {
                         puts: counter("serve_puts"),
                         removes: counter("serve_removes"),
                         many_keys: counter("serve_many_keys"),
-                        range_scans: counter("serve_range_scans"),
                         delta_hits: counter("serve_delta_hits"),
                         cache_hits: counter("serve_cache_hits"),
                         latency: reg.hist("serve_latency_ns", &l),
@@ -467,32 +460,6 @@ impl LookupService {
         results
     }
 
-    /// All live pairs with `lo <= key <= hi`, sorted by key.
-    ///
-    /// Hash partitioning scatters a key range across every shard, so
-    /// the call submits one admission entry per shard, waits for all
-    /// of them, and reorders the per-shard sorted runs into one sorted
-    /// result. Riding the FIFO queues means a client's completed
-    /// writes are visible to its next scan; the cross-shard cut is not
-    /// atomic (same contract as `get_many`). An inverted range returns
-    /// an empty result without admission.
-    pub fn get_range(&self, lo: u64, hi: u64) -> Vec<(u64, u64)> {
-        self.assert_open();
-        if lo > hi {
-            return Vec::new();
-        }
-        let all: Vec<usize> = (0..self.store.num_shards()).collect();
-        let mut out: Vec<(u64, u64)> = self
-            .scatter(&all, |_, ticket| Op::Range { lo, hi, ticket })
-            .into_iter()
-            .flatten()
-            .collect();
-        // Per-shard runs are sorted but interleave arbitrarily under
-        // hash partitioning; one global reorder restores key order.
-        out.sort_unstable_by_key(|&(k, _)| k);
-        out
-    }
-
     /// Upsert `key = val` through the owning shard's queue; blocks
     /// until applied and returns the previously visible value.
     pub fn put(&self, key: u64, val: u64) -> Option<u64> {
@@ -533,7 +500,6 @@ impl LookupService {
             puts: snap.counter_sum("serve_puts"),
             removes: snap.counter_sum("serve_removes"),
             many_keys: snap.counter_sum("serve_many_keys"),
-            range_scans: snap.counter_sum("serve_range_scans"),
             cache_hits: snap.counter_sum("serve_cache_hits"),
             delta_hits: snap.counter_sum("serve_delta_hits"),
             batches: snap.counter_sum("serve_batches"),
@@ -606,7 +572,7 @@ impl LookupService {
 
     /// Per-shard per-stage latency breakdown, indexed by
     /// [`Stage::index`]: the union of the store's spans (plan, engine,
-    /// WAL append/fsync, merge, range scan, delta backpressure) and
+    /// WAL append/fsync, merge, delta backpressure) and
     /// the service's (admission wait, commit, writeback, queue
     /// backpressure).
     pub fn stage_breakdown(&self) -> Vec<[LatencyHist; Stage::COUNT]> {

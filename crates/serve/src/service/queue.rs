@@ -19,10 +19,6 @@ use crate::store::{LookupScratch, ShardedStore, WriteScratch};
 /// submitted key, in submission order.
 pub(super) type ManyTicket = Arc<Ticket<Vec<Option<u64>>>>;
 
-/// The ticket type of one shard's `get_range` slice: that shard's
-/// pairs in the range, sorted by key.
-pub(super) type RangeTicket = Arc<Ticket<Vec<(u64, u64)>>>;
-
 /// One queued operation.
 pub(super) enum Op {
     Get {
@@ -42,14 +38,6 @@ pub(super) enum Op {
     /// to this shard; the ticket receives one result per key, in key
     /// order.
     GetMany { keys: Vec<u64>, ticket: ManyTicket },
-    /// One shard's slice of a client `get_range` call: the ticket
-    /// receives this shard's live pairs with `lo <= key <= hi`,
-    /// sorted.
-    Range {
-        lo: u64,
-        hi: u64,
-        ticket: RangeTicket,
-    },
 }
 
 impl Op {
@@ -60,7 +48,6 @@ impl Op {
                 ticket.abandon();
             }
             Op::GetMany { ticket, .. } => ticket.abandon(),
-            Op::Range { ticket, .. } => ticket.abandon(),
         }
     }
 }

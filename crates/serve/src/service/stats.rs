@@ -21,7 +21,6 @@ pub(super) struct ShardCounters {
     pub(super) puts: Counter,
     pub(super) removes: Counter,
     pub(super) many_keys: Counter,
-    pub(super) range_scans: Counter,
     pub(super) delta_hits: Counter,
     pub(super) cache_hits: Counter,
     /// `serve_latency_ns`: per *admitted* entry (enqueue → response
@@ -34,17 +33,17 @@ pub(super) struct ShardCounters {
 ///
 /// **Admission entries vs client calls.** [`requests`](Self::requests)
 /// counts *admission entries* — what the runners actually answer.
-/// A single-key `get`/`put`/`remove` is one entry; a `get_many` or
-/// `get_range` call fans out into one entry *per shard it touches*
-/// (so one `get_range` on an 8-shard store adds 8 to `requests` and 8
-/// to `range_scans`). Cache hits never reach a queue and are counted
+/// A single-key `get`/`put`/`remove` is one entry; a `get_many` call
+/// fans out into one entry *per shard it touches* (so one `get_many`
+/// whose keys land on all shards of an 8-shard store adds 8 to
+/// `requests`). Cache hits never reach a queue and are counted
 /// only in [`cache_hits`](Self::cache_hits). The client-call view is
 /// `gets + cache_hits` single-key reads, `many_keys` keys through
 /// `get_many`, plus the write counters.
 #[derive(Debug, Clone, Default)]
 pub struct ServeStats {
     /// Admission entries answered (one per shard touched for
-    /// `get_many`/`get_range`); cache hits are in `cache_hits` only.
+    /// `get_many`); cache hits are in `cache_hits` only.
     pub requests: u64,
     /// Single-key reads answered via admission.
     pub gets: u64,
@@ -54,9 +53,6 @@ pub struct ServeStats {
     pub removes: u64,
     /// Keys answered through `get_many` entries.
     pub many_keys: u64,
-    /// Range-scan admission entries answered (one per shard per
-    /// client `get_range` call).
-    pub range_scans: u64,
     /// `get`s answered by the hot-key cache, without admission.
     pub cache_hits: u64,
     /// Executed read keys decided by the delta in the plan stage —

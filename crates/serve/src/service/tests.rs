@@ -671,39 +671,6 @@ fn mixed_batch_preserves_fifo_under_concurrency() {
 }
 
 #[test]
-fn get_range_rides_the_queues_and_sees_writes() {
-    for backend in Backend::ALL {
-        let store =
-            ShardedStore::build_with(backend, 4, &pairs(500), StoreConfig::with_threshold(8));
-        let svc = LookupService::start(
-            store,
-            ServeConfig {
-                batch: BatchPolicy { max_batch: 8 },
-                ..ServeConfig::default()
-            },
-        );
-        // A client's completed writes are visible to its next scan.
-        assert_eq!(svc.put(10, 777), Some(5));
-        assert_eq!(svc.put(11, 888), None);
-        assert_eq!(svc.remove(12), Some(6));
-        let got = svc.get_range(8, 16);
-        assert_eq!(
-            got,
-            vec![(8, 4), (10, 777), (11, 888), (14, 7), (16, 8)],
-            "{}",
-            backend.name()
-        );
-        // Inverted and empty ranges.
-        assert_eq!(svc.get_range(16, 8), Vec::new());
-        assert_eq!(svc.get_range(1_000_000, 2_000_000), Vec::new());
-        let stats = svc.stats();
-        // One admission entry per shard per (non-inverted) call.
-        assert_eq!(stats.range_scans, 2 * 4);
-        assert_eq!(stats.requests, 3 + 2 * 4);
-    }
-}
-
-#[test]
 fn delta_decided_reads_skip_the_engine() {
     // With a cold cache and a warm delta, repeat reads of written
     // keys must be answered by the plan stage: delta_hits grows,
@@ -873,7 +840,9 @@ fn stage_breakdown_and_exports_cover_the_pipeline() {
             svc.put(k * 2 + 1, k);
             assert_eq!(svc.get(k * 2 + 1), Some(k));
         }
-        assert!(!svc.get_range(0, 50).is_empty());
+        // A fan-out read: one admission entry per shard.
+        let keys: Vec<u64> = (0..=50).collect();
+        assert!(svc.get_many(&keys).iter().all(Option::is_some));
         svc.store().quiesce();
 
         let rows = svc.stage_breakdown();
@@ -890,7 +859,6 @@ fn stage_breakdown_and_exports_cover_the_pipeline() {
         assert!(count(Stage::Writeback) > 0);
         assert!(stats.merges > 0, "threshold 4 under 64 puts must merge");
         assert_eq!(count(Stage::Merge), stats.merges);
-        assert_eq!(count(Stage::RangeScan), 2);
         // Reads went through the plan stage, the engine, or both.
         assert!(count(Stage::Plan) + count(Stage::Engine) > 0);
         // One append span per group-commit record and one fsync

@@ -19,8 +19,7 @@ pub enum Backend {
     Sorted,
     /// A CSB+-tree per shard; lookups are interleaved tree descents.
     Csb,
-    /// A chained hash table per shard; lookups are interleaved probes
-    /// and range scans sort the arena on demand.
+    /// A chained hash table per shard; lookups are interleaved probes.
     Hash,
 }
 

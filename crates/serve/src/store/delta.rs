@@ -151,25 +151,6 @@ impl Delta {
         fold_runs(self.runs.iter().rev().filter(|r| !was_pinned(r)))
     }
 
-    /// Fold only the overrides with `lo <= key <= hi` (the range-scan
-    /// slice), newest run winning.
-    pub(super) fn fold_range(&self, lo: u64, hi: u64) -> Vec<(u64, Option<u64>)> {
-        let mut acc: Vec<(u64, Option<u64>)> = Vec::new();
-        for run in &self.runs {
-            let a = run.partition_point(|e| e.0 < lo);
-            let b = run.partition_point(|e| e.0 <= hi);
-            if a == b {
-                continue;
-            }
-            acc = if acc.is_empty() {
-                run[a..b].to_vec()
-            } else {
-                merge_overrides(&run[a..b], &acc)
-            };
-        }
-        acc
-    }
-
     /// Number of overrides (upserts + tombstones) above the mid tier,
     /// counted per run — an upper bound on the distinct keys they
     /// override.

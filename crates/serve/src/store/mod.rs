@@ -9,7 +9,7 @@
 //!   ([`isi_csb::CsbShard`], Listing 6 traversal coroutines), or a
 //!   **chained hash table** ([`isi_hash::HashShard`], Section 6 probe
 //!   coroutines) — probed in bulk through the morsel-parallel
-//!   interleaved engine and scanned in key order;
+//!   interleaved engine;
 //! * the **delta** is a **stack of immutable sorted runs** of
 //!   `(key, Option<value>)` overrides (`None` = tombstone) with
 //!   last-write-wins semantics — each write run is sorted once and
@@ -20,10 +20,7 @@
 //! **Reads are planned.** A batch is first resolved against the delta
 //! into a [`BatchPlan`](crate::plan::BatchPlan): delta-decided keys
 //! never reach the engine, so the engine always runs a dense batch of
-//! genuinely memory-bound probes (see [`crate::plan`]). Range scans
-//! ([`ShardedStore::scan_range`]) merge-join the backend's ordered
-//! scan with the sorted delta run, overrides winning and tombstones
-//! eliding their keys.
+//! genuinely memory-bound probes (see [`crate::plan`]).
 //!
 //! **Maintenance is decoupled from serving, and its cost follows the
 //! delta.** Under the run stack each shard keeps a **mid tier**: one
@@ -96,7 +93,7 @@ use isi_obs::{Counter, Obs, SpanTimer, Stage, TraceKind};
 use crate::plan::BatchPlan;
 
 pub use config::{Backend, MergeMode, StoreConfig};
-use delta::{merge_pairs, sort_lww, Delta};
+use delta::{sort_lww, Delta};
 use merge::{max_delta, MergeQueue};
 use wal::DurableState;
 
@@ -181,7 +178,7 @@ struct StoreInner {
     /// [`ShardedStore::quiesce`] waits here for the queue to drain.
     merge_done: Condvar,
     /// Store-side observability: `store_*` metrics, per-shard stage
-    /// histograms (plan/engine/range scan/WAL/merge) and trace rings.
+    /// histograms (plan/engine/WAL/merge/backpressure) and trace rings.
     /// Cumulative for the store's lifetime, like the counters it
     /// replaced.
     obs: Obs,
@@ -232,7 +229,7 @@ pub struct BatchOutcome {
 /// shards, each shard a Main/Delta pair behind a [`ShardBackend`]
 /// (see the [module docs](self)).
 ///
-/// Point reads, batch lookups and range scans take `&self` and never
+/// Point reads and batch lookups take `&self` and never
 /// block behind writes or merges; `put`/`remove` also take `&self`
 /// (interior mutability), serialize per shard, and block only when a
 /// shard's delta is four thresholds deep.
@@ -882,52 +879,6 @@ impl ShardedStore {
             delta_hits: scratch.plan.delta_hits(),
             residual,
         }
-    }
-
-    /// All live pairs of `shard` with `lo <= key <= hi`, in ascending
-    /// key order: the backend's ordered scan merge-joined with the
-    /// sorted delta run (overrides win, tombstones elide their keys).
-    /// Reads one consistent [`ShardVersion`] snapshot; an inverted
-    /// range returns nothing.
-    pub fn scan_range(&self, shard: usize, lo: u64, hi: u64) -> Vec<(u64, u64)> {
-        if lo > hi {
-            return Vec::new();
-        }
-        let t = SpanTimer::start();
-        let v = self.inner.shards[shard].version.load();
-        let mut main = Vec::new();
-        v.main.scan_range(lo, hi, &mut main);
-        let out = if v.delta.is_empty() {
-            main
-        } else {
-            // Fold the run-stack's [lo, hi] slices (newest wins) into
-            // one sorted run, then merge-join with the backend scan.
-            let d = v.delta.fold_range(lo, hi);
-            if d.is_empty() {
-                main
-            } else {
-                merge_pairs(&main, &d)
-            }
-        };
-        self.inner
-            .obs
-            .record_stage(shard, Stage::RangeScan, t.elapsed_ns());
-        out
-    }
-
-    /// All live pairs with `lo <= key <= hi` across every shard, in
-    /// ascending key order. Each shard contributes one consistent
-    /// snapshot; the cross-shard cut is not atomic (same contract as
-    /// issuing one `get` per shard).
-    pub fn get_range(&self, lo: u64, hi: u64) -> Vec<(u64, u64)> {
-        let mut out = Vec::new();
-        for shard in 0..self.num_shards() {
-            out.extend(self.scan_range(shard, lo, hi));
-        }
-        // Hash partitioning interleaves shard key sets arbitrarily, so
-        // the per-shard sorted runs need one global reorder.
-        out.sort_unstable_by_key(|&(k, _)| k);
-        out
     }
 }
 

@@ -1,7 +1,7 @@
 use super::delta::DeltaRun;
 use super::merge::major_len;
 use super::*;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::io;
 use std::sync::mpsc;
 
@@ -163,7 +163,7 @@ fn empty_store_and_empty_batches() {
             &mut out[..0],
         );
         assert_eq!(outcome.engine, RunStats::default());
-        assert_eq!(store.get_range(0, u64::MAX), Vec::new());
+        assert!((0..100).all(|k| store.get(k).is_none()));
     }
 }
 
@@ -244,13 +244,12 @@ fn put_remove_agree_with_oracle_across_thresholds_and_modes() {
                     assert_eq!(store.merge_latency().count(), store.merges());
                     assert_eq!(store.merge_backlog(), 0);
                 }
-                // Full scan agreement after the schedule.
+                // Full sweep after the schedule: every key of the
+                // space agrees, and `len` rules out one outside it.
                 for probe in 0..1000u64 {
                     assert_eq!(store.get(probe), oracle.get(&probe).copied());
                 }
-                let mut want: Vec<(u64, u64)> = oracle.iter().map(|(&k, &v)| (k, v)).collect();
-                want.sort_unstable();
-                assert_eq!(store.get_range(0, u64::MAX), want);
+                assert_eq!(store.len(), oracle.len());
             }
         }
     }
@@ -296,65 +295,6 @@ fn batch_lookups_see_writes_and_tombstones() {
 }
 
 #[test]
-fn scan_range_merges_delta_and_elides_tombstones() {
-    for backend in Backend::ALL {
-        for shards in [1usize, 4] {
-            let store = ShardedStore::build_with(
-                backend,
-                shards,
-                &pairs(400),
-                StoreConfig::with_threshold(1 << 20),
-            );
-            let mut oracle: BTreeMap<u64, u64> = pairs(400).into_iter().collect();
-            // Overrides, fresh keys and tombstones, delta-resident.
-            for k in 0..120u64 {
-                match k % 3 {
-                    0 => {
-                        store.put(k * 2, 50_000 + k);
-                        oracle.insert(k * 2, 50_000 + k);
-                    }
-                    1 => {
-                        store.remove(k * 3);
-                        oracle.remove(&(k * 3));
-                    }
-                    _ => {
-                        store.put(100_000 + k, k);
-                        oracle.insert(100_000 + k, k);
-                    }
-                }
-            }
-            for (lo, hi) in [
-                (0u64, 0u64),
-                (0, 100),
-                (37, 613),
-                (99_990, 100_200),
-                (0, u64::MAX),
-                (500, 400),
-            ] {
-                let want: Vec<(u64, u64)> = oracle
-                    .range(lo..=hi.max(lo))
-                    .map(|(&k, &v)| (k, v))
-                    .collect();
-                let want = if lo > hi { Vec::new() } else { want };
-                assert_eq!(
-                    store.get_range(lo, hi),
-                    want,
-                    "{}/{shards} [{lo}, {hi}]",
-                    backend.name()
-                );
-            }
-            // Per-shard scans partition the global range.
-            let mut union: Vec<(u64, u64)> = (0..shards)
-                .flat_map(|s| store.scan_range(s, 0, u64::MAX))
-                .collect();
-            union.sort_unstable();
-            let want: Vec<(u64, u64)> = oracle.iter().map(|(&k, &v)| (k, v)).collect();
-            assert_eq!(union, want);
-        }
-    }
-}
-
-#[test]
 fn run_stack_folds_past_max_runs_and_preserves_overrides() {
     // max_runs 2, never merging: the 3rd push folds the stack into
     // one run. Overwrites and tombstones straddle run boundaries
@@ -388,7 +328,11 @@ fn run_stack_folds_past_max_runs_and_preserves_overrides() {
     assert_eq!(store.compactions(), 2);
     assert_eq!(store.delta_len(), 3); // (0, 9), (3, 2), (6, 7)
     assert_eq!(store.get(0), Some(9));
-    assert_eq!(store.get_range(0, 8), vec![(0, 9), (3, 2), (6, 7)]);
+    let live: Vec<(u64, u64)> = (0..=8)
+        .filter_map(|k| store.get(k).map(|v| (k, v)))
+        .collect();
+    assert_eq!(live, [(0, 9), (3, 2), (6, 7)]);
+    assert_eq!(store.len(), 10);
     assert_eq!(store.merges(), 0);
 }
 
@@ -830,31 +774,74 @@ fn concurrent_reads_during_merges_are_consistent() {
 
 #[test]
 fn scans_race_background_merges_without_tearing() {
-    // A writer churns keys ≥ 10_000 through constant background
-    // merges; scans over the untouched region must return exactly
-    // the static pairs every time, and full-range scans must stay
-    // sorted and duplicate-free (one consistent snapshot per
-    // shard).
+    // A writer churns keys ≥ 10_000 while a reader sweeps the
+    // untouched region 0..600 with one batch lookup per shard; every
+    // sweep must return exactly the static pairs (one consistent
+    // snapshot per batch). Two configurations: merge-every-write,
+    // where background merges publish constantly, and fold-only,
+    // where no merge runs but every second write folds the stack
+    // past `max_runs` = 2.
     let base = pairs(200); // keys 0..600
-    let store = ShardedStore::build_with(Backend::Sorted, 2, &base, StoreConfig::with_threshold(1));
-    let want_static: Vec<(u64, u64)> = base.clone();
-    let done = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        scope.spawn(|| {
-            for i in 0..300u64 {
-                store.put(10_000 + (i % 40), i);
+    let want = |k: u64| k.is_multiple_of(3).then(|| k / 3 + 1000);
+    for backend in Backend::ALL {
+        for (threshold, max_runs) in [(1usize, 8usize), (1 << 16, 2)] {
+            let store = ShardedStore::build_with(
+                backend,
+                2,
+                &base,
+                StoreConfig::with_threshold(threshold).with_max_runs(max_runs),
+            );
+            let mut batches: Vec<Vec<u64>> = vec![Vec::new(); 2];
+            for k in 0..600u64 {
+                batches[store.shard_of(k)].push(k);
             }
-            done.store(1, Ordering::Release);
-        });
-        scope.spawn(|| {
-            while done.load(Ordering::Acquire) == 0 {
-                assert_eq!(store.get_range(0, 599), want_static);
-                let all = store.get_range(0, u64::MAX);
-                assert!(all.windows(2).all(|w| w[0].0 < w[1].0), "unsorted or dup");
+            let tag = format!("{} threshold={threshold}", backend.name());
+            let done = AtomicUsize::new(0);
+            std::thread::scope(|scope| {
+                scope.spawn(|| {
+                    for i in 0..300u64 {
+                        store.put(10_000 + (i % 40), i);
+                    }
+                    done.store(1, Ordering::Release);
+                });
+                scope.spawn(|| {
+                    let mut scratch = LookupScratch::default();
+                    let mut out = Vec::new();
+                    loop {
+                        let finished = done.load(Ordering::Acquire) == 1;
+                        for (s, batch) in batches.iter().enumerate() {
+                            out.clear();
+                            out.resize(batch.len(), None);
+                            store.lookup_batch(
+                                s,
+                                batch,
+                                Interleave::from_group(4),
+                                ParConfig::with_threads(1),
+                                &mut scratch,
+                                &mut out,
+                            );
+                            for (&k, &r) in batch.iter().zip(&out) {
+                                assert_eq!(r, want(k), "{tag}: static key {k} moved");
+                            }
+                        }
+                        if finished {
+                            break;
+                        }
+                    }
+                });
+            });
+            store.quiesce();
+            assert_eq!(store.len(), 240, "{tag}");
+            // The last 40 writes are the last to each churned key.
+            for i in 260..300u64 {
+                assert_eq!(store.get(10_000 + (i % 40)), Some(i), "{tag}");
             }
-        });
-    });
-    store.quiesce();
-    let all = store.get_range(0, u64::MAX);
-    assert_eq!(all.len(), 240);
+            if threshold == 1 {
+                assert!(store.merges() >= 1, "{tag}");
+            } else {
+                assert_eq!(store.merges(), 0, "{tag}");
+                assert!(store.compactions() >= 1, "{tag}");
+            }
+        }
+    }
 }

@@ -115,6 +115,7 @@ fn check_prefix_property(
     fsync_honored: bool,
 ) -> Result<(), String> {
     assert_eq!(recovered.num_shards(), SHARDS);
+    let mut live = 0;
     for shard in 0..SHARDS {
         // Ops and seed pairs routed to this shard, in schedule order,
         // tagged with the index of the run each op belongs to.
@@ -142,7 +143,17 @@ fn check_prefix_property(
         } else {
             0
         };
-        let got = recovered.scan_range(shard, 0, u64::MAX);
+        // The shard's recovered state, read back over its key
+        // universe: the seed keys and the schedule keys routed to it.
+        let mut universe: Vec<u64> = seed_s.keys().copied().collect();
+        universe.extend(ops_s.iter().map(|&(k, _)| k));
+        universe.sort_unstable();
+        universe.dedup();
+        let got: Vec<(u64, u64)> = universe
+            .into_iter()
+            .filter_map(|k| recovered.get(k).map(|v| (k, v)))
+            .collect();
+        live += got.len();
         let ok = (j_min..states.len()).any(|j| states[j] == got);
         if !ok {
             return Err(format!(
@@ -153,6 +164,13 @@ fn check_prefix_property(
                 states.last().unwrap(),
             ));
         }
+    }
+    // A key alive outside every shard's universe would show here.
+    if recovered.len() != live {
+        return Err(format!(
+            "recovered len {} != {live} live keys in the schedule's universe",
+            recovered.len()
+        ));
     }
     Ok(())
 }
