@@ -6,13 +6,14 @@
 //!   `const INTERLEAVE` codepath vs a dedicated interleaved-only
 //!   implementation (the paper expects zero after compile-time
 //!   resolution; monomorphization delivers exactly that in Rust);
-//! * `coro_slab` vs `coro_boxed` — frame recycling in the scheduler vs
-//!   a heap allocation per coroutine (what a non-eliding compiler does).
+//! * `frames/slab` vs `frames/boxed` — frame recycling in the scheduler
+//!   vs a heap allocation per coroutine (what a non-eliding compiler
+//!   does): one scheduler, frames inline or boxed.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
 use isi_core::mem::DirectMem;
-use isi_core::sched::run_interleaved_boxed;
+use isi_core::sched::run_interleaved;
 use isi_search::coro::bulk_rank_coro_separate;
 use isi_search::{
     bulk_rank_amac, bulk_rank_branchfree, bulk_rank_branchy, bulk_rank_coro, bulk_rank_gp,
@@ -62,14 +63,21 @@ fn bench_ablations(c: &mut Criterion) {
     g.sample_size(20);
 
     g.bench_function(BenchmarkId::new("frames", "slab"), |b| {
-        b.iter(|| bulk_rank_coro(mem, &lookups, 6, &mut out))
-    });
-    g.bench_function(BenchmarkId::new("frames", "boxed"), |b| {
         b.iter(|| {
-            run_interleaved_boxed(
+            run_interleaved(
                 6,
                 lookups.iter().copied(),
                 |v| rank_coro::<true, u32, _>(mem, v),
+                |i, r| out[i] = r,
+            )
+        })
+    });
+    g.bench_function(BenchmarkId::new("frames", "boxed"), |b| {
+        b.iter(|| {
+            run_interleaved(
+                6,
+                lookups.iter().copied(),
+                |v| Box::pin(rank_coro::<true, u32, _>(mem, v)),
                 |i, r| out[i] = r,
             )
         })

@@ -132,10 +132,7 @@ pub use mem::{DirectMem, IndexedMem};
 pub use model::{optimal_group_size, StreamParams};
 pub use par::{run_interleaved_par, MorselCursor, ParConfig};
 pub use policy::Interleave;
-pub use sched::{
-    run_interleaved, run_interleaved_boxed, run_interleaved_indexed, run_sequential, FrameSlab,
-    RunStats,
-};
+pub use sched::{run_interleaved, run_interleaved_indexed, run_sequential, FrameSlab, RunStats};
 pub use stats::LatencyHist;
 pub use sync::{CondvarExt, MutexExt, RwLockExt};
 pub use topo::Topology;

@@ -11,9 +11,15 @@
 //! the frame-recycling optimization that the paper applied manually
 //! because MSVC could not yet elide frame allocations (Section 4,
 //! "performance considerations"); in Rust the frames are plain values, so
-//! the slab version performs **zero** heap allocations per lookup.
-//! [`run_interleaved_boxed`] deliberately boxes every coroutine instead,
-//! as an ablation quantifying what frame recycling buys.
+//! the slab version performs **zero** heap allocations per lookup. To
+//! measure what recycling buys, run the same scheduler over boxed frames,
+//! `make = |x| Box::pin(lookup(x))`: a `Pin<Box<F>>` is itself a future,
+//! and refilling its slot frees the old box and allocates a new one.
+//!
+//! Like the paper's `runInterleaved`, the steady state is a round-robin
+//! resume loop and nothing else: the slab is dense (no `Option` to test
+//! per slot while inputs remain), a finished slot is refilled in place,
+//! and the run's counters live in locals until it returns.
 
 #![expect(unsafe_code, reason = "polls frames pinned in the slab")]
 
@@ -33,13 +39,26 @@ pub struct RunStats {
     /// execution of non-suspending coroutines this equals `lookups`.
     pub resumes: u64,
     /// Number of instruction-stream switches, i.e. resumptions of a
-    /// coroutine that had previously suspended.
+    /// coroutine that had previously suspended. Every poll either
+    /// suspends or completes a lookup, so this is `resumes − lookups`;
+    /// the schedulers compute it that way, once per run.
     pub switches: u64,
     /// Peak number of in-flight (started, not completed) lookups.
     pub peak_in_flight: u64,
 }
 
 impl RunStats {
+    /// The counters of a run that polled `resumes` times and completed
+    /// `lookups` lookups, at most `peak_in_flight` at a time.
+    fn of_run(lookups: u64, resumes: u64, peak_in_flight: u64) -> Self {
+        Self {
+            lookups,
+            resumes,
+            switches: resumes - lookups,
+            peak_in_flight,
+        }
+    }
+
     /// Fold another run's counters into this one: `lookups`, `resumes`
     /// and `switches` are totals and sum; `peak_in_flight` is a maximum
     /// and maxes. Used when a bulk run is split across morsels and
@@ -88,40 +107,56 @@ where
 {
     let waker = noop_waker();
     let mut cx = Context::from_waker(&waker);
-    let mut stats = RunStats {
-        peak_in_flight: 1,
-        ..RunStats::default()
-    };
-    let mut any = false;
+    let (mut lookups, mut resumes) = (0u64, 0u64);
     for (i, item) in inputs.into_iter().enumerate() {
-        any = true;
         let mut fut = std::pin::pin!(make(item));
-        loop {
-            stats.resumes += 1;
-            match fut.as_mut().poll(&mut cx) {
-                Poll::Ready(out) => {
-                    stats.lookups += 1;
-                    sink(i, out);
-                    break;
-                }
-                Poll::Pending => stats.switches += 1,
+        let out = loop {
+            resumes += 1;
+            if let Poll::Ready(out) = fut.as_mut().poll(&mut cx) {
+                break out;
             }
-        }
+        };
+        lookups += 1;
+        sink(i, out);
     }
-    if !any {
-        stats.peak_in_flight = 0;
-    }
-    stats
+    RunStats::of_run(lookups, resumes, u64::from(lookups > 0))
 }
 
-/// A slab slot holding one in-flight lookup: the originating input index
-/// and its coroutine frame, stored inline.
+/// The input index of a slot whose lookup completed after the inputs
+/// ran out: the drain loop skips it. Callers' indices are positions in
+/// a batch, so they never reach it.
+const DONE: usize = usize::MAX;
+
+/// A slab slot: one lookup's input index and its coroutine frame,
+/// stored inline.
 struct Slot<F> {
     input_index: usize,
     fut: F,
 }
 
+impl<F> Slot<F> {
+    /// The slot's frame, pinned in the slab.
+    #[inline(always)]
+    fn frame(&mut self) -> Pin<&mut F> {
+        // SAFETY: the frame lives inside the slab `Vec`, whose capacity
+        // was ensured while the `Vec` was empty and which never grows
+        // during a run (pushes stop at `group_size <= capacity`). A
+        // frame is replaced only through this pin (`Pin::set`, which
+        // drops it in place) and otherwise dropped in place by
+        // `Vec::clear` or the slab's drop. Hence a frame never moves
+        // between its first poll and its drop, satisfying `Pin`'s
+        // contract.
+        unsafe { Pin::new_unchecked(&mut self.fut) }
+    }
+}
+
 /// A reusable slab of coroutine-frame slots for [`run_interleaved_indexed`].
+///
+/// The slab is dense: each of its `group_size` slots always holds a
+/// frame, with no `Option` around it. A finished lookup's slot is
+/// refilled in place; once the inputs run out it keeps its spent frame,
+/// marked `DONE` (input index `usize::MAX`), until the next run clears
+/// the slab or the slab is dropped, so every frame is dropped once.
 ///
 /// [`run_interleaved`] allocates one of these per call; callers that run
 /// many batches of the *same* lookup type (e.g. the morsel-parallel
@@ -130,7 +165,7 @@ struct Slot<F> {
 /// allocations at all — the slab's buffer is allocated once and its
 /// capacity is retained between runs.
 pub struct FrameSlab<F> {
-    slots: Vec<Option<Slot<F>>>,
+    slots: Vec<Slot<F>>,
 }
 
 impl<F> FrameSlab<F> {
@@ -154,11 +189,22 @@ impl<F> Default for FrameSlab<F> {
 /// Core of the interleaved scheduler, factored out so the coroutine
 /// frame slab can be reused across calls and so inputs can carry
 /// caller-chosen indices (a morsel of a larger batch passes its global
-/// positions; see [`crate::par`]).
+/// positions; see [`crate::par`]). Semantics are identical to
+/// [`run_interleaved`] except that the sink receives the index paired
+/// with each input item rather than a 0-based enumeration. An index of
+/// `usize::MAX` is reserved.
 ///
-/// Semantics are identical to [`run_interleaved`] except that the sink
-/// receives the index paired with each input item rather than a
-/// 0-based enumeration.
+/// The run has two loops. The *steady* loop runs while inputs remain:
+/// every slot holds a live frame, so a pass polls each slot with no
+/// test, and a finished lookup's slot is refilled in place
+/// (`Pin::set(make(item))` drops the spent frame where it lies). The
+/// pass in which the inputs run out is completed by the steady loop, a
+/// slot finishing from then on is marked `DONE`, and the *drain* loop
+/// polls the remaining live slots round robin, skipping `DONE` ones.
+/// The poll order is therefore exactly that of a round robin over
+/// `group_size` optional slots, each refilled when its lookup completes
+/// and emptied once nothing is left to refill it with. `resumes` and
+/// `lookups` are counted in locals; `switches` is derived at the end.
 pub fn run_interleaved_indexed<T, F, S>(
     slab: &mut FrameSlab<F>,
     group_size: usize,
@@ -173,67 +219,63 @@ where
     let group_size = group_size.max(1);
     let waker = noop_waker();
     let mut cx = Context::from_waker(&waker);
-    let mut stats = RunStats::default();
+    let mut inputs = inputs.into_iter().fuse();
 
-    let mut inputs = inputs.into_iter();
-
-    // Reset the slab and guarantee capacity while it holds no futures:
+    // Reset the slab and guarantee capacity while it holds no frames:
     // any growth happens here, before the first poll.
     let slots = &mut slab.slots;
     slots.clear();
-    if slots.capacity() < group_size {
-        slots.reserve(group_size);
-    }
-    for _ in 0..group_size {
-        match inputs.next() {
-            Some((i, item)) => slots.push(Some(Slot {
-                input_index: i,
+    slots.reserve(group_size);
+    slots.extend(
+        inputs
+            .by_ref()
+            .take(group_size)
+            .map(|(input_index, item)| Slot {
+                input_index,
                 fut: make(item),
-            })),
-            None => break,
-        }
-    }
-    let mut not_done = slots.len();
-    stats.peak_in_flight = not_done as u64;
+            }),
+    );
+    let peak_in_flight = slots.len() as u64;
+    let mut live = slots.len();
+    let (mut lookups, mut resumes) = (0u64, 0u64);
 
-    // Round-robin over the slab until every lookup has completed.
-    while not_done > 0 {
+    // Steady state: a full slab means inputs may remain.
+    let mut refilling = live == group_size;
+    while refilling {
         for slot in slots.iter_mut() {
-            let Some(s) = slot.as_mut() else { continue };
-            // SAFETY: the future lives inside the slab `Vec`, whose
-            // capacity was ensured above while the `Vec` was empty and
-            // which is never grown afterwards (pushes stop at
-            // `group_size <= capacity`), and an occupied slot is only
-            // ever overwritten *after* its future completed and was
-            // dropped in place. Hence the future never moves between
-            // its first poll and its drop, satisfying `Pin`'s contract.
-            let fut = unsafe { Pin::new_unchecked(&mut s.fut) };
-            stats.resumes += 1;
-            match fut.poll(&mut cx) {
-                Poll::Pending => {
-                    stats.switches += 1;
-                }
-                Poll::Ready(out) => {
-                    stats.lookups += 1;
-                    sink(s.input_index, out);
-                    // Frame recycling: start the next lookup in this slot.
-                    match inputs.next() {
-                        Some((i, item)) => {
-                            *slot = Some(Slot {
-                                input_index: i,
-                                fut: make(item),
-                            });
-                        }
-                        None => {
-                            *slot = None;
-                            not_done -= 1;
-                        }
-                    }
+            resumes += 1;
+            if let Poll::Ready(out) = slot.frame().poll(&mut cx) {
+                lookups += 1;
+                sink(slot.input_index, out);
+                // Frame recycling: start the next lookup in this slot.
+                if let Some((i, item)) = inputs.next() {
+                    slot.input_index = i;
+                    slot.frame().set(make(item));
+                } else {
+                    slot.input_index = DONE;
+                    live -= 1;
+                    refilling = false;
                 }
             }
         }
     }
-    stats
+
+    // Drain: no inputs left; poll what is still in flight.
+    while live > 0 {
+        for slot in slots.iter_mut() {
+            if slot.input_index == DONE {
+                continue;
+            }
+            resumes += 1;
+            if let Poll::Ready(out) = slot.frame().poll(&mut cx) {
+                lookups += 1;
+                sink(slot.input_index, out);
+                slot.input_index = DONE;
+                live -= 1;
+            }
+        }
+    }
+    RunStats::of_run(lookups, resumes, peak_in_flight)
 }
 
 /// Run the lookups `group_size` at a time, switching streams at every
@@ -271,66 +313,6 @@ where
         make,
         sink,
     )
-}
-
-/// Ablation variant of [`run_interleaved`] that heap-allocates (boxes)
-/// every coroutine frame instead of recycling slab slots.
-///
-/// This reproduces the behaviour of a compiler that cannot elide or reuse
-/// coroutine frame allocations — the situation the paper faced with MSVC
-/// v14.1 — and is benchmarked against the slab scheduler to quantify the
-/// cost (see `crates/bench/benches/binary_search.rs`).
-pub fn run_interleaved_boxed<I, F, S>(
-    group_size: usize,
-    inputs: I,
-    mut make: impl FnMut(I::Item) -> F,
-    mut sink: S,
-) -> RunStats
-where
-    I: IntoIterator,
-    F: Future,
-    S: FnMut(usize, F::Output),
-{
-    let group_size = group_size.max(1);
-    let waker = noop_waker();
-    let mut cx = Context::from_waker(&waker);
-    let mut stats = RunStats::default();
-
-    let mut inputs = inputs.into_iter().enumerate();
-    let mut slots: Vec<Option<(usize, Pin<Box<F>>)>> = Vec::with_capacity(group_size);
-    for _ in 0..group_size {
-        match inputs.next() {
-            Some((i, item)) => slots.push(Some((i, Box::pin(make(item))))),
-            None => break,
-        }
-    }
-    let mut not_done = slots.len();
-    stats.peak_in_flight = not_done as u64;
-
-    while not_done > 0 {
-        for slot in slots.iter_mut() {
-            let Some((idx, fut)) = slot.as_mut() else {
-                continue;
-            };
-            stats.resumes += 1;
-            match fut.as_mut().poll(&mut cx) {
-                Poll::Pending => stats.switches += 1,
-                Poll::Ready(out) => {
-                    stats.lookups += 1;
-                    sink(*idx, out);
-                    match inputs.next() {
-                        // A fresh allocation per lookup — deliberately.
-                        Some((i, item)) => *slot = Some((i, Box::pin(make(item)))),
-                        None => {
-                            *slot = None;
-                            not_done -= 1;
-                        }
-                    }
-                }
-            }
-        }
-    }
-    stats
 }
 
 #[cfg(test)]
@@ -380,7 +362,8 @@ mod tests {
         let expect = collect_seq(&values);
         for group in [1, 4, 8] {
             let mut out = vec![0; values.len()];
-            run_interleaved_boxed(group, values.iter().copied(), lookup, |i, r| out[i] = r);
+            let boxed = |v| Box::pin(lookup(v));
+            run_interleaved(group, values.iter().copied(), boxed, |i, r| out[i] = r);
             assert_eq!(out, expect, "group={group}");
         }
     }
