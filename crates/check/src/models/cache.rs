@@ -1,77 +1,161 @@
-//! Model of the hot-key cache write-invalidation protocol in
-//! `isi_serve::service`.
+//! Model of the hot-key cache protocol in `isi_serve::service`.
 //!
 //! The serving layer answers repeated hot-key lookups from a small
-//! cache in front of the authoritative shard state. On a write, the
-//! writer must **invalidate the cached entry before acknowledging**
-//! the write to the client; otherwise there is a window where the
-//! client has been told "your write is durable" but a lookup still
-//! returns the pre-write value from the cache — a
-//! read-your-own-writes violation.
+//! per-shard cache in front of the authoritative shard state. The
+//! cache lives in the shard's queue state, behind the one mutex that
+//! also guards the admission queue and the executor token:
+//!
+//! - a client's `get` probes the cache and, on a miss, enqueues its
+//!   entry in the same critical section;
+//! - the token holder executes entries outside the lock, and refills
+//!   the cache under it after a read, *before* answering the read;
+//! - after applying a write it **invalidates the cached entry under
+//!   the lock before acknowledging** the write. Otherwise there is a
+//!   window where the client has been told "your write is applied"
+//!   but its next lookup still returns the pre-write value from the
+//!   cache — a read-your-own-writes violation.
+//!
+//! Two clients share one hot key: a reader whose `get` misses the
+//! empty cache (so it may take the token and fill the slot with the
+//! old value), and a writer that `put`s the new value and then reads
+//! it. To keep the model to two threads, whoever takes the token
+//! drains the queue before handing it back — the helper's part of the
+//! protocol, which the [`queue`](super::queue) model checks on its own.
 //!
 //! [`invalidate_before_ack`] models the protocol the serve path
-//! implements (invalidate, *then* ack): across every interleaving, a
-//! client that has observed the ack never reads the stale cached
-//! value. [`ack_before_invalidate`] flips the two steps and is
-//! expected to violate — the test suite asserts the explorer finds
-//! the stale read and that its seed replays.
+//! implements (invalidate, *then* ack): across every interleaving, the
+//! writer's read after its ack returns its own write.
+//! [`ack_before_invalidate`] flips the two steps and is expected to
+//! violate — the test suite asserts the explorer finds the stale read
+//! and that its seed replays.
 
 use std::sync::Arc;
 
-use crate::sync::atomic::AtomicBool;
-use crate::sync::{Mutex, Ordering};
+use crate::sync::{Condvar, Mutex, MutexGuard};
 use crate::vt;
 
-struct State {
-    /// Authoritative value for the hot key.
-    store: Mutex<u64>,
-    /// Cached value (`None` = miss; filled from `store` on lookup).
-    cache: Mutex<Option<u64>>,
-    /// The client-visible write acknowledgement.
-    acked: AtomicBool,
+/// The shard state behind the queue mutex.
+struct Queue {
+    /// Cached value of the hot key (`None`: empty slot).
+    cache: Option<u64>,
+    /// Queued entries: `(client, None)` is a `get`, `(client,
+    /// Some(v))` a `put` of `v`.
+    reqs: Vec<(usize, Option<u64>)>,
+    /// The executor token is in the queue state (nobody runs).
+    token: bool,
 }
 
-/// Shared body: writer updates the store and performs
-/// invalidate/ack in the given order; the client, once it sees the
-/// ack, must read its own write (2), never the stale cached 1.
+struct Shard {
+    q: Mutex<Queue>,
+    /// Authoritative value; only the token holder touches it, outside
+    /// the queue lock.
+    store: Mutex<u64>,
+    /// One response slot per client, and the channel its waiter parks
+    /// on (the real tickets are one mutex each).
+    tickets: Mutex<[Option<u64>; 2]>,
+    answered: Condvar,
+    invalidate_first: bool,
+}
+
+const READER: usize = 0;
+const WRITER: usize = 1;
+
+impl Shard {
+    /// `get`: probe, then — on a miss — enqueue under the same guard.
+    fn get(&self, client: usize) -> u64 {
+        let q = self.q.lock();
+        if let Some(v) = q.cache {
+            return v;
+        }
+        self.submit(q, client, None)
+    }
+
+    /// Push the entry, run the shard if its token is present, then
+    /// wait for the answer.
+    fn submit(&self, mut q: MutexGuard<'_, Queue>, client: usize, op: Option<u64>) -> u64 {
+        q.reqs.push((client, op));
+        drop(self.run(q));
+        let mut tickets = self.tickets.lock();
+        loop {
+            if let Some(v) = tickets[client].take() {
+                return v;
+            }
+            tickets = self.answered.wait(tickets);
+        }
+    }
+
+    /// Take the token if it is present, execute entries outside the
+    /// lock until the queue is empty, hand the token back.
+    fn run<'a>(&'a self, mut q: MutexGuard<'a, Queue>) -> MutexGuard<'a, Queue> {
+        if q.reqs.is_empty() || !q.token {
+            return q;
+        }
+        q.token = false;
+        while !q.reqs.is_empty() {
+            let batch: Vec<_> = q.reqs.drain(..).collect();
+            drop(q);
+            for (client, op) in batch {
+                self.execute(client, op);
+            }
+            q = self.q.lock();
+        }
+        q.token = true;
+        q
+    }
+
+    /// One entry, by the token holder.
+    fn execute(&self, client: usize, op: Option<u64>) {
+        let Some(v) = op else {
+            let v = *self.store.lock();
+            self.q.lock().cache = Some(v);
+            self.answer(client, v);
+            return;
+        };
+        *self.store.lock() = v;
+        if self.invalidate_first {
+            self.q.lock().cache = None;
+            self.answer(client, v);
+        } else {
+            self.answer(client, v);
+            self.q.lock().cache = None;
+        }
+    }
+
+    fn answer(&self, client: usize, v: u64) {
+        self.tickets.lock()[client] = Some(v);
+        self.answered.notify_all();
+    }
+}
+
+/// Shared body: the writer puts 2 over the stored 1 while the reader's
+/// `get` races it; once its put returns, the writer must read 2.
 fn cache_model(invalidate_first: bool) {
-    let st = Arc::new(State {
+    let shard = Arc::new(Shard {
+        q: Mutex::new(Queue {
+            cache: None,
+            reqs: Vec::new(),
+            token: true,
+        }),
         store: Mutex::new(1),
-        // Pre-warmed with the old value: the dangerous starting point.
-        cache: Mutex::new(Some(1)),
-        acked: AtomicBool::new(false),
+        tickets: Mutex::new([None; 2]),
+        answered: Condvar::new(),
+        invalidate_first,
     });
 
-    let writer = {
-        let st = Arc::clone(&st);
+    let reader = {
+        let shard = Arc::clone(&shard);
         vt::spawn(move || {
-            *st.store.lock() = 2;
-            if invalidate_first {
-                *st.cache.lock() = None;
-                st.acked.store(true, Ordering::SeqCst);
-            } else {
-                st.acked.store(true, Ordering::SeqCst);
-                *st.cache.lock() = None;
-            }
+            let v = shard.get(READER);
+            assert!(v == 1 || v == 2, "read a value never written: {v}");
         })
     };
 
-    // The client (main virtual thread): a lookup that happens to land
-    // after it observed its write's ack.
-    if st.acked.load(Ordering::SeqCst) {
-        let cached = *st.cache.lock();
-        let v = match cached {
-            Some(v) => v,
-            None => {
-                // Miss: read through and refill, as the dispatcher does.
-                let v = *st.store.lock();
-                *st.cache.lock() = Some(v);
-                v
-            }
-        };
-        assert_eq!(v, 2, "stale read after own-write ack (cache={cached:?})");
-    }
-    writer.join();
+    // The writer (main virtual thread): `put`, then read its own write.
+    let q = shard.q.lock();
+    shard.submit(q, WRITER, Some(2));
+    let v = shard.get(WRITER);
+    assert_eq!(v, 2, "stale read after own-write ack");
+    reader.join();
 }
 
 /// The implemented protocol: invalidate the cache entry, then ack.

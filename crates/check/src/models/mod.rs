@@ -14,7 +14,7 @@
 //! |---|---|
 //! | [`epoch`] | `EpochCell` publish: snapshots never torn, epochs monotone |
 //! | [`runs`] | run-stack delta over a mid tier: compaction + identity-residual merge, minor or major, never lose the newest write, and a merge drains what it pinned |
-//! | [`cache`] | hot-key cache: invalidate-before-ack ⇒ no stale read after own-write ack |
+//! | [`cache`] | hot-key cache under the queue lock: invalidate-before-ack ⇒ no stale read after own-write ack |
 //! | [`queue`] | caller-runs admission: token hand-back strands no entry, no deadlock at backpressure |
 //! | [`wal`] | WAL group commit + snapshot-truncate: acked ⇒ durable, frontier monotone |
 //! | [`metrics`] | registry snapshot ordering: read ≤-side first ⇒ `syncs ≤ records` |

@@ -72,18 +72,6 @@ impl RunStats {
         self.switches += other.switches;
         self.peak_in_flight = self.peak_in_flight.max(other.peak_in_flight);
     }
-
-    /// The counters as stable `(name, value)` pairs, for exporters
-    /// (`isi_obs` renders these as engine gauges) — one place owns the
-    /// names so metric output cannot drift from the struct.
-    pub fn counters(&self) -> [(&'static str, u64); 4] {
-        [
-            ("lookups", self.lookups),
-            ("resumes", self.resumes),
-            ("switches", self.switches),
-            ("peak_in_flight", self.peak_in_flight),
-        ]
-    }
 }
 
 /// Run the lookups one after another — the paper's `runSequential`.

@@ -41,8 +41,9 @@
 //!    interleaved engine ([`isi_core::par`]), applies writes in
 //!    admission order between read runs, and routes each
 //!    result back through its ticket. A per-shard hot-key cache (1.5
-//!    MiB, allocated at start) answers repeat `get`s without admission
-//!    and is invalidated by the write path.
+//!    MiB, allocated at start) in the queue state answers repeat
+//!    `get`s without admission; only the token holder fills it or
+//!    invalidates it, under the queue lock, the shard's only one.
 //! 4. **Maintain in the background** — a threshold-crossing write
 //!    *enqueues a merge job*; the store's background merger thread
 //!    folds that shard's run stack into its mid tier (a minor merge:

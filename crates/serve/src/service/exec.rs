@@ -85,19 +85,19 @@ pub(super) fn execute_batch(ctx: ShardCtx<'_>, bufs: &mut Exec, full: bool, who:
             );
             // Fill the cache before fulfilling: the token holder is the
             // only mutator of this shard, so these results are current
-            // until the next write applied under the token.
-            let mut cache = state.cache.plock("hot-key cache");
+            // until the next write applied under the token. The engine
+            // counters merge here too, before the requests are counted:
+            // `stats` never shows a read key not yet in `engine.lookups`
+            // or `delta_hits`.
+            let mut q = state.q.plock("admission queue");
             for &(ei, start, _) in &bufs.run_spans {
                 if let Op::Get { key, .. } = &bufs.batch[ei].op {
-                    cache.insert(*key, bufs.out[start]);
+                    q.cache.insert(*key, bufs.out[start]);
                 }
             }
-            cache.end_run(state.m.cache_hits.get());
-            drop(cache);
-            state
-                .engine
-                .plock("shard engine stats")
-                .merge(&outcome.engine);
+            q.cache.end_run(state.m.cache_hits.get());
+            q.engine.merge(&outcome.engine);
+            drop(q);
             state.m.delta_hits.add(outcome.delta_hits);
             let commit_t = SpanTimer::start();
             for &(ei, start, len) in &bufs.run_spans {
@@ -129,12 +129,8 @@ pub(super) fn execute_batch(ctx: ShardCtx<'_>, bufs: &mut Exec, full: bool, who:
         // held across it.
         bufs.write_ops.clear();
         bufs.write_idx.clear();
-        while i < bufs.batch.len() {
-            match &bufs.batch[i].op {
-                Op::Put { key, val, .. } => bufs.write_ops.push((*key, Some(*val))),
-                Op::Remove { key, .. } => bufs.write_ops.push((*key, None)),
-                _ => break,
-            }
+        while let Some(Op::Write { key, val, .. }) = bufs.batch.get(i).map(|e| &e.op) {
+            bufs.write_ops.push((*key, *val));
             bufs.write_idx.push(i);
             i += 1;
         }
@@ -149,11 +145,11 @@ pub(super) fn execute_batch(ctx: ShardCtx<'_>, bufs: &mut Exec, full: bool, who:
         );
         // Invalidate before fulfilling: a client whose write just acked
         // must not then read a stale cached value.
-        let mut cache = state.cache.plock("hot-key cache");
+        let mut q = state.q.plock("admission queue");
         for &(key, _) in &bufs.write_ops {
-            cache.invalidate(key);
+            q.cache.invalidate(key);
         }
-        drop(cache);
+        drop(q);
         obs.trace().emit_now(
             shard,
             TraceKind::CacheInvalidate,
@@ -166,17 +162,15 @@ pub(super) fn execute_batch(ctx: ShardCtx<'_>, bufs: &mut Exec, full: bool, who:
             let entry = &bufs.batch[ei];
             state.m.requests.inc();
             state.m.latency.record(entry.enqueued.elapsed_ns());
-            match &entry.op {
-                Op::Put { ticket, .. } => {
-                    state.m.puts.inc();
-                    ticket.fulfill(prev);
-                }
-                Op::Remove { ticket, .. } => {
-                    state.m.removes.inc();
-                    ticket.fulfill(prev);
-                }
-                _ => unreachable!("read in write run"),
+            let Op::Write { val, ticket, .. } = &entry.op else {
+                unreachable!("read in write run")
+            };
+            if val.is_some() {
+                state.m.puts.inc();
+            } else {
+                state.m.removes.inc();
             }
+            ticket.fulfill(prev);
         }
         obs.record_stage(shard, Stage::Commit, commit_t.elapsed_ns());
     }

@@ -65,11 +65,15 @@
 //! latency absorbs a rebuild.
 //!
 //! A per-shard **hot-key cache** (2^16 slots, 1.5 MiB, allocated
-//! zeroed at start) sits in front of the admission queue, filled by
-//! the token holder with `get` results and invalidated by the write
-//! path before a write is acknowledged. A hit skips admission. On keys
-//! without skew the token holder drops the table for a while (see
-//! `cache.rs`): there every probe would only cost a cold line.
+//! zeroed at start) lives in the queue state, so **a shard has one
+//! lock**: the queue lock guards the queue, the token, the cache and
+//! the engine counters, and is never held across the engine or a store
+//! write. `get` probes the cache and, on a miss, enqueues in one
+//! critical section; a hit skips admission. The token holder fills it
+//! before answering a read run and invalidates a write run's keys
+//! before acknowledging them. On keys without skew it drops the table
+//! for a while (see `cache.rs`): there every probe would only cost a
+//! cold line.
 //!
 //! **Failure.** A runner that unwinds (a failed WAL append panics)
 //! must not strand the token: a drop guard closes the shard, abandons
@@ -94,7 +98,6 @@ mod tests;
 mod ticket;
 
 use std::collections::VecDeque;
-use std::sync::atomic::Ordering;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 
@@ -107,6 +110,7 @@ use isi_obs::{chrome_trace_json, Obs, SpanTimer, Stage, TraceKind};
 
 use crate::store::ShardedStore;
 
+use cache::HotCache;
 use queue::{helper_loop, Entry, Exec, Op, QueueState, Runner, ShardCtx, ShardState};
 pub use stats::ServeStats;
 use stats::ShardCounters;
@@ -192,10 +196,6 @@ pub struct LookupService {
     /// on [`ShardedStore::obs`]; the export methods merge both.
     obs: Arc<Obs>,
     helpers: Vec<JoinHandle<()>>,
-    /// Set by `close`; request paths that can answer without touching
-    /// an admission queue (cache hits, empty `get_many`) check it so
-    /// the use-after-close panic contract holds on every entry point.
-    closed: std::sync::atomic::AtomicBool,
 }
 
 impl LookupService {
@@ -230,10 +230,11 @@ impl LookupService {
                         reqs: VecDeque::new(),
                         open: true,
                         exec: Some(Box::new(Exec::new(&cfg))),
+                        cache: HotCache::default(),
+                        engine: RunStats::default(),
                     }),
                     work: Condvar::new(),
                     space: Condvar::new(),
-                    engine: Mutex::new(RunStats::default()),
                     m: ShardCounters {
                         // The ≤-sides before `batches`: registration
                         // order is the snapshot-coherence contract.
@@ -249,7 +250,6 @@ impl LookupService {
                         cache_hits: counter("serve_cache_hits"),
                         latency: reg.hist("serve_latency_ns", &l),
                     },
-                    cache: Mutex::default(),
                 })
             })
             .collect();
@@ -280,16 +280,7 @@ impl LookupService {
             cfg,
             obs,
             helpers,
-            closed: std::sync::atomic::AtomicBool::new(false),
         }
-    }
-
-    /// Panic if `close` already ran (requests must not outlive it).
-    fn assert_open(&self) {
-        assert!(
-            !self.closed.load(Ordering::Relaxed),
-            "request on a closed LookupService"
-        );
     }
 
     /// The underlying store.
@@ -312,25 +303,28 @@ impl LookupService {
         }
     }
 
-    /// Push `op` on `shard`'s admission queue, blocking while the
-    /// queue holds `queue_cap` entries (backpressure). Returns with the
-    /// queue lock still held: the caller either runs the shard or
-    /// leaves the entry to the helper.
+    /// Lock `shard`'s admission queue.
     ///
     /// # Panics
     /// Panics with "closed" on a closed queue — after releasing the
     /// lock, so a rejected request never poisons it for the helper,
     /// the other submitters and `close`.
-    fn enqueue(&self, shard: usize, op: Op) -> MutexGuard<'_, QueueState> {
-        fn reject_if_closed(q: MutexGuard<'_, QueueState>) -> MutexGuard<'_, QueueState> {
-            if !q.open {
-                drop(q);
-                panic!("request on a closed LookupService");
-            }
-            q
-        }
+    fn lock_open(&self, shard: usize) -> MutexGuard<'_, QueueState> {
+        reject_if_closed(self.shards[shard].q.plock("admission queue"))
+    }
+
+    /// Push `op` on `shard`'s admission queue, `q` its lock from
+    /// `lock_open`, blocking while the queue holds `queue_cap` entries
+    /// (backpressure; panics like `lock_open` if it closes meanwhile).
+    /// Returns with the lock still held: the caller either runs the
+    /// shard or leaves the entry to the helper.
+    fn enqueue<'a>(
+        &'a self,
+        shard: usize,
+        mut q: MutexGuard<'a, QueueState>,
+        op: Op,
+    ) -> MutexGuard<'a, QueueState> {
         let state = &self.shards[shard];
-        let mut q = reject_if_closed(state.q.plock("admission queue"));
         if q.reqs.len() >= self.cfg.queue_cap {
             // Stalled on a full queue: the wait is a Backpressure span
             // (payload 0 = admission-queue flavor; the store's delta
@@ -369,14 +363,6 @@ impl LookupService {
         );
     }
 
-    /// Submit a single-shard `op` answered through `ticket`: run it
-    /// here if the shard is idle, else wait for whoever runs it.
-    fn submit_and_wait<T>(&self, shard: usize, op: Op, ticket: &Ticket<T>) -> T {
-        let q = self.enqueue(shard, op);
-        self.run_until_answered(shard, q, ticket);
-        ticket.wait()
-    }
-
     /// Submit one entry per shard of `shards` (built by `make_op`
     /// around that shard's ticket) and collect the answers in `shards`
     /// order. The last entry runs on this thread; the others are left
@@ -388,7 +374,11 @@ impl LookupService {
     ) -> Vec<T> {
         let tickets: Vec<Arc<Ticket<T>>> = shards.iter().map(|_| Arc::new(Ticket::new())).collect();
         for (i, (&shard, ticket)) in shards.iter().zip(&tickets).enumerate() {
-            let q = self.enqueue(shard, make_op(shard, Arc::clone(ticket)));
+            let q = self.enqueue(
+                shard,
+                self.lock_open(shard),
+                make_op(shard, Arc::clone(ticket)),
+            );
             if i + 1 == shards.len() {
                 self.run_until_answered(shard, q, ticket);
             } else if q.exec.is_some() {
@@ -417,10 +407,10 @@ impl LookupService {
     /// Look up one key on the owning shard. A hit in the shard's
     /// hot-key cache answers at once; a miss is admitted, then cached.
     pub fn get(&self, key: u64) -> Option<u64> {
-        self.assert_open();
         let shard = self.store.shard_of(key);
-        let cached = self.shards[shard].cache.plock("hot-key cache").probe(key);
-        if let Some(result) = cached {
+        let q = self.lock_open(shard);
+        if let Some(result) = q.cache.probe(key) {
+            drop(q);
             self.shards[shard].m.cache_hits.inc();
             return result;
         }
@@ -429,7 +419,8 @@ impl LookupService {
             key,
             ticket: Arc::clone(&ticket),
         };
-        self.submit_and_wait(shard, op, &ticket)
+        self.run_until_answered(shard, self.enqueue(shard, q, op), &ticket);
+        ticket.wait()
     }
 
     /// Look up many keys with one admission entry per owning shard:
@@ -438,7 +429,10 @@ impl LookupService {
     /// cheaper than n `get` calls for multi-key requests — the client
     /// pre-forms the batch the engine wants.
     pub fn get_many(&self, keys: &[u64]) -> Vec<Option<u64>> {
-        self.assert_open();
+        if keys.is_empty() {
+            // No queue to admit to, but the use-after-close panic holds.
+            drop(self.lock_open(0));
+        }
         let mut results = vec![None; keys.len()];
         // positions[s] = indices into `keys` owned by shard s.
         let mut positions: Vec<Vec<usize>> = vec![Vec::new(); self.store.num_shards()];
@@ -463,24 +457,27 @@ impl LookupService {
     /// Upsert `key = val` through the owning shard's queue; blocks
     /// until applied and returns the previously visible value.
     pub fn put(&self, key: u64, val: u64) -> Option<u64> {
-        let ticket = Arc::new(Ticket::new());
-        let op = Op::Put {
-            key,
-            val,
-            ticket: Arc::clone(&ticket),
-        };
-        self.submit_and_wait(self.store.shard_of(key), op, &ticket)
+        self.write(key, Some(val))
     }
 
     /// Remove `key` through the owning shard's queue; blocks until
     /// applied and returns the value it held, if any.
     pub fn remove(&self, key: u64) -> Option<u64> {
+        self.write(key, None)
+    }
+
+    /// `put` (`val` is `Some`) or `remove` (`None`).
+    fn write(&self, key: u64, val: Option<u64>) -> Option<u64> {
+        let shard = self.store.shard_of(key);
         let ticket = Arc::new(Ticket::new());
-        let op = Op::Remove {
+        let op = Op::Write {
             key,
+            val,
             ticket: Arc::clone(&ticket),
         };
-        self.submit_and_wait(self.store.shard_of(key), op, &ticket)
+        let q = self.enqueue(shard, self.lock_open(shard), op);
+        self.run_until_answered(shard, q, &ticket);
+        ticket.wait()
     }
 
     /// Aggregated metrics over all shards (latency histograms merged),
@@ -518,9 +515,7 @@ impl LookupService {
             ..ServeStats::default()
         };
         for state in &self.shards {
-            total
-                .engine
-                .merge(&state.engine.plock("shard engine stats"));
+            total.engine.merge(&state.q.plock("admission queue").engine);
         }
         total
     }
@@ -589,7 +584,6 @@ impl LookupService {
     /// (including writes, which are applied in order), and join the
     /// helpers. Idempotent; also run by `Drop`.
     pub fn close(&mut self) {
-        self.closed.store(true, Ordering::Relaxed);
         for state in &self.shards {
             // A failed shard does not poison this lock: its runner
             // unwound outside it and rejected submitters panic after
@@ -614,4 +608,13 @@ impl Drop for LookupService {
     fn drop(&mut self) {
         self.close();
     }
+}
+
+/// `q`, if its queue is open; else release it and panic.
+fn reject_if_closed(q: MutexGuard<'_, QueueState>) -> MutexGuard<'_, QueueState> {
+    if !q.open {
+        drop(q);
+        panic!("request on a closed LookupService");
+    }
+    q
 }

@@ -25,13 +25,11 @@ pub(super) enum Op {
         key: u64,
         ticket: Arc<Ticket<Option<u64>>>,
     },
-    Put {
+    /// `put` (`val` is `Some`) or `remove` (`None`): the store's write
+    /// op as it goes into a write run.
+    Write {
         key: u64,
-        val: u64,
-        ticket: Arc<Ticket<Option<u64>>>,
-    },
-    Remove {
-        key: u64,
+        val: Option<u64>,
         ticket: Arc<Ticket<Option<u64>>>,
     },
     /// One shard's slice of a client `get_many` call: all keys route
@@ -44,9 +42,7 @@ impl Op {
     /// Abandon the entry's ticket (see [`Ticket::abandon`]).
     pub(super) fn abandon(&self) {
         match self {
-            Op::Get { ticket, .. } | Op::Put { ticket, .. } | Op::Remove { ticket, .. } => {
-                ticket.abandon();
-            }
+            Op::Get { ticket, .. } | Op::Write { ticket, .. } => ticket.abandon(),
             Op::GetMany { ticket, .. } => ticket.abandon(),
         }
     }
@@ -58,16 +54,23 @@ pub(super) struct Entry {
     pub(super) enqueued: SpanTimer,
 }
 
-/// Mutable queue state behind each shard's mutex.
+/// A shard's mutable service state, all behind its one mutex: the
+/// admission queue, the executor token, and the two things only the
+/// token holder mutates — the hot-key cache and the engine counters.
 pub(super) struct QueueState {
     pub(super) reqs: VecDeque<Entry>,
     pub(super) open: bool,
     /// The shard's executor token. Taking it out (under this lock) is
     /// the right to run the shard; `None` while some thread does.
     pub(super) exec: Option<Box<Exec>>,
+    /// Probed by `get` before it enqueues, in the same critical section.
+    pub(super) cache: HotCache,
+    /// Merged once per read run, with the cache fill; read by `stats`.
+    pub(super) engine: RunStats,
 }
 
-/// One shard's admission queue and its wakeup channels.
+/// One shard's state (the only lock a shard has; tickets have their
+/// own), its wakeup channels and its counters.
 pub(super) struct ShardState {
     pub(super) q: Mutex<QueueState>,
     /// The helper parks here until entries are queued while the token
@@ -75,18 +78,10 @@ pub(super) struct ShardState {
     pub(super) work: Condvar,
     /// Producers wait here for queue space (backpressure).
     pub(super) space: Condvar,
-    /// Interleaved-engine counters, merged once per read run. A plain
-    /// struct behind a small mutex: only the token holder writes it,
-    /// and [`LookupService::stats`] reads it.
-    ///
-    /// [`LookupService::stats`]: super::LookupService::stats
-    pub(super) engine: Mutex<RunStats>,
     /// Registry handles for this shard's counters (see
-    /// [`ShardCounters`]); lock-free, so the client cache-hit fast
-    /// path never contends with an executing batch.
+    /// [`ShardCounters`]); lock-free, so a cache hit counts itself
+    /// after releasing the queue lock.
     pub(super) m: ShardCounters,
-    /// The shard's hot-key cache.
-    pub(super) cache: Mutex<HotCache>,
 }
 
 /// A shard's executor token: the reusable batch buffers. It lives in

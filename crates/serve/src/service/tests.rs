@@ -155,6 +155,7 @@ fn a_client_stops_running_once_its_own_entry_is_answered() {
     let ticket = Arc::new(Ticket::new());
     drop(svc.enqueue(
         0,
+        svc.lock_open(0),
         Op::Get {
             key: 10,
             ticket: Arc::clone(&ticket),
@@ -192,9 +193,10 @@ fn close_answers_every_queued_ticket() {
     let put = Arc::new(Ticket::new());
     drop(svc.enqueue(
         0,
-        Op::Put {
+        svc.lock_open(0),
+        Op::Write {
             key: 10,
-            val: 77,
+            val: Some(77),
             ticket: Arc::clone(&put),
         },
     ));
@@ -204,6 +206,7 @@ fn close_answers_every_queued_ticket() {
             let ticket = Arc::new(Ticket::new());
             drop(svc.enqueue(
                 0,
+                svc.lock_open(0),
                 Op::Get {
                     key,
                     ticket: Arc::clone(&ticket),
@@ -328,6 +331,7 @@ fn an_unwinding_runner_fails_the_shard_closed() {
                 let ticket = Arc::new(Ticket::new());
                 let mut q = svc.enqueue(
                     0,
+                    svc.lock_open(0),
                     Op::Get {
                         key: 2,
                         ticket: Arc::clone(&ticket),
@@ -743,7 +747,7 @@ fn stats_snapshots_stay_coherent_under_concurrent_writes() {
     // stats() against a durable write load must never see any
     // cross-counter invariant inverted, mid-flight or after.
     use isi_durable::{Fs, FsyncMode, MemFs};
-    use std::sync::atomic::AtomicBool;
+    use std::sync::atomic::{AtomicBool, Ordering};
 
     let fs: Arc<dyn Fs> = Arc::new(MemFs::new());
     let store = ShardedStore::build_with_fs(
@@ -790,6 +794,16 @@ fn stats_snapshots_stay_coherent_under_concurrent_writes() {
                     s.caller_runs,
                     s.batches
                 );
+                // Every admitted read key is a delta hit or an engine
+                // lookup, both counted before the request is.
+                assert!(
+                    s.gets + s.many_keys <= s.engine.lookups + s.delta_hits,
+                    "skewed snapshot: {} gets + {} many keys > {} lookups + {} delta hits",
+                    s.gets,
+                    s.many_keys,
+                    s.engine.lookups,
+                    s.delta_hits
+                );
                 snaps += 1;
             }
             snaps
@@ -798,7 +812,10 @@ fn stats_snapshots_stay_coherent_under_concurrent_writes() {
             for c in 0..3u64 {
                 writers.spawn(move || {
                     for i in 0..200u64 {
-                        svc.put(c + i * 3, i);
+                        let key = c + i * 3;
+                        svc.put(key, i);
+                        svc.get(key);
+                        svc.get_many(&[key, key + 1_000]);
                     }
                 });
             }
@@ -808,6 +825,7 @@ fn stats_snapshots_stay_coherent_under_concurrent_writes() {
     });
     svc.store().quiesce();
     let s = svc.stats();
+    assert_eq!(s.gets + s.many_keys, s.engine.lookups + s.delta_hits);
     assert_eq!(s.puts, 600);
     assert!(s.wal_records > 0);
     assert!(s.wal_syncs > 0);
