@@ -18,10 +18,6 @@
 //! schedulable but some are still alive, the execution has deadlocked
 //! — the runtime records that as a failure with the schedule that
 //! produced it, exactly like an assertion violation in model code.
-//!
-//! Timed condvar waits ([`VState::TimedWait`]) stay schedulable: the
-//! chooser may "fire the timeout" by scheduling the waiter directly,
-//! which models every possible timeout/notify race without a clock.
 
 use std::any::Any;
 use std::cell::RefCell;
@@ -48,9 +44,6 @@ pub(crate) enum VState {
     /// Parked on a resource (mutex/rwlock/condvar/join); not
     /// schedulable until the resource wakes it.
     Blocked,
-    /// Parked in a timed condvar wait: schedulable — scheduling it
-    /// fires its timeout.
-    TimedWait,
     /// Returned (or unwound); never schedulable again.
     Finished,
 }
@@ -58,8 +51,6 @@ pub(crate) enum VState {
 /// One virtual thread's runtime record.
 struct VThread {
     state: VState,
-    /// Set when a timed wait was woken by timeout rather than notify.
-    timed_out: bool,
     /// Threads blocked in `join` on this one.
     joiners: Vec<usize>,
 }
@@ -76,8 +67,8 @@ pub(crate) enum Resource {
         waiters: Vec<usize>,
     },
     Condvar {
-        /// `(thread, timed)` in wait order.
-        waiters: Vec<(usize, bool)>,
+        /// Waiting threads in wait order.
+        waiters: Vec<usize>,
     },
 }
 
@@ -166,7 +157,6 @@ impl Controller {
             state: StdMutex::new(RtState {
                 threads: vec![VThread {
                     state: VState::Running,
-                    timed_out: false,
                     joiners: Vec::new(),
                 }],
                 resources: Vec::new(),
@@ -211,8 +201,8 @@ impl Controller {
         self.fail_locked(&mut st, msg);
     }
 
-    /// Pick the next thread to run from the schedulable set (and fire
-    /// a timeout if the pick is a timed waiter). No-op under abort.
+    /// Pick the next thread to run from the schedulable set. No-op
+    /// under abort.
     fn pick_next_locked(&self, st: &mut RtState) {
         if st.abort {
             return;
@@ -221,7 +211,7 @@ impl Controller {
             .threads
             .iter()
             .enumerate()
-            .filter(|(_, t)| matches!(t.state, VState::Runnable | VState::TimedWait))
+            .filter(|(_, t)| t.state == VState::Runnable)
             .map(|(i, _)| i)
             .collect();
         if options.is_empty() {
@@ -261,17 +251,6 @@ impl Controller {
             }
         };
         let tid = options[idx];
-        if st.threads[tid].state == VState::TimedWait {
-            // Scheduling a timed waiter = its timeout fires: leave the
-            // condvar's wait list and resume (the wait path reacquires
-            // the mutex and reports the timeout).
-            for r in &mut st.resources {
-                if let Resource::Condvar { waiters } = r {
-                    waiters.retain(|&(t, _)| t != tid);
-                }
-            }
-            st.threads[tid].timed_out = true;
-        }
         st.threads[tid].state = VState::Running;
         self.cv.notify_all();
     }
@@ -436,10 +415,9 @@ impl Controller {
 
     // ---- condvar ----
 
-    /// Atomically release `mutex` and park on condvar `cv` (timed or
-    /// not). Returns whether the wakeup was a timeout. The caller must
-    /// reacquire the mutex afterwards via `mutex_lock(.., true)`.
-    pub(crate) fn condvar_wait(&self, tid: usize, cv: usize, mutex: usize, timed: bool) -> bool {
+    /// Atomically release `mutex` and park on condvar `cv`. The caller
+    /// must reacquire the mutex afterwards via `mutex_lock(.., true)`.
+    pub(crate) fn condvar_wait(&self, tid: usize, cv: usize, mutex: usize) {
         // The wait itself is an observable operation (release + park).
         let mut st = self.lock();
         if st.abort {
@@ -449,13 +427,8 @@ impl Controller {
         let Resource::Condvar { waiters } = &mut st.resources[cv] else {
             unreachable!("resource {cv} is not a condvar");
         };
-        waiters.push((tid, timed));
-        st.threads[tid].state = if timed {
-            VState::TimedWait
-        } else {
-            VState::Blocked
-        };
-        st.threads[tid].timed_out = false;
+        waiters.push(tid);
+        st.threads[tid].state = VState::Blocked;
         // Release the mutex inline (same shape as mutex_unlock, under
         // the already-held state lock).
         {
@@ -471,8 +444,7 @@ impl Controller {
             }
         }
         self.pick_next_locked(&mut st);
-        let st = self.park_locked(st, tid);
-        st.threads[tid].timed_out
+        drop(self.park_locked(st, tid));
     }
 
     /// Wake one waiter (a scheduling decision when several wait) or
@@ -490,7 +462,7 @@ impl Controller {
         if waiters.is_empty() {
             return;
         }
-        let woken: Vec<(usize, bool)> = if all || waiters.len() == 1 {
+        let woken: Vec<usize> = if all || waiters.len() == 1 {
             std::mem::take(waiters)
         } else {
             // Which waiter wakes is nondeterministic in a real
@@ -517,10 +489,9 @@ impl Controller {
                 }
             }
         };
-        for (w, _) in woken {
-            if matches!(st.threads[w].state, VState::Blocked | VState::TimedWait) {
+        for w in woken {
+            if st.threads[w].state == VState::Blocked {
                 st.threads[w].state = VState::Runnable;
-                st.threads[w].timed_out = false;
             }
         }
         self.cv.notify_all();
@@ -538,7 +509,6 @@ impl Controller {
         );
         st.threads.push(VThread {
             state: VState::Runnable,
-            timed_out: false,
             joiners: Vec::new(),
         });
         st.live += 1;
@@ -611,11 +581,6 @@ impl Controller {
         // before the parent's next operation.
         self.sched_point(parent);
         tid
-    }
-
-    /// True once `target` has finished (used by `JoinHandle::is_finished`).
-    pub(crate) fn thread_finished(&self, target: usize) -> bool {
-        self.lock().threads[target].state == VState::Finished
     }
 }
 

@@ -2,7 +2,7 @@
 //! every operation is a scheduling point of the model checker.
 //!
 //! Model code uses these exactly like their `std` counterparts —
-//! `Mutex`/`MutexGuard`, `RwLock`, `Condvar` (with timed waits), and
+//! `Mutex`/`MutexGuard`, `RwLock`, `Condvar`, and
 //! sequentially-consistent atomics — but each operation first hands
 //! control to the schedule explorer ([`crate::explore()`]), so every
 //! interleaving the bounds allow is actually executed. Blocking
@@ -17,10 +17,9 @@
 //!   parameter is accepted and ignored. Protocols relying on relaxed
 //!   ordering subtleties need a weaker-memory checker (that is what
 //!   the nightly ThreadSanitizer CI job is for).
-//! * **No spurious wakeups.** `Condvar::wait` returns only on notify
-//!   (or timeout for the timed variant). Code that is incorrect
-//!   without the re-check loop will instead show up as an
-//!   assertion/deadlock under some explored notify ordering.
+//! * **No spurious wakeups.** `Condvar::wait` returns only on notify.
+//!   Code that is incorrect without the re-check loop will instead show
+//!   up as an assertion/deadlock under some explored notify ordering.
 //!
 //! Poisoning does not exist here: a panicking model thread aborts the
 //! whole execution and is reported as a violation, so guards never
@@ -195,8 +194,7 @@ impl<T> Drop for WriteGuard<'_, T> {
 }
 
 /// A condition variable whose wait/notify orderings the explorer
-/// enumerates; timed waits model the timeout as a schedulable event,
-/// so every timeout/notify race is covered without a clock.
+/// enumerates.
 pub struct Condvar {
     id: usize,
 }
@@ -212,32 +210,16 @@ impl Condvar {
     }
 
     /// Release `guard`'s mutex, park until notified, reacquire.
-    pub fn wait<'a, T>(&self, guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
-        self.wait_inner(guard, false).0
-    }
-
-    /// Like [`wait`](Self::wait), but the scheduler may also fire the
-    /// timeout (there is no model clock — any wait may time out).
-    /// Returns the reacquired guard and whether the wakeup was a
-    /// timeout.
-    pub fn wait_timeout<'a, T>(&self, guard: MutexGuard<'a, T>) -> (MutexGuard<'a, T>, bool) {
-        self.wait_inner(guard, true)
-    }
-
-    fn wait_inner<'a, T>(
-        &self,
-        mut guard: MutexGuard<'a, T>,
-        timed: bool,
-    ) -> (MutexGuard<'a, T>, bool) {
+    pub fn wait<'a, T>(&self, mut guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
         let (ctl, tid) = rt::current();
         let mutex = guard.lock;
         // Drop the data lock, atomically release the model lock and
         // park; then reacquire both.
         guard.inner.take();
         std::mem::forget(guard); // model-level release happens inside condvar_wait
-        let timed_out = ctl.condvar_wait(tid, self.id, mutex.id, timed);
+        ctl.condvar_wait(tid, self.id, mutex.id);
         ctl.mutex_lock(tid, mutex.id, true);
-        (mutex.guard(), timed_out)
+        mutex.guard()
     }
 
     /// Wake one waiter. Which one is a scheduling decision.

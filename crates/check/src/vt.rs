@@ -28,12 +28,6 @@ impl JoinHandle {
         debug_assert!(Arc::ptr_eq(&ctl, &self.ctl), "join across executions");
         ctl.join_thread(tid, self.tid);
     }
-
-    /// Whether the thread has finished (a non-blocking probe; *not* a
-    /// scheduling point).
-    pub fn is_finished(&self) -> bool {
-        self.ctl.thread_finished(self.tid)
-    }
 }
 
 /// Spawn a virtual thread running `f`.
@@ -48,12 +42,4 @@ where
     let (ctl, parent) = rt::current();
     let tid = ctl.spawn(parent, Box::new(f));
     JoinHandle { ctl, tid }
-}
-
-/// Voluntarily offer the scheduler a handoff (a bare scheduling
-/// point). Useful to model a "the OS may preempt here" spot that has
-/// no shimmed operation of its own.
-pub fn yield_now() {
-    let (ctl, tid) = rt::current();
-    ctl.sched_point(tid);
 }

@@ -5,7 +5,7 @@
 //! * [`MainDictionary`]: a sorted array of the distinct domain values;
 //!   codes are array positions, `extract` is an array read, `locate` is
 //!   a binary search — in bulk, the `isi-search` coroutine on the
-//!   morsel engine ([`isi_core::par`]), which runs it sequentially or
+//!   parallel engine ([`isi_core::par`]), which runs it sequentially or
 //!   interleaved per the shared [`Interleave`] policy.
 //! * [`DeltaDictionary`]: an *unsorted* array that appends new values in
 //!   arrival order, indexed by a CSB+-tree for `locate`. Following the

@@ -84,9 +84,10 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Lookup lists reach the scheduler in morsels of 4096: a bulk
-    /// `locate` agrees with the per-value one on either side of a
-    /// morsel boundary, in both instantiations of the coroutine.
+    /// Lookup lists of every length around 4096, where the engine once
+    /// cut a batch into morsels, and up to 10 000 (one scheduler run on
+    /// one thread): a bulk `locate` agrees with the per-value one, in
+    /// both instantiations of the coroutine.
     #[test]
     fn bulk_locate_matches_locate_across_morsels(
         values in proptest::collection::vec(0u32..3000, 0..400),

@@ -10,7 +10,7 @@
 //! `isi_hash::shard`):
 //!
 //! * [`probe_batch`](ShardBackend::probe_batch) — the hot path: drive
-//!   a dense key batch through the index's morsel-parallel interleaved
+//!   a dense key batch through the index's chunk-parallel interleaved
 //!   bulk driver (`bulk_rank_coro_par` / `bulk_lookup_par` /
 //!   `bulk_probe_par`) — each one call to
 //!   [`run_interleaved_par`](crate::par::run_interleaved_par) with the
@@ -53,7 +53,7 @@ pub trait ShardBackend: Send + Sync {
     /// agree with.
     fn get(&self, key: u64) -> Option<u64>;
 
-    /// Look up `keys[i]` into `out[i]` through the morsel-parallel
+    /// Look up `keys[i]` into `out[i]` through the chunk-parallel
     /// interleaved engine, returning the engine's merged [`RunStats`].
     ///
     /// `scratch` is caller-owned scratch space (the sorted backend

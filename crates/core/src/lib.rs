@@ -29,10 +29,10 @@
 //!   paper's Listing 7, generic over any lookup coroutine, with
 //!   allocation-free frame recycling (Section 4, "performance
 //!   considerations").
-//! * [`par`] — morsel-driven thread-parallel execution of the same
-//!   interleaved scheduler (the Section 5 multithreading composition):
-//!   work-stealing morsel cursor, scoped workers, per-worker frame-slab
-//!   reuse, merged [`RunStats`](sched::RunStats).
+//! * [`par`] — thread-parallel execution of the same interleaved
+//!   scheduler (the Section 5 multithreading composition): one
+//!   contiguous chunk of the batch per scoped thread, merged
+//!   [`RunStats`](sched::RunStats).
 //! * [`model`] — the analytic interleaving model of Section 3
 //!   (Inequality 1): estimating the optimal group size from per-stream
 //!   compute, switch and stall cycles.
@@ -130,7 +130,7 @@ pub use coro::{suspend, CoroHandle, Suspend};
 pub use epoch::EpochCell;
 pub use mem::{DirectMem, IndexedMem};
 pub use model::{optimal_group_size, StreamParams};
-pub use par::{run_interleaved_par, MorselCursor, ParConfig};
+pub use par::{run_interleaved_par, ParConfig};
 pub use policy::Interleave;
 pub use sched::{run_interleaved, run_interleaved_indexed, run_sequential, FrameSlab, RunStats};
 pub use stats::LatencyHist;

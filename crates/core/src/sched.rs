@@ -61,10 +61,10 @@ impl RunStats {
 
     /// Fold another run's counters into this one: `lookups`, `resumes`
     /// and `switches` are totals and sum; `peak_in_flight` is a maximum
-    /// and maxes. Used when a bulk run is split across morsels and
-    /// worker threads (see [`crate::par`]) — note the merged
-    /// `peak_in_flight` is therefore the peak of any *single* worker,
-    /// not the machine-wide total.
+    /// and maxes. Used when a bulk run is split into one chunk per
+    /// thread (see [`crate::par`]) — note the merged `peak_in_flight`
+    /// is therefore the peak of any *single* chunk, not the
+    /// machine-wide total.
     #[inline]
     pub fn merge(&mut self, other: &RunStats) {
         self.lookups += other.lookups;
@@ -147,9 +147,8 @@ impl<F> Slot<F> {
 /// the slab or the slab is dropped, so every frame is dropped once.
 ///
 /// [`run_interleaved`] allocates one of these per call; callers that run
-/// many batches of the *same* lookup type (e.g. the morsel-parallel
-/// drivers in [`crate::par`]) create one slab per worker and reuse it
-/// across batches, so steady-state execution performs no heap
+/// many batches of the *same* lookup type can create one slab and
+/// reuse it across batches, so steady-state execution performs no heap
 /// allocations at all — the slab's buffer is allocated once and its
 /// capacity is retained between runs.
 pub struct FrameSlab<F> {
@@ -176,8 +175,8 @@ impl<F> Default for FrameSlab<F> {
 
 /// Core of the interleaved scheduler, factored out so the coroutine
 /// frame slab can be reused across calls and so inputs can carry
-/// caller-chosen indices (a morsel of a larger batch passes its global
-/// positions; see [`crate::par`]). Semantics are identical to
+/// caller-chosen indices (a slice of a larger batch can pass its global
+/// positions). Semantics are identical to
 /// [`run_interleaved`] except that the sink receives the index paired
 /// with each input item rather than a 0-based enumeration. An index of
 /// `usize::MAX` is reserved.
@@ -458,7 +457,7 @@ mod tests {
 
     #[test]
     fn indexed_runner_passes_caller_indices_through() {
-        // A morsel covering global positions 100..104.
+        // A slice covering global positions 100..104.
         let values = [3u32, 1, 0, 2];
         let mut slab = FrameSlab::new();
         let mut got = Vec::new();

@@ -30,13 +30,13 @@
 //! Clippy enforces that `crates/serve` and `crates/durable` acquire
 //! every lock through these helpers: their `clippy.toml`s list
 //! `Mutex::lock`, `RwLock::{read, write}` and `Condvar::{wait,
-//! wait_timeout}` under `disallowed-methods`, and each of the four
+//! wait_timeout}` under `disallowed-methods` (nothing there waits with
+//! a timeout, so no helper wraps one), and each of the four
 //! lock calls in the three exempt cleanups above carries an `expect`
 //! of that lint with its reason — which warns if the call it excuses
 //! goes away.
 
 use std::sync::{Condvar, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
-use std::time::Duration;
 
 /// Poison-aware [`Mutex`] acquisition (see the [module docs](self)).
 pub trait MutexExt<T> {
@@ -83,15 +83,6 @@ pub trait CondvarExt {
     /// Wait on `guard`, panicking with `ctx` if the mutex was poisoned
     /// while parked.
     fn pwait<'a, T>(&self, guard: MutexGuard<'a, T>, ctx: &'static str) -> MutexGuard<'a, T>;
-
-    /// Wait with a timeout; returns the reacquired guard and whether
-    /// the wait timed out.
-    fn pwait_timeout<'a, T>(
-        &self,
-        guard: MutexGuard<'a, T>,
-        dur: Duration,
-        ctx: &'static str,
-    ) -> (MutexGuard<'a, T>, bool);
 }
 
 impl CondvarExt for Condvar {
@@ -99,19 +90,6 @@ impl CondvarExt for Condvar {
     fn pwait<'a, T>(&self, guard: MutexGuard<'a, T>, ctx: &'static str) -> MutexGuard<'a, T> {
         self.wait(guard)
             .unwrap_or_else(|_| panic!("{ctx}: mutex poisoned by a panicked thread"))
-    }
-
-    #[track_caller]
-    fn pwait_timeout<'a, T>(
-        &self,
-        guard: MutexGuard<'a, T>,
-        dur: Duration,
-        ctx: &'static str,
-    ) -> (MutexGuard<'a, T>, bool) {
-        let (guard, res) = self
-            .wait_timeout(guard, dur)
-            .unwrap_or_else(|_| panic!("{ctx}: mutex poisoned by a panicked thread"));
-        (guard, res.timed_out())
     }
 }
 
@@ -130,12 +108,6 @@ mod tests {
         assert_eq!(*rw.pread("test rwlock"), 7);
         *rw.pwrite("test rwlock") = 8;
         assert_eq!(*rw.pread("test rwlock"), 8);
-
-        let cv = Condvar::new();
-        let (guard, timed_out) =
-            cv.pwait_timeout(m.plock("test mutex"), Duration::from_millis(1), "test cv");
-        assert!(timed_out);
-        assert_eq!(*guard, 6);
     }
 
     #[test]

@@ -1,20 +1,19 @@
 //! Steady-state allocation discipline of the parallel engine.
 //!
 //! The interleaved scheduler's frame slab makes sequential bulk lookups
-//! allocation-free per lookup; the morsel-parallel engine must preserve
-//! that across morsel boundaries by reusing each worker's slab. This
-//! test pins the property with a counting global allocator: the number
-//! of heap allocations performed by a parallel bulk run must not grow
-//! with the number of lookups (and hence not with the number of
-//! morsels) — only per-call setup (thread spawns, the per-worker slab)
-//! may allocate.
+//! allocation-free per lookup; the chunk-parallel engine must preserve
+//! that, running each thread's chunk through one slab. This test pins
+//! the property with a counting global allocator: the number of heap
+//! allocations performed by a parallel bulk run must not grow with the
+//! number of lookups — only per-call setup (thread spawns, one slab per
+//! chunk) may allocate.
 //!
 //! The allocator counts **per thread** (shared with `isi_obs`'s tests):
 //! libtest's own thread allocates when the other test of this binary
 //! finishes, and a process-wide counter saw that inside the window in
 //! which a test asserts zero. The counted sections run on the calling
-//! thread, where `run_workers` runs worker 0 inline; the slabs of the
-//! workers it spawns are no longer observed.
+//! thread, which runs chunk 0 itself; the slabs of the threads it
+//! spawns are not observed.
 
 use isi_core::coro::suspend;
 use isi_core::par::{run_interleaved_par, ParConfig};
@@ -33,15 +32,12 @@ async fn lookup(v: u32) -> u32 {
     v ^ 0x5555
 }
 
-fn run_par(values: &[u32], out: &mut [u32], threads: usize, morsel: usize) {
+fn run_par(values: &[u32], out: &mut [u32], threads: usize) {
     run_interleaved_par(
-        ParConfig {
-            threads,
-            morsel_size: morsel,
-        },
+        ParConfig::with_threads(threads),
         8,
         values,
-        // Group 8 over morsels of 256: nothing runs one at a time.
+        // Group 8 over chunks of thousands: nothing runs one at a time.
         lookup,
         lookup,
         out,
@@ -49,10 +45,9 @@ fn run_par(values: &[u32], out: &mut [u32], threads: usize, morsel: usize) {
 }
 
 /// Allocations of a parallel bulk run are independent of the lookup
-/// count: 8x the lookups (and 8x the morsels) must not add a single
-/// allocation, for both the single-threaded fast path and the
-/// multi-worker path (there, as far as the calling thread — worker 0 —
-/// is concerned).
+/// count: 8x the lookups must not add a single allocation, for both the
+/// single-threaded fast path and the multi-threaded path (there, as far
+/// as the calling thread — chunk 0 — is concerned).
 #[test]
 fn parallel_allocs_do_not_scale_with_lookups() {
     let small: Vec<u32> = (0..8_192).collect();
@@ -63,22 +58,20 @@ fn parallel_allocs_do_not_scale_with_lookups() {
     for threads in [1usize, 4] {
         // Warm up once (first call may lazily initialize thread-spawn
         // machinery inside std).
-        run_par(&small, &mut out_small, threads, 256);
+        run_par(&small, &mut out_small, threads);
 
-        // 8k lookups in 32 morsels vs 64k lookups in 256 morsels: with
-        // slab reuse the extra 224 morsels contribute zero allocations.
-        // The only run-to-run variance is whether worker 0 happens to
-        // claim a morsel at all (a worker that claims none never
-        // allocates its slab), so the counts may differ by a per-worker
-        // setup — never by anything proportional to the morsel count.
-        let (allocs_small, _) = count_allocs(|| run_par(&small, &mut out_small, threads, 256));
-        let (allocs_large, _) = count_allocs(|| run_par(&large, &mut out_large, threads, 256));
+        // 8k vs 64k lookups: with frame recycling the extra 56k
+        // lookups contribute zero allocations. The counts may differ by
+        // a per-thread setup — never by anything proportional to the
+        // lookup count.
+        let (allocs_small, _) = count_allocs(|| run_par(&small, &mut out_small, threads));
+        let (allocs_large, _) = count_allocs(|| run_par(&large, &mut out_large, threads));
         let delta = allocs_large.abs_diff(allocs_small);
         assert!(
             delta <= 2 * threads as u64,
-            "threads={threads}: allocation count grew with the morsel \
-             count ({allocs_small} -> {allocs_large}; 224 extra morsels): \
-             slabs are not being reused across morsels"
+            "threads={threads}: allocation count grew with the lookup \
+             count ({allocs_small} -> {allocs_large}): frames are not \
+             being recycled"
         );
     }
     assert!(out_large
@@ -101,7 +94,7 @@ fn single_thread_steady_state_is_allocation_free() {
         lookup,
         |i, r| out[i] = r,
     );
-    // Steady state: repeated morsels through the same slab, zero allocs.
+    // Steady state: repeated batches through the same slab, zero allocs.
     let (allocs, _) = count_allocs(|| {
         for _ in 0..16 {
             run_interleaved_indexed(

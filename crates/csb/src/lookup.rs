@@ -148,15 +148,14 @@ where
     )
 }
 
-/// Morsel-parallel bulk lookup: worker threads claim morsels of the
-/// probe batch and drive each through the *same* interleaved tree
-/// coroutine ([`lookup_coro`]) with `group_size` in-flight traversals,
-/// reusing one frame slab per worker across morsels (see
-/// [`isi_core::par`]). A `group_size` of one, or a morsel of a single
+/// Chunk-parallel bulk lookup: each thread drives one contiguous chunk
+/// of the probe batch through the *same* interleaved tree coroutine
+/// ([`lookup_coro`]) with `group_size` in-flight traversals (see
+/// [`isi_core::par`]). A `group_size` of one, or a chunk of a single
 /// value, runs the coroutine's non-suspending instantiation instead.
 ///
 /// Returns the merged [`RunStats`] (totals sum; `peak_in_flight` is the
-/// per-worker peak).
+/// per-chunk peak).
 ///
 /// # Panics
 /// Panics if `out.len() != values.len()`.
@@ -232,10 +231,7 @@ mod tests {
         let probes: Vec<u32> = (0..2311).map(|i| i * 13 % 16000).collect();
         let expect: Vec<Option<u32>> = probes.iter().map(|p| t.get(p)).collect();
         for threads in [1, 2, 4] {
-            let cfg = isi_core::par::ParConfig {
-                threads,
-                morsel_size: 256,
-            };
+            let cfg = isi_core::par::ParConfig::with_threads(threads);
             let mut out = vec![None; probes.len()];
             let stats = bulk_lookup_par(store, &probes, 6, cfg, &mut out);
             assert_eq!(out, expect, "threads={threads}");

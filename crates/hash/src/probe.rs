@@ -122,15 +122,14 @@ pub fn bulk_probe_interleaved<K: HashKey, V: Copy>(
     )
 }
 
-/// Morsel-parallel bulk probe: worker threads claim morsels of the key
-/// batch and drive each through the *same* probe coroutine
-/// ([`probe_coro`]) with `group_size` in-flight probes, reusing one
-/// frame slab per worker across morsels (see [`isi_core::par`]). A
-/// `group_size` of one, or a morsel of a single key, runs the
+/// Chunk-parallel bulk probe: each thread drives one contiguous chunk
+/// of the key batch through the *same* probe coroutine ([`probe_coro`])
+/// with `group_size` in-flight probes (see [`isi_core::par`]). A
+/// `group_size` of one, or a chunk of a single key, runs the
 /// coroutine's non-suspending instantiation instead.
 ///
 /// Returns the merged [`RunStats`] (totals sum; `peak_in_flight` is the
-/// per-worker peak).
+/// per-chunk peak).
 ///
 /// # Panics
 /// Panics if `out.len() != keys.len()`.
@@ -285,10 +284,7 @@ mod tests {
         let keys: Vec<u64> = (0..4111).map(|i| i * 11 % 30_000).collect();
         let expect: Vec<Option<u64>> = keys.iter().map(|k| t.get(k)).collect();
         for threads in [1, 2, 4] {
-            let cfg = isi_core::par::ParConfig {
-                threads,
-                morsel_size: 512,
-            };
+            let cfg = isi_core::par::ParConfig::with_threads(threads);
             let mut out = vec![None; keys.len()];
             let stats = bulk_probe_par(&t, &keys, 6, cfg, &mut out);
             assert_eq!(out, expect, "threads={threads}");

@@ -1,6 +1,6 @@
 //! Property tests for the bulk probe drivers: every variant —
 //! sequential, interleaved (across group sizes), AMAC, and
-//! morsel-parallel (across thread counts) — must answer exactly like a
+//! chunk-parallel (across thread counts) — must answer exactly like a
 //! `HashMap` oracle on arbitrary tables and probe lists, including
 //! tables deliberately undersized to force long chains.
 
@@ -61,10 +61,7 @@ proptest! {
         }
 
         for threads in [1usize, 2, 4] {
-            let cfg = ParConfig {
-                threads,
-                morsel_size: 64,
-            };
+            let cfg = ParConfig::with_threads(threads);
             let mut out = vec![None; probes.len()];
             let stats = bulk_probe_par(&table, &probes, 6, cfg, &mut out);
             prop_assert_eq!(&out, &expect, "par threads={}", threads);

@@ -8,8 +8,8 @@
 /// notes the two "do not differ significantly" (§5.4.5) — a handful of
 /// cycles either way.
 ///
-/// `Sync` because bulk lookups hand key slices to the morsel engine
-/// ([`isi_core::par`]), whose workers read them from their own threads.
+/// `Sync` because bulk lookups hand key slices to the parallel engine
+/// ([`isi_core::par`]), whose threads read their chunks of them.
 pub trait SearchKey: Copy + Ord + Sync {
     /// Approximate cycles to compare two keys (charged via
     /// `IndexedMem::compute` by instrumented algorithms).

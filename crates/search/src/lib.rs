@@ -17,8 +17,8 @@
 //! index `i` with `table[i] <= value`, clamped to 0 — so their outputs
 //! are interchangeable and cross-checked in the test suite.
 //! [`locate`](locate::locate) builds the dictionary access method on top.
-//! [`par`] holds the morsel-parallel CORO driver (same coroutine,
-//! worker threads claiming morsels).
+//! [`par`] holds the chunk-parallel CORO driver (same coroutine, one
+//! contiguous chunk of the batch per thread).
 
 #![forbid(unsafe_code)]
 

@@ -1,15 +1,14 @@
-//! Morsel-parallel bulk driver for the coroutine search.
+//! Thread-parallel bulk driver for the coroutine search.
 //!
-//! A thin layer over [`isi_core::par`]: the batch is split into morsels,
-//! worker threads claim morsels through a work-stealing cursor, and
-//! each morsel runs through the *same* coroutine and scheduler as the
-//! single-threaded [`bulk_rank_coro`](crate::coro::bulk_rank_coro), with
-//! a per-worker [`FrameSlab`](isi_core::sched::FrameSlab) reused across
-//! morsels (zero heap allocations per lookup in steady state).
+//! A thin layer over [`isi_core::par`]: the batch is split into one
+//! contiguous chunk per thread, and each chunk runs through the *same*
+//! coroutine and scheduler as the single-threaded
+//! [`bulk_rank_coro`](crate::coro::bulk_rank_coro) (zero heap
+//! allocations per lookup).
 //!
 //! It writes `out[i]` = rank of `values[i]`, exactly as the sequential
-//! drivers do; with `cfg.threads == 1` it degenerates to a morsel loop
-//! on the calling thread. This is the driver the serving path
+//! drivers do; with `cfg.threads == 1` it is one scheduler run on the
+//! calling thread. This is the driver the serving path
 //! (`SortedShard::probe_batch`) and `benchmark/` call.
 
 use isi_core::mem::IndexedMem;
@@ -19,16 +18,15 @@ use isi_core::sched::RunStats;
 use crate::coro::rank_coro;
 use crate::key::SearchKey;
 
-/// Morsel-parallel coroutine interleaving — the paper's CORO composed
+/// Chunk-parallel coroutine interleaving — the paper's CORO composed
 /// with thread-level parallelism. The same
 /// [`rank_coro`](crate::coro::rank_coro) coroutine and the same
-/// interleaved scheduler run on every worker; each worker reuses one
-/// frame slab across all the morsels it claims. A `group_size` of one,
-/// or a morsel of a single value, runs the coroutine's non-suspending
-/// instantiation instead (see [`run_interleaved_par`]).
+/// interleaved scheduler run on every thread's chunk. A `group_size` of
+/// one, or a chunk of a single value, runs the coroutine's
+/// non-suspending instantiation instead (see [`run_interleaved_par`]).
 ///
 /// Returns the merged [`RunStats`] (totals sum; `peak_in_flight` is the
-/// per-worker peak).
+/// per-chunk peak).
 ///
 /// # Panics
 /// Panics if `out.len() != values.len()`.
@@ -59,13 +57,6 @@ mod tests {
     use crate::seq::rank_oracle;
     use isi_core::mem::DirectMem;
 
-    fn cfg(threads: usize) -> ParConfig {
-        ParConfig {
-            threads,
-            morsel_size: 128,
-        }
-    }
-
     #[test]
     fn all_parallel_variants_agree_with_oracle() {
         let table: Vec<u32> = (0..4096).map(|i| i * 3).collect();
@@ -73,9 +64,9 @@ mod tests {
         let expect: Vec<u32> = values.iter().map(|v| rank_oracle(&table, v)).collect();
         let mem = DirectMem::new(&table);
         for threads in [1, 2, 4] {
-            let c = cfg(threads);
+            let cfg = ParConfig::with_threads(threads);
             let mut out = vec![u32::MAX; values.len()];
-            let stats = bulk_rank_coro_par(mem, &values, 6, c, &mut out);
+            let stats = bulk_rank_coro_par(mem, &values, 6, cfg, &mut out);
             assert_eq!(out, expect, "coro threads={threads}");
             assert_eq!(stats.lookups, values.len() as u64);
         }
@@ -86,7 +77,7 @@ mod tests {
         let table: Vec<u32> = (0..16).collect();
         let mem = DirectMem::new(&table);
         let mut out: Vec<u32> = vec![];
-        let stats = bulk_rank_coro_par(mem, &[], 4, cfg(4), &mut out);
+        let stats = bulk_rank_coro_par(mem, &[], 4, ParConfig::with_threads(4), &mut out);
         assert_eq!(stats, RunStats::default());
     }
 
@@ -97,7 +88,7 @@ mod tests {
         let values: Vec<Str16> = (0..300).map(|i| Str16::from_index(i * 5 + 1)).collect();
         let mem = DirectMem::new(&table);
         let mut out = vec![0u32; values.len()];
-        bulk_rank_coro_par(mem, &values, 6, cfg(4), &mut out);
+        bulk_rank_coro_par(mem, &values, 6, ParConfig::with_threads(4), &mut out);
         for (i, v) in values.iter().enumerate() {
             assert_eq!(out[i], rank_oracle(&table, v));
         }
@@ -108,6 +99,6 @@ mod tests {
     fn length_mismatch_panics() {
         let table: Vec<u32> = (0..8).collect();
         let mem = DirectMem::new(&table);
-        bulk_rank_coro_par(mem, &[1, 2], 4, cfg(2), &mut [0u32]);
+        bulk_rank_coro_par(mem, &[1, 2], 4, ParConfig::with_threads(2), &mut [0u32]);
     }
 }

@@ -1,9 +1,9 @@
-//! Property test for the morsel-parallel CORO driver: on arbitrary
-//! sorted tables, probe lists, group sizes and morsel sizes,
-//! `bulk_rank_coro_par` produces byte-identical output to the
-//! single-threaded `bulk_rank_coro` across thread counts {1, 2, 4, 8},
-//! and its merged `RunStats` preserve the sequential totals wherever
-//! a morsel holds enough probes to interleave.
+//! Property test for the chunk-parallel CORO driver: on arbitrary
+//! sorted tables, probe lists and group sizes, `bulk_rank_coro_par`
+//! produces byte-identical output to the single-threaded
+//! `bulk_rank_coro` across thread counts {1, 2, 4, 8}, and its merged
+//! `RunStats` preserve the sequential totals wherever a chunk holds
+//! enough probes to interleave.
 
 use proptest::prelude::*;
 
@@ -31,7 +31,6 @@ proptest! {
     fn parallel_drivers_match_sequential_drivers(
         (table, probes) in table_and_probes(),
         group in 1usize..16,
-        morsel in 1usize..512,
     ) {
         let mem = DirectMem::new(&table);
         let n = probes.len();
@@ -40,12 +39,15 @@ proptest! {
         let mut par = vec![u32::MAX; n];
 
         for threads in [1usize, 2, 4, 8] {
-            let cfg = ParConfig { threads, morsel_size: morsel };
+            let cfg = ParConfig::with_threads(threads);
+            // Every chunk holds `chunk` probes but the last, which holds
+            // the rest.
+            let chunk = n.div_ceil(threads.min(n));
 
             let seq_stats = bulk_rank_coro(mem, &probes, group, &mut seq);
             par.fill(u32::MAX);
             let par_stats = bulk_rank_coro_par(mem, &probes, group, cfg, &mut par);
-            prop_assert_eq!(&par, &seq, "coro threads={} morsel={}", threads, morsel);
+            prop_assert_eq!(&par, &seq, "coro threads={}", threads);
 
             // Sink coverage: every output slot was written exactly once
             // (no u32::MAX sentinel survives — ranks are < 12_000).
@@ -54,24 +56,24 @@ proptest! {
             // Merged stats preserve the totals: every lookup suspends a
             // fixed number of times regardless of partitioning, so
             // lookups/resumes/switches are partition-invariant — among
-            // the morsels that interleave. A group of one, or a morsel
-            // of one probe, runs the non-suspending instantiation: it
+            // the chunks that interleave. A group of one, or a chunk of
+            // one probe, runs the non-suspending instantiation: it
             // resumes once per lookup and never switches.
             prop_assert_eq!(par_stats.lookups, seq_stats.lookups);
             prop_assert_eq!(par_stats.resumes, par_stats.lookups + par_stats.switches);
-            if group < 2 || morsel < 2 {
+            if group < 2 || chunk < 2 {
                 prop_assert_eq!(par_stats.switches, 0);
-            } else if n % morsel != 1 {
+            } else if n % chunk != 1 {
                 prop_assert_eq!(par_stats.resumes, seq_stats.resumes);
                 prop_assert_eq!(par_stats.switches, seq_stats.switches);
             } else {
-                // The lone probe of the last morsel did not suspend.
+                // The lone probe of the last chunk did not suspend.
                 prop_assert!(par_stats.switches <= seq_stats.switches);
             }
-            // ...while peak_in_flight maxes per worker and is bounded
-            // by the effective group (group size, morsel size and
-            // input size all cap the slab fill).
-            let cap = group.max(1).min(morsel).min(n) as u64;
+            // ...while peak_in_flight maxes per chunk and is bounded
+            // by the effective group (group size and chunk size cap the
+            // slab fill).
+            let cap = group.min(chunk) as u64;
             prop_assert!(par_stats.peak_in_flight <= cap,
                 "peak {} > cap {}", par_stats.peak_in_flight, cap);
         }

@@ -37,7 +37,7 @@
 //! 3. **Plan & execute** — the token holder resolves
 //!    each read run against the delta into a
 //!    [`BatchPlan`](plan::BatchPlan) (delta-decided keys skip the
-//!    engine), drives the dense residual through the morsel-parallel
+//!    engine), drives the dense residual through the chunk-parallel
 //!    interleaved engine ([`isi_core::par`]), applies writes in
 //!    admission order between read runs, and routes each
 //!    result back through its ticket. A per-shard hot-key cache (1.5

@@ -141,10 +141,10 @@ pub struct ServeConfig {
     /// Per-shard admission-queue bound; requests block when the owning
     /// shard's queue is full (backpressure).
     pub queue_cap: usize,
-    /// Morsel-engine configuration for each executed batch. The
-    /// default is one worker per batch (the thread that holds the
-    /// shard's token); raise `threads` only when shards outnumber
-    /// cores.
+    /// Thread count of the parallel engine for each executed batch.
+    /// The default is one thread per batch: the thread that holds the
+    /// shard's token runs the whole batch, with no spawn. Raise
+    /// `threads` only when cores outnumber busy shards.
     pub par: ParConfig,
     /// Per-shard trace-ring capacity for structured events (batch
     /// flushes, merges, WAL syncs, backpressure stalls, …); 0 — the

@@ -8,7 +8,7 @@
 //!   column** ([`isi_search::SortedShard`]), a **CSB+-tree**
 //!   ([`isi_csb::CsbShard`], Listing 6 traversal coroutines), or a
 //!   **chained hash table** ([`isi_hash::HashShard`], Section 6 probe
-//!   coroutines) — probed in bulk through the morsel-parallel
+//!   coroutines) — probed in bulk through the chunk-parallel
 //!   interleaved engine;
 //! * the **delta** is a **stack of immutable sorted runs** of
 //!   `(key, Option<value>)` overrides (`None` = tombstone) with
@@ -806,7 +806,7 @@ impl ShardedStore {
     /// The whole batch reads **one** [`ShardVersion`] snapshot and is
     /// **planned** first (see [`crate::plan`]): keys the delta decides
     /// are answered from the sorted run, and only the residual reaches
-    /// the morsel-parallel interleaved engine. A merge publishing
+    /// the chunk-parallel interleaved engine. A merge publishing
     /// mid-batch cannot produce torn results — this batch finishes on
     /// the version it started with.
     ///
