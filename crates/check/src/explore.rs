@@ -1,5 +1,5 @@
 //! Schedule exploration: exhaustive DFS, randomized sampling, and
-//! seed replay over the virtual-thread runtime ([`crate::rt`]).
+//! seed replay over the virtual-thread runtime (`crate::rt`).
 //!
 //! An execution of a model is fully determined by the sequence of
 //! choices the scheduler makes at its decision points (≥ 2 schedulable

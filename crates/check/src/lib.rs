@@ -15,7 +15,7 @@
 //! ## How it works
 //!
 //! * [`vt`] spawns *virtual threads*: real OS threads that the
-//!   [`rt`]-internal controller gates so exactly one runs at a time.
+//!   `rt`-internal controller gates so exactly one runs at a time.
 //! * [`sync`] provides `Mutex`/`RwLock`/`Condvar`/atomic shims whose
 //!   every operation is a scheduling point; blocking parks the
 //!   virtual thread *in the runtime*, so deadlocks and lost wakeups

@@ -1,7 +1,7 @@
 //! Virtual threads: the `std::thread` look-alike for model code.
 //!
 //! [`spawn`] creates a *virtual* thread — backed by an OS thread, but
-//! scheduled exclusively by the model checker's [`crate::rt`] runtime,
+//! scheduled exclusively by the model checker's `crate::rt` runtime,
 //! so only one runs at a time and every handoff is a recorded
 //! decision. [`JoinHandle::join`] parks the joiner in the runtime
 //! (observable as blocking, so a join cycle is reported as a

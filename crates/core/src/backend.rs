@@ -57,8 +57,10 @@ pub trait ShardBackend: Send + Sync {
     /// interleaved engine, returning the engine's merged [`RunStats`].
     ///
     /// `scratch` is caller-owned scratch space (the sorted backend
-    /// stores ranks there); reusing one vector across calls keeps the
-    /// steady-state dispatch path allocation-free.
+    /// stores ranks there); reusing one vector across calls means a
+    /// batch allocates nothing per key. An interleaved engine run
+    /// allocates its frame slab once; a one-key batch allocates
+    /// nothing in the engine.
     ///
     /// # Panics
     /// Panics if `out.len() != keys.len()`.

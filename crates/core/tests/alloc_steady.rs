@@ -1,12 +1,13 @@
-//! Steady-state allocation discipline of the parallel engine.
+//! Allocation discipline of the engine.
 //!
-//! The interleaved scheduler's frame slab makes sequential bulk lookups
-//! allocation-free per lookup; the chunk-parallel engine must preserve
-//! that, running each thread's chunk through one slab. This test pins
-//! the property with a counting global allocator: the number of heap
-//! allocations performed by a parallel bulk run must not grow with the
-//! number of lookups — only per-call setup (thread spawns, one slab per
-//! chunk) may allocate.
+//! An interleaved run allocates its frame slab once, when it starts, and
+//! recycles the slab's frames for every later lookup: nothing is
+//! allocated per lookup. The chunk-parallel engine must preserve that,
+//! running each thread's chunk through one slab. These tests pin the
+//! property with a counting global allocator: one run allocates exactly
+//! once, and the number of heap allocations performed by a parallel bulk
+//! run must not grow with the number of lookups — only per-call setup
+//! (thread spawns, one slab per chunk) may allocate.
 //!
 //! The allocator counts **per thread** (shared with `isi_obs`'s tests):
 //! libtest's own thread allocates when the other test of this binary
@@ -17,7 +18,7 @@
 
 use isi_core::coro::suspend;
 use isi_core::par::{run_interleaved_par, ParConfig};
-use isi_core::sched::{run_interleaved_indexed, FrameSlab};
+use isi_core::sched::run_interleaved;
 
 #[path = "../../obs/tests/support/thread_alloc.rs"]
 mod thread_alloc;
@@ -80,31 +81,17 @@ fn parallel_allocs_do_not_scale_with_lookups() {
         .all(|(i, &r)| r == i as u32 ^ 0x5555));
 }
 
-/// The single-thread path allocates nothing beyond the one slab buffer.
+/// An interleaved run allocates its slab and nothing else, at any group
+/// size: 4 096 lookups, one allocation.
 #[test]
-fn single_thread_steady_state_is_allocation_free() {
+fn an_interleaved_run_allocates_only_its_slab() {
     let values: Vec<u32> = (0..4_096).collect();
     let mut out = vec![0u32; values.len()];
-    let mut slab = FrameSlab::new();
-    // First run allocates the slab buffer once.
-    run_interleaved_indexed(
-        &mut slab,
-        8,
-        values.iter().copied().enumerate(),
-        lookup,
-        |i, r| out[i] = r,
-    );
-    // Steady state: repeated batches through the same slab, zero allocs.
-    let (allocs, _) = count_allocs(|| {
-        for _ in 0..16 {
-            run_interleaved_indexed(
-                &mut slab,
-                8,
-                values.iter().copied().enumerate(),
-                lookup,
-                |i, r| out[i] = r,
-            );
-        }
-    });
-    assert_eq!(allocs, 0, "steady-state interleaving must not allocate");
+    for group in [2, 8, 64] {
+        let (allocs, _) = count_allocs(|| {
+            run_interleaved(group, values.iter().copied(), lookup, |i, r| out[i] = r);
+        });
+        assert_eq!(allocs, 1, "group={group}: a run allocates its slab once");
+        assert!(out.iter().enumerate().all(|(i, &r)| r == i as u32 ^ 0x5555));
+    }
 }

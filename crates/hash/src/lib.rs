@@ -24,13 +24,11 @@
 
 #![forbid(unsafe_code)]
 
-pub mod build;
 pub mod join;
 pub mod probe;
 pub mod shard;
 pub mod table;
 
-pub use build::{build_gp, build_seq};
 pub use isi_core::Interleave;
 pub use join::{hash_join, nested_loop_join};
 pub use probe::{

@@ -121,18 +121,16 @@ impl TraceSet {
 
     /// Turn tracing on with `capacity` event slots per shard,
     /// preallocating every ring so emission never allocates.
-    /// `capacity == 0` leaves tracing off.
+    /// `capacity == 0` turns tracing off and frees the rings.
     pub fn enable(&self, capacity: usize) {
-        if capacity == 0 {
-            return;
-        }
+        self.enabled.store(false, Ordering::Release);
         for ring in &self.rings {
             let mut ring = ring.plock("obs trace ring");
             ring.buf = Vec::with_capacity(capacity);
             ring.head = 0;
             ring.cap = capacity;
         }
-        self.enabled.store(true, Ordering::Release);
+        self.enabled.store(capacity > 0, Ordering::Release);
     }
 
     /// Whether [`TraceSet::emit`] currently records anything.
@@ -173,6 +171,10 @@ impl TraceSet {
             b,
         };
         let mut ring = self.rings[shard].plock("obs trace ring");
+        if ring.cap == 0 {
+            // Tracing was turned off after this emit read the flag.
+            return;
+        }
         if ring.buf.len() < ring.cap {
             ring.buf.push(ev);
         } else {
@@ -259,6 +261,15 @@ mod tests {
         let t = TraceSet::new(1);
         t.enable(0);
         assert!(!t.is_enabled());
+        // It also turns an enabled set off and frees its rings; an
+        // emit that read the flag before it cleared finds no ring.
+        t.enable(4);
+        t.emit(0, TraceKind::WalSync, 1, 0, 1, 0);
+        t.enable(0);
+        assert!(!t.is_enabled());
+        assert!(t.events().is_empty());
+        t.emit_slow(0, TraceKind::WalSync, 2, 0, 1, 0);
+        assert!(t.events().is_empty());
     }
 
     #[test]

@@ -30,7 +30,7 @@
 
 use isi_core::coro::suspend;
 use isi_core::mem::IndexedMem;
-use isi_core::sched::{run_interleaved, run_sequential, RunStats};
+use isi_core::sched::{run_interleaved, RunStats};
 
 use crate::cost;
 use crate::key::SearchKey;
@@ -112,24 +112,6 @@ pub fn bulk_rank_coro<K: SearchKey, M: IndexedMem<K> + Copy>(
     )
 }
 
-/// Bulk rank, sequential execution of the *same* coroutine with
-/// `INTERLEAVE = false` (paper Listing 7, `runSequential`).
-///
-/// # Panics
-/// Panics if `out.len() != values.len()`.
-pub fn bulk_rank_coro_seq<K: SearchKey, M: IndexedMem<K> + Copy>(
-    mem: M,
-    values: &[K],
-    out: &mut [u32],
-) -> RunStats {
-    assert_eq!(values.len(), out.len(), "output length mismatch");
-    run_sequential(
-        values.iter().copied(),
-        |v| rank_coro::<false, K, M>(mem, v),
-        |i, r| out[i] = r,
-    )
-}
-
 /// Bulk rank through the CORO-S variant (always interleaved).
 ///
 /// # Panics
@@ -152,9 +134,12 @@ pub fn bulk_rank_coro_separate<K: SearchKey, M: IndexedMem<K> + Copy>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::par::bulk_rank_coro_par;
     use crate::seq::rank_oracle;
-    use isi_core::coro::CoroHandle;
+    use isi_core::coro::resume;
     use isi_core::mem::DirectMem;
+    use isi_core::par::ParConfig;
+    use std::task::Poll;
 
     fn check_bulk(table: &[u32], values: &[u32], group: usize) {
         let mem = DirectMem::new(table);
@@ -180,7 +165,9 @@ mod tests {
         let values: Vec<u32> = (0..50).map(|i| i * 17).collect();
         let mem = DirectMem::new(&table);
         let mut out = vec![0u32; values.len()];
-        let stats = bulk_rank_coro_seq(mem, &values, &mut out);
+        // Group 1 on one thread: `run_sequential` over the
+        // `INTERLEAVE = false` instantiation.
+        let stats = bulk_rank_coro_par(mem, &values, 1, ParConfig::with_threads(1), &mut out);
         assert_eq!(stats.switches, 0, "INTERLEAVE=false must not suspend");
         assert_eq!(stats.resumes, values.len() as u64);
         for (i, v) in values.iter().enumerate() {
@@ -237,11 +224,14 @@ mod tests {
                     mem: DirectMem::new(&table),
                     log: &log,
                 };
-                let mut h = CoroHandle::new(rank_coro::<true, _, _>(&mem, key(probe)));
-                while !h.resume() {
-                    log.borrow_mut().push(Event::Suspend);
-                }
-                assert_eq!(h.get_result(), rank_oracle(&table, &key(probe)));
+                let mut lookup = std::pin::pin!(rank_coro::<true, _, _>(&mem, key(probe)));
+                let rank = loop {
+                    match resume(lookup.as_mut()) {
+                        Poll::Ready(rank) => break rank,
+                        Poll::Pending => log.borrow_mut().push(Event::Suspend),
+                    }
+                };
+                assert_eq!(rank, rank_oracle(&table, &key(probe)));
                 let log = log.borrow();
                 assert_eq!(log.len() % 3, 0, "n={n}: {log:?}");
                 for step in log.chunks(3) {
@@ -275,17 +265,20 @@ mod tests {
     }
 
     #[test]
-    fn handle_api_drives_a_single_lookup() {
+    fn resume_drives_a_single_lookup() {
         // The paper's per-lookup API: create, resume until done, fetch.
         let table: Vec<u32> = (0..64).collect();
         let mem = DirectMem::new(&table);
-        let mut h = CoroHandle::new(rank_coro::<true, _, _>(mem, 40));
-        let mut resumes = 0;
-        while !h.resume() {
-            resumes += 1;
-        }
-        assert_eq!(h.get_result(), 40);
-        assert_eq!(resumes, 6); // log2(64) halvings
+        let mut lookup = std::pin::pin!(rank_coro::<true, _, _>(mem, 40));
+        let mut suspensions = 0;
+        let rank = loop {
+            match resume(lookup.as_mut()) {
+                Poll::Ready(rank) => break rank,
+                Poll::Pending => suspensions += 1,
+            }
+        };
+        assert_eq!(rank, 40);
+        assert_eq!(suspensions, 6); // log2(64) halvings
     }
 
     #[test]

@@ -33,7 +33,7 @@ pub mod seq;
 pub mod shard;
 
 pub use amac::bulk_rank_amac;
-pub use coro::{bulk_rank_coro, bulk_rank_coro_seq, rank_coro};
+pub use coro::{bulk_rank_coro, rank_coro};
 pub use gp::bulk_rank_gp;
 pub use key::{FixedStr, SearchKey, Str16};
 pub use locate::{locate, NOT_FOUND};

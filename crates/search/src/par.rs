@@ -20,7 +20,7 @@ use crate::key::SearchKey;
 
 /// Chunk-parallel coroutine interleaving — the paper's CORO composed
 /// with thread-level parallelism. The same
-/// [`rank_coro`](crate::coro::rank_coro) coroutine and the same
+/// [`rank_coro`] coroutine and the same
 /// interleaved scheduler run on every thread's chunk. A `group_size` of
 /// one, or a chunk of a single value, runs the coroutine's
 /// non-suspending instantiation instead (see [`run_interleaved_par`]).

@@ -7,9 +7,10 @@
 use proptest::prelude::*;
 
 use isi_core::mem::DirectMem;
+use isi_core::par::ParConfig;
 use isi_search::key::Str16;
 use isi_search::{
-    bulk_rank_amac, bulk_rank_coro, bulk_rank_coro_seq, bulk_rank_gp, rank_branchfree,
+    bulk_rank_amac, bulk_rank_coro, bulk_rank_coro_par, bulk_rank_gp, rank_branchfree,
     rank_branchy, rank_oracle,
 };
 
@@ -53,9 +54,11 @@ proptest! {
         bulk_rank_coro(mem, &probes, group, &mut coro);
         prop_assert_eq!(&coro, &expect);
 
+        // Group 1 on one thread runs the non-suspending instantiation.
         let mut coro_seq = vec![0u32; probes.len()];
-        bulk_rank_coro_seq(mem, &probes, &mut coro_seq);
+        let stats = bulk_rank_coro_par(mem, &probes, 1, ParConfig::with_threads(1), &mut coro_seq);
         prop_assert_eq!(&coro_seq, &expect);
+        prop_assert_eq!(stats.switches, 0);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! This crate closes the gap with the production pattern the
 //! batch-only APIs were missing:
 //!
-//! 1. **Shard** — a [`ShardedStore`](store::ShardedStore)
+//! 1. **Shard** — a [`ShardedStore`]
 //!    hash-partitions the data across power-of-two shards. Each shard
 //!    is a **Main/Delta pair**: an immutable main behind the
 //!    [`ShardBackend`](isi_core::backend::ShardBackend) trait (sorted
@@ -17,7 +17,7 @@
 //!    runs** — one run per dispatched write run, newest run wins,
 //!    folded into a single run past
 //!    [`StoreConfig::max_runs`](store::StoreConfig).
-//! 2. **Admit & batch** — in a [`LookupService`](service::LookupService)
+//! 2. **Admit & batch** — in a [`LookupService`]
 //!    `get`/`put`/`remove` enqueue into the owning shard's bounded FIFO
 //!    admission queue (blocking when full — backpressure), while
 //!    [`get_many`](service::LookupService::get_many) pre-partitions
@@ -30,13 +30,13 @@
 //!    one helper thread per shard drains whatever no submitter will
 //!    run (the backlog a client leaves behind, fan-out slices, the
 //!    queue at `close`). There is no flush timer: batches of up to
-//!    `max_batch` ([`BatchPolicy`](service::BatchPolicy)) form from
+//!    `max_batch` ([`BatchPolicy`]) form from
 //!    the backlog that builds up while a batch executes. Per-shard
 //!    FIFO, serialized by the token, gives every client
 //!    read-your-writes.
 //! 3. **Plan & execute** — the token holder resolves
 //!    each read run against the delta into a
-//!    [`BatchPlan`](plan::BatchPlan) (delta-decided keys skip the
+//!    [`BatchPlan`] (delta-decided keys skip the
 //!    engine), drives the dense residual through the chunk-parallel
 //!    interleaved engine ([`isi_core::par`]), applies writes in
 //!    admission order between read runs, and routes each
@@ -73,7 +73,7 @@
 //!    harness that exercises them.
 //! 6. **Measure** — every counter and histogram lives in an
 //!    [`isi_obs`] metrics registry (store-side `store_*`, service-side
-//!    `serve_*`): [`ServeStats`](service::ServeStats) is one coherent
+//!    `serve_*`): [`ServeStats`] is one coherent
 //!    snapshot of both (write, cache, plan, delta-size,
 //!    merge and WAL counters plus the admission→response
 //!    [`LatencyHist`](isi_core::stats::LatencyHist)), each pipeline

@@ -149,8 +149,9 @@ pub struct ServeConfig {
     /// Per-shard trace-ring capacity for structured events (batch
     /// flushes, merges, WAL syncs, backpressure stalls, …); 0 — the
     /// default — disables tracing entirely, leaving the emit sites as
-    /// one relaxed load each. Enables both the service's and the
-    /// store's rings; export the merged timeline with
+    /// one relaxed load each. Sets both the service's and the store's
+    /// rings, so 0 also turns off a store trace an earlier service
+    /// enabled; export the merged timeline with
     /// [`LookupService::export_chrome_trace`].
     pub trace_events: usize,
 }
@@ -215,10 +216,8 @@ impl LookupService {
         assert!(cfg.batch.max_batch > 0, "max_batch must be positive");
         let store = store.into();
         let obs = Arc::new(Obs::new("serve", store.num_shards()));
-        if cfg.trace_events > 0 {
-            obs.trace().enable(cfg.trace_events);
-            store.obs().trace().enable(cfg.trace_events);
-        }
+        obs.trace().enable(cfg.trace_events);
+        store.obs().trace().enable(cfg.trace_events);
         let shards: Vec<Arc<ShardState>> = (0..store.num_shards())
             .map(|shard| {
                 let reg = obs.registry();

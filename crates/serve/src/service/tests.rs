@@ -740,6 +740,19 @@ fn rejects_zero_queue_cap() {
 }
 
 #[test]
+#[should_panic(expected = "max_batch must be positive")]
+fn rejects_zero_max_batch() {
+    let store = ShardedStore::build(Backend::Sorted, 1, &[]);
+    LookupService::start(
+        store,
+        ServeConfig {
+            batch: BatchPolicy { max_batch: 0 },
+            ..ServeConfig::default()
+        },
+    );
+}
+
+#[test]
 fn stats_snapshots_stay_coherent_under_concurrent_writes() {
     // Regression for the pre-registry skew: reading wal_records
     // and wal_syncs as two independent atomic loads could observe
@@ -915,5 +928,36 @@ fn stage_breakdown_and_exports_cover_the_pipeline() {
         let json = svc.metrics_json();
         assert!(json.contains("serve_latency_ns"));
         assert!(json.contains("store_merges"));
+    }
+}
+
+#[test]
+fn an_untraced_service_turns_the_store_trace_off() {
+    let store = Arc::new(ShardedStore::build_with(
+        Backend::Sorted,
+        1,
+        &pairs(100),
+        StoreConfig::with_threshold(4),
+    ));
+    for trace_events in [256, 0, 256] {
+        let mut svc = LookupService::start(
+            Arc::clone(&store),
+            ServeConfig {
+                trace_events,
+                ..ServeConfig::default()
+            },
+        );
+        for k in 0..16u64 {
+            svc.put(k * 2 + 1, k);
+        }
+        svc.store().quiesce();
+        let traced = trace_events > 0;
+        assert_eq!(store.obs().trace().is_enabled(), traced, "{trace_events}");
+        assert_eq!(
+            svc.export_chrome_trace().contains("merge_publish"),
+            traced,
+            "{trace_events}"
+        );
+        svc.close();
     }
 }

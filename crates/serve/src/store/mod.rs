@@ -18,7 +18,7 @@
 //!   single run past [`StoreConfig::max_runs`].
 //!
 //! **Reads are planned.** A batch is first resolved against the delta
-//! into a [`BatchPlan`](crate::plan::BatchPlan): delta-decided keys
+//! into a [`BatchPlan`]: delta-decided keys
 //! never reach the engine, so the engine always runs a dense batch of
 //! genuinely memory-bound probes (see [`crate::plan`]).
 //!
@@ -193,9 +193,10 @@ struct StoreInner {
 
 /// Reusable scratch for [`ShardedStore::lookup_batch`]: rank space for
 /// the sorted backend, the batch plan's buffers, and the residual
-/// result staging area. Keeping one per dispatcher thread makes the
-/// steady-state dispatch path allocation-free, matching the engine's
-/// frame-slab discipline.
+/// result staging area. Keeping one per dispatcher thread means a
+/// batch allocates nothing per key: an interleaved engine run
+/// allocates its frame slab once, and a one-key batch allocates
+/// nothing in the engine.
 #[derive(Default)]
 pub struct LookupScratch {
     ranks: Vec<u32>,
@@ -573,7 +574,7 @@ impl ShardedStore {
     }
 
     /// Sequential point lookup — the oracle the batched path must
-    /// agree with. Reads one consistent [`ShardVersion`] snapshot:
+    /// agree with. Reads one consistent `ShardVersion` snapshot:
     /// delta override first, main otherwise.
     pub fn get(&self, key: u64) -> Option<u64> {
         let v = self.inner.shards[self.shard_of(key)].version.load();
@@ -803,7 +804,7 @@ impl ShardedStore {
     /// Run a batch of lookups that all route to `shard`, scattering
     /// `out[i]` = lookup result of `keys[i]`.
     ///
-    /// The whole batch reads **one** [`ShardVersion`] snapshot and is
+    /// The whole batch reads **one** `ShardVersion` snapshot and is
     /// **planned** first (see [`crate::plan`]): keys the delta decides
     /// are answered from the sorted run, and only the residual reaches
     /// the chunk-parallel interleaved engine. A merge publishing

@@ -180,6 +180,17 @@ fn rejects_zero_merge_threshold() {
 }
 
 #[test]
+#[should_panic(expected = "max_runs must be >= 1")]
+fn rejects_zero_max_runs() {
+    ShardedStore::build_with(
+        Backend::Sorted,
+        1,
+        &[],
+        StoreConfig::default().with_max_runs(0),
+    );
+}
+
+#[test]
 fn build_duplicates_resolve_last_write_wins() {
     for backend in Backend::ALL {
         let store = ShardedStore::build(

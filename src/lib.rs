@@ -15,22 +15,22 @@
 //!
 //! This facade re-exports the workspace crates:
 //!
-//! * [`core`](isi_core) — suspension machinery, schedulers (Listing 7),
+//! * [`core`] — suspension machinery, schedulers (Listing 7),
 //!   prefetch, the Section 3 analytic model.
-//! * [`search`](isi_search) — binary search five ways: `std`-style,
+//! * [`search`] — binary search five ways: `std`-style,
 //!   branch-free baseline, GP, AMAC, CORO (Listings 2-5).
-//! * [`csb`](isi_csb) — a cache-sensitive B+-tree with interleaved
+//! * [`csb`] — a cache-sensitive B+-tree with interleaved
 //!   lookups (Listing 6).
-//! * [`hash`](isi_hash) — chained hash table + hash join with
+//! * [`hash`] — chained hash table + hash join with
 //!   interleaved probes (the Section 6 extension).
-//! * [`columnstore`](isi_columnstore) — a HANA-style dictionary-encoded
+//! * [`columnstore`] — a HANA-style dictionary-encoded
 //!   column store with Main/Delta parts and IN-predicate execution.
-//! * [`memsim`](isi_memsim) — a software model of the paper's Haswell
+//! * [`memsim`] — a software model of the paper's Haswell
 //!   memory hierarchy for the microarchitectural experiments.
-//! * [`serve`](isi_serve) — a sharded, admission-batched point-lookup
+//! * [`serve`] — a sharded, admission-batched point-lookup
 //!   service that coalesces concurrent single-key requests into
 //!   interleaved batches.
-//! * [`workloads`](isi_workloads) — the paper's data/lookup generators.
+//! * [`workloads`] — the paper's data/lookup generators.
 //!
 //! ## Quickstart
 //!
