@@ -1,20 +1,20 @@
-//! Model of the `isi_obs` registry's snapshot-ordering contract.
+//! Model of the `isi_obs::Counter` read-order contract.
 //!
-//! The registry exports pairs of counters with a cross-metric
-//! invariant, e.g. `wal_syncs ≤ wal_records`: every sync covers a
-//! record that was appended first. Nothing ties the two atomics
-//! together — the contract is pure ordering:
+//! The store and the service export pairs of counters with a
+//! cross-metric invariant, e.g. `wal_syncs ≤ wal_records`: every sync
+//! covers a record that was appended first. Nothing ties the two
+//! atomics together — the contract is pure ordering:
 //!
 //! - the **writer** bumps the ≥-side (`records`) *before* the ≤-side
 //!   (`syncs`);
 //! - the **snapshot** reads the ≤-side *before* the ≥-side (in the
-//!   real registry this is registration order: the ≤-side counter is
-//!   registered first and `Registry::snapshot` samples in order).
+//!   real code one read function per owner fixes this order:
+//!   `ShardedStore::wal_stats` loads `wal_syncs` first).
 //!
 //! Read that way, any `syncs` value the snapshot observes was preceded
 //! by at least that many `records` bumps, so the skew can only be
 //! conservative. [`snapshot_reads_records_first`] is the **known-bad**
-//! variant — the pre-registry `wal_stats()` bug, which loaded
+//! variant — an old `wal_stats()` bug, which loaded
 //! `records` first and could observe a sync without the record it
 //! covered; the explorer must find that interleaving and its seed
 //! must replay it (see `tests/models.rs`).

@@ -17,7 +17,7 @@
 //! | [`cache`] | hot-key cache under the queue lock: invalidate-before-ack ⇒ no stale read after own-write ack |
 //! | [`queue`] | caller-runs admission: token hand-back strands no entry, no deadlock at backpressure |
 //! | [`wal`] | WAL group commit + snapshot-truncate: acked ⇒ durable, frontier monotone |
-//! | [`metrics`] | registry snapshot ordering: read ≤-side first ⇒ `syncs ≤ records` |
+//! | [`metrics`] | counter read order: read ≤-side first ⇒ `syncs ≤ records` |
 //!
 //! [`epoch::torn_publish`], [`wal::truncate_before_snapshot_sync`],
 //! [`metrics::snapshot_reads_records_first`],

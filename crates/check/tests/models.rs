@@ -294,7 +294,7 @@ fn random_exploration_finds_torn_publish() {
     );
 }
 
-/// The registry snapshot-ordering model: reading the covered side
+/// The counter read-order model: reading the covered side
 /// (`syncs`) before the covering side (`records`) keeps every
 /// interleaving's snapshot coherent.
 #[test]
@@ -307,7 +307,7 @@ fn metrics_snapshot_ordering_is_coherent() {
     assert!(n > 1, "model has no concurrency ({n} interleaving)");
 }
 
-/// The pre-registry `wal_stats()` read order (records first) must show
+/// The old `wal_stats()` read order (records first) must show
 /// more syncs than records under some interleaving — and the printed
 /// seed must replay it.
 #[test]

@@ -51,7 +51,7 @@ impl AtomicHist {
     /// Record one sample (nanoseconds). Lock-free and allocation-free;
     /// the bucket bump is `Release` so a snapshot that observes it
     /// also observes everything the recording thread did before it
-    /// (the registry's cross-metric ordering contract builds on this).
+    /// (the same `Release`/`Acquire` pairing as [`crate::Counter`]).
     /// Unlike the core histogram's saturating sum, the atomic sum
     /// wraps — irrelevant for nanosecond latencies (2⁶⁴ ns ≈ 584
     /// years) and far cheaper than a CAS loop on the hot path.

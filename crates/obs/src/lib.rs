@@ -1,18 +1,14 @@
-//! Serve-path observability: metrics, per-stage spans, event traces.
+//! Serve-path observability: counters, per-stage spans, event traces.
 //!
 //! This crate is the workspace's one answer to "what is the serving
-//! stack doing right now?", replacing the ad-hoc `ServeStats`
-//! field-by-field atomic plumbing that preceded it. It is built
-//! around three primitives and one hub that bundles them per
-//! store/service:
+//! stack doing right now?". It is built around three primitives and
+//! one hub that bundles the last two per store/service:
 //!
-//! 1. **[`Registry`]** — named counters/gauges/histograms registered
-//!    once at build time; the returned handles are single-atomic-RMW
-//!    on the hot path. Snapshots are taken in registration order with
-//!    `Acquire` loads, which (paired with `Release` increments) lets
-//!    writers export pairwise invariants like `wal_syncs ≤
-//!    wal_records` that hold in *every* snapshot — see the
-//!    [`registry`] module docs for the exact contract.
+//! 1. **[`Counter`]** — a monotonically increasing `u64` kept as a
+//!    plain struct field by its owner; a bump is one `Release` RMW and
+//!    a read one `Acquire` load. The owner exports pairwise invariants
+//!    like `wal_syncs ≤ wal_records` by fixing the read order in one
+//!    function (see [`Counter`]).
 //! 2. **[`Stage`] spans** — a closed enum of serve-path pipeline
 //!    stages (admission wait, plan, engine, writeback, commit, WAL
 //!    append/fsync, merge, backpressure), each feeding a
@@ -23,63 +19,67 @@
 //!    exporter. Disabled tracing costs one relaxed atomic load and
 //!    never allocates (pinned by `tests/alloc_disabled.rs`).
 //!
-//! Nothing here blocks the serve path: registration is the only
-//! locking operation, and it happens at construction. The crate
-//! depends only on `isi_core` (for the log₂-bucket histogram), so
-//! every layer — store, service, durability, bench — can adopt it
-//! without a dependency knot.
+//! Nothing here blocks the serve path. The crate depends only on
+//! `isi_core` (for the log₂-bucket histogram), so every layer — store,
+//! service, durability, bench — can adopt it without a dependency knot.
 
 pub mod hist;
-pub mod registry;
 pub mod span;
 pub mod trace;
 
 pub use hist::AtomicHist;
-pub use registry::{Counter, Gauge, Hist, Registry, Sample, Snapshot, Value};
 pub use span::{now_ns, SpanTimer, Stage};
 pub use trace::{chrome_trace_json, TraceEvent, TraceKind, TraceSet};
 
+use std::sync::atomic::{AtomicU64, Ordering};
+
 use isi_core::stats::LatencyHist;
 
-/// One subsystem's observability bundle: a [`Registry`], a per-shard
-/// × per-[`Stage`] histogram matrix (pre-registered so stage
-/// recording is lock-free), and a [`TraceSet`].
+/// A monotonically increasing `u64` metric.
 ///
-/// The `prefix` namespaces metric names (`{prefix}_stage_ns`, and by
-/// convention every metric the owner registers), so a store-owned and
-/// a service-owned `Obs` can be merged into one exposition without
-/// collisions.
+/// The one rule that lets an owner export cross-counter invariants:
+/// bumps publish with `Release` and reads load with `Acquire`, so if
+/// writers bump `A` before `B`, a reader that loads `B` first and `A`
+/// second sees `B ≤ A`. The `A`-bumps that preceded the `B`-bumps it
+/// read are visible to the later load of `A`.
+#[derive(Debug, Default)]
+pub struct Counter(AtomicU64);
+
+impl Counter {
+    /// Add one.
+    #[inline]
+    pub fn inc(&self) {
+        self.add(1);
+    }
+
+    /// Add `n`.
+    #[inline]
+    pub fn add(&self, n: u64) {
+        self.0.fetch_add(n, Ordering::Release);
+    }
+
+    /// Current value.
+    #[inline]
+    pub fn get(&self) -> u64 {
+        self.0.load(Ordering::Acquire)
+    }
+}
+
+/// One subsystem's observability bundle: a per-shard × per-[`Stage`]
+/// histogram matrix (allocated up front so stage recording is
+/// lock-free) and a [`TraceSet`].
 pub struct Obs {
-    registry: Registry,
-    stages: Vec<[Hist; Stage::COUNT]>,
+    stages: Vec<[AtomicHist; Stage::COUNT]>,
     trace: TraceSet,
 }
 
 impl Obs {
-    /// Build a bundle for `shards` shards, pre-registering the full
-    /// stage-histogram matrix as `{prefix}_stage_ns{shard=,stage=}`.
-    pub fn new(prefix: &str, shards: usize) -> Self {
-        let registry = Registry::new();
-        let name = format!("{prefix}_stage_ns");
-        let stages = (0..shards)
-            .map(|s| {
-                let shard = s.to_string();
-                std::array::from_fn(|i| {
-                    registry.hist(&name, &[("shard", &shard), ("stage", Stage::ALL[i].name())])
-                })
-            })
-            .collect();
+    /// Build a bundle for `shards` shards.
+    pub fn new(shards: usize) -> Self {
         Self {
-            registry,
-            stages,
+            stages: (0..shards).map(|_| Default::default()).collect(),
             trace: TraceSet::new(shards),
         }
-    }
-
-    /// The metric registry, for the owner to register its counters
-    /// and for exporters to snapshot.
-    pub fn registry(&self) -> &Registry {
-        &self.registry
     }
 
     /// How many shards the stage matrix and trace rings cover.
@@ -111,12 +111,6 @@ impl Obs {
     pub fn trace(&self) -> &TraceSet {
         &self.trace
     }
-
-    /// Snapshot the registry (stage histograms included, since they
-    /// are registered metrics).
-    pub fn snapshot(&self) -> Snapshot {
-        self.registry.snapshot()
-    }
 }
 
 #[cfg(test)]
@@ -125,7 +119,7 @@ mod tests {
 
     #[test]
     fn stage_matrix_is_preregistered_and_records() {
-        let obs = Obs::new("test", 2);
+        let obs = Obs::new(2);
         assert_eq!(obs.num_shards(), 2);
         obs.record_stage(0, Stage::Plan, 100);
         obs.record_stage(0, Stage::Plan, 300);
@@ -136,23 +130,11 @@ mod tests {
         assert_eq!(rows.len(), 2);
         assert_eq!(rows[0][Stage::Plan.index()].sum(), 400);
         assert_eq!(rows[1][Stage::Engine.index()].count(), 1);
-        // The matrix doubles as registered metrics.
-        let snap = obs.snapshot();
-        let merged = snap.hist_merged("test_stage_ns", |s| s.label("stage") == Some("plan"));
-        assert_eq!(merged.count(), 2);
-    }
-
-    #[test]
-    fn owner_metrics_share_the_registry() {
-        let obs = Obs::new("test", 1);
-        let c = obs.registry().counter("test_requests", &[("shard", "0")]);
-        c.add(4);
-        assert_eq!(obs.snapshot().counter_sum("test_requests"), 4);
     }
 
     #[test]
     fn trace_is_off_by_default() {
-        let obs = Obs::new("test", 1);
+        let obs = Obs::new(1);
         assert!(!obs.trace().is_enabled());
         obs.trace().emit_now(0, TraceKind::BatchFlush, 1, 0);
         assert!(obs.trace().events().is_empty());

@@ -4,10 +4,9 @@
 //! pipeline stages (admission queue → plan → engine → writeback →
 //! commit, with WAL and merge work hanging off the write side). The
 //! [`Stage`] enum names them once, so the store and the service that
-//! record a stage, the `{prefix}_stage_ns{shard,stage}` metric labels
-//! and the `serve` example's stage table all agree on the same
-//! spelling — a typo'd stage string cannot silently create an extra
-//! histogram.
+//! record a stage and the `serve` example's stage table all agree on
+//! the same spelling — a typo'd stage string cannot silently create an
+//! extra histogram.
 //!
 //! [`SpanTimer`] is deliberately thin: capture a start timestamp,
 //! subtract later. The timestamp comes from [`now_ns`], a monotonic
@@ -72,8 +71,7 @@ impl Stage {
         self as usize
     }
 
-    /// The stable snake_case name used in metric labels, bench rows,
-    /// and trace events.
+    /// The stable snake_case name, as stage tables print it.
     pub fn name(self) -> &'static str {
         match self {
             Stage::AdmissionWait => "admission_wait",

@@ -21,7 +21,6 @@ use std::sync::Mutex;
 
 use isi_core::sync::MutexExt;
 
-use crate::registry::json_string;
 use crate::span::now_ns;
 
 /// What a trace event describes. The `a`/`b` payload meaning is
@@ -120,7 +119,8 @@ impl TraceSet {
     }
 
     /// Turn tracing on with `capacity` event slots per shard,
-    /// preallocating every ring so emission never allocates.
+    /// preallocating every ring so emission never allocates, and reset
+    /// the drop count so [`TraceSet::dropped`] describes the new rings.
     /// `capacity == 0` turns tracing off and frees the rings.
     pub fn enable(&self, capacity: usize) {
         self.enabled.store(false, Ordering::Release);
@@ -130,6 +130,7 @@ impl TraceSet {
             ring.head = 0;
             ring.cap = capacity;
         }
+        self.dropped.store(0, Ordering::Relaxed);
         self.enabled.store(capacity > 0, Ordering::Release);
     }
 
@@ -213,9 +214,10 @@ pub fn chrome_trace_json(events: &[TraceEvent]) -> String {
         if i > 0 {
             out.push(',');
         }
-        out.push_str("{\"name\":");
-        json_string(&mut out, e.kind.name());
-        out.push_str(",\"cat\":\"isi\",\"pid\":1,\"tid\":");
+        // Kind names are static snake_case identifiers: no escaping.
+        out.push_str("{\"name\":\"");
+        out.push_str(e.kind.name());
+        out.push_str("\",\"cat\":\"isi\",\"pid\":1,\"tid\":");
         out.push_str(&e.shard.to_string());
         // Trace Event Format timestamps are microseconds; emit with
         // nanosecond precision as a decimal fraction.
@@ -298,6 +300,10 @@ mod tests {
         // The two newest survive.
         assert_eq!(evs.iter().map(|e| e.a).collect::<Vec<_>>(), vec![3, 4]);
         assert_eq!(t.dropped(), 3);
+        // Re-enabling starts fresh rings, and the drop count with them.
+        t.enable(2);
+        assert!(t.events().is_empty());
+        assert_eq!(t.dropped(), 0);
     }
 
     #[test]

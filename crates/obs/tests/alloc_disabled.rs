@@ -10,7 +10,7 @@
 //! libtest's own threads allocate inside the counted window, which
 //! made a process-wide count fail about one run in two.
 
-use isi_obs::{Obs, Stage, TraceKind};
+use isi_obs::{AtomicHist, Counter, Obs, Stage, TraceKind};
 
 #[path = "support/thread_alloc.rs"]
 mod thread_alloc;
@@ -18,15 +18,13 @@ use thread_alloc::count_allocs;
 
 #[test]
 fn disabled_observability_hot_path_never_allocates() {
-    let obs = Obs::new("t", 2);
-    let requests = obs.registry().counter("t_requests", &[("shard", "0")]);
-    let backlog = obs.registry().gauge("t_backlog", &[]);
-    let latency = obs.registry().hist("t_latency_ns", &[]);
+    let obs = Obs::new(2);
+    let requests = Counter::default();
+    let latency = AtomicHist::new();
 
     let (allocs, _) = count_allocs(|| {
         for i in 0..10_000u64 {
             requests.inc();
-            backlog.set(i as i64);
             latency.record(i);
             obs.record_stage((i % 2) as usize, Stage::Engine, i);
             obs.record_stage((i % 2) as usize, Stage::WalFsync, i * 3);
@@ -40,12 +38,13 @@ fn disabled_observability_hot_path_never_allocates() {
         "metric recording / disabled tracing allocated on the hot path"
     );
     assert!(obs.trace().events().is_empty());
-    assert_eq!(obs.snapshot().counter_sum("t_requests"), 10_000);
+    assert_eq!(requests.get(), 10_000);
+    assert_eq!(latency.count(), 10_000);
 }
 
 #[test]
 fn enabled_trace_emission_is_allocation_free_in_steady_state() {
-    let obs = Obs::new("t", 2);
+    let obs = Obs::new(2);
     // Rings are preallocated here, outside the counted section.
     obs.trace().enable(64);
 

@@ -71,10 +71,9 @@
 //!    torn or bit-flipped tails by CRC — see [`isi_durable`] for the
 //!    formats, the crash-ordering invariants, and the fault-injection
 //!    harness that exercises them.
-//! 6. **Measure** — every counter and histogram lives in an
-//!    [`isi_obs`] metrics registry (store-side `store_*`, service-side
-//!    `serve_*`): [`ServeStats`] is one coherent
-//!    snapshot of both (write, cache, plan, delta-size,
+//! 6. **Measure** — every counter is an [`isi_obs::Counter`] field of
+//!    the shard or store that bumps it: [`ServeStats`] reads both in
+//!    one fixed, coherent order (write, cache, plan, delta-size,
 //!    merge and WAL counters plus the admission→response
 //!    [`LatencyHist`](isi_core::stats::LatencyHist)), each pipeline
 //!    stage (admission wait, plan, engine, writeback, commit, WAL
@@ -84,10 +83,7 @@
 //!    a bounded structured-event ring exportable as chrome://tracing
 //!    JSON
 //!    ([`export_chrome_trace`](service::LookupService::export_chrome_trace)).
-//!    Prometheus/JSON renderings come from
-//!    [`metrics_prometheus`](service::LookupService::metrics_prometheus) /
-//!    [`metrics_json`](service::LookupService::metrics_json); with
-//!    tracing off, the instrumentation is a few atomic bumps per
+//!    With tracing off, the instrumentation is a few atomic bumps per
 //!    batch.
 //!
 //! ```

@@ -38,8 +38,8 @@ pub(super) fn execute_batch(ctx: ShardCtx<'_>, bufs: &mut Exec, full: bool, who:
     let batch_t = SpanTimer::start();
     // Count the batch up front: no ticket from this batch can resolve
     // before the batch itself is visible in the stats. `batches` bumps
-    // before the counters it bounds (the registration-order
-    // counterpart lives in `ShardCounters`).
+    // before the counters it bounds (the read-order counterpart is
+    // `ShardCounters::add_to`).
     state.m.batches.inc();
     if full {
         state.m.full_flushes.inc();

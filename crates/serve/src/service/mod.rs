@@ -191,10 +191,10 @@ pub struct LookupService {
     store: Arc<ShardedStore>,
     shards: Vec<Arc<ShardState>>,
     cfg: ServeConfig,
-    /// Service-side observability hub: `serve_*` metrics, per-shard
-    /// stage histograms (admission wait, commit, writeback, queue
-    /// backpressure) and the service trace ring. Store-side spans live
-    /// on [`ShardedStore::obs`]; the export methods merge both.
+    /// Service-side observability hub: per-shard stage histograms
+    /// (admission wait, commit, writeback, queue backpressure) and the
+    /// service trace ring. Store-side spans live on
+    /// [`ShardedStore::obs`]; the export methods merge both.
     obs: Arc<Obs>,
     helpers: Vec<JoinHandle<()>>,
 }
@@ -215,15 +215,11 @@ impl LookupService {
         assert!(cfg.queue_cap > 0, "queue_cap must be positive");
         assert!(cfg.batch.max_batch > 0, "max_batch must be positive");
         let store = store.into();
-        let obs = Arc::new(Obs::new("serve", store.num_shards()));
+        let obs = Arc::new(Obs::new(store.num_shards()));
         obs.trace().enable(cfg.trace_events);
         store.obs().trace().enable(cfg.trace_events);
         let shards: Vec<Arc<ShardState>> = (0..store.num_shards())
-            .map(|shard| {
-                let reg = obs.registry();
-                let tag = shard.to_string();
-                let l = [("shard", tag.as_str())];
-                let counter = |name| reg.counter(name, &l);
+            .map(|_| {
                 Arc::new(ShardState {
                     q: Mutex::new(QueueState {
                         reqs: VecDeque::new(),
@@ -234,21 +230,7 @@ impl LookupService {
                     }),
                     work: Condvar::new(),
                     space: Condvar::new(),
-                    m: ShardCounters {
-                        // The ≤-sides before `batches`: registration
-                        // order is the snapshot-coherence contract.
-                        full_flushes: counter("serve_full_flushes"),
-                        caller_runs: counter("serve_caller_runs"),
-                        batches: counter("serve_batches"),
-                        requests: counter("serve_requests"),
-                        gets: counter("serve_gets"),
-                        puts: counter("serve_puts"),
-                        removes: counter("serve_removes"),
-                        many_keys: counter("serve_many_keys"),
-                        delta_hits: counter("serve_delta_hits"),
-                        cache_hits: counter("serve_cache_hits"),
-                        latency: reg.hist("serve_latency_ns", &l),
-                    },
+                    m: ShardCounters::default(),
                 })
             })
             .collect();
@@ -482,74 +464,39 @@ impl LookupService {
     /// Aggregated metrics over all shards (latency histograms merged),
     /// plus the store's merge/delta counters.
     ///
-    /// Built from one coherent snapshot of each registry (see
-    /// `isi_obs::registry`): within the returned struct,
+    /// Each owner reads its counters in one fixed order (see
+    /// [`isi_obs::Counter`]): within the returned struct,
     /// `full_flushes <= batches`, `caller_runs <= batches`,
-    /// `wal_syncs <= wal_records` and `bg_merges <= merges` hold even
-    /// while runners and mergers race the call.
+    /// `wal_syncs <= wal_records`, `bg_merges <= merges` and
+    /// `compactions <= delta_runs` hold even while runners and mergers
+    /// race the call.
     pub fn stats(&self) -> ServeStats {
-        let snap = self.obs.snapshot();
-        let store_snap = self.store.obs().snapshot();
-        let mut total = ServeStats {
-            requests: snap.counter_sum("serve_requests"),
-            gets: snap.counter_sum("serve_gets"),
-            puts: snap.counter_sum("serve_puts"),
-            removes: snap.counter_sum("serve_removes"),
-            many_keys: snap.counter_sum("serve_many_keys"),
-            cache_hits: snap.counter_sum("serve_cache_hits"),
-            delta_hits: snap.counter_sum("serve_delta_hits"),
-            batches: snap.counter_sum("serve_batches"),
-            full_flushes: snap.counter_sum("serve_full_flushes"),
-            caller_runs: snap.counter_sum("serve_caller_runs"),
-            latency: snap.hist_merged("serve_latency_ns", |_| true),
-            merges: store_snap.counter_sum("store_merges"),
-            bg_merges: store_snap.counter_sum("store_bg_merges"),
-            delta_runs: store_snap.counter_sum("store_delta_runs"),
-            compactions: store_snap.counter_sum("store_compactions"),
-            wal_records: store_snap.counter_sum("store_wal_records"),
-            wal_syncs: store_snap.counter_sum("store_wal_syncs"),
-            merge_backlog: self.store.merge_backlog() as u64,
-            merge_latency: self.store.merge_latency(),
-            delta_keys: self.store.delta_len() as u64,
-            ..ServeStats::default()
-        };
+        let mut total = ServeStats::default();
+        for state in &self.shards {
+            state.m.add_to(&mut total);
+        }
+        self.store.add_counters_to(&mut total);
+        total.merge_backlog = self.store.merge_backlog() as u64;
+        total.merge_latency = self.store.merge_latency();
+        total.delta_keys = self.store.delta_len() as u64;
         for state in &self.shards {
             total.engine.merge(&state.q.plock("admission queue").engine);
         }
         total
     }
 
-    /// The service-side observability hub (`serve_*` metrics, the
-    /// service trace ring). The store's hub is at
+    /// The service-side observability hub (per-shard stage histograms,
+    /// the service trace ring). The store's hub is at
     /// [`ShardedStore::obs`].
     ///
     /// Two hubs, on purpose: a store outlives the services opened over
     /// it, and each service's `stats()` and `stage_hist(..)` must start
     /// from zero — `benchmark/src/trace.rs` runs a warm-up, a measured
-    /// and a traced service over one store, and a registry as old as
-    /// the store would fold the warm-up into every `service.*` row.
-    /// `stats`, `metrics_prometheus`, `metrics_json`,
+    /// and a traced service over one store, and a hub as old as the
+    /// store would fold the warm-up into every `service.*` row.
     /// `export_chrome_trace` and `stage_breakdown` stitch the two.
     pub fn obs(&self) -> &Obs {
         &self.obs
-    }
-
-    /// Every store- and service-side metric in the Prometheus text
-    /// exposition format: two coherent snapshots, concatenated (metric
-    /// names are disjoint by prefix, `store_*` vs `serve_*`).
-    pub fn metrics_prometheus(&self) -> String {
-        let mut out = self.store.obs().snapshot().to_prometheus();
-        out.push_str(&self.obs.snapshot().to_prometheus());
-        out
-    }
-
-    /// Every store- and service-side metric as one JSON document.
-    pub fn metrics_json(&self) -> String {
-        self.store
-            .obs()
-            .snapshot()
-            .concat(&self.obs.snapshot())
-            .to_json()
     }
 
     /// The merged store+service event timeline rendered as

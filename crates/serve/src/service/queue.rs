@@ -78,9 +78,8 @@ pub(super) struct ShardState {
     pub(super) work: Condvar,
     /// Producers wait here for queue space (backpressure).
     pub(super) space: Condvar,
-    /// Registry handles for this shard's counters (see
-    /// [`ShardCounters`]); lock-free, so a cache hit counts itself
-    /// after releasing the queue lock.
+    /// This shard's counters (see [`ShardCounters`]); lock-free, so a
+    /// cache hit counts itself after releasing the queue lock.
     pub(super) m: ShardCounters,
 }
 

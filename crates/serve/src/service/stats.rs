@@ -1,17 +1,20 @@
-//! The service's counters: one shard's registry handles, and the
-//! aggregate a caller reads.
+//! The service's counters: one shard's fields, and the aggregate a
+//! caller reads.
 
 use isi_core::sched::RunStats;
 use isi_core::stats::LatencyHist;
-use isi_obs::{Counter, Hist};
+use isi_obs::{AtomicHist, Counter};
 
-/// One shard's handles into the service metrics registry, resolved
-/// once at start so the hot path never touches the registry lock.
+/// One shard's service counters.
 ///
-/// Registration order is load-bearing (see `isi_obs::registry`):
-/// `full_flushes` and `caller_runs` are registered *before* `batches`
-/// and a runner bumps `batches` first, so no snapshot can show either
-/// of them above `batches`.
+/// [`add_to`](Self::add_to) fixes the read order, and that order is
+/// load-bearing (see [`Counter`]): a runner bumps `batches` before
+/// `full_flushes` and `caller_runs`, and reads load those two first,
+/// so no read shows either of them above `batches`. Likewise a read
+/// run adds its `delta_hits` before its `gets` and `many_keys`, which
+/// are read first: every read key a read counts is in `delta_hits` or
+/// in the engine lookups `stats` merges last.
+#[derive(Default)]
 pub(super) struct ShardCounters {
     pub(super) full_flushes: Counter,
     pub(super) caller_runs: Counter,
@@ -23,9 +26,27 @@ pub(super) struct ShardCounters {
     pub(super) many_keys: Counter,
     pub(super) delta_hits: Counter,
     pub(super) cache_hits: Counter,
-    /// `serve_latency_ns`: per *admitted* entry (enqueue → response
-    /// routed), nanoseconds; cache hits are counted in `cache_hits` only.
-    pub(super) latency: Hist,
+    /// Per *admitted* entry (enqueue → response routed), nanoseconds;
+    /// cache hits are counted in `cache_hits` only.
+    pub(super) latency: AtomicHist,
+}
+
+impl ShardCounters {
+    /// Add this shard's counters into `total`, the ≤ side of each
+    /// invariant first.
+    pub(super) fn add_to(&self, total: &mut ServeStats) {
+        total.full_flushes += self.full_flushes.get();
+        total.caller_runs += self.caller_runs.get();
+        total.batches += self.batches.get();
+        total.requests += self.requests.get();
+        total.gets += self.gets.get();
+        total.puts += self.puts.get();
+        total.removes += self.removes.get();
+        total.many_keys += self.many_keys.get();
+        total.delta_hits += self.delta_hits.get();
+        total.cache_hits += self.cache_hits.get();
+        total.latency.merge(&self.latency.snapshot());
+    }
 }
 
 /// Aggregated service metrics (summed over shards, plus the store's

@@ -754,11 +754,12 @@ fn rejects_zero_max_batch() {
 
 #[test]
 fn stats_snapshots_stay_coherent_under_concurrent_writes() {
-    // Regression for the pre-registry skew: reading wal_records
-    // and wal_syncs as two independent atomic loads could observe
-    // a sync without the record it covered. A monitor hammering
-    // stats() against a durable write load must never see any
-    // cross-counter invariant inverted, mid-flight or after.
+    // Regression for a read-order skew: loading wal_records before
+    // wal_syncs could observe a sync without the record it covered.
+    // A monitor hammering stats() against a durable write load
+    // (two runs a shard before a fold, so the write path compacts)
+    // must never see any cross-counter invariant inverted,
+    // mid-flight or after.
     use isi_durable::{Fs, FsyncMode, MemFs};
     use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -769,6 +770,7 @@ fn stats_snapshots_stay_coherent_under_concurrent_writes() {
         &pairs(100),
         StoreConfig {
             fsync: FsyncMode::Group,
+            max_runs: 2,
             ..StoreConfig::with_threshold(4)
         },
         fs,
@@ -807,6 +809,12 @@ fn stats_snapshots_stay_coherent_under_concurrent_writes() {
                     s.caller_runs,
                     s.batches
                 );
+                assert!(
+                    s.compactions <= s.delta_runs,
+                    "skewed snapshot: {} compactions > {} delta runs",
+                    s.compactions,
+                    s.delta_runs
+                );
                 // Every admitted read key is a delta hit or an engine
                 // lookup, both counted before the request is.
                 assert!(
@@ -843,6 +851,7 @@ fn stats_snapshots_stay_coherent_under_concurrent_writes() {
     assert!(s.wal_records > 0);
     assert!(s.wal_syncs > 0);
     assert!(s.wal_syncs <= s.wal_records);
+    assert!(s.compactions > 0);
 }
 
 #[test]
@@ -921,13 +930,6 @@ fn stage_breakdown_and_exports_cover_the_pipeline() {
         assert!(trace.contains("\"traceEvents\""));
         assert!(trace.contains("batch_flush"));
         assert!(trace.contains("merge_publish"));
-
-        let prom = svc.metrics_prometheus();
-        assert!(prom.contains("serve_requests"));
-        assert!(prom.contains("store_merges"));
-        let json = svc.metrics_json();
-        assert!(json.contains("serve_latency_ns"));
-        assert!(json.contains("store_merges"));
     }
 }
 

@@ -235,8 +235,8 @@ impl StoreInner {
             main: folded.main,
             delta: Delta::tiers(folded.mid, residual),
         }));
-        // `merges` before `bg_merges` and `major_merges`: with those
-        // two registered first, every snapshot sees each ≤ merges.
+        // `merges` before `bg_merges` and `major_merges`: a read that
+        // loads either of them before `merges` sees it ≤ merges.
         let counters = &self.merge_counters[si];
         counters.merges.inc();
         if self.cfg.merge_mode == MergeMode::Background {

@@ -91,6 +91,7 @@ use isi_hash::table::HashKey;
 use isi_obs::{Counter, Obs, SpanTimer, Stage, TraceKind};
 
 use crate::plan::BatchPlan;
+use crate::service::ServeStats;
 
 pub use config::{Backend, MergeMode, StoreConfig};
 use delta::{sort_lww, Delta};
@@ -128,16 +129,16 @@ struct WriteState {
     wal_seq: u64,
 }
 
-/// Per-shard merge and run-stack counters, registered in the store's
-/// [`Obs`] so monitoring reads ([`ShardedStore::merges`] and friends)
-/// are lock-free snapshots that never wait behind a rebuild.
-/// Registration order is the ≤ side of each invariant first
-/// (`bg_merges` and `major_merges` before `merges`, `compactions`
-/// before `delta_runs`) and every bump hits the ≥ side first, so
-/// `bg_merges ≤ merges`, `major_merges ≤ merges` and `compactions ≤
-/// delta_runs` hold in *every* snapshot (the registry's coherence
-/// contract). Merge wall latency, minor and major alike, lands in the
-/// shard's [`Stage::Merge`] histogram.
+/// Per-shard merge and run-stack counters, so monitoring reads
+/// ([`ShardedStore::merges`] and friends) are lock-free loads that
+/// never wait behind a rebuild. Every bump hits the ≥ side of each
+/// invariant first, and [`ShardedStore::add_counters_to`] reads the ≤
+/// side first (`bg_merges` before `merges`, `compactions` before
+/// `delta_runs`), so `bg_merges ≤ merges` and `compactions ≤
+/// delta_runs` hold in *every* read (see [`Counter`]). Merge wall
+/// latency, minor and major alike, lands in the shard's
+/// [`Stage::Merge`] histogram.
+#[derive(Default)]
 struct MergeCounters {
     /// Merges published, of either kind.
     merges: Counter,
@@ -177,16 +178,13 @@ struct StoreInner {
     merge_work: Condvar,
     /// [`ShardedStore::quiesce`] waits here for the queue to drain.
     merge_done: Condvar,
-    /// Store-side observability: `store_*` metrics, per-shard stage
-    /// histograms (plan/engine/WAL/merge/backpressure) and trace rings.
-    /// Cumulative for the store's lifetime, like the counters it
-    /// replaced.
+    /// Store-side observability: per-shard stage histograms
+    /// (plan/engine/WAL/merge/backpressure) and trace rings.
+    /// Cumulative for the store's lifetime.
     obs: Obs,
-    /// Per-shard merge counters registered in `obs` (see
-    /// [`MergeCounters`]).
+    /// Per-shard merge counters (see [`MergeCounters`]).
     merge_counters: Vec<MergeCounters>,
-    /// `store_merger_failed`: nonzero once the merger thread has
-    /// panicked. No merge will run again, so the store takes no more
+    /// Nonzero once the merger thread has panicked. No merge will run again, so the store takes no more
     /// writes (see [`StoreInner::merger_loop`]).
     merger_failed: Counter,
 }
@@ -357,39 +355,13 @@ impl ShardedStore {
         fs: Option<Arc<dyn Fs>>,
     ) -> Self {
         let merge_mode = cfg.merge_mode;
-        let obs = Obs::new("store", shards.len());
-        // Coherent-snapshot registration order: the ≤ side of each
-        // invariant first (wal_syncs ≤ wal_records, bg_merges and
-        // major_merges ≤ merges); see the isi_obs registry docs.
-        let durable = fs.map(|fs| {
-            let wal_syncs = obs.registry().counter("store_wal_syncs", &[]);
-            let wal_records = obs.registry().counter("store_wal_records", &[]);
-            DurableState {
-                fsync: cfg.fsync,
-                fs,
-                wal_records,
-                wal_syncs,
-            }
+        let n = shards.len();
+        let durable = fs.map(|fs| DurableState {
+            fsync: cfg.fsync,
+            fs,
+            wal_records: Counter::default(),
+            wal_syncs: Counter::default(),
         });
-        let merge_counters = (0..shards.len())
-            .map(|si| {
-                let shard = si.to_string();
-                let labels = [("shard", shard.as_str())];
-                let bg_merges = obs.registry().counter("store_bg_merges", &labels);
-                let major_merges = obs.registry().counter("store_major_merges", &labels);
-                let merges = obs.registry().counter("store_merges", &labels);
-                let compactions = obs.registry().counter("store_compactions", &labels);
-                let delta_runs = obs.registry().counter("store_delta_runs", &labels);
-                MergeCounters {
-                    merges,
-                    bg_merges,
-                    major_merges,
-                    delta_runs,
-                    compactions,
-                }
-            })
-            .collect();
-        let merger_failed = obs.registry().counter("store_merger_failed", &[]);
         let inner = Arc::new(StoreInner {
             shard_bits,
             cfg,
@@ -399,9 +371,9 @@ impl ShardedStore {
             merge_q: Mutex::new(MergeQueue::default()),
             merge_work: Condvar::new(),
             merge_done: Condvar::new(),
-            obs,
-            merge_counters,
-            merger_failed,
+            obs: Obs::new(n),
+            merge_counters: (0..n).map(|_| MergeCounters::default()).collect(),
+            merger_failed: Counter::default(),
         });
         let merger = (merge_mode == MergeMode::Background).then(|| {
             let inner = Arc::clone(&inner);
@@ -427,25 +399,37 @@ impl ShardedStore {
     /// Write-path durability counters: `(WAL records appended, WAL
     /// fsyncs issued)` since build. `(0, 0)` when durability is off —
     /// and under [`FsyncMode::Group`] the sync count per record is
-    /// what group commit amortizes. Read through one coherent registry
-    /// snapshot, so `syncs ≤ records` always (the old field-by-field
-    /// reads could observe the sync of a record they hadn't counted).
+    /// what group commit amortizes. Syncs are read before records, so
+    /// `syncs ≤ records` always (a records-first read could observe the
+    /// sync of a record it hadn't counted).
     ///
     /// [`FsyncMode::Group`]: isi_durable::FsyncMode::Group
     pub fn wal_stats(&self) -> (u64, u64) {
-        if self.inner.durable.is_none() {
-            return (0, 0);
+        match &self.inner.durable {
+            Some(d) => {
+                let syncs = d.wal_syncs.get();
+                (d.wal_records.get(), syncs)
+            }
+            None => (0, 0),
         }
-        let snap = self.inner.obs.snapshot();
-        (
-            snap.counter_sum("store_wal_records"),
-            snap.counter_sum("store_wal_syncs"),
-        )
     }
 
-    /// The store's observability bundle: `store_*` metrics, per-shard
-    /// stage histograms, and the store-side trace rings (merges, WAL
-    /// syncs, delta backpressure).
+    /// Add the store's write-side counters into `total`: the WAL pair,
+    /// then per shard the merge and run-stack counters, the ≤ side of
+    /// each invariant first (see [`MergeCounters`]).
+    pub(crate) fn add_counters_to(&self, total: &mut ServeStats) {
+        (total.wal_records, total.wal_syncs) = self.wal_stats();
+        for c in &self.inner.merge_counters {
+            total.bg_merges += c.bg_merges.get();
+            total.merges += c.merges.get();
+            total.compactions += c.compactions.get();
+            total.delta_runs += c.delta_runs.get();
+        }
+    }
+
+    /// The store's observability bundle: per-shard stage histograms
+    /// and the store-side trace rings (merges, WAL syncs, delta
+    /// backpressure).
     pub fn obs(&self) -> &Obs {
         &self.inner.obs
     }
@@ -496,33 +480,41 @@ impl ShardedStore {
     /// Merges published since build, minor and major, across all
     /// shards (both modes).
     pub fn merges(&self) -> u64 {
-        self.inner.obs.snapshot().counter_sum("store_merges")
+        self.sum_counters(|c| &c.merges)
     }
 
     /// Those of the [`merges`](Self::merges) that were major: rebuilt
     /// a shard's main, snapshotted it and truncated its WAL.
     pub fn major_merges(&self) -> u64 {
-        self.inner.obs.snapshot().counter_sum("store_major_merges")
+        self.sum_counters(|c| &c.major_merges)
     }
 
     /// Merges performed by the background merger thread (≤
     /// [`merges`](Self::merges); the difference is foreground-mode
     /// inline merges).
     pub fn bg_merges(&self) -> u64 {
-        self.inner.obs.snapshot().counter_sum("store_bg_merges")
+        self.sum_counters(|c| &c.bg_merges)
     }
 
     /// Delta runs published by the write path since build, across all
     /// shards (one per effective shard sub-run of a write run).
     pub fn delta_runs(&self) -> u64 {
-        self.inner.obs.snapshot().counter_sum("store_delta_runs")
+        self.sum_counters(|c| &c.delta_runs)
     }
 
     /// Run-stack folds performed by the write path since build (≤
     /// [`delta_runs`](Self::delta_runs); each fold collapses a stack
     /// that exceeded [`StoreConfig::max_runs`] into one run).
     pub fn compactions(&self) -> u64 {
-        self.inner.obs.snapshot().counter_sum("store_compactions")
+        self.sum_counters(|c| &c.compactions)
+    }
+
+    fn sum_counters(&self, field: impl Fn(&MergeCounters) -> &Counter) -> u64 {
+        self.inner
+            .merge_counters
+            .iter()
+            .map(|c| field(c).get())
+            .sum()
     }
 
     /// Merge jobs queued or in flight right now (a point-in-time
@@ -762,9 +754,8 @@ impl ShardedStore {
         let counters = &inner.merge_counters[si];
         let mut delta = cur.delta.share();
         delta.push_run(run.into());
-        // `delta_runs` before `compactions` (the registry registers
-        // compactions first), so compactions ≤ delta_runs in every
-        // snapshot.
+        // `delta_runs` before `compactions` (reads load compactions
+        // first), so compactions ≤ delta_runs in every read.
         counters.delta_runs.inc();
         if delta.fold_past(inner.cfg.max_runs, w.pinned) {
             counters.compactions.inc();

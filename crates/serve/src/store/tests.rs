@@ -673,7 +673,7 @@ fn a_panicking_merger_fails_the_store_closed() {
         let msg = outcome.expect_err("nothing was merged");
         assert!(msg.contains("merger failed"), "{waiter}: {msg}");
     }
-    assert_eq!(store.obs().snapshot().counter_sum("store_merger_failed"), 1);
+    assert_eq!(store.inner.merger_failed.get(), 1);
     // Failed is for good: later callers are turned away at once,
     // and the lock they were turned away under is not poisoned.
     for _ in 0..2 {

@@ -22,9 +22,9 @@ use super::{Backend, MergeMode, Shard, ShardVersion, ShardedStore, StoreConfig, 
 pub(super) struct DurableState {
     pub(super) fs: Arc<dyn Fs>,
     pub(super) fsync: FsyncMode,
-    /// WAL records appended by the write path. Registered *after*
-    /// `wal_syncs` and bumped *before* it, so `wal_syncs ≤
-    /// wal_records` holds in every registry snapshot.
+    /// WAL records appended by the write path. Bumped *before*
+    /// `wal_syncs` and read *after* it ([`ShardedStore::wal_stats`]),
+    /// so `wal_syncs ≤ wal_records` holds in every read.
     pub(super) wal_records: Counter,
     /// Write-path fsyncs issued (excludes merge-time snapshot syncs).
     pub(super) wal_syncs: Counter,

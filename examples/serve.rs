@@ -54,14 +54,11 @@ fn main() {
         }
     }
 
-    println!("\nPrometheus view of the merge counters:");
-    for line in svc
-        .metrics_prometheus()
-        .lines()
-        .filter(|l| l.starts_with("store_merges") || l.starts_with("store_major_merges"))
-    {
-        println!("  {line}");
-    }
+    println!(
+        "\nmerges {} (major {})",
+        svc.stats().merges,
+        svc.store().major_merges()
+    );
 
     std::fs::write(&trace_path, svc.export_chrome_trace()).expect("write the chrome trace");
     println!("\nchrome trace written to {trace_path}");
