@@ -6,7 +6,10 @@
 //! also guards the admission queue and the executor token:
 //!
 //! - a client's `get` probes the cache and, on a miss, enqueues its
-//!   entry in the same critical section;
+//!   entry in the same critical section — or, if the queue is empty
+//!   and the token present, takes the token there instead (the
+//!   **direct path**: no entry), reads the store outside the lock,
+//!   and refills the cache under it *before* handing the token back;
 //! - the token holder executes entries outside the lock, and refills
 //!   the cache under it after a read, *before* answering the read;
 //! - after applying a write it **invalidates the cached entry under
@@ -23,11 +26,14 @@
 //! protocol, which the [`queue`](super::queue) model checks on its own.
 //!
 //! [`invalidate_before_ack`] models the protocol the serve path
-//! implements (invalidate, *then* ack): across every interleaving, the
-//! writer's read after its ack returns its own write.
-//! [`ack_before_invalidate`] flips the two steps and is expected to
-//! violate — the test suite asserts the explorer finds the stale read
-//! and that its seed replays.
+//! implements (invalidate, *then* ack; refill, *then* hand back):
+//! across every interleaving, the writer's read after its ack returns
+//! its own write. Two known-bad variants are expected to violate — the
+//! test suite asserts the explorer finds the stale read and that its
+//! seed replays: [`ack_before_invalidate`] flips the write's two
+//! steps, and [`refill_after_handback`] lets the direct path hand the
+//! token back before it refills, so a put acknowledged in between is
+//! overwritten in the cache by the value read before it.
 
 use std::sync::Arc;
 
@@ -55,19 +61,39 @@ struct Shard {
     tickets: Mutex<[Option<u64>; 2]>,
     answered: Condvar,
     invalidate_first: bool,
+    /// The direct path refills the cache before it hands the token
+    /// back (false only in the known-bad variant).
+    refill_first: bool,
 }
 
 const READER: usize = 0;
 const WRITER: usize = 1;
 
 impl Shard {
-    /// `get`: probe, then — on a miss — enqueue under the same guard.
+    /// `get`: probe, then — on a miss — take the direct path on an
+    /// idle shard, or enqueue, under the same guard.
     fn get(&self, client: usize) -> u64 {
-        let q = self.q.lock();
+        let mut q = self.q.lock();
         if let Some(v) = q.cache {
             return v;
         }
-        self.submit(q, client, None)
+        if !q.reqs.is_empty() || !q.token {
+            return self.submit(q, client, None);
+        }
+        q.token = false;
+        drop(q);
+        let v = *self.store.lock();
+        let mut q = self.q.lock();
+        if self.refill_first {
+            q.cache = Some(v);
+        }
+        // Hand back: whatever queued meanwhile is drained first.
+        q.token = true;
+        drop(self.run(q));
+        if !self.refill_first {
+            self.q.lock().cache = Some(v);
+        }
+        v
     }
 
     /// Push the entry, run the shard if its token is present, then
@@ -129,7 +155,7 @@ impl Shard {
 
 /// Shared body: the writer puts 2 over the stored 1 while the reader's
 /// `get` races it; once its put returns, the writer must read 2.
-fn cache_model(invalidate_first: bool) {
+fn cache_model(invalidate_first: bool, refill_first: bool) {
     let shard = Arc::new(Shard {
         q: Mutex::new(Queue {
             cache: None,
@@ -140,6 +166,7 @@ fn cache_model(invalidate_first: bool) {
         tickets: Mutex::new([None; 2]),
         answered: Condvar::new(),
         invalidate_first,
+        refill_first,
     });
 
     let reader = {
@@ -158,13 +185,21 @@ fn cache_model(invalidate_first: bool) {
     reader.join();
 }
 
-/// The implemented protocol: invalidate the cache entry, then ack.
+/// The implemented protocol: invalidate the cache entry, then ack;
+/// refill, then hand the token back.
 pub fn invalidate_before_ack() {
-    cache_model(true);
+    cache_model(true, true);
 }
 
 /// The broken ordering (known-bad): ack first, invalidate later —
 /// some interleaving serves the stale cached value after the ack.
 pub fn ack_before_invalidate() {
-    cache_model(false);
+    cache_model(false, true);
+}
+
+/// The broken direct path (known-bad): the token goes back before the
+/// refill — a put can be applied, invalidated and acked in between,
+/// and the refill then caches the value read before it.
+pub fn refill_after_handback() {
+    cache_model(true, false);
 }

@@ -14,7 +14,7 @@
 //! |---|---|
 //! | [`epoch`] | `EpochCell` publish: snapshots never torn, epochs monotone |
 //! | [`runs`] | run-stack delta over a mid tier: compaction + identity-residual merge, minor or major, never lose the newest write, and a merge drains what it pinned |
-//! | [`cache`] | hot-key cache under the queue lock: invalidate-before-ack ⇒ no stale read after own-write ack |
+//! | [`cache`] | hot-key cache under the queue lock, queued or direct `get`: invalidate-before-ack and refill-before-hand-back ⇒ no stale read after own-write ack |
 //! | [`queue`] | caller-runs admission: token hand-back strands no entry, no deadlock at backpressure |
 //! | [`wal`] | WAL group commit + snapshot-truncate: acked ⇒ durable, frontier monotone |
 //! | [`metrics`] | counter read order: read ≤-side first ⇒ `syncs ≤ records` |
@@ -22,7 +22,8 @@
 //! [`epoch::torn_publish`], [`wal::truncate_before_snapshot_sync`],
 //! [`metrics::snapshot_reads_records_first`],
 //! [`runs::oldest_run_wins`], [`runs::fold_across_the_cut`],
-//! [`runs::fold_into_the_mid`] and
+//! [`runs::fold_into_the_mid`], [`cache::ack_before_invalidate`],
+//! [`cache::refill_after_handback`] and
 //! [`queue::handback_without_notify`] are
 //! **known-bad** models kept as calibration targets: the test suite
 //! asserts the explorer *finds* their violations and that the printed

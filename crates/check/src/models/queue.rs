@@ -35,6 +35,13 @@
 //! * [`handback_without_notify`] — **known-bad**: the token goes back
 //!   without re-checking the queue, so an entry that arrived while the
 //!   holder was executing is stranded.
+//!
+//! A `get` that misses the cache on an idle shard takes the token
+//! without queuing an entry (the direct path, modelled in
+//! [`cache`](super::cache)) and hands it back through the same
+//! `hand_back`, so to this protocol it is a caller whose one-entry
+//! batch was already drained: entries queued behind it are re-checked
+//! and the helper notified exactly as here.
 
 use std::sync::Arc;
 

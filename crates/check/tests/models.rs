@@ -243,6 +243,32 @@ fn explorer_catches_ack_before_invalidate() {
     );
 }
 
+/// A direct-path `get` that hands the token back before refilling the
+/// cache must serve a stale read after an own-write ack under some
+/// interleaving — and the seed must replay it.
+#[test]
+fn explorer_catches_refill_after_handback() {
+    let outcome = explore(Config::default(), models::cache::refill_after_handback);
+    let Outcome::Violation(v) = outcome else {
+        panic!("refill-after-handback not caught: {outcome:?}");
+    };
+    assert!(
+        v.message.contains("stale read"),
+        "unexpected: {}",
+        v.message
+    );
+    let replayed = replay(
+        Config::default(),
+        &v.seed,
+        models::cache::refill_after_handback,
+    )
+    .expect("replay seed did not reproduce the violation");
+    assert!(
+        replayed.contains("stale read"),
+        "replay diverged: {replayed}"
+    );
+}
+
 /// Deadlocks are violations too: two threads taking two locks in
 /// opposite orders must be reported (with a seed), not hung on.
 #[test]

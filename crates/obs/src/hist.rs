@@ -5,9 +5,10 @@
 //! single dispatcher thread, useless for a metric that several threads
 //! (dispatcher, merger, write path) bump concurrently. This variant
 //! keeps the same 65 log₂ buckets but makes every field an atomic:
-//! recording is a handful of relaxed/release RMWs with no lock and no
-//! allocation, and a reader reassembles a plain `LatencyHist` from a
-//! weakly consistent sweep of the buckets.
+//! recording is two relaxed/release RMWs (plus one for a sample that
+//! extends the min/max range) with no lock and no allocation, and a
+//! reader reassembles a plain `LatencyHist` from a weakly consistent
+//! sweep of the buckets.
 //!
 //! **Snapshot consistency.** A snapshot taken while writers race may
 //! miss a racing sample's side stats (`sum`/`min`/`max`) relative to
@@ -55,12 +56,21 @@ impl AtomicHist {
     /// Unlike the core histogram's saturating sum, the atomic sum
     /// wraps — irrelevant for nanosecond latencies (2⁶⁴ ns ≈ 584
     /// years) and far cheaper than a CAS loop on the hot path.
+    ///
+    /// `min` only falls and `max` only rises, so a sample inside the
+    /// range a load returns is inside the current range too: the
+    /// read-modify-write (a CAS loop on x86) runs only for a sample
+    /// that extends the range.
     #[inline]
     pub fn record(&self, sample: u64) {
         self.buckets[LatencyHist::bucket_of(sample)].fetch_add(1, Ordering::Release);
         self.sum.fetch_add(sample, Ordering::Relaxed);
-        self.min.fetch_min(sample, Ordering::Relaxed);
-        self.max.fetch_max(sample, Ordering::Relaxed);
+        if sample < self.min.load(Ordering::Relaxed) {
+            self.min.fetch_min(sample, Ordering::Relaxed);
+        }
+        if sample > self.max.load(Ordering::Relaxed) {
+            self.max.fetch_max(sample, Ordering::Relaxed);
+        }
     }
 
     /// Total samples recorded (sum over buckets).

@@ -26,7 +26,8 @@
 //!    under the queue lock is the right to run the shard: **the thread
 //!    that finds the shard idle runs its own request** — no hand-off,
 //!    no wake-up — until its entry is answered, then hands the token
-//!    back. A thread that finds the token taken waits on its ticket;
+//!    back (a `get` that finds it idle does not even queue an entry).
+//!    A thread that finds the token taken waits on its ticket;
 //!    one helper thread per shard drains whatever no submitter will
 //!    run (the backlog a client leaves behind, fan-out slices, the
 //!    queue at `close`). There is no flush timer: batches of up to

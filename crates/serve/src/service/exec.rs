@@ -1,9 +1,50 @@
-//! Executing one batch cut from a shard's queue.
+//! Executing one batch cut from a shard's queue, and the counting a
+//! lone `get` run without a queue entry shares with it.
+
+use std::sync::MutexGuard;
 
 use isi_core::sync::MutexExt;
 use isi_obs::{SpanTimer, Stage, TraceKind};
 
-use super::queue::{Exec, Op, Runner, ShardCtx};
+use super::queue::{Exec, Op, QueueState, Runner, ShardCtx, ShardState};
+use crate::store::BatchOutcome;
+
+/// Count one executed batch. `batches` bumps before the counters it
+/// bounds (the read-order counterpart is `ShardCounters::add_to`).
+pub(super) fn count_batch(state: &ShardState, full: bool, who: Runner) {
+    state.m.batches.inc();
+    if full {
+        state.m.full_flushes.inc();
+    }
+    if who == Runner::Caller {
+        state.m.caller_runs.inc();
+    }
+}
+
+/// Close a read run whose lookups returned `outcome`: add its
+/// `delta_hits`, then, under the queue lock, fill the hot-key cache
+/// with its single-key results (`gets`) and merge its engine counters.
+/// Returns with the lock held.
+///
+/// Both happen before the run's requests are counted, so `stats`
+/// never shows a read key not yet in `engine.lookups` or
+/// `delta_hits`. The fill happens before the answers go out: the
+/// token holder is the only mutator of the shard, so the results are
+/// current until the next write applied under the token.
+pub(super) fn close_read_run<'a>(
+    state: &'a ShardState,
+    gets: impl IntoIterator<Item = (u64, Option<u64>)>,
+    outcome: &BatchOutcome,
+) -> MutexGuard<'a, QueueState> {
+    state.m.delta_hits.add(outcome.delta_hits);
+    let mut q = state.q.plock("admission queue");
+    for (key, result) in gets {
+        q.cache.insert(key, result);
+    }
+    q.cache.end_run(state.m.cache_hits.get());
+    q.engine.merge(&outcome.engine);
+    q
+}
 
 /// Execute the batch drained into `bufs.batch` in admission order:
 /// maximal runs of consecutive point reads are planned against the
@@ -37,16 +78,8 @@ pub(super) fn execute_batch(ctx: ShardCtx<'_>, bufs: &mut Exec, full: bool, who:
     } = ctx;
     let batch_t = SpanTimer::start();
     // Count the batch up front: no ticket from this batch can resolve
-    // before the batch itself is visible in the stats. `batches` bumps
-    // before the counters it bounds (the read-order counterpart is
-    // `ShardCounters::add_to`).
-    state.m.batches.inc();
-    if full {
-        state.m.full_flushes.inc();
-    }
-    if who == Runner::Caller {
-        state.m.caller_runs.inc();
-    }
+    // before the batch itself is visible in the stats.
+    count_batch(state, full, who);
     // Queue residency ended when the batch span started (one clock
     // reading serves both); what follows is execution.
     for entry in &bufs.batch {
@@ -83,22 +116,13 @@ pub(super) fn execute_batch(ctx: ShardCtx<'_>, bufs: &mut Exec, full: bool, who:
                 &mut bufs.scratch,
                 &mut bufs.out,
             );
-            // Fill the cache before fulfilling: the token holder is the
-            // only mutator of this shard, so these results are current
-            // until the next write applied under the token. The engine
-            // counters merge here too, before the requests are counted:
-            // `stats` never shows a read key not yet in `engine.lookups`
-            // or `delta_hits`.
-            let mut q = state.q.plock("admission queue");
-            for &(ei, start, _) in &bufs.run_spans {
-                if let Op::Get { key, .. } = &bufs.batch[ei].op {
-                    q.cache.insert(*key, bufs.out[start]);
-                }
-            }
-            q.cache.end_run(state.m.cache_hits.get());
-            q.engine.merge(&outcome.engine);
-            drop(q);
-            state.m.delta_hits.add(outcome.delta_hits);
+            let gets = bufs.run_spans.iter().filter_map(|&(ei, start, _)| {
+                let Op::Get { key, .. } = &bufs.batch[ei].op else {
+                    return None;
+                };
+                Some((*key, bufs.out[start]))
+            });
+            drop(close_read_run(state, gets, &outcome));
             let commit_t = SpanTimer::start();
             for &(ei, start, len) in &bufs.run_spans {
                 let entry = &bufs.batch[ei];
@@ -122,7 +146,7 @@ pub(super) fn execute_batch(ctx: ShardCtx<'_>, bufs: &mut Exec, full: bool, who:
             obs.record_stage(shard, Stage::Commit, commit_t.elapsed_ns());
         }
         // Apply the write run that ended the read run, in admission
-        // order: one `apply_write_run` call, which on a durable store
+        // order: one `apply_write_run_with` call, which on a durable store
         // is one WAL record + one fsync (group commit) covering every
         // op in the run before any of its tickets resolve. The store
         // call may block briefly at the delta's hard bound; no lock is
@@ -174,12 +198,16 @@ pub(super) fn execute_batch(ctx: ShardCtx<'_>, bufs: &mut Exec, full: bool, who:
         }
         obs.record_stage(shard, Stage::Commit, commit_t.elapsed_ns());
     }
-    obs.trace().emit(
-        shard,
-        TraceKind::BatchFlush,
-        batch_t.start_ns(),
-        batch_t.elapsed_ns(),
-        bufs.batch.len() as u64,
-        u64::from(full),
-    );
+    // Arguments are evaluated before `emit` tests the flag: read the
+    // clock only for a trace that will keep the event.
+    if obs.trace().is_enabled() {
+        obs.trace().emit(
+            shard,
+            TraceKind::BatchFlush,
+            batch_t.start_ns(),
+            batch_t.elapsed_ns(),
+            bufs.batch.len() as u64,
+            u64::from(full),
+        );
+    }
 }

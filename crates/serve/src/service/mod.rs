@@ -6,7 +6,8 @@
 //! workload instead delivers many small concurrent requests. This
 //! module closes that gap with **caller-runs admission**: each shard
 //! owns a bounded FIFO queue and one **executor token**, and every
-//! request is pushed on its shard's queue.
+//! request is pushed on its shard's queue — all but a cache-missing
+//! `get` that finds its shard idle, which runs at once (below).
 //!
 //! **The token rule.** The token (`Exec`: the batch buffers) lives
 //! inside the queue state; *taking it out under the queue lock is the
@@ -33,16 +34,28 @@
 //! request at once on the caller, and a busy shard batches by itself;
 //! no setting trades latency for batch size.
 //!
+//! **A lone `get` needs no entry.** A `get` that misses the cache and
+//! finds the queue empty with the token present takes the token in
+//! that same critical section and runs its lookup on the token's
+//! scratch directly: no admission entry, no ticket, no batch buffers.
+//! It is exactly the batch of one the queue path would have run, and
+//! counts as one: a batch, a caller run, an entry with a nil admission
+//! wait. Under the queue lock again it refills the cache, merges the
+//! engine counters and hands the token back, waking the helper for
+//! anything queued meanwhile. Writes, `get_many` and a `get` on a busy
+//! shard take the queue.
+//!
 //! **Writes ride the same queues.** `put`/`remove` enqueue on the
 //! owning shard alongside reads, and a batch executes in FIFO order:
 //! consecutive reads form engine runs, and consecutive writes form
-//! **write runs** applied as one [`ShardedStore::apply_write_run`]
-//! call — which, on a durable store, is the **group-commit unit**: one
-//! WAL record and one fsync cover the whole run before any of its
-//! tickets resolve, amortizing the fsync exactly like batching
-//! amortizes the interleaved engine. One client's `put` happens-before
-//! its next `get` of the same key (read-your-writes per client), and
-//! all mutation of a shard is serialized by its token.
+//! **write runs** applied as one
+//! [`ShardedStore::apply_write_run_with`] call — which, on a durable
+//! store, is the **group-commit unit**: one WAL record and one fsync
+//! cover the whole run before any of its tickets resolve, amortizing
+//! the fsync exactly like batching amortizes the interleaved engine.
+//! One client's `put` happens-before its next `get` of the same key
+//! (read-your-writes per client), and all mutation of a shard is
+//! serialized by its token.
 //!
 //! **`get_many`** pre-partitions a key slice by shard on the client
 //! side and submits one admission entry per shard, so an n-key lookup
@@ -68,9 +81,10 @@
 //! zeroed at start) lives in the queue state, so **a shard has one
 //! lock**: the queue lock guards the queue, the token, the cache and
 //! the engine counters, and is never held across the engine or a store
-//! write. `get` probes the cache and, on a miss, enqueues in one
-//! critical section; a hit skips admission. The token holder fills it
-//! before answering a read run and invalidates a write run's keys
+//! write. `get` probes the cache and, on a miss, enqueues or takes the
+//! idle token in one critical section; a hit skips admission. The
+//! token holder fills it before answering a read run (a direct `get`:
+//! before handing the token back) and invalidates a write run's keys
 //! before acknowledging them. On keys without skew it drops the table
 //! for a while (see `cache.rs`): there every probe would only cost a
 //! cold line.
@@ -84,10 +98,10 @@
 //! log-bucketed [`LatencyHist`]; [`ServeStats::caller_runs`] against
 //! [`ServeStats::batches`] says who ran what.
 //!
-//! This file is the client API and the fan-out. Around it: `ticket`
-//! (the response slot), `cache` (hot keys), `stats` (counters),
-//! `queue` (queue, token, helper: who runs a shard) and `exec` (what
-//! running one batch does).
+//! This file is the client API, the fan-out and the direct `get`.
+//! Around it: `ticket` (the response slot), `cache` (hot keys),
+//! `stats` (counters), `queue` (queue, token, helper: who runs a
+//! shard) and `exec` (what running one batch does).
 
 mod cache;
 mod exec;
@@ -111,7 +125,8 @@ use isi_obs::{chrome_trace_json, Obs, SpanTimer, Stage, TraceKind};
 use crate::store::ShardedStore;
 
 use cache::HotCache;
-use queue::{helper_loop, Entry, Exec, Op, QueueState, Runner, ShardCtx, ShardState};
+use exec::{close_read_run, count_batch};
+use queue::{helper_loop, Entry, Exec, Op, QueueState, Runner, Running, ShardCtx, ShardState};
 pub use stats::ServeStats;
 use stats::ShardCounters;
 use ticket::Ticket;
@@ -386,14 +401,21 @@ impl LookupService {
     }
 
     /// Look up one key on the owning shard. A hit in the shard's
-    /// hot-key cache answers at once; a miss is admitted, then cached.
+    /// hot-key cache answers at once; a miss on an idle shard runs on
+    /// this thread without an admission entry, any other miss is
+    /// admitted; either is then cached.
     pub fn get(&self, key: u64) -> Option<u64> {
         let shard = self.store.shard_of(key);
-        let q = self.lock_open(shard);
+        let mut q = self.lock_open(shard);
         if let Some(result) = q.cache.probe(key) {
             drop(q);
             self.shards[shard].m.cache_hits.inc();
             return result;
+        }
+        if q.reqs.is_empty() {
+            if let Some(exec) = q.exec.take() {
+                return self.get_direct(shard, q, exec, key);
+            }
         }
         let ticket = Arc::new(Ticket::new());
         let op = Op::Get {
@@ -402,6 +424,60 @@ impl LookupService {
         };
         self.run_until_answered(shard, self.enqueue(shard, q, op), &ticket);
         ticket.wait()
+    }
+
+    /// Answer a `get` that missed the cache on an idle shard: `q` is
+    /// the queue lock under which the probe found the queue empty and
+    /// `exec`, the token, was taken. This is the batch of one the queue
+    /// path would run — same order, same counters, same failure — minus
+    /// the entry, the ticket and the batch buffers that only queued
+    /// work needs.
+    fn get_direct(
+        &self,
+        shard: usize,
+        q: MutexGuard<'_, QueueState>,
+        exec: Box<Exec>,
+        key: u64,
+    ) -> Option<u64> {
+        let ctx = self.ctx(shard);
+        let state = ctx.state;
+        let t = SpanTimer::start();
+        drop(q);
+        // Held across the lookup: a panic fails the shard closed.
+        let mut running = Running {
+            state,
+            exec: Some(exec),
+        };
+        let exec = running.exec.as_mut().expect("token held until hand-back");
+        count_batch(state, false, Runner::Caller);
+        let mut out = [None];
+        let outcome = self.store.lookup_batch(
+            shard,
+            &[key],
+            self.cfg.policy,
+            self.cfg.par,
+            &mut exec.scratch,
+            &mut out,
+        );
+        let mut q = close_read_run(state, [(key, out[0])], &outcome);
+        state.m.requests.inc();
+        state.m.latency.record(t.elapsed_ns());
+        state.m.gets.inc();
+        // Nothing queued ahead of it: its admission wait is nil.
+        self.obs.record_stage(shard, Stage::AdmissionWait, 0);
+        ctx.hand_back(&mut q, running.exec.take(), Runner::Caller);
+        drop(q);
+        if self.obs.trace().is_enabled() {
+            self.obs.trace().emit(
+                shard,
+                TraceKind::BatchFlush,
+                t.start_ns(),
+                t.elapsed_ns(),
+                1,
+                0,
+            );
+        }
+        out[0]
     }
 
     /// Look up many keys with one admission entry per owning shard:

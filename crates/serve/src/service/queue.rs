@@ -134,13 +134,14 @@ pub(super) enum Runner {
 
 /// The token while it is out of the queue state. Handing it back
 /// normally empties `exec`; if it is still here on drop, the runner is
-/// unwinding out of a batch and the shard fails closed: every ticket
-/// of the batch and of the queue is abandoned (their waiters panic,
-/// none hangs), later submits find the queue closed, and the helper is
-/// woken so that it exits and `close` can join it.
-struct Running<'a> {
-    state: &'a ShardState,
-    exec: Option<Box<Exec>>,
+/// unwinding out of a batch (or out of a lone `get`'s lookup) and the
+/// shard fails closed: every ticket of the batch and of the queue is
+/// abandoned (their waiters panic, none hangs), later submits find the
+/// queue closed, and the helper is woken so that it exits and `close`
+/// can join it.
+pub(super) struct Running<'a> {
+    pub(super) state: &'a ShardState,
+    pub(super) exec: Option<Box<Exec>>,
 }
 
 impl Drop for Running<'_> {

@@ -54,7 +54,9 @@ impl ShardCounters {
 ///
 /// **Admission entries vs client calls.** [`requests`](Self::requests)
 /// counts *admission entries* — what the runners actually answer.
-/// A single-key `get`/`put`/`remove` is one entry; a `get_many` call
+/// A single-key `get`/`put`/`remove` is one entry (a `get` run on an
+/// idle shard without queuing counts as one entry and one batch, with
+/// a zero admission wait); a `get_many` call
 /// fans out into one entry *per shard it touches* (so one `get_many`
 /// whose keys land on all shards of an 8-shard store adds 8 to
 /// `requests`). Cache hits never reach a queue and are counted
@@ -64,7 +66,8 @@ impl ShardCounters {
 #[derive(Debug, Clone, Default)]
 pub struct ServeStats {
     /// Admission entries answered (one per shard touched for
-    /// `get_many`); cache hits are in `cache_hits` only.
+    /// `get_many`; a `get` run directly on an idle shard counts as
+    /// one); cache hits are in `cache_hits` only.
     pub requests: u64,
     /// Single-key reads answered via admission.
     pub gets: u64,

@@ -64,11 +64,18 @@ fn lone_request_runs_on_the_caller() {
     }
     let stats = svc.stats();
     // Every call (32 distinct keys: no cache hit) found the shard
-    // idle, ran its own one-entry batch and handed an empty queue
-    // back: the helper never ran.
+    // idle, ran its own batch of one without an admission entry and
+    // handed an empty queue back: the helper never ran. Each still
+    // counts as one entry, with a (nil) admission wait.
     assert_eq!(stats.batches, 32);
     assert_eq!(stats.caller_runs, 32);
     assert_eq!(stats.full_flushes, 0);
+    assert_eq!(stats.requests, 32);
+    assert_eq!(stats.gets, 32);
+    assert_eq!(stats.latency.count(), 32);
+    let waits = svc.obs().stage_hist(0, Stage::AdmissionWait);
+    assert_eq!(waits.count(), 32);
+    assert_eq!(waits.max(), 0);
     // No timer, no thread hand-off: far below the millisecond a
     // flush deadline would cost (median, so one preemption of
     // this thread cannot fail the test).
@@ -77,6 +84,45 @@ fn lone_request_runs_on_the_caller() {
         "lone gets took {} ns at the median",
         stats.latency.p50()
     );
+}
+
+#[test]
+fn a_writer_reads_its_own_writes_past_idle_shard_gets() {
+    // A reader `get`s one key in a loop: on an idle shard each miss
+    // runs on the reader's thread and refills the cache. A writer
+    // `put`s increasing values to the key and reads each back after
+    // its ack; a refill from before a put must never outlive it.
+    use std::sync::atomic::{AtomicBool, Ordering};
+
+    let key = 2u64;
+    for backend in Backend::ALL {
+        let store = ShardedStore::build(backend, 1, &pairs(100));
+        let svc = LookupService::start(store, ServeConfig::default());
+        let done = AtomicBool::new(false);
+        std::thread::scope(|scope| {
+            let (svc, done) = (&svc, &done);
+            let reader = scope.spawn(move || {
+                let mut last = 0;
+                while !done.load(Ordering::Relaxed) {
+                    let v = svc.get(key).expect("the key is never removed");
+                    assert!(v >= last, "{}: read {v} after {last}", backend.name());
+                    last = v;
+                }
+            });
+            // Stop the reader before failing, or the scope never ends.
+            let stale = (1_000..3_000u64).find_map(|v| {
+                svc.put(key, v);
+                let got = svc.get(key);
+                (got != Some(v)).then_some((v, got))
+            });
+            done.store(true, Ordering::Relaxed);
+            reader.join().expect("reader thread");
+            assert_eq!(stale, None, "{}: stale own read", backend.name());
+        });
+        let stats = svc.stats();
+        assert_eq!(stats.puts, 2_000);
+        assert!(stats.caller_runs > 0);
+    }
 }
 
 #[test]

@@ -579,7 +579,7 @@ impl ShardedStore {
     /// Upsert `key = val`; returns the previously visible value
     /// (last-write-wins). May enqueue (background) or perform
     /// (foreground) a merge of the owning shard. A one-op
-    /// [`apply_write_run`](Self::apply_write_run).
+    /// [`apply_write_run_with`](Self::apply_write_run_with).
     pub fn put(&self, key: u64, val: u64) -> Option<u64> {
         let mut prevs = [None];
         self.write_shard_run(self.shard_of(key), &[(key, Some(val))], &[0], &mut prevs);
@@ -609,18 +609,10 @@ impl ShardedStore {
     /// the run is durable and visible, so callers may acknowledge the
     /// whole run.
     ///
-    /// Allocates per-shard grouping buffers; dispatch loops should
-    /// prefer [`apply_write_run_with`](Self::apply_write_run_with)
-    /// with a long-lived [`WriteScratch`].
+    /// The grouping buffers live in the caller-held `scratch`, so the
+    /// steady-state dispatch path performs no grouping allocations.
     ///
     /// [`FsyncMode::Group`]: isi_durable::FsyncMode::Group
-    pub fn apply_write_run(&self, ops: &[(u64, Option<u64>)], prevs: &mut Vec<Option<u64>>) {
-        self.apply_write_run_with(ops, prevs, &mut WriteScratch::default());
-    }
-
-    /// [`apply_write_run`](Self::apply_write_run), grouping ops by
-    /// shard through a caller-held reusable [`WriteScratch`] so the
-    /// steady-state dispatch path performs no grouping allocations.
     pub fn apply_write_run_with(
         &self,
         ops: &[(u64, Option<u64>)],

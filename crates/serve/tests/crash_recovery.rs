@@ -34,12 +34,13 @@ use proptest::prelude::*;
 use isi_durable::{FaultFs, FaultPlan, Fs, FsyncMode, MemFs};
 use isi_serve::{
     Backend, BatchPolicy, LookupService, MergeMode, ServeConfig, ShardedStore, StoreConfig,
+    WriteScratch,
 };
 
 const SHARDS: usize = 2;
 
 /// A schedule is a list of write runs; each run is applied with one
-/// `apply_write_run` call (the group-commit unit).
+/// `apply_write_run_with` call (the group-commit unit).
 type Schedule = Vec<Vec<(u64, Option<u64>)>>;
 
 fn store_cfg(fsync: FsyncMode, mode: MergeMode) -> StoreConfig {
@@ -69,7 +70,7 @@ fn run_until_crash(
     let mut prevs = Vec::new();
     let mut acked = 0usize;
     for run in schedule {
-        store.apply_write_run(run, &mut prevs);
+        store.apply_write_run_with(run, &mut prevs, &mut WriteScratch::default());
         if !fault.killed() {
             acked += 1;
         }
@@ -299,7 +300,7 @@ fn fixed_schedule_crosses_both_kinds_of_merge() {
         let mut prevs = Vec::new();
         let mut longest_mid = 0;
         for run in &fixed_schedule() {
-            store.apply_write_run(run, &mut prevs);
+            store.apply_write_run_with(run, &mut prevs, &mut WriteScratch::default());
             store.quiesce();
             longest_mid = longest_mid.max(store.mid_len());
         }
