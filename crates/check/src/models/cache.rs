@@ -18,6 +18,11 @@
 //!   but its next lookup still returns the pre-write value from the
 //!   cache — a read-your-own-writes violation.
 //!
+//! A probe that hits also sets the way's referenced bit, under the
+//! same lock. That bit only decides which key a later fill evicts,
+//! never what a cached key answers, so the protocol is unchanged and
+//! the model keeps one key and no replacement state.
+//!
 //! Two clients share one hot key: a reader whose `get` misses the
 //! empty cache (so it may take the token and fill the slot with the
 //! old value), and a writer that `put`s the new value and then reads

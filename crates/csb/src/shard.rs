@@ -3,8 +3,9 @@
 //!
 //! Batch lookups descend the tree through the interleaved traversal
 //! coroutines ([`crate::lookup::bulk_lookup_par`], the paper's
-//! Listing 6); rebuilds bulk-load a fresh fully-packed tree
-//! ([`CsbTree::from_sorted`]).
+//! Listing 6); builds and rebuilds bulk-load a fresh fully-packed tree
+//! ([`CsbTree::from_sorted`]) whose arenas are advised onto huge pages,
+//! as [`isi_search::shard::SortedShard`]'s columns are.
 
 use std::sync::Arc;
 

@@ -41,8 +41,8 @@
 //!    engine), drives the dense residual through the chunk-parallel
 //!    interleaved engine ([`isi_core::par`]), applies writes in
 //!    admission order between read runs, and routes each
-//!    result back through its ticket. A per-shard hot-key cache (1.5
-//!    MiB, allocated at start) in the queue state answers repeat
+//!    result back through its ticket. A per-shard hot-key cache (4-way,
+//!    1 MiB, allocated at start) in the queue state answers repeat
 //!    `get`s without admission; only the token holder fills it or
 //!    invalidates it, under the queue lock, the shard's only one.
 //! 4. **Maintain in the background** — a threshold-crossing write

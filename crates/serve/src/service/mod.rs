@@ -77,11 +77,11 @@
 //! applies the write to the delta and moves on, so no request's
 //! latency absorbs a rebuild.
 //!
-//! A per-shard **hot-key cache** (2^16 slots, 1.5 MiB, allocated
-//! zeroed at start) lives in the queue state, so **a shard has one
-//! lock**: the queue lock guards the queue, the token, the cache and
-//! the engine counters, and is never held across the engine or a store
-//! write. `get` probes the cache and, on a miss, enqueues or takes the
+//! A per-shard **hot-key cache** (2^16 slots in 4-way sets, 1 MiB,
+//! allocated zeroed at start) lives in the queue state, so **a shard
+//! has one lock**: the queue lock guards the queue, the token, the
+//! cache and the engine counters, and is never held across the engine
+//! or a store write. `get` probes the cache and, on a miss, enqueues or takes the
 //! idle token in one critical section; a hit skips admission. The
 //! token holder fills it before answering a read run (a direct `get`:
 //! before handing the token back) and invalidates a write run's keys

@@ -586,14 +586,21 @@ fn hot_cache_hits_skip_dispatch_and_writes_invalidate() {
     assert_eq!(svc.stats().cache_hits, 7);
 }
 
-/// The first `n` keys that share key 0's hot-cache slot and pass
+/// The first `n` keys that share key `of`'s hot-cache set and pass
 /// `keep`, found by scanning `u64`s with the cache's own index.
-fn slot_mates(n: usize, keep: impl Fn(u64) -> bool) -> Vec<u64> {
-    let slot = HotCache::idx(0);
+fn set_mates(of: u64, n: usize, keep: impl Fn(u64) -> bool) -> Vec<u64> {
+    let set = HotCache::idx(of);
     (0u64..)
-        .filter(|&k| HotCache::idx(k) == slot && keep(k))
+        .filter(|&k| HotCache::idx(k) == set && keep(k))
         .take(n)
         .collect()
+}
+
+/// SplitMix64's output function: a seeded stream without `isi_workloads`.
+fn mix(x: u64) -> u64 {
+    let x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    let x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    x ^ (x >> 31)
 }
 
 #[test]
@@ -605,6 +612,119 @@ fn hot_cache_a_cached_absence_is_a_hit() {
     assert_eq!(cache.probe(0), Some(None), "cached None, not an empty slot");
     cache.invalidate(0);
     assert_eq!(cache.probe(0), None);
+}
+
+#[test]
+fn hot_cache_a_refilled_key_is_invalidated_whole() {
+    // Two queued gets of one key in one read run fill it twice; the
+    // second fill must reuse the first's way, or the invalidation
+    // below would leave a copy behind.
+    let mut cache = HotCache::default();
+    cache.insert(7, Some(1));
+    cache.insert(7, Some(1));
+    cache.invalidate(7);
+    assert_eq!(cache.probe(7), None);
+}
+
+#[test]
+fn hot_cache_keeps_a_probed_key_over_keys_filled_once() {
+    let mates = set_mates(0, 5, |_| true);
+    for probed in [true, false] {
+        let mut cache = HotCache::default();
+        cache.insert(mates[0], Some(0));
+        if probed {
+            assert_eq!(cache.probe(mates[0]), Some(Some(0)));
+        }
+        // Three fills take the empty ways, the fourth evicts.
+        for &k in &mates[1..] {
+            cache.insert(k, Some(k));
+        }
+        let kept = cache.probe(mates[0]).is_some();
+        assert_eq!(kept, probed, "probed since its fill: {probed}");
+        assert_eq!(cache.probe(mates[4]), Some(Some(mates[4])));
+    }
+}
+
+#[test]
+fn hot_cache_hit_rate_on_zipf_keys() {
+    // One shard's share of `serve_point`: Zipf(0.99) over 2^23 keys,
+    // 128 a slot, drawn as `isi_workloads::zipf_lookups` draws them
+    // (Gray et al.'s sampler) with ranks scattered by `mix`, and 2^19
+    // gets a pass. The first pass fills the table, the second is
+    // counted: ~0.69 here, ~0.58 for a direct-mapped table.
+    const KEYS: f64 = (128 << 16) as f64;
+    const OPS: u64 = 1 << 19;
+    let theta = 0.99;
+    let zetan = (KEYS.powf(1.0 - theta) - 1.0) / (1.0 - theta) + 0.577 + 0.5;
+    let alpha = 1.0 / (1.0 - theta);
+    let eta = (1.0 - (2.0 / KEYS).powf(1.0 - theta)) / (1.0 - (1.0 + 0.5f64.powf(theta)) / zetan);
+    let stream: Vec<u64> = (0..OPS)
+        .map(|i| {
+            let u = (mix(i ^ 0x5EED) >> 11) as f64 / (1u64 << 53) as f64;
+            let rank = if u * zetan < 1.0 {
+                0.0
+            } else if u * zetan < 1.0 + 0.5f64.powf(theta) {
+                1.0
+            } else {
+                (KEYS * (eta * u - eta + 1.0).powf(alpha)).floor()
+            };
+            mix(rank as u64)
+        })
+        .collect();
+    let mut cache = HotCache::default();
+    // The shard's `cache_hits`, which `end_run` takes, and the hits of
+    // the counted pass.
+    let (mut hits, mut counted) = (0, 0);
+    for pass in 0..2 {
+        counted = 0;
+        for &key in &stream {
+            if cache.probe(key).is_some() {
+                hits += 1;
+                counted += 1;
+            } else {
+                cache.insert(key, Some(pass));
+                cache.end_run(hits);
+            }
+        }
+    }
+    let rate = counted as f64 / OPS as f64;
+    assert!(rate >= 0.65, "hit rate {rate:.3}");
+}
+
+proptest::proptest! {
+    #[test]
+    fn hot_cache_never_answers_a_stale_value(
+        ops in proptest::collection::vec((0u8..4, 0usize..18, 0u64..4), 0..300),
+    ) {
+        // Six keys in each of three sets: fills (a token holder's read
+        // result), writes (store change, then invalidate), probes and
+        // run ends, against a `HashMap` model of the store.
+        let keys: Vec<u64> = [0, 1, 2].iter().flat_map(|&of| set_mates(of, 6, |_| true)).collect();
+        let mut cache = HotCache::default();
+        let mut model = std::collections::HashMap::new();
+        let mut hits = 0;
+        for (op, i, v) in ops {
+            let key = keys[i];
+            match op {
+                0 => cache.insert(key, model.get(&key).copied()),
+                1 => {
+                    if v == 0 {
+                        model.remove(&key);
+                    } else {
+                        model.insert(key, v);
+                    }
+                    cache.invalidate(key);
+                }
+                2 => {
+                    if let Some(got) = cache.probe(key) {
+                        proptest::prop_assert_eq!(got, model.get(&key).copied(), "key {}", key);
+                        hits += 1;
+                    }
+                }
+                _ => cache.end_run(hits),
+            }
+        }
+    }
 }
 
 #[test]
@@ -639,11 +759,12 @@ fn hot_cache_drops_its_table_when_hits_are_rare_and_retries_later() {
 
 #[test]
 fn colliding_keys_never_serve_a_stale_value() {
-    // Eight keys of one shard that all map to one cache slot, half of
-    // them stored up front; merges race the schedule (threshold 2).
+    // Eight keys of one shard that all map to one cache set, twice its
+    // ways, half of them stored up front; merges race the schedule
+    // (threshold 2).
     let probe = ShardedStore::build(Backend::Csb, 2, &[]);
     let shard = probe.shard_of(0);
-    let keys = slot_mates(8, |k| probe.shard_of(k) == shard);
+    let keys = set_mates(0, 8, |k| probe.shard_of(k) == shard);
     let initial: Vec<(u64, u64)> = keys[..4].iter().map(|&k| (k, k + 1)).collect();
     let store = ShardedStore::build_with(Backend::Csb, 2, &initial, StoreConfig::with_threshold(2));
     let svc = LookupService::start(store, ServeConfig::default());
@@ -653,8 +774,8 @@ fn colliding_keys_never_serve_a_stale_value() {
     };
     for step in 0..256u64 {
         let key = keys[(step * 5 % 8) as usize];
-        // Every op meets both slot states: `key` resident (odd steps)
-        // or one of its seven slot mates (even steps).
+        // Every op follows a read of `key` itself (odd steps) or of one
+        // of its seven set mates (even steps).
         let resident = if step % 2 == 1 {
             key
         } else {
@@ -671,7 +792,8 @@ fn colliding_keys_never_serve_a_stale_value() {
             _ => check(key, &oracle, step),
         }
         // `key` again at once (a stale or a hit answer shows here), then
-        // every key, each read evicting the one before.
+        // every key: eight keys through four ways, each miss evicting
+        // a mate.
         check(key, &oracle, step);
         for &k in &keys {
             check(k, &oracle, step);
