@@ -38,14 +38,8 @@ pub struct EpochCell<T> {
 impl<T> EpochCell<T> {
     /// Wrap `value` as epoch 0.
     pub fn new(value: T) -> Self {
-        Self::from_arc(Arc::new(value))
-    }
-
-    /// Wrap an existing `Arc` as epoch 0 (avoids a reallocation when
-    /// the caller already holds one).
-    pub fn from_arc(value: Arc<T>) -> Self {
         Self {
-            current: RwLock::new(value),
+            current: RwLock::new(Arc::new(value)),
             epoch: AtomicU64::new(0),
         }
     }

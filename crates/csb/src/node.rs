@@ -17,9 +17,6 @@ use isi_core::prefetch::CACHE_LINE;
 /// children.
 pub const NODE_CAP: usize = 14;
 
-/// Minimum keys after a bulk-load split (kept simple: half).
-pub const NODE_MIN: usize = NODE_CAP / 2;
-
 /// An inner (branch) node: `nkeys` separator keys and a contiguous group
 /// of `nkeys + 1` children starting at `first_child`.
 ///

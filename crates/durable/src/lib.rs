@@ -6,13 +6,12 @@
 //! dispatcher drains its admission queue and applies consecutive
 //! writes in one store call. This crate turns that batching into
 //! **group commit**: one checksummed, length-prefixed WAL record per
-//! run, fsynced once per run (in [`FsyncMode::Group`]) before any
-//! ticket in the run is acknowledged. Major merges publish
-//! **snapshots** (a minor merge folds the run stack into the mid tier
-//! and touches no file): a major merge already rebuilds a shard's main
-//! index, so the rebuilt pairs are serialized to a temp file, fsynced,
-//! atomically renamed, and the WAL is rewritten down to the residual
-//! delta. **Recovery** is newest-valid-snapshot + WAL-tail replay, per
+//! run, fsynced once per run before any ticket in the run is
+//! acknowledged. Major merges publish **snapshots** (a minor merge
+//! folds the run stack into the mid tier and touches no file): a
+//! major merge already rebuilds a shard's main index, so the rebuilt
+//! pairs are serialized to a temp file, fsynced, atomically renamed,
+//! and the WAL is rewritten down to the residual delta. **Recovery** is newest-valid-snapshot + WAL-tail replay, per
 //! shard; torn, truncated or bit-flipped tail records are detected by
 //! CRC and cleanly discarded, never panicked on.
 //!
@@ -25,9 +24,9 @@
 //!
 //! ## Crash-ordering invariants
 //!
-//! 1. **Ack ⇒ durable** (mode [`FsyncMode::Group`]): a write run's
-//!    WAL record is appended *and fsynced* before the run returns, so
-//!    an acknowledged write survives any later crash.
+//! 1. **Ack ⇒ durable**: a write run's WAL record is appended *and
+//!    fsynced* before the run returns, so an acknowledged write
+//!    survives any later crash.
 //! 2. **Snapshot before truncate**: the WAL is only rewritten after
 //!    the covering snapshot is fsynced and its rename is sync-dir'd.
 //!    A crash between the two leaves the old WAL, whose records are
@@ -55,28 +54,15 @@ pub use wal::{
     WalRecord, MAX_RUN_OPS,
 };
 
-/// When WAL appends are fsynced.
+/// When WAL appends are fsynced: always, one record and one fsync
+/// **per dispatched write run**.
+///
+/// One value, so nothing matches on it. The type stays while the
+/// benchmark names it (`StoreConfig::durable(dir, FsyncMode::Group)`);
+/// it and that parameter go together with the benchmark's mention.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FsyncMode {
-    /// Never fsync on the write path: appends reach the OS but a
-    /// crash may lose acknowledged writes. Recovery still restores a
-    /// consistent prefix (records are atomic).
-    Off,
-    /// One record and one fsync **per dispatched write run** — group
-    /// commit; batching amortizes the fsync exactly like it amortizes
-    /// the interleaved read engine.
+    /// Group commit: batching amortizes the fsync exactly like it
+    /// amortizes the interleaved read engine.
     Group,
-}
-
-impl FsyncMode {
-    /// Both modes (the crash-recovery proptest draws from them).
-    pub const ALL: [FsyncMode; 2] = [FsyncMode::Off, FsyncMode::Group];
-
-    /// Stable lowercase name (labels test output).
-    pub fn name(self) -> &'static str {
-        match self {
-            FsyncMode::Off => "off",
-            FsyncMode::Group => "group",
-        }
-    }
 }

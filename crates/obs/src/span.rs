@@ -40,8 +40,8 @@ pub enum Stage {
     WalAppend,
     /// The fsync (or group-commit sync) making a WAL record durable.
     WalFsync,
-    /// One shard merge, minor (run stack → mid tier) or major (mid
-    /// tier + main → rebuilt main), foreground or background.
+    /// One shard merge on the store's merger thread, minor (run stack
+    /// → mid tier) or major (mid tier + main → rebuilt main).
     Merge,
     /// Producer-side stall waiting for admission-queue or delta
     /// capacity.

@@ -27,9 +27,10 @@ use crate::span::now_ns;
 /// listed per variant; unused payloads are zero.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraceKind {
-    /// A dispatcher drained and executed one batch.
-    /// `a` = entries in the batch, `b` = 1 if it was a full (size-
-    /// triggered) flush, 0 if the ragged-batch timeout fired.
+    /// A shard's runner (the token holder: a submitting thread or the
+    /// shard's helper) drained and executed one batch. `a` = entries
+    /// in the batch, `b` = 1 when the batch was cut at `max_batch`
+    /// entries, else 0. A lone direct `get` emits `a = 1, b = 0`.
     BatchFlush,
     /// A shard merge started (the run stack about to fold into the
     /// mid tier, or with it into the main). `a` = entries above the

@@ -54,17 +54,13 @@
 //!    [`EpochCell`](isi_core::epoch::EpochCell) swap while the delta
 //!    keeps absorbing writes up to a hard bound of four thresholds.
 //!    In-flight batches finish on the version they started with; no
-//!    request's latency absorbs a merge
-//!    ([`MergeMode::Foreground`](store::MergeMode) runs the same
-//!    routine inline: the deterministic mode of the crash matrix and
-//!    the allocation tests).
+//!    request's latency absorbs a merge.
 //! 5. **Survive crashes (opt-in)** — with
 //!    [`StoreConfig::wal_dir`](store::StoreConfig) set, every
 //!    dispatched write run appends **one checksummed WAL record** to
 //!    its shard's log and fsyncs **once per run** before any ticket in
-//!    the run resolves ([`FsyncMode::Group`] — group commit: batching
-//!    amortizes the fsync exactly like it amortizes the interleaved
-//!    engine). Major merges double as **snapshots**: the merger's
+//!    the run resolves (group commit: batching amortizes the fsync
+//!    exactly like it amortizes the interleaved engine). Major merges double as **snapshots**: the merger's
 //!    rebuilt pairs are serialized, fsynced, atomically renamed, and
 //!    the WAL truncates to the residual delta.
 //!    [`ShardedStore::recover`](store::ShardedStore::recover) reloads
@@ -118,6 +114,4 @@ pub use isi_durable::FsyncMode;
 pub use isi_obs::{Obs, Stage};
 pub use plan::BatchPlan;
 pub use service::{BatchPolicy, LookupService, ServeConfig, ServeStats};
-pub use store::{
-    Backend, BatchOutcome, LookupScratch, MergeMode, ShardedStore, StoreConfig, WriteScratch,
-};
+pub use store::{Backend, BatchOutcome, LookupScratch, ShardedStore, StoreConfig, WriteScratch};

@@ -72,10 +72,9 @@
 //! [`ServeStats::delta_hits`] against [`ServeStats::engine`]'s lookups.
 //!
 //! **Merges never run here.** A threshold-crossing write enqueues a
-//! job for the store's background merger thread
-//! ([`MergeMode::Background`](crate::store::MergeMode)); the runner
-//! applies the write to the delta and moves on, so no request's
-//! latency absorbs a rebuild.
+//! job for the store's background merger thread; the runner applies
+//! the write to the delta and moves on, so no request's latency
+//! absorbs a rebuild.
 //!
 //! A per-shard **hot-key cache** (2^16 slots in 4-way sets, 1 MiB,
 //! allocated zeroed at start) lives in the queue state, so **a shard
@@ -543,9 +542,8 @@ impl LookupService {
     /// Each owner reads its counters in one fixed order (see
     /// [`isi_obs::Counter`]): within the returned struct,
     /// `full_flushes <= batches`, `caller_runs <= batches`,
-    /// `wal_syncs <= wal_records`, `bg_merges <= merges` and
-    /// `compactions <= delta_runs` hold even while runners and mergers
-    /// race the call.
+    /// `wal_syncs <= wal_records` and `compactions <= delta_runs` hold
+    /// even while runners and the merger race the call.
     pub fn stats(&self) -> ServeStats {
         let mut total = ServeStats::default();
         for state in &self.shards {

@@ -98,13 +98,9 @@ pub struct ServeStats {
     /// (`engine.lookups` counts only residual keys — the batch minus
     /// `delta_hits`).
     pub engine: RunStats,
-    /// Merges the store has published since build, minor (run stack
-    /// into the mid tier) and major (mid tier into the main), both
-    /// modes.
+    /// Merges the store's merger has published since build, minor (run
+    /// stack into the mid tier) and major (mid tier into the main).
     pub merges: u64,
-    /// Merges performed by the store's background merger thread
-    /// (= `merges` in background mode, 0 in foreground mode).
-    pub bg_merges: u64,
     /// Merge jobs queued or in flight at the moment `stats()` was
     /// called (a point-in-time gauge, not a counter).
     pub merge_backlog: u64,
@@ -123,9 +119,9 @@ pub struct ServeStats {
     /// WAL records the store's write path appended (0 with durability
     /// off). Group commit packs a whole write run into one record.
     pub wal_records: u64,
-    /// Write-path WAL fsyncs the store issued (0 with durability off
-    /// or `FsyncMode::Off`); `wal_records / wal_syncs` ≈ the group
-    /// size the fsync cost was amortized over.
+    /// Write-path WAL fsyncs the store issued (0 with durability off),
+    /// one per record: group commit amortizes them over the writes
+    /// each record packs.
     pub wal_syncs: u64,
 }
 

@@ -321,7 +321,7 @@ fn eight_clients_on_two_shards_agree_with_the_oracle() {
 
 #[test]
 fn an_unwinding_runner_fails_the_shard_closed() {
-    use isi_durable::{FaultFs, FaultPlan, Fs, FsyncMode};
+    use isi_durable::{FaultFs, FaultPlan, Fs};
     use std::panic::{catch_unwind, AssertUnwindSafe};
     use std::sync::mpsc;
     use std::time::Duration;
@@ -332,10 +332,7 @@ fn an_unwinding_runner_fails_the_shard_closed() {
         Backend::Sorted,
         1,
         &pairs(100),
-        StoreConfig {
-            fsync: FsyncMode::Group,
-            ..StoreConfig::with_threshold(1 << 20)
-        },
+        StoreConfig::with_threshold(1 << 20),
         fs,
     );
     let svc = LookupService::start(
@@ -837,7 +834,6 @@ fn mixed_batch_preserves_fifo_under_concurrency() {
     assert_eq!(stats.puts, 160);
     assert_eq!(stats.removes, 160);
     assert!(stats.merges > 0);
-    assert_eq!(stats.bg_merges, stats.merges);
     assert_eq!(stats.merge_backlog, 0);
     assert!(svc.store().is_empty());
 }
@@ -928,7 +924,7 @@ fn stats_snapshots_stay_coherent_under_concurrent_writes() {
     // (two runs a shard before a fold, so the write path compacts)
     // must never see any cross-counter invariant inverted,
     // mid-flight or after.
-    use isi_durable::{Fs, FsyncMode, MemFs};
+    use isi_durable::{Fs, MemFs};
     use std::sync::atomic::{AtomicBool, Ordering};
 
     let fs: Arc<dyn Fs> = Arc::new(MemFs::new());
@@ -937,7 +933,6 @@ fn stats_snapshots_stay_coherent_under_concurrent_writes() {
         2,
         &pairs(100),
         StoreConfig {
-            fsync: FsyncMode::Group,
             max_runs: 2,
             ..StoreConfig::with_threshold(4)
         },
@@ -963,12 +958,6 @@ fn stats_snapshots_stay_coherent_under_concurrent_writes() {
                     "skewed snapshot: {} syncs > {} records",
                     s.wal_syncs,
                     s.wal_records
-                );
-                assert!(
-                    s.bg_merges <= s.merges,
-                    "skewed snapshot: {} bg merges > {} merges",
-                    s.bg_merges,
-                    s.merges
                 );
                 assert!(
                     s.full_flushes <= s.batches && s.caller_runs <= s.batches,

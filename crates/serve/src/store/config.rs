@@ -1,5 +1,6 @@
 //! What a store is built with: the index structure behind every
-//! shard's main, where merges run, and the sizes that decide when.
+//! shard's main, the sizes that decide when its merges run, and where
+//! it logs.
 
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -49,23 +50,6 @@ impl Backend {
     }
 }
 
-/// Where delta-to-main merges run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MergeMode {
-    /// The default: a threshold-crossing write enqueues a merge job
-    /// for the store's background merger thread and returns
-    /// immediately; the delta keeps absorbing writes, up to four
-    /// thresholds of them, while the merge is in flight.
-    Background,
-    /// The threshold-crossing write performs the merge inline (its
-    /// latency absorbs it) and publishes the merged version in the
-    /// same swap. Every file-system operation then happens at a fixed
-    /// point of the write schedule, which is what the
-    /// kill-at-every-fs-op crash matrix and the allocation tests run
-    /// on.
-    Foreground,
-}
-
 /// Store tuning knobs.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StoreConfig {
@@ -77,13 +61,11 @@ pub struct StoreConfig {
     /// (`max(merge_threshold, √(merge_threshold · main length))`), so
     /// a larger threshold means fewer merges of both kinds, a longer
     /// overlay on the read path, and more to replay: recovery reads
-    /// back at most a mid tier plus a residual of WAL records. In
-    /// [`MergeMode::Background`] writers to a shard whose stack holds
-    /// four times this many entries block until the merger has folded
-    /// it — the room for bursts, and for the occasional major merge.
+    /// back at most a mid tier plus a residual of WAL records. Writers
+    /// to a shard whose stack holds four times this many entries block
+    /// until the merger has folded it — the room for bursts, and for
+    /// the occasional major merge.
     pub merge_threshold: usize,
-    /// Where merges run.
-    pub merge_mode: MergeMode,
     /// Published delta runs a shard may stack above the mid tier
     /// before the write path folds them into one (the fold is
     /// amortized O(threshold) total and never touches the mid).
@@ -98,28 +80,17 @@ pub struct StoreConfig {
     /// and [`ShardedStore::recover`](super::ShardedStore::recover)
     /// reload the store that directory holds.
     pub wal_dir: Option<PathBuf>,
-    /// When WAL appends are fsynced. Ignored unless `wal_dir` is set
-    /// (or an [`Fs`](isi_durable::Fs) is injected via the `_with_fs`
-    /// constructors).
-    pub fsync: FsyncMode,
 }
 
 impl StoreConfig {
-    /// Background merges with the given threshold; durability off.
+    /// Merges after `merge_threshold` entries, eight runs a stack;
+    /// durability off.
     pub fn with_threshold(merge_threshold: usize) -> Self {
         Self {
             merge_threshold,
-            merge_mode: MergeMode::Background,
             max_runs: 8,
             wal_dir: None,
-            fsync: FsyncMode::Group,
         }
-    }
-
-    /// This configuration with merges forced inline on the write path.
-    pub fn foreground(mut self) -> Self {
-        self.merge_mode = MergeMode::Foreground;
-        self
     }
 
     /// This configuration with the given delta run-stack depth bound.
@@ -129,16 +100,17 @@ impl StoreConfig {
     }
 
     /// This configuration with durability on: per-shard WALs and
-    /// snapshots under `dir`, fsynced per `fsync`.
-    pub fn durable(mut self, dir: impl Into<PathBuf>, fsync: FsyncMode) -> Self {
+    /// snapshots under `dir`, every WAL record fsynced before its run
+    /// returns. [`FsyncMode`] has that one value; the parameter stays
+    /// only because the benchmark passes it.
+    pub fn durable(mut self, dir: impl Into<PathBuf>, _fsync: FsyncMode) -> Self {
         self.wal_dir = Some(dir.into());
-        self.fsync = fsync;
         self
     }
 }
 
 impl Default for StoreConfig {
-    /// Background merges after 4096 delta entries.
+    /// Merges after 4096 delta entries.
     fn default() -> Self {
         Self::with_threshold(4096)
     }

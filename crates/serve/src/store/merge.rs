@@ -1,6 +1,5 @@
-//! Merging: the background merger's queue and thread, and the one
-//! merge routine both merge modes run — pin, fold off the lock,
-//! publish under it.
+//! Merging: the background merger's queue and thread, and its merge
+//! routine — pin, fold off the lock, publish under it.
 
 use std::collections::VecDeque;
 use std::sync::{Arc, PoisonError};
@@ -10,7 +9,7 @@ use isi_core::sync::{CondvarExt, MutexExt};
 use isi_obs::{SpanTimer, Stage, TraceKind};
 
 use super::delta::{merge_pairs, Delta};
-use super::{MergeMode, ShardVersion, StoreInner, WriteState};
+use super::{ShardVersion, StoreInner, WriteState};
 
 /// The background merger's work queue (guarded by `StoreInner::merge_q`).
 #[derive(Default)]
@@ -25,7 +24,7 @@ pub(super) struct MergeQueue {
 
 /// What the long half of a merge made of the stack it pinned (see
 /// [`StoreInner::fold_pinned`]).
-pub(super) struct Folded {
+struct Folded {
     /// The shard's next main: the pinned version's own after a minor
     /// merge, the rebuilt one after a major.
     main: Arc<dyn ShardBackend>,
@@ -115,7 +114,7 @@ impl StoreInner {
     /// write lock ([`fold_pinned`](Self::fold_pinned)), publish under
     /// it ([`publish_merge`](Self::publish_merge)) — the writes that
     /// landed meanwhile survive as the residual.
-    pub(super) fn merge_shard(&self, si: usize) {
+    fn merge_shard(&self, si: usize) {
         let shard = &self.shards[si];
         let t0 = SpanTimer::start();
         // Snapshot outside the write lock: the fold (and a major
@@ -161,9 +160,8 @@ impl StoreInner {
     /// instead, a **major merge**: rebuild the main with the fold
     /// applied (tombstones drop out here) and, with durability on,
     /// stage the result as the shard's next snapshot, covering WAL
-    /// sequence `seq0`. The merger calls this off the write lock,
-    /// the foreground write path under it.
-    pub(super) fn fold_pinned(
+    /// sequence `seq0`.
+    fn fold_pinned(
         &self,
         si: usize,
         main: &Arc<dyn ShardBackend>,
@@ -211,7 +209,7 @@ impl StoreInner {
     /// else; a durable major merge commits its snapshot and truncates
     /// the WAL down to the residual first. Returns the residual's
     /// length.
-    pub(super) fn publish_merge(
+    fn publish_merge(
         &self,
         si: usize,
         w: &mut WriteState,
@@ -235,13 +233,10 @@ impl StoreInner {
             main: folded.main,
             delta: Delta::tiers(folded.mid, residual),
         }));
-        // `merges` before `bg_merges` and `major_merges`: a read that
-        // loads either of them before `merges` sees it ≤ merges.
+        // `merges` before `major_merges`: a read that loads the latter
+        // first sees it ≤ merges.
         let counters = &self.merge_counters[si];
         counters.merges.inc();
-        if self.cfg.merge_mode == MergeMode::Background {
-            counters.bg_merges.inc();
-        }
         if folded.major {
             counters.major_merges.inc();
         }
@@ -273,11 +268,9 @@ pub(super) fn major_len(merge_threshold: usize, main_len: usize) -> usize {
     merge_threshold.max(merge_threshold.saturating_mul(main_len).isqrt())
 }
 
-/// The hard bound on a shard's run stack above the mid tier in
-/// [`MergeMode::Background`]: four thresholds, the room for bursts and
-/// for the occasional major merge while the merger is busy. Foreground
-/// mode has no use for it (the stack never outlives the triggering
-/// write).
+/// The hard bound on a shard's run stack above the mid tier: four
+/// thresholds, the room for bursts and for the occasional major merge
+/// while the merger is busy.
 pub(super) fn max_delta(merge_threshold: usize) -> usize {
     merge_threshold.saturating_mul(4)
 }

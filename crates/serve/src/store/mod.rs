@@ -51,10 +51,10 @@
 //! always see a *consistent* main+delta pair: an in-flight dispatch
 //! batch keeps reading the version it started on while a merge
 //! publishes the next one, and a merge can never tear a read (the
-//! swap is a single pointer store). [`MergeMode::Foreground`] runs the
-//! same merge routine inline in the triggering write: the
-//! deterministic mode of the kill-at-every-fs-op matrix and the
-//! allocation tests.
+//! swap is a single pointer store). The merger is the only place a
+//! merge runs: a write never absorbs one, and tests that need a
+//! deterministic order of merges (the kill-at-every-fs-op crash matrix)
+//! [`quiesce`](ShardedStore::quiesce) after each write.
 //!
 //! Shard routing uses the *top* bits of the key's Fibonacci hash. The
 //! hash-table backend buckets on bits 32 and up of the same hash
@@ -66,7 +66,7 @@
 //! This file is the store's read and write paths. Around it: `config`
 //! (what a store is built with), `delta` (the run stack, which alone
 //! sees its fields), `wal` (logging, snapshots, recovery) and `merge`
-//! (the merger's queue and the one merge routine).
+//! (the merger's queue, thread and merge routine).
 
 mod config;
 mod delta;
@@ -93,7 +93,7 @@ use isi_obs::{Counter, Obs, SpanTimer, Stage, TraceKind};
 use crate::plan::BatchPlan;
 use crate::service::ServeStats;
 
-pub use config::{Backend, MergeMode, StoreConfig};
+pub use config::{Backend, StoreConfig};
 use delta::{sort_lww, Delta};
 use merge::{max_delta, MergeQueue};
 use wal::DurableState;
@@ -131,18 +131,16 @@ struct WriteState {
 
 /// Per-shard merge and run-stack counters, so monitoring reads
 /// ([`ShardedStore::merges`] and friends) are lock-free loads that
-/// never wait behind a rebuild. Every bump hits the ≥ side of each
+/// never wait behind a rebuild. Every bump hits the ≥ side of an
 /// invariant first, and [`ShardedStore::add_counters_to`] reads the ≤
-/// side first (`bg_merges` before `merges`, `compactions` before
-/// `delta_runs`), so `bg_merges ≤ merges` and `compactions ≤
-/// delta_runs` hold in *every* read (see [`Counter`]). Merge wall
+/// side first (`compactions` before `delta_runs`), so `compactions ≤
+/// delta_runs` holds in *every* read (see [`Counter`]). Merge wall
 /// latency, minor and major alike, lands in the shard's
 /// [`Stage::Merge`] histogram.
 #[derive(Default)]
 struct MergeCounters {
     /// Merges published, of either kind.
     merges: Counter,
-    bg_merges: Counter,
     /// Those of them that rebuilt the main.
     major_merges: Counter,
     /// Delta runs published by the write path (one per effective
@@ -234,7 +232,8 @@ pub struct BatchOutcome {
 /// shard's delta is four thresholds deep.
 pub struct ShardedStore {
     inner: Arc<StoreInner>,
-    /// `Some` in background mode; joined (after a drain) on drop.
+    /// The merger thread. `Drop` takes it to join it, after the queue
+    /// drains: the only time this is `None`.
     merger: Option<JoinHandle<()>>,
 }
 
@@ -354,10 +353,8 @@ impl ShardedStore {
         live: usize,
         fs: Option<Arc<dyn Fs>>,
     ) -> Self {
-        let merge_mode = cfg.merge_mode;
         let n = shards.len();
         let durable = fs.map(|fs| DurableState {
-            fsync: cfg.fsync,
             fs,
             wal_records: Counter::default(),
             wal_syncs: Counter::default(),
@@ -375,14 +372,17 @@ impl ShardedStore {
             merge_counters: (0..n).map(|_| MergeCounters::default()).collect(),
             merger_failed: Counter::default(),
         });
-        let merger = (merge_mode == MergeMode::Background).then(|| {
+        let merger = {
             let inner = Arc::clone(&inner);
             std::thread::Builder::new()
                 .name("isi-merger".into())
                 .spawn(move || inner.merger_loop())
                 .expect("spawn merger thread")
-        });
-        Self { inner, merger }
+        };
+        Self {
+            inner,
+            merger: Some(merger),
+        }
     }
 
     /// The tuning knobs the store was built with.
@@ -397,13 +397,12 @@ impl ShardedStore {
     }
 
     /// Write-path durability counters: `(WAL records appended, WAL
-    /// fsyncs issued)` since build. `(0, 0)` when durability is off —
-    /// and under [`FsyncMode::Group`] the sync count per record is
-    /// what group commit amortizes. Syncs are read before records, so
-    /// `syncs ≤ records` always (a records-first read could observe the
-    /// sync of a record it hadn't counted).
-    ///
-    /// [`FsyncMode::Group`]: isi_durable::FsyncMode::Group
+    /// fsyncs issued)` since build. `(0, 0)` when durability is off.
+    /// Every record is synced once, so the two differ only by the
+    /// syncs in flight; what group commit amortizes is records per
+    /// write. Syncs are read before records, so `syncs ≤ records`
+    /// always (a records-first read could observe the sync of a record
+    /// it hadn't counted).
     pub fn wal_stats(&self) -> (u64, u64) {
         match &self.inner.durable {
             Some(d) => {
@@ -420,7 +419,6 @@ impl ShardedStore {
     pub(crate) fn add_counters_to(&self, total: &mut ServeStats) {
         (total.wal_records, total.wal_syncs) = self.wal_stats();
         for c in &self.inner.merge_counters {
-            total.bg_merges += c.bg_merges.get();
             total.merges += c.merges.get();
             total.compactions += c.compactions.get();
             total.delta_runs += c.delta_runs.get();
@@ -478,7 +476,7 @@ impl ShardedStore {
     }
 
     /// Merges published since build, minor and major, across all
-    /// shards (both modes).
+    /// shards.
     pub fn merges(&self) -> u64 {
         self.sum_counters(|c| &c.merges)
     }
@@ -487,13 +485,6 @@ impl ShardedStore {
     /// a shard's main, snapshotted it and truncated its WAL.
     pub fn major_merges(&self) -> u64 {
         self.sum_counters(|c| &c.major_merges)
-    }
-
-    /// Merges performed by the background merger thread (≤
-    /// [`merges`](Self::merges); the difference is foreground-mode
-    /// inline merges).
-    pub fn bg_merges(&self) -> u64 {
-        self.sum_counters(|c| &c.bg_merges)
     }
 
     /// Delta runs published by the write path since build, across all
@@ -534,9 +525,8 @@ impl ShardedStore {
         hist
     }
 
-    /// Version-swap count of `shard` (one per write, since every write
-    /// publishes a new version; background merges add one more swap
-    /// each when they publish).
+    /// Version-swap count of `shard`: one per write that changed
+    /// something, plus one per merge publish.
     pub fn shard_epoch(&self, shard: usize) -> u64 {
         self.inner.shards[shard].version.epoch()
     }
@@ -545,7 +535,6 @@ impl ShardedStore {
     /// merges re-triggering themselves) has been published. Writers
     /// racing `quiesce` can enqueue more work; this waits for the
     /// queue observed drain, which is the fixpoint once writers stop.
-    /// Returns immediately in foreground mode.
     ///
     /// # Panics
     /// Panics with "merger failed" if the merger thread has panicked:
@@ -577,9 +566,8 @@ impl ShardedStore {
     }
 
     /// Upsert `key = val`; returns the previously visible value
-    /// (last-write-wins). May enqueue (background) or perform
-    /// (foreground) a merge of the owning shard. A one-op
-    /// [`apply_write_run_with`](Self::apply_write_run_with).
+    /// (last-write-wins). May enqueue a merge of the owning shard. A
+    /// one-op [`apply_write_run_with`](Self::apply_write_run_with).
     pub fn put(&self, key: u64, val: u64) -> Option<u64> {
         let mut prevs = [None];
         self.write_shard_run(self.shard_of(key), &[(key, Some(val))], &[0], &mut prevs);
@@ -604,15 +592,13 @@ impl ShardedStore {
     /// commute; per-shard admission order is preserved). Each shard's
     /// sub-run holds the write lock once, sorts its ops into **one**
     /// immutable delta run (last-write-wins within the run), appends
-    /// **one** WAL record fsynced **once** ([`FsyncMode::Group`]) and
+    /// **one** WAL record fsynced **once** (group commit) and
     /// publishes **one** new version — when this returns, every op in
     /// the run is durable and visible, so callers may acknowledge the
     /// whole run.
     ///
     /// The grouping buffers live in the caller-held `scratch`, so the
     /// steady-state dispatch path performs no grouping allocations.
-    ///
-    /// [`FsyncMode::Group`]: isi_durable::FsyncMode::Group
     pub fn apply_write_run_with(
         &self,
         ops: &[(u64, Option<u64>)],
@@ -645,11 +631,10 @@ impl ShardedStore {
 
     /// The shared write path: apply `ops[idxs]` (all routed to `si`)
     /// to the shard's delta and publish one new version. At
-    /// `merge_threshold` the run requests maintenance — a job for the
-    /// background merger, or an inline merge in foreground mode. In
-    /// background mode the run blocks only when the shard's delta has
-    /// hit the hard bound ([`max_delta`]). With durability on, the run's
-    /// WAL record is appended and fsynced *before* the publish.
+    /// `merge_threshold` the run queues a job for the merger; it blocks
+    /// only when the shard's delta has hit the hard bound
+    /// ([`max_delta`]). With durability on, the run's WAL record is
+    /// appended and fsynced *before* the publish.
     fn write_shard_run(
         &self,
         si: usize,
@@ -660,37 +645,35 @@ impl ShardedStore {
         let inner = &*self.inner;
         let shard = &inner.shards[si];
         let mut w = shard.write.plock("shard write state");
-        if inner.cfg.merge_mode == MergeMode::Background {
-            let bound = max_delta(inner.cfg.merge_threshold);
-            // Hard bound: past it this shard's writers wait for
-            // the merger (which takes this lock to pin and to publish,
-            // but we release it while waiting on the condvar). A run
-            // may overshoot the bound by its own length — bounded by
-            // the dispatcher batch size.
-            let t = SpanTimer::start();
-            let mut waited = false;
-            loop {
-                if inner.merger_failed.get() > 0 {
-                    // Release first: a rejection poisons no lock.
-                    drop(w);
-                    panic!("merger failed: shard {si} takes no more writes");
-                }
-                if shard.version.load().delta.len() < bound {
-                    break;
-                }
-                waited = true;
-                w = shard
-                    .delta_space
-                    .pwait(w, "shard write state (delta backpressure)");
+        let bound = max_delta(inner.cfg.merge_threshold);
+        // Hard bound: past it this shard's writers wait for the merger
+        // (which takes this lock to pin and to publish, but we release
+        // it while waiting on the condvar). A run may overshoot the
+        // bound by its own length — bounded by the dispatcher batch
+        // size.
+        let t = SpanTimer::start();
+        let mut waited = false;
+        loop {
+            if inner.merger_failed.get() > 0 {
+                // Release first: a rejection poisons no lock.
+                drop(w);
+                panic!("merger failed: shard {si} takes no more writes");
             }
-            if waited {
-                let dur = t.elapsed_ns();
-                inner.obs.record_stage(si, Stage::Backpressure, dur);
-                inner
-                    .obs
-                    .trace()
-                    .emit(si, TraceKind::Backpressure, t.start_ns(), dur, 1, 0);
+            if shard.version.load().delta.len() < bound {
+                break;
             }
+            waited = true;
+            w = shard
+                .delta_space
+                .pwait(w, "shard write state (delta backpressure)");
+        }
+        if waited {
+            let dur = t.elapsed_ns();
+            inner.obs.record_stage(si, Stage::Backpressure, dur);
+            inner
+                .obs
+                .trace()
+                .emit(si, TraceKind::Backpressure, t.start_ns(), dur, 1, 0);
         }
         let cur = shard.version.load();
         // Build this sub-run as its own sorted run instead of cloning
@@ -753,23 +736,12 @@ impl ShardedStore {
             counters.compactions.inc();
         }
         let crossed = delta.len() >= inner.cfg.merge_threshold;
-        if crossed && inner.cfg.merge_mode == MergeMode::Foreground {
-            // Inline merge of the stack this write completes: the
-            // merger's routine, under the shard write lock throughout
-            // (so only same-shard *writers* wait, and nothing lands
-            // meanwhile: the residual is empty), published with the
-            // write in one epoch swap.
-            let t0 = SpanTimer::start();
-            let folded = inner.fold_pinned(si, &cur.main, &delta, w.wal_seq, t0);
-            inner.publish_merge(si, &mut w, &delta, &delta, folded, t0);
-        } else {
-            shard.version.store(Arc::new(ShardVersion {
-                main: Arc::clone(&cur.main),
-                delta,
-            }));
-            if crossed && !w.pending {
-                inner.request_merge(si, &mut w);
-            }
+        shard.version.store(Arc::new(ShardVersion {
+            main: Arc::clone(&cur.main),
+            delta,
+        }));
+        if crossed && !w.pending {
+            inner.request_merge(si, &mut w);
         }
         match live_delta.cmp(&0) {
             std::cmp::Ordering::Greater => {
@@ -881,9 +853,10 @@ impl Drop for ShardedStore {
                 joined.expect("merger thread panicked");
             }
         }
-        // Clean-shutdown durability: flush every WAL so even
-        // FsyncMode::Off loses nothing on an orderly exit (only on a
-        // crash). Best effort — Drop must not panic.
+        // Clean-shutdown durability: every record was synced when its
+        // run was applied; this flush makes sure again that an orderly
+        // exit leaves every log durable. Best effort — Drop must not
+        // panic.
         if let Some(d) = &self.inner.durable {
             for si in 0..self.inner.shards.len() {
                 let _ = d.fs.sync(&durable::wal_name(si));

@@ -9,17 +9,6 @@ fn pairs(n: u64) -> Vec<(u64, u64)> {
     (0..n).map(|i| (i * 3, i + 1000)).collect()
 }
 
-/// Both merge modes, for tests whose invariants hold in each.
-const MODES: [MergeMode; 2] = [MergeMode::Background, MergeMode::Foreground];
-
-fn cfg(threshold: usize, mode: MergeMode) -> StoreConfig {
-    let base = StoreConfig::with_threshold(threshold);
-    match mode {
-        MergeMode::Background => base,
-        MergeMode::Foreground => base.foreground(),
-    }
-}
-
 #[test]
 fn routing_covers_all_shards_and_is_stable() {
     let store = ShardedStore::build(Backend::Sorted, 4, &pairs(4096));
@@ -206,62 +195,54 @@ fn build_duplicates_resolve_last_write_wins() {
 }
 
 #[test]
-fn put_remove_agree_with_oracle_across_thresholds_and_modes() {
+fn put_remove_agree_with_oracle_across_thresholds() {
     // A deterministic mixed schedule over a small key space,
-    // checked op-by-op against a HashMap, across all backends,
-    // merge thresholds (including merge-every-write) and both
-    // merge modes. Visible state never depends on merge timing.
+    // checked op-by-op against a HashMap, across all backends and
+    // merge thresholds (including merge-every-write). Visible state
+    // never depends on merge timing.
     for backend in Backend::ALL {
         for threshold in [1usize, 4, 1 << 20] {
-            for mode in MODES {
-                let store = ShardedStore::build_with(backend, 2, &pairs(300), cfg(threshold, mode));
-                let mut oracle: HashMap<u64, u64> = pairs(300).into_iter().collect();
-                for i in 0..1200u64 {
-                    let key = i * 17 % 1000;
-                    let tag = format!("{}/t{threshold}/{mode:?} i={i}", backend.name());
-                    match i % 5 {
-                        0 | 1 => {
-                            assert_eq!(store.put(key, i), oracle.insert(key, i), "{tag}");
-                        }
-                        2 => {
-                            assert_eq!(store.remove(key), oracle.remove(&key), "{tag}");
-                        }
-                        _ => {
-                            assert_eq!(store.get(key), oracle.get(&key).copied(), "{tag}");
-                        }
+            let store = ShardedStore::build_with(
+                backend,
+                2,
+                &pairs(300),
+                StoreConfig::with_threshold(threshold),
+            );
+            let mut oracle: HashMap<u64, u64> = pairs(300).into_iter().collect();
+            for i in 0..1200u64 {
+                let key = i * 17 % 1000;
+                let tag = format!("{}/t{threshold} i={i}", backend.name());
+                match i % 5 {
+                    0 | 1 => {
+                        assert_eq!(store.put(key, i), oracle.insert(key, i), "{tag}");
                     }
-                    assert_eq!(store.len(), oracle.len(), "{tag}");
-                }
-                // Once quiesced, every shard's residual delta is
-                // below the threshold.
-                store.quiesce();
-                assert!(store.delta_len() < threshold.max(1) * store.num_shards());
-                if threshold == 1 {
-                    // Merge-every-write: the drained delta is
-                    // empty. Foreground merges synchronously, so
-                    // every effective write merged; background
-                    // merges coalesce but must have run.
-                    assert_eq!(store.delta_len(), 0);
-                    match mode {
-                        MergeMode::Foreground => {
-                            assert!(store.merges() >= 480, "merges={}", store.merges());
-                            assert_eq!(store.bg_merges(), 0);
-                        }
-                        MergeMode::Background => {
-                            assert!(store.merges() >= 1);
-                            assert_eq!(store.bg_merges(), store.merges());
-                        }
+                    2 => {
+                        assert_eq!(store.remove(key), oracle.remove(&key), "{tag}");
                     }
-                    assert_eq!(store.merge_latency().count(), store.merges());
-                    assert_eq!(store.merge_backlog(), 0);
+                    _ => {
+                        assert_eq!(store.get(key), oracle.get(&key).copied(), "{tag}");
+                    }
                 }
-                // Full sweep after the schedule: every key of the
-                // space agrees, and `len` rules out one outside it.
-                for probe in 0..1000u64 {
-                    assert_eq!(store.get(probe), oracle.get(&probe).copied());
-                }
-                assert_eq!(store.len(), oracle.len());
+                assert_eq!(store.len(), oracle.len(), "{tag}");
             }
+            // Once quiesced, every shard's residual delta is below
+            // the threshold.
+            store.quiesce();
+            assert!(store.delta_len() < threshold.max(1) * store.num_shards());
+            if threshold == 1 {
+                // Merge-every-write: the drained delta is empty.
+                // Merges coalesce but must have run.
+                assert_eq!(store.delta_len(), 0);
+                assert!(store.merges() >= 1);
+                assert_eq!(store.merge_latency().count(), store.merges());
+                assert_eq!(store.merge_backlog(), 0);
+            }
+            // Full sweep after the schedule: every key of the space
+            // agrees, and `len` rules out one outside it.
+            for probe in 0..1000u64 {
+                assert_eq!(store.get(probe), oracle.get(&probe).copied());
+            }
+            assert_eq!(store.len(), oracle.len());
         }
     }
 }
@@ -314,9 +295,7 @@ fn run_stack_folds_past_max_runs_and_preserves_overrides() {
         Backend::Sorted,
         1,
         &pairs(10),
-        StoreConfig::with_threshold(1 << 20)
-            .with_max_runs(2)
-            .foreground(),
+        StoreConfig::with_threshold(1 << 20).with_max_runs(2),
     );
     assert_eq!(store.put(0, 1), Some(1000)); // run 1 overrides main
     assert_eq!(store.put(3, 2), Some(1001)); // run 2
@@ -348,23 +327,19 @@ fn run_stack_folds_past_max_runs_and_preserves_overrides() {
 }
 
 #[test]
-fn foreground_merges_swap_epochs_and_drain_the_delta() {
-    // Foreground mode keeps the old deterministic accounting:
-    // every write swaps the version, every 8th write merges
-    // inline.
-    let store = ShardedStore::build_with(
-        Backend::Csb,
-        1,
-        &pairs(100),
-        StoreConfig::with_threshold(8).foreground(),
-    );
+fn quiesced_merges_swap_epochs_and_drain_the_delta() {
+    // Quiesced after every write, the accounting is deterministic:
+    // every write swaps the version, every 8th write's merge
+    // publishes one more.
+    let store =
+        ShardedStore::build_with(Backend::Csb, 1, &pairs(100), StoreConfig::with_threshold(8));
     assert_eq!(store.shard_epoch(0), 0);
     for i in 0..64u64 {
         store.put(10_000 + i, i);
+        store.quiesce();
     }
-    assert_eq!(store.shard_epoch(0), 64);
     assert_eq!(store.merges(), 8);
-    assert_eq!(store.bg_merges(), 0);
+    assert_eq!(store.shard_epoch(0), 64 + store.merges());
     assert_eq!(store.delta_len(), 0);
     assert_eq!(store.len(), 164);
     for i in 0..64u64 {
@@ -384,7 +359,6 @@ fn background_merges_run_off_the_write_path_and_drain() {
     // merger must have run, drained the delta below the threshold,
     // and left every write visible.
     assert!(store.merges() >= 1);
-    assert_eq!(store.bg_merges(), store.merges());
     assert!(store.delta_len() < 8, "delta={}", store.delta_len());
     assert_eq!(store.merge_backlog(), 0);
     assert_eq!(store.len(), 164);
@@ -509,68 +483,64 @@ fn minor_merges_keep_the_main_and_a_major_merge_empties_the_mid() {
     // the main and leaves no mid. Tombstones of stored keys sit in
     // the mid until then, hide the main's pairs, and are gone with
     // the rebuild.
-    for mode in MODES {
-        let store = ShardedStore::build_with(Backend::Csb, 1, &pairs(64), cfg(4, mode));
-        let (main0, mid0) = tiers(&store, 0);
-        assert!(mid0.is_none());
-        let mut writes = 0u64;
-        for round in 1..=3u64 {
-            store.remove(round * 3); // stored: 1000 + round
-            for i in 0..3u64 {
-                store.put(10_000 + round * 4 + i, i);
-            }
-            writes += 4;
-            store.quiesce();
-            let (main, mid) = tiers(&store, 0);
-            assert!(
-                Arc::ptr_eq(&main, &main0),
-                "{mode:?}: merge {round} rebuilt"
-            );
-            assert_eq!(mid.map(|m| m.len()), Some(4 * round as usize));
-            assert_eq!((store.merges(), store.major_merges()), (round, 0));
-            assert_eq!(
-                (store.delta_len(), store.mid_len()),
-                (0, 4 * round as usize)
-            );
-            assert_eq!(store.get(round * 3), None, "tombstone in the mid");
-            assert_eq!(store.len(), 64 + 2 * round as usize);
-        }
-        for i in 0..4u64 {
-            store.put(20_000 + i, i);
+    let store =
+        ShardedStore::build_with(Backend::Csb, 1, &pairs(64), StoreConfig::with_threshold(4));
+    let (main0, mid0) = tiers(&store, 0);
+    assert!(mid0.is_none());
+    let mut writes = 0u64;
+    for round in 1..=3u64 {
+        store.remove(round * 3); // stored: 1000 + round
+        for i in 0..3u64 {
+            store.put(10_000 + round * 4 + i, i);
         }
         writes += 4;
         store.quiesce();
         let (main, mid) = tiers(&store, 0);
-        assert!(!Arc::ptr_eq(&main, &main0), "{mode:?}: the mid was due");
-        assert!(mid.is_none());
-        assert_eq!((store.merges(), store.major_merges()), (4, 1));
-        assert_eq!((store.delta_len(), store.mid_len()), (0, 0));
-        // The tombstones went into the rebuild, not past it.
-        assert_eq!(main.len(), 64 + 16 - 2 * 3);
-        assert_eq!(store.len(), main.len());
-        for round in 1..=3u64 {
-            assert_eq!(store.get(round * 3), None);
-            assert_eq!(store.get(10_000 + round * 4), Some(0));
-        }
-        // However long it goes on, a major merge takes a full mid:
-        // at least `major_len` writes each.
-        for i in 0..400u64 {
-            store.put(30_000 + i, i);
-            writes += 1;
-        }
-        store.quiesce();
-        let cap = major_len(4, 64) as u64;
-        assert_eq!(cap, 16);
-        assert!(store.major_merges() >= 2, "{mode:?}");
-        assert!(
-            store.major_merges() <= writes / cap + 1,
-            "{mode:?}: {} major merges in {writes} writes",
-            store.major_merges()
+        assert!(Arc::ptr_eq(&main, &main0), "merge {round} rebuilt");
+        assert_eq!(mid.map(|m| m.len()), Some(4 * round as usize));
+        assert_eq!((store.merges(), store.major_merges()), (round, 0));
+        assert_eq!(
+            (store.delta_len(), store.mid_len()),
+            (0, 4 * round as usize)
         );
-        assert!(store.merges() > store.major_merges());
-        assert_eq!(store.merge_latency().count(), store.merges());
-        assert_eq!(store.len(), main.len() + 400);
+        assert_eq!(store.get(round * 3), None, "tombstone in the mid");
+        assert_eq!(store.len(), 64 + 2 * round as usize);
     }
+    for i in 0..4u64 {
+        store.put(20_000 + i, i);
+    }
+    writes += 4;
+    store.quiesce();
+    let (main, mid) = tiers(&store, 0);
+    assert!(!Arc::ptr_eq(&main, &main0), "the mid was due");
+    assert!(mid.is_none());
+    assert_eq!((store.merges(), store.major_merges()), (4, 1));
+    assert_eq!((store.delta_len(), store.mid_len()), (0, 0));
+    // The tombstones went into the rebuild, not past it.
+    assert_eq!(main.len(), 64 + 16 - 2 * 3);
+    assert_eq!(store.len(), main.len());
+    for round in 1..=3u64 {
+        assert_eq!(store.get(round * 3), None);
+        assert_eq!(store.get(10_000 + round * 4), Some(0));
+    }
+    // However long it goes on, a major merge takes a full mid:
+    // at least `major_len` writes each.
+    for i in 0..400u64 {
+        store.put(30_000 + i, i);
+        writes += 1;
+    }
+    store.quiesce();
+    let cap = major_len(4, 64) as u64;
+    assert_eq!(cap, 16);
+    assert!(store.major_merges() >= 2);
+    assert!(
+        store.major_merges() <= writes / cap + 1,
+        "{} major merges in {writes} writes",
+        store.major_merges()
+    );
+    assert!(store.merges() > store.major_merges());
+    assert_eq!(store.merge_latency().count(), store.merges());
+    assert_eq!(store.len(), main.len() + 400);
 }
 
 #[test]
@@ -585,11 +555,12 @@ fn the_write_path_fold_never_takes_the_mid_along() {
         Backend::Sorted,
         1,
         &pairs(1024),
-        StoreConfig::with_threshold(8).with_max_runs(2).foreground(),
+        StoreConfig::with_threshold(8).with_max_runs(2),
     );
     for i in 0..8u64 {
         store.put(10_000 + i, i);
     }
+    store.quiesce();
     assert_eq!((store.merges(), store.mid_len()), (1, 8));
     let mid = tiers(&store, 0).1.expect("a mid tier");
     let folds = store.compactions();
@@ -604,6 +575,7 @@ fn the_write_path_fold_never_takes_the_mid_along() {
     // The next write completes a threshold, and the merge folds
     // all of it into a new mid.
     store.put(20_007, 7);
+    store.quiesce();
     assert_eq!((store.merges(), store.major_merges()), (2, 0));
     assert_eq!((store.delta_len(), store.mid_len()), (0, 16));
 }
@@ -729,57 +701,51 @@ fn concurrent_reads_during_merges_are_consistent() {
     // readers hammer point gets and batch lookups. Reads must be
     // monotone for the hot key (versions publish in order) and
     // rock-stable for an untouched key — across merges, never torn.
-    // Background mode adds the merger thread as a second publisher
-    // racing the writer.
+    // The merger thread is a second publisher racing the writer.
     const N: u64 = 300;
     for backend in Backend::ALL {
-        for mode in MODES {
-            let store =
-                ShardedStore::build_with(backend, 1, &[(2, 1_000_000), (4, 42)], cfg(1, mode));
-            std::thread::scope(|scope| {
-                let writer = scope.spawn(|| {
-                    for v in 1_000_001..=1_000_000 + N {
-                        store.put(2, v);
+        let store = ShardedStore::build_with(
+            backend,
+            1,
+            &[(2, 1_000_000), (4, 42)],
+            StoreConfig::with_threshold(1),
+        );
+        std::thread::scope(|scope| {
+            let writer = scope.spawn(|| {
+                for v in 1_000_001..=1_000_000 + N {
+                    store.put(2, v);
+                }
+            });
+            for _ in 0..2 {
+                scope.spawn(|| {
+                    let mut scratch = LookupScratch::default();
+                    let mut out = [None, None];
+                    let mut last = 1_000_000u64;
+                    while last < 1_000_000 + N {
+                        let got = store.get(2).expect("hot key must always exist");
+                        assert!(got >= last, "hot key went backwards: {got} < {last}");
+                        last = got;
+                        store.lookup_batch(
+                            0,
+                            &[2, 4],
+                            Interleave::from_group(4),
+                            ParConfig::with_threads(1),
+                            &mut scratch,
+                            &mut out,
+                        );
+                        let batch_hot = out[0].expect("hot key must always exist");
+                        assert!(batch_hot >= last, "batch read went backwards");
+                        assert_eq!(out[1], Some(42), "cold key must never move");
+                        last = last.max(batch_hot);
                     }
                 });
-                for _ in 0..2 {
-                    scope.spawn(|| {
-                        let mut scratch = LookupScratch::default();
-                        let mut out = [None, None];
-                        let mut last = 1_000_000u64;
-                        while last < 1_000_000 + N {
-                            let got = store.get(2).expect("hot key must always exist");
-                            assert!(got >= last, "hot key went backwards: {got} < {last}");
-                            last = got;
-                            store.lookup_batch(
-                                0,
-                                &[2, 4],
-                                Interleave::from_group(4),
-                                ParConfig::with_threads(1),
-                                &mut scratch,
-                                &mut out,
-                            );
-                            let batch_hot = out[0].expect("hot key must always exist");
-                            assert!(batch_hot >= last, "batch read went backwards");
-                            assert_eq!(out[1], Some(42), "cold key must never move");
-                            last = last.max(batch_hot);
-                        }
-                    });
-                }
-                writer.join().unwrap();
-            });
-            store.quiesce();
-            assert_eq!(store.get(2), Some(1_000_000 + N));
-            match mode {
-                MergeMode::Foreground => {
-                    assert_eq!(store.merges(), N, "{}", backend.name());
-                }
-                MergeMode::Background => {
-                    assert!(store.merges() >= 1, "{}", backend.name());
-                    assert_eq!(store.delta_len(), 0);
-                }
             }
-        }
+            writer.join().unwrap();
+        });
+        store.quiesce();
+        assert_eq!(store.get(2), Some(1_000_000 + N));
+        assert!(store.merges() >= 1, "{}", backend.name());
+        assert_eq!(store.delta_len(), 0);
     }
 }
 

@@ -6,12 +6,12 @@ use std::sync::{Arc, Condvar, Mutex};
 
 use isi_core::epoch::EpochCell;
 use isi_core::sync::MutexExt;
-use isi_durable::{self as durable, DiskFs, Fs, FsyncMode};
+use isi_durable::{self as durable, DiskFs, Fs};
 use isi_obs::{Counter, Obs, SpanTimer, Stage, TraceKind};
 
 use super::delta::{merged_len, sort_lww, Delta};
 use super::merge::major_len;
-use super::{Backend, MergeMode, Shard, ShardVersion, ShardedStore, StoreConfig, WriteState};
+use super::{Backend, Shard, ShardVersion, ShardedStore, StoreConfig, WriteState};
 
 /// The store's attached durability layer: the file system holding the
 /// per-shard WALs and snapshots, plus write-path I/O accounting.
@@ -21,7 +21,6 @@ use super::{Backend, MergeMode, Shard, ShardVersion, ShardedStore, StoreConfig, 
 /// before anything was promised to callers.
 pub(super) struct DurableState {
     pub(super) fs: Arc<dyn Fs>,
-    pub(super) fsync: FsyncMode,
     /// WAL records appended by the write path. Bumped *before*
     /// `wal_syncs` and read *after* it ([`ShardedStore::wal_stats`]),
     /// so `wal_syncs ≤ wal_records` holds in every read.
@@ -31,9 +30,8 @@ pub(super) struct DurableState {
 }
 
 impl DurableState {
-    /// Append one record to `shard`'s WAL and fsync it per the mode
-    /// (no sync in [`FsyncMode::Off`]). Caller holds the shard write
-    /// lock, which orders appends by sequence. Append and fsync time
+    /// Append one record to `shard`'s WAL and fsync it. Caller holds
+    /// the shard write lock, which orders appends by sequence. Append and fsync time
     /// land in the shard's [`Stage::WalAppend`] / [`Stage::WalFsync`]
     /// histograms; each fsync emits a [`TraceKind::WalSync`] event.
     pub(super) fn log_run(&self, obs: &Obs, shard: usize, seq: u64, ops: &[(u64, Option<u64>)]) {
@@ -45,23 +43,21 @@ impl DurableState {
             .unwrap_or_else(|e| panic!("WAL append failed for shard {shard}: {e}"));
         obs.record_stage(shard, Stage::WalAppend, t.elapsed_ns());
         self.wal_records.inc();
-        if self.fsync != FsyncMode::Off {
-            let t = SpanTimer::start();
-            self.fs
-                .sync(&name)
-                .unwrap_or_else(|e| panic!("WAL fsync failed for shard {shard}: {e}"));
-            let dur = t.elapsed_ns();
-            obs.record_stage(shard, Stage::WalFsync, dur);
-            obs.trace().emit(
-                shard,
-                TraceKind::WalSync,
-                t.start_ns(),
-                dur,
-                ops.len() as u64,
-                0,
-            );
-            self.wal_syncs.inc();
-        }
+        let t = SpanTimer::start();
+        self.fs
+            .sync(&name)
+            .unwrap_or_else(|e| panic!("WAL fsync failed for shard {shard}: {e}"));
+        let dur = t.elapsed_ns();
+        obs.record_stage(shard, Stage::WalFsync, dur);
+        obs.trace().emit(
+            shard,
+            TraceKind::WalSync,
+            t.start_ns(),
+            dur,
+            ops.len() as u64,
+            0,
+        );
+        self.wal_syncs.inc();
     }
 
     /// Serialize and fsync a snapshot of `merged` (covering WAL
@@ -161,13 +157,8 @@ impl ShardedStore {
         // Shards whose replayed mid tier is already due for a major
         // merge get it now rather than a threshold of writes later.
         for si in refill {
-            match store.inner.cfg.merge_mode {
-                MergeMode::Background => {
-                    let mut w = store.inner.shards[si].write.plock("shard write state");
-                    store.inner.request_merge(si, &mut w);
-                }
-                MergeMode::Foreground => store.inner.merge_shard(si),
-            }
+            let mut w = store.inner.shards[si].write.plock("shard write state");
+            store.inner.request_merge(si, &mut w);
         }
         Ok(store)
     }

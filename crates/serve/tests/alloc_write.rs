@@ -55,12 +55,10 @@ fn run_block(
 /// reusable `WriteScratch`).
 #[test]
 fn write_runs_allocate_a_small_constant() {
-    // Foreground mode keeps all of a write's work on this thread,
-    // where it is counted. The huge threshold and unbounded run stack
-    // mean no merges and no folds — pure run-publish cost.
-    let cfg = StoreConfig::with_threshold(1 << 20)
-        .with_max_runs(usize::MAX)
-        .foreground();
+    // The huge threshold and unbounded run stack mean no merges and
+    // no folds — pure run-publish cost, all of it on this thread,
+    // where it is counted.
+    let cfg = StoreConfig::with_threshold(1 << 20).with_max_runs(usize::MAX);
     let store = ShardedStore::build_with(Backend::Sorted, 1, &[], cfg);
     let mut scratch = WriteScratch::default();
     let mut prevs = Vec::new();
@@ -97,9 +95,7 @@ fn write_runs_allocate_a_small_constant() {
 /// runs spanning 8 shards stay within the per-sub-run budget.
 #[test]
 fn grouping_scratch_is_reused_across_shards() {
-    let cfg = StoreConfig::with_threshold(1 << 20)
-        .with_max_runs(usize::MAX)
-        .foreground();
+    let cfg = StoreConfig::with_threshold(1 << 20).with_max_runs(usize::MAX);
     let store = ShardedStore::build_with(Backend::Sorted, 8, &[], cfg);
     let mut scratch = WriteScratch::default();
     let mut prevs = Vec::new();

@@ -11,16 +11,27 @@
 //! crash must be the state after some *prefix* of the ops routed to
 //! that shard — never a half-applied record, never a reordering — and
 //! when fsyncs are honored, at least the prefix covering every run
-//! that was **acknowledged** before the crash (ack ⇒ durable). With
-//! `FsyncMode::Off` or dropped fsyncs the guaranteed prefix shrinks
-//! to zero, but it must still be *a* prefix.
+//! that was **acknowledged** before the crash (ack ⇒ durable). On a
+//! disk that drops fsyncs the guaranteed prefix shrinks to zero, but
+//! it must still be *a* prefix.
 //!
-//! Three angles:
+//! Merges run on the store's merger thread. Where a test needs every
+//! file-system operation at a fixed point of the schedule, it feeds
+//! runs that each touch one shard and [`ShardedStore::quiesce`]s after
+//! each: a run does all its own file-system work before it requests a
+//! merge, and the merger does its work only after it has taken the
+//! shard's write lock from the run, so the two never overlap.
+//!
+//! Four angles:
 //!
 //! * a deterministic **fault matrix** — one fixed schedule, killed at
-//!   *every* file-system operation index × tear/bit-flip variants;
-//! * a **proptest** over random schedules, kill points, fsync modes
-//!   and fault plans;
+//!   *every* file-system operation index × tear/bit-flip variants,
+//!   with a check that the crash image at each index is the same on
+//!   every run;
+//! * the same schedule **unquiesced**, killed at sampled indices while
+//!   merges race the writes;
+//! * a **proptest** over random schedules, kill points, fault plans
+//!   and whether to quiesce after each run;
 //! * a **real-directory round trip** (DiskFs) covering clean shutdown
 //!   and recovery-then-serve through a live `LookupService`.
 
@@ -33,8 +44,7 @@ use proptest::prelude::*;
 
 use isi_durable::{FaultFs, FaultPlan, Fs, FsyncMode, MemFs};
 use isi_serve::{
-    Backend, BatchPolicy, LookupService, MergeMode, ServeConfig, ShardedStore, StoreConfig,
-    WriteScratch,
+    Backend, BatchPolicy, LookupService, ServeConfig, ShardedStore, StoreConfig, WriteScratch,
 };
 
 const SHARDS: usize = 2;
@@ -43,36 +53,43 @@ const SHARDS: usize = 2;
 /// `apply_write_run_with` call (the group-commit unit).
 type Schedule = Vec<Vec<(u64, Option<u64>)>>;
 
-fn store_cfg(fsync: FsyncMode, mode: MergeMode) -> StoreConfig {
+fn store_cfg() -> StoreConfig {
     StoreConfig {
         merge_threshold: 4,
-        merge_mode: mode,
         // A tiny stack bound keeps crash images exercising run-stack
         // folds between the kill points.
         max_runs: 2,
         wal_dir: None,
-        fsync,
     }
 }
 
 /// Run `schedule` against a fresh durable store on `fault`, returning
 /// how many runs were acknowledged (returned) strictly before the
-/// kill point was reached. The store is dropped un-cleanly ignored —
-/// the crash image was already captured.
+/// kill point was reached. With `quiesce_each_run`, every run's merge
+/// is published before the next run starts. The store is dropped
+/// un-cleanly ignored — the crash image was already captured.
+///
+/// The count may read one low: when the merger's first operation is
+/// the kill point and it runs before `apply_write_run_with` returns,
+/// the run is counted as unacknowledged though its record was already
+/// synced. A lower count only weakens the check, never fails it.
 fn run_until_crash(
     fault: &Arc<FaultFs>,
     seed: &[(u64, u64)],
-    cfg: StoreConfig,
     schedule: &Schedule,
+    quiesce_each_run: bool,
 ) -> usize {
     let fs: Arc<dyn Fs> = Arc::clone(fault) as Arc<dyn Fs>;
-    let store = ShardedStore::build_with_fs(Backend::Sorted, SHARDS, seed, cfg, fs);
+    let store = ShardedStore::build_with_fs(Backend::Sorted, SHARDS, seed, store_cfg(), fs);
     let mut prevs = Vec::new();
     let mut acked = 0usize;
     for run in schedule {
         store.apply_write_run_with(run, &mut prevs, &mut WriteScratch::default());
         if !fault.killed() {
             acked += 1;
+        }
+        if quiesce_each_run {
+            store.quiesce();
         }
     }
     store.quiesce();
@@ -137,7 +154,7 @@ fn check_prefix_property(
         }
         let states = oracle_states(&seed_s, &ops_s);
         // Guaranteed durable: every op of every acked run (ack ⇒
-        // durable) — unless fsyncs were off or dropped, where only
+        // durable) — unless the disk dropped fsyncs, where only
         // the empty prefix is promised.
         let j_min = if fsync_honored {
             run_of_op.iter().filter(|&&r| r < acked_runs).count()
@@ -222,27 +239,37 @@ fn recover_and_check(
     Ok(())
 }
 
-/// One end-to-end crash case: run `schedule` with `plan` armed, crash
-/// (at the kill point, or at end-of-run power loss if the kill point
-/// was never reached), recover, check.
-fn crash_case(
+/// Run `schedule` with `plan` armed and crash: at the kill point, or
+/// at end-of-run power loss if the kill point was never reached.
+/// Returns the crash image and the runs acknowledged before it.
+fn crash_image(
     seed: &[(u64, u64)],
-    fsync: FsyncMode,
-    mode: MergeMode,
     schedule: &Schedule,
     plan: FaultPlan,
-) -> Result<(), String> {
+    quiesce_each_run: bool,
+) -> (MemFs, usize) {
     let fault = Arc::new(FaultFs::new(plan));
-    let cfg = store_cfg(fsync, mode);
-    let acked = run_until_crash(&fault, seed, cfg.clone(), schedule);
-    let (image, acked) = match fault.take_crash_image() {
+    let acked = run_until_crash(&fault, seed, schedule, quiesce_each_run);
+    match fault.take_crash_image() {
         Some(image) => (image, acked),
         // Kill point past the schedule: pull the plug after the final
         // run instead. Every run was acked by then.
         None => (fault.crash_now(), schedule.len()),
-    };
-    let fsync_honored = fsync != FsyncMode::Off && !plan.drop_syncs;
-    recover_and_check(image, seed, cfg, schedule, acked, fsync_honored)
+    }
+}
+
+/// One end-to-end crash case: crash (see [`crash_image`]), recover,
+/// check. An error names the acknowledged run count it was checked
+/// against.
+fn crash_case(
+    seed: &[(u64, u64)],
+    schedule: &Schedule,
+    plan: FaultPlan,
+    quiesce_each_run: bool,
+) -> Result<(), String> {
+    let (image, acked) = crash_image(seed, schedule, plan, quiesce_each_run);
+    recover_and_check(image, seed, store_cfg(), schedule, acked, !plan.drop_syncs)
+        .map_err(|e| format!("acked {acked}: {e}"))
 }
 
 /// 80 pairs, about 40 a shard: with `store_cfg`'s threshold of 4 a
@@ -274,53 +301,76 @@ fn fixed_schedule() -> Schedule {
     runs
 }
 
-/// Count the file-system operations the fixed schedule performs, so
-/// the matrix can kill at every single one.
-fn fixed_schedule_ops(fsync: FsyncMode, mode: MergeMode) -> u64 {
+/// The fixed schedule with every run split into one run per shard it
+/// touches, in the order `apply_write_run_with` applies them (shard by
+/// shard, each keeping its ops' order): the same ops reach each shard
+/// in the same order, but a run never touches two shards, so with a
+/// quiesce after each run no merge overlaps a write.
+fn single_shard_schedule() -> Schedule {
+    let route = ShardedStore::build(Backend::Sorted, SHARDS, &[]);
+    let mut runs = Schedule::new();
+    for run in fixed_schedule() {
+        for shard in 0..SHARDS {
+            let part: Vec<_> = run
+                .iter()
+                .copied()
+                .filter(|&(k, _)| route.shard_of(k) == shard)
+                .collect();
+            if !part.is_empty() {
+                runs.push(part);
+            }
+        }
+    }
+    runs
+}
+
+/// Count the file-system operations the single-shard schedule performs
+/// when quiesced after each run, so the matrix can kill at every
+/// single one.
+fn single_shard_schedule_ops() -> u64 {
     let fault = Arc::new(FaultFs::new(FaultPlan::default()));
-    let seed = fixed_seed();
-    run_until_crash(&fault, &seed, store_cfg(fsync, mode), &fixed_schedule());
+    run_until_crash(&fault, &fixed_seed(), &single_shard_schedule(), true);
     fault.ops_done()
 }
 
 /// The matrix below is only worth its name if the fixed schedule takes
-/// the store through both kinds of merge, repeatedly, in every mode it
-/// is killed in.
+/// the store through both kinds of merge, repeatedly, in both the
+/// forms it is killed in.
 #[test]
 fn fixed_schedule_crosses_both_kinds_of_merge() {
-    for mode in [MergeMode::Foreground, MergeMode::Background] {
+    for (name, schedule) in [
+        ("fixed", fixed_schedule()),
+        ("single-shard", single_shard_schedule()),
+    ] {
         let fs: Arc<dyn Fs> = Arc::new(MemFs::new());
-        let store = ShardedStore::build_with_fs(
-            Backend::Sorted,
-            SHARDS,
-            &fixed_seed(),
-            store_cfg(FsyncMode::Group, mode),
-            fs,
-        );
+        let store =
+            ShardedStore::build_with_fs(Backend::Sorted, SHARDS, &fixed_seed(), store_cfg(), fs);
         let mut prevs = Vec::new();
         let mut longest_mid = 0;
-        for run in &fixed_schedule() {
+        for run in &schedule {
             store.apply_write_run_with(run, &mut prevs, &mut WriteScratch::default());
             store.quiesce();
             longest_mid = longest_mid.max(store.mid_len());
         }
         let (all, major) = (store.merges(), store.major_merges());
-        assert!(major >= 2 * SHARDS as u64, "{mode:?}: {major} major");
-        assert!(all >= 3 * major, "{mode:?}: {major} major of {all}");
+        assert!(major >= 2 * SHARDS as u64, "{name}: {major} major");
+        assert!(all >= 3 * major, "{name}: {major} major of {all}");
         // What the mid tiers hold is in the logs, and nowhere else.
-        assert!(longest_mid > 2 * 4, "{mode:?}: {longest_mid}");
+        assert!(longest_mid > 2 * 4, "{name}: {longest_mid}");
     }
 }
 
-/// Deterministic fault matrix: the fixed schedule killed at **every**
-/// fs-operation index, for the interesting tear variants. Covers each
-/// protocol point — mid-append, between append and fsync, between
-/// snapshot rename and WAL rewrite, mid-init — without sampling.
+/// Deterministic fault matrix: the single-shard schedule, quiesced
+/// after each run, killed at **every** fs-operation index, for the
+/// interesting tear variants. Covers each protocol point — mid-append,
+/// between append and fsync, mid-snapshot, between snapshot rename and
+/// WAL rewrite, mid-init — without sampling. A run is acked before its
+/// merge starts, so a kill inside that merge must keep it.
 #[test]
-fn kill_at_every_protocol_point_foreground() {
+fn kill_at_every_protocol_point() {
     let seed = fixed_seed();
-    let schedule = fixed_schedule();
-    let total = fixed_schedule_ops(FsyncMode::Group, MergeMode::Foreground);
+    let schedule = single_shard_schedule();
+    let total = single_shard_schedule_ops();
     assert!(total > 50, "schedule too small to be interesting: {total}");
     for kill in 0..total {
         for (tear, flip) in [(0u8, false), (4, false), (4, true), (8, false)] {
@@ -330,15 +380,48 @@ fn kill_at_every_protocol_point_foreground() {
                 tear_keep_eighths: tear,
                 flip_torn_bit: flip,
             };
-            crash_case(
-                &seed,
-                FsyncMode::Group,
-                MergeMode::Foreground,
-                &schedule,
-                plan,
-            )
-            .unwrap_or_else(|e| panic!("kill@{kill} tear={tear} flip={flip}: {e}"));
+            crash_case(&seed, &schedule, plan, true)
+                .unwrap_or_else(|e| panic!("kill@{kill} tear={tear} flip={flip}: {e}"));
         }
+    }
+}
+
+/// The matrix is deterministic: killed at the same index, two runs of
+/// the quiesced single-shard schedule leave the same crash image —
+/// the same files with the same bytes. Only the acked count may differ,
+/// by one (see [`run_until_crash`]).
+#[test]
+fn quiesced_crash_images_are_identical_across_runs() {
+    let seed = fixed_seed();
+    let schedule = single_shard_schedule();
+    let files = |image: &MemFs| -> Vec<(String, Vec<u8>)> {
+        let mut names = image.list().expect("list crash image");
+        names.sort_unstable();
+        names
+            .into_iter()
+            .map(|name| {
+                let bytes = image.read(&name).expect("read crash image");
+                (name, bytes)
+            })
+            .collect()
+    };
+    for kill in 0..single_shard_schedule_ops() {
+        let plan = FaultPlan {
+            kill_at_op: Some(kill),
+            drop_syncs: false,
+            tear_keep_eighths: 4,
+            flip_torn_bit: false,
+        };
+        let (first, acked_first) = crash_image(&seed, &schedule, plan, true);
+        let (second, acked_second) = crash_image(&seed, &schedule, plan, true);
+        assert!(
+            acked_first.abs_diff(acked_second) <= 1,
+            "kill@{kill}: acked {acked_first} vs {acked_second}"
+        );
+        assert!(
+            files(&first) == files(&second),
+            "kill@{kill}: crash images differ (acked {acked_first} vs {acked_second})"
+        );
     }
 }
 
@@ -347,30 +430,23 @@ fn kill_at_every_protocol_point_foreground() {
 #[test]
 fn dropped_fsyncs_still_recover_a_consistent_prefix() {
     let seed = fixed_seed();
-    let schedule = fixed_schedule();
-    let total = fixed_schedule_ops(FsyncMode::Group, MergeMode::Foreground);
-    for kill in (0..total).step_by(5) {
+    let schedule = single_shard_schedule();
+    for kill in (0..single_shard_schedule_ops()).step_by(5) {
         let plan = FaultPlan {
             kill_at_op: Some(kill),
             drop_syncs: true,
             tear_keep_eighths: 3,
             flip_torn_bit: true,
         };
-        crash_case(
-            &seed,
-            FsyncMode::Group,
-            MergeMode::Foreground,
-            &schedule,
-            plan,
-        )
-        .unwrap_or_else(|e| panic!("kill@{kill}: {e}"));
+        crash_case(&seed, &schedule, plan, true).unwrap_or_else(|e| panic!("kill@{kill}: {e}"));
     }
 }
 
-/// Background-merge mode: the merger thread's snapshot/truncate ops
-/// interleave with write-path appends, so kill points land inside the
-/// concurrent protocol too. (Kill indices are sampled; exact op
-/// counts vary run to run with merge timing.)
+/// Unquiesced: runs touch both shards and merges race the next writes,
+/// so the merger's snapshot/truncate ops interleave with write-path
+/// appends and kill points land inside the concurrent protocol too.
+/// (Kill indices are sampled; exact op counts vary run to run with
+/// merge timing.)
 #[test]
 fn kill_points_with_background_merges() {
     let seed = fixed_seed();
@@ -382,14 +458,7 @@ fn kill_points_with_background_merges() {
             tear_keep_eighths: 4,
             flip_torn_bit: false,
         };
-        crash_case(
-            &seed,
-            FsyncMode::Group,
-            MergeMode::Background,
-            &schedule,
-            plan,
-        )
-        .unwrap_or_else(|e| panic!("kill@{kill}: {e}"));
+        crash_case(&seed, &schedule, plan, false).unwrap_or_else(|e| panic!("kill@{kill}: {e}"));
     }
 }
 
@@ -409,9 +478,11 @@ fn schedule_strategy() -> impl Strategy<Value = Schedule> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(if cfg!(miri) { 2 } else { 48 }))]
 
-    /// Random schedules × random kill points × random fault plans ×
-    /// both fsync modes: every acked write survives (when fsyncs are
-    /// honored) and no crash image ever recovers to a non-prefix.
+    /// Random schedules × random kill points × random fault plans,
+    /// merges quiesced after each run or racing the writes: every
+    /// acked write survives (when fsyncs are honored; a lying disk
+    /// covers an acked write no fsync made durable) and no crash image
+    /// ever recovers to a non-prefix.
     #[test]
     fn kill_and_revive_matches_an_oracle_prefix(
         schedule in schedule_strategy(),
@@ -419,19 +490,16 @@ proptest! {
         tear in 0u8..=8,
         flip in prop_oneof![Just(false), Just(true)],
         drop_syncs in prop_oneof![Just(false), Just(true)],
-        mode_fg in prop_oneof![Just(false), Just(true)],
-        fsync_pick in 0u8..2,
+        quiesce_each_run in prop_oneof![Just(false), Just(true)],
     ) {
         let seed = fixed_seed();
-        let fsync = FsyncMode::ALL[fsync_pick as usize];
-        let mode = if mode_fg { MergeMode::Foreground } else { MergeMode::Background };
         let plan = FaultPlan {
             kill_at_op: Some(kill),
             drop_syncs,
             tear_keep_eighths: tear,
             flip_torn_bit: flip,
         };
-        if let Err(e) = crash_case(&seed, fsync, mode, &schedule, plan) {
+        if let Err(e) = crash_case(&seed, &schedule, plan, quiesce_each_run) {
             prop_assert!(false, "{e}");
         }
     }
@@ -441,127 +509,105 @@ proptest! {
 /// merges leave it alone). Recovery installs what it replays as the
 /// mid tier, merges nothing, and every acknowledged write reads back;
 /// only a replay that is already due for a major merge gets one — at
-/// once, in either merge mode.
+/// once.
 #[test]
 fn recovery_installs_a_long_wal_as_the_mid_tier() {
     // One shard of 400 pairs: at threshold 4 the mid is due at 40
     // entries, at threshold 1 at 20.
     let seed: Vec<(u64, u64)> = (0..400u64).map(|i| (i * 3, i)).collect();
-    let cfg = |threshold: usize, mode: MergeMode| StoreConfig {
+    let cfg = |threshold: usize| StoreConfig {
         merge_threshold: threshold,
-        merge_mode: mode,
         ..StoreConfig::default()
     };
-    for mode in [MergeMode::Background, MergeMode::Foreground] {
-        let fs = Arc::new(MemFs::new());
-        let mut oracle: HashMap<u64, u64> = seed.iter().copied().collect();
-        {
-            let store = ShardedStore::build_with_fs(
-                Backend::Csb,
-                1,
-                &seed,
-                cfg(4, mode),
-                Arc::clone(&fs) as Arc<dyn Fs>,
-            );
-            for i in 0..30u64 {
-                if i % 5 == 0 {
-                    assert_eq!(store.remove(i * 3), oracle.remove(&(i * 3)));
-                } else {
-                    assert_eq!(store.put(10_000 + i, i), oracle.insert(10_000 + i, i));
-                }
-            }
-            store.quiesce();
-            // Foreground: seven minor merges, 28 entries in the mid.
-            // The merger may have taken several thresholds at a time.
-            assert!(store.merges() >= 1 && store.major_merges() == 0);
-            assert_eq!(store.mid_len() + store.delta_len(), 30);
-            assert!(store.delta_len() < 4);
-        }
-        let read_back = |store: &ShardedStore, tag: &str| {
-            assert_eq!(store.len(), oracle.len(), "{mode:?} {tag}");
-            for i in 0..30u64 {
-                for key in [i * 3, 10_000 + i] {
-                    assert_eq!(store.get(key), oracle.get(&key).copied(), "{mode:?} {tag}");
-                }
-            }
-        };
-        let store = ShardedStore::recover_with_fs(
+    let fs = Arc::new(MemFs::new());
+    let mut oracle: HashMap<u64, u64> = seed.iter().copied().collect();
+    {
+        let store = ShardedStore::build_with_fs(
             Backend::Csb,
-            cfg(4, mode),
+            1,
+            &seed,
+            cfg(4),
             Arc::clone(&fs) as Arc<dyn Fs>,
-        )
-        .expect("recover");
-        store.quiesce();
-        assert_eq!(store.merges(), 0, "{mode:?}: 30 of 40, nothing is due");
-        assert_eq!((store.mid_len(), store.delta_len()), (30, 0));
-        read_back(&store, "as the mid tier");
-        drop(store);
-        let store = ShardedStore::recover_with_fs(Backend::Csb, cfg(1, mode), fs as Arc<dyn Fs>)
-            .expect("recover");
-        store.quiesce();
-        assert_eq!(
-            (store.merges(), store.major_merges()),
-            (1, 1),
-            "{mode:?}: 30 of 20"
         );
-        assert_eq!((store.mid_len(), store.delta_len()), (0, 0));
-        read_back(&store, "merged at once");
+        for i in 0..30u64 {
+            if i % 5 == 0 {
+                assert_eq!(store.remove(i * 3), oracle.remove(&(i * 3)));
+            } else {
+                assert_eq!(store.put(10_000 + i, i), oracle.insert(10_000 + i, i));
+            }
+        }
+        store.quiesce();
+        // The merger may have taken several thresholds at a time.
+        assert!(store.merges() >= 1 && store.major_merges() == 0);
+        assert_eq!(store.mid_len() + store.delta_len(), 30);
+        assert!(store.delta_len() < 4);
     }
+    let read_back = |store: &ShardedStore, tag: &str| {
+        assert_eq!(store.len(), oracle.len(), "{tag}");
+        for i in 0..30u64 {
+            for key in [i * 3, 10_000 + i] {
+                assert_eq!(store.get(key), oracle.get(&key).copied(), "{tag}");
+            }
+        }
+    };
+    let store = ShardedStore::recover_with_fs(Backend::Csb, cfg(4), Arc::clone(&fs) as Arc<dyn Fs>)
+        .expect("recover");
+    store.quiesce();
+    assert_eq!(store.merges(), 0, "30 of 40, nothing is due");
+    assert_eq!((store.mid_len(), store.delta_len()), (30, 0));
+    read_back(&store, "as the mid tier");
+    drop(store);
+    let store =
+        ShardedStore::recover_with_fs(Backend::Csb, cfg(1), fs as Arc<dyn Fs>).expect("recover");
+    store.quiesce();
+    assert_eq!((store.merges(), store.major_merges()), (1, 1), "30 of 20");
+    assert_eq!((store.mid_len(), store.delta_len()), (0, 0));
+    read_back(&store, "merged at once");
 }
 
 /// Real-directory round trip: build durable on a DiskFs, write
 /// through a live service, shut down cleanly, recover, and serve
-/// again — values intact, including under `FsyncMode::Off` (clean
-/// shutdown flushes the WAL on drop).
+/// again — values intact.
 #[test]
 fn disk_roundtrip_through_the_service() {
-    for fsync in FsyncMode::ALL {
-        let dir = std::env::temp_dir().join(format!(
-            "isi-crash-recovery-{}-{}",
-            std::process::id(),
-            fsync.name()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        let cfg = StoreConfig::with_threshold(8).durable(&dir, fsync);
-        let seed: Vec<(u64, u64)> = (0..100u64).map(|i| (i * 3, i)).collect();
-        let serve_cfg = ServeConfig {
-            batch: BatchPolicy { max_batch: 8 },
-            ..ServeConfig::default()
-        };
-        {
-            let store = ShardedStore::build_with(Backend::Csb, SHARDS, &seed, cfg.clone());
-            assert!(store.is_durable());
-            let svc = LookupService::start(store, serve_cfg);
-            for i in 0..50u64 {
-                svc.put(1000 + i, i);
-            }
-            svc.remove(0);
-            svc.put(3, 777);
-            let (records, syncs) = svc.store().wal_stats();
-            assert!(records > 0, "writes must hit the WAL");
-            match fsync {
-                FsyncMode::Off => assert_eq!(syncs, 0),
-                _ => assert!(syncs > 0),
-            }
-            // svc (and with it the store) drops here: clean shutdown.
-        }
-        let recovered = ShardedStore::recover(Backend::Csb, cfg).expect("recover from disk");
-        assert_eq!(recovered.get(0), None);
-        assert_eq!(recovered.get(3), Some(777));
+    let dir = std::env::temp_dir().join(format!("isi-crash-recovery-{}-disk", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let cfg = StoreConfig::with_threshold(8).durable(&dir, FsyncMode::Group);
+    let seed: Vec<(u64, u64)> = (0..100u64).map(|i| (i * 3, i)).collect();
+    let serve_cfg = ServeConfig {
+        batch: BatchPolicy { max_batch: 8 },
+        ..ServeConfig::default()
+    };
+    {
+        let store = ShardedStore::build_with(Backend::Csb, SHARDS, &seed, cfg.clone());
+        assert!(store.is_durable());
+        let svc = LookupService::start(store, serve_cfg);
         for i in 0..50u64 {
-            assert_eq!(recovered.get(1000 + i), Some(i), "fsync={}", fsync.name());
+            svc.put(1000 + i, i);
         }
-        // 100 seeded + 50 fresh puts − removed key 0 (the put of 3
-        // overwrites a seeded key).
-        assert_eq!(recovered.len(), 100 + 50 - 1);
-        // And the revived store serves.
-        let svc = LookupService::start(recovered, serve_cfg);
-        assert_eq!(svc.get(1000), Some(0));
-        svc.put(5000, 1);
-        assert_eq!(svc.get(5000), Some(1));
-        drop(svc);
-        let _ = std::fs::remove_dir_all(&dir);
+        svc.remove(0);
+        svc.put(3, 777);
+        let (records, syncs) = svc.store().wal_stats();
+        assert!(records > 0, "writes must hit the WAL");
+        assert!(syncs > 0);
+        // svc (and with it the store) drops here: clean shutdown.
     }
+    let recovered = ShardedStore::recover(Backend::Csb, cfg).expect("recover from disk");
+    assert_eq!(recovered.get(0), None);
+    assert_eq!(recovered.get(3), Some(777));
+    for i in 0..50u64 {
+        assert_eq!(recovered.get(1000 + i), Some(i));
+    }
+    // 100 seeded + 50 fresh puts − removed key 0 (the put of 3
+    // overwrites a seeded key).
+    assert_eq!(recovered.len(), 100 + 50 - 1);
+    // And the revived store serves.
+    let svc = LookupService::start(recovered, serve_cfg);
+    assert_eq!(svc.get(1000), Some(0));
+    svc.put(5000, 1);
+    assert_eq!(svc.get(5000), Some(1));
+    drop(svc);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// `build_with` on a directory that already holds a store supersedes
@@ -640,13 +686,7 @@ impl Fs for SlowSyncFs {
 #[test]
 fn group_commit_amortizes_fsyncs_through_the_service() {
     let fs: Arc<dyn Fs> = Arc::new(SlowSyncFs(MemFs::new()));
-    let store = ShardedStore::build_with_fs(
-        Backend::Sorted,
-        1,
-        &[],
-        store_cfg(FsyncMode::Group, MergeMode::Background),
-        fs,
-    );
+    let store = ShardedStore::build_with_fs(Backend::Sorted, 1, &[], store_cfg(), fs);
     let svc = LookupService::start(
         store,
         ServeConfig {
