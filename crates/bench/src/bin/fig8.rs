@@ -11,14 +11,11 @@ use isi_columnstore::{
 };
 use isi_core::stats::time_avg;
 
-use isi_bench::{banner, packed_codes, size_sweep_mb, HarnessCfg};
+use isi_bench::{banner, env_positive, packed_codes, size_sweep_mb, HarnessCfg};
 
 fn main() {
     let cfg = HarnessCfg::from_env();
-    let rows: usize = std::env::var("ISI_ROWS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(4_000_000);
+    let rows = env_positive("ISI_ROWS", 4_000_000);
     banner(
         "Figure 8: IN-predicate queries, Main and Delta parts (ms)",
         &cfg,

@@ -12,14 +12,11 @@
 
 use isi_bench::sim::{scan_cycles, SimBench, SimDeltaBench};
 use isi_bench::wall::SearchImpl;
-use isi_bench::{banner, HarnessCfg};
+use isi_bench::{banner, env_positive, HarnessCfg};
 
 fn main() {
     let cfg = HarnessCfg::from_env();
-    let rows: usize = std::env::var("ISI_ROWS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(4_000_000);
+    let rows = env_positive("ISI_ROWS", 4_000_000);
     banner("Table 1: execution details of locate (simulated)", &cfg);
     println!(
         "# sizes: 1 MB vs {} MB (paper: 1 MB vs 2048 MB); rows={rows}",

@@ -31,9 +31,11 @@
 //! and the out-of-cache point of `table1`/`table2`, default 256),
 //! `ISI_LOOKUPS` (lookup-list length, default 10000),
 //! `ISI_REPS` (wall-clock repetitions, default 3), `ISI_GROUPS`
-//! ("gp,amac,coro" group sizes, default "10,6,6"), `ISI_FIG7_WALL`
+//! ("gp,amac,coro" group sizes, default "10,6,6"), `ISI_ROWS` (rows of
+//! the `fig1`/`fig8`/`table1` column, default 4 M), `ISI_FIG7_WALL`
 //! (set to anything: `fig7` adds its wall-clock sweep over
-//! [`wall::GROUPS`]).
+//! [`wall::GROUPS`]). A numeric knob that is set must be a positive
+//! integer; anything else stops the binary with a message naming it.
 //!
 //! [`json`] has no caller left in this crate: the repo benchmark
 //! (`benchmark/`, its own workspace) reads `BENCHMARK.json` and its
@@ -65,31 +67,46 @@ pub struct HarnessCfg {
     pub ghz: Option<f64>,
 }
 
-fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
 impl HarnessCfg {
     /// Parse configuration from `ISI_*` environment variables and
-    /// calibrate the cycle counter.
+    /// calibrate the cycle counter. Exits with a message naming the
+    /// variable when one is set to a value the parse rejects (see
+    /// [`env_positive`]; `ISI_GROUPS` takes one to three positive
+    /// integers separated by commas).
     pub fn from_env() -> Self {
-        let groups_raw = std::env::var("ISI_GROUPS").unwrap_or_else(|_| "10,6,6".into());
-        let mut it = groups_raw.split(',').filter_map(|s| s.trim().parse().ok());
-        let groups = (
-            it.next().unwrap_or(10),
-            it.next().unwrap_or(6),
-            it.next().unwrap_or(6),
-        );
+        let cfg = Self::parse(|name| std::env::var(name).ok()).unwrap_or_else(|e| exit_with(&e));
         Self {
-            max_mb: env_usize("ISI_MAX_MB", 256),
-            lookups: env_usize("ISI_LOOKUPS", 10_000),
-            reps: env_usize("ISI_REPS", 3),
-            groups,
             ghz: isi_core::stats::calibrate_tsc(Duration::from_millis(50)),
+            ..cfg
         }
+    }
+
+    /// The settings `var` (an environment lookup) gives, without the
+    /// TSC calibration. `ISI_GROUPS` positions are GP, AMAC, CORO, each
+    /// parsed on its own; an absent trailing position keeps its default.
+    fn parse(var: impl Fn(&str) -> Option<String>) -> Result<Self, String> {
+        let mut groups = [10, 6, 6];
+        if let Some(raw) = var("ISI_GROUPS") {
+            let parts: Vec<&str> = raw.split(',').collect();
+            if parts.len() > groups.len() {
+                return Err(format!(
+                    "ISI_GROUPS={raw:?}: expected at most three group sizes (GP,AMAC,CORO)"
+                ));
+            }
+            for (i, (slot, part)) in groups.iter_mut().zip(parts).enumerate() {
+                *slot = positive("ISI_GROUPS", part)
+                    .map_err(|e| format!("{e} (position {} of {raw:?})", i + 1))?;
+            }
+        }
+        let setting =
+            |name: &str, default: usize| var(name).map_or(Ok(default), |raw| positive(name, &raw));
+        Ok(Self {
+            max_mb: setting("ISI_MAX_MB", 256)?,
+            lookups: setting("ISI_LOOKUPS", 10_000)?,
+            reps: setting("ISI_REPS", 3)?,
+            groups: (groups[0], groups[1], groups[2]),
+            ghz: None,
+        })
     }
 
     /// Cycles per nanosecond, falling back to the nominal 2.1 GHz of
@@ -97,6 +114,28 @@ impl HarnessCfg {
     pub fn cycles_per_ns(&self) -> f64 {
         self.ghz.unwrap_or(2.1)
     }
+}
+
+/// Environment variable `name` as a positive integer, `default` when
+/// unset. Exits with a message naming `name` when it is set to
+/// anything else.
+pub fn env_positive(name: &str, default: usize) -> usize {
+    std::env::var(name)
+        .ok()
+        .map_or(Ok(default), |raw| positive(name, &raw))
+        .unwrap_or_else(|e| exit_with(&e))
+}
+
+fn positive(name: &str, raw: &str) -> Result<usize, String> {
+    match raw.trim().parse() {
+        Ok(v) if v > 0 => Ok(v),
+        _ => Err(format!("{name}={raw:?}: expected a positive integer")),
+    }
+}
+
+fn exit_with(msg: &str) -> ! {
+    eprintln!("error: {msg}");
+    std::process::exit(2)
 }
 
 /// The paper's size ladder: 1, 2, 4, ... MB up to `max_mb`.
@@ -156,5 +195,43 @@ mod tests {
         assert!(cfg.lookups >= 1);
         assert!(cfg.reps >= 1);
         assert!(cfg.cycles_per_ns() > 0.1);
+    }
+
+    fn parse(vars: &[(&str, &str)]) -> Result<HarnessCfg, String> {
+        HarnessCfg::parse(|name| {
+            vars.iter()
+                .find(|(n, _)| *n == name)
+                .map(|(_, v)| v.to_string())
+        })
+    }
+
+    #[test]
+    fn unset_variables_keep_their_defaults() {
+        let cfg = parse(&[]).unwrap();
+        assert_eq!((cfg.max_mb, cfg.lookups, cfg.reps), (256, 10_000, 3));
+        assert_eq!(cfg.groups, (10, 6, 6));
+    }
+
+    #[test]
+    fn each_group_position_is_parsed_on_its_own() {
+        let cfg = parse(&[("ISI_GROUPS", "12, 8,4"), ("ISI_REPS", "5")]).unwrap();
+        assert_eq!(cfg.groups, (12, 8, 4));
+        assert_eq!(cfg.reps, 5);
+        assert_eq!(parse(&[("ISI_GROUPS", "16")]).unwrap().groups, (16, 6, 6));
+        // A malformed middle entry used to be skipped, shifting 8 onto AMAC.
+        let err = parse(&[("ISI_GROUPS", "10,x,8")]).unwrap_err();
+        assert!(err.starts_with("ISI_GROUPS="), "{err}");
+        assert!(parse(&[("ISI_GROUPS", "10,,8")]).is_err());
+        assert!(parse(&[("ISI_GROUPS", "10,6,6,6")]).is_err());
+    }
+
+    #[test]
+    fn zero_or_malformed_values_are_rejected_by_name() {
+        for name in ["ISI_MAX_MB", "ISI_LOOKUPS", "ISI_REPS", "ISI_GROUPS"] {
+            for bad in ["0", "-1", "many", ""] {
+                let err = parse(&[(name, bad)]).unwrap_err();
+                assert!(err.starts_with(&format!("{name}=")), "{err}");
+            }
+        }
     }
 }

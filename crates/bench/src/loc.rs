@@ -24,7 +24,7 @@ const CORO_SRC: &str = include_str!("../../search/src/coro.rs");
 ///
 /// # Panics
 /// Panics if the markers are missing (the analysis would silently lie).
-pub fn region(src: &str, name: &str) -> Vec<String> {
+pub(crate) fn region(src: &str, name: &str) -> Vec<String> {
     let begin = format!("[table5:{name}:begin]");
     let end = format!("[table5:{name}:end]");
     let mut in_region = false;
@@ -51,13 +51,13 @@ fn is_code(line: &str) -> bool {
 }
 
 /// Count code lines in a region.
-pub fn loc(lines: &[String]) -> usize {
+pub(crate) fn loc(lines: &[String]) -> usize {
     lines.iter().filter(|l| is_code(l)).count()
 }
 
 /// Code lines of `lines` not present in `baseline` (whitespace-
 /// normalized multiset difference — re-used lines count once each).
-pub fn diff_to_original(lines: &[String], baseline: &[String]) -> usize {
+pub(crate) fn diff_to_original(lines: &[String], baseline: &[String]) -> usize {
     let mut base: std::collections::HashMap<String, usize> = std::collections::HashMap::new();
     for l in baseline.iter().filter(|l| is_code(l)) {
         *base.entry(normalize(l)).or_default() += 1;

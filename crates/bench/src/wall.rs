@@ -46,7 +46,12 @@ impl SearchImpl {
 /// Run one bulk lookup of `lookups` against `table` with `impl_`.
 /// The output buffer is supplied by the caller to keep allocation out of
 /// the measurement.
-pub fn run_bulk<K: SearchKey>(table: &[K], lookups: &[K], impl_: SearchImpl, out: &mut [u32]) {
+pub(crate) fn run_bulk<K: SearchKey>(
+    table: &[K],
+    lookups: &[K],
+    impl_: SearchImpl,
+    out: &mut [u32],
+) {
     let mem = DirectMem::new(table);
     match impl_ {
         SearchImpl::Std => bulk_rank_branchy(&mem, lookups, out),
@@ -61,7 +66,7 @@ pub fn run_bulk<K: SearchKey>(table: &[K], lookups: &[K], impl_: SearchImpl, out
 
 /// Average wall time per full bulk run over `reps` repetitions (after
 /// one warm-up run), matching the paper's average-of-N methodology.
-pub fn measure<K: SearchKey>(
+pub(crate) fn measure<K: SearchKey>(
     table: &[K],
     lookups: &[K],
     impl_: SearchImpl,

@@ -89,7 +89,7 @@ const ALPHABET: &[u8] = b"0123456789abcdefghijklmnopqrstuvwxyz";
 
 /// Encode a decision sequence as a replay-seed string ("-" when the
 /// execution had no decision points at all).
-pub fn encode_seed(schedule: &[u8]) -> String {
+pub(crate) fn encode_seed(schedule: &[u8]) -> String {
     if schedule.is_empty() {
         return "-".to_string();
     }
@@ -100,7 +100,7 @@ pub fn encode_seed(schedule: &[u8]) -> String {
 }
 
 /// Decode a replay-seed string; `Err` names the offending character.
-pub fn decode_seed(seed: &str) -> Result<Vec<u8>, String> {
+pub(crate) fn decode_seed(seed: &str) -> Result<Vec<u8>, String> {
     if seed == "-" {
         return Ok(Vec::new());
     }

@@ -60,4 +60,4 @@ mod rt;
 pub mod sync;
 pub mod vt;
 
-pub use explore::{check, explore, explore_random, replay, Config, Outcome, Violation};
+pub use explore::{check, explore, explore_random, replay, Config, Outcome};

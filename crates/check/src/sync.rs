@@ -30,10 +30,10 @@ use std::sync::{RwLock as StdRwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use crate::rt::{self, Controller, Resource};
 
-/// Re-exported so models can `use isi_check::sync::Ordering` the way
+/// Re-exported so models can `use crate::sync::Ordering` the way
 /// real code uses `std::sync::atomic::Ordering` (the value is ignored
 /// — see the [module docs](self)).
-pub use std::sync::atomic::Ordering;
+pub(crate) use std::sync::atomic::Ordering;
 
 /// A mutual-exclusion lock whose acquire is a scheduling point and
 /// whose contention parks the virtual thread in the model runtime.
@@ -104,27 +104,27 @@ impl<T> Drop for MutexGuard<'_, T> {
 }
 
 /// A readers-writer lock with model-level scheduling (see [`Mutex`]).
-pub struct RwLock<T> {
+pub(crate) struct RwLock<T> {
     ctl: Arc<Controller>,
     id: usize,
     data: StdRwLock<T>,
 }
 
 /// Shared-access guard for [`RwLock`].
-pub struct ReadGuard<'a, T> {
+pub(crate) struct ReadGuard<'a, T> {
     lock: &'a RwLock<T>,
     inner: Option<RwLockReadGuard<'a, T>>,
 }
 
 /// Exclusive-access guard for [`RwLock`].
-pub struct WriteGuard<'a, T> {
+pub(crate) struct WriteGuard<'a, T> {
     lock: &'a RwLock<T>,
     inner: Option<RwLockWriteGuard<'a, T>>,
 }
 
 impl<T> RwLock<T> {
     /// Create a model rwlock (must run inside a model execution).
-    pub fn new(value: T) -> Self {
+    pub(crate) fn new(value: T) -> Self {
         let (ctl, _) = rt::current();
         let id = ctl.alloc_resource(Resource::RwLock {
             readers: 0,
@@ -139,7 +139,7 @@ impl<T> RwLock<T> {
     }
 
     /// Shared-acquire; parks while a writer holds the lock.
-    pub fn read(&self) -> ReadGuard<'_, T> {
+    pub(crate) fn read(&self) -> ReadGuard<'_, T> {
         let (ctl, tid) = rt::current();
         ctl.rwlock_lock(tid, self.id, false);
         ReadGuard {
@@ -149,7 +149,7 @@ impl<T> RwLock<T> {
     }
 
     /// Exclusive-acquire; parks while any reader or writer holds it.
-    pub fn write(&self) -> WriteGuard<'_, T> {
+    pub(crate) fn write(&self) -> WriteGuard<'_, T> {
         let (ctl, tid) = rt::current();
         ctl.rwlock_lock(tid, self.id, true);
         WriteGuard {
@@ -195,13 +195,13 @@ impl<T> Drop for WriteGuard<'_, T> {
 
 /// A condition variable whose wait/notify orderings the explorer
 /// enumerates.
-pub struct Condvar {
+pub(crate) struct Condvar {
     id: usize,
 }
 
 impl Condvar {
     /// Create a model condvar (must run inside a model execution).
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         let (ctl, _) = rt::current();
         let id = ctl.alloc_resource(Resource::Condvar {
             waiters: Vec::new(),
@@ -210,7 +210,7 @@ impl Condvar {
     }
 
     /// Release `guard`'s mutex, park until notified, reacquire.
-    pub fn wait<'a, T>(&self, mut guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
+    pub(crate) fn wait<'a, T>(&self, mut guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
         let (ctl, tid) = rt::current();
         let mutex = guard.lock;
         // Drop the data lock, atomically release the model lock and
@@ -223,13 +223,13 @@ impl Condvar {
     }
 
     /// Wake one waiter. Which one is a scheduling decision.
-    pub fn notify_one(&self) {
+    pub(crate) fn notify_one(&self) {
         let (ctl, tid) = rt::current();
         ctl.condvar_notify(tid, self.id, false);
     }
 
     /// Wake every waiter.
-    pub fn notify_all(&self) {
+    pub(crate) fn notify_all(&self) {
         let (ctl, tid) = rt::current();
         ctl.condvar_notify(tid, self.id, true);
     }
@@ -243,82 +243,42 @@ impl Default for Condvar {
 
 /// Model atomics: every access is a scheduling point; all orderings
 /// execute as sequentially consistent (see the [module docs](self)).
-pub mod atomic {
+pub(crate) mod atomic {
     use super::Ordering;
     use crate::rt;
 
-    macro_rules! model_atomic {
-        ($name:ident, $prim:ty, $std:ty) => {
-            /// A model atomic (see the [module docs](super)).
-            pub struct $name {
-                v: $std,
-            }
-
-            impl $name {
-                /// Wrap an initial value (no scheduling point).
-                pub fn new(v: $prim) -> Self {
-                    Self { v: <$std>::new(v) }
-                }
-
-                /// Atomic load (scheduling point; SeqCst).
-                pub fn load(&self, _order: Ordering) -> $prim {
-                    let (ctl, tid) = rt::current();
-                    ctl.sched_point(tid);
-                    self.v.load(Ordering::SeqCst)
-                }
-
-                /// Atomic store (scheduling point; SeqCst).
-                pub fn store(&self, val: $prim, _order: Ordering) {
-                    let (ctl, tid) = rt::current();
-                    ctl.sched_point(tid);
-                    self.v.store(val, Ordering::SeqCst);
-                }
-
-                /// Atomic fetch-add (scheduling point; SeqCst).
-                pub fn fetch_add(&self, val: $prim, _order: Ordering) -> $prim {
-                    let (ctl, tid) = rt::current();
-                    ctl.sched_point(tid);
-                    self.v.fetch_add(val, Ordering::SeqCst)
-                }
-
-                /// Atomic swap (scheduling point; SeqCst).
-                pub fn swap(&self, val: $prim, _order: Ordering) -> $prim {
-                    let (ctl, tid) = rt::current();
-                    ctl.sched_point(tid);
-                    self.v.swap(val, Ordering::SeqCst)
-                }
-            }
-        };
+    /// A model `AtomicU64` (see the [module docs](super)).
+    pub(crate) struct AtomicU64 {
+        v: std::sync::atomic::AtomicU64,
     }
 
-    model_atomic!(AtomicU64, u64, std::sync::atomic::AtomicU64);
-    model_atomic!(AtomicUsize, usize, std::sync::atomic::AtomicUsize);
-
-    /// A model atomic boolean (see the [module docs](super)).
-    pub struct AtomicBool {
-        v: std::sync::atomic::AtomicBool,
-    }
-
-    impl AtomicBool {
+    impl AtomicU64 {
         /// Wrap an initial value (no scheduling point).
-        pub fn new(v: bool) -> Self {
+        pub(crate) fn new(v: u64) -> Self {
             Self {
-                v: std::sync::atomic::AtomicBool::new(v),
+                v: std::sync::atomic::AtomicU64::new(v),
             }
         }
 
         /// Atomic load (scheduling point; SeqCst).
-        pub fn load(&self, _order: Ordering) -> bool {
+        pub(crate) fn load(&self, _order: Ordering) -> u64 {
             let (ctl, tid) = rt::current();
             ctl.sched_point(tid);
             self.v.load(Ordering::SeqCst)
         }
 
         /// Atomic store (scheduling point; SeqCst).
-        pub fn store(&self, val: bool, _order: Ordering) {
+        pub(crate) fn store(&self, val: u64, _order: Ordering) {
             let (ctl, tid) = rt::current();
             ctl.sched_point(tid);
             self.v.store(val, Ordering::SeqCst);
+        }
+
+        /// Atomic fetch-add (scheduling point; SeqCst).
+        pub(crate) fn fetch_add(&self, val: u64, _order: Ordering) -> u64 {
+            let (ctl, tid) = rt::current();
+            ctl.sched_point(tid);
+            self.v.fetch_add(val, Ordering::SeqCst)
         }
     }
 }

@@ -49,12 +49,14 @@ impl BitPackedVec {
     }
 
     /// Current bit width.
-    pub fn width(&self) -> u32 {
+    #[cfg(test)]
+    pub(crate) fn width(&self) -> u32 {
         self.width
     }
 
     /// Heap bytes used by the packed words.
-    pub fn packed_bytes(&self) -> usize {
+    #[cfg(test)]
+    fn packed_bytes(&self) -> usize {
         self.words.len() * 8
     }
 
@@ -124,14 +126,14 @@ impl BitPackedVec {
 /// IN-predicate membership on large dictionaries where a `Vec<bool>`
 /// would waste 8x the memory.
 #[derive(Debug, Clone, Default)]
-pub struct Bitset {
+pub(crate) struct Bitset {
     words: Vec<u64>,
     bits: usize,
 }
 
 impl Bitset {
     /// An all-zero bitset over `bits` positions.
-    pub fn new(bits: usize) -> Self {
+    pub(crate) fn new(bits: usize) -> Self {
         Self {
             words: vec![0u64; bits.div_ceil(64)],
             bits,
@@ -139,12 +141,14 @@ impl Bitset {
     }
 
     /// Number of addressable bits.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    fn len(&self) -> usize {
         self.bits
     }
 
     /// True if the bitset addresses no bits.
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    fn is_empty(&self) -> bool {
         self.bits == 0
     }
 
@@ -152,7 +156,7 @@ impl Bitset {
     ///
     /// # Panics
     /// Panics if `i >= len()`.
-    pub fn set(&mut self, i: usize) -> bool {
+    pub(crate) fn set(&mut self, i: usize) -> bool {
         assert!(i < self.bits, "bit {i} out of range {}", self.bits);
         let w = &mut self.words[i / 64];
         let mask = 1u64 << (i % 64);
@@ -163,7 +167,7 @@ impl Bitset {
 
     /// Test bit `i` (false when out of range).
     #[inline(always)]
-    pub fn get(&self, i: usize) -> bool {
+    pub(crate) fn get(&self, i: usize) -> bool {
         if i >= self.bits {
             return false;
         }
@@ -171,7 +175,8 @@ impl Bitset {
     }
 
     /// Number of set bits.
-    pub fn count_ones(&self) -> usize {
+    #[cfg(test)]
+    fn count_ones(&self) -> usize {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
     }
 }
@@ -180,7 +185,7 @@ impl BitPackedVec {
     /// Scan for codes whose bit is set in `member`, invoking
     /// `hit(position, code)` for each match — the IN-predicate scan
     /// phase at bitset density.
-    pub fn scan_in_set(&self, member: &Bitset, mut hit: impl FnMut(usize, u32)) {
+    pub(crate) fn scan_in_set(&self, member: &Bitset, mut hit: impl FnMut(usize, u32)) {
         for i in 0..self.len {
             let c = self.get(i);
             if member.get(c as usize) {

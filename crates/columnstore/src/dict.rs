@@ -20,7 +20,7 @@ use isi_core::coro::suspend;
 use isi_core::mem::{DirectMem, IndexedMem};
 use isi_core::par::{run_interleaved_par, ParConfig};
 use isi_core::policy::Interleave;
-use isi_csb::lookup::descend_level;
+use isi_csb::descend_level;
 use isi_csb::{CsbTree, InnerNode, LeafNode, TreeView};
 use isi_search::key::SearchKey;
 use isi_search::locate::{resolve_rank, NOT_FOUND};
@@ -65,7 +65,7 @@ impl<K: SearchKey> MainDictionary<K> {
     /// # Panics
     /// Panics if `code` is out of range.
     #[inline]
-    pub fn extract(&self, code: u32) -> K {
+    pub(crate) fn extract(&self, code: u32) -> K {
         self.values[code as usize]
     }
 
@@ -140,13 +140,13 @@ impl<K: SearchKey + Default> DeltaDictionary<K> {
     /// # Panics
     /// Panics if `code` is out of range.
     #[inline]
-    pub fn extract(&self, code: u32) -> K {
+    pub(crate) fn extract(&self, code: u32) -> K {
         self.values[code as usize]
     }
 
     /// Bulk-construct from distinct values in arrival order (codes =
     /// positions): sorts `(value, code)` pairs and bulk-loads the tree.
-    /// Orders of magnitude faster than repeated [`Self::insert_or_get`]
+    /// Orders of magnitude faster than repeated inserts
     /// for benchmark-scale dictionaries.
     ///
     /// # Panics
@@ -168,7 +168,7 @@ impl<K: SearchKey + Default> DeltaDictionary<K> {
     }
 
     /// Code for `value`, inserting it if new.
-    pub fn insert_or_get(&mut self, value: K) -> u32 {
+    pub(crate) fn insert_or_get(&mut self, value: K) -> u32 {
         if let Some(code) = self.index.get(&value) {
             return code;
         }
@@ -286,6 +286,25 @@ mod tests {
 
     fn main_dict(n: u32) -> MainDictionary<u32> {
         MainDictionary::from_sorted((0..n).map(|i| i * 2).collect())
+    }
+
+    // Frame sizes of the instantiations the store and the benchmark
+    // run, pinned at their measured size: every in-flight lookup of a
+    // group holds one frame, so growth costs slab lines.
+    #[test]
+    fn delta_locate_coro_u32_frame_is_at_most_120_bytes() {
+        let d = DeltaDictionary::<u32>::from_values(vec![5, 1, 3]);
+        let store = isi_csb::DirectTreeStore::new(&d.index);
+        let frame = delta_locate_coro::<true, u32, _, _, _>(store, DirectMem::new(&d.values), 1);
+        assert!(size_of_val(&frame) <= 120, "{} bytes", size_of_val(&frame));
+    }
+
+    #[test]
+    fn delta_locate_coro_u64_frame_is_at_most_128_bytes() {
+        let d = DeltaDictionary::<u64>::from_values(vec![5, 1, 3]);
+        let store = isi_csb::DirectTreeStore::new(&d.index);
+        let frame = delta_locate_coro::<true, u64, _, _, _>(store, DirectMem::new(&d.values), 1);
+        assert!(size_of_val(&frame) <= 128, "{} bytes", size_of_val(&frame));
     }
 
     #[test]

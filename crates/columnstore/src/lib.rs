@@ -29,13 +29,13 @@
 
 #![forbid(unsafe_code)]
 
-pub mod codevec;
-pub mod column;
-pub mod dict;
-pub mod query;
-pub mod table;
+mod codevec;
+mod column;
+mod dict;
+mod query;
+mod table;
 
-pub use codevec::{bits_for, BitPackedVec, Bitset};
+pub use codevec::{bits_for, BitPackedVec};
 pub use column::{Column, DeltaPart, MainPart};
 pub use dict::{delta_locate_coro, DeltaDictionary, MainDictionary};
 pub use isi_core::Interleave;

@@ -39,12 +39,13 @@ impl<K: SearchKey + Default> Table<K> {
     }
 
     /// Number of columns.
-    pub fn width(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn width(&self) -> usize {
         self.columns.len()
     }
 
     /// Column index by name.
-    pub fn column_index(&self, name: &str) -> Option<usize> {
+    pub(crate) fn column_index(&self, name: &str) -> Option<usize> {
         self.names.iter().position(|n| n == name)
     }
 
@@ -72,7 +73,8 @@ impl<K: SearchKey + Default> Table<K> {
     }
 
     /// Read back a full row.
-    pub fn row(&self, idx: usize) -> Vec<K> {
+    #[cfg(test)]
+    fn row(&self, idx: usize) -> Vec<K> {
         self.columns.iter().map(|c| c.get(idx)).collect()
     }
 

@@ -11,7 +11,7 @@
 //! body becomes a state machine whose live variables are stored in an inline
 //! frame). A lookup coroutine issues a software [`prefetch`]
 //! for the cache line it is about to dereference and then
-//! [`suspend`]s; the [interleaved
+//! [`suspend`](coro::suspend)s; the [interleaved
 //! scheduler](crate::sched::run_interleaved) resumes the next lookup in the
 //! group while the miss is in flight.
 //!
@@ -19,7 +19,7 @@
 //!
 //! * [`prefetch`] — thin wrappers over the hardware prefetch instruction
 //!   (`PREFETCHT0` on x86-64), no-ops elsewhere.
-//! * [`mem`] — the [`IndexedMem`] abstraction that lets the
+//! * [`mem`] — the [`IndexedMem`](mem::IndexedMem) abstraction that lets the
 //!   *same* lookup code run against raw memory (for wall-clock benchmarks)
 //!   or against a simulated memory hierarchy (crate `isi-memsim`).
 //! * [`coro`] — `suspend()`, the yield-once future, and
@@ -32,7 +32,7 @@
 //! * [`par`] — thread-parallel execution of the same interleaved
 //!   scheduler (the Section 5 multithreading composition): one
 //!   contiguous chunk of the batch per scoped thread, merged
-//!   [`RunStats`].
+//!   [`RunStats`](sched::RunStats).
 //! * [`model`] — the analytic interleaving model of Section 3
 //!   (Inequality 1): estimating the optimal group size from per-stream
 //!   compute, switch and stall cycles.
@@ -44,16 +44,16 @@
 //!   `sched_setaffinity`) and huge pages under a reserved buffer
 //!   ([`advise_huge_pages`](topo::advise_huge_pages), `madvise`), with
 //!   silent fallbacks on unsupported targets or kernel refusal.
-//! * [`backend`] — the [`ShardBackend`]
+//! * [`backend`] — the [`ShardBackend`](backend::ShardBackend)
 //!   contract between the serving layer and the index structures that
 //!   serve one shard's main (batched probes, merge-time rebuilds).
-//! * [`epoch`] — the [`EpochCell`] versioned-`Arc`
+//! * [`epoch`] — the [`EpochCell`](epoch::EpochCell) versioned-`Arc`
 //!   swap the writable serving layer publishes merged shard versions
 //!   through (readers snapshot, writers swap, nobody blocks long).
 //! * [`stats`] — cycle/wall measurement helpers and the log-bucketed
-//!   [`LatencyHist`] used by the serving layer.
+//!   [`LatencyHist`](stats::LatencyHist) used by the serving layer.
 //! * [`sync`] — the poison-aware lock helpers
-//!   ([`MutexExt::plock`] and friends) that the
+//!   ([`MutexExt::plock`](sync::MutexExt::plock) and friends) that the
 //!   serving layer is required (by `clippy::disallowed_methods`, set
 //!   in `crates/{serve,durable}/clippy.toml`) to acquire locks through:
 //!   a poisoned lock re-panics with a context tag instead of an opaque
@@ -124,14 +124,4 @@ pub mod stats;
 pub mod sync;
 pub mod topo;
 
-pub use backend::ShardBackend;
-pub use coro::{suspend, Suspend};
-pub use epoch::EpochCell;
-pub use mem::{DirectMem, IndexedMem};
-pub use model::{optimal_group_size, StreamParams};
-pub use par::{run_interleaved_par, ParConfig};
 pub use policy::Interleave;
-pub use sched::{run_interleaved, run_sequential, RunStats};
-pub use stats::LatencyHist;
-pub use sync::{CondvarExt, MutexExt, RwLockExt};
-pub use topo::Topology;

@@ -97,8 +97,9 @@ impl<'a, T> DirectMem<'a, T> {
     }
 
     /// The underlying slice.
+    #[cfg(test)]
     #[inline]
-    pub fn as_slice(&self) -> &'a [T] {
+    pub(crate) fn as_slice(&self) -> &'a [T] {
         self.data
     }
 }

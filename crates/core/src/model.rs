@@ -47,7 +47,7 @@ impl StreamParams {
 
     /// Residual stall to hide after the switch overhead overlapped part of
     /// it: `T_target = max(0, T_stall - T_switch)`.
-    pub fn t_target(&self) -> f64 {
+    pub(crate) fn t_target(&self) -> f64 {
         (self.t_stall - self.t_switch).max(0.0)
     }
 }
@@ -84,42 +84,6 @@ pub fn optimal_group_size(p: StreamParams) -> usize {
 /// (12) was capped at 10 in practice.
 pub fn optimal_group_size_capped(p: StreamParams, lfb_entries: usize) -> usize {
     optimal_group_size(p).min(lfb_entries.max(1))
-}
-
-/// For heterogeneous streams: is stream `i`'s stall fully hidden by the
-/// other streams of the group? (Section 3, general removal condition.)
-pub fn stall_hidden(streams: &[StreamParams], i: usize) -> bool {
-    assert!(i < streams.len(), "stream index out of range");
-    let others: f64 = streams
-        .iter()
-        .enumerate()
-        .filter(|(j, _)| *j != i)
-        .map(|(_, s)| s.t_compute + s.t_switch)
-        .sum();
-    streams[i].t_target() <= others
-}
-
-/// True if every stream in the group has its stall fully hidden.
-pub fn all_stalls_hidden(streams: &[StreamParams]) -> bool {
-    (0..streams.len()).all(|i| stall_hidden(streams, i))
-}
-
-/// Predicted cycles per lookup for a group of `g` identical streams, each
-/// performing `misses_per_lookup` misses.
-///
-/// With `g = 1` there is no interleaving: each miss costs
-/// `T_compute + T_stall`. With `g > 1`, each miss costs
-/// `T_compute + T_switch` plus whatever part of `T_target` the other
-/// streams could not cover. This is the model used to sanity-check the
-/// measured group-size sweep of Figure 7.
-pub fn predicted_cycles_per_lookup(p: StreamParams, g: usize, misses_per_lookup: f64) -> f64 {
-    let g = g.max(1);
-    if g == 1 {
-        return misses_per_lookup * (p.t_compute + p.t_stall);
-    }
-    let cover = (g as f64 - 1.0) * (p.t_compute + p.t_switch);
-    let residual = (p.t_target() - cover).max(0.0);
-    misses_per_lookup * (p.t_compute + p.t_switch + residual)
 }
 
 /// Derive [`StreamParams`] from profile measurements of a *sequential*
@@ -189,49 +153,6 @@ mod tests {
     fn t_target_subtracts_switch_overlap() {
         let p = StreamParams::new(10.0, 30.0, 100.0);
         assert_eq!(p.t_target(), 70.0);
-    }
-
-    #[test]
-    fn heterogeneous_removal_condition() {
-        // Stream 0 stalls 100 cycles (target 90); streams 1 and 2 offer
-        // 40+10 and 50+10 cycles of cover -> 110 >= 90: hidden.
-        let streams = [
-            StreamParams::new(5.0, 10.0, 100.0),
-            StreamParams::new(40.0, 10.0, 0.0),
-            StreamParams::new(50.0, 10.0, 0.0),
-        ];
-        assert!(stall_hidden(&streams, 0));
-        assert!(all_stalls_hidden(&streams));
-
-        // Remove stream 2: only 50 cycles of cover for a 90-cycle target.
-        let streams = &streams[..2];
-        assert!(!stall_hidden(streams, 0));
-        assert!(!all_stalls_hidden(streams));
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn stall_hidden_checks_bounds() {
-        stall_hidden(&[], 0);
-    }
-
-    #[test]
-    fn predicted_cycles_monotone_down_then_flat() {
-        let p = StreamParams::new(10.0, 20.0, 182.0);
-        let misses = 20.0;
-        let g_star = optimal_group_size(p);
-        let mut prev = f64::INFINITY;
-        for g in 1..=g_star {
-            let c = predicted_cycles_per_lookup(p, g, misses);
-            assert!(c <= prev, "cycles must not increase up to G*");
-            prev = c;
-        }
-        // Beyond G*, the model predicts no further improvement.
-        let at_star = predicted_cycles_per_lookup(p, g_star, misses);
-        let beyond = predicted_cycles_per_lookup(p, g_star + 5, misses);
-        assert!((at_star - beyond).abs() < 1e-9);
-        // And the floor is stall-free execution.
-        assert!((beyond - misses * (p.t_compute + p.t_switch)).abs() < 1e-9);
     }
 
     #[test]

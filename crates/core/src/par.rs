@@ -48,7 +48,7 @@ impl ParConfig {
 
     /// Resolved thread count: explicit, or the machine's available
     /// parallelism (at least 1).
-    pub fn effective_threads(&self) -> usize {
+    pub(crate) fn effective_threads(&self) -> usize {
         if self.threads > 0 {
             self.threads
         } else {

@@ -20,7 +20,7 @@ pub enum Interleave {
 impl Interleave {
     /// The group size, or `None` when sequential.
     #[inline]
-    pub fn group(self) -> Option<usize> {
+    pub(crate) fn group(self) -> Option<usize> {
         match self {
             Interleave::Sequential => None,
             Interleave::Interleaved(g) => Some(g),

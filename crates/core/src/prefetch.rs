@@ -57,7 +57,7 @@ pub fn prefetch_read_t0<T>(ptr: *const T) {
 /// of a touched node before suspending, so that the in-node binary search
 /// causes no further misses.
 #[inline(always)]
-pub fn prefetch_object_t0<T>(ptr: *const T, bytes: usize) {
+pub(crate) fn prefetch_object_t0<T>(ptr: *const T, bytes: usize) {
     for line in object_lines(ptr as usize, bytes) {
         prefetch_read_t0(line as *const u8);
     }
@@ -84,7 +84,8 @@ fn object_lines(start: usize, bytes: usize) -> impl Iterator<Item = usize> {
 /// Number of cache lines spanned by an object of `bytes` bytes starting at
 /// address `addr`.
 #[inline]
-pub fn lines_spanned(addr: usize, bytes: usize) -> usize {
+#[cfg(test)]
+fn lines_spanned(addr: usize, bytes: usize) -> usize {
     if bytes == 0 {
         return 0;
     }

@@ -13,7 +13,7 @@ use std::time::{Duration, Instant};
 
 /// Read the processor timestamp counter, or 0 on non-x86-64 targets.
 #[inline]
-pub fn rdtsc() -> u64 {
+pub(crate) fn rdtsc() -> u64 {
     // SAFETY: RDTSC reads the timestamp counter register; it touches
     // no memory and has no preconditions. (Gated off under Miri, which
     // does not implement the intrinsic — callers already handle the
@@ -137,7 +137,8 @@ impl LatencyHist {
     }
 
     /// The per-bucket counts (see [`Self::bucket_of`] for the layout).
-    pub fn counts(&self) -> &[u64; HIST_BUCKETS] {
+    #[cfg(test)]
+    pub(crate) fn counts(&self) -> &[u64; HIST_BUCKETS] {
         &self.counts
     }
 
@@ -156,7 +157,7 @@ impl LatencyHist {
     /// Inclusive upper bound of a bucket (`0` for bucket 0, else
     /// `2^i - 1`, saturating at `u64::MAX`).
     #[inline]
-    pub fn bucket_upper(bucket: usize) -> u64 {
+    pub(crate) fn bucket_upper(bucket: usize) -> u64 {
         match bucket {
             0 => 0,
             64.. => u64::MAX,
@@ -209,15 +210,6 @@ impl LatencyHist {
         self.max
     }
 
-    /// Mean of the recorded samples, exact (from the running sum).
-    pub fn mean(&self) -> f64 {
-        if self.is_empty() {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
-    }
-
     /// The `q`-quantile (`0.0..=1.0`) as the inclusive upper bound of
     /// the first bucket whose cumulative count reaches `ceil(q·n)`,
     /// clamped to the exact observed `[min, max]`; `q = 0` returns the
@@ -225,7 +217,7 @@ impl LatencyHist {
     ///
     /// # Panics
     /// Panics if `q` is not within `0.0..=1.0`.
-    pub fn quantile(&self, q: f64) -> u64 {
+    pub(crate) fn quantile(&self, q: f64) -> u64 {
         assert!((0.0..=1.0).contains(&q), "quantile {q} out of [0, 1]");
         if self.is_empty() {
             return 0;
@@ -244,17 +236,12 @@ impl LatencyHist {
         self.max
     }
 
-    /// Median (see [`Self::quantile`]).
+    /// Median, with the bucket semantics of `quantile` (0 when empty).
     pub fn p50(&self) -> u64 {
         self.quantile(0.50)
     }
 
-    /// 95th percentile (see [`Self::quantile`]).
-    pub fn p95(&self) -> u64 {
-        self.quantile(0.95)
-    }
-
-    /// 99th percentile (see [`Self::quantile`]).
+    /// 99th percentile, with the bucket semantics of `quantile`.
     pub fn p99(&self) -> u64 {
         self.quantile(0.99)
     }
@@ -310,7 +297,7 @@ mod tests {
         let mut h = LatencyHist::new();
         assert!(h.is_empty());
         assert_eq!(h.quantile(0.5), 0);
-        assert_eq!(h.mean(), 0.0);
+        assert_eq!(h.sum(), 0);
         assert_eq!(h.min(), 0);
         for v in [100u64, 200, 300, 400] {
             h.record(v);
@@ -318,7 +305,7 @@ mod tests {
         assert_eq!(h.count(), 4);
         assert_eq!(h.min(), 100);
         assert_eq!(h.max(), 400);
-        assert_eq!(h.mean(), 250.0);
+        assert_eq!(h.sum(), 1000);
     }
 
     #[test]
@@ -335,7 +322,7 @@ mod tests {
         assert_eq!(h.p50(), 127);
         assert_eq!(h.quantile(0.90), 127);
         // p95/p99 fall in the high bucket, clamped to observed max.
-        assert_eq!(h.p95(), 1500);
+        assert_eq!(h.quantile(0.95), 1500);
         assert_eq!(h.p99(), 1500);
         // Extremes clamp to exact observed min/max.
         assert_eq!(h.quantile(0.0), 100);

@@ -3,8 +3,8 @@
 //!
 //! `Mutex::lock().unwrap()` turns a poisoned lock into an opaque
 //! `PoisonError` panic with no hint of *which* lock was involved or
-//! what protocol it protects. In a system with per-shard dispatcher
-//! threads and a background merger, that turns one panicking thread
+//! what protocol it protects. In a system with per-shard runner and
+//! helper threads and a background merger, that turns one panicking thread
 //! into a cascade of inscrutable secondary panics — or worse, a
 //! silently wedged merger waiting on a condvar whose notifier died.
 //!

@@ -25,14 +25,14 @@
 
 #![forbid(unsafe_code)]
 
-pub mod lookup;
-pub mod node;
-pub mod shard;
-pub mod store;
-pub mod tree;
+mod lookup;
+mod node;
+mod shard;
+mod store;
+mod tree;
 
-pub use lookup::{bulk_lookup_interleaved, bulk_lookup_par, bulk_lookup_seq, lookup_coro};
-pub use node::{InnerNode, LeafNode, NODE_CAP};
+pub use lookup::{bulk_lookup_interleaved, bulk_lookup_seq, descend_level, lookup_coro};
+pub use node::{InnerNode, LeafNode};
 pub use shard::CsbShard;
 pub use store::{DirectTreeStore, TreeView};
 pub use tree::CsbTree;

@@ -159,7 +159,7 @@ where
 ///
 /// # Panics
 /// Panics if `out.len() != values.len()`.
-pub fn bulk_lookup_par<K, V, MI, ML>(
+pub(crate) fn bulk_lookup_par<K, V, MI, ML>(
     store: TreeView<MI, ML>,
     values: &[K],
     group_size: usize,
@@ -191,6 +191,16 @@ mod tests {
 
     fn tree(n: u32) -> CsbTree<u32, u32> {
         CsbTree::from_sorted(&(0..n).map(|i| (i * 3, i)).collect::<Vec<_>>())
+    }
+
+    // Frame sizes of the instantiations the store and the benchmark
+    // run, pinned at their measured size: every in-flight lookup of a
+    // group holds one frame, so growth costs slab lines.
+    #[test]
+    fn lookup_coro_u64_frame_is_at_most_64_bytes() {
+        let t = CsbTree::<u64, u64>::from_sorted(&[(1, 1)]);
+        let frame = lookup_coro::<true, u64, u64, _, _>(DirectTreeStore::new(&t), 1);
+        assert!(size_of_val(&frame) <= 64, "{} bytes", size_of_val(&frame));
     }
 
     #[test]

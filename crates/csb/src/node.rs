@@ -15,7 +15,7 @@ use isi_core::prefetch::CACHE_LINE;
 
 /// Maximum keys per node; an inner node has at most `NODE_CAP + 1`
 /// children.
-pub const NODE_CAP: usize = 14;
+pub(crate) const NODE_CAP: usize = 14;
 
 /// An inner (branch) node: `nkeys` separator keys and a contiguous group
 /// of `nkeys + 1` children starting at `first_child`.
@@ -48,7 +48,7 @@ impl<K: Copy + Ord + Default> InnerNode<K> {
 
     /// Valid separator keys.
     #[inline]
-    pub fn keys(&self) -> &[K] {
+    pub(crate) fn keys(&self) -> &[K] {
         &self.keys[..self.nkeys as usize]
     }
 
@@ -58,7 +58,7 @@ impl<K: Copy + Ord + Default> InnerNode<K> {
     /// branch-free linear pass has the same no-speculation property and
     /// fewer instructions).
     #[inline]
-    pub fn child_slot(&self, value: &K) -> usize {
+    pub(crate) fn child_slot(&self, value: &K) -> usize {
         let mut slot = 0usize;
         for k in self.keys() {
             slot += (k <= value) as usize;
@@ -68,7 +68,7 @@ impl<K: Copy + Ord + Default> InnerNode<K> {
 
     /// Number of children (`nkeys + 1`).
     #[inline]
-    pub fn children(&self) -> usize {
+    pub(crate) fn children(&self) -> usize {
         self.nkeys as usize + 1
     }
 }
@@ -106,19 +106,20 @@ impl<K: Copy + Ord + Default, V: Copy + Default> LeafNode<K, V> {
 
     /// Valid keys.
     #[inline]
-    pub fn keys(&self) -> &[K] {
+    pub(crate) fn keys(&self) -> &[K] {
         &self.keys[..self.nkeys as usize]
     }
 
     /// Valid values.
+    #[cfg(test)]
     #[inline]
-    pub fn values(&self) -> &[V] {
+    pub(crate) fn values(&self) -> &[V] {
         &self.values[..self.nkeys as usize]
     }
 
     /// Position of `value` in this leaf, if present (branch-free scan).
     #[inline]
-    pub fn find(&self, value: &K) -> Option<usize> {
+    pub(crate) fn find(&self, value: &K) -> Option<usize> {
         let n = self.nkeys as usize;
         let mut lt = 0usize;
         for k in self.keys() {
@@ -129,7 +130,7 @@ impl<K: Copy + Ord + Default, V: Copy + Default> LeafNode<K, V> {
 
     /// Position where `value` would be inserted to keep the leaf sorted.
     #[inline]
-    pub fn insert_slot(&self, value: &K) -> usize {
+    pub(crate) fn insert_slot(&self, value: &K) -> usize {
         let mut lt = 0usize;
         for k in self.keys() {
             lt += (k < value) as usize;
@@ -141,7 +142,7 @@ impl<K: Copy + Ord + Default, V: Copy + Default> LeafNode<K, V> {
     ///
     /// # Panics
     /// Panics if the leaf is full or `slot > nkeys`.
-    pub fn insert_at(&mut self, slot: usize, key: K, value: V) {
+    pub(crate) fn insert_at(&mut self, slot: usize, key: K, value: V) {
         let n = self.nkeys as usize;
         assert!(n < NODE_CAP, "leaf full");
         assert!(slot <= n, "slot out of range");
@@ -157,7 +158,7 @@ impl<K: Copy + Ord + Default, V: Copy + Default> LeafNode<K, V> {
     /// # Panics
     /// Panics if the leaf is empty.
     #[inline]
-    pub fn min_key(&self) -> K {
+    pub(crate) fn min_key(&self) -> K {
         assert!(self.nkeys > 0, "empty leaf has no min key");
         self.keys[0]
     }

@@ -339,7 +339,7 @@ impl<K: Copy + Ord + Default, V: Copy + Default> CsbTree<K, V> {
     }
 
     /// In-order traversal of all entries.
-    pub fn for_each(&self, mut f: impl FnMut(&K, &V)) {
+    pub(crate) fn for_each(&self, mut f: impl FnMut(&K, &V)) {
         self.walk(self.root, self.height, &mut f);
     }
 

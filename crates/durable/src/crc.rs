@@ -29,7 +29,7 @@ static TABLE: [u32; 256] = build_table();
 
 /// Continue a CRC over `data` from a previous [`crc32_update`] state.
 /// Start from `!0` and finish by inverting (see [`crc32`]).
-pub fn crc32_update(state: u32, data: &[u8]) -> u32 {
+pub(crate) fn crc32_update(state: u32, data: &[u8]) -> u32 {
     let mut c = state;
     for &b in data {
         c = TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);

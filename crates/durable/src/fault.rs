@@ -49,8 +49,8 @@ struct FaultState {
     full: bool,
 }
 
-/// A fault-injecting [`Fs`] over an in-memory store (see the [module
-/// docs](self)).
+/// A fault-injecting [`Fs`] over an in-memory store (the fault model
+/// is described at the top of `fault.rs`).
 pub struct FaultFs {
     mem: MemFs,
     state: Mutex<FaultState>,

@@ -75,11 +75,6 @@ impl DiskFs {
         Ok(Self { root })
     }
 
-    /// The directory this store lives in.
-    pub fn root(&self) -> &std::path::Path {
-        &self.root
-    }
-
     fn path(&self, name: &str) -> PathBuf {
         debug_assert!(
             !name.contains('/') && !name.contains('\\'),
@@ -156,9 +151,9 @@ struct MemInner {
     shadow: BTreeMap<String, usize>,
 }
 
-/// In-memory [`Fs`] with crash semantics (see the [module
-/// docs](self)): [`MemFs::crash_view`] materializes what a crash at
-/// this instant would leave on disk.
+/// In-memory [`Fs`] with crash semantics (described at the top of
+/// `fs.rs`): only synced bytes and synced directory entries survive a
+/// crash.
 pub struct MemFs {
     inner: Mutex<MemInner>,
 }
@@ -187,7 +182,7 @@ impl MemFs {
     /// unsynced suffix (a torn append). With `flip_bit`, the last
     /// surviving torn byte gets one bit flipped (media corruption in
     /// the torn region).
-    pub fn crash_view(&self, keep_eighths: u8, flip_bit: bool) -> MemFs {
+    pub(crate) fn crash_view(&self, keep_eighths: u8, flip_bit: bool) -> MemFs {
         let inner = self.inner.plock("memfs state");
         let mut files = Vec::new();
         let mut names = BTreeMap::new();

@@ -2,9 +2,10 @@
 //! group commit, epoch-stamped shard snapshots, crash recovery, and a
 //! fault-injecting file system for testing all of it.
 //!
-//! The serving layer (`isi_serve`) batches writes into *runs* — the
-//! dispatcher drains its admission queue and applies consecutive
-//! writes in one store call. This crate turns that batching into
+//! The serving layer (`isi_serve`) batches writes into *runs* — a
+//! shard's runner (the calling thread or the shard's helper) drains
+//! its admission queue and applies consecutive writes in one store
+//! call. This crate turns that batching into
 //! **group commit**: one checksummed, length-prefixed WAL record per
 //! run, fsynced once per run before any ticket in the run is
 //! acknowledged. Major merges publish **snapshots** (a minor merge
@@ -39,20 +40,14 @@
 //!    across crash/recover cycles, because nothing durable is deleted
 //!    until its replacement is durable.
 
-pub mod crc;
-pub mod fault;
-pub mod fs;
+mod crc;
+mod fault;
+mod fs;
 pub mod wal;
 
 pub use crc::crc32;
 pub use fault::{FaultFs, FaultPlan};
 pub use fs::{DiskFs, Fs, MemFs};
-pub use wal::{commit_snapshot, snap_tmp_name, wal_tmp_name};
-pub use wal::{
-    decode_snapshot, decode_wal, encode_record, encode_snapshot, init_store, read_meta,
-    recover_shard, rewrite_wal, snap_name, wal_name, write_snapshot_tmp, ShardRecovery, WalDecode,
-    WalRecord, MAX_RUN_OPS,
-};
 
 /// When WAL appends are fsynced: always, one record and one fsync
 /// **per dispatched write run**.

@@ -47,7 +47,7 @@ use crate::fs::Fs;
 /// Cap on operations per record; `len` fields implying more are
 /// treated as corruption, bounding what a torn length prefix can make
 /// recovery allocate.
-pub const MAX_RUN_OPS: usize = 1 << 16;
+pub(crate) const MAX_RUN_OPS: usize = 1 << 16;
 
 const ENTRY_BYTES: usize = 17; // key u64 + present u8 + val u64
 const BODY_FIXED: usize = 16; // crc u32 + seq u64 + count u32
@@ -59,7 +59,7 @@ const META_MAGIC: &[u8; 4] = b"IMTA";
 const META_VERSION: u32 = 1;
 
 /// The store metadata file name.
-pub const META_NAME: &str = "meta";
+pub(crate) const META_NAME: &str = "meta";
 
 /// The WAL file of `shard`.
 pub fn wal_name(shard: usize) -> String {
@@ -67,7 +67,7 @@ pub fn wal_name(shard: usize) -> String {
 }
 
 /// The committed snapshot of `shard` covering WAL sequence `seq`.
-pub fn snap_name(shard: usize, seq: u64) -> String {
+pub(crate) fn snap_name(shard: usize, seq: u64) -> String {
     format!("shard-{shard:04}.snap.{seq:020}")
 }
 
@@ -77,7 +77,7 @@ pub fn snap_tmp_name(shard: usize) -> String {
 }
 
 /// The in-flight WAL-rewrite temp file of `shard`.
-pub fn wal_tmp_name(shard: usize) -> String {
+pub(crate) fn wal_tmp_name(shard: usize) -> String {
     format!("shard-{shard:04}.wal.tmp")
 }
 
@@ -113,8 +113,8 @@ pub struct WalDecode {
 /// Encode one write run as a WAL record.
 ///
 /// # Panics
-/// Panics if `ops` exceeds [`MAX_RUN_OPS`] (the dispatcher's batches
-/// are orders of magnitude smaller).
+/// Panics if `ops` holds more than 2^16 ops (a service batch is
+/// orders of magnitude smaller).
 pub fn encode_record(seq: u64, ops: &[(u64, Option<u64>)]) -> Vec<u8> {
     assert!(ops.len() <= MAX_RUN_OPS, "run of {} ops", ops.len());
     let len = BODY_FIXED + ops.len() * ENTRY_BYTES;
@@ -346,7 +346,7 @@ pub fn commit_snapshot(fs: &dyn Fs, shard: usize, seq: u64, tmp: &str) -> io::Re
 }
 
 /// Rewrite the shard's WAL down to `residual` (records at `seq`,
-/// chunked to [`MAX_RUN_OPS`]; an empty residual leaves an empty
+/// chunked to `MAX_RUN_OPS`; an empty residual leaves an empty
 /// log), via temp + fsync + rename + dir-sync. Call only *after* the
 /// covering snapshot committed: a crash before the rename keeps the
 /// old WAL, whose extra records the snapshot's `seq` filter makes

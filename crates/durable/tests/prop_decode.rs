@@ -14,7 +14,8 @@
 
 use proptest::prelude::*;
 
-use isi_durable::{crc32, decode_snapshot, decode_wal, encode_record, encode_snapshot, WalRecord};
+use isi_durable::crc32;
+use isi_durable::wal::{decode_snapshot, decode_wal, encode_record, encode_snapshot, WalRecord};
 
 /// A WAL record body (`seq`, `count`, entries) framed with its length
 /// prefix and a valid CRC, as `encode_record` frames one.

@@ -3,10 +3,10 @@
 //! The paper's Section 6 names hash-table probing as the next target for
 //! coroutine interleaving, following Kocberber et al.'s AMAC work on
 //! hash joins. This crate provides that extension: a chained hash table
-//! ([`ChainedHashTable`]), probe coroutines with bucket- and entry-level
-//! suspension points ([`probe`]), the AMAC state-machine baseline, and a
-//! hash-join operator with a sequential or interleaved probe phase
-//! ([`join`]).
+//! ([`ChainedHashTable`]), a probe coroutine with bucket- and entry-level
+//! suspension points ([`probe_coro_on`]), the AMAC state-machine
+//! baseline, and a hash-join operator with a sequential or interleaved
+//! probe phase ([`hash_join`]).
 //!
 //! Chains have data-dependent length, so instruction streams *diverge* —
 //! the case static interleaving (GP) cannot handle and dynamic
@@ -24,16 +24,15 @@
 
 #![forbid(unsafe_code)]
 
-pub mod join;
-pub mod probe;
-pub mod shard;
-pub mod table;
+mod join;
+mod probe;
+mod shard;
+mod table;
 
 pub use isi_core::Interleave;
 pub use join::{hash_join, nested_loop_join};
 pub use probe::{
-    bulk_probe_amac, bulk_probe_interleaved, bulk_probe_par, bulk_probe_seq, probe_coro,
-    probe_coro_on,
+    bulk_probe_amac, bulk_probe_interleaved, bulk_probe_par, bulk_probe_seq, probe_coro_on,
 };
 pub use shard::HashShard;
 pub use table::{ChainedHashTable, HashKey};

@@ -19,7 +19,7 @@ const PROBE_SWITCH_COST: u32 = isi_search::cost::CORO_SWITCH;
 
 /// Hash-probe coroutine, unified sequential/interleaved codepath, over
 /// abstract memory backends — the same probe runs on real memory (via
-/// [`probe_coro`]) or on the `isi-memsim` model (pass `SimMem` views of
+/// `probe_coro`) or on the `isi-memsim` model (pass `SimMem` views of
 /// the bucket and entry arrays), so the Section 6 hash-join experiment
 /// can be reproduced both on this machine and on the paper's.
 ///
@@ -74,7 +74,7 @@ where
 /// [`probe_coro_on`] over [`DirectMem`] views of `table`'s bucket and
 /// entry arrays: the probe the service ships is the one the simulator
 /// measures.
-pub fn probe_coro<const INTERLEAVE: bool, K: HashKey, V: Copy>(
+pub(crate) fn probe_coro<const INTERLEAVE: bool, K: HashKey, V: Copy>(
     table: &ChainedHashTable<K, V>,
     key: K,
 ) -> impl Future<Output = Option<V>> + '_ {
@@ -123,7 +123,7 @@ pub fn bulk_probe_interleaved<K: HashKey, V: Copy>(
 }
 
 /// Chunk-parallel bulk probe: each thread drives one contiguous chunk
-/// of the key batch through the *same* probe coroutine ([`probe_coro`])
+/// of the key batch through the *same* probe coroutine ([`probe_coro_on`])
 /// with `group_size` in-flight probes (see [`isi_core::par`]). A
 /// `group_size` of one, or a chunk of a single key, runs the
 /// coroutine's non-suspending instantiation instead.
@@ -255,6 +255,16 @@ mod tests {
             t.insert(i * 2, i);
         }
         t
+    }
+
+    // Frame sizes of the instantiations the store and the benchmark
+    // run, pinned at their measured size: every in-flight lookup of a
+    // group holds one frame, so growth costs slab lines.
+    #[test]
+    fn probe_coro_u64_frame_is_at_most_72_bytes() {
+        let t = table(4);
+        let frame = probe_coro::<true, u64, u64>(&t, 1);
+        assert!(size_of_val(&frame) <= 72, "{} bytes", size_of_val(&frame));
     }
 
     #[test]

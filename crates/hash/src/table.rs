@@ -10,7 +10,7 @@
 //! interleaving hides (see [`crate::probe`]).
 
 /// Sentinel for "no entry".
-pub const NONE: u32 = u32::MAX;
+pub(crate) const NONE: u32 = u32::MAX;
 
 /// Hashable fixed-size key.
 pub trait HashKey: Copy + Eq {
@@ -60,7 +60,7 @@ pub struct Entry<K, V> {
 
 /// A chained hash table. Duplicate keys are allowed (hash-join
 /// semantics): new entries are pushed at the chain head, and
-/// [`ChainedHashTable::get_all`] walks every match.
+/// a probe walks every match.
 #[derive(Debug, Clone)]
 pub struct ChainedHashTable<K, V> {
     buckets: Vec<u32>,
@@ -81,13 +81,13 @@ impl<K: HashKey, V: Copy> ChainedHashTable<K, V> {
 
     /// Bucket index of `key`.
     #[inline(always)]
-    pub fn bucket_of(&self, key: &K) -> usize {
+    pub(crate) fn bucket_of(&self, key: &K) -> usize {
         // High bits of the multiplicative hash are the well-mixed ones.
         ((key.hash64() >> 32) & self.mask) as usize
     }
 
     /// Insert (duplicates allowed; newest entry shadows older ones for
-    /// [`ChainedHashTable::get`]).
+    /// a single-match probe).
     pub fn insert(&mut self, key: K, val: V) {
         let b = self.bucket_of(&key);
         let idx = self.entries.len() as u32;
@@ -101,7 +101,7 @@ impl<K: HashKey, V: Copy> ChainedHashTable<K, V> {
     }
 
     /// First (most recently inserted) value for `key`.
-    pub fn get(&self, key: &K) -> Option<V> {
+    pub(crate) fn get(&self, key: &K) -> Option<V> {
         let mut e = self.buckets[self.bucket_of(key)];
         while e != NONE {
             let entry = &self.entries[e as usize];
@@ -114,7 +114,7 @@ impl<K: HashKey, V: Copy> ChainedHashTable<K, V> {
     }
 
     /// Every value stored under `key`, newest first.
-    pub fn get_all(&self, key: &K) -> Vec<V> {
+    pub(crate) fn get_all(&self, key: &K) -> Vec<V> {
         let mut out = Vec::new();
         let mut e = self.buckets[self.bucket_of(key)];
         while e != NONE {
@@ -128,22 +128,25 @@ impl<K: HashKey, V: Copy> ChainedHashTable<K, V> {
     }
 
     /// Number of entries.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.entries.len()
     }
 
     /// True if no entries.
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    fn is_empty(&self) -> bool {
         self.entries.is_empty()
     }
 
     /// Number of buckets.
-    pub fn num_buckets(&self) -> usize {
+    #[cfg(test)]
+    fn num_buckets(&self) -> usize {
         self.buckets.len()
     }
 
     /// Length of the longest chain (diagnostics).
-    pub fn max_chain(&self) -> usize {
+    #[cfg(test)]
+    fn max_chain(&self) -> usize {
         let mut max = 0;
         for &head in &self.buckets {
             let mut n = 0;

@@ -9,7 +9,7 @@ use std::collections::HashMap;
 use proptest::prelude::*;
 
 use isi_core::par::ParConfig;
-use isi_hash::table::ChainedHashTable;
+use isi_hash::ChainedHashTable;
 use isi_hash::{bulk_probe_amac, bulk_probe_interleaved, bulk_probe_par, bulk_probe_seq};
 
 /// Distinct key/value pairs, a probe list mixing hits/misses/extremes,

@@ -19,8 +19,6 @@ pub struct Cache {
     /// LRU stamps parallel to `tags`.
     stamps: Vec<u64>,
     tick: u64,
-    hits: u64,
-    misses: u64,
 }
 
 impl Cache {
@@ -36,8 +34,6 @@ impl Cache {
             tags: vec![EMPTY; sets * assoc],
             stamps: vec![0; sets * assoc],
             tick: 0,
-            hits: 0,
-            misses: 0,
         }
     }
 
@@ -56,17 +52,15 @@ impl Cache {
         for way in 0..self.assoc {
             if self.tags[base + way] == key {
                 self.stamps[base + way] = self.tick;
-                self.hits += 1;
                 return true;
             }
         }
-        self.misses += 1;
         false
     }
 
-    /// Probe without updating LRU or counters (used for "is this line
+    /// Probe without updating LRU (used for "is this line
     /// cached?" checks that must not disturb replacement state).
-    pub fn peek(&self, key: u64) -> bool {
+    pub(crate) fn peek(&self, key: u64) -> bool {
         let set = self.set_of(key);
         let base = set * self.assoc;
         (0..self.assoc).any(|w| self.tags[base + w] == key)
@@ -106,25 +100,16 @@ impl Cache {
     }
 
     /// Remove every entry.
-    pub fn clear(&mut self) {
+    #[cfg(test)]
+    pub(crate) fn clear(&mut self) {
         self.tags.fill(EMPTY);
         self.stamps.fill(0);
         self.tick = 0;
     }
 
-    /// (hits, misses) observed by [`Cache::access`].
-    pub fn hit_miss(&self) -> (u64, u64) {
-        (self.hits, self.misses)
-    }
-
     /// Number of resident entries (O(capacity); for tests/debugging).
     pub fn occupancy(&self) -> usize {
         self.tags.iter().filter(|&&t| t != EMPTY).count()
-    }
-
-    /// Total capacity in entries.
-    pub fn capacity(&self) -> usize {
-        self.sets * self.assoc
     }
 }
 
@@ -139,7 +124,6 @@ mod tests {
         c.insert(10);
         assert!(c.access(10));
         assert!(c.peek(10));
-        assert_eq!(c.hit_miss(), (1, 1));
     }
 
     #[test]
@@ -223,15 +207,16 @@ mod tests {
         let mut c = Cache::new(4, 2); // 8 entries
                                       // Stream 32 distinct keys twice: second pass still misses (LRU
                                       // with a cyclic access pattern larger than capacity never hits).
+        let mut hits = 0;
         for _ in 0..2 {
             for k in 0..32u64 {
-                if !c.access(k) {
+                if c.access(k) {
+                    hits += 1;
+                } else {
                     c.insert(k);
                 }
             }
         }
-        let (hits, misses) = c.hit_miss();
         assert_eq!(hits, 0);
-        assert_eq!(misses, 64);
     }
 }

@@ -23,7 +23,7 @@ impl CacheLevelConfig {
     /// # Panics
     /// Panics if the geometry is degenerate (zero size/assoc, or capacity
     /// not divisible into whole sets).
-    pub fn sets(&self, line_bytes: usize) -> usize {
+    pub(crate) fn sets(&self, line_bytes: usize) -> usize {
         assert!(self.size_bytes > 0 && self.assoc > 0 && line_bytes > 0);
         let lines = self.size_bytes / line_bytes;
         assert!(
@@ -94,7 +94,7 @@ pub struct MachineConfig {
 
 impl MachineConfig {
     /// The paper's platform (Table 4): Haswell Xeon E5-2660 v3.
-    pub fn haswell_xeon() -> Self {
+    pub(crate) fn haswell_xeon() -> Self {
         Self {
             line_bytes: 64,
             page_bytes: 4096,
@@ -171,7 +171,7 @@ impl MachineConfig {
     ///
     /// # Panics
     /// Panics (with a descriptive message) on degenerate geometry.
-    pub fn validate(&self) {
+    pub(crate) fn validate(&self) {
         assert!(
             self.line_bytes.is_power_of_two(),
             "line size must be a power of two"

@@ -38,12 +38,12 @@
 //! assert!(stats.memory > 180.0); // the paper's 182-cycle DRAM latency
 //! ```
 
-pub mod cache;
-pub mod config;
-pub mod machine;
-pub mod simmem;
+mod cache;
+mod config;
+mod machine;
+mod simmem;
 
 pub use cache::Cache;
 pub use config::{CacheLevelConfig, MachineConfig};
-pub use machine::{HitLevel, Machine, MachineStats, WalkLevel};
+pub use machine::{HitLevel, Machine, MachineStats};
 pub use simmem::{SharedMachine, SimArray, SimMem};

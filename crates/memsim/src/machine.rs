@@ -43,7 +43,7 @@ pub enum HitLevel {
 
 /// Where a page walk found the page-table entry (Section 5.4.3).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WalkLevel {
+pub(crate) enum WalkLevel {
     /// PTE found in L1D.
     PwL1,
     /// PTE found in L2.
@@ -134,7 +134,8 @@ impl MachineStats {
     }
 
     /// Difference `self - earlier`, for measuring a window of execution.
-    pub fn delta_since(&self, earlier: &MachineStats) -> MachineStats {
+    #[cfg(test)]
+    pub(crate) fn delta_since(&self, earlier: &MachineStats) -> MachineStats {
         MachineStats {
             cycles: self.cycles - earlier.cycles,
             instructions: self.instructions - earlier.instructions,
@@ -220,12 +221,14 @@ impl Machine {
     }
 
     /// The active configuration.
-    pub fn config(&self) -> &MachineConfig {
+    #[cfg(test)]
+    pub(crate) fn config(&self) -> &MachineConfig {
         &self.cfg
     }
 
     /// Current (absolute) cycle clock.
-    pub fn now(&self) -> f64 {
+    #[cfg(test)]
+    fn now(&self) -> f64 {
         self.clock
     }
 
@@ -250,7 +253,8 @@ impl Machine {
     }
 
     /// Drop all cached state (cold machine).
-    pub fn flush_caches(&mut self) {
+    #[cfg(test)]
+    fn flush_caches(&mut self) {
         self.l1.clear();
         self.l2.clear();
         self.l3.clear();
@@ -291,7 +295,7 @@ impl Machine {
     /// costs the configured penalty (booked as bad speculation, plus a
     /// small front-end refill charge) and additionally wastes the
     /// speculatively hidden portion of the preceding speculative load.
-    pub fn branch(&mut self, taken: bool) {
+    pub(crate) fn branch(&mut self, taken: bool) {
         self.stats.branches += 1;
         self.stats.instructions += 1.0;
         let predicted_taken = self.predictor >= 2;
@@ -409,7 +413,7 @@ impl Machine {
     /// `speculative` marks loads issued under an unresolved data-dependent
     /// branch (branchy binary search): out-of-order speculation overlaps
     /// part of their stall, at the risk of wasting it on a mispredicted
-    /// path (see [`Machine::branch`]). Returns the hit level of the
+    /// path (see `Machine::branch`). Returns the hit level of the
     /// *first* line (the latency-critical one).
     pub fn load(&mut self, addr: u64, bytes: usize, speculative: bool) -> HitLevel {
         let line_bytes = self.cfg.line_bytes as u64;

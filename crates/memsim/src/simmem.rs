@@ -46,16 +46,6 @@ impl SharedMachine {
     pub fn reset_stats(&self) {
         self.inner.borrow_mut().reset_stats()
     }
-
-    /// Cold caches and TLBs.
-    pub fn flush_caches(&self) {
-        self.inner.borrow_mut().flush_caches()
-    }
-
-    /// Run `f` with mutable access to the machine.
-    pub fn with<R>(&self, f: impl FnOnce(&mut Machine) -> R) -> R {
-        f(&mut self.inner.borrow_mut())
-    }
 }
 
 /// A typed array living in the simulated address space.
@@ -94,7 +84,8 @@ impl<T> SimArray<T> {
     }
 
     /// Synthetic base address of the array.
-    pub fn base_addr(&self) -> u64 {
+    #[cfg(test)]
+    fn base_addr(&self) -> u64 {
         self.base
     }
 
@@ -119,7 +110,8 @@ impl<T> SimArray<T> {
 
     /// Touch every element once (sequentially) to warm caches/TLBs as far
     /// as capacity allows.
-    pub fn warm(&self) {
+    #[cfg(test)]
+    fn warm(&self) {
         let size = std::mem::size_of::<T>().max(1) as u64;
         let mut machine = self.machine.inner.borrow_mut();
         let lines = (self.data.len() as u64 * size).div_ceil(64);

@@ -2,8 +2,8 @@
 //! [`isi_core::stats::LatencyHist`].
 //!
 //! The core histogram takes `&mut self` to record — perfect for a
-//! single dispatcher thread, useless for a metric that several threads
-//! (dispatcher, merger, write path) bump concurrently. This variant
+//! single owner, useless for a metric that several threads (a
+//! shard's runner, the merger, the write path) bump concurrently. This variant
 //! keeps the same 65 log₂ buckets but makes every field an atomic:
 //! recording is two relaxed/release RMWs (plus one for a sample that
 //! extends the min/max range) with no lock and no allocation, and a

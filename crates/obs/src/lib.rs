@@ -23,12 +23,12 @@
 //! `isi_core` (for the log₂-bucket histogram), so every layer — store,
 //! service, durability, bench — can adopt it without a dependency knot.
 
-pub mod hist;
-pub mod span;
-pub mod trace;
+mod hist;
+mod span;
+mod trace;
 
 pub use hist::AtomicHist;
-pub use span::{now_ns, SpanTimer, Stage};
+pub use span::{SpanTimer, Stage};
 pub use trace::{chrome_trace_json, TraceEvent, TraceKind, TraceSet};
 
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -83,7 +83,8 @@ impl Obs {
     }
 
     /// How many shards the stage matrix and trace rings cover.
-    pub fn num_shards(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn num_shards(&self) -> usize {
         self.stages.len()
     }
 

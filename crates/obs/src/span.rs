@@ -21,8 +21,8 @@ use std::time::Instant;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(usize)]
 pub enum Stage {
-    /// Queue residency: enqueue until the dispatcher drains the entry
-    /// into a batch.
+    /// Queue residency: enqueue until the shard's runner (a caller or
+    /// the helper) drains the entry into a batch.
     AdmissionWait,
     /// Delta-overlay planning: classifying batch keys as
     /// delta-decided vs. residual (`BatchPlan::resolve`).
@@ -34,7 +34,7 @@ pub enum Stage {
     /// backpressure inside the store write path).
     Writeback,
     /// Fulfilling tickets and publishing per-entry stats for one
-    /// drained batch (dispatcher-side cost after lookups return).
+    /// drained batch (the runner's cost after lookups return).
     Commit,
     /// Serializing + appending one write run's WAL record.
     WalAppend,
@@ -96,11 +96,12 @@ fn anchor() -> Instant {
 /// call into this clock). All spans and trace events share this
 /// timebase, so exported timelines line up across shards and threads.
 #[inline]
-pub fn now_ns() -> u64 {
+pub(crate) fn now_ns() -> u64 {
     anchor().elapsed().as_nanos() as u64
 }
 
-/// A started span: a captured [`now_ns`] timestamp.
+/// A started span: a captured timestamp on the process-wide
+/// monotonic nanosecond clock.
 #[derive(Debug, Clone, Copy)]
 pub struct SpanTimer {
     start_ns: u64,
@@ -113,7 +114,7 @@ impl SpanTimer {
         Self { start_ns: now_ns() }
     }
 
-    /// When the span started, on the [`now_ns`] timebase.
+    /// When the span started, on the process-wide monotonic clock.
     #[inline]
     pub fn start_ns(&self) -> u64 {
         self.start_ns

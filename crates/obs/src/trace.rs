@@ -70,7 +70,7 @@ impl TraceKind {
 pub struct TraceEvent {
     /// Global order across all shards (from one atomic sequence).
     pub seq: u64,
-    /// Start timestamp on the [`now_ns`] timebase.
+    /// Start timestamp on the process-wide monotonic clock (ns).
     pub ts_ns: u64,
     /// Duration; 0 renders as an instant event.
     pub dur_ns: u64,

@@ -53,7 +53,7 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 
 /// Count the allocations (and reallocations) the calling thread makes
 /// during `f`. Work `f` hands to other threads is not counted.
-pub fn count_allocs<R>(f: impl FnOnce() -> R) -> (u64, R) {
+pub(crate) fn count_allocs<R>(f: impl FnOnce() -> R) -> (u64, R) {
     ALLOCS.set(0);
     COUNTING.set(true);
     let r = f();

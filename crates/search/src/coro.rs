@@ -9,7 +9,7 @@
 //! suspension machinery survives), and one source-level implementation
 //! serves both execution modes — the paper's CORO-U.
 //!
-//! [`rank_coro_separate`] is CORO-S: a dedicated interleaved-only variant
+//! `rank_coro_separate` (bulk driver [`bulk_rank_coro_separate`]) is CORO-S: a dedicated interleaved-only variant
 //! kept for the code-footprint comparison of Table 5 and for the ablation
 //! measuring what the unified abstraction costs (nothing, after
 //! monomorphization — see `benches/binary_search.rs`).
@@ -72,7 +72,7 @@ pub async fn rank_coro<const INTERLEAVE: bool, K: SearchKey, M: IndexedMem<K>>(
 /// Binary-search coroutine, interleaved-only variant (CORO-S): kept
 /// alongside a separate sequential implementation when unified codegen
 /// cannot be trusted (the situation the paper faced with MSVC v14.1).
-pub async fn rank_coro_separate<K: SearchKey, M: IndexedMem<K>>(mem: M, value: K) -> u32 {
+pub(crate) async fn rank_coro_separate<K: SearchKey, M: IndexedMem<K>>(mem: M, value: K) -> u32 {
     let mut size = mem.len();
     let mut low = 0usize;
     loop {
@@ -148,6 +148,23 @@ mod tests {
         for (i, v) in values.iter().enumerate() {
             assert_eq!(out[i], rank_oracle(table, v), "v={v} group={group}");
         }
+    }
+
+    // Frame sizes of the instantiations the store and the benchmark
+    // run, pinned at their measured size: every in-flight lookup of a
+    // group holds one frame, so growth costs slab lines.
+    #[test]
+    fn rank_coro_u64_frame_is_at_most_88_bytes() {
+        let table = [0u64; 4];
+        let frame = rank_coro::<true, u64, DirectMem<u64>>(DirectMem::new(&table), 1);
+        assert!(size_of_val(&frame) <= 88, "{} bytes", size_of_val(&frame));
+    }
+
+    #[test]
+    fn rank_coro_u32_frame_is_at_most_80_bytes() {
+        let table = [0u32; 4];
+        let frame = rank_coro::<true, u32, DirectMem<u32>>(DirectMem::new(&table), 1);
+        assert!(size_of_val(&frame) <= 80, "{} bytes", size_of_val(&frame));
     }
 
     #[test]

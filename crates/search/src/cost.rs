@@ -15,24 +15,24 @@
 //! LFB-capped ~10 for GP (§5.4.5).
 
 /// Branch-free baseline: loop control + conditional move.
-pub const BASE_ITER: u32 = 5;
+pub(crate) const BASE_ITER: u32 = 5;
 
 /// Branchy (`std::lower_bound`-style): slightly leaner loop body — the
 /// work of the comparison branch itself is modelled separately by the
 /// branch predictor.
-pub const BRANCHY_ITER: u32 = 4;
+pub(crate) const BRANCHY_ITER: u32 = 4;
 
 /// GP adds a second pass over the group and probe recomputation, but
 /// shares the loop across streams: ~1.8x Baseline.
-pub const GP_ITER: u32 = 9;
+pub(crate) const GP_ITER: u32 = 9;
 
 /// Cost of the GP prefetch stage per stream (address computation +
 /// prefetch issue).
-pub const GP_PREFETCH: u32 = 2;
+pub(crate) const GP_PREFETCH: u32 = 2;
 
 /// AMAC: full state machine — load state from the circular buffer,
 /// dispatch on stage, write state back: ~4.4x Baseline.
-pub const AMAC_ITER: u32 = 22;
+pub(crate) const AMAC_ITER: u32 = 22;
 
 /// CORO: body work per iteration, excluding the switch.
 pub const CORO_ITER: u32 = 4;

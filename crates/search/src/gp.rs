@@ -18,7 +18,7 @@ use crate::seq::next_low;
 
 /// Maximum group size accepted (a GP group shares one state array; huge
 /// groups would only thrash the cache — §5.4.5).
-pub const MAX_GROUP: usize = 64;
+pub(crate) const MAX_GROUP: usize = 64;
 
 // [table5:gp:begin]
 /// Bulk rank with group prefetching. Processes `values` in groups of

@@ -70,7 +70,8 @@ impl<const N: usize> FixedStr<N> {
     }
 
     /// Borrow the raw bytes.
-    pub fn as_bytes(&self) -> &[u8; N] {
+    #[cfg(test)]
+    pub(crate) fn as_bytes(&self) -> &[u8; N] {
         &self.0
     }
 }

@@ -22,20 +22,20 @@
 
 #![forbid(unsafe_code)]
 
-pub mod amac;
+mod amac;
 pub mod coro;
 pub mod cost;
-pub mod gp;
+mod gp;
 pub mod key;
 pub mod locate;
 pub mod par;
 pub mod seq;
-pub mod shard;
+mod shard;
 
 pub use amac::bulk_rank_amac;
 pub use coro::{bulk_rank_coro, rank_coro};
 pub use gp::bulk_rank_gp;
-pub use key::{FixedStr, SearchKey, Str16};
+pub use key::Str16;
 pub use locate::{locate, NOT_FOUND};
 pub use par::bulk_rank_coro_par;
 pub use seq::{

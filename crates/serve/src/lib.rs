@@ -106,9 +106,9 @@
 //! assert_eq!(svc.stats().many_keys, 3);
 //! ```
 
-pub mod plan;
-pub mod service;
-pub mod store;
+mod plan;
+mod service;
+mod store;
 
 pub use isi_durable::FsyncMode;
 pub use isi_obs::{Obs, Stage};

@@ -18,11 +18,11 @@
 //! in the service stats: a write-heavy shard with a warm delta sends
 //! measurably fewer probes to the engine.
 
-/// One dispatched batch, resolved against the delta: which slots the
+/// One read batch, resolved against the delta: which slots the
 /// overlay decided, and which keys still need the engine.
 ///
 /// The buffers are reusable — [`resolve`](Self::resolve) clears them —
-/// so a dispatcher can keep one `BatchPlan` per thread and plan every
+/// so a shard's executor token keeps one `BatchPlan` and plans every
 /// batch allocation-free in the steady state.
 #[derive(Debug, Default)]
 pub struct BatchPlan {

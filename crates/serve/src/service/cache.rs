@@ -1,6 +1,6 @@
 //! The per-shard hot-key result cache.
 
-use isi_hash::table::HashKey;
+use isi_hash::HashKey;
 
 /// Ways per set: a set's keys and values are one 64-byte line.
 const WAYS: usize = 4;

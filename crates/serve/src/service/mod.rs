@@ -188,19 +188,16 @@ impl Default for ServeConfig {
 /// `get`, `get_many`, `put` and `remove` are safe to call
 /// from any number of threads; each call returns once its entry has
 /// been executed — by the calling thread itself when it finds the
-/// shard idle, otherwise by whichever thread holds the shard's token
-/// (see the [module docs](self)). Per shard, operations apply in
+/// shard idle, otherwise by whichever thread holds the shard's token. Per shard, operations apply in
 /// admission order, so a client that completed a `put` observes it in
 /// every later read it issues (read-your-writes per client). Dropping
 /// the service drains queued entries, answers them, and joins the
 /// helpers.
 ///
 /// # Panics
-/// All request methods panic if called after [`close`](Self::close);
-/// callers must not race requests against `close`. If a thread
-/// running a shard panics (a failed WAL append does), that shard
-/// fails closed: requests queued on it panic with "shard failed" and
-/// later requests to it panic as after `close`.
+/// If a thread running a shard panics (a failed WAL append does), that
+/// shard fails closed: requests queued on it panic with "shard failed"
+/// and later requests to it panic as on a closed service.
 pub struct LookupService {
     store: Arc<ShardedStore>,
     shards: Vec<Arc<ShardState>>,
@@ -281,11 +278,6 @@ impl LookupService {
     /// The underlying store.
     pub fn store(&self) -> &ShardedStore {
         &self.store
-    }
-
-    /// The configuration the service was started with.
-    pub fn config(&self) -> &ServeConfig {
-        &self.cfg
     }
 
     fn ctx(&self, shard: usize) -> ShardCtx<'_> {
@@ -603,7 +595,7 @@ impl LookupService {
     /// Stop accepting requests, answer everything still queued
     /// (including writes, which are applied in order), and join the
     /// helpers. Idempotent; also run by `Drop`.
-    pub fn close(&mut self) {
+    pub(crate) fn close(&mut self) {
         for state in &self.shards {
             // A failed shard does not poison this lock: its runner
             // unwound outside it and rejected submitters panic after

@@ -87,7 +87,7 @@ use isi_core::sched::RunStats;
 use isi_core::stats::LatencyHist;
 use isi_core::sync::{CondvarExt, MutexExt};
 use isi_durable::{self as durable, DiskFs, Fs};
-use isi_hash::table::HashKey;
+use isi_hash::HashKey;
 use isi_obs::{Counter, Obs, SpanTimer, Stage, TraceKind};
 
 use crate::plan::BatchPlan;
@@ -189,8 +189,8 @@ struct StoreInner {
 
 /// Reusable scratch for [`ShardedStore::lookup_batch`]: rank space for
 /// the sorted backend, the batch plan's buffers, and the residual
-/// result staging area. Keeping one per dispatcher thread means a
-/// batch allocates nothing per key: an interleaved engine run
+/// result staging area. Keeping one per shard's executor token means
+/// a batch allocates nothing per key: an interleaved engine run
 /// allocates its frame slab once, and a one-key batch allocates
 /// nothing in the engine.
 #[derive(Default)]
@@ -202,7 +202,7 @@ pub struct LookupScratch {
 
 /// Reusable scratch for [`ShardedStore::apply_write_run_with`]: the
 /// per-shard op-index buckets a multi-op run is grouped into. Keeping
-/// one per dispatcher thread makes steady-state write dispatch
+/// one per shard's executor token makes steady-state write runs
 /// allocation-free outside the run publish itself.
 #[derive(Default)]
 pub struct WriteScratch {
@@ -223,8 +223,7 @@ pub struct BatchOutcome {
 }
 
 /// A writable key/value store hash-partitioned into power-of-two
-/// shards, each shard a Main/Delta pair behind a [`ShardBackend`]
-/// (see the [module docs](self)).
+/// shards, each shard a Main/Delta pair behind a [`ShardBackend`].
 ///
 /// Point reads and batch lookups take `&self` and never
 /// block behind writes or merges; `put`/`remove` also take `&self`
@@ -325,7 +324,7 @@ impl ShardedStore {
         if let Some(fs) = &fs {
             // Meta + one seq-0 snapshot and empty WAL per shard; a
             // crash mid-init leaves no recoverable meta, i.e. no store.
-            durable::init_store(&**fs, &parts)
+            durable::wal::init_store(&**fs, &parts)
                 .unwrap_or_else(|e| panic!("initialize durable store: {e}"));
         }
         let shards = parts
@@ -383,11 +382,6 @@ impl ShardedStore {
             inner,
             merger: Some(merger),
         }
-    }
-
-    /// The tuning knobs the store was built with.
-    pub fn config(&self) -> &StoreConfig {
-        &self.inner.cfg
     }
 
     /// True when the store logs writes to a WAL (a
@@ -489,12 +483,13 @@ impl ShardedStore {
 
     /// Delta runs published by the write path since build, across all
     /// shards (one per effective shard sub-run of a write run).
-    pub fn delta_runs(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn delta_runs(&self) -> u64 {
         self.sum_counters(|c| &c.delta_runs)
     }
 
     /// Run-stack folds performed by the write path since build (≤
-    /// [`delta_runs`](Self::delta_runs); each fold collapses a stack
+    /// the delta runs published; each fold collapses a stack
     /// that exceeded [`StoreConfig::max_runs`] into one run).
     pub fn compactions(&self) -> u64 {
         self.sum_counters(|c| &c.compactions)
@@ -510,7 +505,7 @@ impl ShardedStore {
 
     /// Merge jobs queued or in flight right now (a point-in-time
     /// gauge; 0 once [`quiesce`](Self::quiesce)d).
-    pub fn merge_backlog(&self) -> usize {
+    pub(crate) fn merge_backlog(&self) -> usize {
         let q = self.inner.merge_q.plock("merge queue");
         q.queue.len() + q.in_flight as usize
     }
@@ -527,7 +522,8 @@ impl ShardedStore {
 
     /// Version-swap count of `shard`: one per write that changed
     /// something, plus one per merge publish.
-    pub fn shard_epoch(&self, shard: usize) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn shard_epoch(&self, shard: usize) -> u64 {
         self.inner.shards[shard].version.epoch()
     }
 
@@ -649,8 +645,8 @@ impl ShardedStore {
         // Hard bound: past it this shard's writers wait for the merger
         // (which takes this lock to pin and to publish, but we release
         // it while waiting on the condvar). A run may overshoot the
-        // bound by its own length — bounded by the dispatcher batch
-        // size.
+        // bound by its own length — bounded by the service's
+        // `max_batch`.
         let t = SpanTimer::start();
         let mut waited = false;
         loop {
@@ -685,8 +681,8 @@ impl ShardedStore {
         for &i in idxs {
             let (key, val) = ops[i];
             // Within the pending run the latest op for the key wins;
-            // runs are dispatcher-batch sized, so the backwards scan
-            // is short.
+            // runs are at most one service batch long, so the
+            // backwards scan is short.
             let pending = run.iter().rev().find(|e| e.0 == key).map(|e| e.1);
             let prev = match pending {
                 Some(over) => over,
@@ -760,7 +756,7 @@ impl ShardedStore {
     /// `out[i]` = lookup result of `keys[i]`.
     ///
     /// The whole batch reads **one** `ShardVersion` snapshot and is
-    /// **planned** first (see [`crate::plan`]): keys the delta decides
+    /// **planned** first (see [`BatchPlan`](crate::BatchPlan)): keys the delta decides
     /// are answered from the sorted run, and only the residual reaches
     /// the chunk-parallel interleaved engine. A merge publishing
     /// mid-batch cannot produce torn results — this batch finishes on
@@ -859,7 +855,7 @@ impl Drop for ShardedStore {
         // panic.
         if let Some(d) = &self.inner.durable {
             for si in 0..self.inner.shards.len() {
-                let _ = d.fs.sync(&durable::wal_name(si));
+                let _ = d.fs.sync(&durable::wal::wal_name(si));
             }
             let _ = d.fs.sync_dir();
         }

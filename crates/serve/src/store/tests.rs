@@ -381,7 +381,7 @@ impl<F: Fs> Fs for GateFs<F> {
         self.fs.append(name, data)
     }
     fn write_all(&self, name: &str, data: &[u8]) -> io::Result<()> {
-        if name == durable::snap_tmp_name(0) {
+        if name == durable::wal::snap_tmp_name(0) {
             if let Some((entered, release)) = self.gate.plock("gate").take() {
                 // A test that has failed meanwhile has dropped
                 // its ends: carry on, so that it can join us.

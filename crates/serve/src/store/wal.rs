@@ -35,8 +35,8 @@ impl DurableState {
     /// land in the shard's [`Stage::WalAppend`] / [`Stage::WalFsync`]
     /// histograms; each fsync emits a [`TraceKind::WalSync`] event.
     pub(super) fn log_run(&self, obs: &Obs, shard: usize, seq: u64, ops: &[(u64, Option<u64>)]) {
-        let name = durable::wal_name(shard);
-        let rec = durable::encode_record(seq, ops);
+        let name = durable::wal::wal_name(shard);
+        let rec = durable::wal::encode_record(seq, ops);
         let t = SpanTimer::start();
         self.fs
             .append(&name, &rec)
@@ -65,7 +65,7 @@ impl DurableState {
     /// durable merge publish — the background merger runs it *outside*
     /// the shard write lock.
     pub(super) fn stage_snapshot(&self, shard: usize, seq: u64, merged: &[(u64, u64)]) -> String {
-        durable::write_snapshot_tmp(&*self.fs, shard, seq, merged)
+        durable::wal::write_snapshot_tmp(&*self.fs, shard, seq, merged)
             .unwrap_or_else(|e| panic!("snapshot write failed for shard {shard}: {e}"))
     }
 
@@ -83,9 +83,9 @@ impl DurableState {
         wal_seq: u64,
         residual: &[(u64, Option<u64>)],
     ) {
-        durable::commit_snapshot(&*self.fs, shard, snap_seq, tmp)
+        durable::wal::commit_snapshot(&*self.fs, shard, snap_seq, tmp)
             .unwrap_or_else(|e| panic!("snapshot commit failed for shard {shard}: {e}"));
-        durable::rewrite_wal(&*self.fs, shard, wal_seq, residual)
+        durable::wal::rewrite_wal(&*self.fs, shard, wal_seq, residual)
             .unwrap_or_else(|e| panic!("WAL rewrite failed for shard {shard}: {e}"));
     }
 }
@@ -114,7 +114,7 @@ impl ShardedStore {
         fs: Arc<dyn Fs>,
     ) -> io::Result<Self> {
         Self::validate(&cfg);
-        let num_shards = durable::read_meta(&*fs)? as usize;
+        let num_shards = durable::wal::read_meta(&*fs)? as usize;
         if !num_shards.is_power_of_two() {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidData,
@@ -126,7 +126,7 @@ impl ShardedStore {
         let mut shards = Vec::with_capacity(num_shards);
         let mut refill = Vec::new();
         for si in 0..num_shards {
-            let rec = durable::recover_shard(&*fs, si)?;
+            let rec = durable::wal::recover_shard(&*fs, si)?;
             // Replay the WAL tail in append order into one folded run
             // (records replay absolute upserts, later records win).
             // The log holds what the minor merges since the last
