@@ -65,8 +65,8 @@ fn parallel_allocs_do_not_scale_with_lookups() {
         // lookups contribute zero allocations. The counts may differ by
         // a per-thread setup — never by anything proportional to the
         // lookup count.
-        let (allocs_small, _) = count_allocs(|| run_par(&small, &mut out_small, threads));
-        let (allocs_large, _) = count_allocs(|| run_par(&large, &mut out_large, threads));
+        let (allocs_small, _, _) = count_allocs(|| run_par(&small, &mut out_small, threads));
+        let (allocs_large, _, _) = count_allocs(|| run_par(&large, &mut out_large, threads));
         let delta = allocs_large.abs_diff(allocs_small);
         assert!(
             delta <= 2 * threads as u64,
@@ -88,7 +88,7 @@ fn an_interleaved_run_allocates_only_its_slab() {
     let values: Vec<u32> = (0..4_096).collect();
     let mut out = vec![0u32; values.len()];
     for group in [2, 8, 64] {
-        let (allocs, _) = count_allocs(|| {
+        let (allocs, _, _) = count_allocs(|| {
             run_interleaved(group, values.iter().copied(), lookup, |i, r| out[i] = r);
         });
         assert_eq!(allocs, 1, "group={group}: a run allocates its slab once");

@@ -35,4 +35,4 @@ pub use lookup::{bulk_lookup_interleaved, bulk_lookup_seq, descend_level, lookup
 pub use node::{InnerNode, LeafNode};
 pub use shard::CsbShard;
 pub use store::{DirectTreeStore, TreeView};
-pub use tree::CsbTree;
+pub use tree::{CsbTree, CsbTreeBuilder};

@@ -25,10 +25,18 @@ pub struct CsbShard {
 
 impl CsbShard {
     /// Bulk-load from strictly-sorted, duplicate-free pairs.
+    ///
+    /// # Panics
+    /// Panics if `pairs` is not strictly sorted by key.
     pub fn build(pairs: &[(u64, u64)]) -> Self {
         Self {
             tree: CsbTree::from_sorted(pairs),
         }
+    }
+
+    /// A shard over a tree bulk-loaded elsewhere ([`CsbTree::builder`]).
+    pub fn from_tree(tree: CsbTree<u64, u64>) -> Self {
+        Self { tree }
     }
 
     /// The underlying tree.

@@ -10,10 +10,10 @@
 //! groups are left behind and tracked in `dead_*` counters;
 //! [`CsbTree::rebuilt`] compacts the tree when the garbage matters.
 //!
-//! A bulk load ([`CsbTree::from_sorted`], and with it every rebuild)
-//! reserves both arenas at their exact final length and advises them
-//! onto transparent huge pages ([`isi_core::topo::advise_huge_pages`])
-//! before filling them. A cold descent touches one node per level, each
+//! A bulk load ([`CsbTree::builder`], [`CsbTree::from_sorted`] and with
+//! them every rebuild) reserves both arenas at their exact final length
+//! and advises them onto transparent huge pages
+//! ([`isi_core::topo::advise_huge_pages`]) before filling them. A cold descent touches one node per level, each
 //! on a page of its own: 2^23 pairs are 599 187 leaves of 232 B
 //! (139 MB) plus ~5 MB of inner nodes, about 35 000 4-KiB pages against
 //! a second-level TLB of about 2 000 entries. Where the kernel declines,
@@ -111,69 +111,24 @@ impl<K: Copy + Ord + Default, V: Copy + Default> CsbTree<K, V> {
     /// # Panics
     /// Panics if `pairs` is not strictly sorted by key.
     pub fn from_sorted(pairs: &[(K, V)]) -> Self {
-        for w in pairs.windows(2) {
-            assert!(w[0].0 < w[1].0, "bulk load requires strictly sorted keys");
+        let mut b = Self::builder(pairs.len());
+        for &(k, v) in pairs {
+            b.push(k, v);
         }
-        if pairs.is_empty() {
-            return Self::new();
-        }
-        // Reserve both arenas at their final length, advise, then fill:
-        // the fill's page faults are the first touch, so an advised arena
-        // is born on huge pages, and no push reallocates it off them.
-        let leaf_count = pairs.len().div_ceil(NODE_CAP);
-        let mut leaves: Vec<LeafNode<K, V>> = Vec::with_capacity(leaf_count);
-        let mut inners: Vec<InnerNode<K>> = Vec::with_capacity(inner_count(leaf_count));
+        b.finish()
+    }
+
+    /// A bulk loader for `len` pairs, pushed in strictly ascending key
+    /// order, as [`from_sorted`](Self::from_sorted) takes them. The
+    /// leaf arena is reserved at its final length and advised before
+    /// the first push, the inner arena likewise at
+    /// [`finish`](CsbTreeBuilder::finish): the fill's page faults are
+    /// the first touch, so an advised arena is born on huge pages, and
+    /// no push reallocates it off them.
+    pub fn builder(len: usize) -> CsbTreeBuilder<K, V> {
+        let mut leaves = Vec::with_capacity(len.div_ceil(NODE_CAP));
         advise_huge_pages(leaves.spare_capacity_mut());
-        advise_huge_pages(inners.spare_capacity_mut());
-        for chunk in pairs.chunks(NODE_CAP) {
-            let mut leaf = LeafNode::new();
-            for (i, (k, v)) in chunk.iter().enumerate() {
-                leaf.keys[i] = *k;
-                leaf.values[i] = *v;
-            }
-            leaf.nkeys = chunk.len() as u16;
-            leaves.push(leaf);
-        }
-
-        // Min key of every node on the current level.
-        let mut level_mins: Vec<K> = leaves.iter().map(|l| l.min_key()).collect();
-        let mut level_start = 0u32; // arena offset of current level (leaves: 0)
-        let mut level_len = leaves.len();
-        let mut height = 0u32;
-
-        while level_len > 1 {
-            let mut next_mins = Vec::with_capacity(level_len / (NODE_CAP + 1) + 1);
-            let next_start = inners.len() as u32;
-            let mut child = 0usize;
-            while child < level_len {
-                let group = (level_len - child).min(NODE_CAP + 1);
-                let mut node = InnerNode::new(level_start + child as u32);
-                node.keys[..group - 1].copy_from_slice(&level_mins[child + 1..child + group]);
-                node.nkeys = (group - 1) as u16;
-                next_mins.push(level_mins[child]);
-                inners.push(node);
-                child += group;
-            }
-            level_start = next_start;
-            level_len = inners.len() - next_start as usize;
-            level_mins = next_mins;
-            height += 1;
-        }
-
-        let root = if height == 0 {
-            0
-        } else {
-            (inners.len() - 1) as u32
-        };
-        Self {
-            inners,
-            leaves,
-            root,
-            height,
-            len: pairs.len(),
-            dead_inners: 0,
-            dead_leaves: 0,
-        }
+        CsbTreeBuilder { leaves, len: 0 }
     }
 
     /// Descend to the leaf for `key`, recording the inner-node path
@@ -449,6 +404,89 @@ impl<K: Copy + Ord + Default, V: Copy + Default> CsbTree<K, V> {
                     live_leaves,
                 );
             }
+        }
+    }
+}
+
+/// A [`CsbTree`] being bulk-loaded, pair by pair, in key order (see
+/// [`CsbTree::builder`]).
+#[derive(Debug)]
+pub struct CsbTreeBuilder<K, V> {
+    leaves: Vec<LeafNode<K, V>>,
+    len: usize,
+}
+
+impl<K: Copy + Ord + Default, V: Copy + Default> CsbTreeBuilder<K, V> {
+    /// Append one pair to the last leaf, or to a fresh one when it is
+    /// full.
+    ///
+    /// # Panics
+    /// Panics unless `key` is above every key pushed before.
+    #[inline]
+    pub fn push(&mut self, key: K, value: V) {
+        let slot = self.len % NODE_CAP;
+        if let Some(leaf) = self.leaves.last() {
+            let last = leaf.keys[(slot + NODE_CAP - 1) % NODE_CAP];
+            assert!(last < key, "bulk load requires strictly sorted keys");
+        }
+        if slot == 0 {
+            self.leaves.push(LeafNode::new());
+        }
+        let leaf = self.leaves.last_mut().expect("a leaf with room");
+        leaf.keys[slot] = key;
+        leaf.values[slot] = value;
+        leaf.nkeys = slot as u16 + 1;
+        self.len += 1;
+    }
+
+    /// Build the inner levels over the filled leaves: the level above
+    /// each contiguous run of children becomes one node group.
+    pub fn finish(self) -> CsbTree<K, V> {
+        let Self { leaves, len } = self;
+        if leaves.is_empty() {
+            return CsbTree::new();
+        }
+        let mut inners: Vec<InnerNode<K>> = Vec::with_capacity(inner_count(leaves.len()));
+        advise_huge_pages(inners.spare_capacity_mut());
+
+        // Min key of every node on the current level.
+        let mut level_mins: Vec<K> = leaves.iter().map(|l| l.min_key()).collect();
+        let mut level_start = 0u32; // arena offset of current level (leaves: 0)
+        let mut level_len = leaves.len();
+        let mut height = 0u32;
+
+        while level_len > 1 {
+            let mut next_mins = Vec::with_capacity(level_len / (NODE_CAP + 1) + 1);
+            let next_start = inners.len() as u32;
+            let mut child = 0usize;
+            while child < level_len {
+                let group = (level_len - child).min(NODE_CAP + 1);
+                let mut node = InnerNode::new(level_start + child as u32);
+                node.keys[..group - 1].copy_from_slice(&level_mins[child + 1..child + group]);
+                node.nkeys = (group - 1) as u16;
+                next_mins.push(level_mins[child]);
+                inners.push(node);
+                child += group;
+            }
+            level_start = next_start;
+            level_len = inners.len() - next_start as usize;
+            level_mins = next_mins;
+            height += 1;
+        }
+
+        let root = if height == 0 {
+            0
+        } else {
+            (inners.len() - 1) as u32
+        };
+        CsbTree {
+            inners,
+            leaves,
+            root,
+            height,
+            len,
+            dead_inners: 0,
+            dead_leaves: 0,
         }
     }
 }

@@ -199,17 +199,30 @@ pub fn decode_wal(bytes: &[u8]) -> WalDecode {
     }
 }
 
-/// Encode a shard snapshot covering WAL sequence `seq`.
-pub fn encode_snapshot(seq: u64, pairs: &[(u64, u64)]) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(24 + pairs.len() * 16 + 4);
+/// Encode a shard snapshot covering WAL sequence `seq`: the `len`
+/// pairs `pairs` yields, in the order it yields them (strictly
+/// ascending by key, as every shard's pairs are). Taking an iterator
+/// lets a store stream a shard's pairs out of its routed input without
+/// collecting them first.
+///
+/// # Panics
+/// Panics if `pairs` yields other than `len` pairs: the count is
+/// written into the header ahead of them.
+pub fn encode_snapshot(
+    seq: u64,
+    len: usize,
+    pairs: impl IntoIterator<Item = (u64, u64)>,
+) -> Vec<u8> {
+    let mut buf = Vec::with_capacity(24 + len * 16 + 4);
     buf.extend_from_slice(SNAP_MAGIC);
     buf.extend_from_slice(&SNAP_VERSION.to_le_bytes());
     buf.extend_from_slice(&seq.to_le_bytes());
-    buf.extend_from_slice(&(pairs.len() as u64).to_le_bytes());
-    for &(k, v) in pairs {
+    buf.extend_from_slice(&(len as u64).to_le_bytes());
+    for (k, v) in pairs {
         buf.extend_from_slice(&k.to_le_bytes());
         buf.extend_from_slice(&v.to_le_bytes());
     }
+    assert_eq!(buf.len(), 24 + len * 16, "snapshot of {len} pairs");
     let crc = crc32(&buf);
     buf.extend_from_slice(&crc.to_le_bytes());
     buf
@@ -286,7 +299,15 @@ fn is_store_file(name: &str) -> bool {
 /// the new seq-0 ones and recovery would prefer them. The old meta
 /// goes before anything else, so a crash while clearing leaves no
 /// store rather than half of the old one.
-pub fn init_store(fs: &dyn Fs, shard_pairs: &[Vec<(u64, u64)>]) -> io::Result<()> {
+///
+/// `shards` yields, in shard order, each shard's pair count and its
+/// pairs in ascending key order. A shard's pairs are pulled only while
+/// its snapshot is encoded, so one snapshot's bytes are held at a time
+/// and the pairs can stream from the caller's input.
+pub fn init_store<I: IntoIterator<Item = (u64, u64)>>(
+    fs: &dyn Fs,
+    shards: impl ExactSizeIterator<Item = (usize, I)>,
+) -> io::Result<()> {
     let stale: Vec<String> = fs
         .list()?
         .into_iter()
@@ -299,12 +320,12 @@ pub fn init_store(fs: &dyn Fs, shard_pairs: &[Vec<(u64, u64)>]) -> io::Result<()
     for name in stale.iter().filter(|n| *n != META_NAME) {
         fs.remove(name)?;
     }
-    let shards = u32::try_from(shard_pairs.len()).expect("shard count fits u32");
-    fs.write_all(META_NAME, &encode_meta(shards))?;
+    let count = u32::try_from(shards.len()).expect("shard count fits u32");
+    fs.write_all(META_NAME, &encode_meta(count))?;
     fs.sync(META_NAME)?;
-    for (shard, pairs) in shard_pairs.iter().enumerate() {
+    for (shard, (len, pairs)) in shards.enumerate() {
         let snap = snap_name(shard, 0);
-        fs.write_all(&snap, &encode_snapshot(0, pairs))?;
+        fs.write_all(&snap, &encode_snapshot(0, len, pairs))?;
         fs.sync(&snap)?;
         let wal = wal_name(shard);
         fs.write_all(&wal, &[])?;
@@ -324,7 +345,10 @@ pub fn write_snapshot_tmp(
     pairs: &[(u64, u64)],
 ) -> io::Result<String> {
     let tmp = snap_tmp_name(shard);
-    fs.write_all(&tmp, &encode_snapshot(seq, pairs))?;
+    fs.write_all(
+        &tmp,
+        &encode_snapshot(seq, pairs.len(), pairs.iter().copied()),
+    )?;
     fs.sync(&tmp)?;
     Ok(tmp)
 }
@@ -464,6 +488,11 @@ mod tests {
     use super::*;
     use crate::fs::MemFs;
 
+    /// [`init_store`] over whole per-shard vectors.
+    fn init(fs: &MemFs, shards: &[Vec<(u64, u64)>]) -> io::Result<()> {
+        init_store(fs, shards.iter().map(|p| (p.len(), p.iter().copied())))
+    }
+
     fn ops(n: u64) -> Vec<(u64, Option<u64>)> {
         (0..n)
             .map(|i| (i * 3, (i % 4 != 0).then_some(i + 100)))
@@ -569,21 +598,27 @@ mod tests {
     #[test]
     fn snapshot_roundtrip_and_corruption_detection() {
         let pairs: Vec<(u64, u64)> = (0..100).map(|i| (i * 7, i)).collect();
-        let bytes = encode_snapshot(33, &pairs);
+        let bytes = encode_snapshot(33, pairs.len(), pairs.iter().copied());
         assert_eq!(decode_snapshot(&bytes), Some((33, pairs.clone())));
         assert_eq!(decode_snapshot(&bytes[..bytes.len() - 1]), None);
         assert_eq!(decode_snapshot(b"ISNPxxxx"), None);
         let mut flipped = bytes.clone();
         flipped[40] ^= 1;
         assert_eq!(decode_snapshot(&flipped), None);
-        let empty = encode_snapshot(0, &[]);
+        let empty = encode_snapshot(0, 0, []);
         assert_eq!(decode_snapshot(&empty), Some((0, vec![])));
+    }
+
+    #[test]
+    #[should_panic(expected = "snapshot of 2 pairs")]
+    fn a_snapshot_stream_shorter_than_its_count_panics() {
+        encode_snapshot(0, 2, [(1, 1)]);
     }
 
     #[test]
     fn meta_roundtrip_and_validation() {
         let fs = MemFs::new();
-        init_store(&fs, &[vec![(1, 2)], vec![]]).unwrap();
+        init(&fs, &[vec![(1, 2)], vec![]]).unwrap();
         assert_eq!(read_meta(&fs).unwrap(), 2);
         fs.write_all(META_NAME, b"IMTAgarbagegarb").unwrap();
         assert!(read_meta(&fs).is_err());
@@ -595,7 +630,7 @@ mod tests {
     fn init_recover_roundtrip_with_wal_tail() {
         let fs = MemFs::new();
         let seeded = vec![vec![(10, 1), (20, 2)], vec![(15, 3)]];
-        init_store(&fs, &seeded).unwrap();
+        init(&fs, &seeded).unwrap();
         // Shard 0 gets two more runs.
         fs.append(&wal_name(0), &encode_record(1, &[(10, Some(9))]))
             .unwrap();
@@ -618,7 +653,7 @@ mod tests {
     #[test]
     fn snapshot_commit_filters_already_covered_records() {
         let fs = MemFs::new();
-        init_store(&fs, &[vec![]]).unwrap();
+        init(&fs, &[vec![]]).unwrap();
         fs.append(&wal_name(0), &encode_record(1, &[(1, Some(1))]))
             .unwrap();
         fs.append(&wal_name(0), &encode_record(2, &[(2, Some(2))]))
@@ -643,15 +678,15 @@ mod tests {
     #[test]
     fn duplicate_snapshots_pick_newest_valid_and_delete_stale() {
         let fs = MemFs::new();
-        init_store(&fs, &[vec![]]).unwrap();
+        init(&fs, &[vec![]]).unwrap();
         // Three snapshots: seq 5 (valid), seq 9 (corrupt — the newest
         // must NOT win), seq 7 (valid — the newest valid).
-        fs.write_all(&snap_name(0, 5), &encode_snapshot(5, &[(5, 5)]))
+        fs.write_all(&snap_name(0, 5), &encode_snapshot(5, 1, [(5, 5)]))
             .unwrap();
-        let mut bad = encode_snapshot(9, &[(9, 9)]);
+        let mut bad = encode_snapshot(9, 1, [(9, 9)]);
         bad[10] ^= 0xFF;
         fs.write_all(&snap_name(0, 9), &bad).unwrap();
-        fs.write_all(&snap_name(0, 7), &encode_snapshot(7, &[(7, 7)]))
+        fs.write_all(&snap_name(0, 7), &encode_snapshot(7, 1, [(7, 7)]))
             .unwrap();
         // Plus leftover temp files from an interrupted publish.
         fs.write_all(&snap_tmp_name(0), b"half").unwrap();
@@ -669,9 +704,9 @@ mod tests {
     #[test]
     fn mis_stamped_snapshot_is_treated_as_invalid() {
         let fs = MemFs::new();
-        init_store(&fs, &[vec![(1, 1)]]).unwrap();
+        init(&fs, &[vec![(1, 1)]]).unwrap();
         // A file named seq 9 whose payload says seq 3: invalid.
-        fs.write_all(&snap_name(0, 9), &encode_snapshot(3, &[(9, 9)]))
+        fs.write_all(&snap_name(0, 9), &encode_snapshot(3, 1, [(9, 9)]))
             .unwrap();
         let rec = recover_shard(&fs, 0).unwrap();
         assert_eq!(rec.snap_seq, 0);
@@ -682,7 +717,7 @@ mod tests {
     #[test]
     fn torn_wal_tail_is_discarded_and_truncated_on_disk() {
         let fs = MemFs::new();
-        init_store(&fs, &[vec![]]).unwrap();
+        init(&fs, &[vec![]]).unwrap();
         let good = encode_record(1, &[(1, Some(1))]);
         fs.append(&wal_name(0), &good).unwrap();
         let torn = encode_record(2, &[(2, Some(2))]);

@@ -10,7 +10,10 @@
 //!   bit flipped, decodes to a prefix of those records whose encoded
 //!   length is `valid_len`;
 //! * a snapshot round-trips, and every strict truncation or single-bit
-//!   flip of it decodes to `None`.
+//!   flip of it decodes to `None`;
+//! * a snapshot streamed out of a routed input, as a store's build
+//!   writes one, is byte for byte the snapshot format spelled out here
+//!   over the same pairs collected into a slice.
 
 use proptest::prelude::*;
 
@@ -26,6 +29,20 @@ fn frame(body: &[u8]) -> Vec<u8> {
     let mut out = len.to_le_bytes().to_vec();
     out.extend_from_slice(&crc32(&covered).to_le_bytes());
     out.extend_from_slice(body);
+    out
+}
+
+/// The snapshot format, written out: magic, version 1, `seq`, the pair
+/// count, the pairs little-endian, then the CRC of all of it.
+fn snapshot_bytes(seq: u64, pairs: &[(u64, u64)]) -> Vec<u8> {
+    let mut out = [b"ISNP".as_slice(), &1u32.to_le_bytes(), &seq.to_le_bytes()].concat();
+    out.extend_from_slice(&(pairs.len() as u64).to_le_bytes());
+    for &(k, v) in pairs {
+        out.extend_from_slice(&k.to_le_bytes());
+        out.extend_from_slice(&v.to_le_bytes());
+    }
+    let crc = crc32(&out);
+    out.extend_from_slice(&crc.to_le_bytes());
     out
 }
 
@@ -86,7 +103,7 @@ proptest! {
         let accepted: usize = dec.records.iter().map(|r| encode_record(r.seq, &r.ops).len()).sum();
         prop_assert_eq!(accepted, dec.valid_len, "kind {}", kind);
         if let Some((seq, pairs)) = decode_snapshot(&bytes) {
-            prop_assert_eq!(encode_snapshot(seq, &pairs), bytes, "kind {}", kind);
+            prop_assert_eq!(encode_snapshot(seq, pairs.len(), pairs.iter().copied()), bytes, "kind {}", kind);
         }
     }
 
@@ -130,7 +147,7 @@ proptest! {
         at in 0..=u64::MAX,
     ) {
         let pairs: Vec<(u64, u64)> = pairs.into_iter().collect();
-        let bytes = encode_snapshot(seq, &pairs);
+        let bytes = encode_snapshot(seq, pairs.len(), pairs.iter().copied());
         prop_assert_eq!(decode_snapshot(&bytes), Some((seq, pairs)));
         for cut in 0..bytes.len() {
             prop_assert_eq!(decode_snapshot(&bytes[..cut]), None, "cut {}", cut);
@@ -139,5 +156,28 @@ proptest! {
         let mut flipped = bytes;
         flipped[bit / 8] ^= 1 << (bit % 8);
         prop_assert_eq!(decode_snapshot(&flipped), None, "bit {}", bit);
+    }
+
+    #[test]
+    fn a_streamed_snapshot_is_the_slice_format(
+        seq in 0..=u64::MAX,
+        pairs in proptest::collection::btree_map(0..=u64::MAX, 0..=u64::MAX, 0..80),
+        route in 0..=u64::MAX,
+    ) {
+        // Two shards picked by a key bit, as a store's routing splits
+        // its input: each shard's pairs stream out of the whole input.
+        let input: Vec<(u64, u64)> = pairs.into_iter().collect();
+        let shard_of = |k: u64| ((k ^ route) >> (route % 64)) & 1;
+        for shard in 0..2 {
+            let slice: Vec<(u64, u64)> =
+                input.iter().copied().filter(|&(k, _)| shard_of(k) == shard).collect();
+            let stream = input.iter().copied().filter(|&(k, _)| shard_of(k) == shard);
+            prop_assert_eq!(
+                encode_snapshot(seq, slice.len(), stream),
+                snapshot_bytes(seq, &slice),
+                "shard {}",
+                shard
+            );
+        }
     }
 }

@@ -34,5 +34,5 @@ pub use join::{hash_join, nested_loop_join};
 pub use probe::{
     bulk_probe_amac, bulk_probe_interleaved, bulk_probe_par, bulk_probe_seq, probe_coro_on,
 };
-pub use shard::HashShard;
+pub use shard::{HashShard, HashShardBuilder};
 pub use table::{ChainedHashTable, HashKey};

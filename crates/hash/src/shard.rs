@@ -3,9 +3,10 @@
 //!
 //! Batch lookups chase bucket chains through the interleaved probe
 //! coroutines ([`crate::probe::bulk_probe_par`], the paper's
-//! Section 6). The table has no key order, so
-//! [`pairs`](ShardBackend::pairs) sorts the entry arena on each call —
-//! once per major merge.
+//! Section 6). A shard is built from pairs in ascending key order, and
+//! the table's entry arena keeps insertion order, so
+//! [`pairs`](ShardBackend::pairs) reads the arena as it is: the bucket
+//! chains are what scatter the keys, not the arena.
 
 use std::sync::Arc;
 
@@ -23,18 +24,58 @@ pub struct HashShard {
 }
 
 impl HashShard {
-    /// Build from duplicate-free pairs (order irrelevant).
+    /// Build from strictly-sorted, duplicate-free pairs.
+    ///
+    /// # Panics
+    /// Panics if `pairs` is not strictly sorted by key.
     pub fn build(pairs: &[(u64, u64)]) -> Self {
-        let mut table = ChainedHashTable::with_capacity(pairs.len());
+        let mut b = Self::builder(pairs.len());
         for &(k, v) in pairs {
-            table.insert(k, v);
+            b.push(k, v);
         }
-        Self { table }
+        b.finish()
+    }
+
+    /// A builder for a shard of `len` pairs, pushed in strictly
+    /// ascending key order. The table is sized and advised for `len`
+    /// entries before the first push
+    /// ([`ChainedHashTable::with_capacity`]).
+    pub fn builder(len: usize) -> HashShardBuilder {
+        HashShardBuilder {
+            table: ChainedHashTable::with_capacity(len),
+        }
     }
 
     /// The underlying table.
     pub fn table(&self) -> &ChainedHashTable<u64, u64> {
         &self.table
+    }
+}
+
+/// A [`HashShard`] being filled, pair by pair, in key order (see
+/// [`HashShard::builder`]).
+pub struct HashShardBuilder {
+    table: ChainedHashTable<u64, u64>,
+}
+
+impl HashShardBuilder {
+    /// Insert one pair.
+    ///
+    /// # Panics
+    /// Panics unless `key` is above every key pushed before. The table
+    /// itself keeps duplicates (hash-join semantics), so ascending
+    /// order is what keeps a shard's keys unique and its `len` exact.
+    #[inline]
+    pub fn push(&mut self, key: u64, val: u64) {
+        if let Some(last) = self.table.entries().last() {
+            assert!(last.key < key, "pairs must be strictly sorted by key");
+        }
+        self.table.insert(key, val);
+    }
+
+    /// The finished shard.
+    pub fn finish(self) -> HashShard {
+        HashShard { table: self.table }
     }
 }
 
@@ -63,14 +104,13 @@ impl ShardBackend for HashShard {
     }
 
     fn pairs(&self) -> Vec<(u64, u64)> {
-        let mut run: Vec<(u64, u64)> = self
-            .table
+        // The builder took the pairs in ascending order, and the arena
+        // keeps insertion order.
+        self.table
             .entries()
             .iter()
             .map(|e| (e.key, e.val))
-            .collect();
-        run.sort_unstable_by_key(|&(k, _)| k);
-        run
+            .collect()
     }
 }
 
@@ -103,7 +143,7 @@ mod tests {
 
     #[test]
     fn rebuild_roundtrip_and_empty() {
-        // pairs() must come out sorted even though the table isn't.
+        // pairs() must come out sorted even though the buckets aren't.
         let pairs: Vec<(u64, u64)> = (0..500).map(|i| (i * 3, i + 100)).collect();
         let s = HashShard::build(&pairs);
         assert_eq!(s.pairs(), pairs);
@@ -111,5 +151,17 @@ mod tests {
         let empty = HashShard::build(&[]);
         assert!(empty.is_empty());
         assert!(empty.pairs().is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "strictly sorted")]
+    fn build_rejects_unsorted() {
+        HashShard::build(&[(3, 0), (1, 0)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "strictly sorted")]
+    fn build_rejects_duplicates() {
+        HashShard::build(&[(3, 0), (3, 1)]);
     }
 }

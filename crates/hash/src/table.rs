@@ -9,6 +9,8 @@
 //! potential cache miss per hop — exactly the access pattern
 //! interleaving hides (see [`crate::probe`]).
 
+use isi_core::topo::advise_huge_pages;
+
 /// Sentinel for "no entry".
 pub(crate) const NONE: u32 = u32::MAX;
 
@@ -70,11 +72,20 @@ pub struct ChainedHashTable<K, V> {
 
 impl<K: HashKey, V: Copy> ChainedHashTable<K, V> {
     /// Create a table sized for `expected` entries at load factor <= 1.
+    /// Both arrays are advised onto huge pages before their first touch
+    /// ([`advise_huge_pages`]): a probe lands on a random bucket and a
+    /// random entry, each on a page of its own once the table outgrows
+    /// the TLB's reach.
     pub fn with_capacity(expected: usize) -> Self {
         let nbuckets = expected.next_power_of_two().max(8);
+        let mut buckets = Vec::with_capacity(nbuckets);
+        let mut entries = Vec::with_capacity(expected);
+        advise_huge_pages(buckets.spare_capacity_mut());
+        advise_huge_pages(entries.spare_capacity_mut());
+        buckets.resize(nbuckets, NONE);
         Self {
-            buckets: vec![NONE; nbuckets],
-            entries: Vec::with_capacity(expected),
+            buckets,
+            entries,
             mask: (nbuckets - 1) as u64,
         }
     }

@@ -22,7 +22,7 @@ fn disabled_observability_hot_path_never_allocates() {
     let requests = Counter::default();
     let latency = AtomicHist::new();
 
-    let (allocs, _) = count_allocs(|| {
+    let (allocs, _, _) = count_allocs(|| {
         for i in 0..10_000u64 {
             requests.inc();
             latency.record(i);
@@ -48,7 +48,7 @@ fn enabled_trace_emission_is_allocation_free_in_steady_state() {
     // Rings are preallocated here, outside the counted section.
     obs.trace().enable(64);
 
-    let (allocs, _) = count_allocs(|| {
+    let (allocs, _, _) = count_allocs(|| {
         // 10k events through 64-slot rings: fills, then wraps — both
         // paths must reuse the preallocated storage.
         for i in 0..10_000u64 {

@@ -41,4 +41,4 @@ pub use par::bulk_rank_coro_par;
 pub use seq::{
     bulk_rank_branchfree, bulk_rank_branchy, rank_branchfree, rank_branchy, rank_oracle,
 };
-pub use shard::SortedShard;
+pub use shard::{SortedShard, SortedShardBuilder};

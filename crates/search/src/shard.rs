@@ -31,25 +31,61 @@ pub struct SortedShard {
 
 impl SortedShard {
     /// Build from strictly-sorted, duplicate-free pairs.
+    ///
+    /// # Panics
+    /// Panics if `pairs` is not strictly sorted by key.
     pub fn build(pairs: &[(u64, u64)]) -> Self {
-        debug_assert!(
-            pairs.windows(2).all(|w| w[0].0 < w[1].0),
-            "pairs must be strictly sorted by key"
-        );
-        // Reserve, advise, then fill: the fill's page faults are the
-        // first touch, so an advised column is born on huge pages.
-        let mut keys = Vec::with_capacity(pairs.len());
-        let mut vals = Vec::with_capacity(pairs.len());
+        let mut b = Self::builder(pairs.len());
+        for &(k, v) in pairs {
+            b.push(k, v);
+        }
+        b.finish()
+    }
+
+    /// A builder for a shard of `len` pairs, pushed in strictly
+    /// ascending key order. Both columns are reserved at `len` and
+    /// advised before the first push: the pushes' page faults are the
+    /// first touch, so an advised column is born on huge pages.
+    pub fn builder(len: usize) -> SortedShardBuilder {
+        let mut keys = Vec::with_capacity(len);
+        let mut vals = Vec::with_capacity(len);
         advise_huge_pages(keys.spare_capacity_mut());
         advise_huge_pages(vals.spare_capacity_mut());
-        keys.extend(pairs.iter().map(|&(k, _)| k));
-        vals.extend(pairs.iter().map(|&(_, v)| v));
-        Self { keys, vals }
+        SortedShardBuilder {
+            shard: Self { keys, vals },
+        }
     }
 
     /// The sorted key column.
     pub fn keys(&self) -> &[u64] {
         &self.keys
+    }
+}
+
+/// A [`SortedShard`] being filled, pair by pair, in key order (see
+/// [`SortedShard::builder`]).
+pub struct SortedShardBuilder {
+    shard: SortedShard,
+}
+
+impl SortedShardBuilder {
+    /// Append one pair.
+    ///
+    /// # Panics
+    /// Panics unless `key` is above every key pushed before: a column
+    /// out of order would give wrong binary-search answers.
+    #[inline]
+    pub fn push(&mut self, key: u64, val: u64) {
+        if let Some(&last) = self.shard.keys.last() {
+            assert!(last < key, "pairs must be strictly sorted by key");
+        }
+        self.shard.keys.push(key);
+        self.shard.vals.push(val);
+    }
+
+    /// The finished shard.
+    pub fn finish(self) -> SortedShard {
+        self.shard
     }
 }
 
@@ -149,5 +185,17 @@ mod tests {
             &mut out,
         );
         assert_eq!(out, [None, None]);
+    }
+
+    #[test]
+    #[should_panic(expected = "strictly sorted")]
+    fn build_rejects_unsorted() {
+        SortedShard::build(&[(3, 0), (1, 0)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "strictly sorted")]
+    fn build_rejects_duplicates() {
+        SortedShard::build(&[(3, 0), (3, 1)]);
     }
 }

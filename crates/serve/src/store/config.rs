@@ -6,10 +6,10 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 use isi_core::backend::ShardBackend;
-use isi_csb::CsbShard;
+use isi_csb::{CsbShard, CsbTree, CsbTreeBuilder};
 use isi_durable::FsyncMode;
-use isi_hash::HashShard;
-use isi_search::SortedShard;
+use isi_hash::{HashShard, HashShardBuilder};
+use isi_search::{SortedShard, SortedShardBuilder};
 
 /// Which index structure backs every shard's main of a
 /// [`ShardedStore`](super::ShardedStore).
@@ -38,16 +38,72 @@ impl Backend {
     }
 
     /// Build one shard's main from strictly-sorted, duplicate-free
-    /// pairs. This is the only place the backend choice is matched on;
+    /// pairs.
+    ///
+    /// # Panics
+    /// Panics if `pairs` is not strictly sorted by key.
+    pub fn build_shard(self, pairs: &[(u64, u64)]) -> Arc<dyn ShardBackend> {
+        let mut mains = self.build_mains(&[pairs.len()], pairs, |_| 0);
+        mains.pop().expect("one main")
+    }
+
+    /// Build every shard's main in one pass over strictly-sorted,
+    /// duplicate-free `pairs`: each pair goes to the builder of shard
+    /// `route(key)`, which was reserved for the `lens[shard]` pairs it
+    /// gets. This is the only place the backend choice is matched on;
     /// everything after construction dispatches through the
     /// [`ShardBackend`] trait.
-    pub fn build_shard(self, pairs: &[(u64, u64)]) -> Arc<dyn ShardBackend> {
+    pub(super) fn build_mains(
+        self,
+        lens: &[usize],
+        pairs: &[(u64, u64)],
+        route: impl Fn(u64) -> usize,
+    ) -> Vec<Arc<dyn ShardBackend>> {
         match self {
-            Backend::Sorted => Arc::new(SortedShard::build(pairs)),
-            Backend::Csb => Arc::new(CsbShard::build(pairs)),
-            Backend::Hash => Arc::new(HashShard::build(pairs)),
+            Backend::Sorted => fill(
+                lens,
+                pairs,
+                route,
+                SortedShard::builder,
+                SortedShardBuilder::push,
+                |b| Arc::new(b.finish()),
+            ),
+            Backend::Csb => fill(
+                lens,
+                pairs,
+                route,
+                CsbTree::builder,
+                CsbTreeBuilder::push,
+                |b| Arc::new(CsbShard::from_tree(b.finish())),
+            ),
+            Backend::Hash => fill(
+                lens,
+                pairs,
+                route,
+                HashShard::builder,
+                HashShardBuilder::push,
+                |b| Arc::new(b.finish()),
+            ),
         }
     }
+}
+
+/// The fill pass: one builder a shard, each pair pushed to the one its
+/// shard indexes. The backend is fixed per call, so the loop carries
+/// no branch on the shard and none on the backend.
+fn fill<B>(
+    lens: &[usize],
+    pairs: &[(u64, u64)],
+    route: impl Fn(u64) -> usize,
+    builder: impl Fn(usize) -> B,
+    push: impl Fn(&mut B, u64, u64),
+    finish: impl Fn(B) -> Arc<dyn ShardBackend>,
+) -> Vec<Arc<dyn ShardBackend>> {
+    let mut builders: Vec<B> = lens.iter().map(|&len| builder(len)).collect();
+    for &(k, v) in pairs {
+        push(&mut builders[route(k)], k, v);
+    }
+    builders.into_iter().map(finish).collect()
 }
 
 /// Store tuning knobs.

@@ -180,10 +180,12 @@ fn fold_runs<'a>(mut newest_first: impl Iterator<Item = &'a DeltaRun>) -> Vec<(u
     acc
 }
 
-/// Sort a freshly built override run by key and resolve duplicates
-/// last-write-wins: the stable sort keeps equal keys in op order, the
-/// in-place dedup keeps the last of each group. O(run log run).
-pub(super) fn sort_lww(run: &mut Vec<(u64, Option<u64>)>) {
+/// Sort a freshly built run by key and resolve duplicates
+/// last-write-wins: the stable sort keeps equal keys in input order,
+/// the in-place dedup keeps the last of each group. O(run log run).
+/// Override runs (`V = Option<u64>`) and a store's unsorted build
+/// input (`V = u64`) both go through it.
+pub(super) fn sort_lww<V: Copy>(run: &mut Vec<(u64, V)>) {
     run.sort_by_key(|e| e.0);
     let mut w = 0;
     for r in 0..run.len() {

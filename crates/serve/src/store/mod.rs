@@ -243,6 +243,14 @@ impl ShardedStore {
     /// later pair in slice order supersedes the earlier), matching the
     /// upsert path.
     ///
+    /// The build makes two passes over `pairs`: one counts each
+    /// shard's pairs, one pushes every pair into its shard's main,
+    /// which was reserved at that count. So on strictly ascending
+    /// input the build holds **`pairs` plus the finished mains** and
+    /// nothing else the size of the data; any other input is first
+    /// copied once and sorted, which adds one more `pairs`-sized
+    /// buffer while the mains are built.
+    ///
     /// # Panics
     /// Panics if `num_shards` is not a power of two (including 0).
     pub fn build(backend: Backend, num_shards: usize, pairs: &[(u64, u64)]) -> Self {
@@ -299,47 +307,46 @@ impl ShardedStore {
         );
         Self::validate(&cfg);
         let shard_bits = num_shards.trailing_zeros();
-        let mut parts: Vec<Vec<(u64, u64)>> = (0..num_shards).map(|_| Vec::new()).collect();
-        for &(k, v) in pairs {
-            parts[shard_route(k, shard_bits)].push((k, v));
-        }
-        let mut live = 0usize;
-        let parts: Vec<Vec<(u64, u64)>> = parts
-            .into_iter()
-            .map(|mut part| {
-                // Stable sort keeps equal keys in input order; the
-                // last occurrence of each key wins.
-                part.sort_by_key(|&(k, _)| k);
-                let mut dedup: Vec<(u64, u64)> = Vec::with_capacity(part.len());
-                for &(k, v) in &part {
-                    match dedup.last_mut() {
-                        Some(last) if last.0 == k => last.1 = v,
-                        _ => dedup.push((k, v)),
-                    }
-                }
-                live += dedup.len();
-                dedup
-            })
-            .collect();
+        let route = |k: u64| shard_route(k, shard_bits);
+        let (mut lens, ascending) = count_routed(pairs, num_shards, route);
+        // Input out of order, or with a key repeated, is copied once
+        // and normalised; then the counts are redone. From here on one
+        // path runs, over strictly ascending pairs.
+        let normalised;
+        let pairs = if ascending {
+            pairs
+        } else {
+            let mut run = pairs.to_vec();
+            sort_lww(&mut run);
+            normalised = run;
+            lens = count_routed(&normalised, num_shards, route).0;
+            &normalised[..]
+        };
         if let Some(fs) = &fs {
             // Meta + one seq-0 snapshot and empty WAL per shard; a
             // crash mid-init leaves no recoverable meta, i.e. no store.
-            durable::wal::init_store(&**fs, &parts)
+            let routed = lens.iter().enumerate().map(|(shard, &len)| {
+                let of_shard = move |&(k, _): &(u64, u64)| route(k) == shard;
+                (len, pairs.iter().copied().filter(of_shard))
+            });
+            durable::wal::init_store(&**fs, routed)
                 .unwrap_or_else(|e| panic!("initialize durable store: {e}"));
         }
-        let shards = parts
-            .iter()
-            .map(|dedup| Shard {
+        let shards = backend
+            .build_mains(&lens, pairs, route)
+            .into_iter()
+            .map(|main| Shard {
                 version: EpochCell::new(ShardVersion {
-                    main: backend.build_shard(dedup),
+                    main,
                     delta: Delta::default(),
                 }),
                 write: Mutex::new(WriteState::default()),
                 delta_space: Condvar::new(),
             })
             .collect();
-        Self::assemble(shard_bits, cfg, shards, live, fs)
+        Self::assemble(shard_bits, cfg, shards, pairs.len(), fs)
     }
+
     fn validate(cfg: &StoreConfig) {
         assert!(cfg.merge_threshold > 0, "merge_threshold must be positive");
         assert!(cfg.max_runs >= 1, "max_runs must be >= 1");
@@ -860,6 +867,25 @@ impl Drop for ShardedStore {
             let _ = d.fs.sync_dir();
         }
     }
+}
+
+/// The build's count pass: how many of `pairs` each of `num_shards`
+/// shards gets under `route`, and whether the keys are strictly
+/// ascending (no key out of order, none repeated).
+fn count_routed(
+    pairs: &[(u64, u64)],
+    num_shards: usize,
+    route: impl Fn(u64) -> usize,
+) -> (Vec<usize>, bool) {
+    let mut lens = vec![0; num_shards];
+    let mut ascending = true;
+    let mut prev = None;
+    for &(k, _) in pairs {
+        lens[route(k)] += 1;
+        ascending &= prev < Some(k);
+        prev = Some(k);
+    }
+    (lens, ascending)
 }
 
 /// Top-bits shard routing: shard = high `bits` bits of the Fibonacci

@@ -33,7 +33,7 @@ fn idle_shard_cache_misses_allocate_nothing() {
         // 1 000 distinct keys, none seen before: every one misses the
         // cache; present and absent ones alike.
         let keys: Vec<u64> = (0..1_000u64).map(|i| 1_000 + i * 13).collect();
-        let (allocs, got) = count_allocs(|| {
+        let (allocs, _, got) = count_allocs(|| {
             let mut got = [None; 1_000];
             for (slot, &key) in got.iter_mut().zip(&keys) {
                 *slot = svc.get(key);

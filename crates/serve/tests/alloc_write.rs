@@ -41,7 +41,7 @@ fn run_block(
                 .collect()
         })
         .collect();
-    let (allocs, ()) = count_allocs(|| {
+    let (allocs, _, ()) = count_allocs(|| {
         for ops in &runs {
             store.apply_write_run_with(ops, prevs, scratch);
         }
