@@ -200,29 +200,44 @@ pub fn decode_wal(bytes: &[u8]) -> WalDecode {
 }
 
 /// Encode a shard snapshot covering WAL sequence `seq`: the `len`
-/// pairs `pairs` yields, in the order it yields them (strictly
-/// ascending by key, as every shard's pairs are). Taking an iterator
-/// lets a store stream a shard's pairs out of its routed input without
-/// collecting them first.
+/// pairs of `pairs` that `keep` accepts, in input order (strictly
+/// ascending by key, as every shard's pairs are). A store's build
+/// passes its whole routed input with `keep` testing the route, so a
+/// shard's pairs are never collected first; a merge passes its merged
+/// pairs and keeps every one.
+///
+/// The loop has no branch on `keep`: every pair is written at the
+/// next free slot, and the slot advances only when `keep` accepted
+/// it, so a 50/50 route costs no mispredicts. The buffer has one
+/// slot of slack past the last pair for the writes that do not
+/// advance; the CRC takes four of those bytes.
 ///
 /// # Panics
-/// Panics if `pairs` yields other than `len` pairs: the count is
+/// Panics if `keep` accepts other than `len` pairs: the count is
 /// written into the header ahead of them.
 pub fn encode_snapshot(
     seq: u64,
     len: usize,
-    pairs: impl IntoIterator<Item = (u64, u64)>,
+    pairs: &[(u64, u64)],
+    keep: impl Fn(u64) -> bool,
 ) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(24 + len * 16 + 4);
-    buf.extend_from_slice(SNAP_MAGIC);
-    buf.extend_from_slice(&SNAP_VERSION.to_le_bytes());
-    buf.extend_from_slice(&seq.to_le_bytes());
-    buf.extend_from_slice(&(len as u64).to_le_bytes());
-    for (k, v) in pairs {
-        buf.extend_from_slice(&k.to_le_bytes());
-        buf.extend_from_slice(&v.to_le_bytes());
+    let body = 24 + len * 16;
+    let mut buf = vec![0u8; body + 16];
+    buf[..4].copy_from_slice(SNAP_MAGIC);
+    buf[4..8].copy_from_slice(&SNAP_VERSION.to_le_bytes());
+    buf[8..16].copy_from_slice(&seq.to_le_bytes());
+    buf[16..24].copy_from_slice(&(len as u64).to_le_bytes());
+    let mut at = 24;
+    for &(k, v) in pairs {
+        let Some(slot) = buf.get_mut(at..at + 16) else {
+            panic!("snapshot of {len} pairs");
+        };
+        slot[..8].copy_from_slice(&k.to_le_bytes());
+        slot[8..].copy_from_slice(&v.to_le_bytes());
+        at += 16 * usize::from(keep(k));
     }
-    assert_eq!(buf.len(), 24 + len * 16, "snapshot of {len} pairs");
+    assert_eq!(at, body, "snapshot of {len} pairs");
+    buf.truncate(body);
     let crc = crc32(&buf);
     buf.extend_from_slice(&crc.to_le_bytes());
     buf
@@ -300,13 +315,15 @@ fn is_store_file(name: &str) -> bool {
 /// goes before anything else, so a crash while clearing leaves no
 /// store rather than half of the old one.
 ///
-/// `shards` yields, in shard order, each shard's pair count and its
-/// pairs in ascending key order. A shard's pairs are pulled only while
-/// its snapshot is encoded, so one snapshot's bytes are held at a time
-/// and the pairs can stream from the caller's input.
-pub fn init_store<I: IntoIterator<Item = (u64, u64)>>(
+/// Shard `shard` holds the `lens[shard]` pairs of `pairs` (strictly
+/// ascending by key) that `route` sends to it. The snapshots are
+/// encoded one after another, each written and synced before the next
+/// is encoded, so one snapshot's bytes are held at a time.
+pub fn init_store(
     fs: &dyn Fs,
-    shards: impl ExactSizeIterator<Item = (usize, I)>,
+    lens: &[usize],
+    pairs: &[(u64, u64)],
+    route: impl Fn(u64) -> usize,
 ) -> io::Result<()> {
     let stale: Vec<String> = fs
         .list()?
@@ -320,12 +337,13 @@ pub fn init_store<I: IntoIterator<Item = (u64, u64)>>(
     for name in stale.iter().filter(|n| *n != META_NAME) {
         fs.remove(name)?;
     }
-    let count = u32::try_from(shards.len()).expect("shard count fits u32");
+    let count = u32::try_from(lens.len()).expect("shard count fits u32");
     fs.write_all(META_NAME, &encode_meta(count))?;
     fs.sync(META_NAME)?;
-    for (shard, (len, pairs)) in shards.enumerate() {
+    for (shard, &len) in lens.iter().enumerate() {
         let snap = snap_name(shard, 0);
-        fs.write_all(&snap, &encode_snapshot(0, len, pairs))?;
+        let bytes = encode_snapshot(0, len, pairs, |k| route(k) == shard);
+        fs.write_all(&snap, &bytes)?;
         fs.sync(&snap)?;
         let wal = wal_name(shard);
         fs.write_all(&wal, &[])?;
@@ -345,10 +363,7 @@ pub fn write_snapshot_tmp(
     pairs: &[(u64, u64)],
 ) -> io::Result<String> {
     let tmp = snap_tmp_name(shard);
-    fs.write_all(
-        &tmp,
-        &encode_snapshot(seq, pairs.len(), pairs.iter().copied()),
-    )?;
+    fs.write_all(&tmp, &encode_snapshot(seq, pairs.len(), pairs, |_| true))?;
     fs.sync(&tmp)?;
     Ok(tmp)
 }
@@ -416,38 +431,39 @@ pub struct ShardRecovery {
 /// and invalid ones), decode the WAL and discard its torn tail (also
 /// truncating it on disk so future appends extend valid records), and
 /// delete leftover temp files.
+///
+/// Snapshots are tried newest first and the first valid one wins;
+/// the older ones are deleted unread.
 pub fn recover_shard(fs: &dyn Fs, shard: usize) -> io::Result<ShardRecovery> {
     let mut best: Option<(u64, Vec<(u64, u64)>)> = None;
     let mut doomed: Vec<String> = Vec::new();
+    let mut snaps: Vec<(u64, String)> = Vec::new();
     let snap_tmp = snap_tmp_name(shard);
     let wal_tmp = wal_tmp_name(shard);
     for name in fs.list()? {
         if name == snap_tmp || name == wal_tmp {
             doomed.push(name);
-            continue;
-        }
-        let Some((s, seq)) = parse_snap_name(&name) else {
-            continue;
-        };
-        if s != shard {
-            continue;
-        }
-        // A committed snapshot was fsynced before its rename, but a
-        // duplicate-seq leftover or external corruption must not take
-        // down recovery: validate, newest valid wins.
-        let decoded = fs.read(&name).ok().and_then(|b| decode_snapshot(&b));
-        match decoded {
-            Some((stamped, pairs)) if stamped == seq => {
-                if best.as_ref().is_none_or(|&(b, _)| seq > b) {
-                    if let Some((old, _)) = best.replace((seq, pairs)) {
-                        doomed.push(snap_name(shard, old));
-                    }
-                } else {
-                    doomed.push(name);
-                }
+        } else if let Some((s, seq)) = parse_snap_name(&name) {
+            if s == shard {
+                snaps.push((seq, name));
             }
-            _ => doomed.push(name), // truncated, corrupt, or mis-stamped
         }
+    }
+    snaps.sort_unstable_by(|a, b| b.cmp(a));
+    for (seq, name) in snaps {
+        if best.is_none() {
+            // A committed snapshot was fsynced before its rename, but
+            // a duplicate-seq leftover or external corruption must not
+            // take down recovery: validate, newest valid wins.
+            match fs.read(&name).ok().and_then(|b| decode_snapshot(&b)) {
+                Some((stamped, pairs)) if stamped == seq => {
+                    best = Some((seq, pairs));
+                    continue;
+                }
+                _ => {} // truncated, corrupt, or mis-stamped
+            }
+        }
+        doomed.push(name);
     }
     let mut repaired = !doomed.is_empty();
     for name in doomed {
@@ -490,7 +506,14 @@ mod tests {
 
     /// [`init_store`] over whole per-shard vectors.
     fn init(fs: &MemFs, shards: &[Vec<(u64, u64)>]) -> io::Result<()> {
-        init_store(fs, shards.iter().map(|p| (p.len(), p.iter().copied())))
+        let lens: Vec<usize> = shards.iter().map(Vec::len).collect();
+        let route = |k: u64| {
+            shards
+                .iter()
+                .position(|p| p.iter().any(|&(seeded, _)| seeded == k))
+                .expect("a seeded key")
+        };
+        init_store(fs, &lens, &shards.concat(), route)
     }
 
     fn ops(n: u64) -> Vec<(u64, Option<u64>)> {
@@ -598,21 +621,37 @@ mod tests {
     #[test]
     fn snapshot_roundtrip_and_corruption_detection() {
         let pairs: Vec<(u64, u64)> = (0..100).map(|i| (i * 7, i)).collect();
-        let bytes = encode_snapshot(33, pairs.len(), pairs.iter().copied());
+        let bytes = encode_snapshot(33, pairs.len(), &pairs, |_| true);
         assert_eq!(decode_snapshot(&bytes), Some((33, pairs.clone())));
         assert_eq!(decode_snapshot(&bytes[..bytes.len() - 1]), None);
         assert_eq!(decode_snapshot(b"ISNPxxxx"), None);
         let mut flipped = bytes.clone();
         flipped[40] ^= 1;
         assert_eq!(decode_snapshot(&flipped), None);
-        let empty = encode_snapshot(0, 0, []);
+        let empty = encode_snapshot(0, 0, &[], |_| true);
         assert_eq!(decode_snapshot(&empty), Some((0, vec![])));
     }
 
     #[test]
     #[should_panic(expected = "snapshot of 2 pairs")]
     fn a_snapshot_stream_shorter_than_its_count_panics() {
-        encode_snapshot(0, 2, [(1, 1)]);
+        encode_snapshot(0, 2, &[(1, 1)], |_| true);
+    }
+
+    #[test]
+    fn a_route_that_keeps_more_than_its_count_panics() {
+        // One pair too many, last or not: caught by the slack slot's
+        // bound or by the final length check.
+        for n in [2, 3] {
+            let pairs: Vec<(u64, u64)> = (0..n).map(|k| (k, k)).collect();
+            let caught = std::panic::catch_unwind(|| encode_snapshot(0, 1, &pairs, |_| true));
+            let msg = caught.expect_err("too many pairs kept");
+            let msg = msg
+                .downcast_ref::<String>()
+                .map(String::as_str)
+                .unwrap_or_default();
+            assert!(msg.contains("snapshot of 1 pairs"), "{n} pairs: {msg}");
+        }
     }
 
     #[test]
@@ -675,22 +714,32 @@ mod tests {
         assert_eq!(rec.next_seq, 2);
     }
 
+    /// Shard 0 with four snapshots — seq 0 (from init), 5 and 7
+    /// (valid), 9 (corrupt: the newest must NOT win) — and leftover
+    /// temp files from an interrupted publish.
+    fn stale_snapshots_layout(fs: &MemFs) {
+        init(fs, &[vec![]]).unwrap();
+        fs.write_all(
+            &snap_name(0, 5),
+            &encode_snapshot(5, 1, &[(5, 5)], |_| true),
+        )
+        .unwrap();
+        let mut bad = encode_snapshot(9, 1, &[(9, 9)], |_| true);
+        bad[10] ^= 0xFF;
+        fs.write_all(&snap_name(0, 9), &bad).unwrap();
+        fs.write_all(
+            &snap_name(0, 7),
+            &encode_snapshot(7, 1, &[(7, 7)], |_| true),
+        )
+        .unwrap();
+        fs.write_all(&snap_tmp_name(0), b"half").unwrap();
+        fs.write_all(&wal_tmp_name(0), b"half").unwrap();
+    }
+
     #[test]
     fn duplicate_snapshots_pick_newest_valid_and_delete_stale() {
         let fs = MemFs::new();
-        init(&fs, &[vec![]]).unwrap();
-        // Three snapshots: seq 5 (valid), seq 9 (corrupt — the newest
-        // must NOT win), seq 7 (valid — the newest valid).
-        fs.write_all(&snap_name(0, 5), &encode_snapshot(5, 1, [(5, 5)]))
-            .unwrap();
-        let mut bad = encode_snapshot(9, 1, [(9, 9)]);
-        bad[10] ^= 0xFF;
-        fs.write_all(&snap_name(0, 9), &bad).unwrap();
-        fs.write_all(&snap_name(0, 7), &encode_snapshot(7, 1, [(7, 7)]))
-            .unwrap();
-        // Plus leftover temp files from an interrupted publish.
-        fs.write_all(&snap_tmp_name(0), b"half").unwrap();
-        fs.write_all(&wal_tmp_name(0), b"half").unwrap();
+        stale_snapshots_layout(&fs);
         let rec = recover_shard(&fs, 0).unwrap();
         assert_eq!(rec.snap_seq, 7);
         assert_eq!(rec.pairs, vec![(7, 7)]);
@@ -701,13 +750,67 @@ mod tests {
         assert_eq!(fs.list().unwrap(), expect);
     }
 
+    /// A [`MemFs`] that logs the name of every file read.
+    struct ReadLog {
+        fs: MemFs,
+        reads: std::sync::Mutex<Vec<String>>,
+    }
+
+    impl Fs for ReadLog {
+        fn append(&self, name: &str, data: &[u8]) -> io::Result<()> {
+            self.fs.append(name, data)
+        }
+        fn write_all(&self, name: &str, data: &[u8]) -> io::Result<()> {
+            self.fs.write_all(name, data)
+        }
+        fn read(&self, name: &str) -> io::Result<Vec<u8>> {
+            use isi_core::sync::MutexExt;
+            self.reads.plock("read log").push(name.to_string());
+            self.fs.read(name)
+        }
+        fn sync(&self, name: &str) -> io::Result<()> {
+            self.fs.sync(name)
+        }
+        fn rename(&self, from: &str, to: &str) -> io::Result<()> {
+            self.fs.rename(from, to)
+        }
+        fn remove(&self, name: &str) -> io::Result<()> {
+            self.fs.remove(name)
+        }
+        fn list(&self) -> io::Result<Vec<String>> {
+            self.fs.list()
+        }
+        fn sync_dir(&self) -> io::Result<()> {
+            self.fs.sync_dir()
+        }
+    }
+
+    #[test]
+    fn recovery_reads_snapshots_newest_first_and_stops_at_the_first_valid() {
+        let fs = MemFs::new();
+        stale_snapshots_layout(&fs);
+        let log = ReadLog {
+            fs,
+            reads: std::sync::Mutex::new(Vec::new()),
+        };
+        let rec = recover_shard(&log, 0).unwrap();
+        assert_eq!(rec.snap_seq, 7);
+        // The corrupt seq 9, then the valid seq 7; seq 5 and seq 0 are
+        // deleted unread. Then the WAL.
+        let reads = log.reads.into_inner().unwrap();
+        assert_eq!(reads, [snap_name(0, 9), snap_name(0, 7), wal_name(0)]);
+    }
+
     #[test]
     fn mis_stamped_snapshot_is_treated_as_invalid() {
         let fs = MemFs::new();
         init(&fs, &[vec![(1, 1)]]).unwrap();
         // A file named seq 9 whose payload says seq 3: invalid.
-        fs.write_all(&snap_name(0, 9), &encode_snapshot(3, 1, [(9, 9)]))
-            .unwrap();
+        fs.write_all(
+            &snap_name(0, 9),
+            &encode_snapshot(3, 1, &[(9, 9)], |_| true),
+        )
+        .unwrap();
         let rec = recover_shard(&fs, 0).unwrap();
         assert_eq!(rec.snap_seq, 0);
         assert_eq!(rec.pairs, vec![(1, 1)]);
@@ -741,5 +844,45 @@ mod tests {
         assert_eq!(rec.snap_seq, 0);
         assert!(rec.pairs.is_empty() && rec.tail.is_empty());
         assert_eq!(rec.next_seq, 0);
+    }
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    #[test]
+    fn on_disk_format_is_pinned() {
+        // Bytes these encoders wrote when the format was pinned (and
+        // that zlib's `crc32` agrees with): a checksum or encoder
+        // rewrite must not change one of them, or stores written
+        // before it become unreadable.
+        let record = encode_record(
+            0x0102_0304_0506_0708,
+            &[
+                (1, Some(2)),
+                (u64::MAX, None),
+                (0xDEAD_BEEF, Some(u64::MAX)),
+            ],
+        );
+        assert_eq!(
+            hex(&record),
+            "43000000fbf673210807060504030201030000000100000000000000010200000000000000\
+             ffffffffffffffff000000000000000000efbeadde0000000001ffffffffffffffff"
+        );
+        let fs = MemFs::new();
+        let pairs = [(1, 10), (2, 20), (0x8000_0000_0000_0001, 7)];
+        let tmp = write_snapshot_tmp(&fs, 3, 9, &pairs).unwrap();
+        assert_eq!(
+            hex(&fs.read(&tmp).unwrap()),
+            "49534e50010000000900000000000000030000000000000001000000000000000a000000\
+             000000000200000000000000140000000000000001000000000000800700000000000000\
+             a337e507"
+        );
+        let tmp = write_snapshot_tmp(&fs, 0, 0, &[]).unwrap();
+        assert_eq!(
+            hex(&fs.read(&tmp).unwrap()),
+            "49534e50010000000000000000000000000000000000000051f4f67f"
+        );
+        assert_eq!(hex(&encode_meta(4)), "494d5441010000000400000059b91df1");
     }
 }

@@ -325,11 +325,7 @@ impl ShardedStore {
         if let Some(fs) = &fs {
             // Meta + one seq-0 snapshot and empty WAL per shard; a
             // crash mid-init leaves no recoverable meta, i.e. no store.
-            let routed = lens.iter().enumerate().map(|(shard, &len)| {
-                let of_shard = move |&(k, _): &(u64, u64)| route(k) == shard;
-                (len, pairs.iter().copied().filter(of_shard))
-            });
-            durable::wal::init_store(&**fs, routed)
+            durable::wal::init_store(&**fs, &lens, pairs, route)
                 .unwrap_or_else(|e| panic!("initialize durable store: {e}"));
         }
         let shards = backend
