@@ -1,8 +1,10 @@
 //! Fault injection: a [`FaultFs`] wrapper over [`MemFs`] that can
-//! drop fsyncs, tear records at arbitrary byte offsets, fail every
-//! operation once the disk "fills up" ([`FaultFs::fill_disk`]), and
-//! "kill" the store at any operation in the write/snapshot/recover
-//! protocol.
+//! drop fsyncs, tear records at arbitrary byte offsets, leave
+//! [`crate::DiskFs`]'s preallocated zeros past them, fail every
+//! operation once the disk "fills up" ([`FaultFs::fill_disk`]) — at
+//! once or in the middle of an append ([`FaultFs::fill_disk_mid_append`])
+//! — and "kill" the store at any operation in the
+//! write/snapshot/recover protocol.
 //!
 //! Killing is modeled as **crash-image capture** rather than a panic:
 //! when the mutating-operation counter reaches
@@ -39,6 +41,11 @@ pub struct FaultPlan {
     /// Flip one bit in the last surviving torn byte (media corruption
     /// in the torn region; must be caught by the record CRC).
     pub flip_torn_bit: bool,
+    /// End each appended file of the crash image in zero bytes past
+    /// what survived: what a [`crate::DiskFs`] WAL, grown in
+    /// preallocated chunks, shows after a crash. Recovery must cut
+    /// them like any torn tail.
+    pub zero_tail: bool,
 }
 
 struct FaultState {
@@ -47,6 +54,9 @@ struct FaultState {
     image: Option<MemFs>,
     /// Set by [`FaultFs::fill_disk`].
     full: bool,
+    /// Set by [`FaultFs::fill_disk_mid_append`]: how many bytes of the
+    /// next append land before the disk is full.
+    short_append: Option<usize>,
 }
 
 /// A fault-injecting [`Fs`] over an in-memory store (the fault model
@@ -66,6 +76,7 @@ impl FaultFs {
                 ops: 0,
                 image: None,
                 full: false,
+                short_append: None,
             }),
         }
     }
@@ -76,19 +87,18 @@ impl FaultFs {
     fn before_op(&self) -> io::Result<bool> {
         let mut st = self.state.plock("fault state");
         if st.image.is_none() && st.plan.kill_at_op == Some(st.ops) {
-            st.image = Some(
-                self.mem
-                    .crash_view(st.plan.tear_keep_eighths, st.plan.flip_torn_bit),
-            );
+            st.image = Some(self.crash_view(&st.plan));
         }
         st.ops += 1;
         if st.full {
-            return Err(io::Error::new(
-                io::ErrorKind::StorageFull,
-                "injected fault: no space left on device",
-            ));
+            return Err(disk_full());
         }
         Ok(st.plan.drop_syncs)
+    }
+
+    fn crash_view(&self, plan: &FaultPlan) -> MemFs {
+        self.mem
+            .crash_view(plan.tear_keep_eighths, plan.flip_torn_bit, plan.zero_tail)
     }
 
     /// The disk fills up: from now on every mutating operation fails
@@ -97,6 +107,15 @@ impl FaultFs {
     /// is what a test arms this for.
     pub fn fill_disk(&self) {
         self.state.plock("fault state").full = true;
+    }
+
+    /// The disk fills up in the middle of the next append: that append
+    /// keeps its first `keep` bytes (all but its last byte, if it is
+    /// no longer), unsynced like any append, and fails with
+    /// [`io::ErrorKind::StorageFull`]. From then on the disk is full,
+    /// as after [`fill_disk`](Self::fill_disk): a short write.
+    pub fn fill_disk_mid_append(&self, keep: usize) {
+        self.state.plock("fault state").short_append = Some(keep);
     }
 
     /// Mutating operations performed so far.
@@ -121,15 +140,34 @@ impl FaultFs {
     /// instant would leave.
     pub fn crash_now(&self) -> MemFs {
         let st = self.state.plock("fault state");
-        self.mem
-            .crash_view(st.plan.tear_keep_eighths, st.plan.flip_torn_bit)
+        self.crash_view(&st.plan)
     }
+}
+
+fn disk_full() -> io::Error {
+    io::Error::new(
+        io::ErrorKind::StorageFull,
+        "injected fault: no space left on device",
+    )
 }
 
 impl Fs for FaultFs {
     fn append(&self, name: &str, data: &[u8]) -> io::Result<()> {
         self.before_op()?;
-        self.mem.append(name, data)
+        let short = {
+            let mut st = self.state.plock("fault state");
+            let keep = st.short_append.take();
+            st.full |= keep.is_some();
+            keep
+        };
+        match short {
+            None => self.mem.append(name, data),
+            Some(keep) => {
+                self.mem
+                    .append(name, &data[..keep.min(data.len().saturating_sub(1))])?;
+                Err(disk_full())
+            }
+        }
     }
 
     fn write_all(&self, name: &str, data: &[u8]) -> io::Result<()> {
@@ -240,5 +278,28 @@ mod tests {
         let img = fs.take_crash_image().unwrap();
         // Half of the 8 unsynced bytes survived the tear.
         assert_eq!(img.read("wal").unwrap(), b"SYNCABCD");
+    }
+
+    #[test]
+    fn a_short_append_keeps_a_prefix_and_then_the_disk_is_full() {
+        let fs = FaultFs::new(FaultPlan {
+            tear_keep_eighths: 8,
+            ..FaultPlan::default()
+        });
+        fs.append("wal", b"kept").unwrap();
+        fs.sync("wal").unwrap();
+        fs.sync_dir().unwrap();
+        fs.fill_disk_mid_append(3);
+        let e = fs.append("wal", b"-torn").unwrap_err();
+        assert_eq!(e.kind(), io::ErrorKind::StorageFull);
+        assert_eq!(fs.read("wal").unwrap(), b"kept-to");
+        assert!(fs.sync("wal").is_err(), "the disk stays full");
+        // The prefix was never synced; a crash keeps what the tear keeps.
+        assert_eq!(fs.crash_now().read("wal").unwrap(), b"kept-to");
+        // A prefix is never the whole append.
+        let fs = FaultFs::new(FaultPlan::default());
+        fs.fill_disk_mid_append(usize::MAX);
+        assert!(fs.append("wal", b"abc").is_err());
+        assert_eq!(fs.read("wal").unwrap(), b"ab");
     }
 }

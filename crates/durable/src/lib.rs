@@ -7,8 +7,8 @@
 //! its admission queue and applies consecutive writes in one store
 //! call. This crate turns that batching into
 //! **group commit**: one checksummed, length-prefixed WAL record per
-//! run, fsynced once per run before any ticket in the run is
-//! acknowledged. Major merges publish **snapshots** (a minor merge
+//! run, synced once per run (a data sync into space the WAL already
+//! has, see [`DiskFs`]) before any ticket in the run is acknowledged. Major merges publish **snapshots** (a minor merge
 //! folds the run stack into the mid tier and touches no file): a
 //! major merge already rebuilds a shard's main index, so the rebuilt
 //! pairs are serialized to a temp file, fsynced, atomically renamed,
@@ -20,13 +20,14 @@
 //! swap the real directory-backed [`DiskFs`] for the in-memory
 //! [`MemFs`] (which models what survives a crash: synced bytes and
 //! sync-dir'd directory entries) or the [`FaultFs`] wrapper (which
-//! drops fsyncs, tears unsynced tails at arbitrary byte offsets, and
+//! drops fsyncs, tears unsynced tails at arbitrary byte offsets, leaves
+//! `DiskFs`'s preallocated zeros past them, cuts an append short, and
 //! captures a crash image at any chosen operation in the protocol).
 //!
 //! ## Crash-ordering invariants
 //!
 //! 1. **Ack ⇒ durable**: a write run's WAL record is appended *and
-//!    fsynced* before the run returns, so an acknowledged write
+//!    synced* before the run returns, so an acknowledged write
 //!    survives any later crash.
 //! 2. **Snapshot before truncate**: the WAL is only rewritten after
 //!    the covering snapshot is fsynced and its rename is sync-dir'd.

@@ -221,8 +221,29 @@ pub fn encode_snapshot(
     pairs: &[(u64, u64)],
     keep: impl Fn(u64) -> bool,
 ) -> Vec<u8> {
+    let mut buf = vec![0u8; snapshot_scratch(len)];
+    encode_snapshot_into(&mut buf, seq, len, pairs, keep);
+    buf
+}
+
+/// The bytes [`encode_snapshot_into`] works in for a snapshot of `len`
+/// pairs: the snapshot and the slot of slack its encode loop writes.
+fn snapshot_scratch(len: usize) -> usize {
+    24 + len * 16 + 16
+}
+
+/// [`encode_snapshot`] into `buf`, which it overwrites. A buffer that
+/// already holds [`snapshot_scratch`] bytes is used as it is: one
+/// buffer encodes many snapshots and is first touched once.
+fn encode_snapshot_into(
+    buf: &mut Vec<u8>,
+    seq: u64,
+    len: usize,
+    pairs: &[(u64, u64)],
+    keep: impl Fn(u64) -> bool,
+) {
     let body = 24 + len * 16;
-    let mut buf = vec![0u8; body + 16];
+    buf.resize(snapshot_scratch(len), 0);
     buf[..4].copy_from_slice(SNAP_MAGIC);
     buf[4..8].copy_from_slice(&SNAP_VERSION.to_le_bytes());
     buf[8..16].copy_from_slice(&seq.to_le_bytes());
@@ -238,9 +259,8 @@ pub fn encode_snapshot(
     }
     assert_eq!(at, body, "snapshot of {len} pairs");
     buf.truncate(body);
-    let crc = crc32(&buf);
+    let crc = crc32(buf);
     buf.extend_from_slice(&crc.to_le_bytes());
-    buf
 }
 
 /// Decode and validate a snapshot; `None` if it is truncated, has the
@@ -317,8 +337,10 @@ fn is_store_file(name: &str) -> bool {
 ///
 /// Shard `shard` holds the `lens[shard]` pairs of `pairs` (strictly
 /// ascending by key) that `route` sends to it. The snapshots are
-/// encoded one after another, each written and synced before the next
-/// is encoded, so one snapshot's bytes are held at a time.
+/// encoded one after another into one buffer sized to the largest,
+/// each written and synced before the next is encoded, so one
+/// snapshot's bytes are held at a time and their pages are faulted in
+/// once.
 pub fn init_store(
     fs: &dyn Fs,
     lens: &[usize],
@@ -340,9 +362,11 @@ pub fn init_store(
     let count = u32::try_from(lens.len()).expect("shard count fits u32");
     fs.write_all(META_NAME, &encode_meta(count))?;
     fs.sync(META_NAME)?;
+    let largest = lens.iter().copied().max().unwrap_or(0);
+    let mut bytes = vec![0u8; snapshot_scratch(largest)];
     for (shard, &len) in lens.iter().enumerate() {
         let snap = snap_name(shard, 0);
-        let bytes = encode_snapshot(0, len, pairs, |k| route(k) == shard);
+        encode_snapshot_into(&mut bytes, 0, len, pairs, |k| route(k) == shard);
         fs.write_all(&snap, &bytes)?;
         fs.sync(&snap)?;
         let wal = wal_name(shard);

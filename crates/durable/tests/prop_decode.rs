@@ -13,12 +13,16 @@
 //!   flip of it decodes to `None`;
 //! * a snapshot encoded out of a routed input, as a store's build
 //!   writes one, is byte for byte the snapshot format spelled out here
-//!   over the same pairs collected into a slice.
+//!   over the same pairs collected into a slice, and so is each shard
+//!   `init_store` writes through its one reused buffer.
 
 use proptest::prelude::*;
 
 use isi_durable::crc32;
-use isi_durable::wal::{decode_snapshot, decode_wal, encode_record, encode_snapshot, WalRecord};
+use isi_durable::wal::{
+    decode_snapshot, decode_wal, encode_record, encode_snapshot, init_store, WalRecord,
+};
+use isi_durable::{Fs, MemFs};
 
 /// A WAL record body (`seq`, `count`, entries) framed with its length
 /// prefix and a valid CRC, as `encode_record` frames one.
@@ -166,18 +170,25 @@ proptest! {
     ) {
         // Two shards picked by a key bit, as a store's routing splits
         // its input: each shard's snapshot is encoded from the whole
-        // input, keeping the pairs routed to it.
+        // input, keeping the pairs routed to it. `init_store` encodes
+        // both into one buffer, the second over the first's bytes.
         let input: Vec<(u64, u64)> = pairs.into_iter().collect();
-        let shard_of = |k: u64| ((k ^ route) >> (route % 64)) & 1;
-        for shard in 0..2 {
-            let slice: Vec<(u64, u64)> =
-                input.iter().copied().filter(|&(k, _)| shard_of(k) == shard).collect();
+        let shard_of = |k: u64| (((k ^ route) >> (route % 64)) & 1) as usize;
+        let slices: Vec<Vec<(u64, u64)>> = (0..2)
+            .map(|shard| input.iter().copied().filter(|&(k, _)| shard_of(k) == shard).collect())
+            .collect();
+        let fs = MemFs::new();
+        let lens: Vec<usize> = slices.iter().map(Vec::len).collect();
+        init_store(&fs, &lens, &input, shard_of).expect("init on a MemFs");
+        for (shard, slice) in slices.iter().enumerate() {
             prop_assert_eq!(
                 encode_snapshot(seq, slice.len(), &input, |k| shard_of(k) == shard),
-                snapshot_bytes(seq, &slice),
+                snapshot_bytes(seq, slice),
                 "shard {}",
                 shard
             );
+            let seq0 = fs.read(&format!("shard-{shard:04}.snap.{:020}", 0)).expect("seq-0 snapshot");
+            prop_assert_eq!(seq0, snapshot_bytes(0, slice), "init, shard {}", shard);
         }
     }
 }

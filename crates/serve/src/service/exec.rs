@@ -147,7 +147,7 @@ pub(super) fn execute_batch(ctx: ShardCtx<'_>, bufs: &mut Exec, full: bool, who:
         }
         // Apply the write run that ended the read run, in admission
         // order: one `apply_write_run_with` call, which on a durable store
-        // is one WAL record + one fsync (group commit) covering every
+        // is one WAL record + one data sync (group commit) covering every
         // op in the run before any of its tickets resolve. The store
         // call may block briefly at the delta's hard bound; no lock is
         // held across it.

@@ -50,9 +50,10 @@
 //! consecutive reads form engine runs, and consecutive writes form
 //! **write runs** applied as one
 //! [`ShardedStore::apply_write_run_with`] call — which, on a durable
-//! store, is the **group-commit unit**: one WAL record and one fsync
-//! cover the whole run before any of its tickets resolve, amortizing
-//! the fsync exactly like batching amortizes the interleaved engine.
+//! store, is the **group-commit unit**: one WAL record and one data
+//! sync cover the whole run before any of its tickets resolve,
+//! amortizing the sync exactly like batching amortizes the interleaved
+//! engine.
 //! One client's `put` happens-before its next `get` of the same key
 //! (read-your-writes per client), and all mutation of a shard is
 //! serialized by its token.

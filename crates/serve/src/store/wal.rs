@@ -30,10 +30,11 @@ pub(super) struct DurableState {
 }
 
 impl DurableState {
-    /// Append one record to `shard`'s WAL and fsync it. Caller holds
-    /// the shard write lock, which orders appends by sequence. Append and fsync time
-    /// land in the shard's [`Stage::WalAppend`] / [`Stage::WalFsync`]
-    /// histograms; each fsync emits a [`TraceKind::WalSync`] event.
+    /// Append one record to `shard`'s WAL and sync it ([`Fs::sync`], a
+    /// data sync). Caller holds the shard write lock, which orders
+    /// appends by sequence. Append and sync time land in the shard's
+    /// [`Stage::WalAppend`] / [`Stage::WalFsync`] histograms; each sync
+    /// emits a [`TraceKind::WalSync`] event.
     pub(super) fn log_run(&self, obs: &Obs, shard: usize, seq: u64, ops: &[(u64, Option<u64>)]) {
         let name = durable::wal::wal_name(shard);
         let rec = durable::wal::encode_record(seq, ops);

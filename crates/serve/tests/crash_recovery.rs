@@ -3,7 +3,8 @@
 //! the crash image — what a power cut would leave on disk — at an
 //! arbitrary point in the WAL/snapshot protocol, optionally tearing
 //! unsynced tails at arbitrary byte offsets, flipping a bit in the
-//! torn region, or dropping fsyncs entirely (a lying disk).
+//! torn region, ending appended files in the zeros `DiskFs`
+//! preallocates, or dropping fsyncs entirely (a lying disk).
 //!
 //! The invariant checked after every crash is the **per-shard atomic
 //! prefix property**. Writes reach a shard as *runs* (one WAL record
@@ -22,16 +23,19 @@
 //! merge, and the merger does its work only after it has taken the
 //! shard's write lock from the run, so the two never overlap.
 //!
-//! Four angles:
+//! Five angles:
 //!
 //! * a deterministic **fault matrix** — one fixed schedule, killed at
-//!   *every* file-system operation index × tear/bit-flip variants,
-//!   with a check that the crash image at each index is the same on
-//!   every run;
+//!   *every* file-system operation index × tear/bit-flip/zero-tail
+//!   variants, with a check that the crash image at each index is the
+//!   same on every run;
 //! * the same schedule **unquiesced**, killed at sampled indices while
 //!   merges race the writes;
 //! * a **proptest** over random schedules, kill points, fault plans
 //!   and whether to quiesce after each run;
+//! * a **short write**: the disk fills up in the middle of a WAL
+//!   append, the shard fails closed, and the crash image recovers
+//!   exactly the acknowledged writes;
 //! * a **real-directory round trip** (DiskFs) covering clean shutdown
 //!   and recovery-then-serve through a live `LookupService`.
 
@@ -42,7 +46,7 @@ use std::time::Duration;
 
 use proptest::prelude::*;
 
-use isi_durable::{FaultFs, FaultPlan, Fs, FsyncMode, MemFs};
+use isi_durable::{wal, FaultFs, FaultPlan, Fs, FsyncMode, MemFs};
 use isi_serve::{
     Backend, BatchPolicy, LookupService, ServeConfig, ShardedStore, StoreConfig, WriteScratch,
 };
@@ -194,9 +198,10 @@ fn check_prefix_property(
 }
 
 /// Recover from a crash image, check the prefix property, and verify
-/// the revived store accepts new writes. Recovery failure is only
-/// acceptable when the crash predates the store's init completing
-/// (nothing was ever acked).
+/// the revived store accepts new writes whose records follow the last
+/// valid one (a zero tail was cut, not appended after). Recovery
+/// failure is only acceptable when the crash predates the store's init
+/// completing (nothing was ever acked).
 fn recover_and_check(
     image: MemFs,
     seed: &[(u64, u64)],
@@ -228,13 +233,30 @@ fn recover_and_check(
     // and deleted stale snapshots in place).
     drop(recovered);
     let fs2: Arc<dyn Fs> = Arc::clone(&image) as Arc<dyn Fs>;
-    let again = ShardedStore::recover_with_fs(Backend::Sorted, cfg, fs2)
+    let again = ShardedStore::recover_with_fs(Backend::Sorted, cfg.clone(), fs2)
         .map_err(|e| format!("second recovery failed: {e}"))?;
     check_prefix_property(&again, seed, schedule, acked_runs, fsync_honored)?;
     // The revived store keeps working: a fresh write round-trips.
     again.put(999_983, 42);
     if again.get(999_983) != Some(42) {
         return Err("revived store dropped a fresh write".into());
+    }
+    drop(again);
+    // ...and lands where the next recovery reads it: every log decodes
+    // whole.
+    for shard in 0..SHARDS {
+        let log = image.read(&wal::wal_name(shard)).unwrap_or_default();
+        if !wal::decode_wal(&log).clean {
+            return Err(format!(
+                "shard {shard}: the revived store's WAL has a bad tail"
+            ));
+        }
+    }
+    let fs3: Arc<dyn Fs> = Arc::clone(&image) as Arc<dyn Fs>;
+    let third = ShardedStore::recover_with_fs(Backend::Sorted, cfg, fs3)
+        .map_err(|e| format!("third recovery failed: {e}"))?;
+    if third.get(999_983) != Some(42) {
+        return Err("the revived store's write did not survive a recovery".into());
     }
     Ok(())
 }
@@ -362,7 +384,8 @@ fn fixed_schedule_crosses_both_kinds_of_merge() {
 
 /// Deterministic fault matrix: the single-shard schedule, quiesced
 /// after each run, killed at **every** fs-operation index, for the
-/// interesting tear variants. Covers each protocol point — mid-append,
+/// interesting tear variants, each also with the zero tail a `DiskFs`
+/// WAL shows after a crash. Covers each protocol point — mid-append,
 /// between append and fsync, mid-snapshot, between snapshot rename and
 /// WAL rewrite, mid-init — without sampling. A run is acked before its
 /// merge starts, so a kill inside that merge must keep it.
@@ -374,14 +397,18 @@ fn kill_at_every_protocol_point() {
     assert!(total > 50, "schedule too small to be interesting: {total}");
     for kill in 0..total {
         for (tear, flip) in [(0u8, false), (4, false), (4, true), (8, false)] {
-            let plan = FaultPlan {
-                kill_at_op: Some(kill),
-                drop_syncs: false,
-                tear_keep_eighths: tear,
-                flip_torn_bit: flip,
-            };
-            crash_case(&seed, &schedule, plan, true)
-                .unwrap_or_else(|e| panic!("kill@{kill} tear={tear} flip={flip}: {e}"));
+            for zero_tail in [false, true] {
+                let plan = FaultPlan {
+                    kill_at_op: Some(kill),
+                    drop_syncs: false,
+                    tear_keep_eighths: tear,
+                    flip_torn_bit: flip,
+                    zero_tail,
+                };
+                crash_case(&seed, &schedule, plan, true).unwrap_or_else(|e| {
+                    panic!("kill@{kill} tear={tear} flip={flip} zero_tail={zero_tail}: {e}")
+                });
+            }
         }
     }
 }
@@ -411,6 +438,7 @@ fn quiesced_crash_images_are_identical_across_runs() {
             drop_syncs: false,
             tear_keep_eighths: 4,
             flip_torn_bit: false,
+            zero_tail: false,
         };
         let (first, acked_first) = crash_image(&seed, &schedule, plan, true);
         let (second, acked_second) = crash_image(&seed, &schedule, plan, true);
@@ -437,6 +465,7 @@ fn dropped_fsyncs_still_recover_a_consistent_prefix() {
             drop_syncs: true,
             tear_keep_eighths: 3,
             flip_torn_bit: true,
+            zero_tail: false,
         };
         crash_case(&seed, &schedule, plan, true).unwrap_or_else(|e| panic!("kill@{kill}: {e}"));
     }
@@ -457,8 +486,79 @@ fn kill_points_with_background_merges() {
             drop_syncs: false,
             tear_keep_eighths: 4,
             flip_torn_bit: false,
+            zero_tail: false,
         };
         crash_case(&seed, &schedule, plan, false).unwrap_or_else(|e| panic!("kill@{kill}: {e}"));
+    }
+}
+
+/// A short write: the disk fills up in the middle of a WAL append, so
+/// the append keeps a prefix of its record and fails. The write that
+/// hit it fails, its shard fails closed as on a full disk, and the
+/// crash image — the prefix kept, with or without zeros past it —
+/// recovers exactly the acknowledged writes.
+///
+/// One exception, pinned below: a record whose missing bytes are all
+/// zeros reads back whole from the zeros a preallocated WAL has past
+/// its end. A failed write's outcome is unknown to its caller, and the
+/// prefix property allows it to survive.
+#[test]
+fn a_short_wal_append_fails_the_shard_closed_and_keeps_the_acked_writes() {
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    let message = |r: std::thread::Result<Option<u64>>| match r {
+        Ok(v) => format!("returned {v:?}"),
+        Err(p) => p
+            .downcast_ref::<String>()
+            .cloned()
+            .or_else(|| p.downcast_ref::<&str>().map(|s| (*s).to_string()))
+            .unwrap_or_default(),
+    };
+    let seed = fixed_seed();
+    let record = wal::encode_record(0, &[(0, Some(0))]).len();
+    let cases = [0, 3, 4, 12, record - 1].into_iter().flat_map(|keep| {
+        [false, true]
+            .into_iter()
+            .flat_map(move |zero_tail| [(keep, zero_tail, u64::MAX), (keep, zero_tail, 1)])
+    });
+    for (keep, zero_tail, value) in cases {
+        let tag = format!("keep {keep} zero_tail {zero_tail} value {value}");
+        let fault = Arc::new(FaultFs::new(FaultPlan {
+            tear_keep_eighths: 8,
+            zero_tail,
+            ..FaultPlan::default()
+        }));
+        let fs: Arc<dyn Fs> = Arc::clone(&fault) as Arc<dyn Fs>;
+        // Three writes stay under the threshold of 4: no merge runs.
+        let store = ShardedStore::build_with_fs(Backend::Sorted, 1, &seed, store_cfg(), fs);
+        let svc = LookupService::start(store, ServeConfig::default());
+        let mut acked: HashMap<u64, u64> = seed.iter().copied().collect();
+        for i in 0..3u64 {
+            svc.put(1000 + i, i);
+            acked.insert(1000 + i, i);
+        }
+        fault.fill_disk_mid_append(keep);
+        let failed = message(catch_unwind(AssertUnwindSafe(|| svc.put(2000, value))));
+        assert!(failed.contains("WAL append failed"), "{tag}: {failed:?}");
+        let later = message(catch_unwind(AssertUnwindSafe(|| svc.get(7))));
+        assert!(later.contains("closed LookupService"), "{tag}: {later:?}");
+        // The live log holds the acked records and `keep` bytes more.
+        let log = fault.read(&wal::wal_name(0)).expect("read the live WAL");
+        assert_eq!(wal::decode_wal(&log).valid_len + keep, log.len(), "{tag}");
+        let image: Arc<dyn Fs> = Arc::new(fault.crash_now());
+        drop(svc);
+        let recovered =
+            ShardedStore::recover_with_fs(Backend::Sorted, store_cfg(), image).expect("recover");
+        // The value's top byte ends the record: 1 has a zero there.
+        let completed = zero_tail && keep == record - 1 && value == 1;
+        assert_eq!(recovered.get(2000), completed.then_some(value), "{tag}");
+        assert_eq!(
+            recovered.len(),
+            acked.len() + usize::from(completed),
+            "{tag}"
+        );
+        for (&k, &v) in &acked {
+            assert_eq!(recovered.get(k), Some(v), "{tag}: key {k}");
+        }
     }
 }
 
@@ -478,11 +578,11 @@ fn schedule_strategy() -> impl Strategy<Value = Schedule> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(if cfg!(miri) { 2 } else { 48 }))]
 
-    /// Random schedules × random kill points × random fault plans,
-    /// merges quiesced after each run or racing the writes: every
-    /// acked write survives (when fsyncs are honored; a lying disk
-    /// covers an acked write no fsync made durable) and no crash image
-    /// ever recovers to a non-prefix.
+    /// Random schedules × random kill points × random fault plans
+    /// (zero tails included), merges quiesced after each run or racing
+    /// the writes: every acked write survives (when fsyncs are honored;
+    /// a lying disk covers an acked write no fsync made durable) and no
+    /// crash image ever recovers to a non-prefix.
     #[test]
     fn kill_and_revive_matches_an_oracle_prefix(
         schedule in schedule_strategy(),
@@ -491,6 +591,7 @@ proptest! {
         flip in prop_oneof![Just(false), Just(true)],
         drop_syncs in prop_oneof![Just(false), Just(true)],
         quiesce_each_run in prop_oneof![Just(false), Just(true)],
+        zero_tail in prop_oneof![Just(false), Just(true)],
     ) {
         let seed = fixed_seed();
         let plan = FaultPlan {
@@ -498,6 +599,7 @@ proptest! {
             drop_syncs,
             tear_keep_eighths: tear,
             flip_torn_bit: flip,
+            zero_tail,
         };
         if let Err(e) = crash_case(&seed, &schedule, plan, quiesce_each_run) {
             prop_assert!(false, "{e}");
@@ -591,6 +693,14 @@ fn disk_roundtrip_through_the_service() {
         assert!(records > 0, "writes must hit the WAL");
         assert!(syncs > 0);
         // svc (and with it the store) drops here: clean shutdown.
+    }
+    // A clean shutdown trims each preallocated WAL to its records.
+    for shard in 0..SHARDS {
+        let log = std::fs::read(dir.join(wal::wal_name(shard))).expect("read a WAL");
+        assert!(
+            wal::decode_wal(&log).clean,
+            "shard {shard}: zeros past the records"
+        );
     }
     let recovered = ShardedStore::recover(Backend::Csb, cfg).expect("recover from disk");
     assert_eq!(recovered.get(0), None);
