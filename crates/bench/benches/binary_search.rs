@@ -14,11 +14,10 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 
 use isi_core::mem::DirectMem;
 use isi_core::sched::run_interleaved;
+use isi_search::coro::bulk_rank_coro;
 use isi_search::coro::bulk_rank_coro_separate;
-use isi_search::{
-    bulk_rank_amac, bulk_rank_branchfree, bulk_rank_branchy, bulk_rank_coro, bulk_rank_gp,
-    rank_coro,
-};
+use isi_search::seq::bulk_rank_branchfree;
+use isi_search::{bulk_rank_amac, bulk_rank_branchy, bulk_rank_gp, rank_coro};
 use isi_workloads as wl;
 
 const MB: usize = 64;

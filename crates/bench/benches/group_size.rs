@@ -11,7 +11,8 @@ use isi_bench::wall::GROUPS;
 use isi_core::mem::DirectMem;
 use isi_csb::{bulk_lookup_interleaved, bulk_lookup_seq, CsbTree, DirectTreeStore};
 use isi_hash::{bulk_probe_interleaved, bulk_probe_seq, ChainedHashTable};
-use isi_search::{bulk_rank_branchfree, bulk_rank_coro};
+use isi_search::coro::bulk_rank_coro;
+use isi_search::seq::bulk_rank_branchfree;
 use isi_workloads as wl;
 
 /// One `get_many` batch of the repo benchmark.

@@ -14,9 +14,8 @@ use isi_columnstore::{delta_locate_coro, DeltaDictionary};
 use isi_core::sched::{run_interleaved, run_sequential};
 use isi_csb::{InnerNode, LeafNode, TreeView};
 use isi_memsim::{MachineStats, SharedMachine, SimArray};
-use isi_search::{
-    bulk_rank_amac, bulk_rank_coro, bulk_rank_gp, rank_branchfree, rank_branchy, NOT_FOUND,
-};
+use isi_search::coro::bulk_rank_coro;
+use isi_search::{bulk_rank_amac, bulk_rank_gp, rank_branchfree, rank_branchy, NOT_FOUND};
 
 use isi_workloads::xorshift64;
 

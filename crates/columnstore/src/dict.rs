@@ -22,10 +22,11 @@ use isi_core::par::{run_interleaved_par, ParConfig};
 use isi_core::policy::Interleave;
 use isi_csb::descend_level;
 use isi_csb::{CsbTree, InnerNode, LeafNode, TreeView};
+use isi_search::cost;
 use isi_search::key::SearchKey;
 use isi_search::locate::{resolve_rank, NOT_FOUND};
+use isi_search::par::bulk_rank_coro_par;
 use isi_search::seq::next_low;
-use isi_search::{bulk_rank_coro_par, cost};
 
 /// Read-optimized dictionary: sorted distinct values; code = position.
 #[derive(Debug, Clone, Default)]

@@ -44,9 +44,6 @@
 //!   `sched_setaffinity`) and huge pages under a reserved buffer
 //!   ([`advise_huge_pages`](topo::advise_huge_pages), `madvise`), with
 //!   silent fallbacks on unsupported targets or kernel refusal.
-//! * [`backend`] — the [`ShardBackend`](backend::ShardBackend)
-//!   contract between the serving layer and the index structures that
-//!   serve one shard's main (batched probes, merge-time rebuilds).
 //! * [`epoch`] — the [`EpochCell`](epoch::EpochCell) versioned-`Arc`
 //!   swap the writable serving layer publishes merged shard versions
 //!   through (readers snapshot, writers swap, nobody blocks long).
@@ -111,7 +108,6 @@
 //! assert_eq!(out, [2, 50, 1023]);
 //! ```
 
-pub mod backend;
 pub mod coro;
 pub mod epoch;
 pub mod mem;

@@ -31,7 +31,9 @@ mod shard;
 mod store;
 mod tree;
 
-pub use lookup::{bulk_lookup_interleaved, bulk_lookup_seq, descend_level, lookup_coro};
+pub use lookup::{
+    bulk_lookup_interleaved, bulk_lookup_par, bulk_lookup_seq, descend_level, lookup_coro,
+};
 pub use node::{InnerNode, LeafNode};
 pub use shard::CsbShard;
 pub use store::{DirectTreeStore, TreeView};

@@ -159,7 +159,7 @@ where
 ///
 /// # Panics
 /// Panics if `out.len() != values.len()`.
-pub(crate) fn bulk_lookup_par<K, V, MI, ML>(
+pub fn bulk_lookup_par<K, V, MI, ML>(
     store: TreeView<MI, ML>,
     values: &[K],
     group_size: usize,

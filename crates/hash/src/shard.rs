@@ -1,19 +1,12 @@
-//! [`HashShard`]: the chained-hash-table [`ShardBackend`] — the
-//! serving layer's "hash" main index.
+//! [`HashShard`]: the chained-hash-table main index of the serving
+//! layer (`isi_serve::Main::Hash`).
 //!
-//! Batch lookups chase bucket chains through the interleaved probe
-//! coroutines ([`crate::probe::bulk_probe_par`], the paper's
+//! The serving layer chases a batch's bucket chains through the
+//! interleaved probe coroutines ([`crate::bulk_probe_par`], the paper's
 //! Section 6). A shard is built from pairs in ascending key order, and
-//! the table's entry arena keeps insertion order, so
-//! [`pairs`](ShardBackend::pairs) reads the arena as it is: the bucket
-//! chains are what scatter the keys, not the arena.
-
-use std::sync::Arc;
-
-use isi_core::backend::ShardBackend;
-use isi_core::par::ParConfig;
-use isi_core::policy::Interleave;
-use isi_core::sched::RunStats;
+//! the table's entry arena keeps insertion order, so the arena read as
+//! it is lists the pairs in key order: the bucket chains are what
+//! scatter the keys, not the arena.
 
 use crate::table::ChainedHashTable;
 
@@ -79,78 +72,56 @@ impl HashShardBuilder {
     }
 }
 
-impl ShardBackend for HashShard {
-    fn len(&self) -> usize {
-        self.table.len()
-    }
-
-    fn get(&self, key: u64) -> Option<u64> {
-        self.table.get(&key)
-    }
-
-    fn probe_batch(
-        &self,
-        keys: &[u64],
-        policy: Interleave,
-        par: ParConfig,
-        _scratch: &mut Vec<u32>,
-        out: &mut [Option<u64>],
-    ) -> RunStats {
-        crate::probe::bulk_probe_par(&self.table, keys, policy.group_or_one(), par, out)
-    }
-
-    fn rebuild(&self, pairs: &[(u64, u64)]) -> Arc<dyn ShardBackend> {
-        Arc::new(Self::build(pairs))
-    }
-
-    fn pairs(&self) -> Vec<(u64, u64)> {
-        // The builder took the pairs in ascending order, and the arena
-        // keeps insertion order.
-        self.table
-            .entries()
-            .iter()
-            .map(|e| (e.key, e.val))
-            .collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use isi_core::par::ParConfig;
 
     fn shard(n: u64) -> HashShard {
         HashShard::build(&(0..n).map(|i| (i * 3, i + 100)).collect::<Vec<_>>())
+    }
+
+    fn probe(s: &HashShard, probes: &[u64], group: usize, threads: usize) -> Vec<Option<u64>> {
+        let mut out = vec![Some(u64::MAX); probes.len()];
+        let stats = crate::bulk_probe_par(
+            s.table(),
+            probes,
+            group,
+            ParConfig::with_threads(threads),
+            &mut out,
+        );
+        assert_eq!(stats.lookups, probes.len() as u64);
+        out
+    }
+
+    /// The pairs as the serving layer reads them back: the arena as it
+    /// is.
+    fn pairs(s: &HashShard) -> Vec<(u64, u64)> {
+        s.table().entries().iter().map(|e| (e.key, e.val)).collect()
     }
 
     #[test]
     fn get_and_probe_agree() {
         let s = shard(2000);
         let probes: Vec<u64> = (0..2500).map(|i| i * 2).collect();
-        let mut out = vec![None; probes.len()];
-        let mut scratch = Vec::new();
-        let stats = s.probe_batch(
-            &probes,
-            Interleave::Interleaved(6),
-            ParConfig::with_threads(2),
-            &mut scratch,
-            &mut out,
-        );
-        assert_eq!(stats.lookups, probes.len() as u64);
+        let out = probe(&s, &probes, 6, 2);
         for (&k, &r) in probes.iter().zip(&out) {
-            assert_eq!(r, s.get(k), "key={k}");
+            assert_eq!(r, s.table().get(&k), "key={k}");
+            assert_eq!(r, (k % 3 == 0 && k < 6000).then(|| k / 3 + 100), "key={k}");
         }
     }
 
     #[test]
     fn rebuild_roundtrip_and_empty() {
-        // pairs() must come out sorted even though the buckets aren't.
-        let pairs: Vec<(u64, u64)> = (0..500).map(|i| (i * 3, i + 100)).collect();
-        let s = HashShard::build(&pairs);
-        assert_eq!(s.pairs(), pairs);
-        assert_eq!(s.rebuild(&pairs).pairs(), pairs);
+        // The arena must read back sorted even though the buckets aren't.
+        let pairs_in: Vec<(u64, u64)> = (0..500).map(|i| (i * 3, i + 100)).collect();
+        let s = HashShard::build(&pairs_in);
+        assert_eq!(pairs(&s), pairs_in);
+        assert_eq!(pairs(&HashShard::build(&pairs(&s))), pairs_in);
         let empty = HashShard::build(&[]);
-        assert!(empty.is_empty());
-        assert!(empty.pairs().is_empty());
+        assert!(empty.table().is_empty());
+        assert!(pairs(&empty).is_empty());
+        assert_eq!(probe(&empty, &[9], 4, 1), [None]);
     }
 
     #[test]

@@ -112,7 +112,7 @@ impl<K: HashKey, V: Copy> ChainedHashTable<K, V> {
     }
 
     /// First (most recently inserted) value for `key`.
-    pub(crate) fn get(&self, key: &K) -> Option<V> {
+    pub fn get(&self, key: &K) -> Option<V> {
         let mut e = self.buckets[self.bucket_of(key)];
         while e != NONE {
             let entry = &self.entries[e as usize];
@@ -139,13 +139,12 @@ impl<K: HashKey, V: Copy> ChainedHashTable<K, V> {
     }
 
     /// Number of entries.
-    pub(crate) fn len(&self) -> usize {
+    pub fn len(&self) -> usize {
         self.entries.len()
     }
 
     /// True if no entries.
-    #[cfg(test)]
-    fn is_empty(&self) -> bool {
+    pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
     }
 

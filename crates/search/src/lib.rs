@@ -33,12 +33,9 @@ pub mod seq;
 mod shard;
 
 pub use amac::bulk_rank_amac;
-pub use coro::{bulk_rank_coro, rank_coro};
+pub use coro::rank_coro;
 pub use gp::bulk_rank_gp;
 pub use key::Str16;
 pub use locate::{locate, NOT_FOUND};
-pub use par::bulk_rank_coro_par;
-pub use seq::{
-    bulk_rank_branchfree, bulk_rank_branchy, rank_branchfree, rank_branchy, rank_oracle,
-};
+pub use seq::{bulk_rank_branchy, rank_branchfree, rank_branchy, rank_oracle};
 pub use shard::{SortedShard, SortedShardBuilder};

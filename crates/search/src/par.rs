@@ -9,7 +9,7 @@
 //! It writes `out[i]` = rank of `values[i]`, exactly as the sequential
 //! drivers do; with `cfg.threads == 1` it is one scheduler run on the
 //! calling thread. This is the driver the serving path
-//! (`SortedShard::probe_batch`) and `benchmark/` call.
+//! (`isi_serve::Main::probe_batch`) and `benchmark/` call.
 
 use isi_core::mem::IndexedMem;
 use isi_core::par::{run_interleaved_par, ParConfig};

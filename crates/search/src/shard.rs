@@ -1,10 +1,10 @@
-//! [`SortedShard`]: the sorted-column [`ShardBackend`] — the serving
-//! layer's "sorted" main index.
+//! [`SortedShard`]: the sorted-column main index of the serving layer
+//! (`isi_serve::Main::Sorted`).
 //!
-//! A key column and an aligned value column, both sorted by key. Batch
-//! lookups rank through the interleaved binary-search coroutines
-//! ([`crate::par::bulk_rank_coro_par`]) and resolve rank → value with
-//! one equality check.
+//! A key column and an aligned value column, both sorted by key. The
+//! serving layer ranks a batch through the interleaved binary-search
+//! coroutines ([`crate::par::bulk_rank_coro_par`]) and resolves
+//! rank → value with one equality check.
 //!
 //! Both columns are advised onto transparent huge pages before they
 //! are filled ([`isi_core::topo::advise_huge_pages`]): the deep probes
@@ -13,13 +13,6 @@
 //! 2 000 entries. Where the kernel declines, the columns are ordinary
 //! `Vec`s and nothing else changes.
 
-use std::sync::Arc;
-
-use isi_core::backend::ShardBackend;
-use isi_core::mem::DirectMem;
-use isi_core::par::ParConfig;
-use isi_core::policy::Interleave;
-use isi_core::sched::RunStats;
 use isi_core::topo::advise_huge_pages;
 
 /// A sorted key column plus aligned value column, servable in bulk by
@@ -60,6 +53,11 @@ impl SortedShard {
     pub fn keys(&self) -> &[u64] {
         &self.keys
     }
+
+    /// The value column, aligned with [`keys`](Self::keys).
+    pub fn vals(&self) -> &[u64] {
+        &self.vals
+    }
 }
 
 /// A [`SortedShard`] being filled, pair by pair, in key order (see
@@ -89,80 +87,47 @@ impl SortedShardBuilder {
     }
 }
 
-impl ShardBackend for SortedShard {
-    fn len(&self) -> usize {
-        self.keys.len()
-    }
-
-    fn get(&self, key: u64) -> Option<u64> {
-        self.keys.binary_search(&key).ok().map(|i| self.vals[i])
-    }
-
-    fn probe_batch(
-        &self,
-        keys: &[u64],
-        policy: Interleave,
-        par: ParConfig,
-        scratch: &mut Vec<u32>,
-        out: &mut [Option<u64>],
-    ) -> RunStats {
-        assert_eq!(keys.len(), out.len(), "output length mismatch");
-        if self.keys.is_empty() {
-            out.fill(None);
-            return RunStats::default();
-        }
-        // Rank via the interleaved binary-search coroutines, then
-        // resolve rank -> value with one equality check. The resolve
-        // loop's loads are independent of each other, so the value
-        // lines' misses overlap without help (fetching the value inside
-        // the coroutine was prototyped: 298 vs 303 ns/key, no gain).
-        let mem = DirectMem::new(&self.keys);
-        scratch.clear();
-        scratch.resize(keys.len(), 0);
-        let stats = crate::par::bulk_rank_coro_par(mem, keys, policy.group_or_one(), par, scratch);
-        for ((o, &r), &k) in out.iter_mut().zip(scratch.iter()).zip(keys) {
-            *o = (self.keys[r as usize] == k).then(|| self.vals[r as usize]);
-        }
-        stats
-    }
-
-    fn rebuild(&self, pairs: &[(u64, u64)]) -> Arc<dyn ShardBackend> {
-        Arc::new(Self::build(pairs))
-    }
-
-    fn pairs(&self) -> Vec<(u64, u64)> {
-        self.keys
-            .iter()
-            .copied()
-            .zip(self.vals.iter().copied())
-            .collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use isi_core::mem::DirectMem;
+    use isi_core::par::ParConfig;
 
     fn shard(n: u64) -> SortedShard {
         SortedShard::build(&(0..n).map(|i| (i * 3, i + 100)).collect::<Vec<_>>())
+    }
+
+    /// Rank `probes` through the interleaved driver and resolve each
+    /// rank to a value, as the serving layer does.
+    fn probe(s: &SortedShard, probes: &[u64], group: usize, threads: usize) -> Vec<Option<u64>> {
+        let mut ranks = vec![0u32; probes.len()];
+        let stats = crate::par::bulk_rank_coro_par(
+            DirectMem::new(s.keys()),
+            probes,
+            group,
+            ParConfig::with_threads(threads),
+            &mut ranks,
+        );
+        assert_eq!(stats.lookups, probes.len() as u64);
+        ranks
+            .iter()
+            .zip(probes)
+            .map(|(&r, &k)| (s.keys().get(r as usize) == Some(&k)).then(|| s.vals()[r as usize]))
+            .collect()
+    }
+
+    fn get(s: &SortedShard, key: u64) -> Option<u64> {
+        s.keys().binary_search(&key).ok().map(|i| s.vals()[i])
     }
 
     #[test]
     fn get_and_probe_agree() {
         let s = shard(1000);
         let probes: Vec<u64> = (0..1500).map(|i| i * 2).collect();
-        let mut out = vec![None; probes.len()];
-        let mut scratch = Vec::new();
-        let stats = s.probe_batch(
-            &probes,
-            Interleave::Interleaved(6),
-            ParConfig::with_threads(2),
-            &mut scratch,
-            &mut out,
-        );
-        assert_eq!(stats.lookups, probes.len() as u64);
+        let out = probe(&s, &probes, 6, 2);
         for (&k, &r) in probes.iter().zip(&out) {
-            assert_eq!(r, s.get(k), "key={k}");
+            assert_eq!(r, get(&s, k), "key={k}");
+            assert_eq!(r, (k % 3 == 0 && k < 3000).then(|| k / 3 + 100), "key={k}");
         }
     }
 
@@ -170,21 +135,19 @@ mod tests {
     fn rebuild_roundtrip_and_empty() {
         let pairs: Vec<(u64, u64)> = (0..50).map(|i| (i * 3, i + 100)).collect();
         let s = SortedShard::build(&pairs);
-        assert_eq!(s.pairs(), pairs);
-        assert_eq!(s.rebuild(&pairs).pairs(), pairs);
+        let read = |s: &SortedShard| -> Vec<(u64, u64)> {
+            s.keys()
+                .iter()
+                .copied()
+                .zip(s.vals().iter().copied())
+                .collect()
+        };
+        assert_eq!(read(&s), pairs);
+        assert_eq!(read(&SortedShard::build(&read(&s))), pairs);
         let empty = SortedShard::build(&[]);
-        assert!(empty.is_empty());
-        assert_eq!(empty.get(7), None);
-        let mut out = vec![None; 2];
-        let mut scratch = Vec::new();
-        empty.probe_batch(
-            &[1, 2],
-            Interleave::Sequential,
-            ParConfig::default(),
-            &mut scratch,
-            &mut out,
-        );
-        assert_eq!(out, [None, None]);
+        assert!(empty.keys().is_empty() && empty.vals().is_empty());
+        assert_eq!(get(&empty, 7), None);
+        assert_eq!(probe(&empty, &[1, 2], 1, 1), [None, None]);
     }
 
     #[test]

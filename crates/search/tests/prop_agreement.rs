@@ -8,11 +8,10 @@ use proptest::prelude::*;
 
 use isi_core::mem::DirectMem;
 use isi_core::par::ParConfig;
+use isi_search::coro::bulk_rank_coro;
 use isi_search::key::Str16;
-use isi_search::{
-    bulk_rank_amac, bulk_rank_coro, bulk_rank_coro_par, bulk_rank_gp, rank_branchfree,
-    rank_branchy, rank_oracle,
-};
+use isi_search::par::bulk_rank_coro_par;
+use isi_search::{bulk_rank_amac, bulk_rank_gp, rank_branchfree, rank_branchy, rank_oracle};
 
 /// Strategy: a sorted (possibly duplicated) u32 table and probe values
 /// drawn from a range that covers hits, misses and extremes.

@@ -9,7 +9,8 @@ use proptest::prelude::*;
 
 use isi_core::mem::DirectMem;
 use isi_core::par::ParConfig;
-use isi_search::{bulk_rank_coro, bulk_rank_coro_par};
+use isi_search::coro::bulk_rank_coro;
+use isi_search::par::bulk_rank_coro_par;
 
 /// Strategy: a sorted (possibly duplicated) u32 table and probe values
 /// covering hits, misses and extremes.

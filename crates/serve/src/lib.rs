@@ -9,10 +9,9 @@
 //!
 //! 1. **Shard** — a [`ShardedStore`]
 //!    hash-partitions the data across power-of-two shards. Each shard
-//!    is a **Main/Delta pair**: an immutable main behind the
-//!    [`ShardBackend`](isi_core::backend::ShardBackend) trait (sorted
-//!    column, CSB+-tree, or chained hash table — batched probes and
-//!    merge-time rebuilds), plus a small delta of
+//!    is a **Main/Delta pair**: an immutable [`Main`] (sorted column,
+//!    CSB+-tree, or chained hash table, one arm of a closed enum —
+//!    batched probes and merge-time rebuilds), plus a small delta of
 //!    upserts and tombstones held as a **stack of immutable sorted
 //!    runs** — one run per dispatched write run, newest run wins,
 //!    folded into a single run past
@@ -114,4 +113,6 @@ pub use isi_durable::FsyncMode;
 pub use isi_obs::{Obs, Stage};
 pub use plan::BatchPlan;
 pub use service::{BatchPolicy, LookupService, ServeConfig, ServeStats};
-pub use store::{Backend, BatchOutcome, LookupScratch, ShardedStore, StoreConfig, WriteScratch};
+pub use store::{
+    Backend, BatchOutcome, LookupScratch, Main, ShardedStore, StoreConfig, WriteScratch,
+};

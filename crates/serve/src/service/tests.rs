@@ -33,6 +33,19 @@ fn single_client_hits_and_misses_all_backends() {
     }
 }
 
+#[test]
+fn an_empty_store_counts_every_key_it_looks_up() {
+    for backend in Backend::ALL {
+        let svc =
+            LookupService::start(ShardedStore::build(backend, 2, &[]), ServeConfig::default());
+        assert_eq!(svc.get(5), None);
+        assert_eq!(svc.get_many(&[1, 2, 3]), [None; 3]);
+        let s = svc.stats();
+        assert_eq!((s.gets, s.many_keys, s.delta_hits), (1, 3, 0));
+        assert_eq!(s.engine.lookups, 4, "{}", backend.name());
+    }
+}
+
 /// Take `shard`'s token by hand: a runner that is slow for as long
 /// as the test holds the box.
 fn hold_token(svc: &LookupService, shard: usize) -> Box<Exec> {

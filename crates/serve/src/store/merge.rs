@@ -4,12 +4,11 @@
 use std::collections::VecDeque;
 use std::sync::{Arc, PoisonError};
 
-use isi_core::backend::ShardBackend;
 use isi_core::sync::{CondvarExt, MutexExt};
 use isi_obs::{SpanTimer, Stage, TraceKind};
 
 use super::delta::{merge_pairs, Delta};
-use super::{ShardVersion, StoreInner, WriteState};
+use super::{Main, ShardVersion, StoreInner, WriteState};
 
 /// The background merger's work queue (guarded by `StoreInner::merge_q`).
 #[derive(Default)]
@@ -27,7 +26,7 @@ pub(super) struct MergeQueue {
 struct Folded {
     /// The shard's next main: the pinned version's own after a minor
     /// merge, the rebuilt one after a major.
-    main: Arc<dyn ShardBackend>,
+    main: Arc<Main>,
     /// The shard's next mid tier: the fold of the pinned stack after a
     /// minor merge, empty after a major one (it went into the main).
     mid: Vec<(u64, Option<u64>)>,
@@ -164,7 +163,7 @@ impl StoreInner {
     fn fold_pinned(
         &self,
         si: usize,
-        main: &Arc<dyn ShardBackend>,
+        main: &Arc<Main>,
         pinned: &Delta,
         seq0: u64,
         t0: SpanTimer,
@@ -195,7 +194,7 @@ impl StoreInner {
             .as_ref()
             .map(|d| (seq0, d.stage_snapshot(si, seq0, &merged)));
         Folded {
-            main: main.rebuild(&merged),
+            main: Arc::new(main.rebuild(&merged)),
             mid: Vec::new(),
             staged,
             major,

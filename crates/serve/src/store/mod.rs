@@ -1,10 +1,10 @@
 //! [`ShardedStore`]: a writable, hash-partitioned key/value store
-//! whose shards are served by the [`ShardBackend`] index drivers.
+//! whose shards are served by the index drivers behind [`Main`].
 //!
 //! Each shard is a **Main/Delta pair**, the columnstore resolution of
 //! the read-optimized vs write-optimized tension:
 //!
-//! * the **main** is an immutable [`ShardBackend`] — a **sorted
+//! * the **main** is an immutable [`Main`] — a **sorted
 //!   column** ([`isi_search::SortedShard`]), a **CSB+-tree**
 //!   ([`isi_csb::CsbShard`], Listing 6 traversal coroutines), or a
 //!   **chained hash table** ([`isi_hash::HashShard`], Section 6 probe
@@ -32,11 +32,11 @@
 //! pins the stack and folds it into a fresh mid tier. Usually that is
 //! all — a **minor merge**: it publishes `(same main, new mid,
 //! residual runs)` through an [`EpochCell`] swap, O(mid), no
-//! [`ShardBackend::pairs`], no rebuild, no file-system call (the WAL
+//! `Main::pairs`, no rebuild, no file-system call (the WAL
 //! keeps its records). Only when the folded mid has reached
 //! `major_len` (a size worked out from the threshold and the main's
 //! length) does the same job go on to a **major merge**: rebuild the
-//! main (via [`ShardBackend::rebuild`]) with the mid folded in and its
+//! main (via `Main::rebuild`) with the mid folded in and its
 //! tombstones dropped, snapshot it when the store is durable, truncate
 //! the WAL to the residual, publish `(new main, no mid, residual
 //! runs)`. Either way the merge pins the runs it snapshotted (the
@@ -79,7 +79,6 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
-use isi_core::backend::ShardBackend;
 use isi_core::epoch::EpochCell;
 use isi_core::par::ParConfig;
 use isi_core::policy::Interleave;
@@ -93,7 +92,7 @@ use isi_obs::{Counter, Obs, SpanTimer, Stage, TraceKind};
 use crate::plan::BatchPlan;
 use crate::service::ServeStats;
 
-pub use config::{Backend, StoreConfig};
+pub use config::{Backend, Main, StoreConfig};
 use delta::{sort_lww, Delta};
 use merge::{max_delta, MergeQueue};
 use wal::DurableState;
@@ -104,7 +103,7 @@ use wal::DurableState;
 /// [`EpochCell`].
 struct ShardVersion {
     /// Shared with successor versions until a merge replaces it.
-    main: Arc<dyn ShardBackend>,
+    main: Arc<Main>,
     delta: Delta,
 }
 
@@ -223,7 +222,7 @@ pub struct BatchOutcome {
 }
 
 /// A writable key/value store hash-partitioned into power-of-two
-/// shards, each shard a Main/Delta pair behind a [`ShardBackend`].
+/// shards, each shard a [`Main`]/Delta pair.
 ///
 /// Point reads and batch lookups take `&self` and never
 /// block behind writes or merges; `put`/`remove` also take `&self`
@@ -333,7 +332,7 @@ impl ShardedStore {
             .into_iter()
             .map(|main| Shard {
                 version: EpochCell::new(ShardVersion {
-                    main,
+                    main: Arc::new(main),
                     delta: Delta::default(),
                 }),
                 write: Mutex::new(WriteState::default()),

@@ -46,6 +46,64 @@ fn get_agrees_across_backends_and_shard_counts() {
     }
 }
 
+/// Every kind of main against its own sequential `get` (itself checked
+/// against the input) under each policy at one and two threads; its
+/// pairs round-trip, a rebuild stays the same kind (a rebuild into the
+/// wrong kind would answer the same), and an empty main still counts
+/// every key it was asked.
+#[test]
+fn every_main_probes_as_it_gets_and_rebuilds_as_its_kind() {
+    let data = pairs(2000);
+    let probes: Vec<u64> = (0..2500).map(|i| i * 2).collect();
+    let mut scratch = Vec::new();
+    for backend in Backend::ALL {
+        let name = backend.name();
+        let main = backend.build_shard(&data);
+        assert_eq!(main.backend(), backend);
+        assert_eq!(main.len(), data.len());
+        for policy in [
+            Interleave::Sequential,
+            Interleave::Interleaved(1),
+            Interleave::Interleaved(6),
+        ] {
+            for threads in [1, 2] {
+                let mut out = vec![Some(u64::MAX); probes.len()];
+                let stats = main.probe_batch(
+                    &probes,
+                    policy,
+                    ParConfig::with_threads(threads),
+                    &mut scratch,
+                    &mut out,
+                );
+                assert_eq!(stats.lookups, probes.len() as u64, "{name} {policy:?}");
+                for (&k, &r) in probes.iter().zip(&out) {
+                    let expect = (k % 3 == 0 && k < 6000).then(|| k / 3 + 1000);
+                    assert_eq!(main.get(k), expect, "{name} key={k}");
+                    assert_eq!(r, expect, "{name} {policy:?} x{threads} key={k}");
+                }
+            }
+        }
+        assert_eq!(main.pairs(), data, "{name}");
+        let rebuilt = main.rebuild(&data[..100]);
+        assert_eq!(rebuilt.backend(), backend);
+        assert_eq!(rebuilt.pairs(), data[..100], "{name}");
+        let empty = main.rebuild(&[]);
+        assert_eq!(empty.backend(), backend);
+        assert!(empty.is_empty() && empty.pairs().is_empty(), "{name}");
+        assert_eq!(empty.get(3), None, "{name}");
+        let mut out = vec![Some(0); 3];
+        let stats = empty.probe_batch(
+            &[0, 3, 7],
+            Interleave::Interleaved(4),
+            ParConfig::default(),
+            &mut scratch,
+            &mut out,
+        );
+        assert_eq!(out, [None; 3], "{name}");
+        assert_eq!(stats.lookups, 3, "{name}");
+    }
+}
+
 #[test]
 fn batch_lookup_matches_get() {
     let data = pairs(5000);
@@ -470,7 +528,7 @@ fn a_merge_drains_what_it_pinned_though_the_write_path_folds_meanwhile() {
 }
 
 /// The shard's main and, if it has one, its mid tier.
-fn tiers(store: &ShardedStore, si: usize) -> (Arc<dyn ShardBackend>, Option<DeltaRun>) {
+fn tiers(store: &ShardedStore, si: usize) -> (Arc<Main>, Option<DeltaRun>) {
     let v = store.inner.shards[si].version.load();
     (Arc::clone(&v.main), v.delta.mid().cloned())
 }

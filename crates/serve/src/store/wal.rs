@@ -144,7 +144,7 @@ impl ShardedStore {
             }
             shards.push(Shard {
                 version: EpochCell::new(ShardVersion {
-                    main: backend.build_shard(&rec.pairs),
+                    main: Arc::new(backend.build_shard(&rec.pairs)),
                     delta: Delta::tiers(tail, Vec::new()),
                 }),
                 write: Mutex::new(WriteState {

@@ -6,7 +6,8 @@
 //! Run with: `cargo run --release --example microarch_lab`
 
 use coro_isi::memsim::{MachineStats, SharedMachine, SimArray};
-use coro_isi::search::{bulk_rank_coro, rank_branchfree};
+use coro_isi::search::coro::bulk_rank_coro;
+use coro_isi::search::rank_branchfree;
 use coro_isi::workloads::xorshift64;
 
 fn breakdown(label: &str, s: &MachineStats, lookups: usize) {
