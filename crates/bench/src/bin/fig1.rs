@@ -10,7 +10,8 @@
 //!
 //! Usage: `cargo run --release -p isi-bench --bin fig1`
 
-use isi_columnstore::{execute_in, Column, Interleave, MainDictionary, MainPart};
+use isi_columnstore::{execute_in, Column, MainDictionary, MainPart};
+use isi_core::policy::Interleave;
 use isi_core::stats::time_avg;
 
 use isi_bench::{banner, env_positive, packed_codes, size_sweep_mb, HarnessCfg};

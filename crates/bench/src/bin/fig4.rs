@@ -55,7 +55,7 @@ fn main() {
         let idx_unsorted = wl::uniform_indices(table.len(), cfg.lookups, wl::SEED);
         let unsorted: Vec<_> = idx_unsorted
             .iter()
-            .map(|&i| isi_search::Str16::from_index(i as u64))
+            .map(|&i| isi_search::key::Str16::from_index(i as u64))
             .collect();
         let mut sorted = unsorted.clone();
         sorted.sort_unstable();

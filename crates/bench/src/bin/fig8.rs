@@ -6,9 +6,9 @@
 //! (Delta trees are memory-hungry: ~2.5x the dictionary size.)
 
 use isi_columnstore::{
-    execute_in, BitPackedVec, Column, DeltaDictionary, DeltaPart, Interleave, MainDictionary,
-    MainPart,
+    execute_in, BitPackedVec, Column, DeltaDictionary, DeltaPart, MainDictionary, MainPart,
 };
+use isi_core::policy::Interleave;
 use isi_core::stats::time_avg;
 
 use isi_bench::{banner, env_positive, packed_codes, size_sweep_mb, HarnessCfg};

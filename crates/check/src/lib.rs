@@ -20,7 +20,7 @@
 //!   every operation is a scheduling point; blocking parks the
 //!   virtual thread *in the runtime*, so deadlocks and lost wakeups
 //!   are detected, not hung on.
-//! * [`explore()`] drives the schedule: bounded-exhaustive DFS
+//! * [`explore`] drives the schedule: bounded-exhaustive DFS
 //!   ([`explore::explore`]/[`explore::check`]), randomized sampling
 //!   ([`explore::explore_random`]), and deterministic replay
 //!   ([`explore::replay`]) from the seed printed with every
@@ -59,5 +59,3 @@ pub mod models;
 mod rt;
 pub mod sync;
 pub mod vt;
-
-pub use explore::{check, explore, explore_random, replay, Config, Outcome};

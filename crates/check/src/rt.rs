@@ -134,7 +134,7 @@ thread_local! {
 ///
 /// # Panics
 /// Panics if called outside a model execution (shims only work under
-/// [`crate::explore`]/[`crate::check`]).
+/// [`crate::explore::explore`]/[`crate::explore::check`]).
 pub(crate) fn current() -> (Arc<Controller>, usize) {
     CTX.with(|ctx| {
         ctx.borrow()

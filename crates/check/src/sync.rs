@@ -4,7 +4,7 @@
 //! Model code uses these exactly like their `std` counterparts —
 //! `Mutex`/`MutexGuard`, `RwLock`, `Condvar`, and
 //! sequentially-consistent atomics — but each operation first hands
-//! control to the schedule explorer ([`crate::explore()`]), so every
+//! control to the schedule explorer ([`crate::explore::explore`]), so every
 //! interleaving the bounds allow is actually executed. Blocking
 //! operations park the virtual thread in the runtime instead of the
 //! OS, which is what lets the checker *see* deadlocks and lost

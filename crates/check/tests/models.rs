@@ -2,8 +2,8 @@
 //! serve-path protocols, plus calibration tests proving the explorer
 //! actually *finds* known-bad variants and that printed seeds replay.
 
+use isi_check::explore::{check, explore, replay, Config, Outcome};
 use isi_check::models;
-use isi_check::{check, explore, replay, Config, Outcome};
 
 #[test]
 fn epoch_publish_never_torn() {
@@ -303,7 +303,7 @@ fn explorer_reports_lock_order_deadlock() {
 /// seed), for models too big to exhaust.
 #[test]
 fn random_exploration_finds_torn_publish() {
-    let outcome = isi_check::explore_random(
+    let outcome = isi_check::explore::explore_random(
         Config::default(),
         0xC0FFEE,
         500,

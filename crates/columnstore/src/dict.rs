@@ -4,8 +4,8 @@
 //!
 //! * [`MainDictionary`]: a sorted array of the distinct domain values;
 //!   codes are array positions, `extract` is an array read, `locate` is
-//!   a binary search — in bulk, the `isi-search` coroutine on the
-//!   parallel engine ([`isi_core::par`]), which runs it sequentially or
+//!   a binary search — in bulk, the `isi-search` coroutine through the
+//!   engine's bulk driver ([`run_batch`]), which runs it sequentially or
 //!   interleaved per the shared [`Interleave`] policy.
 //! * [`DeltaDictionary`]: an *unsorted* array that appends new values in
 //!   arrival order, indexed by a CSB+-tree for `locate`. Following the
@@ -18,14 +18,14 @@ use std::future::Future;
 
 use isi_core::coro::suspend;
 use isi_core::mem::{DirectMem, IndexedMem};
-use isi_core::par::{run_interleaved_par, ParConfig};
 use isi_core::policy::Interleave;
+use isi_core::sched::run_batch;
 use isi_csb::descend_level;
 use isi_csb::{CsbTree, InnerNode, LeafNode, TreeView};
+use isi_search::coro::rank_coro;
 use isi_search::cost;
 use isi_search::key::SearchKey;
 use isi_search::locate::{resolve_rank, NOT_FOUND};
-use isi_search::par::bulk_rank_coro_par;
 use isi_search::seq::next_low;
 
 /// Read-optimized dictionary: sorted distinct values; code = position.
@@ -83,8 +83,13 @@ impl<K: SearchKey> MainDictionary<K> {
     /// Panics if `out.len() != lookups.len()`.
     pub fn bulk_locate(&self, lookups: &[K], mode: Interleave, out: &mut [u32]) {
         let mem = DirectMem::new(&self.values);
-        let par = ParConfig::with_threads(1);
-        bulk_rank_coro_par(mem, lookups, mode.group_or_one(), par, out);
+        run_batch(
+            mode.group_or_one(),
+            lookups,
+            |v| rank_coro::<false, K, _>(mem, v),
+            |v| rank_coro::<true, K, _>(mem, v),
+            out,
+        );
         // Ranks to codes in place: the rank position is hot in cache
         // right after the search touched it, so this pass is cheap.
         for (o, v) in out.iter_mut().zip(lookups) {
@@ -194,8 +199,7 @@ impl<K: SearchKey + Default> DeltaDictionary<K> {
     pub fn bulk_locate(&self, lookups: &[K], mode: Interleave, out: &mut [u32]) {
         let store = isi_csb::DirectTreeStore::new(&self.index);
         let dict = DirectMem::new(&self.values);
-        run_interleaved_par(
-            ParConfig::with_threads(1),
+        run_batch(
             mode.group_or_one(),
             lookups,
             |v| delta_locate_coro::<false, K, _, _, _>(store, dict, v),

@@ -17,7 +17,8 @@
 //! implements the delta-merge lifecycle.
 //!
 //! ```
-//! use isi_columnstore::{Column, Interleave, execute_in};
+//! use isi_columnstore::{Column, execute_in};
+//! use isi_core::policy::Interleave;
 //!
 //! let mut col = Column::from_rows(&[30u32, 10, 20, 10]);
 //! col.append(40); // goes to the delta part
@@ -38,6 +39,5 @@ mod table;
 pub use codevec::{bits_for, BitPackedVec};
 pub use column::{Column, DeltaPart, MainPart};
 pub use dict::{delta_locate_coro, DeltaDictionary, MainDictionary};
-pub use isi_core::Interleave;
 pub use query::{execute_in, execute_in_naive, InQueryStats};
 pub use table::Table;

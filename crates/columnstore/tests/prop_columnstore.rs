@@ -6,9 +6,10 @@
 use proptest::prelude::*;
 
 use isi_columnstore::{
-    execute_in, execute_in_naive, BitPackedVec, Column, DeltaDictionary, Interleave, MainDictionary,
+    execute_in, execute_in_naive, BitPackedVec, Column, DeltaDictionary, MainDictionary,
 };
-use isi_search::NOT_FOUND;
+use isi_core::policy::Interleave;
+use isi_search::locate::NOT_FOUND;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]

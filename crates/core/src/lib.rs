@@ -28,15 +28,16 @@
 //! * [`sched`] — the `runSequential` / `runInterleaved` schedulers of the
 //!   paper's Listing 7, generic over any lookup coroutine, with
 //!   allocation-free frame recycling (Section 4, "performance
-//!   considerations").
-//! * [`par`] — thread-parallel execution of the same interleaved
-//!   scheduler (the Section 5 multithreading composition): one
-//!   contiguous chunk of the batch per scoped thread, merged
-//!   [`RunStats`](sched::RunStats).
+//!   considerations"), and [`run_batch`](sched::run_batch), the bulk
+//!   driver every index runs a batch through: one scheduler run on the
+//!   caller, sequential or interleaved.
+//! * [`par`] — [`ParConfig`](par::ParConfig), a thread count that is
+//!   always one; thread parallelism comes from the serving layer's
+//!   shards.
 //! * [`model`] — the analytic interleaving model of Section 3
 //!   (Inequality 1): estimating the optimal group size from per-stream
 //!   compute, switch and stall cycles.
-//! * [`policy`] — the shared [`Interleave`]
+//! * [`policy`] — the shared [`Interleave`](policy::Interleave)
 //!   execution-policy type (sequential vs interleaved-with-group-size)
 //!   used by every operator in the workspace.
 //! * [`topo`] — best-effort placement hints by raw syscall: thread
@@ -119,5 +120,3 @@ pub mod sched;
 pub mod stats;
 pub mod sync;
 pub mod topo;
-
-pub use policy::Interleave;

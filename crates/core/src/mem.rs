@@ -17,8 +17,6 @@
 //! Keeping a single algorithm codepath for both backends follows the
 //! paper's core argument: the measured code *is* the shipped code.
 
-#![expect(unsafe_code, reason = "pointer arithmetic for the prefetch address")]
-
 use crate::prefetch::{prefetch_object_t0, prefetch_read_t0, CACHE_LINE};
 
 /// An indexed, randomly accessible array of `T` with explicit prefetch and
@@ -123,10 +121,9 @@ impl<'a, T> IndexedMem<T> for DirectMem<'a, T> {
     #[inline(always)]
     fn prefetch(&self, idx: usize) {
         if idx < self.data.len() {
-            // SAFETY: `idx < len` was just checked, so `add(idx)` stays
-            // within the slice's allocation; the pointer is only used as
-            // a prefetch hint, never dereferenced.
-            let ptr = unsafe { self.data.as_ptr().add(idx) };
+            // The test above lets the compiler drop the index's own
+            // bounds check.
+            let ptr: *const T = &self.data[idx];
             // A compile-time branch: small elements keep one instruction.
             if std::mem::size_of::<T>() > CACHE_LINE {
                 prefetch_object_t0(ptr, std::mem::size_of::<T>());

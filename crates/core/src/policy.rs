@@ -28,8 +28,8 @@ impl Interleave {
     }
 
     /// The group size as a scheduler knob: 1 when sequential, never
-    /// 0. The parallel drivers ([`crate::par`]) run a group of one on
-    /// the coroutine's non-suspending instantiation.
+    /// 0. The bulk driver ([`crate::sched::run_batch`]) runs a group of
+    /// one on the coroutine's non-suspending instantiation.
     #[inline]
     pub fn group_or_one(self) -> usize {
         self.group().unwrap_or(1).max(1)

@@ -113,9 +113,7 @@ mod tests {
         let buf = vec![0u8; 512];
         prefetch_object_t0(buf.as_ptr(), 200);
         // Unaligned starts must still reach the final line.
-        // SAFETY: 60 + 8 <= 512, in bounds of `buf`; only used as a
-        // prefetch hint.
-        prefetch_object_t0(unsafe { buf.as_ptr().add(60) }, 8);
+        prefetch_object_t0(buf[60..].as_ptr(), 8);
     }
 
     #[test]

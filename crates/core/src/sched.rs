@@ -21,6 +21,9 @@
 //! resume loop and nothing else: the slab is dense (no `Option` to test
 //! per slot while inputs remain), a finished slot is refilled in place,
 //! and the run's counters live in locals until it returns.
+//!
+//! [`run_batch`] is the bulk driver on top: it runs one batch through
+//! one of the two schedulers, on the caller, into an output slice.
 
 #![expect(unsafe_code, reason = "polls frames pinned in the slab")]
 
@@ -60,10 +63,8 @@ impl RunStats {
 
     /// Fold another run's counters into this one: `lookups`, `resumes`
     /// and `switches` are totals and sum; `peak_in_flight` is a maximum
-    /// and maxes. Used when a bulk run is split into one chunk per
-    /// thread (see [`crate::par`]) — note the merged `peak_in_flight`
-    /// is therefore the peak of any *single* chunk, not the
-    /// machine-wide total.
+    /// and maxes. Used to total many runs (a service shard's batches),
+    /// so the merged `peak_in_flight` is the peak of any *single* run.
     #[inline]
     pub fn merge(&mut self, other: &RunStats) {
         self.lookups += other.lookups;
@@ -262,6 +263,48 @@ where
         make,
         sink,
     )
+}
+
+/// The bulk driver every index runs a batch through: one scheduler run
+/// on the calling thread, `out[i]` = the result of `inputs[i]`.
+///
+/// With `group_size` or `inputs.len()` below two there is nothing to
+/// interleave with: the batch runs `make_seq`'s futures through
+/// [`run_sequential`]. Callers pass the lookup's `INTERLEAVE = false`
+/// instantiation there, which never suspends, so such a run costs no
+/// slab, no switch, and reports `switches == 0` — the paper's point
+/// that one coroutine compiles to both code paths, decided here once
+/// for every index. Otherwise `make`'s futures run through
+/// [`run_interleaved`] with `min(group_size, inputs.len())` in flight.
+///
+/// Thread parallelism is not this function's: a service runs one batch
+/// per shard, on the shard's own thread.
+///
+/// # Panics
+/// Panics if `out.len() != inputs.len()`. A lookup that panics unwinds
+/// through this call.
+pub fn run_batch<T, Fs, F>(
+    group_size: usize,
+    inputs: &[T],
+    make_seq: impl FnMut(T) -> Fs,
+    make: impl FnMut(T) -> F,
+    out: &mut [F::Output],
+) -> RunStats
+where
+    T: Copy,
+    Fs: Future<Output = F::Output>,
+    F: Future,
+{
+    assert_eq!(inputs.len(), out.len(), "output length mismatch");
+    let items = inputs.iter().copied();
+    let sink = |i: usize, r| out[i] = r;
+    // A group beyond the batch only reserves frames nothing occupies.
+    let group = group_size.min(inputs.len());
+    if group < 2 {
+        run_sequential(items, make_seq, sink)
+    } else {
+        run_interleaved(group, items, make, sink)
+    }
 }
 
 #[cfg(test)]

@@ -2,23 +2,19 @@
 //!
 //! An interleaved run allocates its frame slab once, when it starts, and
 //! recycles the slab's frames for every later lookup: nothing is
-//! allocated per lookup. The chunk-parallel engine must preserve that,
-//! running each thread's chunk through one slab. These tests pin the
-//! property with a counting global allocator: one run allocates exactly
-//! once, and the number of heap allocations performed by a parallel bulk
-//! run must not grow with the number of lookups — only per-call setup
-//! (thread spawns, one slab per chunk) may allocate.
+//! allocated per lookup. The bulk driver runs a batch as one such run.
+//! These tests pin the property with a counting global allocator: one
+//! run allocates exactly once, and the number of heap allocations of a
+//! bulk run must not grow with the number of lookups.
 //!
 //! The allocator counts **per thread** (shared with `isi_obs`'s tests):
 //! libtest's own thread allocates when the other test of this binary
 //! finishes, and a process-wide counter saw that inside the window in
 //! which a test asserts zero. The counted sections run on the calling
-//! thread, which runs chunk 0 itself; the slabs of the threads it
-//! spawns are not observed.
+//! thread, which runs the whole batch.
 
 use isi_core::coro::suspend;
-use isi_core::par::{run_interleaved_par, ParConfig};
-use isi_core::sched::run_interleaved;
+use isi_core::sched::{run_batch, run_interleaved};
 
 #[path = "../../obs/tests/support/thread_alloc.rs"]
 mod thread_alloc;
@@ -33,22 +29,14 @@ async fn lookup(v: u32) -> u32 {
     v ^ 0x5555
 }
 
-fn run_par(values: &[u32], out: &mut [u32], threads: usize) {
-    run_interleaved_par(
-        ParConfig::with_threads(threads),
-        8,
-        values,
-        // Group 8 over chunks of thousands: nothing runs one at a time.
-        lookup,
-        lookup,
-        out,
-    );
+fn run_bulk(values: &[u32], out: &mut [u32]) {
+    // Group 8 over thousands of lookups: nothing runs one at a time.
+    run_batch(8, values, lookup, lookup, out);
 }
 
-/// Allocations of a parallel bulk run are independent of the lookup
-/// count: 8x the lookups must not add a single allocation, for both the
-/// single-threaded fast path and the multi-threaded path (there, as far
-/// as the calling thread — chunk 0 — is concerned).
+/// Allocations of a bulk run are independent of the lookup count: 8x
+/// the lookups must not add a single allocation. A sequential run
+/// allocates nothing.
 #[test]
 fn parallel_allocs_do_not_scale_with_lookups() {
     let small: Vec<u32> = (0..8_192).collect();
@@ -56,25 +44,18 @@ fn parallel_allocs_do_not_scale_with_lookups() {
     let mut out_small = vec![0u32; small.len()];
     let mut out_large = vec![0u32; large.len()];
 
-    for threads in [1usize, 4] {
-        // Warm up once (first call may lazily initialize thread-spawn
-        // machinery inside std).
-        run_par(&small, &mut out_small, threads);
-
-        // 8k vs 64k lookups: with frame recycling the extra 56k
-        // lookups contribute zero allocations. The counts may differ by
-        // a per-thread setup — never by anything proportional to the
-        // lookup count.
-        let (allocs_small, _, _) = count_allocs(|| run_par(&small, &mut out_small, threads));
-        let (allocs_large, _, _) = count_allocs(|| run_par(&large, &mut out_large, threads));
-        let delta = allocs_large.abs_diff(allocs_small);
-        assert!(
-            delta <= 2 * threads as u64,
-            "threads={threads}: allocation count grew with the lookup \
-             count ({allocs_small} -> {allocs_large}): frames are not \
-             being recycled"
-        );
-    }
+    run_bulk(&small, &mut out_small);
+    // 8k vs 64k lookups: with frame recycling the extra 56k lookups
+    // contribute zero allocations; each run allocates its slab once.
+    let (allocs_small, _, _) = count_allocs(|| run_bulk(&small, &mut out_small));
+    let (allocs_large, _, _) = count_allocs(|| run_bulk(&large, &mut out_large));
+    assert_eq!(
+        (allocs_small, allocs_large),
+        (1, 1),
+        "a bulk run allocates its slab and nothing per lookup"
+    );
+    let (allocs_seq, _, _) = count_allocs(|| run_batch(1, &large, lookup, lookup, &mut out_large));
+    assert_eq!(allocs_seq, 0, "a sequential run has no slab");
     assert!(out_large
         .iter()
         .enumerate()

@@ -148,14 +148,10 @@ where
     )
 }
 
-/// Chunk-parallel bulk lookup: each thread drives one contiguous chunk
-/// of the probe batch through the *same* interleaved tree coroutine
-/// ([`lookup_coro`]) with `group_size` in-flight traversals (see
-/// [`isi_core::par`]). A `group_size` of one, or a chunk of a single
-/// value, runs the coroutine's non-suspending instantiation instead.
-///
-/// Returns the merged [`RunStats`] (totals sum; `peak_in_flight` is the
-/// per-chunk peak).
+/// Bulk lookup of one batch through [`lookup_coro`], on the calling
+/// thread ([`isi_core::sched::run_batch`]): `group_size` in-flight
+/// traversals, or, with a `group_size` below two or a batch of one
+/// value, the coroutine's non-suspending instantiation.
 ///
 /// # Panics
 /// Panics if `out.len() != values.len()`.
@@ -163,17 +159,15 @@ pub fn bulk_lookup_par<K, V, MI, ML>(
     store: TreeView<MI, ML>,
     values: &[K],
     group_size: usize,
-    cfg: isi_core::par::ParConfig,
     out: &mut [Option<V>],
 ) -> RunStats
 where
-    K: Copy + Ord + Default + Sync,
-    V: Copy + Default + Send,
-    MI: IndexedMem<InnerNode<K>> + Copy + Sync,
-    ML: IndexedMem<LeafNode<K, V>> + Copy + Sync,
+    K: Copy + Ord + Default,
+    V: Copy + Default,
+    MI: IndexedMem<InnerNode<K>> + Copy,
+    ML: IndexedMem<LeafNode<K, V>> + Copy,
 {
-    isi_core::par::run_interleaved_par(
-        cfg,
+    isi_core::sched::run_batch(
         group_size,
         values,
         |v| lookup_coro::<false, K, V, MI, ML>(store, v),
@@ -240,13 +234,12 @@ mod tests {
         let store = DirectTreeStore::new(&t);
         let probes: Vec<u32> = (0..2311).map(|i| i * 13 % 16000).collect();
         let expect: Vec<Option<u32>> = probes.iter().map(|p| t.get(p)).collect();
-        for threads in [1, 2, 4] {
-            let cfg = isi_core::par::ParConfig::with_threads(threads);
+        for group in [1, 6] {
             let mut out = vec![None; probes.len()];
-            let stats = bulk_lookup_par(store, &probes, 6, cfg, &mut out);
-            assert_eq!(out, expect, "threads={threads}");
+            let stats = bulk_lookup_par(store, &probes, group, &mut out);
+            assert_eq!(out, expect, "group={group}");
             assert_eq!(stats.lookups, probes.len() as u64);
-            assert!(stats.peak_in_flight <= 6);
+            assert_eq!(stats.peak_in_flight, group as u64);
         }
     }
 

@@ -42,21 +42,14 @@ impl CsbShard {
 mod tests {
     use super::*;
     use crate::store::DirectTreeStore;
-    use isi_core::par::ParConfig;
 
     fn shard(n: u64) -> CsbShard {
         CsbShard::build(&(0..n).map(|i| (i * 3, i + 100)).collect::<Vec<_>>())
     }
 
-    fn probe(s: &CsbShard, probes: &[u64], group: usize, threads: usize) -> Vec<Option<u64>> {
+    fn probe(s: &CsbShard, probes: &[u64], group: usize) -> Vec<Option<u64>> {
         let mut out = vec![Some(u64::MAX); probes.len()];
-        let stats = crate::bulk_lookup_par(
-            DirectTreeStore::new(s.tree()),
-            probes,
-            group,
-            ParConfig::with_threads(threads),
-            &mut out,
-        );
+        let stats = crate::bulk_lookup_par(DirectTreeStore::new(s.tree()), probes, group, &mut out);
         assert_eq!(stats.lookups, probes.len() as u64);
         out
     }
@@ -65,7 +58,7 @@ mod tests {
     fn get_and_probe_agree() {
         let s = shard(2000);
         let probes: Vec<u64> = (0..2500).map(|i| i * 2).collect();
-        let out = probe(&s, &probes, 6, 2);
+        let out = probe(&s, &probes, 6);
         for (&k, &r) in probes.iter().zip(&out) {
             assert_eq!(r, s.tree().get(&k), "key={k}");
             assert_eq!(r, (k % 3 == 0 && k < 6000).then(|| k / 3 + 100), "key={k}");
@@ -80,6 +73,6 @@ mod tests {
         assert_eq!(CsbShard::build(&s.tree().items()).tree().items(), pairs);
         let empty = CsbShard::build(&[]);
         assert!(empty.tree().is_empty());
-        assert_eq!(probe(&empty, &[9], 4, 1), [None]);
+        assert_eq!(probe(&empty, &[9], 4), [None]);
     }
 }

@@ -13,7 +13,7 @@
 //! interleaving exists for.
 //!
 //! ```
-//! use isi_core::Interleave;
+//! use isi_core::policy::Interleave;
 //! use isi_hash::hash_join;
 //!
 //! let orders = [(1u32, "ord-a"), (2, "ord-b"), (1, "ord-c")];
@@ -29,7 +29,6 @@ mod probe;
 mod shard;
 mod table;
 
-pub use isi_core::Interleave;
 pub use join::{hash_join, nested_loop_join};
 pub use probe::{
     bulk_probe_amac, bulk_probe_interleaved, bulk_probe_par, bulk_probe_seq, probe_coro_on,

@@ -122,30 +122,20 @@ pub fn bulk_probe_interleaved<K: HashKey, V: Copy>(
     )
 }
 
-/// Chunk-parallel bulk probe: each thread drives one contiguous chunk
-/// of the key batch through the *same* probe coroutine ([`probe_coro_on`])
-/// with `group_size` in-flight probes (see [`isi_core::par`]). A
-/// `group_size` of one, or a chunk of a single key, runs the
-/// coroutine's non-suspending instantiation instead.
-///
-/// Returns the merged [`RunStats`] (totals sum; `peak_in_flight` is the
-/// per-chunk peak).
+/// Probe one batch through [`probe_coro_on`], on the calling thread
+/// ([`isi_core::sched::run_batch`]): `group_size` in-flight probes, or,
+/// with a `group_size` below two or a batch of one key, the
+/// coroutine's non-suspending instantiation.
 ///
 /// # Panics
 /// Panics if `out.len() != keys.len()`.
-pub fn bulk_probe_par<K, V>(
+pub fn bulk_probe_par<K: HashKey, V: Copy>(
     table: &ChainedHashTable<K, V>,
     keys: &[K],
     group_size: usize,
-    cfg: isi_core::par::ParConfig,
     out: &mut [Option<V>],
-) -> RunStats
-where
-    K: HashKey + Sync,
-    V: Copy + Send + Sync,
-{
-    isi_core::par::run_interleaved_par(
-        cfg,
+) -> RunStats {
+    isi_core::sched::run_batch(
         group_size,
         keys,
         |k| probe_coro::<false, K, V>(table, k),
@@ -293,11 +283,10 @@ mod tests {
         let t = table(10_000);
         let keys: Vec<u64> = (0..4111).map(|i| i * 11 % 30_000).collect();
         let expect: Vec<Option<u64>> = keys.iter().map(|k| t.get(k)).collect();
-        for threads in [1, 2, 4] {
-            let cfg = isi_core::par::ParConfig::with_threads(threads);
+        for group in [1, 6] {
             let mut out = vec![None; keys.len()];
-            let stats = bulk_probe_par(&t, &keys, 6, cfg, &mut out);
-            assert_eq!(out, expect, "threads={threads}");
+            let stats = bulk_probe_par(&t, &keys, group, &mut out);
+            assert_eq!(out, expect, "group={group}");
             assert_eq!(stats.lookups, keys.len() as u64);
         }
     }

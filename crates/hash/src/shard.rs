@@ -75,21 +75,14 @@ impl HashShardBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use isi_core::par::ParConfig;
 
     fn shard(n: u64) -> HashShard {
         HashShard::build(&(0..n).map(|i| (i * 3, i + 100)).collect::<Vec<_>>())
     }
 
-    fn probe(s: &HashShard, probes: &[u64], group: usize, threads: usize) -> Vec<Option<u64>> {
+    fn probe(s: &HashShard, probes: &[u64], group: usize) -> Vec<Option<u64>> {
         let mut out = vec![Some(u64::MAX); probes.len()];
-        let stats = crate::bulk_probe_par(
-            s.table(),
-            probes,
-            group,
-            ParConfig::with_threads(threads),
-            &mut out,
-        );
+        let stats = crate::bulk_probe_par(s.table(), probes, group, &mut out);
         assert_eq!(stats.lookups, probes.len() as u64);
         out
     }
@@ -104,7 +97,7 @@ mod tests {
     fn get_and_probe_agree() {
         let s = shard(2000);
         let probes: Vec<u64> = (0..2500).map(|i| i * 2).collect();
-        let out = probe(&s, &probes, 6, 2);
+        let out = probe(&s, &probes, 6);
         for (&k, &r) in probes.iter().zip(&out) {
             assert_eq!(r, s.table().get(&k), "key={k}");
             assert_eq!(r, (k % 3 == 0 && k < 6000).then(|| k / 3 + 100), "key={k}");
@@ -121,7 +114,7 @@ mod tests {
         let empty = HashShard::build(&[]);
         assert!(empty.table().is_empty());
         assert!(pairs(&empty).is_empty());
-        assert_eq!(probe(&empty, &[9], 4, 1), [None]);
+        assert_eq!(probe(&empty, &[9], 4), [None]);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Property tests for the bulk probe drivers: every variant —
-//! sequential, interleaved (across group sizes), AMAC, and
-//! chunk-parallel (across thread counts) — must answer exactly like a
+//! sequential, interleaved, AMAC, and the serving path's
+//! `bulk_probe_par`, each across group sizes — must answer exactly like a
 //! `HashMap` oracle on arbitrary tables and probe lists, including
 //! tables deliberately undersized to force long chains.
 
@@ -8,7 +8,6 @@ use std::collections::HashMap;
 
 use proptest::prelude::*;
 
-use isi_core::par::ParConfig;
 use isi_hash::ChainedHashTable;
 use isi_hash::{bulk_probe_amac, bulk_probe_interleaved, bulk_probe_par, bulk_probe_seq};
 
@@ -58,13 +57,10 @@ proptest! {
             let mut out = vec![None; probes.len()];
             bulk_probe_amac(&table, &probes, group, &mut out);
             prop_assert_eq!(&out, &expect, "amac group={}", group);
-        }
 
-        for threads in [1usize, 2, 4] {
-            let cfg = ParConfig::with_threads(threads);
             let mut out = vec![None; probes.len()];
-            let stats = bulk_probe_par(&table, &probes, 6, cfg, &mut out);
-            prop_assert_eq!(&out, &expect, "par threads={}", threads);
+            let stats = bulk_probe_par(&table, &probes, group, &mut out);
+            prop_assert_eq!(&out, &expect, "par group={}", group);
             prop_assert_eq!(stats.lookups, probes.len() as u64);
         }
     }

@@ -7,10 +7,7 @@
 /// are a cycle; 15-character string compares are a short loop. The paper
 /// notes the two "do not differ significantly" (§5.4.5) — a handful of
 /// cycles either way.
-///
-/// `Sync` because bulk lookups hand key slices to the parallel engine
-/// ([`isi_core::par`]), whose threads read their chunks of them.
-pub trait SearchKey: Copy + Ord + Sync {
+pub trait SearchKey: Copy + Ord {
     /// Approximate cycles to compare two keys (charged via
     /// `IndexedMem::compute` by instrumented algorithms).
     const COMPARE_COST: u32;

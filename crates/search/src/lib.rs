@@ -17,8 +17,9 @@
 //! index `i` with `table[i] <= value`, clamped to 0 — so their outputs
 //! are interchangeable and cross-checked in the test suite.
 //! [`locate`](locate::locate) builds the dictionary access method on top.
-//! [`par`] holds the chunk-parallel CORO driver (same coroutine, one
-//! contiguous chunk of the batch per thread).
+//! [`par`] holds the CORO bulk driver the serving path calls (same
+//! coroutine, one scheduler run on the caller, sequential where there
+//! is nothing to interleave with).
 
 #![forbid(unsafe_code)]
 
@@ -35,7 +36,6 @@ mod shard;
 pub use amac::bulk_rank_amac;
 pub use coro::rank_coro;
 pub use gp::bulk_rank_gp;
-pub use key::Str16;
-pub use locate::{locate, NOT_FOUND};
+pub use locate::locate;
 pub use seq::{bulk_rank_branchy, rank_branchfree, rank_branchy, rank_oracle};
 pub use shard::{SortedShard, SortedShardBuilder};

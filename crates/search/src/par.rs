@@ -1,32 +1,24 @@
-//! Thread-parallel bulk driver for the coroutine search.
-//!
-//! A thin layer over [`isi_core::par`]: the batch is split into one
-//! contiguous chunk per thread, and each chunk runs through the *same*
-//! coroutine and scheduler as the single-threaded
-//! [`bulk_rank_coro`](crate::coro::bulk_rank_coro) (zero heap
-//! allocations per lookup).
-//!
-//! It writes `out[i]` = rank of `values[i]`, exactly as the sequential
-//! drivers do; with `cfg.threads == 1` it is one scheduler run on the
-//! calling thread. This is the driver the serving path
+//! The coroutine search's bulk driver, the one the serving path
 //! (`isi_serve::Main::probe_batch`) and `benchmark/` call.
+//!
+//! One batch is one scheduler run on the calling thread
+//! ([`run_batch`]): the *same* coroutine as
+//! [`bulk_rank_coro`](crate::coro::bulk_rank_coro), with zero heap
+//! allocations per lookup, and its non-suspending instantiation where
+//! there is nothing to interleave with. It writes `out[i]` = rank of
+//! `values[i]`, exactly as the sequential drivers do.
 
 use isi_core::mem::IndexedMem;
-use isi_core::par::{run_interleaved_par, ParConfig};
-use isi_core::sched::RunStats;
+use isi_core::par::ParConfig;
+use isi_core::sched::{run_batch, RunStats};
 
 use crate::coro::rank_coro;
 use crate::key::SearchKey;
 
-/// Chunk-parallel coroutine interleaving — the paper's CORO composed
-/// with thread-level parallelism. The same
-/// [`rank_coro`] coroutine and the same
-/// interleaved scheduler run on every thread's chunk. A `group_size` of
-/// one, or a chunk of a single value, runs the coroutine's
-/// non-suspending instantiation instead (see [`run_interleaved_par`]).
-///
-/// Returns the merged [`RunStats`] (totals sum; `peak_in_flight` is the
-/// per-chunk peak).
+/// The paper's CORO over one batch: [`rank_coro`] under the
+/// interleaved scheduler, or, with a `group_size` below two or a batch
+/// of one value, its non-suspending instantiation (see [`run_batch`]).
+/// `_par` is ignored; it stays while the benchmark passes it.
 ///
 /// # Panics
 /// Panics if `out.len() != values.len()`.
@@ -34,15 +26,14 @@ pub fn bulk_rank_coro_par<K, M>(
     mem: M,
     values: &[K],
     group_size: usize,
-    cfg: ParConfig,
+    _par: ParConfig,
     out: &mut [u32],
 ) -> RunStats
 where
-    K: SearchKey + Sync,
-    M: IndexedMem<K> + Copy + Sync,
+    K: SearchKey,
+    M: IndexedMem<K> + Copy,
 {
-    run_interleaved_par(
-        cfg,
+    run_batch(
         group_size,
         values,
         |v| rank_coro::<false, K, M>(mem, v),
@@ -63,11 +54,10 @@ mod tests {
         let values: Vec<u32> = (0..1777).map(|i| i * 7 % 13_000).collect();
         let expect: Vec<u32> = values.iter().map(|v| rank_oracle(&table, v)).collect();
         let mem = DirectMem::new(&table);
-        for threads in [1, 2, 4] {
-            let cfg = ParConfig::with_threads(threads);
+        for group in [1, 6] {
             let mut out = vec![u32::MAX; values.len()];
-            let stats = bulk_rank_coro_par(mem, &values, 6, cfg, &mut out);
-            assert_eq!(out, expect, "coro threads={threads}");
+            let stats = bulk_rank_coro_par(mem, &values, group, ParConfig, &mut out);
+            assert_eq!(out, expect, "group={group}");
             assert_eq!(stats.lookups, values.len() as u64);
         }
     }
@@ -77,7 +67,7 @@ mod tests {
         let table: Vec<u32> = (0..16).collect();
         let mem = DirectMem::new(&table);
         let mut out: Vec<u32> = vec![];
-        let stats = bulk_rank_coro_par(mem, &[], 4, ParConfig::with_threads(4), &mut out);
+        let stats = bulk_rank_coro_par(mem, &[], 4, ParConfig, &mut out);
         assert_eq!(stats, RunStats::default());
     }
 
@@ -88,7 +78,7 @@ mod tests {
         let values: Vec<Str16> = (0..300).map(|i| Str16::from_index(i * 5 + 1)).collect();
         let mem = DirectMem::new(&table);
         let mut out = vec![0u32; values.len()];
-        bulk_rank_coro_par(mem, &values, 6, ParConfig::with_threads(4), &mut out);
+        bulk_rank_coro_par(mem, &values, 6, ParConfig, &mut out);
         for (i, v) in values.iter().enumerate() {
             assert_eq!(out[i], rank_oracle(&table, v));
         }
@@ -99,6 +89,6 @@ mod tests {
     fn length_mismatch_panics() {
         let table: Vec<u32> = (0..8).collect();
         let mem = DirectMem::new(&table);
-        bulk_rank_coro_par(mem, &[1, 2], 4, ParConfig::with_threads(2), &mut [0u32]);
+        bulk_rank_coro_par(mem, &[1, 2], 4, ParConfig, &mut [0u32]);
     }
 }

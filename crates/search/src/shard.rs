@@ -99,13 +99,13 @@ mod tests {
 
     /// Rank `probes` through the interleaved driver and resolve each
     /// rank to a value, as the serving layer does.
-    fn probe(s: &SortedShard, probes: &[u64], group: usize, threads: usize) -> Vec<Option<u64>> {
+    fn probe(s: &SortedShard, probes: &[u64], group: usize) -> Vec<Option<u64>> {
         let mut ranks = vec![0u32; probes.len()];
         let stats = crate::par::bulk_rank_coro_par(
             DirectMem::new(s.keys()),
             probes,
             group,
-            ParConfig::with_threads(threads),
+            ParConfig,
             &mut ranks,
         );
         assert_eq!(stats.lookups, probes.len() as u64);
@@ -124,7 +124,7 @@ mod tests {
     fn get_and_probe_agree() {
         let s = shard(1000);
         let probes: Vec<u64> = (0..1500).map(|i| i * 2).collect();
-        let out = probe(&s, &probes, 6, 2);
+        let out = probe(&s, &probes, 6);
         for (&k, &r) in probes.iter().zip(&out) {
             assert_eq!(r, get(&s, k), "key={k}");
             assert_eq!(r, (k % 3 == 0 && k < 3000).then(|| k / 3 + 100), "key={k}");
@@ -147,7 +147,7 @@ mod tests {
         let empty = SortedShard::build(&[]);
         assert!(empty.keys().is_empty() && empty.vals().is_empty());
         assert_eq!(get(&empty, 7), None);
-        assert_eq!(probe(&empty, &[1, 2], 1, 1), [None, None]);
+        assert_eq!(probe(&empty, &[1, 2], 1), [None, None]);
     }
 
     #[test]

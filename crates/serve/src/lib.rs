@@ -30,15 +30,17 @@
 //!    one helper thread per shard drains whatever no submitter will
 //!    run (the backlog a client leaves behind, fan-out slices, the
 //!    queue at `close`). There is no flush timer: batches of up to
-//!    `max_batch` ([`BatchPolicy`]) form from
+//!    [`max_batch`](ServeConfig::max_batch) entries form from
 //!    the backlog that builds up while a batch executes. Per-shard
 //!    FIFO, serialized by the token, gives every client
 //!    read-your-writes.
 //! 3. **Plan & execute** — the token holder resolves
 //!    each read run against the delta into a
 //!    [`BatchPlan`] (delta-decided keys skip the
-//!    engine), drives the dense residual through the chunk-parallel
-//!    interleaved engine ([`isi_core::par`]), applies writes in
+//!    engine), drives the dense residual through the interleaved
+//!    engine ([`run_batch`](isi_core::sched::run_batch): one scheduler
+//!    run, on the token holder's thread; shards run in parallel on
+//!    theirs), applies writes in
 //!    admission order between read runs, and routes each
 //!    result back through its ticket. A per-shard hot-key cache (4-way,
 //!    1 MiB, allocated at start) in the queue state answers repeat
@@ -112,7 +114,7 @@ mod store;
 pub use isi_durable::FsyncMode;
 pub use isi_obs::{Obs, Stage};
 pub use plan::BatchPlan;
-pub use service::{BatchPolicy, LookupService, ServeConfig, ServeStats};
+pub use service::{LookupService, ServeConfig, ServeStats};
 pub use store::{
     Backend, BatchOutcome, LookupScratch, Main, ShardedStore, StoreConfig, WriteScratch,
 };

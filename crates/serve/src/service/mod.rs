@@ -131,35 +131,21 @@ pub use stats::ServeStats;
 use stats::ShardCounters;
 use ticket::Ticket;
 
-/// How a shard's runner cuts batches from its admission queue.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BatchPolicy {
-    /// Most entries one batch takes from the queue. A runner never
-    /// waits for a batch to fill: it takes what is queued, up to this.
-    pub max_batch: usize,
-}
-
-impl Default for BatchPolicy {
-    /// 64-entry batches.
-    fn default() -> Self {
-        Self { max_batch: 64 }
-    }
-}
-
 /// Service configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServeConfig {
     /// Interleave policy every read run is dispatched with.
     pub policy: Interleave,
-    /// Batch size limit for each shard's admission queue.
-    pub batch: BatchPolicy,
+    /// Most entries one batch takes from a shard's admission queue
+    /// (default 64). A runner never waits for a batch to fill: it takes
+    /// what is queued, up to this.
+    pub max_batch: usize,
     /// Per-shard admission-queue bound; requests block when the owning
     /// shard's queue is full (backpressure).
     pub queue_cap: usize,
-    /// Thread count of the parallel engine for each executed batch.
-    /// The default is one thread per batch: the thread that holds the
-    /// shard's token runs the whole batch, with no spawn. Raise
-    /// `threads` only when cores outnumber busy shards.
+    /// Ignored: the thread that holds a shard's token runs the whole
+    /// batch, and shards run in parallel. It stays while the benchmark
+    /// names it ([`ParConfig`]).
     pub par: ParConfig,
     /// Per-shard trace-ring capacity for structured events (batch
     /// flushes, merges, WAL syncs, backpressure stalls, …); 0 — the
@@ -175,9 +161,9 @@ impl Default for ServeConfig {
     fn default() -> Self {
         Self {
             policy: Interleave::default(),
-            batch: BatchPolicy::default(),
+            max_batch: 64,
             queue_cap: 1024,
-            par: ParConfig::with_threads(1),
+            par: ParConfig,
             trace_events: 0,
         }
     }
@@ -225,7 +211,7 @@ impl LookupService {
     /// Panics if `queue_cap` or `max_batch` is 0.
     pub fn start(store: impl Into<Arc<ShardedStore>>, cfg: ServeConfig) -> Self {
         assert!(cfg.queue_cap > 0, "queue_cap must be positive");
-        assert!(cfg.batch.max_batch > 0, "max_batch must be positive");
+        assert!(cfg.max_batch > 0, "max_batch must be positive");
         let store = store.into();
         let obs = Arc::new(Obs::new(store.num_shards()));
         obs.trace().enable(cfg.trace_events);

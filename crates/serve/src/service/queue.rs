@@ -108,7 +108,7 @@ pub(super) struct Exec {
 
 impl Exec {
     pub(super) fn new(cfg: &ServeConfig) -> Self {
-        let n = cfg.batch.max_batch;
+        let n = cfg.max_batch;
         Self {
             batch: Vec::with_capacity(n),
             run_keys: Vec::with_capacity(n),
@@ -224,7 +224,7 @@ impl<'a> ShardCtx<'a> {
             state: self.state,
             exec: Some(exec),
         };
-        let max_batch = self.cfg.batch.max_batch;
+        let max_batch = self.cfg.max_batch;
         loop {
             let exec = running.exec.as_mut().expect("token held until hand-back");
             let queued = q.reqs.len();

@@ -17,7 +17,7 @@ fn single_client_hits_and_misses_all_backends() {
         let svc = LookupService::start(
             store,
             ServeConfig {
-                batch: BatchPolicy { max_batch: 8 },
+                max_batch: 8,
                 ..ServeConfig::default()
             },
         );
@@ -148,7 +148,7 @@ fn backlog_forms_full_batches() {
     let svc = LookupService::start(
         store,
         ServeConfig {
-            batch: BatchPolicy { max_batch: 4 },
+            max_batch: 4,
             ..ServeConfig::default()
         },
     );
@@ -204,7 +204,7 @@ fn a_client_stops_running_once_its_own_entry_is_answered() {
     let svc = LookupService::start(
         store,
         ServeConfig {
-            batch: BatchPolicy { max_batch: 1 },
+            max_batch: 1,
             ..ServeConfig::default()
         },
     );
@@ -297,7 +297,7 @@ fn eight_clients_on_two_shards_agree_with_the_oracle() {
     let svc = LookupService::start(
         store,
         ServeConfig {
-            batch: BatchPolicy { max_batch: 4 },
+            max_batch: 4,
             ..ServeConfig::default()
         },
     );
@@ -351,7 +351,7 @@ fn an_unwinding_runner_fails_the_shard_closed() {
     let svc = LookupService::start(
         store,
         ServeConfig {
-            batch: BatchPolicy { max_batch: 2 },
+            max_batch: 2,
             ..ServeConfig::default()
         },
     );
@@ -429,7 +429,7 @@ fn tiny_queue_cap_applies_backpressure_without_deadlock() {
         store,
         ServeConfig {
             queue_cap: 1,
-            batch: BatchPolicy { max_batch: 2 },
+            max_batch: 2,
             ..ServeConfig::default()
         },
     );
@@ -462,7 +462,7 @@ fn stats_engine_counters_flow_through() {
         store,
         ServeConfig {
             policy: Interleave::from_group(6),
-            batch: BatchPolicy { max_batch: 16 },
+            max_batch: 16,
             ..ServeConfig::default()
         },
     );
@@ -488,7 +488,7 @@ fn writes_are_read_your_writes_per_client() {
         let svc = LookupService::start(
             store,
             ServeConfig {
-                batch: BatchPolicy { max_batch: 8 },
+                max_batch: 8,
                 ..ServeConfig::default()
             },
         );
@@ -522,7 +522,7 @@ fn get_many_partitions_and_restores_order() {
         let svc = LookupService::start(
             store,
             ServeConfig {
-                batch: BatchPolicy { max_batch: 64 },
+                max_batch: 64,
                 ..ServeConfig::default()
             },
         );
@@ -553,7 +553,7 @@ fn get_many_sees_prior_writes() {
     let svc = LookupService::start(
         store,
         ServeConfig {
-            batch: BatchPolicy { max_batch: 4 },
+            max_batch: 4,
             ..ServeConfig::default()
         },
     );
@@ -570,7 +570,7 @@ fn hot_cache_hits_skip_dispatch_and_writes_invalidate() {
     let svc = LookupService::start(
         store,
         ServeConfig {
-            batch: BatchPolicy { max_batch: 4 },
+            max_batch: 4,
             ..ServeConfig::default()
         },
     );
@@ -821,7 +821,7 @@ fn mixed_batch_preserves_fifo_under_concurrency() {
     let svc = LookupService::start(
         store,
         ServeConfig {
-            batch: BatchPolicy { max_batch: 8 },
+            max_batch: 8,
             queue_cap: 16,
             ..ServeConfig::default()
         },
@@ -865,7 +865,7 @@ fn delta_decided_reads_skip_the_engine() {
     let svc = LookupService::start(
         store,
         ServeConfig {
-            batch: BatchPolicy { max_batch: 4 },
+            max_batch: 4,
             ..ServeConfig::default()
         },
     );
@@ -923,7 +923,7 @@ fn rejects_zero_max_batch() {
     LookupService::start(
         store,
         ServeConfig {
-            batch: BatchPolicy { max_batch: 0 },
+            max_batch: 0,
             ..ServeConfig::default()
         },
     );
@@ -954,7 +954,7 @@ fn stats_snapshots_stay_coherent_under_concurrent_writes() {
     let svc = LookupService::start(
         store,
         ServeConfig {
-            batch: BatchPolicy { max_batch: 8 },
+            max_batch: 8,
             ..ServeConfig::default()
         },
     );
@@ -1041,7 +1041,7 @@ fn stage_breakdown_and_exports_cover_the_pipeline() {
         let svc = LookupService::start(
             store,
             ServeConfig {
-                batch: BatchPolicy { max_batch: 8 },
+                max_batch: 8,
                 trace_events: 256,
                 ..ServeConfig::default()
             },

@@ -108,8 +108,8 @@ fn fill<B>(
 }
 
 /// One shard's immutable main index, of the kind its [`Backend`]
-/// names: batched point probes through that index's chunk-parallel
-/// interleaved driver, its pairs in key order, and merge-time rebuilds.
+/// names: batched point probes through that index's interleaved bulk
+/// driver, its pairs in key order, and merge-time rebuilds.
 ///
 /// A main is **immutable once built**: every method takes `&self`,
 /// concurrent readers need no synchronization, and a merge replaces a
@@ -151,9 +151,11 @@ impl Main {
         }
     }
 
-    /// Look up `keys[i]` into `out[i]` through the index's
-    /// chunk-parallel interleaved driver, returning the engine's merged
-    /// [`RunStats`] (`lookups == keys.len()`, also on an empty main).
+    /// Look up `keys[i]` into `out[i]` through the index's interleaved
+    /// bulk driver, one scheduler run on the calling thread, returning
+    /// its [`RunStats`] (`lookups == keys.len()`, also on an empty
+    /// main). `_par` is ignored; it stays while the benchmark passes it
+    /// ([`ParConfig`]).
     ///
     /// `scratch` is caller-owned scratch space (the sorted main stores
     /// ranks there); reusing one vector across calls means a batch
@@ -167,7 +169,7 @@ impl Main {
         &self,
         keys: &[u64],
         policy: Interleave,
-        par: ParConfig,
+        _par: ParConfig,
         scratch: &mut Vec<u32>,
         out: &mut [Option<u64>],
     ) -> RunStats {
@@ -190,7 +192,7 @@ impl Main {
                     DirectMem::new(col),
                     keys,
                     group,
-                    par,
+                    ParConfig,
                     scratch,
                 );
                 for ((o, &r), &k) in out.iter_mut().zip(scratch.iter()).zip(keys) {
@@ -199,9 +201,9 @@ impl Main {
                 stats
             }
             Main::Csb(s) => {
-                isi_csb::bulk_lookup_par(DirectTreeStore::new(s.tree()), keys, group, par, out)
+                isi_csb::bulk_lookup_par(DirectTreeStore::new(s.tree()), keys, group, out)
             }
-            Main::Hash(s) => isi_hash::bulk_probe_par(s.table(), keys, group, par, out),
+            Main::Hash(s) => isi_hash::bulk_probe_par(s.table(), keys, group, out),
         }
     }
 

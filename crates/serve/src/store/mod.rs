@@ -8,8 +8,8 @@
 //!   column** ([`isi_search::SortedShard`]), a **CSB+-tree**
 //!   ([`isi_csb::CsbShard`], Listing 6 traversal coroutines), or a
 //!   **chained hash table** ([`isi_hash::HashShard`], Section 6 probe
-//!   coroutines) — probed in bulk through the chunk-parallel
-//!   interleaved engine;
+//!   coroutines) — probed in bulk through the interleaved engine, one
+//!   scheduler run per batch on the thread that runs the shard;
 //! * the **delta** is a **stack of immutable sorted runs** of
 //!   `(key, Option<value>)` overrides (`None` = tombstone) with
 //!   last-write-wins semantics — each write run is sorted once and
@@ -760,7 +760,9 @@ impl ShardedStore {
     /// The whole batch reads **one** `ShardVersion` snapshot and is
     /// **planned** first (see [`BatchPlan`](crate::BatchPlan)): keys the delta decides
     /// are answered from the sorted run, and only the residual reaches
-    /// the chunk-parallel interleaved engine. A merge publishing
+    /// the interleaved engine, one scheduler run on the calling thread.
+    /// `_par` is ignored; it stays while the benchmark passes it
+    /// ([`ParConfig`]). A merge publishing
     /// mid-batch cannot produce torn results — this batch finishes on
     /// the version it started with.
     ///
@@ -772,7 +774,7 @@ impl ShardedStore {
         shard: usize,
         keys: &[u64],
         policy: Interleave,
-        par: ParConfig,
+        _par: ParConfig,
         scratch: &mut LookupScratch,
         out: &mut [Option<u64>],
     ) -> BatchOutcome {
@@ -789,7 +791,7 @@ impl ShardedStore {
             let t = SpanTimer::start();
             let engine = v
                 .main
-                .probe_batch(keys, policy, par, &mut scratch.ranks, out);
+                .probe_batch(keys, policy, ParConfig, &mut scratch.ranks, out);
             obs.record_stage(shard, Stage::Engine, t.elapsed_ns());
             return BatchOutcome {
                 engine,
@@ -813,7 +815,7 @@ impl ShardedStore {
             let engine = v.main.probe_batch(
                 &scratch.plan.residual_keys,
                 policy,
-                par,
+                ParConfig,
                 &mut scratch.ranks,
                 &mut scratch.residual_out,
             );

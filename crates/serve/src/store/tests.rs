@@ -47,7 +47,7 @@ fn get_agrees_across_backends_and_shard_counts() {
 }
 
 /// Every kind of main against its own sequential `get` (itself checked
-/// against the input) under each policy at one and two threads; its
+/// against the input) under each policy; its
 /// pairs round-trip, a rebuild stays the same kind (a rebuild into the
 /// wrong kind would answer the same), and an empty main still counts
 /// every key it was asked.
@@ -66,21 +66,13 @@ fn every_main_probes_as_it_gets_and_rebuilds_as_its_kind() {
             Interleave::Interleaved(1),
             Interleave::Interleaved(6),
         ] {
-            for threads in [1, 2] {
-                let mut out = vec![Some(u64::MAX); probes.len()];
-                let stats = main.probe_batch(
-                    &probes,
-                    policy,
-                    ParConfig::with_threads(threads),
-                    &mut scratch,
-                    &mut out,
-                );
-                assert_eq!(stats.lookups, probes.len() as u64, "{name} {policy:?}");
-                for (&k, &r) in probes.iter().zip(&out) {
-                    let expect = (k % 3 == 0 && k < 6000).then(|| k / 3 + 1000);
-                    assert_eq!(main.get(k), expect, "{name} key={k}");
-                    assert_eq!(r, expect, "{name} {policy:?} x{threads} key={k}");
-                }
+            let mut out = vec![Some(u64::MAX); probes.len()];
+            let stats = main.probe_batch(&probes, policy, ParConfig, &mut scratch, &mut out);
+            assert_eq!(stats.lookups, probes.len() as u64, "{name} {policy:?}");
+            for (&k, &r) in probes.iter().zip(&out) {
+                let expect = (k % 3 == 0 && k < 6000).then(|| k / 3 + 1000);
+                assert_eq!(main.get(k), expect, "{name} key={k}");
+                assert_eq!(r, expect, "{name} {policy:?} key={k}");
             }
         }
         assert_eq!(main.pairs(), data, "{name}");
@@ -95,7 +87,7 @@ fn every_main_probes_as_it_gets_and_rebuilds_as_its_kind() {
         let stats = empty.probe_batch(
             &[0, 3, 7],
             Interleave::Interleaved(4),
-            ParConfig::default(),
+            ParConfig,
             &mut scratch,
             &mut out,
         );
@@ -120,14 +112,8 @@ fn batch_lookup_matches_get() {
             for (s, batch) in batches.iter().enumerate() {
                 let mut out = vec![None; batch.len()];
                 for policy in [Interleave::Sequential, Interleave::from_group(6)] {
-                    let outcome = store.lookup_batch(
-                        s,
-                        batch,
-                        policy,
-                        ParConfig::with_threads(2),
-                        &mut scratch,
-                        &mut out,
-                    );
+                    let outcome =
+                        store.lookup_batch(s, batch, policy, ParConfig, &mut scratch, &mut out);
                     // Read-only store: nothing is delta-decided.
                     assert_eq!(outcome.engine.lookups, batch.len() as u64);
                     assert_eq!(outcome.delta_hits, 0);
@@ -166,7 +152,7 @@ fn lookup_batch_skips_delta_decided_keys() {
             0,
             &probes,
             Interleave::from_group(6),
-            ParConfig::with_threads(1),
+            ParConfig,
             &mut scratch,
             &mut out,
         );
@@ -196,7 +182,7 @@ fn empty_store_and_empty_batches() {
             0,
             &ks,
             Interleave::from_group(4),
-            ParConfig::default(),
+            ParConfig,
             &mut scratch,
             &mut out,
         );
@@ -205,7 +191,7 @@ fn empty_store_and_empty_batches() {
             1,
             &[],
             Interleave::Sequential,
-            ParConfig::default(),
+            ParConfig,
             &mut scratch,
             &mut out[..0],
         );
@@ -326,7 +312,7 @@ fn batch_lookups_see_writes_and_tombstones() {
                 s,
                 batch,
                 Interleave::from_group(6),
-                ParConfig::with_threads(1),
+                ParConfig,
                 &mut scratch,
                 &mut out,
             );
@@ -787,7 +773,7 @@ fn concurrent_reads_during_merges_are_consistent() {
                             0,
                             &[2, 4],
                             Interleave::from_group(4),
-                            ParConfig::with_threads(1),
+                            ParConfig,
                             &mut scratch,
                             &mut out,
                         );
@@ -851,7 +837,7 @@ fn scans_race_background_merges_without_tearing() {
                                 s,
                                 batch,
                                 Interleave::from_group(4),
-                                ParConfig::with_threads(1),
+                                ParConfig,
                                 &mut scratch,
                                 &mut out,
                             );

@@ -47,9 +47,7 @@ use std::time::Duration;
 use proptest::prelude::*;
 
 use isi_durable::{wal, FaultFs, FaultPlan, Fs, FsyncMode, MemFs};
-use isi_serve::{
-    Backend, BatchPolicy, LookupService, ServeConfig, ShardedStore, StoreConfig, WriteScratch,
-};
+use isi_serve::{Backend, LookupService, ServeConfig, ShardedStore, StoreConfig, WriteScratch};
 
 const SHARDS: usize = 2;
 
@@ -677,7 +675,7 @@ fn disk_roundtrip_through_the_service() {
     let cfg = StoreConfig::with_threshold(8).durable(&dir, FsyncMode::Group);
     let seed: Vec<(u64, u64)> = (0..100u64).map(|i| (i * 3, i)).collect();
     let serve_cfg = ServeConfig {
-        batch: BatchPolicy { max_batch: 8 },
+        max_batch: 8,
         ..ServeConfig::default()
     };
     {
@@ -800,7 +798,7 @@ fn group_commit_amortizes_fsyncs_through_the_service() {
     let svc = LookupService::start(
         store,
         ServeConfig {
-            batch: BatchPolicy { max_batch: 64 },
+            max_batch: 64,
             ..ServeConfig::default()
         },
     );

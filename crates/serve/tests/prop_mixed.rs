@@ -24,7 +24,7 @@ use std::collections::HashMap;
 use proptest::prelude::*;
 
 use isi_core::policy::Interleave;
-use isi_serve::{Backend, BatchPolicy, LookupService, ServeConfig, ShardedStore, StoreConfig};
+use isi_serve::{Backend, LookupService, ServeConfig, ShardedStore, StoreConfig};
 
 /// Key space small enough that overwrites, removes of present keys
 /// and tombstone-hiding merges all happen constantly.
@@ -65,7 +65,7 @@ fn service_with_policy(store: ShardedStore, policy: Interleave) -> LookupService
         store,
         ServeConfig {
             policy,
-            batch: BatchPolicy { max_batch: 4 },
+            max_batch: 4,
             queue_cap: 8,
             ..ServeConfig::default()
         },

@@ -15,7 +15,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use proptest::prelude::*;
 
-use isi_serve::{Backend, BatchPolicy, LookupService, ServeConfig, ShardedStore, StoreConfig};
+use isi_serve::{Backend, LookupService, ServeConfig, ShardedStore, StoreConfig};
 
 /// The static range the reader sweeps; the writer stays above it.
 const KEYSPACE: u64 = 600;
@@ -32,7 +32,7 @@ fn service(store: ShardedStore) -> LookupService {
     LookupService::start(
         store,
         ServeConfig {
-            batch: BatchPolicy { max_batch: 4 },
+            max_batch: 4,
             queue_cap: 8,
             ..ServeConfig::default()
         },

@@ -1,15 +1,15 @@
 //! Property test for the serving layer: under concurrent clients,
-//! every backend × shard count × batch policy answers every request
+//! every backend × shard count × batch limit answers every request
 //! exactly as the sequential oracle does.
 //!
-//! The two policies cover both ends of batch formation:
+//! The two limits cover both ends of batch formation:
 //! * tiny `max_batch` — a backlog is cut into many full batches;
 //! * large `max_batch` — whatever queued behind a runner coalesces
 //!   into one batch, with the queue bound exercising backpressure.
 
 use proptest::prelude::*;
 
-use isi_serve::{Backend, BatchPolicy, LookupService, ServeConfig, ShardedStore};
+use isi_serve::{Backend, LookupService, ServeConfig, ShardedStore};
 
 /// Strategy: distinct key/value pairs plus a probe list mixing hits,
 /// misses and extremes.
@@ -21,12 +21,8 @@ fn pairs_and_probes() -> impl Strategy<Value = (Vec<(u64, u64)>, Vec<u64>)> {
         .prop_map(|(map, probes)| (map.into_iter().collect(), probes))
 }
 
-fn policies() -> [BatchPolicy; 2] {
-    [
-        BatchPolicy { max_batch: 2 },
-        BatchPolicy { max_batch: 1024 },
-    ]
-}
+/// `max_batch` at both ends.
+const MAX_BATCHES: [usize; 2] = [2, 1024];
 
 proptest! {
     // One case under Miri: each case spins up the full threaded
@@ -42,12 +38,12 @@ proptest! {
         let oracle: std::collections::BTreeMap<u64, u64> = pairs.iter().copied().collect();
         for backend in Backend::ALL {
             for shards in [1usize, 2, 4] {
-                for (p, policy) in policies().into_iter().enumerate() {
+                for max_batch in MAX_BATCHES {
                     let store = ShardedStore::build(backend, shards, &pairs);
                     let svc = LookupService::start(
                         store,
                         ServeConfig {
-                            batch: policy,
+                            max_batch,
                             queue_cap: 8,
                             ..ServeConfig::default()
                         },
@@ -77,10 +73,10 @@ proptest! {
                             prop_assert_eq!(
                                 got,
                                 oracle.get(&k).copied(),
-                                "backend={} shards={} policy={} key={}",
+                                "backend={} shards={} max_batch={} key={}",
                                 backend.name(),
                                 shards,
-                                p,
+                                max_batch,
                                 k
                             );
                         }

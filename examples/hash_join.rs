@@ -6,7 +6,8 @@
 
 use std::time::Instant;
 
-use coro_isi::hash::{hash_join, Interleave};
+use coro_isi::core::policy::Interleave;
+use coro_isi::hash::hash_join;
 
 fn main() {
     // customers(cust_id, region), ~8M build tuples (out of cache).

@@ -8,8 +8,9 @@
 
 use std::time::Instant;
 
-use coro_isi::columnstore::{Interleave, Table};
-use coro_isi::search::Str16;
+use coro_isi::columnstore::Table;
+use coro_isi::core::policy::Interleave;
+use coro_isi::search::key::Str16;
 use coro_isi::workloads;
 
 fn main() {

@@ -35,7 +35,8 @@
 //! ## Quickstart
 //!
 //! ```
-//! use coro_isi::columnstore::{Column, Interleave, execute_in};
+//! use coro_isi::columnstore::{Column, execute_in};
+//! use coro_isi::core::policy::Interleave;
 //!
 //! // A dictionary-encoded column: 100k rows over 10k distinct values.
 //! let rows: Vec<u32> = (0..100_000).map(|i| i % 10_000).collect();

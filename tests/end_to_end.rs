@@ -5,12 +5,13 @@
 
 use coro_isi::columnstore::{execute_in, execute_in_naive, Column, Table};
 use coro_isi::core::mem::DirectMem;
-use coro_isi::core::Interleave;
+use coro_isi::core::policy::Interleave;
 use coro_isi::csb::{bulk_lookup_interleaved, CsbTree, DirectTreeStore};
 use coro_isi::hash::{hash_join, nested_loop_join};
 use coro_isi::memsim::{SharedMachine, SimArray};
 use coro_isi::search::coro::bulk_rank_coro;
-use coro_isi::search::{rank_oracle, Str16};
+use coro_isi::search::key::Str16;
+use coro_isi::search::rank_oracle;
 use coro_isi::workloads as wl;
 
 #[test]
