@@ -16,8 +16,10 @@ use isi_core::mem::DirectMem;
 use isi_core::sched::run_interleaved;
 use isi_search::coro::bulk_rank_coro;
 use isi_search::coro::bulk_rank_coro_separate;
+use isi_search::coro::rank_coro;
 use isi_search::seq::bulk_rank_branchfree;
-use isi_search::{bulk_rank_amac, bulk_rank_branchy, bulk_rank_gp, rank_coro};
+use isi_search::seq::bulk_rank_branchy;
+use isi_search::{bulk_rank_amac, bulk_rank_gp};
 use isi_workloads as wl;
 
 const MB: usize = 64;

@@ -8,7 +8,8 @@ use isi_core::stats::time_avg;
 use isi_search::coro::bulk_rank_coro;
 use isi_search::key::SearchKey;
 use isi_search::seq::bulk_rank_branchfree;
-use isi_search::{bulk_rank_amac, bulk_rank_branchy, bulk_rank_gp};
+use isi_search::seq::bulk_rank_branchy;
+use isi_search::{bulk_rank_amac, bulk_rank_gp};
 
 /// Group sizes of the wall-clock sweeps (`benches/group_size.rs`,
 /// `fig7` under `ISI_FIG7_WALL`); they reach past this box's plateau,

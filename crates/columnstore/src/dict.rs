@@ -72,7 +72,7 @@ impl<K: SearchKey> MainDictionary<K> {
 
     /// `locate` one value (branch-free binary search).
     pub fn locate(&self, value: K) -> Option<u32> {
-        isi_search::locate(&DirectMem::new(&self.values), value)
+        isi_search::locate::locate(&DirectMem::new(&self.values), value)
     }
 
     /// Bulk `locate`, sequential or interleaved per `mode`. Absent

@@ -8,7 +8,12 @@
 //!    plain struct field by its owner; a bump is one `Release` RMW and
 //!    a read one `Acquire` load. The owner exports pairwise invariants
 //!    like `wal_syncs ≤ wal_records` by fixing the read order in one
-//!    function (see [`Counter`]).
+//!    function (see [`Counter`]). It is for counters bumped outside
+//!    any lock their reader shares (the store's merge and WAL
+//!    counters); a counter bumped where its owner already holds a
+//!    lock (a service shard's, under its queue lock) is a plain `u64`
+//!    read under that lock, which costs nothing and is coherent by
+//!    construction.
 //! 2. **[`Stage`] spans** — a closed enum of serve-path pipeline
 //!    stages (admission wait, plan, engine, writeback, commit, WAL
 //!    append/fsync, merge, backpressure), each feeding a
@@ -28,7 +33,7 @@ mod span;
 mod trace;
 
 pub use hist::AtomicHist;
-pub use span::{SpanTimer, Stage};
+pub use span::{now_ns, SpanTimer, Stage};
 pub use trace::{chrome_trace_json, TraceEvent, TraceKind, TraceSet};
 
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -33,8 +33,8 @@ pub enum Stage {
     /// Applying a run of writes to the delta (including WAL append +
     /// backpressure inside the store write path).
     Writeback,
-    /// Fulfilling tickets and publishing per-entry stats for one
-    /// drained batch (the runner's cost after lookups return).
+    /// Fulfilling one run's tickets, after its per-entry stats were
+    /// counted under the shard's lock.
     Commit,
     /// Serializing + appending one write run's WAL record.
     WalAppend,
@@ -95,8 +95,10 @@ fn anchor() -> Instant {
 /// Monotonic nanoseconds since the process-wide anchor (the first
 /// call into this clock). All spans and trace events share this
 /// timebase, so exported timelines line up across shards and threads.
+/// One reading can end one span and start the next: a caller that
+/// already holds it need not read the clock again.
 #[inline]
-pub(crate) fn now_ns() -> u64 {
+pub fn now_ns() -> u64 {
     anchor().elapsed().as_nanos() as u64
 }
 

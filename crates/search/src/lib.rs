@@ -34,8 +34,5 @@ pub mod seq;
 mod shard;
 
 pub use amac::bulk_rank_amac;
-pub use coro::rank_coro;
 pub use gp::bulk_rank_gp;
-pub use locate::locate;
-pub use seq::{bulk_rank_branchy, rank_branchfree, rank_branchy, rank_oracle};
 pub use shard::{SortedShard, SortedShardBuilder};

@@ -5,7 +5,8 @@
 
 use isi_core::mem::DirectMem;
 use isi_search::coro::bulk_rank_coro;
-use isi_search::{bulk_rank_amac, bulk_rank_gp, rank_branchfree, rank_branchy, rank_oracle};
+use isi_search::seq::{rank_branchfree, rank_branchy, rank_oracle};
+use isi_search::{bulk_rank_amac, bulk_rank_gp};
 
 /// Run all five variants over `table`/`probes` and assert each output
 /// equals the oracle's, for a spread of group sizes.

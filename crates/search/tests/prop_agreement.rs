@@ -11,7 +11,8 @@ use isi_core::par::ParConfig;
 use isi_search::coro::bulk_rank_coro;
 use isi_search::key::Str16;
 use isi_search::par::bulk_rank_coro_par;
-use isi_search::{bulk_rank_amac, bulk_rank_gp, rank_branchfree, rank_branchy, rank_oracle};
+use isi_search::seq::{rank_branchfree, rank_branchy, rank_oracle};
+use isi_search::{bulk_rank_amac, bulk_rank_gp};
 
 /// Strategy: a sorted (possibly duplicated) u32 table and probe values
 /// drawn from a range that covers hits, misses and extremes.
@@ -88,7 +89,7 @@ proptest! {
     fn locate_iff_value_present(
         (table, probes) in table_and_probes(),
     ) {
-        use isi_search::locate;
+        use isi_search::locate::locate;
         let mem = DirectMem::new(&table);
         for v in &probes {
             let found = locate(&mem, *v);

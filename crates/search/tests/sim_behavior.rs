@@ -12,7 +12,8 @@
 
 use isi_memsim::{MachineStats, SharedMachine, SimArray};
 use isi_search::coro::bulk_rank_coro;
-use isi_search::{bulk_rank_amac, bulk_rank_gp, rank_branchfree, rank_branchy, rank_oracle};
+use isi_search::seq::{rank_branchfree, rank_branchy, rank_oracle};
+use isi_search::{bulk_rank_amac, bulk_rank_gp};
 
 /// 16 Mi u32 = 64 MB: comfortably larger than the model's 25 MB LLC.
 const BIG: usize = 16 << 20;

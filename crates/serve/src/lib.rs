@@ -69,11 +69,12 @@
 //!    torn or bit-flipped tails by CRC — see [`isi_durable`] for the
 //!    formats, the crash-ordering invariants, and the fault-injection
 //!    harness that exercises them.
-//! 6. **Measure** — every counter is an [`isi_obs::Counter`] field of
-//!    the shard or store that bumps it: [`ServeStats`] reads both in
-//!    one fixed, coherent order (write, cache, plan, delta-size,
-//!    merge and WAL counters plus the admission→response
-//!    [`LatencyHist`](isi_core::stats::LatencyHist)), each pipeline
+//! 6. **Measure** — [`ServeStats`] copies each shard's service
+//!    counters (plain fields under its queue lock, bumped where their
+//!    paths hold it anyway, with the admission→response
+//!    [`LatencyHist`](isi_core::stats::LatencyHist)) in one critical
+//!    section, and the store's [`isi_obs::Counter`]s in one fixed
+//!    order, so it is coherent; each pipeline
 //!    stage (admission wait, plan, engine, writeback, commit, WAL
 //!    append/fsync, merge) records a per-shard latency histogram
 //!    ([`LookupService::stage_breakdown`](service::LookupService::stage_breakdown)),

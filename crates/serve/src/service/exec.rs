@@ -4,31 +4,32 @@
 use std::sync::MutexGuard;
 
 use isi_core::sync::MutexExt;
-use isi_obs::{SpanTimer, Stage, TraceKind};
+use isi_obs::{now_ns, SpanTimer, Stage, TraceKind};
 
-use super::queue::{Exec, Op, QueueState, Runner, ShardCtx, ShardState};
+use super::queue::{Entry, Exec, Op, QueueState, ShardCtx, ShardState};
+use super::ServeStats;
 use crate::store::BatchOutcome;
 
-/// Count one executed batch. `batches` bumps before the counters it
-/// bounds (the read-order counterpart is `ShardCounters::add_to`).
-pub(super) fn count_batch(state: &ShardState, full: bool, who: Runner) {
-    state.m.batches.inc();
-    if full {
-        state.m.full_flushes.inc();
-    }
-    if who == Runner::Caller {
-        state.m.caller_runs.inc();
+/// Count one answered admission entry whose result was ready at
+/// `done_ns` (its latency sample ends there).
+fn count_entry(stats: &mut ServeStats, entry: &Entry, done_ns: u64) {
+    stats.requests += 1;
+    stats
+        .latency
+        .record(done_ns.saturating_sub(entry.enqueued.start_ns()));
+    match &entry.op {
+        Op::Get { .. } => stats.gets += 1,
+        Op::GetMany { keys, .. } => stats.many_keys += keys.len() as u64,
+        Op::Write { val: Some(_), .. } => stats.puts += 1,
+        Op::Write { val: None, .. } => stats.removes += 1,
     }
 }
 
-/// Close a read run whose lookups returned `outcome`: add its
-/// `delta_hits`, then, under the queue lock, fill the hot-key cache
-/// with its single-key results (`gets`) and merge its engine counters.
-/// Returns with the lock held.
-///
-/// Both happen before the run's requests are counted, so `stats`
-/// never shows a read key not yet in `engine.lookups` or
-/// `delta_hits`. The fill happens before the answers go out: the
+/// Close a read run whose lookups returned `outcome`: under the queue
+/// lock, fill the hot-key cache with its single-key results (`gets`)
+/// and add its `delta_hits` and engine counters. Returns with the lock
+/// held, for the caller to count the run's requests in the same
+/// critical section. The fill happens before the answers go out: the
 /// token holder is the only mutator of the shard, so the results are
 /// current until the next write applied under the token.
 pub(super) fn close_read_run<'a>(
@@ -36,13 +37,14 @@ pub(super) fn close_read_run<'a>(
     gets: impl IntoIterator<Item = (u64, Option<u64>)>,
     outcome: &BatchOutcome,
 ) -> MutexGuard<'a, QueueState> {
-    state.m.delta_hits.add(outcome.delta_hits);
     let mut q = state.q.plock("admission queue");
+    let QueueState { cache, stats, .. } = &mut *q;
     for (key, result) in gets {
-        q.cache.insert(key, result);
+        cache.insert(key, result);
     }
-    q.cache.end_run(state.m.cache_hits.get());
-    q.engine.merge(&outcome.engine);
+    cache.end_run(stats.cache_hits);
+    stats.delta_hits += outcome.delta_hits;
+    stats.engine.merge(&outcome.engine);
     q
 }
 
@@ -54,13 +56,13 @@ pub(super) fn close_read_run<'a>(
 /// fulfilled). Writes only append to the delta — a threshold crossing
 /// enqueues a background merge job, it never rebuilds here.
 ///
-/// An entry's counters and latency sample land *before* its ticket is
-/// fulfilled (the counters are lock-free `Release` bumps, the stats
-/// snapshot reads `Acquire`), so the moment a client's wait returns,
-/// [`LookupService::stats`] already includes its request. No lock is
-/// held across engine runs or store writes (a write can trigger a
-/// whole-shard merge rebuild), so a monitoring thread reading stats
-/// never blocks behind the slow work itself.
+/// An entry's counters and latency sample land under the queue lock
+/// *before* its ticket is fulfilled — a read's where its run is closed,
+/// a write's where its run invalidates the cache — so the moment a
+/// client's wait returns, [`LookupService::stats`] already includes
+/// its request. No lock is held across engine runs or store writes (a
+/// write can trigger a whole-shard merge rebuild), so a monitoring
+/// thread reading stats never blocks behind the slow work itself.
 ///
 /// Stage spans recorded here: `admission_wait` per entry at drain,
 /// `writeback` around each write run (store call + cache
@@ -68,7 +70,7 @@ pub(super) fn close_read_run<'a>(
 /// `plan`/`engine`/`wal_*`/`merge` inside its own calls.
 ///
 /// [`LookupService::stats`]: super::LookupService::stats
-pub(super) fn execute_batch(ctx: ShardCtx<'_>, bufs: &mut Exec, full: bool, who: Runner) {
+pub(super) fn execute_batch(ctx: ShardCtx<'_>, bufs: &mut Exec, full: bool) {
     let ShardCtx {
         store,
         shard,
@@ -77,9 +79,6 @@ pub(super) fn execute_batch(ctx: ShardCtx<'_>, bufs: &mut Exec, full: bool, who:
         obs,
     } = ctx;
     let batch_t = SpanTimer::start();
-    // Count the batch up front: no ticket from this batch can resolve
-    // before the batch itself is visible in the stats.
-    count_batch(state, full, who);
     // Queue residency ended when the batch span started (one clock
     // reading serves both); what follows is execution.
     for entry in &bufs.batch {
@@ -108,13 +107,13 @@ pub(super) fn execute_batch(ctx: ShardCtx<'_>, bufs: &mut Exec, full: bool, who:
         if !bufs.run_keys.is_empty() {
             bufs.out.clear();
             bufs.out.resize(bufs.run_keys.len(), None);
-            let outcome = store.lookup_batch(
+            let (outcome, looked_up) = store.lookup_batch_from(
                 shard,
                 &bufs.run_keys,
                 cfg.policy,
-                cfg.par,
                 &mut bufs.scratch,
                 &mut bufs.out,
+                now_ns(),
             );
             let gets = bufs.run_spans.iter().filter_map(|&(ei, start, _)| {
                 let Op::Get { key, .. } = &bufs.batch[ei].op else {
@@ -122,22 +121,16 @@ pub(super) fn execute_batch(ctx: ShardCtx<'_>, bufs: &mut Exec, full: bool, who:
                 };
                 Some((*key, bufs.out[start]))
             });
-            drop(close_read_run(state, gets, &outcome));
+            let mut q = close_read_run(state, gets, &outcome);
+            for &(ei, _, _) in &bufs.run_spans {
+                count_entry(&mut q.stats, &bufs.batch[ei], looked_up);
+            }
+            drop(q);
             let commit_t = SpanTimer::start();
             for &(ei, start, len) in &bufs.run_spans {
-                let entry = &bufs.batch[ei];
-                // Counters and the latency sample land before the
-                // fulfill: a client whose wait returned is already in
-                // the stats.
-                state.m.requests.inc();
-                state.m.latency.record(entry.enqueued.elapsed_ns());
-                match &entry.op {
-                    Op::Get { ticket, .. } => {
-                        state.m.gets.inc();
-                        ticket.fulfill(bufs.out[start]);
-                    }
+                match &bufs.batch[ei].op {
+                    Op::Get { ticket, .. } => ticket.fulfill(bufs.out[start]),
                     Op::GetMany { ticket, .. } => {
-                        state.m.many_keys.add(len as u64);
                         ticket.fulfill(bufs.out[start..start + len].to_vec());
                     }
                     _ => unreachable!("write in read run"),
@@ -173,6 +166,12 @@ pub(super) fn execute_batch(ctx: ShardCtx<'_>, bufs: &mut Exec, full: bool, who:
         for &(key, _) in &bufs.write_ops {
             q.cache.invalidate(key);
         }
+        // One reading ends the writeback span and the run's latency
+        // samples.
+        let applied = now_ns();
+        for &ei in &bufs.write_idx {
+            count_entry(&mut q.stats, &bufs.batch[ei], applied);
+        }
         drop(q);
         obs.trace().emit_now(
             shard,
@@ -180,20 +179,16 @@ pub(super) fn execute_batch(ctx: ShardCtx<'_>, bufs: &mut Exec, full: bool, who:
             bufs.write_ops.len() as u64,
             0,
         );
-        obs.record_stage(shard, Stage::Writeback, wb_t.elapsed_ns());
+        obs.record_stage(
+            shard,
+            Stage::Writeback,
+            applied.saturating_sub(wb_t.start_ns()),
+        );
         let commit_t = SpanTimer::start();
         for (&ei, &prev) in bufs.write_idx.iter().zip(&bufs.write_prevs) {
-            let entry = &bufs.batch[ei];
-            state.m.requests.inc();
-            state.m.latency.record(entry.enqueued.elapsed_ns());
-            let Op::Write { val, ticket, .. } = &entry.op else {
+            let Op::Write { ticket, .. } = &bufs.batch[ei].op else {
                 unreachable!("read in write run")
             };
-            if val.is_some() {
-                state.m.puts.inc();
-            } else {
-                state.m.removes.inc();
-            }
             ticket.fulfill(prev);
         }
         obs.record_stage(shard, Stage::Commit, commit_t.elapsed_ns());

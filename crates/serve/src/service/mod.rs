@@ -40,10 +40,12 @@
 //! scratch directly: no admission entry, no ticket, no batch buffers.
 //! It is exactly the batch of one the queue path would have run, and
 //! counts as one: a batch, a caller run, an entry with a nil admission
-//! wait. Under the queue lock again it refills the cache, merges the
-//! engine counters and hands the token back, waking the helper for
-//! anything queued meanwhile. Writes, `get_many` and a `get` on a busy
-//! shard take the queue.
+//! wait. Under the queue lock again it refills the cache, counts
+//! itself and hands the token back, waking the helper for anything
+//! queued meanwhile. Its start starts the store's first span and the
+//! reading that ends the store's last span ends its latency: two clock
+//! reads (three past a delta). Writes, `get_many` and a `get` on a
+//! busy shard take the queue.
 //!
 //! **Writes ride the same queues.** `put`/`remove` enqueue on the
 //! owning shard alongside reads, and a batch executes in FIFO order:
@@ -80,7 +82,7 @@
 //! A per-shard **hot-key cache** (2^16 slots in 4-way sets, 1 MiB,
 //! allocated zeroed at start) lives in the queue state, so **a shard
 //! has one lock**: the queue lock guards the queue, the token, the
-//! cache and the engine counters, and is never held across the engine
+//! cache and the shard's counters, and is never held across the engine
 //! or a store write. `get` probes the cache and, on a miss, enqueues or takes the
 //! idle token in one critical section; a hit skips admission. The
 //! token holder fills it before answering a read run (a direct `get`:
@@ -94,13 +96,14 @@
 //! every queued ticket — their waiters panic with "shard failed"
 //! instead of hanging — and wakes the helper so `close` still joins.
 //!
-//! Per-request latency (enqueue → response) is recorded into a
-//! log-bucketed [`LatencyHist`]; [`ServeStats::caller_runs`] against
+//! Per-request latency (enqueue → result counted, just before the
+//! ticket is fulfilled) is recorded into a log-bucketed
+//! [`LatencyHist`]; [`ServeStats::caller_runs`] against
 //! [`ServeStats::batches`] says who ran what.
 //!
 //! This file is the client API, the fan-out and the direct `get`.
 //! Around it: `ticket` (the response slot), `cache` (hot keys),
-//! `stats` (counters), `queue` (queue, token, helper: who runs a
+//! `stats` (the counters' type), `queue` (queue, token, helper: who runs a
 //! shard) and `exec` (what running one batch does).
 
 mod cache;
@@ -117,18 +120,16 @@ use std::thread::JoinHandle;
 
 use isi_core::par::ParConfig;
 use isi_core::policy::Interleave;
-use isi_core::sched::RunStats;
 use isi_core::stats::LatencyHist;
 use isi_core::sync::{CondvarExt, MutexExt};
-use isi_obs::{chrome_trace_json, Obs, SpanTimer, Stage, TraceKind};
+use isi_obs::{chrome_trace_json, now_ns, Obs, SpanTimer, Stage, TraceKind};
 
 use crate::store::ShardedStore;
 
 use cache::HotCache;
-use exec::{close_read_run, count_batch};
+use exec::close_read_run;
 use queue::{helper_loop, Entry, Exec, Op, QueueState, Runner, Running, ShardCtx, ShardState};
 pub use stats::ServeStats;
-use stats::ShardCounters;
 use ticket::Ticket;
 
 /// Service configuration.
@@ -224,11 +225,10 @@ impl LookupService {
                         open: true,
                         exec: Some(Box::new(Exec::new(&cfg))),
                         cache: HotCache::default(),
-                        engine: RunStats::default(),
+                        stats: ServeStats::default(),
                     }),
                     work: Condvar::new(),
                     space: Condvar::new(),
-                    m: ShardCounters::default(),
                 })
             })
             .collect();
@@ -386,8 +386,7 @@ impl LookupService {
         let shard = self.store.shard_of(key);
         let mut q = self.lock_open(shard);
         if let Some(result) = q.cache.probe(key) {
-            drop(q);
-            self.shards[shard].m.cache_hits.inc();
+            q.stats.cache_hits += 1;
             return result;
         }
         if q.reqs.is_empty() {
@@ -419,42 +418,43 @@ impl LookupService {
     ) -> Option<u64> {
         let ctx = self.ctx(shard);
         let state = ctx.state;
-        let t = SpanTimer::start();
         drop(q);
+        let start = now_ns();
         // Held across the lookup: a panic fails the shard closed.
         let mut running = Running {
             state,
             exec: Some(exec),
         };
         let exec = running.exec.as_mut().expect("token held until hand-back");
-        count_batch(state, false, Runner::Caller);
         let mut out = [None];
-        let outcome = self.store.lookup_batch(
+        let (outcome, end) = self.store.lookup_batch_from(
             shard,
             &[key],
             self.cfg.policy,
-            self.cfg.par,
             &mut exec.scratch,
             &mut out,
+            start,
         );
         let mut q = close_read_run(state, [(key, out[0])], &outcome);
-        state.m.requests.inc();
-        state.m.latency.record(t.elapsed_ns());
-        state.m.gets.inc();
-        // Nothing queued ahead of it: its admission wait is nil.
-        self.obs.record_stage(shard, Stage::AdmissionWait, 0);
+        // A batch of one, run by its caller, with one entry.
+        let stats = &mut q.stats;
+        stats.batches += 1;
+        stats.caller_runs += 1;
+        stats.requests += 1;
+        stats.gets += 1;
+        stats.latency.record(end.saturating_sub(start));
         ctx.hand_back(&mut q, running.exec.take(), Runner::Caller);
         drop(q);
-        if self.obs.trace().is_enabled() {
-            self.obs.trace().emit(
-                shard,
-                TraceKind::BatchFlush,
-                t.start_ns(),
-                t.elapsed_ns(),
-                1,
-                0,
-            );
-        }
+        // Nothing queued ahead of it: its admission wait is nil.
+        self.obs.record_stage(shard, Stage::AdmissionWait, 0);
+        self.obs.trace().emit(
+            shard,
+            TraceKind::BatchFlush,
+            start,
+            end.saturating_sub(start),
+            1,
+            0,
+        );
         out[0]
     }
 
@@ -518,23 +518,23 @@ impl LookupService {
     /// Aggregated metrics over all shards (latency histograms merged),
     /// plus the store's merge/delta counters.
     ///
-    /// Each owner reads its counters in one fixed order (see
-    /// [`isi_obs::Counter`]): within the returned struct,
-    /// `full_flushes <= batches`, `caller_runs <= batches`,
+    /// Each shard's service counters are copied in one critical
+    /// section of its queue lock, where every path bumps them, so
+    /// `full_flushes <= batches`, `caller_runs <= batches` and
+    /// `gets + many_keys <= engine.lookups + delta_hits` hold by
+    /// construction. The store reads its lock-free counters in one
+    /// fixed order, the ≤ side of each invariant first, so
     /// `wal_syncs <= wal_records` and `compactions <= delta_runs` hold
-    /// even while runners and the merger race the call.
+    /// too, even while runners and the merger race the call.
     pub fn stats(&self) -> ServeStats {
         let mut total = ServeStats::default();
         for state in &self.shards {
-            state.m.add_to(&mut total);
+            total.add_shard(&state.q.plock("admission queue").stats);
         }
         self.store.add_counters_to(&mut total);
         total.merge_backlog = self.store.merge_backlog() as u64;
         total.merge_latency = self.store.merge_latency();
         total.delta_keys = self.store.delta_len() as u64;
-        for state in &self.shards {
-            total.engine.merge(&state.q.plock("admission queue").engine);
-        }
         total
     }
 

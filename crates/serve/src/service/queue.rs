@@ -4,15 +4,13 @@
 use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
-use isi_core::sched::RunStats;
 use isi_core::sync::{CondvarExt, MutexExt};
 use isi_obs::{Obs, SpanTimer};
 
 use super::cache::HotCache;
 use super::exec::execute_batch;
-use super::stats::ShardCounters;
 use super::ticket::Ticket;
-use super::ServeConfig;
+use super::{ServeConfig, ServeStats};
 use crate::store::{LookupScratch, ShardedStore, WriteScratch};
 
 /// The ticket type of one shard's `get_many` slice: one result per
@@ -55,8 +53,8 @@ pub(super) struct Entry {
 }
 
 /// A shard's mutable service state, all behind its one mutex: the
-/// admission queue, the executor token, and the two things only the
-/// token holder mutates — the hot-key cache and the engine counters.
+/// admission queue, the executor token, the hot-key cache and the
+/// shard's counters.
 pub(super) struct QueueState {
     pub(super) reqs: VecDeque<Entry>,
     pub(super) open: bool,
@@ -65,12 +63,15 @@ pub(super) struct QueueState {
     pub(super) exec: Option<Box<Exec>>,
     /// Probed by `get` before it enqueues, in the same critical section.
     pub(super) cache: HotCache,
-    /// Merged once per read run, with the cache fill; read by `stats`.
-    pub(super) engine: RunStats,
+    /// This shard's share of [`ServeStats`] (the store's fields stay
+    /// 0), each bumped in a critical section its path enters anyway:
+    /// a cache hit's under its probe, a batch's where it is cut, a
+    /// run's where it is closed, before any of its tickets resolve.
+    pub(super) stats: ServeStats,
 }
 
 /// One shard's state (the only lock a shard has; tickets have their
-/// own), its wakeup channels and its counters.
+/// own) and its wakeup channels.
 pub(super) struct ShardState {
     pub(super) q: Mutex<QueueState>,
     /// The helper parks here until entries are queued while the token
@@ -78,9 +79,6 @@ pub(super) struct ShardState {
     pub(super) work: Condvar,
     /// Producers wait here for queue space (backpressure).
     pub(super) space: Condvar,
-    /// This shard's counters (see [`ShardCounters`]); lock-free, so a
-    /// cache hit counts itself after releasing the queue lock.
-    pub(super) m: ShardCounters,
 }
 
 /// A shard's executor token: the reusable batch buffers. It lives in
@@ -228,14 +226,19 @@ impl<'a> ShardCtx<'a> {
         loop {
             let exec = running.exec.as_mut().expect("token held until hand-back");
             let queued = q.reqs.len();
+            let full = queued >= max_batch;
             exec.batch.extend(q.reqs.drain(..queued.min(max_batch)));
+            // Counted before any of its tickets can resolve.
+            q.stats.batches += 1;
+            q.stats.full_flushes += u64::from(full);
+            q.stats.caller_runs += u64::from(who == Runner::Caller);
             if queued >= self.cfg.queue_cap {
                 // Producers park only on a full queue, so only a batch
                 // cut from a full queue can have any to wake.
                 self.state.space.notify_all();
             }
             drop(q);
-            execute_batch(self, exec, queued >= max_batch, who);
+            execute_batch(self, exec, full);
             // Answered entries (and their tickets) go now, not under
             // the lock and not when the next batch is cut.
             exec.batch.clear();

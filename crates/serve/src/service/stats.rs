@@ -1,53 +1,8 @@
-//! The service's counters: one shard's fields, and the aggregate a
-//! caller reads.
+//! The service's counters: [`ServeStats`], which a shard keeps its
+//! own share of under its queue lock and `stats` sums.
 
 use isi_core::sched::RunStats;
 use isi_core::stats::LatencyHist;
-use isi_obs::{AtomicHist, Counter};
-
-/// One shard's service counters.
-///
-/// [`add_to`](Self::add_to) fixes the read order, and that order is
-/// load-bearing (see [`Counter`]): a runner bumps `batches` before
-/// `full_flushes` and `caller_runs`, and reads load those two first,
-/// so no read shows either of them above `batches`. Likewise a read
-/// run adds its `delta_hits` before its `gets` and `many_keys`, which
-/// are read first: every read key a read counts is in `delta_hits` or
-/// in the engine lookups `stats` merges last.
-#[derive(Default)]
-pub(super) struct ShardCounters {
-    pub(super) full_flushes: Counter,
-    pub(super) caller_runs: Counter,
-    pub(super) batches: Counter,
-    pub(super) requests: Counter,
-    pub(super) gets: Counter,
-    pub(super) puts: Counter,
-    pub(super) removes: Counter,
-    pub(super) many_keys: Counter,
-    pub(super) delta_hits: Counter,
-    pub(super) cache_hits: Counter,
-    /// Per *admitted* entry (enqueue → response routed), nanoseconds;
-    /// cache hits are counted in `cache_hits` only.
-    pub(super) latency: AtomicHist,
-}
-
-impl ShardCounters {
-    /// Add this shard's counters into `total`, the ≤ side of each
-    /// invariant first.
-    pub(super) fn add_to(&self, total: &mut ServeStats) {
-        total.full_flushes += self.full_flushes.get();
-        total.caller_runs += self.caller_runs.get();
-        total.batches += self.batches.get();
-        total.requests += self.requests.get();
-        total.gets += self.gets.get();
-        total.puts += self.puts.get();
-        total.removes += self.removes.get();
-        total.many_keys += self.many_keys.get();
-        total.delta_hits += self.delta_hits.get();
-        total.cache_hits += self.cache_hits.get();
-        total.latency.merge(&self.latency.snapshot());
-    }
-}
 
 /// Aggregated service metrics (summed over shards, plus the store's
 /// write-side counters).
@@ -90,9 +45,11 @@ pub struct ServeStats {
     /// Batches executed by a submitting thread; the other
     /// `batches - caller_runs` ran on a shard's helper.
     pub caller_runs: u64,
-    /// Latency per *admitted* entry (enqueue → response routed), ns;
-    /// cache hits record none, so on Zipf `get`s `p50()` is the *miss*
-    /// latency.
+    /// Latency per *admitted* entry (enqueue → its run's lookup
+    /// returned or write run applied), ns; a `get` run directly on an
+    /// idle shard spans token taken → lookup returned, on the readings
+    /// that bound the store's spans. Cache hits record none, so on
+    /// Zipf `get`s `p50()` is the *miss* latency.
     pub latency: LatencyHist,
     /// Merged interleaved-engine counters across all batches
     /// (`engine.lookups` counts only residual keys — the batch minus
@@ -126,6 +83,23 @@ pub struct ServeStats {
 }
 
 impl ServeStats {
+    /// Add one shard's service counters (its `QueueState::stats`) into
+    /// `self`; the store's fields are the store's to fill.
+    pub(super) fn add_shard(&mut self, shard: &ServeStats) {
+        self.requests += shard.requests;
+        self.gets += shard.gets;
+        self.puts += shard.puts;
+        self.removes += shard.removes;
+        self.many_keys += shard.many_keys;
+        self.cache_hits += shard.cache_hits;
+        self.delta_hits += shard.delta_hits;
+        self.batches += shard.batches;
+        self.full_flushes += shard.full_flushes;
+        self.caller_runs += shard.caller_runs;
+        self.latency.merge(&shard.latency);
+        self.engine.merge(&shard.engine);
+    }
+
     /// Mean entries per executed batch.
     pub fn mean_batch(&self) -> f64 {
         if self.batches == 0 {

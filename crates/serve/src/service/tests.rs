@@ -88,7 +88,14 @@ fn lone_request_runs_on_the_caller() {
     assert_eq!(stats.latency.count(), 32);
     let waits = svc.obs().stage_hist(0, Stage::AdmissionWait);
     assert_eq!(waits.count(), 32);
-    assert_eq!(waits.max(), 0);
+    assert_eq!((waits.max(), waits.sum()), (0, 0));
+    // The shard has no delta: each get is one Engine span and no Plan
+    // span, and its latency sample shares the span's two clock
+    // readings, so the sums agree exactly.
+    let engine = svc.store().obs().stage_hist(0, Stage::Engine);
+    assert_eq!(engine.count(), 32);
+    assert_eq!(svc.store().obs().stage_hist(0, Stage::Plan).count(), 0);
+    assert_eq!(engine.sum(), stats.latency.sum());
     // No timer, no thread hand-off: far below the millisecond a
     // flush deadline would cost (median, so one preemption of
     // this thread cannot fail the test).
@@ -872,6 +879,7 @@ fn delta_decided_reads_skip_the_engine() {
     for k in 0..16u64 {
         svc.put(k, 9_000 + k);
     }
+    let before = svc.stats();
     for k in 0..16u64 {
         assert_eq!(svc.get(k), Some(9_000 + k));
     }
@@ -879,6 +887,21 @@ fn delta_decided_reads_skip_the_engine() {
     let stats = svc.stats();
     assert_eq!(stats.delta_hits, 16);
     assert_eq!(stats.engine.lookups, 1);
+    // Each get ran on its idle shard's caller: one Plan span each, an
+    // Engine span only for the residual key. The end of Plan starts
+    // Engine and each latency sample shares the spans' outer ends, so
+    // the spans add up to the gets' latency exactly.
+    let obs = svc.store().obs();
+    let (plan, engine) = (
+        obs.stage_hist(0, Stage::Plan),
+        obs.stage_hist(0, Stage::Engine),
+    );
+    assert_eq!(stats.caller_runs - before.caller_runs, 17);
+    assert_eq!((plan.count(), engine.count()), (17, 1));
+    assert_eq!(
+        stats.latency.sum() - before.latency.sum(),
+        plan.sum() + engine.sum()
+    );
 }
 
 #[test]

@@ -87,7 +87,7 @@ use isi_core::stats::LatencyHist;
 use isi_core::sync::{CondvarExt, MutexExt};
 use isi_durable::{self as durable, DiskFs, Fs};
 use isi_hash::HashKey;
-use isi_obs::{Counter, Obs, SpanTimer, Stage, TraceKind};
+use isi_obs::{now_ns, Counter, Obs, SpanTimer, Stage, TraceKind};
 
 use crate::plan::BatchPlan;
 use crate::service::ServeStats;
@@ -778,6 +778,23 @@ impl ShardedStore {
         scratch: &mut LookupScratch,
         out: &mut [Option<u64>],
     ) -> BatchOutcome {
+        self.lookup_batch_from(shard, keys, policy, scratch, out, now_ns())
+            .0
+    }
+
+    /// [`lookup_batch`](Self::lookup_batch), its first span starting at
+    /// `start_ns` (the caller's [`now_ns`] reading), and the reading
+    /// that ended its last span, for the caller to end its own on. The
+    /// end of `Plan` starts `Engine`: one clock read per span.
+    pub(crate) fn lookup_batch_from(
+        &self,
+        shard: usize,
+        keys: &[u64],
+        policy: Interleave,
+        scratch: &mut LookupScratch,
+        out: &mut [Option<u64>],
+        start_ns: u64,
+    ) -> (BatchOutcome, u64) {
         assert_eq!(keys.len(), out.len(), "output length mismatch");
         debug_assert!(
             keys.iter().all(|&k| self.shard_of(k) == shard),
@@ -788,28 +805,28 @@ impl ShardedStore {
         if v.delta.is_empty() {
             // Every key is residual: probe straight into `out` without
             // a scatter pass.
-            let t = SpanTimer::start();
             let engine = v
                 .main
                 .probe_batch(keys, policy, ParConfig, &mut scratch.ranks, out);
-            obs.record_stage(shard, Stage::Engine, t.elapsed_ns());
-            return BatchOutcome {
+            let end = now_ns();
+            obs.record_stage(shard, Stage::Engine, end.saturating_sub(start_ns));
+            let outcome = BatchOutcome {
                 engine,
                 delta_hits: 0,
                 residual: keys.len() as u64,
             };
+            return (outcome, end);
         }
-        let t = SpanTimer::start();
         scratch.plan.resolve(v.delta.runs(), keys);
         for &(i, res) in &scratch.plan.decided {
             out[i as usize] = res;
         }
-        obs.record_stage(shard, Stage::Plan, t.elapsed_ns());
+        let planned = now_ns();
+        obs.record_stage(shard, Stage::Plan, planned.saturating_sub(start_ns));
         let residual = scratch.plan.residual();
-        let engine = if residual == 0 {
-            RunStats::default()
+        let (engine, end) = if residual == 0 {
+            (RunStats::default(), planned)
         } else {
-            let t = SpanTimer::start();
             scratch.residual_out.clear();
             scratch.residual_out.resize(residual as usize, None);
             let engine = v.main.probe_batch(
@@ -827,14 +844,16 @@ impl ShardedStore {
             {
                 out[i as usize] = r;
             }
-            obs.record_stage(shard, Stage::Engine, t.elapsed_ns());
-            engine
+            let end = now_ns();
+            obs.record_stage(shard, Stage::Engine, end.saturating_sub(planned));
+            (engine, end)
         };
-        BatchOutcome {
+        let outcome = BatchOutcome {
             engine,
             delta_hits: scratch.plan.delta_hits(),
             residual,
-        }
+        };
+        (outcome, end)
     }
 }
 

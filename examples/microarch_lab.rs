@@ -7,7 +7,7 @@
 
 use coro_isi::memsim::{MachineStats, SharedMachine, SimArray};
 use coro_isi::search::coro::bulk_rank_coro;
-use coro_isi::search::rank_branchfree;
+use coro_isi::search::seq::rank_branchfree;
 use coro_isi::workloads::xorshift64;
 
 fn breakdown(label: &str, s: &MachineStats, lookups: usize) {

@@ -11,7 +11,7 @@ use coro_isi::hash::{hash_join, nested_loop_join};
 use coro_isi::memsim::{SharedMachine, SimArray};
 use coro_isi::search::coro::bulk_rank_coro;
 use coro_isi::search::key::Str16;
-use coro_isi::search::rank_oracle;
+use coro_isi::search::seq::rank_oracle;
 use coro_isi::workloads as wl;
 
 #[test]
