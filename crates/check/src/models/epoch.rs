@@ -1,16 +1,14 @@
 //! Model of `isi_core::epoch::EpochCell` publication.
 //!
-//! The real cell is `RwLock<Arc<T>>` plus an `AtomicU64` epoch bumped
-//! under the write lock. The model replaces the `Arc<T>` payload with
-//! a `(value, tag)` pair whose tag is a function of the value, so a
-//! torn publication (a reader observing half of one version and half
-//! of another) is directly assertable. The invariants:
+//! The real cell is an `RwLock<Arc<T>>`. The model replaces the
+//! `Arc<T>` payload with a `(value, tag)` pair whose tag is a function
+//! of the value, so a torn publication (a reader observing half of one
+//! version and half of another) is directly assertable. The
+//! invariants:
 //!
 //! 1. **Never torn** — every snapshot's tag matches its value.
 //! 2. **Monotone** — a reader's successive snapshots never go
-//!    backwards, and the epoch counter never runs behind a published
-//!    value (publishing version *v* bumps the epoch to *v* before the
-//!    write lock is released).
+//!    backwards.
 //!
 //! [`torn_publish`] is the deliberately broken variant: the payload
 //! halves live in two separate atomics with no lock around the pair,
@@ -28,27 +26,16 @@ fn tag_of(v: u64) -> u64 {
     v.wrapping_mul(1_000).wrapping_add(v)
 }
 
-/// The faithful model: publish under a write lock, epoch bumped
-/// before release; snapshots are never torn and versions are
-/// monotone.
+/// The faithful model: publish under a write lock; snapshots are
+/// never torn and versions are monotone.
 pub fn publish_never_torn() {
-    struct Cell {
-        current: RwLock<(u64, u64)>,
-        epoch: AtomicU64,
-    }
-    let cell = Arc::new(Cell {
-        current: RwLock::new((0, tag_of(0))),
-        epoch: AtomicU64::new(0),
-    });
+    let cell = Arc::new(RwLock::new((0, tag_of(0))));
 
     let writer = {
         let cell = Arc::clone(&cell);
         vt::spawn(move || {
             for v in 1..=2u64 {
-                let mut slot = cell.current.write();
-                *slot = (v, tag_of(v));
-                // Epoch bump under the write lock, as in EpochCell::store.
-                cell.epoch.fetch_add(1, Ordering::SeqCst);
+                *cell.write() = (v, tag_of(v));
             }
         })
     };
@@ -56,16 +43,9 @@ pub fn publish_never_torn() {
     // The main virtual thread is the reader.
     let mut last = 0u64;
     for _ in 0..2 {
-        let e_before = cell.epoch.load(Ordering::SeqCst);
-        let (v, tag) = *cell.current.read();
-        let e_after = cell.epoch.load(Ordering::SeqCst);
+        let (v, tag) = *cell.read();
         assert_eq!(tag, tag_of(v), "torn snapshot: value {v} with tag {tag}");
         assert!(v >= last, "version went backwards: {v} < {last}");
-        assert!(e_after >= v, "epoch {e_after} behind published version {v}");
-        assert!(
-            e_after >= e_before,
-            "epoch went backwards: {e_after} < {e_before}"
-        );
         last = v;
     }
     writer.join();

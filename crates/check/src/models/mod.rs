@@ -12,15 +12,13 @@
 //!
 //! | model | protocol under test |
 //! |---|---|
-//! | [`epoch`] | `EpochCell` publish: snapshots never torn, epochs monotone |
+//! | [`epoch`] | `EpochCell` publish: snapshots never torn, versions monotone |
 //! | [`runs`] | run-stack delta over a mid tier: compaction + identity-residual merge, minor or major, never lose the newest write, and a merge drains what it pinned |
 //! | [`cache`] | hot-key cache under the queue lock, queued or direct `get`: invalidate-before-ack and refill-before-hand-back ⇒ no stale read after own-write ack |
 //! | [`queue`] | caller-runs admission: token hand-back strands no entry, no deadlock at backpressure |
 //! | [`wal`] | WAL group commit + snapshot-truncate: acked ⇒ durable, frontier monotone |
-//! | [`metrics`] | counter read order: read ≤-side first ⇒ `syncs ≤ records` |
-//!
+//! //!
 //! [`epoch::torn_publish`], [`wal::truncate_before_snapshot_sync`],
-//! [`metrics::snapshot_reads_records_first`],
 //! [`runs::oldest_run_wins`], [`runs::fold_across_the_cut`],
 //! [`runs::fold_into_the_mid`], [`cache::ack_before_invalidate`],
 //! [`cache::refill_after_handback`] and
@@ -31,7 +29,6 @@
 
 pub mod cache;
 pub mod epoch;
-pub mod metrics;
 pub mod queue;
 pub mod runs;
 pub mod wal;

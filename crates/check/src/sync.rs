@@ -273,12 +273,5 @@ pub(crate) mod atomic {
             ctl.sched_point(tid);
             self.v.store(val, Ordering::SeqCst);
         }
-
-        /// Atomic fetch-add (scheduling point; SeqCst).
-        pub(crate) fn fetch_add(&self, val: u64, _order: Ordering) -> u64 {
-            let (ctl, tid) = rt::current();
-            ctl.sched_point(tid);
-            self.v.fetch_add(val, Ordering::SeqCst)
-        }
     }
 }

@@ -1,4 +1,4 @@
-//! The protocol model suite: bounded-exhaustive checks of the six
+//! The protocol model suite: bounded-exhaustive checks of the five
 //! serve-path protocols, plus calibration tests proving the explorer
 //! actually *finds* known-bad variants and that printed seeds replay.
 
@@ -316,48 +316,6 @@ fn random_exploration_finds_torn_publish() {
         .expect("random-found seed did not replay");
     assert!(
         replayed.contains("torn publish"),
-        "replay diverged: {replayed}"
-    );
-}
-
-/// The counter read-order model: reading the covered side
-/// (`syncs`) before the covering side (`records`) keeps every
-/// interleaving's snapshot coherent.
-#[test]
-fn metrics_snapshot_ordering_is_coherent() {
-    let n = check(
-        "metrics snapshot ordering",
-        Config::default(),
-        models::metrics::snapshot_reads_covered_side_first,
-    );
-    assert!(n > 1, "model has no concurrency ({n} interleaving)");
-}
-
-/// The old `wal_stats()` read order (records first) must show
-/// more syncs than records under some interleaving — and the printed
-/// seed must replay it.
-#[test]
-fn explorer_catches_records_first_snapshot_skew() {
-    let outcome = explore(
-        Config::default(),
-        models::metrics::snapshot_reads_records_first,
-    );
-    let Outcome::Violation(v) = outcome else {
-        panic!("records-first snapshot skew not caught: {outcome:?}");
-    };
-    assert!(
-        v.message.contains("skewed snapshot"),
-        "unexpected violation: {}",
-        v.message
-    );
-    let replayed = replay(
-        Config::default(),
-        &v.seed,
-        models::metrics::snapshot_reads_records_first,
-    )
-    .expect("replay seed did not reproduce the violation");
-    assert!(
-        replayed.contains("skewed snapshot"),
         "replay diverged: {replayed}"
     );
 }

@@ -1,5 +1,4 @@
-//! [`EpochCell`]: an epoch-stamped `Arc` swap for publish/subscribe
-//! versioned state.
+//! [`EpochCell`]: an `Arc` swap for publish/subscribe versioned state.
 //!
 //! The writable serving layer needs one primitive: a cell holding the
 //! current immutable version of a structure, where
@@ -16,31 +15,29 @@
 //! `load` holds a shared lock only long enough to clone the `Arc`
 //! (a reference-count increment) and `store` holds the exclusive lock
 //! only for one pointer assignment, so neither side can stall the
-//! other behind long-running work. Every `store` bumps a monotonically
-//! increasing **epoch**, which readers can use to detect that a swap
-//! happened between two snapshots (e.g. to count merges or to verify
-//! that a cached derivation is still current).
+//! other behind long-running work. Each `store` starts a new **epoch**
+//! of snapshots: every `load` after it sees the new version, every one
+//! before it keeps the old. A version that needs to know how many
+//! swaps preceded it carries its own count (the store's shard versions
+//! count their runs and merges).
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 
 use crate::sync::RwLockExt;
 
-/// A versioned cell: the current `Arc<T>` plus a swap counter.
+/// A versioned cell: the current `Arc<T>`.
 ///
 /// See the [module docs](self) for the reader/writer contract.
 #[derive(Debug)]
 pub struct EpochCell<T> {
     current: RwLock<Arc<T>>,
-    epoch: AtomicU64,
 }
 
 impl<T> EpochCell<T> {
-    /// Wrap `value` as epoch 0.
+    /// Wrap `value` as the first version.
     pub fn new(value: T) -> Self {
         Self {
             current: RwLock::new(Arc::new(value)),
-            epoch: AtomicU64::new(0),
         }
     }
 
@@ -52,19 +49,10 @@ impl<T> EpochCell<T> {
         Arc::clone(&self.current.pread("EpochCell::load"))
     }
 
-    /// Publish `value` as the new current version and return the new
-    /// epoch. Readers holding older snapshots are unaffected.
-    pub fn store(&self, value: Arc<T>) -> u64 {
-        let mut slot = self.current.pwrite("EpochCell::store");
-        *slot = value;
-        // Bump under the write lock so epoch order matches publication
-        // order (two concurrent stores cannot observe swapped stamps).
-        self.epoch.fetch_add(1, Ordering::Release) + 1
-    }
-
-    /// Number of [`store`](Self::store)s so far (0 for a fresh cell).
-    pub fn epoch(&self) -> u64 {
-        self.epoch.load(Ordering::Acquire)
+    /// Publish `value` as the new current version. Readers holding
+    /// older snapshots are unaffected.
+    pub fn store(&self, value: Arc<T>) {
+        *self.current.pwrite("EpochCell::store") = value;
     }
 }
 
@@ -74,13 +62,16 @@ mod tests {
 
     #[test]
     fn load_store_roundtrip_and_epoch_counts() {
+        // Each store starts an epoch: one snapshot from each of the
+        // three reads its own version.
         let cell = EpochCell::new(10u64);
-        assert_eq!(cell.epoch(), 0);
-        assert_eq!(*cell.load(), 10);
-        assert_eq!(cell.store(Arc::new(11)), 1);
-        assert_eq!(cell.store(Arc::new(12)), 2);
-        assert_eq!(*cell.load(), 12);
-        assert_eq!(cell.epoch(), 2);
+        let mut epochs = vec![cell.load()];
+        for v in [11, 12] {
+            cell.store(Arc::new(v));
+            epochs.push(cell.load());
+        }
+        let seen: Vec<u64> = epochs.iter().map(|s| **s).collect();
+        assert_eq!(seen, [10, 11, 12]);
     }
 
     #[test]
@@ -121,6 +112,6 @@ mod tests {
             }
             writer.join().unwrap();
         });
-        assert_eq!(cell.epoch(), N);
+        assert_eq!(*cell.load(), N);
     }
 }

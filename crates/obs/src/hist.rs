@@ -52,7 +52,7 @@ impl AtomicHist {
     /// Record one sample (nanoseconds). Lock-free and allocation-free;
     /// the bucket bump is `Release` so a snapshot that observes it
     /// also observes everything the recording thread did before it
-    /// (the same `Release`/`Acquire` pairing as [`crate::Counter`]).
+    /// (a snapshot's bucket loads are `Acquire`).
     /// Unlike the core histogram's saturating sum, the atomic sum
     /// wraps — irrelevant for nanosecond latencies (2⁶⁴ ns ≈ 584
     /// years) and far cheaper than a CAS loop on the hot path.

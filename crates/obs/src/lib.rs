@@ -1,25 +1,19 @@
-//! Serve-path observability: counters, per-stage spans, event traces.
+//! Serve-path observability: per-stage spans and event traces.
 //!
 //! This crate is the workspace's one answer to "what is the serving
-//! stack doing right now?". It is built around three primitives and
-//! one hub that bundles the last two per store/service:
+//! stack doing right now?". It is built around two primitives and one
+//! hub that bundles them per store/service. Counts are not among them:
+//! each owner keeps its own as plain `u64`s where its writes already
+//! serialize — a service shard's under its queue lock, a store shard's
+//! in the immutable version its write lock publishes — so a read is
+//! coherent by construction and costs no atomic.
 //!
-//! 1. **[`Counter`]** — a monotonically increasing `u64` kept as a
-//!    plain struct field by its owner; a bump is one `Release` RMW and
-//!    a read one `Acquire` load. The owner exports pairwise invariants
-//!    like `wal_syncs ≤ wal_records` by fixing the read order in one
-//!    function (see [`Counter`]). It is for counters bumped outside
-//!    any lock their reader shares (the store's merge and WAL
-//!    counters); a counter bumped where its owner already holds a
-//!    lock (a service shard's, under its queue lock) is a plain `u64`
-//!    read under that lock, which costs nothing and is coherent by
-//!    construction.
-//! 2. **[`Stage`] spans** — a closed enum of serve-path pipeline
+//! 1. **[`Stage`] spans** — a closed enum of serve-path pipeline
 //!    stages (admission wait, plan, engine, writeback, commit, WAL
 //!    append/fsync, merge, backpressure), each feeding a
 //!    per-shard [`AtomicHist`] so any batch's latency decomposes into
 //!    a per-stage breakdown.
-//! 3. **[`TraceSet`] events** — bounded per-shard rings of `Copy`
+//! 2. **[`TraceSet`] events** — bounded per-shard rings of `Copy`
 //!    events with a global sequence order and a chrome://tracing
 //!    exporter. Disabled tracing costs one relaxed atomic load and
 //!    never allocates (pinned by `tests/alloc_disabled.rs`).
@@ -36,39 +30,7 @@ pub use hist::AtomicHist;
 pub use span::{now_ns, SpanTimer, Stage};
 pub use trace::{chrome_trace_json, TraceEvent, TraceKind, TraceSet};
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
 use isi_core::stats::LatencyHist;
-
-/// A monotonically increasing `u64` metric.
-///
-/// The one rule that lets an owner export cross-counter invariants:
-/// bumps publish with `Release` and reads load with `Acquire`, so if
-/// writers bump `A` before `B`, a reader that loads `B` first and `A`
-/// second sees `B ≤ A`. The `A`-bumps that preceded the `B`-bumps it
-/// read are visible to the later load of `A`.
-#[derive(Debug, Default)]
-pub struct Counter(AtomicU64);
-
-impl Counter {
-    /// Add one.
-    #[inline]
-    pub fn inc(&self) {
-        self.add(1);
-    }
-
-    /// Add `n`.
-    #[inline]
-    pub fn add(&self, n: u64) {
-        self.0.fetch_add(n, Ordering::Release);
-    }
-
-    /// Current value.
-    #[inline]
-    pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Acquire)
-    }
-}
 
 /// One subsystem's observability bundle: a per-shard × per-[`Stage`]
 /// histogram matrix (allocated up front so stage recording is

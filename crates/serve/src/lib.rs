@@ -73,8 +73,9 @@
 //!    counters (plain fields under its queue lock, bumped where their
 //!    paths hold it anyway, with the admission→response
 //!    [`LatencyHist`](isi_core::stats::LatencyHist)) in one critical
-//!    section, and the store's [`isi_obs::Counter`]s in one fixed
-//!    order, so it is coherent; each pipeline
+//!    section, and the store's counts from one published version per
+//!    shard, which its write lock bumped with the publish, so it is
+//!    coherent; each pipeline
 //!    stage (admission wait, plan, engine, writeback, commit, WAL
 //!    append/fsync, merge) records a per-shard latency histogram
 //!    ([`LookupService::stage_breakdown`](service::LookupService::stage_breakdown)),

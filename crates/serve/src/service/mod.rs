@@ -522,10 +522,12 @@ impl LookupService {
     /// section of its queue lock, where every path bumps them, so
     /// `full_flushes <= batches`, `caller_runs <= batches` and
     /// `gets + many_keys <= engine.lookups + delta_hits` hold by
-    /// construction. The store reads its lock-free counters in one
-    /// fixed order, the ≤ side of each invariant first, so
-    /// `wal_syncs <= wal_records` and `compactions <= delta_runs` hold
-    /// too, even while runners and the merger race the call.
+    /// construction. The store's counts come from one published
+    /// version per shard, bumped under the shard's write lock with the
+    /// publish that makes them true, so `wal_syncs == wal_records` and
+    /// `compactions <= delta_runs` hold too, even while runners and
+    /// the merger race the call. No shard write lock is taken: a
+    /// shard whose write failed still answers.
     pub fn stats(&self) -> ServeStats {
         let mut total = ServeStats::default();
         for state in &self.shards {

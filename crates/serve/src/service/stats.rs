@@ -7,6 +7,11 @@ use isi_core::stats::LatencyHist;
 /// Aggregated service metrics (summed over shards, plus the store's
 /// write-side counters).
 ///
+/// The store's fields (`merges`, `delta_runs`, `compactions`,
+/// `wal_records`, `wal_syncs`) are summed from one published version
+/// per shard, which carries them, so their invariants hold in every
+/// read (see [`stats`](super::LookupService::stats)).
+///
 /// **Admission entries vs client calls.** [`requests`](Self::requests)
 /// counts *admission entries* — what the runners actually answer.
 /// A single-key `get`/`put`/`remove` is one entry (a `get` run on an

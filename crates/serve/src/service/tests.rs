@@ -954,12 +954,13 @@ fn rejects_zero_max_batch() {
 
 #[test]
 fn stats_snapshots_stay_coherent_under_concurrent_writes() {
-    // Regression for a read-order skew: loading wal_records before
-    // wal_syncs could observe a sync without the record it covered.
     // A monitor hammering stats() against a durable write load
     // (two runs a shard before a fold, so the write path compacts)
     // must never see any cross-counter invariant inverted,
-    // mid-flight or after.
+    // mid-flight or after. A record is synced before the version
+    // that counts it is published, so every read has as many syncs
+    // as records: a read that counted a record before its sync would
+    // see one fewer.
     use isi_durable::{Fs, MemFs};
     use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -989,11 +990,9 @@ fn stats_snapshots_stay_coherent_under_concurrent_writes() {
             let mut snaps = 0u64;
             while !done.load(Ordering::Relaxed) {
                 let s = svc.stats();
-                assert!(
-                    s.wal_syncs <= s.wal_records,
-                    "skewed snapshot: {} syncs > {} records",
-                    s.wal_syncs,
-                    s.wal_records
+                assert_eq!(
+                    s.wal_syncs, s.wal_records,
+                    "skewed snapshot: syncs and records differ"
                 );
                 assert!(
                     s.full_flushes <= s.batches && s.caller_runs <= s.batches,
@@ -1043,7 +1042,7 @@ fn stats_snapshots_stay_coherent_under_concurrent_writes() {
     assert_eq!(s.puts, 600);
     assert!(s.wal_records > 0);
     assert!(s.wal_syncs > 0);
-    assert!(s.wal_syncs <= s.wal_records);
+    assert_eq!(s.wal_syncs, s.wal_records);
     assert!(s.compactions > 0);
 }
 

@@ -2,13 +2,14 @@
 //! routine — pin, fold off the lock, publish under it.
 
 use std::collections::VecDeque;
+use std::sync::atomic::Ordering;
 use std::sync::{Arc, PoisonError};
 
 use isi_core::sync::{CondvarExt, MutexExt};
 use isi_obs::{SpanTimer, Stage, TraceKind};
 
 use super::delta::{merge_pairs, Delta};
-use super::{Main, ShardVersion, StoreInner, WriteState};
+use super::{Counts, Main, ShardVersion, StoreInner, WriteState};
 
 /// The background merger's work queue (guarded by `StoreInner::merge_q`).
 #[derive(Default)]
@@ -51,13 +52,14 @@ impl Drop for FailClosed<'_> {
             return;
         }
         let inner = self.0;
-        inner.merger_failed.inc();
+        inner.merger_failed.store(true, Ordering::Relaxed);
         // This runs during an unwind, where a second panic would abort
         // the process, and it only fails the store closed — the right
         // end for a state the merge left mid-protocol too. So it
         // ignores poison (the exception `isi_core::sync` names). Each
         // lock is taken once before its condvar is notified: a waiter
-        // that read the counter before the bump is parked by then.
+        // that read the flag before it was set is parked by then, and
+        // one that takes the lock after sees it set.
         #[expect(clippy::disallowed_methods, reason = "unwind-time cleanup")]
         let mut q = inner.merge_q.lock().unwrap_or_else(PoisonError::into_inner);
         q.in_flight = false;
@@ -119,17 +121,17 @@ impl StoreInner {
         // Snapshot outside the write lock: the fold (and a major
         // merge's rebuild) is the long part, and writers must keep
         // landing in the delta meanwhile. The brief lock pins
-        // (version, wal_seq) to a consistent cut — every record with
-        // seq ≤ seq0 is reflected in v0 (records append and publish in
-        // order under this lock), so a snapshot of v0 stamped seq0
-        // over-covers nothing. Replay may *re*-apply a record that
+        // (version, wal_seq, wal_ops) to a consistent cut — every
+        // record with seq ≤ seq0 is reflected in v0 (records append and
+        // publish in order under this lock), so a snapshot of v0
+        // stamped seq0 over-covers nothing. Replay may *re*-apply a record that
         // raced in between the two loads; replay upserts are absolute,
         // so over-replay is idempotent.
-        let (v0, seq0) = {
+        let (v0, seq0, wal_ops) = {
             let mut w = shard.write.plock("shard write state");
             let v0 = shard.version.load();
             w.pinned = v0.delta.runs_above_mid();
-            (v0, w.wal_seq)
+            (v0, w.wal_seq, w.wal_ops)
         };
         if v0.delta.is_empty() {
             let mut w = shard.write.plock("shard write state");
@@ -137,13 +139,15 @@ impl StoreInner {
             shard.delta_space.notify_all();
             return;
         }
-        let folded = self.fold_pinned(si, &v0.main, &v0.delta, seq0, t0);
+        let folded = self.fold_pinned(si, &v0.main, &v0.delta, seq0, wal_ops, t0);
+        let wal_cap = wal_bound(self.cfg.merge_threshold, folded.main.len());
         let mut w = shard.write.plock("shard write state");
         let cur = shard.version.load();
-        let residual_len = self.publish_merge(si, &mut w, &v0.delta, &cur.delta, folded, t0);
-        if residual_len >= self.cfg.merge_threshold {
-            // Still over threshold (writers were busy): merge again.
-            // `pending` stays true to keep gating duplicate enqueues.
+        let residual_len = self.publish_merge(si, &mut w, &v0.delta, &cur, folded, t0);
+        if residual_len >= self.cfg.merge_threshold || w.wal_ops >= wal_cap {
+            // Still over threshold (writers were busy) or the WAL is
+            // still long: merge again. `pending` stays true to keep
+            // gating duplicate enqueues.
             self.request_merge(si, &mut w);
         } else {
             w.pending = false;
@@ -154,22 +158,24 @@ impl StoreInner {
     /// The long half of a merge of shard `si`, which needs no lock:
     /// fold the `pinned` stack (mid tier and runs) over `main` into
     /// the shard's next mid tier. That is a **minor merge**, and the
-    /// whole of it, while the fold stays short of
-    /// [`major_len`]; a fold that has reached it goes into the main
-    /// instead, a **major merge**: rebuild the main with the fold
-    /// applied (tombstones drop out here) and, with durability on,
-    /// stage the result as the shard's next snapshot, covering WAL
-    /// sequence `seq0`.
+    /// whole of it, while the fold stays short of [`major_len`] and the
+    /// WAL's `wal_ops` short of [`wal_bound`]; otherwise the fold goes
+    /// into the main instead, a **major merge**: rebuild the main with
+    /// the fold applied (tombstones drop out here) and, with
+    /// durability on, stage the result as the shard's next snapshot,
+    /// covering WAL sequence `seq0`.
     fn fold_pinned(
         &self,
         si: usize,
         main: &Arc<Main>,
         pinned: &Delta,
         seq0: u64,
+        wal_ops: usize,
         t0: SpanTimer,
     ) -> Folded {
         let mid = pinned.fold();
-        let major = mid.len() >= major_len(self.cfg.merge_threshold, main.len());
+        let major = mid.len() >= major_len(self.cfg.merge_threshold, main.len())
+            || wal_ops >= wal_bound(self.cfg.merge_threshold, main.len());
         self.obs.trace().emit(
             si,
             TraceKind::MergeStart,
@@ -203,42 +209,41 @@ impl StoreInner {
 
     /// The short half of a merge, under the shard's write lock (`w`):
     /// publish `folded` — what [`fold_pinned`](Self::fold_pinned) made
-    /// of the `pinned` stack — with what `cur`, the stack as it stands
-    /// now, holds beyond that on top. A minor merge touches nothing
-    /// else; a durable major merge commits its snapshot and truncates
-    /// the WAL down to the residual first. Returns the residual's
-    /// length.
+    /// of the `pinned` stack — with what `cur`, the version as it
+    /// stands now, holds beyond that on top, and `cur`'s counts with
+    /// the merge added. A minor merge touches nothing else; a durable
+    /// major merge commits its snapshot and truncates the WAL down to
+    /// the residual first. Returns the residual's length.
     fn publish_merge(
         &self,
         si: usize,
         w: &mut WriteState,
         pinned: &Delta,
-        cur: &Delta,
+        cur: &ShardVersion,
         folded: Folded,
         t0: SpanTimer,
     ) -> usize {
         // What landed while the merge ran survives as one residual
         // run, which makes the published count exact again.
-        let residual = cur.residual_of(pinned);
+        let residual = cur.delta.residual_of(pinned);
         if let (Some(d), Some((seq0, tmp))) = (&self.durable, &folded.staged) {
             // Snapshot first, truncate second — and the WAL rewrite
             // holds the residual at the *current* frontier, so a
             // crash+recover replays exactly it on top of the snapshot.
             d.commit_and_truncate(si, *seq0, tmp, w.wal_seq, &residual);
+            w.wal_ops = residual.len();
         }
         w.pinned = 0;
         let (mid_len, residual_len) = (folded.mid.len(), residual.len());
         self.shards[si].version.store(Arc::new(ShardVersion {
             main: folded.main,
             delta: Delta::tiers(folded.mid, residual),
+            counts: Counts {
+                merges: cur.counts.merges + 1,
+                major_merges: cur.counts.major_merges + u64::from(folded.major),
+                ..cur.counts
+            },
         }));
-        // `merges` before `major_merges`: a read that loads the latter
-        // first sees it ≤ merges.
-        let counters = &self.merge_counters[si];
-        counters.merges.inc();
-        if folded.major {
-            counters.major_merges.inc();
-        }
         let dur = t0.elapsed_ns();
         self.obs.record_stage(si, Stage::Merge, dur);
         self.obs.trace().emit(
@@ -265,6 +270,16 @@ impl StoreInner {
 /// threshold: a mid of one merge's worth is the old merge-every-time.
 pub(super) fn major_len(merge_threshold: usize, main_len: usize) -> usize {
     merge_threshold.max(merge_threshold.saturating_mul(main_len).isqrt())
+}
+
+/// The WAL op count at which a shard's next merge is major whatever
+/// its mid tier holds: twice [`major_len`]. Overwrites to a few hot
+/// keys log an op each but never grow the mid tier, and only a major
+/// merge cuts the WAL. A write stream where fewer than half the logged
+/// ops repeat a key brings the mid to `major_len` first, so this bound
+/// changes none of its merges.
+pub(super) fn wal_bound(merge_threshold: usize, main_len: usize) -> usize {
+    major_len(merge_threshold, main_len).saturating_mul(2)
 }
 
 /// The hard bound on a shard's run stack above the mid tier: four

@@ -35,8 +35,9 @@
 //! `Main::pairs`, no rebuild, no file-system call (the WAL
 //! keeps its records). Only when the folded mid has reached
 //! `major_len` (a size worked out from the threshold and the main's
-//! length) does the same job go on to a **major merge**: rebuild the
-//! main (via `Main::rebuild`) with the mid folded in and its
+//! length), or the shard's WAL has logged twice that many ops since
+//! it was last cut, does the same job go on to a **major merge**:
+//! rebuild the main (via `Main::rebuild`) with the mid folded in and its
 //! tombstones dropped, snapshot it when the store is durable, truncate
 //! the WAL to the residual, publish `(new main, no mid, residual
 //! runs)`. Either way the merge pins the runs it snapshotted (the
@@ -48,7 +49,8 @@
 //! store closed: writers and [`ShardedStore::quiesce`] panic with
 //! "merger failed", none waits for a merge that will not come.
 //! Readers snapshot one `Arc<ShardVersion>` per operation, so they
-//! always see a *consistent* main+delta pair: an in-flight dispatch
+//! always see a *consistent* main+delta pair, and monitoring a
+//! consistent set of counts: an in-flight dispatch
 //! batch keeps reading the version it started on while a merge
 //! publishes the next one, and a merge can never tear a read (the
 //! swap is a single pointer store). The merger is the only place a
@@ -75,7 +77,8 @@ mod merge;
 mod tests;
 mod wal;
 
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::ops::Add;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
@@ -87,24 +90,70 @@ use isi_core::stats::LatencyHist;
 use isi_core::sync::{CondvarExt, MutexExt};
 use isi_durable::{self as durable, DiskFs, Fs};
 use isi_hash::HashKey;
-use isi_obs::{now_ns, Counter, Obs, SpanTimer, Stage, TraceKind};
+use isi_obs::{now_ns, Obs, SpanTimer, Stage, TraceKind};
 
 use crate::plan::BatchPlan;
 use crate::service::ServeStats;
 
 pub use config::{Backend, Main, StoreConfig};
 use delta::{sort_lww, Delta};
-use merge::{max_delta, MergeQueue};
+use merge::{max_delta, wal_bound, MergeQueue};
 use wal::DurableState;
 
-/// One published, immutable version of a shard: the main index plus
-/// the delta overlay that has accumulated on top of it. Readers
-/// snapshot the whole pair atomically through the shard's
-/// [`EpochCell`].
+/// One published, immutable version of a shard: the main index, the
+/// delta overlay that has accumulated on top of it, and the counts of
+/// what made them. Readers snapshot the whole of it atomically through
+/// the shard's [`EpochCell`].
 struct ShardVersion {
     /// Shared with successor versions until a merge replaces it.
     main: Arc<Main>,
     delta: Delta,
+    counts: Counts,
+}
+
+/// What a shard has done since build. Each publish, under the shard's
+/// write lock, carries its version's counts into the next one and
+/// bumps them there, so a read that loads one version sees both sides
+/// of every invariant at once: `wal_syncs == wal_records`,
+/// `compactions ≤ delta_runs`, `major_merges ≤ merges`. Monitoring
+/// sums them over the shards ([`ShardedStore::counts`]) without
+/// taking a write lock. Merge wall latency, minor and major alike, lands in the
+/// shard's [`Stage::Merge`] histogram instead.
+#[derive(Clone, Copy, Default)]
+struct Counts {
+    /// Live keys: pairs minus tombstoned keys.
+    live: u64,
+    /// Delta runs published by the write path (one per effective
+    /// shard sub-run).
+    delta_runs: u64,
+    /// Run-stack folds the write path performed past
+    /// [`StoreConfig::max_runs`] (each needs a run published first).
+    compactions: u64,
+    /// Merges published, of either kind.
+    merges: u64,
+    /// Those of them that rebuilt the main.
+    major_merges: u64,
+    /// WAL records appended by the write path.
+    wal_records: u64,
+    /// Write-path syncs, one per record (merge-time snapshot syncs
+    /// are not counted).
+    wal_syncs: u64,
+}
+
+impl Add for Counts {
+    type Output = Self;
+
+    fn add(self, o: Self) -> Self {
+        Self {
+            live: self.live + o.live,
+            delta_runs: self.delta_runs + o.delta_runs,
+            compactions: self.compactions + o.compactions,
+            merges: self.merges + o.merges,
+            major_merges: self.major_merges + o.major_merges,
+            wal_records: self.wal_records + o.wal_records,
+            wal_syncs: self.wal_syncs + o.wal_syncs,
+        }
+    }
 }
 
 /// Per-shard write-side state (serialized by the shard's write lock).
@@ -126,29 +175,12 @@ struct WriteState {
     /// the write lock across append + publish keeps WAL order equal
     /// to publication order.
     wal_seq: u64,
-}
-
-/// Per-shard merge and run-stack counters, so monitoring reads
-/// ([`ShardedStore::merges`] and friends) are lock-free loads that
-/// never wait behind a rebuild. Every bump hits the ≥ side of an
-/// invariant first, and [`ShardedStore::add_counters_to`] reads the ≤
-/// side first (`compactions` before `delta_runs`), so `compactions ≤
-/// delta_runs` holds in *every* read (see [`Counter`]). Merge wall
-/// latency, minor and major alike, lands in the shard's
-/// [`Stage::Merge`] histogram.
-#[derive(Default)]
-struct MergeCounters {
-    /// Merges published, of either kind.
-    merges: Counter,
-    /// Those of them that rebuilt the main.
-    major_merges: Counter,
-    /// Delta runs published by the write path (one per effective
-    /// shard sub-run).
-    delta_runs: Counter,
-    /// Run-stack folds the write path performed past
-    /// [`StoreConfig::max_runs`] (each fold needs at least one
-    /// published run, so `compactions ≤ delta_runs`).
-    compactions: Counter,
+    /// Ops in the shard's WAL since its last rewrite: the replayed
+    /// tail's after recovery, a major merge's residual's after it, one
+    /// more per op logged. At [`wal_bound`] the next merge is major,
+    /// so a WAL of overwrites to a few hot keys, which never grow the
+    /// mid tier to its major size, is still cut.
+    wal_ops: usize,
 }
 
 struct Shard {
@@ -165,9 +197,6 @@ struct StoreInner {
     shard_bits: u32,
     cfg: StoreConfig,
     shards: Vec<Shard>,
-    /// Live key count (upserts − tombstoned keys), maintained by the
-    /// write path.
-    live: AtomicUsize,
     /// `Some` when the store logs to a WAL directory (or injected fs).
     durable: Option<DurableState>,
     merge_q: Mutex<MergeQueue>,
@@ -179,11 +208,12 @@ struct StoreInner {
     /// (plan/engine/WAL/merge/backpressure) and trace rings.
     /// Cumulative for the store's lifetime.
     obs: Obs,
-    /// Per-shard merge counters (see [`MergeCounters`]).
-    merge_counters: Vec<MergeCounters>,
-    /// Nonzero once the merger thread has panicked. No merge will run again, so the store takes no more
-    /// writes (see [`StoreInner::merger_loop`]).
-    merger_failed: Counter,
+    /// Set once the merger thread has panicked: no merge will run
+    /// again, so the store takes no more writes (see
+    /// [`StoreInner::merger_loop`]). It is set while the merger
+    /// unwinds, outside every lock, and the locks taken after it order
+    /// it for their waiters.
+    merger_failed: AtomicBool,
 }
 
 /// Reusable scratch for [`ShardedStore::lookup_batch`]: rank space for
@@ -332,6 +362,10 @@ impl ShardedStore {
             .into_iter()
             .map(|main| Shard {
                 version: EpochCell::new(ShardVersion {
+                    counts: Counts {
+                        live: main.len() as u64,
+                        ..Counts::default()
+                    },
                     main: Arc::new(main),
                     delta: Delta::default(),
                 }),
@@ -339,7 +373,7 @@ impl ShardedStore {
                 delta_space: Condvar::new(),
             })
             .collect();
-        Self::assemble(shard_bits, cfg, shards, pairs.len(), fs)
+        Self::assemble(shard_bits, cfg, shards, fs)
     }
 
     fn validate(cfg: &StoreConfig) {
@@ -351,27 +385,18 @@ impl ShardedStore {
         shard_bits: u32,
         cfg: StoreConfig,
         shards: Vec<Shard>,
-        live: usize,
         fs: Option<Arc<dyn Fs>>,
     ) -> Self {
-        let n = shards.len();
-        let durable = fs.map(|fs| DurableState {
-            fs,
-            wal_records: Counter::default(),
-            wal_syncs: Counter::default(),
-        });
         let inner = Arc::new(StoreInner {
             shard_bits,
             cfg,
+            obs: Obs::new(shards.len()),
             shards,
-            live: AtomicUsize::new(live),
-            durable,
+            durable: fs.map(|fs| DurableState { fs }),
             merge_q: Mutex::new(MergeQueue::default()),
             merge_work: Condvar::new(),
             merge_done: Condvar::new(),
-            obs: Obs::new(n),
-            merge_counters: (0..n).map(|_| MergeCounters::default()).collect(),
-            merger_failed: Counter::default(),
+            merger_failed: AtomicBool::new(false),
         });
         let merger = {
             let inner = Arc::clone(&inner);
@@ -392,33 +417,34 @@ impl ShardedStore {
         self.inner.durable.is_some()
     }
 
-    /// Write-path durability counters: `(WAL records appended, WAL
-    /// fsyncs issued)` since build. `(0, 0)` when durability is off.
-    /// Every record is synced once, so the two differ only by the
-    /// syncs in flight; what group commit amortizes is records per
-    /// write. Syncs are read before records, so `syncs ≤ records`
-    /// always (a records-first read could observe the sync of a record
-    /// it hadn't counted).
-    pub fn wal_stats(&self) -> (u64, u64) {
-        match &self.inner.durable {
-            Some(d) => {
-                let syncs = d.wal_syncs.get();
-                (d.wal_records.get(), syncs)
-            }
-            None => (0, 0),
-        }
+    /// Every shard's [`Counts`] as of its current version, summed: one
+    /// version load a shard, no lock held.
+    fn counts(&self) -> Counts {
+        self.inner
+            .shards
+            .iter()
+            .map(|s| s.version.load().counts)
+            .fold(Counts::default(), Add::add)
     }
 
-    /// Add the store's write-side counters into `total`: the WAL pair,
-    /// then per shard the merge and run-stack counters, the ≤ side of
-    /// each invariant first (see [`MergeCounters`]).
+    /// Write-path durability counters: `(WAL records appended, WAL
+    /// fsyncs issued)` since build. `(0, 0)` when durability is off.
+    /// A record is synced before the version that counts it is
+    /// published, so the two are equal in every read; what group
+    /// commit amortizes is records per write.
+    pub fn wal_stats(&self) -> (u64, u64) {
+        let c = self.counts();
+        (c.wal_records, c.wal_syncs)
+    }
+
+    /// Add the store's write-side counts into `total`, all from one
+    /// version of each shard (see [`Counts`]).
     pub(crate) fn add_counters_to(&self, total: &mut ServeStats) {
-        (total.wal_records, total.wal_syncs) = self.wal_stats();
-        for c in &self.inner.merge_counters {
-            total.merges += c.merges.get();
-            total.compactions += c.compactions.get();
-            total.delta_runs += c.delta_runs.get();
-        }
+        let c = self.counts();
+        (total.wal_records, total.wal_syncs) = (c.wal_records, c.wal_syncs);
+        total.merges += c.merges;
+        total.compactions += c.compactions;
+        total.delta_runs += c.delta_runs;
     }
 
     /// The store's observability bundle: per-shard stage histograms
@@ -435,7 +461,7 @@ impl ShardedStore {
 
     /// Number of live keys (pairs minus tombstoned keys).
     pub fn len(&self) -> usize {
-        self.inner.live.load(Ordering::Relaxed)
+        self.counts().live as usize
     }
 
     /// True if the store holds no live keys.
@@ -474,35 +500,27 @@ impl ShardedStore {
     /// Merges published since build, minor and major, across all
     /// shards.
     pub fn merges(&self) -> u64 {
-        self.sum_counters(|c| &c.merges)
+        self.counts().merges
     }
 
     /// Those of the [`merges`](Self::merges) that were major: rebuilt
     /// a shard's main, snapshotted it and truncated its WAL.
     pub fn major_merges(&self) -> u64 {
-        self.sum_counters(|c| &c.major_merges)
+        self.counts().major_merges
     }
 
     /// Delta runs published by the write path since build, across all
     /// shards (one per effective shard sub-run of a write run).
     #[cfg(test)]
     pub(crate) fn delta_runs(&self) -> u64 {
-        self.sum_counters(|c| &c.delta_runs)
+        self.counts().delta_runs
     }
 
     /// Run-stack folds performed by the write path since build (≤
     /// the delta runs published; each fold collapses a stack
     /// that exceeded [`StoreConfig::max_runs`] into one run).
     pub fn compactions(&self) -> u64 {
-        self.sum_counters(|c| &c.compactions)
-    }
-
-    fn sum_counters(&self, field: impl Fn(&MergeCounters) -> &Counter) -> u64 {
-        self.inner
-            .merge_counters
-            .iter()
-            .map(|c| field(c).get())
-            .sum()
+        self.counts().compactions
     }
 
     /// Merge jobs queued or in flight right now (a point-in-time
@@ -522,13 +540,6 @@ impl ShardedStore {
         hist
     }
 
-    /// Version-swap count of `shard`: one per write that changed
-    /// something, plus one per merge publish.
-    #[cfg(test)]
-    pub(crate) fn shard_epoch(&self, shard: usize) -> u64 {
-        self.inner.shards[shard].version.epoch()
-    }
-
     /// Block until every queued merge job (including jobs enqueued by
     /// merges re-triggering themselves) has been published. Writers
     /// racing `quiesce` can enqueue more work; this waits for the
@@ -540,7 +551,7 @@ impl ShardedStore {
     pub fn quiesce(&self) {
         let mut q = self.inner.merge_q.plock("merge queue");
         loop {
-            if self.inner.merger_failed.get() > 0 {
+            if self.inner.merger_failed.load(Ordering::Relaxed) {
                 // Release first: a rejection poisons no lock.
                 drop(q);
                 panic!("merger failed: queued merges will never be published");
@@ -628,9 +639,10 @@ impl ShardedStore {
     }
 
     /// The shared write path: apply `ops[idxs]` (all routed to `si`)
-    /// to the shard's delta and publish one new version. At
-    /// `merge_threshold` the run queues a job for the merger; it blocks
-    /// only when the shard's delta has hit the hard bound
+    /// to the shard's delta and publish one new version, its counts
+    /// bumped. At `merge_threshold`, or once the shard's WAL holds
+    /// [`wal_bound`] ops, the run queues a job for the merger; it
+    /// blocks only when the shard's delta has hit the hard bound
     /// ([`max_delta`]). With durability on, the run's WAL record is
     /// appended and fsynced *before* the publish.
     fn write_shard_run(
@@ -652,7 +664,7 @@ impl ShardedStore {
         let t = SpanTimer::start();
         let mut waited = false;
         loop {
-            if inner.merger_failed.get() > 0 {
+            if inner.merger_failed.load(Ordering::Relaxed) {
                 // Release first: a rejection poisons no lock.
                 drop(w);
                 panic!("merger failed: shard {si} takes no more writes");
@@ -679,7 +691,7 @@ impl ShardedStore {
         // full the delta is (the old clone + per-op sorted insert was
         // ~delta²/2 entry copies per threshold fill).
         let mut run: Vec<(u64, Option<u64>)> = Vec::with_capacity(idxs.len());
-        let mut live_delta = 0isize;
+        let mut counts = cur.counts;
         for &i in idxs {
             let (key, val) = ops[i];
             // Within the pending run the latest op for the key wins;
@@ -705,13 +717,13 @@ impl ShardedStore {
             }
             run.push((key, val));
             match (prev.is_some(), val.is_some()) {
-                (false, true) => live_delta += 1,
-                (true, false) => live_delta -= 1,
+                (false, true) => counts.live += 1,
+                (true, false) => counts.live -= 1,
                 _ => {}
             }
         }
         if run.is_empty() {
-            return; // fully elided: no record, no epoch bump
+            return; // fully elided: no record, no publish
         }
         // Last-write-wins within the run: stable sort keeps equal keys
         // in op order, dedup keeps the last.
@@ -723,34 +735,25 @@ impl ShardedStore {
         if let Some(d) = &inner.durable {
             w.wal_seq += 1;
             d.log_run(&inner.obs, si, w.wal_seq, &run);
+            w.wal_ops += run.len();
+            counts.wal_records += 1;
+            counts.wal_syncs += 1;
         }
-        let counters = &inner.merge_counters[si];
         let mut delta = cur.delta.share();
         delta.push_run(run.into());
-        // `delta_runs` before `compactions` (reads load compactions
-        // first), so compactions ≤ delta_runs in every read.
-        counters.delta_runs.inc();
+        counts.delta_runs += 1;
         if delta.fold_past(inner.cfg.max_runs, w.pinned) {
-            counters.compactions.inc();
+            counts.compactions += 1;
         }
-        let crossed = delta.len() >= inner.cfg.merge_threshold;
+        let crossed = delta.len() >= inner.cfg.merge_threshold
+            || w.wal_ops >= wal_bound(inner.cfg.merge_threshold, cur.main.len());
         shard.version.store(Arc::new(ShardVersion {
             main: Arc::clone(&cur.main),
             delta,
+            counts,
         }));
         if crossed && !w.pending {
             inner.request_merge(si, &mut w);
-        }
-        match live_delta.cmp(&0) {
-            std::cmp::Ordering::Greater => {
-                inner.live.fetch_add(live_delta as usize, Ordering::Relaxed);
-            }
-            std::cmp::Ordering::Less => {
-                inner
-                    .live
-                    .fetch_sub(live_delta.unsigned_abs(), Ordering::Relaxed);
-            }
-            std::cmp::Ordering::Equal => {}
         }
     }
 

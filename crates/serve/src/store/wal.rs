@@ -7,26 +7,21 @@ use std::sync::{Arc, Condvar, Mutex};
 use isi_core::epoch::EpochCell;
 use isi_core::sync::MutexExt;
 use isi_durable::{self as durable, DiskFs, Fs};
-use isi_obs::{Counter, Obs, SpanTimer, Stage, TraceKind};
+use isi_obs::{Obs, SpanTimer, Stage, TraceKind};
 
 use super::delta::{merged_len, sort_lww, Delta};
-use super::merge::major_len;
-use super::{Backend, Shard, ShardVersion, ShardedStore, StoreConfig, WriteState};
+use super::merge::{major_len, wal_bound};
+use super::{Backend, Counts, Shard, ShardVersion, ShardedStore, StoreConfig, WriteState};
 
 /// The store's attached durability layer: the file system holding the
-/// per-shard WALs and snapshots, plus write-path I/O accounting.
-/// I/O errors on the write and merge paths panic with context (the
-/// store is crash-only: an inconsistent log is worse than no store),
-/// while [`ShardedStore::recover`] returns errors — recovery runs
-/// before anything was promised to callers.
+/// per-shard WALs and snapshots. The write path counts its records and
+/// syncs in the version it publishes ([`Counts`]). I/O errors on the
+/// write and merge paths panic with context (the store is crash-only:
+/// an inconsistent log is worse than no store), while
+/// [`ShardedStore::recover`] returns errors — recovery runs before
+/// anything was promised to callers.
 pub(super) struct DurableState {
     pub(super) fs: Arc<dyn Fs>,
-    /// WAL records appended by the write path. Bumped *before*
-    /// `wal_syncs` and read *after* it ([`ShardedStore::wal_stats`]),
-    /// so `wal_syncs ≤ wal_records` holds in every read.
-    pub(super) wal_records: Counter,
-    /// Write-path fsyncs issued (excludes merge-time snapshot syncs).
-    pub(super) wal_syncs: Counter,
 }
 
 impl DurableState {
@@ -43,7 +38,6 @@ impl DurableState {
             .append(&name, &rec)
             .unwrap_or_else(|e| panic!("WAL append failed for shard {shard}: {e}"));
         obs.record_stage(shard, Stage::WalAppend, t.elapsed_ns());
-        self.wal_records.inc();
         let t = SpanTimer::start();
         self.fs
             .sync(&name)
@@ -58,7 +52,6 @@ impl DurableState {
             ops.len() as u64,
             0,
         );
-        self.wal_syncs.inc();
     }
 
     /// Serialize and fsync a snapshot of `merged` (covering WAL
@@ -94,10 +87,11 @@ impl DurableState {
 impl ShardedStore {
     /// Reload the durable store in [`StoreConfig::wal_dir`]: per
     /// shard, the newest valid snapshot plus a replay of the WAL tail
-    /// into the mid tier (a tail that is due for a major merge gets
-    /// it at once). Torn or corrupt WAL tails are repaired (cleanly
-    /// discarded), stale snapshots and temp files deleted. The shard
-    /// count comes from the store's meta file, not from `cfg`.
+    /// into the mid tier (a tail that is due for a major merge, by its
+    /// length or by its op count, gets it at once). Torn or corrupt
+    /// WAL tails are repaired (cleanly discarded), stale snapshots and
+    /// temp files deleted. The shard count comes from the store's meta
+    /// file, not from `cfg`.
     ///
     /// # Panics
     /// Panics if `cfg.wal_dir` is `None` or `cfg` is invalid.
@@ -123,7 +117,6 @@ impl ShardedStore {
             ));
         }
         let shard_bits = num_shards.trailing_zeros();
-        let mut live = 0usize;
         let mut shards = Vec::with_capacity(num_shards);
         let mut refill = Vec::new();
         for si in 0..num_shards {
@@ -137,26 +130,35 @@ impl ShardedStore {
             for record in &rec.tail {
                 tail.extend_from_slice(&record.ops);
             }
+            let wal_ops = tail.len();
             sort_lww(&mut tail);
-            live += merged_len(&rec.pairs, &tail);
-            if tail.len() >= major_len(cfg.merge_threshold, rec.pairs.len()) {
+            let main_len = rec.pairs.len();
+            if tail.len() >= major_len(cfg.merge_threshold, main_len)
+                || wal_ops >= wal_bound(cfg.merge_threshold, main_len)
+            {
                 refill.push(si);
             }
             shards.push(Shard {
                 version: EpochCell::new(ShardVersion {
+                    counts: Counts {
+                        live: merged_len(&rec.pairs, &tail) as u64,
+                        ..Counts::default()
+                    },
                     main: Arc::new(backend.build_shard(&rec.pairs)),
                     delta: Delta::tiers(tail, Vec::new()),
                 }),
                 write: Mutex::new(WriteState {
                     wal_seq: rec.next_seq,
+                    wal_ops,
                     ..WriteState::default()
                 }),
                 delta_space: Condvar::new(),
             });
         }
-        let store = Self::assemble(shard_bits, cfg, shards, live, Some(fs));
-        // Shards whose replayed mid tier is already due for a major
-        // merge get it now rather than a threshold of writes later.
+        let store = Self::assemble(shard_bits, cfg, shards, Some(fs));
+        // Shards whose replayed mid tier or WAL is already due for a
+        // major merge get it now rather than a threshold of writes
+        // later.
         for si in refill {
             let mut w = store.inner.shards[si].write.plock("shard write state");
             store.inner.request_merge(si, &mut w);

@@ -539,6 +539,10 @@ fn a_short_wal_append_fails_the_shard_closed_and_keeps_the_acked_writes() {
         assert!(failed.contains("WAL append failed"), "{tag}: {failed:?}");
         let later = message(catch_unwind(AssertUnwindSafe(|| svc.get(7))));
         assert!(later.contains("closed LookupService"), "{tag}: {later:?}");
+        // Monitoring a failed shard still answers, and counts the
+        // records of the acknowledged runs only.
+        let stats = svc.stats();
+        assert_eq!((stats.wal_records, stats.wal_syncs), (3, 3), "{tag}");
         // The live log holds the acked records and `keep` bytes more.
         let log = fault.read(&wal::wal_name(0)).expect("read the live WAL");
         assert_eq!(wal::decode_wal(&log).valid_len + keep, log.len(), "{tag}");
@@ -558,6 +562,40 @@ fn a_short_wal_append_fails_the_shard_closed_and_keeps_the_acked_writes() {
             assert_eq!(recovered.get(k), Some(v), "{tag}: key {k}");
         }
     }
+}
+
+/// Overwrites of one hot key never grow the mid tier to its major
+/// size, but the WAL logs every one: once it holds twice that many
+/// ops the next merge is major and cuts it, and recovery still reads
+/// the last value back.
+#[test]
+fn overwrites_of_one_key_keep_the_wal_bounded() {
+    let fs = Arc::new(MemFs::new());
+    let seed: Vec<(u64, u64)> = (0..400).map(|k| (k * 2, k)).collect();
+    let cfg = || StoreConfig::with_threshold(4);
+    let store = ShardedStore::build_with_fs(
+        Backend::Sorted,
+        1,
+        &seed,
+        cfg(),
+        Arc::clone(&fs) as Arc<dyn Fs>,
+    );
+    for i in 0..1_000u64 {
+        store.put(7, i);
+    }
+    store.quiesce();
+    assert!(store.major_merges() >= 1, "{} merges", store.merges());
+    // Twice the major size at threshold 4 over 400 pairs: 2 × √1600.
+    let ops: usize = wal::decode_wal(&fs.read(&wal::wal_name(0)).expect("read the WAL"))
+        .records
+        .iter()
+        .map(|r| r.ops.len())
+        .sum();
+    assert!(ops < 80, "{ops} ops in the WAL");
+    drop(store);
+    let recovered = ShardedStore::recover_with_fs(Backend::Sorted, cfg(), fs).expect("recover");
+    assert_eq!(recovered.get(7), Some(999));
+    assert_eq!(recovered.len(), 401);
 }
 
 fn schedule_strategy() -> impl Strategy<Value = Schedule> {
