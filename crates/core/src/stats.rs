@@ -80,7 +80,7 @@ pub fn time_avg<F: FnMut()>(reps: usize, mut f: F) -> Duration {
 
 /// Number of log₂ buckets in a [`LatencyHist`]: bucket 0 holds the
 /// value 0, bucket `i` (1..=64) holds values in `[2^(i-1), 2^i)`.
-pub const HIST_BUCKETS: usize = 65;
+const HIST_BUCKETS: usize = 65;
 
 /// A log-bucketed latency histogram (nanosecond samples).
 ///
@@ -117,31 +117,6 @@ impl LatencyHist {
         }
     }
 
-    /// Reassemble a histogram from externally maintained state: bucket
-    /// counts plus the exact side stats. The total count is derived
-    /// from the buckets, which is what keeps a *weakly consistent*
-    /// reader (e.g. `isi_obs` snapshotting per-bucket atomics while
-    /// writers race) internally coherent — quantile ranks are computed
-    /// against exactly the bucket mass that was read. `min`/`max` use
-    /// the empty-histogram sentinels (`u64::MAX` / `0`) when nothing
-    /// was recorded.
-    pub fn from_raw(counts: [u64; HIST_BUCKETS], sum: u64, min: u64, max: u64) -> Self {
-        let count = counts.iter().sum();
-        Self {
-            counts,
-            count,
-            sum,
-            min: if count == 0 { u64::MAX } else { min },
-            max,
-        }
-    }
-
-    /// The per-bucket counts (see [`Self::bucket_of`] for the layout).
-    #[cfg(test)]
-    pub(crate) fn counts(&self) -> &[u64; HIST_BUCKETS] {
-        &self.counts
-    }
-
     /// Sum of all recorded samples (saturating; exact, not bucketed).
     pub fn sum(&self) -> u64 {
         self.sum
@@ -150,14 +125,14 @@ impl LatencyHist {
     /// Bucket index for a sample: 0 for 0, else `64 - leading_zeros`
     /// (so bucket `i` spans `[2^(i-1), 2^i)`).
     #[inline]
-    pub fn bucket_of(sample: u64) -> usize {
+    fn bucket_of(sample: u64) -> usize {
         (64 - sample.leading_zeros()) as usize
     }
 
     /// Inclusive upper bound of a bucket (`0` for bucket 0, else
     /// `2^i - 1`, saturating at `u64::MAX`).
     #[inline]
-    pub(crate) fn bucket_upper(bucket: usize) -> u64 {
+    fn bucket_upper(bucket: usize) -> u64 {
         match bucket {
             0 => 0,
             64.. => u64::MAX,
@@ -362,19 +337,5 @@ mod tests {
     #[should_panic(expected = "out of [0, 1]")]
     fn hist_rejects_out_of_range_quantile() {
         LatencyHist::new().quantile(1.5);
-    }
-
-    #[test]
-    fn hist_from_raw_roundtrips() {
-        let mut h = LatencyHist::new();
-        for v in [0u64, 3, 100, 100, 70_000] {
-            h.record(v);
-        }
-        let rebuilt = LatencyHist::from_raw(*h.counts(), h.sum(), h.min(), h.max());
-        assert_eq!(rebuilt, h);
-        // Empty raw state reports as a pristine empty histogram.
-        let empty = LatencyHist::from_raw([0; HIST_BUCKETS], 0, 0, 0);
-        assert_eq!(empty, LatencyHist::new());
-        assert!(empty.is_empty());
     }
 }

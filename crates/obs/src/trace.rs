@@ -12,9 +12,9 @@
 //! allocates nothing** (pinned by `tests/alloc_disabled.rs`). Rings
 //! are preallocated at [`TraceSet::enable`] time, events are `Copy`,
 //! and emission into a full ring overwrites the oldest slot while
-//! bumping a `dropped` counter — the trace degrades by forgetting the
-//! distant past, never by stalling the serve path or growing without
-//! bound.
+//! counting the drop in that ring — the trace degrades by forgetting
+//! the distant past, never by stalling the serve path or growing
+//! without bound.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -83,19 +83,21 @@ pub struct TraceEvent {
     pub b: u64,
 }
 
+#[derive(Default)]
 struct Ring {
     /// Preallocated at enable time; grows only up to `cap`.
     buf: Vec<TraceEvent>,
     /// Next overwrite position once `buf.len() == cap`.
     head: usize,
     cap: usize,
+    /// Events overwritten since the last [`TraceSet::enable`].
+    dropped: u64,
 }
 
 /// Per-shard bounded event rings behind one enable flag.
 pub struct TraceSet {
     enabled: AtomicBool,
     seq: AtomicU64,
-    dropped: AtomicU64,
     rings: Vec<Mutex<Ring>>,
 }
 
@@ -106,22 +108,14 @@ impl TraceSet {
         Self {
             enabled: AtomicBool::new(false),
             seq: AtomicU64::new(0),
-            dropped: AtomicU64::new(0),
-            rings: (0..shards)
-                .map(|_| {
-                    Mutex::new(Ring {
-                        buf: Vec::new(),
-                        head: 0,
-                        cap: 0,
-                    })
-                })
-                .collect(),
+            rings: (0..shards).map(|_| Mutex::default()).collect(),
         }
     }
 
     /// Turn tracing on with `capacity` event slots per shard,
     /// preallocating every ring so emission never allocates, and reset
-    /// the drop count so [`TraceSet::dropped`] describes the new rings.
+    /// each ring's drop count so [`TraceSet::dropped`] describes the
+    /// new rings.
     /// `capacity == 0` turns tracing off and frees the rings.
     pub fn enable(&self, capacity: usize) {
         self.enabled.store(false, Ordering::Release);
@@ -130,8 +124,8 @@ impl TraceSet {
             ring.buf = Vec::with_capacity(capacity);
             ring.head = 0;
             ring.cap = capacity;
+            ring.dropped = 0;
         }
-        self.dropped.store(0, Ordering::Relaxed);
         self.enabled.store(capacity > 0, Ordering::Release);
     }
 
@@ -183,13 +177,17 @@ impl TraceSet {
             let head = ring.head;
             ring.buf[head] = ev;
             ring.head = (head + 1) % ring.cap;
-            self.dropped.fetch_add(1, Ordering::Relaxed);
+            ring.dropped += 1;
         }
     }
 
-    /// Events overwritten because a ring was full.
+    /// Events overwritten because a ring was full, summed over the
+    /// rings.
     pub fn dropped(&self) -> u64 {
-        self.dropped.load(Ordering::Relaxed)
+        self.rings
+            .iter()
+            .map(|ring| ring.plock("obs trace ring").dropped)
+            .sum()
     }
 
     /// Copy out every ring's current contents, ordered by sequence

@@ -1,16 +1,15 @@
 //! Allocation discipline of the observability hot path.
 //!
 //! The license for threading `isi_obs` through every serve-path stage
-//! is that it costs (almost) nothing when you are not looking:
-//! histogram samples, stage recording, and disabled trace emission must
-//! not allocate, and even *enabled* trace emission must be
-//! allocation-free in steady state because rings are preallocated at
-//! enable time. This test pins all of that with a counting global
+//! is that it costs (almost) nothing when you are not looking: stage
+//! recording and disabled trace emission must not allocate, and even
+//! *enabled* trace emission must be allocation-free in steady state
+//! because rings are preallocated at enable time. This test pins all of that with a counting global
 //! allocator that counts per thread (`support/thread_alloc.rs`):
 //! libtest's own threads allocate inside the counted window, which
 //! made a process-wide count fail about one run in two.
 
-use isi_obs::{AtomicHist, Obs, Stage, TraceKind};
+use isi_obs::{Obs, Stage, TraceKind};
 
 #[path = "support/thread_alloc.rs"]
 mod thread_alloc;
@@ -19,11 +18,9 @@ use thread_alloc::count_allocs;
 #[test]
 fn disabled_observability_hot_path_never_allocates() {
     let obs = Obs::new(2);
-    let latency = AtomicHist::new();
 
     let (allocs, _, _) = count_allocs(|| {
         for i in 0..10_000u64 {
-            latency.record(i);
             obs.record_stage((i % 2) as usize, Stage::Engine, i);
             obs.record_stage((i % 2) as usize, Stage::WalFsync, i * 3);
             // Tracing is off: each emit must be one relaxed load.
@@ -36,7 +33,6 @@ fn disabled_observability_hot_path_never_allocates() {
         "metric recording / disabled tracing allocated on the hot path"
     );
     assert!(obs.trace().events().is_empty());
-    assert_eq!(latency.count(), 10_000);
 }
 
 #[test]

@@ -337,47 +337,6 @@ impl LookupService {
         );
     }
 
-    /// Submit one entry per shard of `shards` (built by `make_op`
-    /// around that shard's ticket) and collect the answers in `shards`
-    /// order. The last entry runs on this thread; the others are left
-    /// to their shards' helpers, so the shards run in parallel.
-    fn scatter<T>(
-        &self,
-        shards: &[usize],
-        make_op: impl Fn(usize, Arc<Ticket<T>>) -> Op,
-    ) -> Vec<T> {
-        let tickets: Vec<Arc<Ticket<T>>> = shards.iter().map(|_| Arc::new(Ticket::new())).collect();
-        for (i, (&shard, ticket)) in shards.iter().zip(&tickets).enumerate() {
-            let q = self.enqueue(
-                shard,
-                self.lock_open(shard),
-                make_op(shard, Arc::clone(ticket)),
-            );
-            if i + 1 == shards.len() {
-                self.run_until_answered(shard, q, ticket);
-            } else if q.exec.is_some() {
-                // A taken token needs no wake-up: its holder sees the
-                // entry at the latest when handing the token back.
-                self.shards[shard].work.notify_one();
-            }
-        }
-        shards
-            .iter()
-            .zip(&tickets)
-            .map(|(&shard, ticket)| {
-                // Rather than sleep on a slice whose helper has not
-                // taken the token yet, run it here.
-                {
-                    let q = self.shards[shard].q.plock("admission queue");
-                    if !ticket.is_answered() {
-                        self.run_until_answered(shard, q, ticket);
-                    }
-                }
-                ticket.wait()
-            })
-            .collect()
-    }
-
     /// Look up one key on the owning shard. A hit in the shard's
     /// hot-key cache answers at once; a miss on an idle shard runs on
     /// this thread without an admission entry, any other miss is
@@ -474,15 +433,37 @@ impl LookupService {
         for (i, &k) in keys.iter().enumerate() {
             positions[self.store.shard_of(k)].push(i);
         }
-        let touched: Vec<usize> = (0..positions.len())
+        // One entry per touched shard. The last runs on this thread;
+        // the others are left to their shards' helpers, so the shards
+        // run in parallel.
+        let touched: Vec<_> = (0..positions.len())
             .filter(|&s| !positions[s].is_empty())
+            .map(|s| (s, Arc::new(Ticket::new())))
             .collect();
-        let answers = self.scatter(&touched, |shard, ticket| Op::GetMany {
-            keys: positions[shard].iter().map(|&i| keys[i]).collect(),
-            ticket,
-        });
-        for (&shard, vals) in touched.iter().zip(answers) {
-            for (&i, v) in positions[shard].iter().zip(vals) {
+        for (i, &(shard, ref ticket)) in touched.iter().enumerate() {
+            let op = Op::GetMany {
+                keys: positions[shard].iter().map(|&i| keys[i]).collect(),
+                ticket: Arc::clone(ticket),
+            };
+            let q = self.enqueue(shard, self.lock_open(shard), op);
+            if i + 1 == touched.len() {
+                self.run_until_answered(shard, q, ticket);
+            } else if q.exec.is_some() {
+                // A taken token needs no wake-up: its holder sees the
+                // entry at the latest when handing the token back.
+                self.shards[shard].work.notify_one();
+            }
+        }
+        for &(shard, ref ticket) in &touched {
+            // Rather than sleep on a slice whose helper has not taken
+            // the token yet, run it here.
+            {
+                let q = self.shards[shard].q.plock("admission queue");
+                if !ticket.is_answered() {
+                    self.run_until_answered(shard, q, ticket);
+                }
+            }
+            for (&i, v) in positions[shard].iter().zip(ticket.wait()) {
                 results[i] = v;
             }
         }
@@ -524,9 +505,8 @@ impl LookupService {
     /// `gets + many_keys <= engine.lookups + delta_hits` hold by
     /// construction. The store's counts come from one published
     /// version per shard, bumped under the shard's write lock with the
-    /// publish that makes them true, so `wal_syncs == wal_records` and
-    /// `compactions <= delta_runs` hold too, even while runners and
-    /// the merger race the call. No shard write lock is taken: a
+    /// publish that makes them true, so `compactions <= delta_runs`
+    /// holds too, even while runners and the merger race the call. No shard write lock is taken: a
     /// shard whose write failed still answers.
     pub fn stats(&self) -> ServeStats {
         let mut total = ServeStats::default();

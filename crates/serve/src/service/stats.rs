@@ -8,9 +8,9 @@ use isi_core::stats::LatencyHist;
 /// write-side counters).
 ///
 /// The store's fields (`merges`, `delta_runs`, `compactions`,
-/// `wal_records`, `wal_syncs`) are summed from one published version
-/// per shard, which carries them, so their invariants hold in every
-/// read (see [`stats`](super::LookupService::stats)).
+/// `wal_records`) are summed from one published version per shard,
+/// which carries them, so their invariants hold in every read (see
+/// [`stats`](super::LookupService::stats)).
 ///
 /// **Admission entries vs client calls.** [`requests`](Self::requests)
 /// counts *admission entries* — what the runners actually answer.
@@ -79,12 +79,10 @@ pub struct ServeStats {
     /// `StoreConfig::max_runs` (≤ `delta_runs`).
     pub compactions: u64,
     /// WAL records the store's write path appended (0 with durability
-    /// off). Group commit packs a whole write run into one record.
+    /// off), each synced once before its write is acknowledged. Group
+    /// commit packs a whole write run into one record, so it amortizes
+    /// the sync over the writes the record packs.
     pub wal_records: u64,
-    /// Write-path WAL fsyncs the store issued (0 with durability off),
-    /// one per record: group commit amortizes them over the writes
-    /// each record packs.
-    pub wal_syncs: u64,
 }
 
 impl ServeStats {

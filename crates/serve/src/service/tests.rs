@@ -202,7 +202,6 @@ fn a_backlog_of_writes_is_one_group_commit() {
     let stats = svc.stats();
     assert_eq!(stats.batches, 1);
     assert_eq!(stats.wal_records, 1, "one record per write run");
-    assert_eq!(stats.wal_syncs, 1, "one fsync per write run");
 }
 
 #[test]
@@ -990,10 +989,6 @@ fn stats_snapshots_stay_coherent_under_concurrent_writes() {
             let mut snaps = 0u64;
             while !done.load(Ordering::Relaxed) {
                 let s = svc.stats();
-                assert_eq!(
-                    s.wal_syncs, s.wal_records,
-                    "skewed snapshot: syncs and records differ"
-                );
                 assert!(
                     s.full_flushes <= s.batches && s.caller_runs <= s.batches,
                     "skewed snapshot: {} full / {} caller-run > {} batches",
@@ -1041,8 +1036,6 @@ fn stats_snapshots_stay_coherent_under_concurrent_writes() {
     assert_eq!(s.gets + s.many_keys, s.engine.lookups + s.delta_hits);
     assert_eq!(s.puts, 600);
     assert!(s.wal_records > 0);
-    assert!(s.wal_syncs > 0);
-    assert_eq!(s.wal_syncs, s.wal_records);
     assert!(s.compactions > 0);
 }
 
@@ -1093,12 +1086,11 @@ fn stage_breakdown_and_exports_cover_the_pipeline() {
         assert_eq!(count(Stage::Merge), stats.merges);
         // Reads went through the plan stage, the engine, or both.
         assert!(count(Stage::Plan) + count(Stage::Engine) > 0);
-        // One append span per group-commit record and one fsync
-        // span per sync; none of either without a WAL.
+        // One append span and one fsync span per group-commit
+        // record; none of either without a WAL.
         assert_eq!(stats.wal_records > 0, durable);
-        assert_eq!(stats.wal_syncs > 0, durable);
         assert_eq!(count(Stage::WalAppend), stats.wal_records);
-        assert_eq!(count(Stage::WalFsync), stats.wal_syncs);
+        assert_eq!(count(Stage::WalFsync), stats.wal_records);
         // The request-path stages decompose end-to-end latency, so
         // they never sum past it. (Merge, WAL and backpressure
         // spans overlap writeback or run on the merger thread.)

@@ -114,10 +114,9 @@ struct ShardVersion {
 /// What a shard has done since build. Each publish, under the shard's
 /// write lock, carries its version's counts into the next one and
 /// bumps them there, so a read that loads one version sees both sides
-/// of every invariant at once: `wal_syncs == wal_records`,
-/// `compactions ≤ delta_runs`, `major_merges ≤ merges`. Monitoring
-/// sums them over the shards ([`ShardedStore::counts`]) without
-/// taking a write lock. Merge wall latency, minor and major alike, lands in the
+/// of every invariant at once: `compactions ≤ delta_runs`,
+/// `major_merges ≤ merges`. Monitoring sums them over the shards
+/// ([`ShardedStore::counts`]) without taking a write lock. Merge wall latency, minor and major alike, lands in the
 /// shard's [`Stage::Merge`] histogram instead.
 #[derive(Clone, Copy, Default)]
 struct Counts {
@@ -133,11 +132,9 @@ struct Counts {
     merges: u64,
     /// Those of them that rebuilt the main.
     major_merges: u64,
-    /// WAL records appended by the write path.
+    /// WAL records appended by the write path, each synced before
+    /// the version that counts it is published.
     wal_records: u64,
-    /// Write-path syncs, one per record (merge-time snapshot syncs
-    /// are not counted).
-    wal_syncs: u64,
 }
 
 impl Add for Counts {
@@ -151,7 +148,6 @@ impl Add for Counts {
             merges: self.merges + o.merges,
             major_merges: self.major_merges + o.major_merges,
             wal_records: self.wal_records + o.wal_records,
-            wal_syncs: self.wal_syncs + o.wal_syncs,
         }
     }
 }
@@ -242,13 +238,11 @@ pub struct WriteScratch {
 /// plus how the plan split the batch.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct BatchOutcome {
-    /// Merged interleaved-engine counters for the residual probe run
-    /// (`engine.lookups == residual`).
+    /// Merged interleaved-engine counters for the residual probe run;
+    /// `engine.lookups` is the keys that reached the engine.
     pub engine: RunStats,
     /// Keys the delta decided without touching the engine.
     pub delta_hits: u64,
-    /// Keys that reached the engine.
-    pub residual: u64,
 }
 
 /// A writable key/value store hash-partitioned into power-of-two
@@ -427,21 +421,23 @@ impl ShardedStore {
             .fold(Counts::default(), Add::add)
     }
 
-    /// Write-path durability counters: `(WAL records appended, WAL
-    /// fsyncs issued)` since build. `(0, 0)` when durability is off.
-    /// A record is synced before the version that counts it is
-    /// published, so the two are equal in every read; what group
-    /// commit amortizes is records per write.
+    /// `(WAL records appended, write-path syncs)` since build; `(0, 0)`
+    /// when durability is off. The write path syncs each record
+    /// exactly once, before it publishes the version that counts it,
+    /// so the syncs (`wal_syncs`) are the records and are not counted
+    /// apart: both halves are the record count. The pair stays while
+    /// the benchmark destructures it. What group commit amortizes is
+    /// records per write.
     pub fn wal_stats(&self) -> (u64, u64) {
-        let c = self.counts();
-        (c.wal_records, c.wal_syncs)
+        let records = self.counts().wal_records;
+        (records, records)
     }
 
     /// Add the store's write-side counts into `total`, all from one
     /// version of each shard (see [`Counts`]).
     pub(crate) fn add_counters_to(&self, total: &mut ServeStats) {
         let c = self.counts();
-        (total.wal_records, total.wal_syncs) = (c.wal_records, c.wal_syncs);
+        total.wal_records = c.wal_records;
         total.merges += c.merges;
         total.compactions += c.compactions;
         total.delta_runs += c.delta_runs;
@@ -737,7 +733,6 @@ impl ShardedStore {
             d.log_run(&inner.obs, si, w.wal_seq, &run);
             w.wal_ops += run.len();
             counts.wal_records += 1;
-            counts.wal_syncs += 1;
         }
         let mut delta = cur.delta.share();
         delta.push_run(run.into());
@@ -816,7 +811,6 @@ impl ShardedStore {
             let outcome = BatchOutcome {
                 engine,
                 delta_hits: 0,
-                residual: keys.len() as u64,
             };
             return (outcome, end);
         }
@@ -854,7 +848,6 @@ impl ShardedStore {
         let outcome = BatchOutcome {
             engine,
             delta_hits: scratch.plan.delta_hits(),
-            residual,
         };
         (outcome, end)
     }

@@ -14,8 +14,8 @@ use super::merge::{major_len, wal_bound};
 use super::{Backend, Counts, Shard, ShardVersion, ShardedStore, StoreConfig, WriteState};
 
 /// The store's attached durability layer: the file system holding the
-/// per-shard WALs and snapshots. The write path counts its records and
-/// syncs in the version it publishes ([`Counts`]). I/O errors on the
+/// per-shard WALs and snapshots. The write path counts its records in
+/// the version it publishes ([`Counts`]). I/O errors on the
 /// write and merge paths panic with context (the store is crash-only:
 /// an inconsistent log is worse than no store), while
 /// [`ShardedStore::recover`] returns errors — recovery runs before

@@ -54,10 +54,11 @@ fn main() {
         }
     }
 
+    let store = svc.store();
     println!(
         "\nmerges {} (major {})",
-        svc.stats().merges,
-        svc.store().major_merges()
+        store.merges(),
+        store.major_merges()
     );
 
     std::fs::write(&trace_path, svc.export_chrome_trace()).expect("write the chrome trace");
