@@ -50,7 +50,10 @@
 //!    *enqueues a merge job*; the store's background merger thread
 //!    folds that shard's run stack into its mid tier (a minor merge:
 //!    no rebuild, no I/O) and, once the mid tier has grown to its
-//!    size, rebuilds the shard's main with it (a major merge). Either
+//!    size, rebuilds the shard's main with it (a major merge). The mid
+//!    tier carries a blocked Bloom filter over its keys, built with it
+//!    off the write lock, so a read searches the tier only where the
+//!    filter admits the key: an absent key costs one cache line. Either
 //!    is published through an
 //!    [`EpochCell`](isi_core::epoch::EpochCell) swap while the delta
 //!    keeps absorbing writes up to a hard bound of four thresholds.

@@ -9,8 +9,10 @@
 //! afterwards. Planning splits each batch up front:
 //!
 //! * **decided** — keys with a delta override; answered from the
-//!   (cache-resident, merge-bounded) run-stack with one binary search
-//!   per run, newest run first, no engine slot spent;
+//!   (merge-bounded) run-stack, newest run first, with one binary
+//!   search per run above the mid tier and one in the mid tier only
+//!   where its Bloom filter admits the key (one cache line decides
+//!   the rest); no engine slot spent;
 //! * **residual** — keys the main index must decide; these form the
 //!   dense batch the engine actually runs.
 //!
@@ -42,15 +44,24 @@ impl BatchPlan {
     /// runs ordered oldest → newest), reusing this plan's buffers.
     /// The newest run holding a key decides it.
     pub fn resolve<R: AsRef<[(u64, Option<u64>)]>>(&mut self, runs: &[R], keys: &[u64]) {
+        self.resolve_by(keys, |k| {
+            runs.iter().rev().find_map(|run| {
+                let run = run.as_ref();
+                run.binary_search_by_key(&k, |e| e.0).ok().map(|d| run[d].1)
+            })
+        });
+    }
+
+    /// Split `keys` by `over`, a key's override if the delta has one
+    /// (`Some(Some(v))` upserted, `Some(None)` tombstoned): the store
+    /// passes its run stack's own lookup, which consults the mid tier
+    /// only where the tier's filter admits the key.
+    pub(crate) fn resolve_by(&mut self, keys: &[u64], over: impl Fn(u64) -> Option<Option<u64>>) {
         self.decided.clear();
         self.residual_keys.clear();
         self.residual_idx.clear();
         for (i, &k) in keys.iter().enumerate() {
-            let hit = runs.iter().rev().find_map(|run| {
-                let run = run.as_ref();
-                run.binary_search_by_key(&k, |e| e.0).ok().map(|d| run[d].1)
-            });
-            match hit {
+            match over(k) {
                 Some(over) => self.decided.push((i as u32, over)),
                 None => {
                     self.residual_idx.push(i as u32);

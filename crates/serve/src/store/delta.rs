@@ -4,15 +4,66 @@
 //!
 //! [`Delta`]'s fields are private to this module, so what the rest of
 //! the store relies on is kept here and nowhere else: the mid tier, if
-//! there is one, is the oldest run; the entry count covers only the
-//! runs above it; and the write path's fold leaves alone the mid tier
-//! and whatever a merge in flight has pinned.
+//! there is one, is the oldest run, read only behind its filter; the
+//! entry count covers only the runs above it; and the write path's
+//! fold leaves alone the mid tier and whatever a merge in flight has
+//! pinned.
 
 use std::sync::Arc;
+
+use super::bloom::Bloom;
 
 /// One immutable sorted run of per-key overrides: `Some(v)` upserts
 /// the key to `v`, `None` is a tombstone. Strictly sorted by key.
 pub(super) type DeltaRun = Arc<[(u64, Option<u64>)]>;
+
+/// The override `run` holds for `key`, if any: one binary search.
+fn search(run: &[(u64, Option<u64>)], key: u64) -> Option<Option<u64>> {
+    run.binary_search_by_key(&key, |e| e.0)
+        .ok()
+        .map(|i| run[i].1)
+}
+
+/// The mid tier as a version holds it: its run and a Bloom filter
+/// over the run's keys, both immutable, built together off the write
+/// lock (by the merge that folds it, or by recovery) and shared by
+/// every version until the next merge replaces them.
+#[derive(Clone)]
+pub(super) struct MidTier {
+    run: DeltaRun,
+    filter: Bloom,
+}
+
+impl MidTier {
+    /// The tier over `run` (sorted, duplicate-free), or `None` for an
+    /// empty one: a stack without a mid tier has no filter either.
+    pub(super) fn new(run: Vec<(u64, Option<u64>)>) -> Option<Self> {
+        if run.is_empty() {
+            return None;
+        }
+        let filter = Bloom::build(run.len(), run.iter().map(|e| e.0));
+        Some(Self {
+            run: run.into(),
+            filter,
+        })
+    }
+
+    /// Entries in the tier.
+    pub(super) fn len(&self) -> usize {
+        self.run.len()
+    }
+
+    /// The tier's override for `key`: the run is searched only where
+    /// the filter admits the key, which an absent key almost never is.
+    #[inline]
+    fn get(&self, key: u64) -> Option<Option<u64>> {
+        if self.filter.may_contain(key) {
+            search(&self.run, key)
+        } else {
+            None
+        }
+    }
+}
 
 /// The append-friendly overlay: an immutable **run-stack** of sorted
 /// override runs, newest run last. Each dispatched write run is sorted
@@ -22,24 +73,25 @@ pub(super) type DeltaRun = Arc<[(u64, Option<u64>)]>;
 /// runs are shared, which is what kills the old per-write
 /// clone-the-whole-delta quadratic. Reads consult runs newest-first.
 ///
-/// The bottom run may be the shard's **mid tier**: what the merges
-/// since the last major one have folded the stack into. To a read it
-/// is the oldest run and nothing more; to the write side it is not
-/// part of the count: [`len`](Self::len), the threshold, the hard
-/// bound, `max_runs` and the write-path fold all concern the runs
-/// *above* it. When those exceed [`StoreConfig::max_runs`]
-/// the write path folds them into a single run (amortized
-/// O(threshold) total, not per-write) and leaves the mid where it is:
-/// a fold that took it along would copy it every few writes.
+/// Under the runs may sit the shard's **mid tier** ([`MidTier`]):
+/// what the merges since the last major one have folded the stack
+/// into. To a read it is the oldest run, searched only where its
+/// filter admits the key; to the write side it is not part of the
+/// count: [`len`](Self::len), the threshold, the hard bound,
+/// `max_runs` and the write-path fold all concern the runs above it.
+/// When those exceed [`StoreConfig::max_runs`] the write path folds
+/// them into a single run (amortized O(threshold) total, not
+/// per-write) and leaves the mid where it is: a fold that took it
+/// along would copy it every few writes.
 ///
 /// [`ShardVersion`]: super::ShardVersion
 /// [`StoreConfig::max_runs`]: super::StoreConfig::max_runs
 #[derive(Clone, Default)]
 pub(super) struct Delta {
-    /// Override runs, oldest first / newest last.
+    /// Override runs above the mid tier, oldest first / newest last.
     runs: Vec<DeltaRun>,
-    /// `runs[0]` is the mid tier.
-    mid: bool,
+    /// The mid tier under them, if the stack has one.
+    mid: Option<MidTier>,
     /// Sum of the lengths of the runs above the mid tier — an upper
     /// bound on the distinct keys they override (a key rewritten in a
     /// newer run counts twice until a fold collapses it). Threshold
@@ -51,31 +103,32 @@ pub(super) struct Delta {
 impl Delta {
     /// The override for `key`: `Some(Some(v))` = upserted to `v`,
     /// `Some(None)` = tombstoned, `None` = no override (fall through
-    /// to the main). Newest run wins.
+    /// to the main). Newest run wins; the mid tier comes last, behind
+    /// its filter. Point reads, the write path's previous values and
+    /// every batch plan resolve keys here.
+    #[inline]
     pub(super) fn get(&self, key: u64) -> Option<Option<u64>> {
-        self.runs.iter().rev().find_map(|run| {
-            run.binary_search_by_key(&key, |e| e.0)
-                .ok()
-                .map(|i| run[i].1)
-        })
+        self.runs
+            .iter()
+            .rev()
+            .find_map(|run| search(run, key))
+            .or_else(|| self.mid.as_ref()?.get(key))
     }
 
     /// The stack a merge publishes: `mid` as the mid tier and `above`
-    /// as the one run on top of it, each already sorted and
-    /// duplicate-free, each left out when empty. The count is exact
-    /// by construction.
-    pub(super) fn tiers(mid: Vec<(u64, Option<u64>)>, above: Vec<(u64, Option<u64>)>) -> Self {
-        let mut delta = Self {
-            mid: !mid.is_empty(),
+    /// as the one run on top of it, sorted and duplicate-free, left
+    /// out when empty. The count is exact by construction, and the
+    /// mid tier arrives built: this is O(1) apart from `above`.
+    pub(super) fn tiers(mid: Option<MidTier>, above: Vec<(u64, Option<u64>)>) -> Self {
+        Self {
             entries: above.len(),
-            runs: Vec::new(),
-        };
-        for run in [mid, above] {
-            if !run.is_empty() {
-                delta.runs.push(run.into());
-            }
+            runs: if above.is_empty() {
+                Vec::new()
+            } else {
+                vec![above.into()]
+            },
+            mid,
         }
-        delta
     }
 
     /// Cheap copy sharing every immutable run: O(runs) `Arc` handle
@@ -92,25 +145,24 @@ impl Delta {
         self.runs.push(run);
     }
 
-    /// The runs, oldest first — the mid tier, if there is one, then
-    /// the runs above it: what a batch plan resolves its keys against.
-    pub(super) fn runs(&self) -> &[DeltaRun] {
-        &self.runs
+    /// Every run, newest first, ending with the mid tier's.
+    fn newest_first(&self) -> impl Iterator<Item = &DeltaRun> {
+        self.runs.iter().rev().chain(self.mid())
     }
 
-    /// The mid tier, if the stack has one.
+    /// The mid tier's run, if the stack has one.
     pub(super) fn mid(&self) -> Option<&DeltaRun> {
-        self.mid.then(|| &self.runs[0])
+        self.mid.as_ref().map(|mid| &mid.run)
     }
 
     /// Entries in the mid tier.
     pub(super) fn mid_len(&self) -> usize {
-        self.mid().map_or(0, |mid| mid.len())
+        self.mid.as_ref().map_or(0, MidTier::len)
     }
 
     /// How many runs sit above the mid tier: what a merge pins.
     pub(super) fn runs_above_mid(&self) -> usize {
-        self.runs.len() - self.mid as usize
+        self.runs.len()
     }
 
     /// The write path's fold: once more than `max_runs` runs sit above
@@ -119,22 +171,21 @@ impl Delta {
     /// winning each key — and say so. The mid tier and the pinned runs
     /// stay the runs they are.
     pub(super) fn fold_past(&mut self, max_runs: usize, pinned: usize) -> bool {
-        let keep = self.mid as usize + pinned;
-        if self.runs.len() - keep <= max_runs {
+        if self.runs.len() - pinned <= max_runs {
             return false;
         }
-        let top = fold_runs(self.runs.split_off(keep).iter().rev());
+        let top = fold_runs(self.runs.split_off(pinned).iter().rev());
         if !top.is_empty() {
             self.runs.push(top.into());
         }
-        self.entries = self.runs[self.mid as usize..].iter().map(|r| r.len()).sum();
+        self.entries = self.runs.iter().map(|r| r.len()).sum();
         true
     }
 
     /// Fold the whole stack, mid tier included, into one sorted,
     /// duplicate-free run, newest run winning each key.
     pub(super) fn fold(&self) -> Vec<(u64, Option<u64>)> {
-        fold_runs(self.runs.iter().rev())
+        fold_runs(self.newest_first())
     }
 
     /// What this stack holds beyond `pinned` — the same shard's stack
@@ -147,8 +198,8 @@ impl Delta {
     /// re-applying any pinned-era override they carry on top of the
     /// fold is idempotent.
     pub(super) fn residual_of(&self, pinned: &Delta) -> Vec<(u64, Option<u64>)> {
-        let was_pinned = |r: &DeltaRun| pinned.runs.iter().any(|r0| Arc::ptr_eq(r, r0));
-        fold_runs(self.runs.iter().rev().filter(|r| !was_pinned(r)))
+        let was_pinned = |r: &DeltaRun| pinned.newest_first().any(|r0| Arc::ptr_eq(r, r0));
+        fold_runs(self.newest_first().filter(|r| !was_pinned(r)))
     }
 
     /// Number of overrides (upserts + tombstones) above the mid tier,
@@ -160,7 +211,7 @@ impl Delta {
 
     /// No override at all, in the mid tier or above it.
     pub(super) fn is_empty(&self) -> bool {
-        self.runs.is_empty()
+        self.runs.is_empty() && self.mid.is_none()
     }
 }
 

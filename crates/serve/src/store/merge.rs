@@ -8,7 +8,7 @@ use std::sync::{Arc, PoisonError};
 use isi_core::sync::{CondvarExt, MutexExt};
 use isi_obs::{SpanTimer, Stage, TraceKind};
 
-use super::delta::{merge_pairs, Delta};
+use super::delta::{merge_pairs, Delta, MidTier};
 use super::{Counts, Main, ShardVersion, StoreInner, WriteState};
 
 /// The background merger's work queue (guarded by `StoreInner::merge_q`).
@@ -28,9 +28,10 @@ struct Folded {
     /// The shard's next main: the pinned version's own after a minor
     /// merge, the rebuilt one after a major.
     main: Arc<Main>,
-    /// The shard's next mid tier: the fold of the pinned stack after a
-    /// minor merge, empty after a major one (it went into the main).
-    mid: Vec<(u64, Option<u64>)>,
+    /// The shard's next mid tier, its run and filter built: the fold
+    /// of the pinned stack after a minor merge, none after a major one
+    /// (it went into the main).
+    mid: Option<MidTier>,
     /// A durable major merge's staged snapshot: the WAL sequence it
     /// covers and its temp file.
     staged: Option<(u64, String)>,
@@ -157,13 +158,14 @@ impl StoreInner {
 
     /// The long half of a merge of shard `si`, which needs no lock:
     /// fold the `pinned` stack (mid tier and runs) over `main` into
-    /// the shard's next mid tier. That is a **minor merge**, and the
-    /// whole of it, while the fold stays short of [`major_len`] and the
-    /// WAL's `wal_ops` short of [`wal_bound`]; otherwise the fold goes
-    /// into the main instead, a **major merge**: rebuild the main with
-    /// the fold applied (tombstones drop out here) and, with
-    /// durability on, stage the result as the shard's next snapshot,
-    /// covering WAL sequence `seq0`.
+    /// the shard's next mid tier, its shared run and filter built
+    /// here so that the publish only installs them. That is a **minor
+    /// merge**, and the whole of it, while the fold stays short of
+    /// [`major_len`] and the WAL's `wal_ops` short of [`wal_bound`];
+    /// otherwise the fold goes into the main instead, a **major
+    /// merge**: rebuild the main with the fold applied (tombstones
+    /// drop out here) and, with durability on, stage the result as the
+    /// shard's next snapshot, covering WAL sequence `seq0`.
     fn fold_pinned(
         &self,
         si: usize,
@@ -187,7 +189,7 @@ impl StoreInner {
         if !major {
             return Folded {
                 main: Arc::clone(main),
-                mid,
+                mid: MidTier::new(mid),
                 staged: None,
                 major,
             };
@@ -201,7 +203,7 @@ impl StoreInner {
             .map(|d| (seq0, d.stage_snapshot(si, seq0, &merged)));
         Folded {
             main: Arc::new(main.rebuild(&merged)),
-            mid: Vec::new(),
+            mid: None,
             staged,
             major,
         }
@@ -211,9 +213,11 @@ impl StoreInner {
     /// publish `folded` — what [`fold_pinned`](Self::fold_pinned) made
     /// of the `pinned` stack — with what `cur`, the version as it
     /// stands now, holds beyond that on top, and `cur`'s counts with
-    /// the merge added. A minor merge touches nothing else; a durable
-    /// major merge commits its snapshot and truncates the WAL down to
-    /// the residual first. Returns the residual's length.
+    /// the merge added. The mid tier arrives built, so the work here
+    /// is O(runs) plus the residual's fold. A minor merge touches
+    /// nothing else; a durable major merge commits its snapshot and
+    /// truncates the WAL down to the residual first. Returns the
+    /// residual's length.
     fn publish_merge(
         &self,
         si: usize,
@@ -234,7 +238,8 @@ impl StoreInner {
             w.wal_ops = residual.len();
         }
         w.pinned = 0;
-        let (mid_len, residual_len) = (folded.mid.len(), residual.len());
+        let mid_len = folded.mid.as_ref().map_or(0, MidTier::len);
+        let residual_len = residual.len();
         self.shards[si].version.store(Arc::new(ShardVersion {
             main: folded.main,
             delta: Delta::tiers(folded.mid, residual),

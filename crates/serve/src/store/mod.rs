@@ -25,11 +25,13 @@
 //! **Maintenance is decoupled from serving, and its cost follows the
 //! delta.** Under the run stack each shard keeps a **mid tier**: one
 //! immutable sorted run of overrides (tombstones kept), the oldest run
-//! of the stack, so every read path above sees it as just that.
+//! of the stack, so every read path above sees it as just that — one
+//! it searches only where the tier's Bloom filter admits the key.
 //! Writes go to the runs above it; when those reach
 //! [`StoreConfig::merge_threshold`] entries, the writer *enqueues a
 //! merge job* and returns. The per-store **background merger thread**
-//! pins the stack and folds it into a fresh mid tier. Usually that is
+//! pins the stack and folds it into a fresh mid tier, and builds the
+//! tier's filter, both off the write lock. Usually that is
 //! all — a **minor merge**: it publishes `(same main, new mid,
 //! residual runs)` through an [`EpochCell`] swap, O(mid), no
 //! `Main::pairs`, no rebuild, no file-system call (the WAL
@@ -70,6 +72,7 @@
 //! sees its fields), `wal` (logging, snapshots, recovery) and `merge`
 //! (the merger's queue, thread and merge routine).
 
+mod bloom;
 mod config;
 mod delta;
 mod merge;
@@ -814,7 +817,7 @@ impl ShardedStore {
             };
             return (outcome, end);
         }
-        scratch.plan.resolve(v.delta.runs(), keys);
+        scratch.plan.resolve_by(keys, |k| v.delta.get(k));
         for &(i, res) in &scratch.plan.decided {
             out[i as usize] = res;
         }

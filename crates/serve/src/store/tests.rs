@@ -624,6 +624,100 @@ fn the_write_path_fold_never_takes_the_mid_along() {
     assert_eq!((store.delta_len(), store.mid_len()), (0, 16));
 }
 
+/// A mid tier with runs above it answers through its filter what it
+/// would answer without one, on every backend and read path: a point
+/// `get`, a planned batch under either policy, and the previous
+/// values a write run returns. The keys: some only in the mid,
+/// some overwritten above it, stored keys tombstoned in it (some
+/// resurrected above), mid keys tombstoned above, and keys the
+/// delta does not hold, stored in the main or nowhere.
+#[test]
+fn a_filtered_mid_tier_answers_every_read_path() {
+    let mid_only = |i: u64| 100_000 + i;
+    let overwritten = |i: u64| 200_000 + i;
+    for backend in Backend::ALL {
+        let tag = backend.name();
+        // Threshold 64 over a main of 1024: the mid is due at 256, so
+        // one threshold of writes makes a mid of 64 and no more.
+        let store =
+            ShardedStore::build_with(backend, 1, &pairs(1024), StoreConfig::with_threshold(64));
+        let mut oracle: HashMap<u64, u64> = pairs(1024).into_iter().collect();
+        let put = |oracle: &mut HashMap<u64, u64>, k: u64, v: u64| {
+            assert_eq!(store.put(k, v), oracle.insert(k, v), "{tag} put {k}");
+        };
+        for i in 0..24 {
+            put(&mut oracle, mid_only(i), i);
+        }
+        for i in 0..16 {
+            put(&mut oracle, overwritten(i), i);
+        }
+        for j in 0..24 {
+            assert_eq!(
+                store.remove(j * 3),
+                Some(j + 1000),
+                "{tag} remove {}",
+                j * 3
+            );
+        }
+        store.quiesce();
+        assert_eq!((store.merges(), store.major_merges()), (1, 0), "{tag}");
+        assert_eq!((store.mid_len(), store.delta_len()), (64, 0), "{tag}");
+        let mid = tiers(&store, 0).1.expect("a mid tier");
+        for j in 0..24 {
+            oracle.remove(&(j * 3));
+        }
+        // Above the mid: overwrite, resurrect, and tombstone mid keys.
+        for i in 0..16 {
+            put(&mut oracle, overwritten(i), 7_000 + i);
+        }
+        for j in 16..24 {
+            put(&mut oracle, j * 3, 8_000 + j);
+        }
+        for i in 20..24 {
+            assert_eq!(store.remove(mid_only(i)), oracle.remove(&mid_only(i)));
+        }
+        store.quiesce();
+        assert_eq!(store.merges(), 1, "{tag}: the runs above stay above");
+        assert_eq!((store.mid_len(), store.delta_len()), (64, 28), "{tag}");
+        assert!(Arc::ptr_eq(&tiers(&store, 0).1.expect("a mid tier"), &mid));
+
+        let decided: Vec<u64> = (0..24)
+            .map(mid_only)
+            .chain((0..16).map(overwritten))
+            .chain((0..24).map(|j| j * 3))
+            .collect();
+        let undecided: Vec<u64> = (100..400)
+            .map(|j| j * 3)
+            .chain((0..300).map(|j| j * 3 + 1))
+            .chain((0..300).map(|i| 300_000 + i))
+            .collect();
+        // Shuffled together, so a batch mixes plan hits and misses.
+        let mut probes: Vec<u64> = decided.iter().chain(&undecided).copied().collect();
+        probes.sort_by_key(|k| k.wrapping_mul(0x9e37_79b9_7f4a_7c15));
+        for &k in &probes {
+            assert_eq!(store.get(k), oracle.get(&k).copied(), "{tag} get {k}");
+        }
+        let mut scratch = LookupScratch::default();
+        let mut out = vec![None; probes.len()];
+        for policy in [Interleave::Sequential, Interleave::Interleaved(24)] {
+            out.fill(Some(u64::MAX));
+            let outcome = store.lookup_batch(0, &probes, policy, ParConfig, &mut scratch, &mut out);
+            assert_eq!(outcome.delta_hits, decided.len() as u64, "{tag} {policy:?}");
+            assert_eq!(outcome.engine.lookups, undecided.len() as u64);
+            for (&k, &r) in probes.iter().zip(&out) {
+                assert_eq!(r, oracle.get(&k).copied(), "{tag} {policy:?} key {k}");
+            }
+        }
+        // One write run over every probe returns what each held.
+        let ops: Vec<(u64, Option<u64>)> = probes.iter().map(|&k| (k, Some(k ^ 1))).collect();
+        let mut prevs = Vec::new();
+        store.apply_write_run_with(&ops, &mut prevs, &mut WriteScratch::default());
+        for (&k, &prev) in probes.iter().zip(&prevs) {
+            assert_eq!(prev, oracle.get(&k).copied(), "{tag} previous value of {k}");
+        }
+    }
+}
+
 fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     match payload.downcast::<String>() {
         Ok(s) => *s,

@@ -9,7 +9,7 @@ use isi_core::sync::MutexExt;
 use isi_durable::{self as durable, DiskFs, Fs};
 use isi_obs::{Obs, SpanTimer, Stage, TraceKind};
 
-use super::delta::{merged_len, sort_lww, Delta};
+use super::delta::{merged_len, sort_lww, Delta, MidTier};
 use super::merge::{major_len, wal_bound};
 use super::{Backend, Counts, Shard, ShardVersion, ShardedStore, StoreConfig, WriteState};
 
@@ -145,7 +145,7 @@ impl ShardedStore {
                         ..Counts::default()
                     },
                     main: Arc::new(backend.build_shard(&rec.pairs)),
-                    delta: Delta::tiers(tail, Vec::new()),
+                    delta: Delta::tiers(MidTier::new(tail), Vec::new()),
                 }),
                 write: Mutex::new(WriteState {
                     wal_seq: rec.next_seq,

@@ -23,7 +23,7 @@
 //! merge, and the merger does its work only after it has taken the
 //! shard's write lock from the run, so the two never overlap.
 //!
-//! Five angles:
+//! Six angles:
 //!
 //! * a deterministic **fault matrix** — one fixed schedule, killed at
 //!   *every* file-system operation index × tear/bit-flip/zero-tail
@@ -36,6 +36,8 @@
 //! * a **short write**: the disk fills up in the middle of a WAL
 //!   append, the shard fails closed, and the crash image recovers
 //!   exactly the acknowledged writes;
+//! * a **recovered mid tier**: a WAL tail replayed into the mid tier
+//!   answers every read path through the filter recovery built for it;
 //! * a **real-directory round trip** (DiskFs) covering clean shutdown
 //!   and recovery-then-serve through a live `LookupService`.
 
@@ -46,8 +48,13 @@ use std::time::Duration;
 
 use proptest::prelude::*;
 
+use isi_core::par::ParConfig;
+use isi_core::policy::Interleave;
 use isi_durable::{wal, FaultFs, FaultPlan, Fs, FsyncMode, MemFs};
-use isi_serve::{Backend, LookupService, ServeConfig, ShardedStore, StoreConfig, WriteScratch};
+use isi_serve::{
+    Backend, LookupScratch, LookupService, ServeConfig, ShardedStore, Stage, StoreConfig,
+    WriteScratch,
+};
 
 const SHARDS: usize = 2;
 
@@ -63,6 +70,14 @@ fn store_cfg() -> StoreConfig {
         max_runs: 2,
         wal_dir: None,
     }
+}
+
+/// The WAL data syncs the store's write path timed, over all shards:
+/// one [`Stage::WalFsync`] span per sync.
+fn wal_fsyncs(store: &ShardedStore) -> u64 {
+    (0..store.num_shards())
+        .map(|shard| store.obs().stage_hist(shard, Stage::WalFsync).count())
+        .sum()
 }
 
 /// Run `schedule` against a fresh durable store on `fault`, returning
@@ -704,6 +719,87 @@ fn recovery_installs_a_long_wal_as_the_mid_tier() {
     read_back(&store, "merged at once");
 }
 
+/// A recovered mid tier carries a filter built from the replayed
+/// tail, and answers through it what the writes left: point
+/// reads, planned batches under either policy, and the previous
+/// values of a write run. Its keys: new keys, some rewritten by later
+/// records, stored keys tombstoned, some of them put back, and keys
+/// the tail never touched.
+#[test]
+fn a_recovered_mid_tier_answers_every_read_path() {
+    // One shard of 1 000 pairs at threshold 8: the mid is due at 89
+    // entries and the WAL at 178 ops, so the 70 ops below are all
+    // replayed into the mid tier and nothing merges on recovery.
+    let seed: Vec<(u64, u64)> = (0..1_000u64).map(|i| (i * 3, i)).collect();
+    let cfg = StoreConfig::with_threshold(8);
+    let fs = Arc::new(MemFs::new());
+    let mut oracle: HashMap<u64, u64> = seed.iter().copied().collect();
+    let mut ops: Vec<(u64, Option<u64>)> = Vec::new();
+    ops.extend((0..40u64).map(|i| (10_000 + i, Some(i))));
+    ops.extend((0..10u64).map(|i| (10_000 + i, Some(500 + i))));
+    ops.extend((0..16u64).map(|i| (i * 3, None)));
+    ops.extend((0..4u64).map(|i| (i * 3, Some(900 + i))));
+    {
+        let store = ShardedStore::build_with_fs(
+            Backend::Csb,
+            1,
+            &seed,
+            cfg.clone(),
+            Arc::clone(&fs) as Arc<dyn Fs>,
+        );
+        for &(key, val) in &ops {
+            let prev = match val {
+                Some(v) => store.put(key, v),
+                None => store.remove(key),
+            };
+            let expect = match val {
+                Some(v) => oracle.insert(key, v),
+                None => oracle.remove(&key),
+            };
+            assert_eq!(prev, expect, "live write of {key}");
+        }
+        store.quiesce();
+        assert_eq!(store.major_merges(), 0);
+    }
+    let store =
+        ShardedStore::recover_with_fs(Backend::Csb, cfg, fs as Arc<dyn Fs>).expect("recover");
+    store.quiesce();
+    assert_eq!(store.merges(), 0, "56 of 89: nothing is due");
+    assert_eq!((store.mid_len(), store.delta_len()), (56, 0));
+    assert_eq!(store.len(), oracle.len());
+
+    let in_mid: Vec<u64> = (0..40u64)
+        .map(|i| 10_000 + i)
+        .chain((0..16).map(|i| i * 3))
+        .collect();
+    let mut probes: Vec<u64> = in_mid
+        .iter()
+        .copied()
+        .chain((16..600).map(|i| i * 3))
+        .chain((0..300).map(|i| i * 3 + 2))
+        .chain((40..300).map(|i| 10_000 + i))
+        .collect();
+    probes.sort_by_key(|k| k.wrapping_mul(0x9e37_79b9_7f4a_7c15));
+    for &k in &probes {
+        assert_eq!(store.get(k), oracle.get(&k).copied(), "get {k}");
+    }
+    let mut scratch = LookupScratch::default();
+    let mut out = vec![None; probes.len()];
+    for policy in [Interleave::Sequential, Interleave::Interleaved(24)] {
+        let outcome = store.lookup_batch(0, &probes, policy, ParConfig, &mut scratch, &mut out);
+        assert_eq!(outcome.delta_hits, in_mid.len() as u64, "{policy:?}");
+        for (&k, &r) in probes.iter().zip(&out) {
+            assert_eq!(r, oracle.get(&k).copied(), "{policy:?} key {k}");
+        }
+    }
+    let run: Vec<(u64, Option<u64>)> = probes.iter().map(|&k| (k, None)).collect();
+    let mut prevs = Vec::new();
+    store.apply_write_run_with(&run, &mut prevs, &mut WriteScratch::default());
+    for (&k, &prev) in probes.iter().zip(&prevs) {
+        assert_eq!(prev, oracle.get(&k).copied(), "previous value of {k}");
+    }
+}
+
 /// Real-directory round trip: build durable on a DiskFs, write
 /// through a live service, shut down cleanly, recover, and serve
 /// again — values intact.
@@ -726,9 +822,9 @@ fn disk_roundtrip_through_the_service() {
         }
         svc.remove(0);
         svc.put(3, 777);
-        let (records, syncs) = svc.store().wal_stats();
+        let (records, _) = svc.store().wal_stats();
         assert!(records > 0, "writes must hit the WAL");
-        assert!(syncs > 0);
+        assert_eq!(wal_fsyncs(svc.store()), records, "one data sync per record");
         // svc (and with it the store) drops here: clean shutdown.
     }
     // A clean shutdown trims each preallocated WAL to its records.
@@ -854,8 +950,8 @@ fn group_commit_amortizes_fsyncs_through_the_service() {
     // One record and one fsync per write run, and with 4 concurrent
     // clients the writes that queue up behind a run's fsync coalesce
     // into shared records, which must beat one-sync-per-op.
-    let (records, syncs) = svc.store().wal_stats();
-    assert_eq!(syncs, records);
+    let (records, _) = svc.store().wal_stats();
+    assert_eq!(wal_fsyncs(svc.store()), records, "one data sync per record");
     assert!(
         records < 256,
         "4×64 puts should coalesce into fewer records, got {records}"

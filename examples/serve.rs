@@ -56,9 +56,10 @@ fn main() {
 
     let store = svc.store();
     println!(
-        "\nmerges {} (major {})",
+        "\nmerges {} (major {}), mid tiers {} entries",
         store.merges(),
-        store.major_merges()
+        store.major_merges(),
+        store.mid_len()
     );
 
     std::fs::write(&trace_path, svc.export_chrome_trace()).expect("write the chrome trace");
