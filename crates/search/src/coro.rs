@@ -134,6 +134,7 @@ pub fn bulk_rank_coro_separate<K: SearchKey, M: IndexedMem<K> + Copy>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fence::rank_fenced_coro;
     use crate::par::bulk_rank_coro_par;
     use crate::seq::rank_oracle;
     use isi_core::coro::resume;
@@ -158,6 +159,15 @@ mod tests {
         let table = [0u64; 4];
         let frame = rank_coro::<true, u64, DirectMem<u64>>(DirectMem::new(&table), 1);
         assert!(size_of_val(&frame) <= 88, "{} bytes", size_of_val(&frame));
+    }
+
+    // The instantiation the sorted main runs: three fence levels per
+    // suspension, so it holds a fence handle beside the column's.
+    #[test]
+    fn rank_fenced_coro_frame_is_at_most_120_bytes() {
+        let table = [0u64; 4];
+        let frame = rank_fenced_coro::<true, _>(DirectMem::new(&table), DirectMem::new(&table), 1);
+        assert!(size_of_val(&frame) <= 120, "{} bytes", size_of_val(&frame));
     }
 
     #[test]

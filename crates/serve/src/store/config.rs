@@ -5,7 +5,6 @@
 use std::iter::zip;
 use std::path::PathBuf;
 
-use isi_core::mem::DirectMem;
 use isi_core::par::ParConfig;
 use isi_core::policy::Interleave;
 use isi_core::sched::RunStats;
@@ -18,8 +17,10 @@ use isi_search::{SortedShard, SortedShardBuilder};
 /// [`ShardedStore`](super::ShardedStore).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Backend {
-    /// Sorted key column + aligned value column; lookups are
-    /// interleaved binary-search ranks resolved by an equality check.
+    /// Sorted key column + aligned value column; lookups rank through
+    /// the key column's Eytzinger-ordered fence, three levels per
+    /// suspension ([`SortedShard::rank_batch`]), and are resolved by an
+    /// equality check.
     Sorted,
     /// A CSB+-tree per shard; lookups are interleaved tree descents.
     Csb,
@@ -152,7 +153,9 @@ impl Main {
     }
 
     /// Look up `keys[i]` into `out[i]` through the index's interleaved
-    /// bulk driver, one scheduler run on the calling thread, returning
+    /// bulk driver (a sorted main's fenced rank,
+    /// [`SortedShard::rank_batch`]; a CSB+-tree's descent; a hash
+    /// table's probe), one scheduler run on the calling thread, returning
     /// its [`RunStats`] (`lookups == keys.len()`, also on an empty
     /// main). `_par` is ignored; it stays while the benchmark passes it
     /// ([`ParConfig`]).
@@ -177,24 +180,18 @@ impl Main {
         let group = policy.group_or_one();
         match self {
             Main::Sorted(s) => {
-                // Rank via the interleaved binary-search coroutines,
-                // then resolve rank -> value with one equality check.
-                // An empty column ranks every key 0 without a load, so
-                // the engine runs (and counts) every key there too. The
-                // resolve loop's loads are independent of each other,
-                // so the value lines' misses overlap without help
-                // (fetching the value inside the coroutine was
-                // prototyped: 298 vs 303 ns/key, no gain).
+                // Rank through the column's fence, three levels a
+                // suspension, then resolve rank -> value with one
+                // equality check. An empty column ranks every key 0
+                // without a load, so the engine runs (and counts) every
+                // key there too. The resolve loop's loads are
+                // independent of each other, so the value lines' misses
+                // overlap without help (fetching the value inside the
+                // coroutine was prototyped: 298 vs 303 ns/key, no gain).
                 let (col, vals) = (s.keys(), s.vals());
                 scratch.clear();
                 scratch.resize(keys.len(), 0);
-                let stats = isi_search::par::bulk_rank_coro_par(
-                    DirectMem::new(col),
-                    keys,
-                    group,
-                    ParConfig,
-                    scratch,
-                );
+                let stats = s.rank_batch(keys, group, scratch);
                 for ((o, &r), &k) in out.iter_mut().zip(scratch.iter()).zip(keys) {
                     *o = (col.get(r as usize) == Some(&k)).then(|| vals[r as usize]);
                 }

@@ -164,6 +164,41 @@ fn lookup_batch_skips_delta_decided_keys() {
     }
 }
 
+/// A sorted main ranks through its fence: the first key of each 8-key
+/// line of the column, in Eytzinger order. For a main of `len` keys
+/// the fence has `blocks = ceil(len / 8)` nodes and
+/// `depth = floor(log2(blocks)) + 1` levels, and every lookup runs all
+/// of them: the top `depth mod 3` on the root's line, then three per
+/// suspension, then one suspension for the key line. So an interleaved
+/// lookup suspends exactly `steps = floor(depth / 3) + 1` times, where
+/// the binary search over the column suspends at each of its
+/// `floor(log2(len))` halvings.
+#[test]
+fn a_sorted_main_suspends_once_per_three_fence_levels() {
+    for len in [9u64, 100, 4096, 1 << 16] {
+        let store = ShardedStore::build(Backend::Sorted, 1, &pairs(len));
+        let blocks = len.div_ceil(8);
+        let depth = blocks.ilog2() + 1;
+        let steps = u64::from(depth / 3 + 1);
+        let probes: Vec<u64> = (0..500).map(|i| i * 7 % (len * 3 + 5)).collect();
+        let mut out = vec![None; probes.len()];
+        let mut scratch = LookupScratch::default();
+        for (policy, per_lookup) in [
+            (Interleave::from_group(6), steps),
+            (Interleave::Sequential, 0),
+        ] {
+            let outcome = store.lookup_batch(0, &probes, policy, ParConfig, &mut scratch, &mut out);
+            let engine = outcome.engine;
+            assert_eq!(engine.lookups, probes.len() as u64, "len={len}");
+            assert_eq!(engine.switches, engine.lookups * per_lookup, "len={len}");
+            for (&k, &r) in probes.iter().zip(&out) {
+                assert_eq!(r, store.get(k), "len={len} key={k}");
+            }
+        }
+        assert!(steps < u64::from(len.ilog2()), "len={len}: {steps} steps");
+    }
+}
+
 #[test]
 fn empty_store_and_empty_batches() {
     for backend in Backend::ALL {
